@@ -5,7 +5,8 @@ manifest (resolved config, tool version, RNG identity, wall clock, stage
 status) plus machine-readable JSON/CSV reports.  Report files contain no
 timestamps, so a re-run from the same manifest is byte-identical.
 
-Exit codes: 0 = all gates passed, 2 = gates unmet, 3 = invariant violation.
+Exit codes: 0 = all gates passed, 2 = gates unmet or invalid input,
+3 = invariant violation.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def parse_config(path: str) -> dict:
 
 def resolve(args: argparse.Namespace) -> dict:
     cfg = parse_config(args.config) if args.config else {}
-    for key in ("seed", "eps", "samples", "radius", "trials", "n", "m", "s", "r", "out_dir", "x_file", "c", "mode", "push_basis_file"):
+    for key in ("seed", "eps", "samples", "trials", "n", "m", "s", "r", "out_dir", "x_file", "c", "mode"):
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
@@ -98,13 +99,11 @@ def resolve(args: argparse.Namespace) -> dict:
         "eps": float(cfg.get("eps", 0.01)),
         "seed": int(cfg.get("seed", 1)),
         "samples": int(cfg.get("samples", 100_000)),
-        "radius": float(cfg.get("radius", 6.0)),
         "trials": int(cfg.get("trials", 10)),
         "out_dir": str(cfg.get("out_dir", ".")),
         "x_file": cfg.get("x_file"),
         "c": [float(t) for t in str(cfg.get("c", "")).split()] if cfg.get("c") else None,
         "mode": str(cfg.get("mode", "exact")),
-        "push_basis_file": cfg.get("push_basis_file"),
     }
     if not 0 < out["eps"] < 1:
         raise ValueError("eps out of range")
@@ -340,6 +339,8 @@ def cmd_main_experiment(cfg: dict) -> int:
                 n_pass += 1
             else:
                 n_fail += 1
+        except AssertionError:
+            raise
         except Exception as exc:  # per-trial failures recorded, run continues
             entry["status"] = f"error: {exc}"
             n_skip += 1
@@ -373,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--eps", type=float, default=None)
         sp.add_argument("--samples", type=int, default=None)
-        sp.add_argument("--radius", type=float, default=None)
         sp.add_argument("--out-dir", dest="out_dir", default=None)
         sp.add_argument("--trials", type=int, default=None)
         sp.add_argument("-n", type=int, default=None)
@@ -382,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-r", type=float, default=None)
         sp.add_argument("--x-file", dest="x_file", default=None)
         sp.add_argument("--c", dest="c", default=None)
-        sp.add_argument("--push-basis-file", dest="push_basis_file", default=None)
         g = sp.add_mutually_exclusive_group()
         g.add_argument("--exact", dest="mode", action="store_const", const="exact")
         g.add_argument("--mc", dest="mode", action="store_const", const="mc")
@@ -409,6 +408,9 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except ValueError as exc:  # includes RankError, NotInSupport, LinAlgError
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_GATE
 
 
 if __name__ == "__main__":

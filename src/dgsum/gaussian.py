@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .intmat import IntMatrix
-
-# Rejection-sampler envelope constant: max over k of exp(-pi k^2/s^2 + |k|/s).
-_ENVELOPE = math.exp(1.0 / (4.0 * math.pi))
 
 DEFAULT_RADIUS = 12.0  # whitened truncation radius, tail < 2^-100 per direction
 ENUM_BUDGET = 20_000_000  # max integer box size in a single enumeration
@@ -233,6 +230,17 @@ def ball_tail_bound(rank: int, whitened_radius: float) -> float:
     return float(min(1.0, 6.0 * base ** rank))
 
 
+def integer_box(lo: np.ndarray, hi: np.ndarray, budget: int = ENUM_BUDGET) -> np.ndarray:
+    """Every integer point t with lo <= t <= hi, as rows in lexicographic order."""
+    total = int(np.prod((hi - lo + 1).astype(object)))
+    if total > budget:
+        raise EnumerationBudgetExceeded(
+            f"integer box of size {total} exceeds budget {budget}"
+        )
+    grids = np.meshgrid(*[np.arange(l, h + 1) for l, h in zip(lo, hi)], indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
 def enumerate_affine(
     A: np.ndarray,
     b: np.ndarray,
@@ -253,14 +261,7 @@ def enumerate_affine(
     half = radius * np.sqrt(np.maximum(np.diag(Ginv), 0.0))
     lo = np.floor(t0 - half - 1e-9).astype(np.int64)
     hi = np.ceil(t0 + half + 1e-9).astype(np.int64)
-    sizes = hi - lo + 1
-    total = int(np.prod(sizes.astype(object)))
-    if total > budget:
-        raise EnumerationBudgetExceeded(
-            f"integer box of size {total} exceeds budget {budget}"
-        )
-    grids = np.meshgrid(*[np.arange(l, h + 1) for l, h in zip(lo, hi)], indexing="ij")
-    T = np.stack([g.ravel() for g in grids], axis=1)
+    T = integer_box(lo, hi, budget)
     w = T @ A.T + b
     keep = np.einsum("ij,ij->i", w, w) <= radius * radius * (1 + 1e-12) + 1e-12
     return T[keep]

@@ -152,10 +152,8 @@ def hnf_column(X: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             r[j] *= k
 
     pivot_col = 0
-    pivots: list[tuple[int, int]] = []
     for row in range(n):
         # eliminate within row using gcd column operations
-        j = pivot_col
         nz = [c for c in range(pivot_col, m) if H[row][c] != 0]
         if not nz:
             continue
@@ -177,21 +175,14 @@ def hnf_column(X: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             q = H[row][c] // H[row][pivot_col]
             if q:
                 addmul_col(c, pivot_col, -q)
-        pivots.append((row, pivot_col))
         pivot_col += 1
         if pivot_col == m:
             break
-    Hm = IntMatrix.from_rows(H)
-    Um = IntMatrix.from_rows(U)
-    object.__setattr__(Hm, "_pivots", tuple(pivots))
-    return Hm, Um
+    return IntMatrix.from_rows(H), IntMatrix.from_rows(U)
 
 
 def hnf_pivots(H: IntMatrix) -> tuple[tuple[int, int], ...]:
-    piv = getattr(H, "_pivots", None)
-    if piv is not None:
-        return piv
-    # recover pivots: first nonzero row index of each nonzero column
+    """(row, col) of each pivot of a column HNF: the first nonzero of each nonzero column."""
     pivots = []
     for j in range(H.n_cols):
         col = H.column(j)
@@ -209,7 +200,11 @@ def row_rank(X: IntMatrix) -> int:
 def kernel_columns(X: IntMatrix) -> list[IntVector]:
     """Basis of the integer kernel {v in Z^m : X v = 0} as column vectors."""
     H, U = hnf_column(X)
-    rank = len(hnf_pivots(H))
+    return _hnf_kernel(X, U, len(hnf_pivots(H)))
+
+
+def _hnf_kernel(X: IntMatrix, U: IntMatrix, rank: int) -> list[IntVector]:
+    """kernel_columns given X U = H from hnf_column(X) and H's rank."""
     ker = [U.column(j) for j in range(rank, X.n_cols)]
     for v in ker:
         assert all(x == 0 for x in X @ v)
@@ -218,12 +213,16 @@ def kernel_columns(X: IntMatrix) -> list[IntVector]:
 
 def solve_integer(X: IntMatrix, target: Sequence[int]) -> IntVector | None:
     """One integer solution of X u = target, or None if none exists."""
+    H, U = hnf_column(X)
+    return _back_substitute(X, H, U, hnf_pivots(H), target)
+
+
+def _back_substitute(X: IntMatrix, H: IntMatrix, U: IntMatrix, pivots, target) -> IntVector | None:
+    """solve_integer given X U = H from hnf_column(X) and H's pivots."""
     n, m = X.shape
     t = [_as_int(x) for x in target]
     if len(t) != n:
         raise ValueError("dimension mismatch")
-    H, U = hnf_column(X)
-    pivots = hnf_pivots(H)
     y = [0] * m
     resid = list(t)
     for (row, col) in pivots:

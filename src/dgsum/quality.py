@@ -78,13 +78,13 @@ class ShortKernelBasis:
     norm_bound: float
 
 
-def column_bound(X: IntMatrix) -> float:
-    """Largest column l2 norm of X."""
-    return math.sqrt(max(norm_sq(c) for c in X.columns()))
-
-
 def _max_column_norm_sq(X: IntMatrix) -> int:
     return max(norm_sq(c) for c in X.columns())
+
+
+def column_bound(X: IntMatrix) -> float:
+    """Largest column l2 norm of X."""
+    return math.sqrt(_max_column_norm_sq(X))
 
 
 def pigeonhole_collision(

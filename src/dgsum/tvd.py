@@ -22,15 +22,14 @@ from .gaussian import (
     DiscretePMF,
     GaussianShape,
     LatticeCoset,
-    ENUM_BUDGET,
-    EnumerationBudgetExceeded,
     SampleStream,
     ball_tail_bound,
     coset_mass,
     enumerate_affine,
+    integer_box,
 )
-from .intmat import IntMatrix, fraction_rank, solve_integer
-from .lattice import LatticeBasis, integer_kernel
+from .intmat import IntMatrix, _back_substitute, _hnf_kernel, hnf_column, hnf_pivots
+from .lattice import LatticeBasis
 
 SECTION_TAIL_BUDGET = 1e-10  # certified relative tail per fiber section
 
@@ -89,9 +88,10 @@ class MCTVDReport:
 class FiberWorkspace:
     """Per-(X, R, c) precomputation for repeated fiber enumerations.
 
-    All fibers of one instance are translates of the same kernel lattice, so
-    the whitened integer search box is built once and only recentered per
-    fiber.
+    All fibers of one instance are translates g(z) + ker X of the same kernel
+    lattice, so one Hermite decomposition X U = H gives the kernel basis and
+    every particular solution g(z), and the whitened integer search box is
+    built once and only recentered per fiber.
     """
 
     def __init__(
@@ -102,7 +102,9 @@ class FiberWorkspace:
         section_radius: float | None = None,
     ):
         n, m = X.shape
-        if fraction_rank(X.rows) < n:
+        H, U = hnf_column(X)
+        self._hnf = (H, U, hnf_pivots(H))
+        if len(self._hnf[2]) < n:
             raise ValueError("X must have full row rank")
         self.X = X
         self.R = R
@@ -114,7 +116,7 @@ class FiberWorkspace:
         if section_radius is None:
             section_radius = region_radius_for_tail(max(self.rank, 1), SECTION_TAIL_BUDGET)
         self.section_radius = float(section_radius)
-        self.kernel = integer_kernel(X) if m > n else None
+        self.kernel = LatticeBasis(IntMatrix.from_columns(_hnf_kernel(X, U, n))) if m > n else None
         if self.kernel is not None:
             self.K = self.kernel.matrix.to_numpy()
             self.WK = self.W @ self.K
@@ -122,13 +124,7 @@ class FiberWorkspace:
             self.Ginv = np.linalg.inv(G)
             # fixed integer displacement box covering any fractional recentering
             half = self.section_radius * np.sqrt(np.maximum(np.diag(self.Ginv), 0.0)) + 0.5
-            lo = np.floor(-half).astype(np.int64)
-            hi = np.ceil(half).astype(np.int64)
-            total = int(np.prod((hi - lo + 1).astype(object)))
-            if total > ENUM_BUDGET:
-                raise EnumerationBudgetExceeded(f"fiber box of size {total}")
-            grids = np.meshgrid(*[np.arange(l, h + 1) for l, h in zip(lo, hi)], indexing="ij")
-            self.box = np.stack([g.ravel() for g in grids], axis=1)
+            self.box = integer_box(np.floor(-half).astype(np.int64), np.ceil(half).astype(np.int64))
             self.box_w = self.box @ self.WK.T
         # target shape R X^T: Gram = X R^T R X^T
         Xf = X.to_numpy()
@@ -138,47 +134,42 @@ class FiberWorkspace:
         self.Xc = Xf @ self.c
 
     def particular(self, z: Sequence[int]) -> np.ndarray:
-        g = solve_integer(self.X, [int(v) for v in z])
+        g = _back_substitute(self.X, *self._hnf, [int(v) for v in z])
         if g is None:
             raise NotInSupport(f"{tuple(z)} not in X Z^m")
         return np.array(g, dtype=float) + self.c
 
-    def _section(self, w0: np.ndarray):
-        """Per-fiber section data: (perp_sq, base, mask, section_sum)."""
-        Ww0 = self.W @ w0
-        # split W w0 into components along and orthogonal to span(W K)
-        coef = self.Ginv @ (self.WK.T @ Ww0)
-        perp = Ww0 - self.WK @ coef
-        perp_sq = float(perp @ perp)
-        t_center = -coef
-        base = np.round(t_center)
-        f = t_center - base  # in [-1/2, 1/2]^rank
+    def _section(self, f: np.ndarray) -> tuple[np.ndarray, float]:
+        """Box mask and truncated weight of the kernel lattice shifted by f."""
         shift = self.box_w - f @ self.WK.T
         nrm = np.einsum("ij,ij->i", shift, shift)
         mask = nrm <= self.section_radius ** 2 * (1 + 1e-12)
-        section_sum = float(np.sum(np.sort(np.exp(-math.pi * nrm[mask]))))
-        return perp_sq, base, mask, section_sum
+        return mask, float(np.sum(np.sort(np.exp(-math.pi * nrm[mask]))))
+
+    def _mass(self, w0: np.ndarray):
+        """(mass, base, mask) of the fiber w0 + ker X; its kept kernel
+        coordinates are box[mask] + base (both None when ker X = 0)."""
+        Ww0 = self.W @ w0
+        if self.kernel is None:
+            return float(np.exp(-math.pi * Ww0 @ Ww0)), None, None
+        # split W w0 into components along and orthogonal to span(W K)
+        coef = self.Ginv @ (self.WK.T @ Ww0)
+        perp = Ww0 - self.WK @ coef
+        base = np.round(-coef)
+        mask, section_sum = self._section(-coef - base)  # shift in [-1/2, 1/2]^rank
+        return math.exp(-math.pi * float(perp @ perp)) * section_sum, base, mask
 
     def fiber_weight(self, z: Sequence[int]) -> float:
         """Truncated Gaussian weight of the fiber over z (no point table)."""
-        w0 = self.particular(z)
-        if self.kernel is None:
-            Ww0 = self.W @ w0
-            return float(np.exp(-math.pi * Ww0 @ Ww0))
-        perp_sq, _, _, section_sum = self._section(w0)
-        return math.exp(-math.pi * perp_sq) * section_sum
+        return self._mass(self.particular(z))[0]
 
     def fiber(self, z: Sequence[int]) -> FiberEnumeration:
         z = tuple(int(v) for v in z)
         w0 = self.particular(z)
+        mass, base, mask = self._mass(w0)
         if self.kernel is None:
-            Ww0 = self.W @ w0
-            mass = float(np.exp(-math.pi * Ww0 @ Ww0))
             return FiberEnumeration(z=z, points=w0[None, :], mass=mass, tail_bound=0.0)
-        perp_sq, base, mask, section_sum = self._section(w0)
-        mass = math.exp(-math.pi * perp_sq) * section_sum
-        T = self.box[mask] + base
-        points = T @ self.K.T + w0
+        points = (self.box[mask] + base) @ self.K.T + w0
         return FiberEnumeration(
             z=z, points=points, mass=mass,
             tail_bound=ball_tail_bound(self.rank, self.section_radius),
@@ -188,9 +179,7 @@ class FiberWorkspace:
         """Truncated Gaussian weight of the orthogonal lattice itself."""
         if self.kernel is None:
             return 1.0
-        nrm = np.einsum("ij,ij->i", self.box_w, self.box_w)
-        mask = nrm <= self.section_radius ** 2 * (1 + 1e-12)
-        return float(np.sum(np.sort(np.exp(-math.pi * nrm[mask]))))
+        return self._section(np.zeros(self.rank))[1]
 
     def region(self, region_radius: float) -> list[tuple[int, ...]]:
         """Integer labels z with whitened target norm of z + X c within radius."""
@@ -221,6 +210,17 @@ def fiber_mass(
     return FiberWorkspace(X, R, c, section_radius=section_radius).fiber(z)
 
 
+def _labels(X, R, c, region, region_radius, workspace, section_radius=None):
+    """(workspace, region radius, labels) shared by the image and target pmfs."""
+    ws = workspace or FiberWorkspace(
+        X, R, c if c is not None else [0.0] * X.n_cols, section_radius=section_radius
+    )
+    if region_radius is None:
+        region_radius = region_radius_for_tail(X.n_rows)
+    labels = [tuple(int(v) for v in z) for z in region] if region is not None else ws.region(region_radius)
+    return ws, region_radius, labels
+
+
 def exact_output_pmf(
     X: IntMatrix,
     R: GaussianShape,
@@ -237,12 +237,7 @@ def exact_output_pmf(
     (safety factor 3 covering the image-vs-target band), fiber tails via the
     section ball bound.
     """
-    ws = workspace or FiberWorkspace(
-        X, R, c if c is not None else [0.0] * X.n_cols, section_radius=section_radius
-    )
-    if region_radius is None:
-        region_radius = region_radius_for_tail(X.n_rows)
-    labels = [tuple(int(v) for v in z) for z in region] if region is not None else ws.region(region_radius)
+    ws, region_radius, labels = _labels(X, R, c, region, region_radius, workspace, section_radius)
     masses = np.array([ws.fiber_weight(z) for z in labels])
     total = float(np.sum(np.sort(masses)))
     if total <= 0:
@@ -261,10 +256,7 @@ def target_pmf(
     workspace: FiberWorkspace | None = None,
 ) -> DiscretePMF:
     """Truncated pmf of the discrete Gaussian on Z^n + X c with shape R X^T."""
-    ws = workspace or FiberWorkspace(X, R, c if c is not None else [0.0] * X.n_cols)
-    if region_radius is None:
-        region_radius = region_radius_for_tail(X.n_rows)
-    labels = [tuple(int(v) for v in z) for z in region] if region is not None else ws.region(region_radius)
+    ws, region_radius, labels = _labels(X, R, c, region, region_radius, workspace)
     vals = np.array([ws.target_weight(z) for z in labels])
     total = float(np.sum(np.sort(vals)))
     return DiscretePMF(tuple(labels), vals / total, ball_tail_bound(X.n_rows, region_radius))

@@ -9,6 +9,7 @@ import pytest
 
 from dgsum.cli import (
     EXIT_GATE,
+    EXIT_INVARIANT,
     EXIT_OK,
     build_parser,
     jround,
@@ -204,4 +205,49 @@ def test_sample_replay_byte_identical(tmp_path):
     assert run(args + ["--out-dir", out1]) == EXIT_OK
     assert run(["sample", "--config", out1 / "manifest.json", "--out-dir", out2]) == EXIT_OK
     for name in ("samples.csv", "matrix.txt"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_main_invariant_violation_exits_3(tmp_path, monkeypatch):
+    import dgsum.cli
+
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("injected")
+
+    monkeypatch.setattr(dgsum.cli, "_tvd_instance", broken)
+    code = run(["main", "-n", "1", "-m", "2", "-s", "2.0", "--eps", "0.01",
+                "--trials", "2", "--exact", "--seed", "11", "--out-dir", tmp_path / "run"])
+    assert calls and code == EXIT_INVARIANT
+
+
+@pytest.mark.parametrize("x_text, flags", [
+    ("1 0 x\n0 1 1\n", ["kernel"]),
+    ("1 0\n0 1\n1 1\n", ["kernel"]),
+    ("1 1\n", ["tvd", "--mc", "--samples", "5000"]),
+])
+def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, x_text, flags):
+    xfile = tmp_path / "X.txt"
+    xfile.write_text(x_text)
+    code = run(flags + ["--x-file", xfile, "--seed", "4", "--out-dir", tmp_path / "run"])
+    err = capsys.readouterr().err
+    assert code == EXIT_GATE
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+
+def test_replay_manifest_with_removed_keys(tmp_path):
+    # manifests written before --radius and --push-basis-file were removed
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 0 1\n0 1 1\n")
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run(["tvd", "--x-file", xfile, "--eps", "0.01", "--exact",
+                "--seed", "4", "--out-dir", out1]) == EXIT_OK
+    manifest = read_json(out1 / "manifest.json")
+    assert "radius" not in manifest["resolved_config"]
+    manifest["resolved_config"].update({"radius": 6.0, "push_basis_file": None})
+    (out1 / "manifest.json").write_text(json.dumps(manifest))
+    assert run(["tvd", "--config", out1 / "manifest.json", "--out-dir", out2]) == EXIT_OK
+    for name in ("tvd.json", "matrix.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()

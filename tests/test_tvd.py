@@ -76,6 +76,67 @@ def test_fiber_weight_matches_fiber():
         assert ws.fiber_weight(z) == pytest.approx(ws.fiber(z).mass, rel=1e-12)
 
 
+def test_workspace_particular_matches_solve_integer():
+    rng = np.random.default_rng(5)
+    # a non-surjective X first: its image is 2Z x Z
+    mats = [IntMatrix.from_rows([[2, 0, 2], [0, 1, 1]])]
+    while len(mats) < 40:
+        n = int(rng.integers(1, 4))
+        X = IntMatrix.from_rows(rng.integers(-3, 4, size=(n, int(rng.integers(n, n + 3)))).tolist())
+        if np.linalg.matrix_rank(X.to_numpy()) == n:
+            mats.append(X)
+    outside = 0
+    for X in mats:
+        n, m = X.shape
+        c = rng.normal(size=m)
+        ws = FiberWorkspace(X, GaussianShape.spherical(0.5), c)  # small s keeps the box small
+        for z in rng.integers(-4, 5, size=(6, n)).tolist() + [[1] + [0] * (n - 1)]:
+            g = solve_integer(X, z)
+            if g is None:
+                outside += 1
+                with pytest.raises(NotInSupport):
+                    ws.particular(z)
+            else:
+                assert np.array_equal(ws.particular(z), np.array(g, dtype=float) + c)
+    assert outside > 0
+
+
+def test_exact_output_pmf_matches_per_label_solve():
+    # the reference solves each label with its own HNF
+    for rows, c in (([[1, 1, 1], [0, 1, 2]], [0.0, 0.0, 0.0]), ([[1, 0, 1, 1], [0, 1, 1, -1]], [0.3, -0.2, 0.0, 0.1])):
+        X = IntMatrix.from_rows(rows)
+        R = GaussianShape.spherical(3.0)
+        p = exact_output_pmf(X, R, c=c)
+        ref = FiberWorkspace(X, R, c)
+        ref.particular = lambda z: np.array(solve_integer(X, [int(v) for v in z]), dtype=float) + ref.c
+        masses = np.array([ref.fiber_weight(z) for z in p.points])
+        assert np.array_equal(p.masses, masses / float(np.sum(np.sort(masses))))
+
+
+def test_hnf_calls_independent_of_label_count(monkeypatch):
+    import dgsum.intmat
+    import dgsum.tvd
+
+    calls = []
+    hnf = dgsum.intmat.hnf_column
+
+    def counting(X):
+        calls.append(X)
+        return hnf(X)
+
+    monkeypatch.setattr(dgsum.intmat, "hnf_column", counting)
+    monkeypatch.setattr(dgsum.tvd, "hnf_column", counting)
+    X = IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])
+    per_radius = {}
+    for radius in (2.0, 4.0):
+        calls.clear()
+        p = exact_output_pmf(X, R2, region_radius=radius)
+        target_pmf(X, R2, region_radius=radius)
+        per_radius[p.support_size()] = len(calls)
+    assert len(per_radius) == 2
+    assert set(per_radius.values()) == {2}
+
+
 def test_region_radius_for_tail():
     from dgsum.gaussian import ball_tail_bound
 
