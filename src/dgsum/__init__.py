@@ -20,7 +20,7 @@ from .gaussian import (
     sample_dg_int,
     sample_dg_ints,
 )
-from .intmat import IntMatrix
+from .intmat import IntMatrix, InvariantViolation
 from .lattice import (
     LatticeBasis,
     SmoothingBound,

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .gaussian import GaussianShape, SampleStream, sample_dg_ints
-from .intmat import IntMatrix
+from .gaussian import EnumerationBudgetExceeded, GaussianShape, SampleStream, sample_dg_ints
+from .intmat import IntMatrix, InvariantViolation
 from .lattice import integer_kernel, lll_reduce, successive_minima_upper
 from .quality import (
     CollisionNotFound,
@@ -304,6 +304,7 @@ def cmd_tvd(cfg: dict) -> int:
     if result.get("verdict") == "fail":
         return EXIT_INVARIANT
     if result.get("verdict") == "precondition unmet":
+        print(f"precondition unmet: sigma_m = {r:g} is below the threshold {result['threshold']:g}", file=sys.stderr)
         return EXIT_GATE
     return EXIT_OK
 
@@ -330,7 +331,8 @@ def cmd_main_experiment(cfg: dict) -> int:
                 continue
             threshold = distance_threshold(cert.q1, cert.q2, m, n, eps)
             result = _tvd_instance(X, threshold, eps, None, cfg["mode"], st.substream(2), cfg["samples"], cert)
-            assert abs(result["threshold"] - threshold) < 1e-12
+            if not abs(result["threshold"] - threshold) < 1e-12:
+                raise InvariantViolation("trial threshold differs from its report")
             entry.update({
                 "q1": cert.q1, "q2": cert.q2, "threshold": threshold,
                 "result": result, "status": result["verdict"],
@@ -410,6 +412,9 @@ def main(argv=None) -> int:
         return EXIT_INVARIANT
     except ValueError as exc:  # includes RankError, NotInSupport, LinAlgError
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_GATE
+    except EnumerationBudgetExceeded as exc:
+        print(f"enumeration budget exceeded: {exc}", file=sys.stderr)
         return EXIT_GATE
 
 

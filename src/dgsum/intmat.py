@@ -1,9 +1,10 @@
 """Exact integer matrices and the column-style Hermite normal form.
 
-Everything here runs on Python big integers (and :class:`fractions.Fraction`
-for rational output), so there is no overflow and no rounding.  The HNF is
-the workhorse: it yields integer kernels, integer solvability tests and
-particular solutions of ``X u = t``.
+Everything here runs on Python big integers, so there is no overflow and no
+rounding; :class:`fractions.Fraction` appears only in the text format for
+rational matrices.  The HNF is the workhorse: it yields integer kernels,
+integer solvability tests and particular solutions of ``X u = t``.  Ranks
+come from fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 IntVector = tuple[int, ...]
+
+
+class InvariantViolation(AssertionError):
+    """An internal consistency check failed; raised explicitly, so it survives ``python -O``."""
 
 
 def _as_int(x) -> int:
@@ -206,8 +211,8 @@ def kernel_columns(X: IntMatrix) -> list[IntVector]:
 def _hnf_kernel(X: IntMatrix, U: IntMatrix, rank: int) -> list[IntVector]:
     """kernel_columns given X U = H from hnf_column(X) and H's rank."""
     ker = [U.column(j) for j in range(rank, X.n_cols)]
-    for v in ker:
-        assert all(x == 0 for x in X @ v)
+    if any(any(X @ v) for v in ker):
+        raise InvariantViolation("HNF kernel column not in the kernel of X")
     return ker
 
 
@@ -235,7 +240,8 @@ def _back_substitute(X: IntMatrix, H: IntMatrix, U: IntMatrix, pivots, target) -
     if any(r != 0 for r in resid):
         return None
     u = U @ y
-    assert tuple(X @ u) == tuple(t)
+    if tuple(X @ u) != tuple(t):
+        raise InvariantViolation("HNF particular solution does not solve X u = t")
     return tuple(u)
 
 
@@ -249,23 +255,26 @@ def is_surjective(X: IntMatrix) -> bool:
 
 
 def fraction_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by exact Gaussian elimination."""
-    M = [[Fraction(x) for x in row] for row in rows]
-    if not M:
-        return 0
-    nr, nc = len(M), len(M[0])
-    rank = 0
-    col = 0
-    for col in range(nc):
+    """Rank over the rationals by fraction-free (Bareiss) elimination.
+
+    After each pivot the remaining entries are minors of the input, so every
+    division by the previous pivot is exact.
+    """
+    M = [[_as_int(x) for x in row] for row in rows]
+    nr = len(M)
+    rank, prev = 0, 1
+    for col in range(len(M[0]) if M else 0):
         piv = next((i for i in range(rank, nr) if M[i][col] != 0), None)
         if piv is None:
             continue
         M[rank], M[piv] = M[piv], M[rank]
-        pv = M[rank][col]
-        for i in range(nr):
-            if i != rank and M[i][col] != 0:
-                f = M[i][col] / pv
-                M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
+        top = M[rank]
+        p = top[col]
+        for i in range(rank + 1, nr):
+            row = M[i]
+            f = row[col]
+            M[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
         rank += 1
         if rank == nr:
             break

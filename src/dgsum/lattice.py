@@ -1,8 +1,9 @@
 """Exact integer lattice linear algebra.
 
-Integer kernels via the Hermite normal form, exact-rational LLL reduction,
-dual bases, smoothing-parameter bounds and a desk-scale numeric smoothing
-check over the dual lattice.
+Integer kernels via the Hermite normal form, integral LLL reduction and
+Babai nearest-plane (integer Gram-Schmidt data only, with the decisions of
+exact-rational arithmetic), rational dual bases, smoothing-parameter bounds
+and a desk-scale numeric smoothing check over the dual lattice.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .gaussian import ball_tail_bound, enumerate_affine
-from .intmat import IntMatrix, dot, fraction_rank, kernel_columns, norm_sq
+from .intmat import IntMatrix, InvariantViolation, dot, fraction_rank, kernel_columns, norm_sq
 
 
 class RankError(ValueError):
@@ -70,46 +71,86 @@ def integer_kernel(X: IntMatrix) -> LatticeBasis:
     return LatticeBasis(IntMatrix.from_columns(ker), provenance="raw")
 
 
-def _gso(cols: list[list[int]]):
-    """Exact Gram-Schmidt: returns (mu, Bstar_sq, ortho)."""
-    r = len(cols)
-    mu = [[Fraction(0)] * r for _ in range(r)]
-    bsq: list[Fraction] = []
-    ortho: list[list[Fraction]] = []
-    for i in range(r):
-        v = [Fraction(x) for x in cols[i]]
-        for j in range(i):
-            num = sum(Fraction(a) * b for a, b in zip(cols[i], ortho[j]))
-            mu[i][j] = num / bsq[j]
-            v = [a - mu[i][j] * b for a, b in zip(v, ortho[j])]
-        ortho.append(v)
-        bsq.append(sum(a * a for a in v))
-    return mu, bsq, ortho
+def _round_half_even(num: int, den: int) -> int:
+    """round(num / den) with ties to even, as ``round`` does on a Fraction; den > 0."""
+    q, r = divmod(2 * num + den, 2 * den)
+    if r == 0 and q % 2:
+        q -= 1  # num / den = q - 1/2 exactly
+    return q
+
+
+def _integral_gso(b: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Integral Gram-Schmidt data of integer vectors.
+
+    Returns ``d`` with d[0] = 1 and d[i] the Gram determinant of b[:i], and
+    ``lam`` with lam[i][j] = d[j + 1] * mu_ij for j < i, both exact integers
+    (Cohen, GTM 138, Alg. 2.6.7); B*_i^2 = d[i + 1] / d[i].  Only d[1..r-1]
+    are divisors, so b[:-1] must be linearly independent but b[-1] may lie
+    in their span (then d[r] = 0).
+    """
+    r = len(b)
+    d = [1] + [0] * r
+    lam = [[0] * r for _ in range(r)]
+    for k in range(r):
+        for j in range(k + 1):
+            u = dot(b[k], b[j])
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+    return d, lam
 
 
 def lll_reduce(basis: LatticeBasis, delta: float = 0.99) -> LatticeBasis:
-    """Exact-rational LLL reduction of the basis (same lattice)."""
+    """Integral LLL reduction of the basis (same lattice).
+
+    The Gram-Schmidt data is kept as the integers of ``_integral_gso`` and
+    updated in place on each size reduction and swap, so every rounding and
+    Lovasz decision is the exact-rational one.
+    """
     if not 0.25 < delta < 1:
         raise ValueError("delta must be in (0.25, 1)")
-    d = Fraction(delta).limit_denominator(10 ** 6)
+    ratio = Fraction(delta).limit_denominator(10 ** 6)
+    num, den = ratio.numerator, ratio.denominator
     b = [list(c) for c in basis.matrix.columns()]
     r = len(b)
     if r <= 1:
         return LatticeBasis(basis.matrix, provenance="reduced")
-    mu, bsq, _ = _gso(b)
+    d, lam = _integral_gso(b)
     k = 1
     while k < r:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = _round_half_even(lk[j], d[j + 1])
             if q:
                 b[k] = [a - q * c for a, c in zip(b[k], b[j])]
-                mu, bsq, _ = _gso(b)
-        if bsq[k] >= (d - mu[k][k - 1] ** 2) * bsq[k - 1]:
+                lk[j] -= q * d[j + 1]
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= q * lj[i]
+        lm = lk[k - 1]
+        if den * (d[k + 1] * d[k - 1] + lm * lm) >= num * d[k] * d[k]:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            mu, bsq, _ = _gso(b)
-            k = max(k - 1, 1)
+            continue
+        # swap b[k-1], b[k] (Cohen's SWAPI): swapping the rows of lam swaps
+        # lam[k][j] and lam[k-1][j] for j < k - 1; lam[k][k-1] stays lm
+        b[k], b[k - 1] = b[k - 1], b[k]
+        lam[k], lam[k - 1] = lam[k - 1], lam[k]
+        lam[k][k - 1], lam[k - 1][k - 1] = lm, 0
+        bnew = (d[k - 1] * d[k + 1] + lm * lm) // d[k]
+        for i in range(k + 1, r):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lm * t) // d[k]
+            li[k - 1] = (bnew * t + lm * li[k]) // d[k + 1]
+        d[k] = bnew
+        k = max(k - 1, 1)
+    # d[r], the Gram determinant, is never updated, so a match also shows
+    # that the reduced basis spans a lattice of the input's volume
+    if _integral_gso(b) != (d, lam):
+        raise InvariantViolation("incremental LLL Gram data differs from the reduced basis's")
     return LatticeBasis(IntMatrix.from_columns(b), provenance="reduced")
 
 
@@ -123,20 +164,27 @@ def successive_minima_upper(basis: LatticeBasis, delta: float = 0.99) -> list[fl
 def nearest_plane(basis: LatticeBasis, target: Sequence[Fraction]) -> tuple[int, ...]:
     """Babai nearest-plane: a lattice vector close to ``target``.
 
+    The target (integers or rationals) is scaled by the lcm L of its
+    denominators and size-reduced against the integral Gram-Schmidt data,
+    with the same ties-to-even rounding as an exact-rational computation.
     Expects a reduced basis for good quality; correctness (membership) holds
     for any basis.
     """
     cols = [list(c) for c in basis.matrix.columns()]
-    _, bsq, ortho = _gso(cols)
-    t = [Fraction(x) for x in target]
-    coeff = [0] * len(cols)
-    v = [Fraction(0)] * basis.dim
+    ratios = [Fraction(x).as_integer_ratio() for x in target]
+    L = math.lcm(*(q for _, q in ratios))
+    # with the scaled target L t appended last, lt[j] = L * d[j + 1] * mu_j(t)
+    d, lam = _integral_gso(cols + [[p * (L // q) for p, q in ratios]])
+    lt = lam[-1]
+    v = [0] * basis.dim
     for i in range(len(cols) - 1, -1, -1):
-        c = round(sum(a * b for a, b in zip(t, ortho[i])) / bsq[i])
-        coeff[i] = c
-        t = [a - c * Fraction(x) for a, x in zip(t, cols[i])]
-        v = [a + c * x for a, x in zip(v, cols[i])]
-    return tuple(int(x) for x in v)
+        c = _round_half_even(lt[i], L * d[i + 1])
+        if c:
+            v = [a + c * x for a, x in zip(v, cols[i])]
+            lt[i] -= c * L * d[i + 1]
+            for j in range(i):
+                lt[j] -= c * L * lam[i][j]
+    return tuple(v)
 
 
 def _fraction_inverse(M: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -21,7 +21,16 @@ from typing import Sequence
 import numpy as np
 
 from .gaussian import SampleStream
-from .intmat import IntMatrix, dot, fraction_rank, is_surjective, kernel_columns, norm_sq, solve_integer
+from .intmat import (
+    IntMatrix,
+    InvariantViolation,
+    dot,
+    fraction_rank,
+    is_surjective,
+    kernel_columns,
+    norm_sq,
+    solve_integer,
+)
 from .lattice import LatticeBasis, lll_reduce, nearest_plane
 
 
@@ -119,10 +128,11 @@ def pigeonhole_collision(
             if prev is not None:
                 alpha = tuple(int(a) - int(b) for a, b in zip(mask, prev))
                 if any(alpha):
-                    assert all(
-                        sum(a * x[k] for a, x in zip(alpha, xs_int)) == 0
+                    if any(
+                        sum(a * x[k] for a, x in zip(alpha, xs_int))
                         for k in range(len(xs_int[0]))
-                    )
+                    ):
+                        raise InvariantViolation("collision difference is not a relation")
                     return alpha
             elif len(table) < memory_budget:
                 table[key] = mask.copy()
@@ -219,7 +229,8 @@ def find_dual_vectors(
                 ok = False
                 break
             got = [dot(u, r) for r in rows]
-            assert got == [1 if j == i else 0 for j in range(len(rows))]
+            if got != [1 if j == i else 0 for j in range(len(rows))]:
+                raise InvariantViolation(f"collision dual vector u_{i + 1} fails its pairings")
             us.append(u)
         if ok:
             return us
@@ -253,7 +264,8 @@ def exact_dual_fallback(X: IntMatrix, lll_rank_cap: int = 12) -> list[tuple[int,
             near = nearest_plane(kb, u)
             u = tuple(a - b for a, b in zip(u, near))
         got = [dot(u, r) for r in rows]
-        assert got == target
+        if got != target:
+            raise InvariantViolation(f"fallback dual vector u_{i + 1} fails its pairings")
         us.append(u)
     return us
 
@@ -279,7 +291,8 @@ def certify_quality(X: IntMatrix, u: Sequence[Sequence[int]]) -> QualityCertific
             if dot(uu[i], uu[j]) != 0:
                 return fail(f"orthogonality({i + 1},{j + 1})")
     # a verified certificate implies full row rank and surjectivity
-    assert fraction_rank(X.rows) == n and is_surjective(X)
+    if not (fraction_rank(X.rows) == n and is_surjective(X)):
+        raise InvariantViolation("verified certificate but X is not surjective")
     return QualityCertificate(q1=q1, q2=q2, u=uu, verified=True)
 
 
@@ -308,8 +321,10 @@ def short_kernel_vectors(X: IntMatrix, cert: QualityCertificate) -> ShortKernelB
             xik = X.rows[i][k]
             if xik:
                 v = [a - xik * b for a, b in zip(v, cert.u[i])]
-        assert all(x == 0 for x in X @ v)
-        assert norm_sq(v) <= bound_sq
+        if any(X @ v):
+            raise InvariantViolation(f"short vector v_{k + 1} not in the kernel")
+        if norm_sq(v) > bound_sq:
+            raise InvariantViolation(f"short vector v_{k + 1} exceeds (1 + q1 q2)^2")
         vs.append(tuple(v))
     # greedy independent subset, exact rank updates
     subset: list[int] = []
@@ -320,7 +335,8 @@ def short_kernel_vectors(X: IntMatrix, cert: QualityCertificate) -> ShortKernelB
             chosen.append(vs[k])
         if len(subset) == m - n:
             break
-    assert len(subset) == m - n
+    if len(subset) != m - n:
+        raise InvariantViolation(f"short vectors span rank {len(subset)} < m - n = {m - n}")
     return ShortKernelBasis(
         v=tuple(vs),
         independent_subset=tuple(subset),

@@ -29,7 +29,7 @@ from .gaussian import (
     integer_box,
 )
 from .intmat import IntMatrix, _back_substitute, _hnf_kernel, hnf_column, hnf_pivots
-from .lattice import LatticeBasis
+from .lattice import LatticeBasis, lll_reduce
 
 SECTION_TAIL_BUDGET = 1e-10  # certified relative tail per fiber section
 
@@ -91,7 +91,9 @@ class FiberWorkspace:
     All fibers of one instance are translates g(z) + ker X of the same kernel
     lattice, so one Hermite decomposition X U = H gives the kernel basis and
     every particular solution g(z), and the whitened integer search box is
-    built once and only recentered per fiber.
+    built once and only recentered per fiber.  The kernel basis is
+    LLL-reduced: the raw HNF columns can be long and skewed enough that the
+    box covering the section ball has millions of points.
     """
 
     def __init__(
@@ -116,7 +118,7 @@ class FiberWorkspace:
         if section_radius is None:
             section_radius = region_radius_for_tail(max(self.rank, 1), SECTION_TAIL_BUDGET)
         self.section_radius = float(section_radius)
-        self.kernel = LatticeBasis(IntMatrix.from_columns(_hnf_kernel(X, U, n))) if m > n else None
+        self.kernel = lll_reduce(LatticeBasis(IntMatrix.from_columns(_hnf_kernel(X, U, n)))) if m > n else None
         if self.kernel is not None:
             self.K = self.kernel.matrix.to_numpy()
             self.WK = self.W @ self.K

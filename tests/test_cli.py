@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dgsum
 from dgsum.cli import (
     EXIT_GATE,
     EXIT_INVARIANT,
@@ -251,3 +255,57 @@ def test_replay_manifest_with_removed_keys(tmp_path):
     assert run(["tvd", "--config", out1 / "manifest.json", "--out-dir", out2]) == EXIT_OK
     for name in ("tvd.json", "matrix.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_enumeration_budget_exceeded_exits_2_with_one_line(tmp_path, capsys):
+    # r = 1e7 needs a label box of about 4.2e7 points, above the budget
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 1\n")
+    code = run(["tvd", "--x-file", xfile, "-r", "1e7", "--exact", "--out-dir", tmp_path / "run"])
+    err = capsys.readouterr().err
+    assert code == EXIT_GATE
+    assert err.startswith("enumeration budget exceeded: ") and err.count("\n") == 1
+
+
+def test_tvd_skewed_kernel_uses_reduced_fiber_basis(tmp_path, capsys):
+    # the raw HNF kernel basis of this X needs a fiber box of 26,650,767 points
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("-2 -3 3 0 2 2\n3 -3 -1 3 0 -1\n-2 -3 -3 3 -3 -3\n")
+    out = tmp_path / "run"
+    code = run(["tvd", "--x-file", xfile, "-r", "0.5", "--exact", "--out-dir", out])
+    err = capsys.readouterr().err
+    assert code == EXIT_GATE
+    assert err.startswith("precondition unmet: ") and err.count("\n") == 1
+    rep = read_json(out / "tvd.json")
+    assert rep["verdict"] == "precondition unmet" and rep["exact"]["support_size"] > 0
+
+
+def test_invariant_violation_exits_3_under_python_O(tmp_path):
+    # the HNF kernel check must fire with asserts stripped
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 0 1\n0 1 1\n")
+    script = f"""
+import sys
+import dgsum.cli
+import dgsum.intmat as intmat
+
+if sys.flags.optimize != 1:
+    sys.exit(99)
+hnf = intmat.hnf_column
+
+def broken(X):
+    H, U = hnf(X)
+    rows = [list(r) for r in U.rows]
+    rows[0][-1] += 1  # the kernel column of U no longer solves X v = 0
+    return H, intmat.IntMatrix.from_rows(rows)
+
+intmat.hnf_column = broken
+sys.exit(dgsum.cli.main(["kernel", "--x-file", {str(xfile)!r}, "--out-dir", {str(tmp_path / "run")!r}]))
+"""
+    src = str(Path(dgsum.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == EXIT_INVARIANT, proc.stderr
+    assert proc.stderr.startswith("invariant violation: ") and proc.stderr.count("\n") == 1

@@ -1,5 +1,7 @@
 """Exact integer matrix algebra: HNF, kernels, integer solves."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,53 @@ def test_fraction_rank():
     assert fraction_rank([[1, 2], [2, 4]]) == 1
     assert fraction_rank([[1, 0], [0, 1]]) == 2
     assert fraction_rank([]) == 0
+
+
+def _oracle_fraction_rank(rows):
+    """Rank by Gauss-Jordan elimination over Fraction: the reference for Bareiss."""
+    M = [[Fraction(x) for x in row] for row in rows]
+    if not M:
+        return 0
+    nr, nc = len(M), len(M[0])
+    rank = 0
+    for col in range(nc):
+        piv = next((i for i in range(rank, nr) if M[i][col] != 0), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        for i in range(nr):
+            if i != rank and M[i][col] != 0:
+                f = M[i][col] / M[rank][col]
+                M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
+        rank += 1
+        if rank == nr:
+            break
+    return rank
+
+
+def test_fraction_rank_matches_rational_oracle():
+    rng = np.random.default_rng(17)
+    deficient = 0
+    for _ in range(300):
+        nr, nc = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        rows = rng.integers(-6, 7, size=(nr, nc))
+        if rng.random() < 0.5 and nr > 1:
+            # dependent rows: a random integer combination of the others
+            k = int(rng.integers(0, nr))
+            rows[k] = rng.integers(-3, 4, size=nr - 1) @ np.delete(rows, k, axis=0)
+        if rng.random() < 0.3:
+            rows[:, int(rng.integers(0, nc))] = 0  # a column with no pivot
+        rows = rows.tolist()
+        got = fraction_rank(rows)
+        assert got == _oracle_fraction_rank(rows) == np.linalg.matrix_rank(np.array(rows, dtype=float))
+        deficient += got < min(nr, nc)
+    assert deficient > 50
+
+
+def test_fraction_rank_big_integers():
+    big = 10 ** 30
+    assert fraction_rank([[big, big + 1], [2 * big, 2 * big + 2]]) == 1
+    assert fraction_rank([[big, big + 1], [big + 1, big + 2]]) == 2
 
 
 def test_big_integer_exactness():

@@ -6,10 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dgsum.intmat import IntMatrix, dot, norm_sq, solve_integer
+from dgsum.intmat import IntMatrix, InvariantViolation, dot, fraction_rank, kernel_columns, norm_sq, solve_integer
 from dgsum.lattice import (
     LatticeBasis,
     RankError,
+    _integral_gso,
+    _round_half_even,
     dual_basis,
     integer_kernel,
     lll_reduce,
@@ -113,6 +115,141 @@ def test_nearest_plane_membership():
     basis = lll_reduce(LatticeBasis(IntMatrix.from_columns([(2, 1), (1, 3)])))
     v = nearest_plane(basis, [Fraction(7), Fraction(5)])
     assert solve_integer(basis.matrix, v) is not None
+
+
+# ------------------------------------------- exact-rational reference oracles
+#
+# The Fraction-based Gram-Schmidt, LLL and nearest-plane that the integral
+# versions replaced: every decision is taken on the same exact rationals, so
+# the outputs must be identical, not merely close.
+
+
+def _oracle_gso(cols):
+    r = len(cols)
+    mu = [[Fraction(0)] * r for _ in range(r)]
+    bsq, ortho = [], []
+    for i in range(r):
+        v = [Fraction(x) for x in cols[i]]
+        for j in range(i):
+            mu[i][j] = sum(Fraction(a) * b for a, b in zip(cols[i], ortho[j])) / bsq[j]
+            v = [a - mu[i][j] * b for a, b in zip(v, ortho[j])]
+        ortho.append(v)
+        bsq.append(sum(a * a for a in v))
+    return mu, bsq, ortho
+
+
+def _oracle_lll(cols, delta):
+    d = Fraction(delta).limit_denominator(10 ** 6)
+    b = [list(c) for c in cols]
+    r = len(b)
+    if r <= 1:
+        return b
+    mu, bsq, _ = _oracle_gso(b)
+    k = 1
+    while k < r:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [a - q * c for a, c in zip(b[k], b[j])]
+                mu, bsq, _ = _oracle_gso(b)
+        if bsq[k] >= (d - mu[k][k - 1] ** 2) * bsq[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            mu, bsq, _ = _oracle_gso(b)
+            k = max(k - 1, 1)
+    return b
+
+
+def _oracle_nearest_plane(cols, target):
+    _, bsq, ortho = _oracle_gso(cols)
+    t = [Fraction(x) for x in target]
+    v = [0] * len(t)
+    for i in range(len(cols) - 1, -1, -1):
+        c = round(sum(a * b for a, b in zip(t, ortho[i])) / bsq[i])
+        t = [a - c * x for a, x in zip(t, cols[i])]
+        v = [a + c * x for a, x in zip(v, cols[i])]
+    return tuple(v)
+
+
+def _random_bases(seed, count, max_rank):
+    """Independent integer bases: small dense ones and skewed HNF kernel bases."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        r = int(rng.integers(1, max_rank + 1))
+        if rng.random() < 0.5:
+            # kernel of a 1 x (r + 1) row: HNF columns with large entries
+            X = IntMatrix.from_rows([rng.integers(-9, 10, size=r + 1).tolist()])
+            cols = kernel_columns(X) if any(X.rows[0]) else []
+        else:
+            dim = r + int(rng.integers(0, 3))
+            # even entries and half-steps make exact ties in the rounding
+            cols = (rng.integers(-4, 5, size=(r, dim)) * int(rng.choice([1, 2]))).tolist()
+        if len(cols) == r and fraction_rank(cols) == r:
+            out.append([tuple(int(x) for x in c) for c in cols])
+    return out
+
+
+def test_round_half_even_matches_fraction_round():
+    for den in range(1, 9):
+        for num in range(-40, 41):
+            assert _round_half_even(num, den) == round(Fraction(num, den)), (num, den)
+
+
+def test_integral_gso_matches_rational_gso():
+    for cols in _random_bases(21, 60, 7):
+        d, lam = _integral_gso([list(c) for c in cols])
+        mu, bsq, _ = _oracle_gso(cols)
+        for i in range(len(cols)):
+            assert Fraction(d[i + 1], d[i]) == bsq[i]
+            for j in range(i):
+                assert lam[i][j] == d[j + 1] * mu[i][j]
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.75, 0.99])
+def test_lll_matches_rational_oracle(delta):
+    rng = np.random.default_rng(int(delta * 100))
+    bases = _random_bases(int(delta * 100), 100, 8)
+    # kernels of one row at ranks 12 and 14, as in the large certify instances
+    bases += [kernel_columns(IntMatrix.from_rows([rng.integers(-2, 3, size=r + 1).tolist()])) for r in (12, 14)]
+    bases.append([(2, 0), (5, 1)])  # mu = 5/2: ties to even give q = 2, not 3
+    for cols in bases:
+        red = lll_reduce(LatticeBasis(IntMatrix.from_columns(cols)), delta)
+        assert red.vectors() == [tuple(c) for c in _oracle_lll(cols, delta)], cols
+
+
+def test_nearest_plane_matches_rational_oracle():
+    rng = np.random.default_rng(8)
+    for cols in _random_bases(9, 150, 8):
+        basis = lll_reduce(LatticeBasis(IntMatrix.from_columns(cols)))
+        red = [list(c) for c in basis.vectors()]
+        dim = len(red[0])
+        for _ in range(2):
+            den = int(rng.choice([1, 2, 3, 6]))
+            target = [Fraction(int(x), den) for x in rng.integers(-30, 31, size=dim)]
+            assert nearest_plane(basis, target) == _oracle_nearest_plane(red, target)
+        # a half-integer combination of the basis: the last coefficient is an exact tie
+        coeff = [Fraction(2 * int(a) + 1, 2) for a in rng.integers(-3, 4, size=len(red))]
+        target = [sum(c * v[i] for c, v in zip(coeff, red)) for i in range(dim)]
+        assert nearest_plane(basis, target) == _oracle_nearest_plane(red, target)
+
+
+def test_lll_gram_data_check_raises(monkeypatch):
+    import dgsum.lattice
+
+    calls = []
+
+    def drifting(b):
+        d, lam = _integral_gso(b)
+        calls.append(b)
+        if len(calls) == 2:  # the final recomputation inside lll_reduce
+            d[-1] += 1
+        return d, lam
+
+    monkeypatch.setattr(dgsum.lattice, "_integral_gso", drifting)
+    with pytest.raises(InvariantViolation):
+        lll_reduce(LatticeBasis(IntMatrix.from_columns([(1, 0, 3), (4, 1, 0)])))
 
 
 def test_dual_integers_self_dual():

@@ -137,6 +137,19 @@ def test_hnf_calls_independent_of_label_count(monkeypatch):
     assert set(per_radius.values()) == {2}
 
 
+def test_workspace_reduces_skewed_kernel_basis():
+    # raw HNF kernel entries reach 1500 here and its fiber box 26,650,767 points
+    X = IntMatrix.from_rows([[-2, -3, 3, 0, 2, 2], [3, -3, -1, 3, 0, -1], [-2, -3, -3, 3, -3, -3]])
+    ws = FiberWorkspace(X, GaussianShape.spherical(0.5), [0.0] * 6)
+    assert ws.kernel.provenance == "reduced"
+    assert max(abs(x) for v in ws.kernel.vectors() for x in v) <= 10
+    assert len(ws.box) < 10 ** 5
+    raw = integer_kernel(X)
+    for v in raw.vectors():  # same lattice as the raw basis
+        assert solve_integer(ws.kernel.matrix, v) is not None
+    assert ws.fiber_weight([0, 0, 0]) > 0
+
+
 def test_region_radius_for_tail():
     from dgsum.gaussian import ball_tail_bound
 
