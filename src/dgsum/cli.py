@@ -368,31 +368,37 @@ def cmd_main_experiment(cfg: dict) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", default=None)
+    shared.add_argument("--seed", type=int, default=None)
+    shared.add_argument("--eps", type=float, default=None)
+    shared.add_argument("--samples", type=int, default=None)
+    shared.add_argument("--out-dir", dest="out_dir", default=None)
+    shared.add_argument("--trials", type=int, default=None)
+    shared.add_argument("-n", type=int, default=None)
+    shared.add_argument("-m", type=int, default=None)
+    shared.add_argument("-s", type=float, default=None)
+    shared.add_argument("-r", type=float, default=None)
+    shared.add_argument("--x-file", dest="x_file", default=None)
+    shared.add_argument("--c", dest="c", default=None)
+    g = shared.add_mutually_exclusive_group()
+    g.add_argument("--exact", dest="mode", action="store_const", const="exact")
+    g.add_argument("--mc", dest="mode", action="store_const", const="mc")
+    g.add_argument("--both", dest="mode", action="store_const", const="both")
     p = argparse.ArgumentParser(prog="dgsum", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("sample", "quality", "kernel", "tvd", "main"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--eps", type=float, default=None)
-        sp.add_argument("--samples", type=int, default=None)
-        sp.add_argument("--out-dir", dest="out_dir", default=None)
-        sp.add_argument("--trials", type=int, default=None)
-        sp.add_argument("-n", type=int, default=None)
-        sp.add_argument("-m", type=int, default=None)
-        sp.add_argument("-s", type=float, default=None)
-        sp.add_argument("-r", type=float, default=None)
-        sp.add_argument("--x-file", dest="x_file", default=None)
-        sp.add_argument("--c", dest="c", default=None)
-        g = sp.add_mutually_exclusive_group()
-        g.add_argument("--exact", dest="mode", action="store_const", const="exact")
-        g.add_argument("--mc", dest="mode", action="store_const", const="mc")
-        g.add_argument("--both", dest="mode", action="store_const", const="both")
+        sub.add_parser(name, parents=[shared])
     return p
 
 
+# built once per process: parse_args does not change it, and building it
+# costs more than parsing
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = resolve(args)
     except (ValueError, KeyError) as exc:

@@ -1,8 +1,7 @@
 """Exact integer matrices and the column-style Hermite normal form.
 
 Everything here runs on Python big integers, so there is no overflow and no
-rounding; :class:`fractions.Fraction` appears only in the text format for
-rational matrices.  The HNF is the workhorse: it yields integer kernels,
+rounding.  The HNF is the workhorse: it yields integer kernels,
 integer solvability tests and particular solutions of ``X u = t``.  Ranks
 come from fraction-free (Bareiss) elimination.
 """
@@ -10,7 +9,6 @@ come from fraction-free (Bareiss) elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -110,22 +108,6 @@ def norm_sq(a: Sequence[int]) -> int:
     return sum(x * x for x in a)
 
 
-def rational_to_text(rows: Sequence[Sequence[Fraction]]) -> str:
-    """Serialize a rational matrix; entries are ``p`` or ``p/q`` tokens."""
-    def tok(x: Fraction) -> str:
-        x = Fraction(x)
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    return "\n".join(" ".join(tok(x) for x in row) for row in rows)
-
-
-def rational_from_text(text: str) -> list[list[Fraction]]:
-    return [
-        [Fraction(tok) for tok in line.split()]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-
-
 def hnf_column(X: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Column-style Hermite normal form: returns (H, U) with X @ U = H.
 
@@ -197,11 +179,6 @@ def hnf_pivots(H: IntMatrix) -> tuple[tuple[int, int], ...]:
     return tuple(pivots)
 
 
-def row_rank(X: IntMatrix) -> int:
-    H, _ = hnf_column(X)
-    return len(hnf_pivots(H))
-
-
 def kernel_columns(X: IntMatrix) -> list[IntVector]:
     """Basis of the integer kernel {v in Z^m : X v = 0} as column vectors."""
     H, U = hnf_column(X)
@@ -218,19 +195,14 @@ def _hnf_kernel(X: IntMatrix, U: IntMatrix, rank: int) -> list[IntVector]:
 
 def solve_integer(X: IntMatrix, target: Sequence[int]) -> IntVector | None:
     """One integer solution of X u = target, or None if none exists."""
-    H, U = hnf_column(X)
-    return _back_substitute(X, H, U, hnf_pivots(H), target)
-
-
-def _back_substitute(X: IntMatrix, H: IntMatrix, U: IntMatrix, pivots, target) -> IntVector | None:
-    """solve_integer given X U = H from hnf_column(X) and H's pivots."""
     n, m = X.shape
     t = [_as_int(x) for x in target]
     if len(t) != n:
         raise ValueError("dimension mismatch")
+    H, U = hnf_column(X)
     y = [0] * m
     resid = list(t)
-    for (row, col) in pivots:
+    for (row, col) in hnf_pivots(H):
         # rows above the pivot row in this column are zero by echelon shape
         if resid[row] % H.rows[row][col] != 0:
             return None

@@ -6,10 +6,12 @@ u_i . x_j = delta_ij and ||u_i|| <= q2 (x_j the rows of X).  From such a
 certificate the short kernel vectors v_k = e_k - sum_i x_ik u_i bound the last
 successive minimum of the orthogonal lattice by 1 + q1 q2.
 
-The u_i are found by a randomized collision search over {-1,0,1} combinations
-of column prefixes (two combinations whose sums differ by a unit vector), with
-an exact HNF-based solver as deterministic fallback.  Every candidate is
-verified exactly before being returned.
+One birthday search serves both uses of the source paper's collision tool: it
+finds two random small combinations of given vectors whose sums differ by a
+fixed offset.  With {0,1} combinations and offset 0 it yields the pigeonhole
+relations; with {-1,0,1} combinations of column prefixes and offsets +-e_i it
+yields the u_i, with an exact HNF-based solver as deterministic fallback.
+Every candidate is verified exactly before being returned.
 """
 
 from __future__ import annotations
@@ -42,14 +44,18 @@ class SurjectivityError(ValueError):
     pass
 
 
+PIGEONHOLE_MAX_PROBES = 500_000  # probes before pigeonhole_collision gives up
+DUAL_MAX_PROBES = 200_000  # probes per dual vector before a restart
+DUAL_RESTARTS = 8  # fresh substreams tried by find_dual_vectors
+LLL_RANK_CAP = 12  # largest kernel rank exact_dual_fallback shortens with LLL
+
+
 @dataclass(frozen=True)
 class CollisionSearchParams:
-    """Budgets for the collision search; ``t`` follows 3 n log2(sigma1 n)."""
+    """Column prefix of the collision search; ``t`` follows 3 n log2(sigma1 n)."""
 
     t: float
     prefix_budget: int
-    memory_budget: int = 1 << 20
-    max_probes: int = 200_000
 
     @staticmethod
     def for_matrix(X: IntMatrix, sigma1: float | None = None) -> "CollisionSearchParams":
@@ -96,48 +102,69 @@ def column_bound(X: IntMatrix) -> float:
     return math.sqrt(_max_column_norm_sq(X))
 
 
+def _birthday(
+    gen: np.random.Generator,
+    low: int,
+    cols: np.ndarray,
+    offsets: Sequence,
+    max_probes: int,
+) -> tuple[int, np.ndarray] | None:
+    """First birthday collision among random {low..1} combinations of ``cols``.
+
+    Probe k draws a coefficient row a_k (rows of ``cols`` are the vectors) and
+    hits when sum_k - offsets[t] is the sum of an earlier probe j, the first
+    one with that sum; offsets are tried in order and a hit with a_k == a_j is
+    skipped.  Returns (t, a_k - a_j), whose combination of ``cols`` is
+    offsets[t], or None after ``max_probes`` probes.
+    """
+    ell, d = cols.shape
+    width = 8 * d  # bytes of one int64 sum row
+    table: dict[bytes, bytes] = {}  # sum -> coefficient row, both as raw bytes
+    probes = 0
+    while probes < max_probes:
+        batch = min(4096, max_probes - probes)
+        coeffs = gen.integers(low, 2, size=(batch, ell), dtype=np.int8)
+        sums = coeffs.astype(np.int64) @ cols
+        keys = sums.tobytes()
+        wanted = [(sums - off).tobytes() for off in offsets]
+        rows = coeffs.tobytes()
+        for k in range(batch):
+            lo, hi = k * width, (k + 1) * width
+            row = rows[k * ell:(k + 1) * ell]
+            for t, w in enumerate(wanted):
+                prev = table.get(w[lo:hi])
+                if prev is not None and prev != row:
+                    diff = np.frombuffer(row, np.int8).astype(np.int64) - np.frombuffer(prev, np.int8)
+                    return t, diff
+            table.setdefault(keys[lo:hi], row)
+        probes += batch
+    return None
+
+
 def pigeonhole_collision(
     xs: Sequence[Sequence[int]],
     B: int,
     stream: SampleStream,
-    max_probes: int = 500_000,
-    memory_budget: int = 1 << 21,
 ) -> tuple[int, ...]:
     """Nonzero alpha in {-1,0,1}^l with sum_j alpha_j x_j = 0.
 
-    Found as the difference of two colliding 0/1 subset sums (hash-based
-    birthday search); the relation is verified exactly before returning.
+    Found as the difference of two colliding 0/1 subset sums (the birthday
+    search with offset 0); the relation is verified exactly before returning.
     For ||x_j||_inf <= B and l = floor(2 n log2(B n)) a collision is
     guaranteed to exist.
     """
     xs_int = [tuple(int(v) for v in x) for x in xs]
-    ell = len(xs_int)
     if any(abs(v) > B for x in xs_int for v in x):
         raise ValueError("infinity norm bound violated")
-    M = np.array(xs_int, dtype=np.int64)  # ell x n
-    gen = stream.generator()
-    table: dict[tuple, np.ndarray] = {}
-    probes = 0
-    while probes < max_probes:
-        batch = min(4096, max_probes - probes)
-        masks = gen.integers(0, 2, size=(batch, ell), dtype=np.int8)
-        sums = masks.astype(np.int64) @ M
-        for mask, s in zip(masks, sums):
-            key = tuple(int(v) for v in s)
-            prev = table.get(key)
-            if prev is not None:
-                alpha = tuple(int(a) - int(b) for a, b in zip(mask, prev))
-                if any(alpha):
-                    if any(
-                        sum(a * x[k] for a, x in zip(alpha, xs_int))
-                        for k in range(len(xs_int[0]))
-                    ):
-                        raise InvariantViolation("collision difference is not a relation")
-                    return alpha
-            elif len(table) < memory_budget:
-                table[key] = mask.copy()
-        probes += batch
-    raise CollisionNotFound(f"no 0/1 collision within {max_probes} probes")
+    hit = _birthday(
+        stream.generator(), 0, np.array(xs_int, dtype=np.int64), [0], PIGEONHOLE_MAX_PROBES
+    )
+    if hit is None:
+        raise CollisionNotFound(f"no 0/1 collision within {PIGEONHOLE_MAX_PROBES} probes")
+    alpha = tuple(int(a) for a in hit[1])
+    if any(sum(a * x[k] for a, x in zip(alpha, xs_int)) for k in range(len(xs_int[0]))):
+        raise InvariantViolation("collision difference is not a relation")
+    return alpha
 
 
 def _collision_dual_vector(
@@ -145,60 +172,35 @@ def _collision_dual_vector(
     target_index: int,
     prefix: int,
     stream: SampleStream,
-    max_probes: int,
-    memory_budget: int,
 ) -> tuple[int, ...] | None:
     """e_{target_index} as a {-2..2} combination of the first ``prefix`` columns.
 
-    Searches for two {-1,0,1} combinations of the prefix columns whose sums
-    differ by the unit vector; their difference is the coefficient vector.
+    The birthday search over {-1,0,1} combinations of the prefix columns with
+    offsets +e and -e: two combinations whose sums differ by the unit vector
+    give the coefficient vector as their (signed) difference.
     """
-    d = len(rows)
     m = len(rows[0])
     prefix = min(prefix, m)
-    cols = np.array([[rows[i][j] for i in range(d)] for j in range(prefix)], dtype=np.int64)
-    e = np.zeros(d, dtype=np.int64)
+    cols = np.array(rows, dtype=np.int64)[:, :prefix].T
+    e = np.zeros(len(rows), dtype=np.int64)
     e[target_index] = 1
-    gen = stream.generator()
+    max_probes = DUAL_MAX_PROBES
     if prefix < 16:
         # candidate space is tiny; no point probing past exhaustion-scale
         max_probes = min(max_probes, 4 * 3 ** prefix)
-    table: dict[tuple, np.ndarray] = {}
-    probes = 0
-    while probes < max_probes:
-        batch = min(4096, max_probes - probes)
-        coeffs = gen.integers(-1, 2, size=(batch, prefix), dtype=np.int8)
-        sums = coeffs.astype(np.int64) @ cols
-        for coeff, s in zip(coeffs, sums):
-            key = tuple(int(v) for v in s)
-            hit = table.get(tuple(int(v) for v in (s - e)))
-            if hit is not None:
-                u = np.concatenate([hit.astype(np.int64) - coeff.astype(np.int64) + 0, np.zeros(m - prefix, dtype=np.int64)])
-                # (hit) - (coeff) has sum (s - e) - s = -e; flip sign
-                u = -u
-                return tuple(int(v) for v in u)
-            hit = table.get(tuple(int(v) for v in (s + e)))
-            if hit is not None:
-                u = np.concatenate([coeff.astype(np.int64) - hit.astype(np.int64), np.zeros(m - prefix, dtype=np.int64)])
-                # sum(coeff) - sum(hit) = s - (s + e) = -e; flip sign
-                u = -u
-                return tuple(int(v) for v in u)
-            if tuple(int(v) for v in s) not in table and len(table) < memory_budget:
-                table[tuple(int(v) for v in s)] = coeff.copy()
-        probes += batch
-    return None
+    hit = _birthday(stream.generator(), -1, cols, [e, -e], max_probes)
+    if hit is None:
+        return None
+    t, diff = hit
+    u = diff if t == 0 else -diff
+    return tuple(int(v) for v in u) + (0,) * (m - prefix)
 
 
 def _augmented_rows(X: IntMatrix, us: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return list(X.rows) + list(us)
 
 
-def find_dual_vectors(
-    X: IntMatrix,
-    params: CollisionSearchParams | None = None,
-    stream: SampleStream | None = None,
-    restarts: int = 8,
-) -> list[tuple[int, ...]]:
+def find_dual_vectors(X: IntMatrix, stream: SampleStream | None = None) -> list[tuple[int, ...]]:
     """Pairwise orthogonal u_i with u_i . x_j = delta_ij, by collision search.
 
     The i-th vector is found against X augmented with the rows u_1..u_{i-1}
@@ -208,23 +210,18 @@ def find_dual_vectors(
     """
     if stream is None:
         stream = SampleStream(seed=0)
-    if params is None:
-        params = CollisionSearchParams.for_matrix(X)
     n, m = X.shape
     if fraction_rank(X.rows) < n:
         raise SurjectivityError("X must have full row rank")
+    prefix = CollisionSearchParams.for_matrix(X).prefix_budget
     # an unlucky early u_i can make a later augmented search infeasible, so
     # restart the whole sequence with a fresh substream a few times
-    for attempt in range(restarts):
+    for attempt in range(DUAL_RESTARTS):
         us: list[tuple[int, ...]] = []
         ok = True
         for i in range(n):
             rows = _augmented_rows(X, us)
-            u = _collision_dual_vector(
-                rows, i, params.prefix_budget,
-                stream.substream(attempt * 64 + i),
-                params.max_probes, params.memory_budget,
-            )
+            u = _collision_dual_vector(rows, i, prefix, stream.substream(attempt * 64 + i))
             if u is None:
                 ok = False
                 break
@@ -234,10 +231,10 @@ def find_dual_vectors(
             us.append(u)
         if ok:
             return us
-    raise CollisionNotFound(f"no collision within {restarts} restarts")
+    raise CollisionNotFound(f"no collision within {DUAL_RESTARTS} restarts")
 
 
-def exact_dual_fallback(X: IntMatrix, lll_rank_cap: int = 12) -> list[tuple[int, ...]]:
+def exact_dual_fallback(X: IntMatrix) -> list[tuple[int, ...]]:
     """Deterministic u_i via exact integer solves on augmented systems.
 
     Solves [X; u_1; ..; u_{i-1}] u = e_i over the integers (HNF), then
@@ -259,7 +256,7 @@ def exact_dual_fallback(X: IntMatrix, lll_rank_cap: int = 12) -> list[tuple[int,
         if u is None:
             raise CollisionNotFound(f"augmented system for u_{i + 1} has no integer solution")
         ker = kernel_columns(M)
-        if 0 < len(ker) <= lll_rank_cap:
+        if 0 < len(ker) <= LLL_RANK_CAP:
             kb = lll_reduce(LatticeBasis(IntMatrix.from_columns(ker)))
             near = nearest_plane(kb, u)
             u = tuple(a - b for a, b in zip(u, near))

@@ -28,7 +28,7 @@ from .gaussian import (
     enumerate_affine,
     integer_box,
 )
-from .intmat import IntMatrix, _back_substitute, _hnf_kernel, hnf_column, hnf_pivots
+from .intmat import IntMatrix, InvariantViolation, _hnf_kernel, hnf_column, hnf_pivots
 from .lattice import LatticeBasis, lll_reduce
 
 SECTION_TAIL_BUDGET = 1e-10  # certified relative tail per fiber section
@@ -90,24 +90,25 @@ class FiberWorkspace:
 
     All fibers of one instance are translates g(z) + ker X of the same kernel
     lattice, so one Hermite decomposition X U = H gives the kernel basis and
-    every particular solution g(z), and the whitened integer search box is
-    built once and only recentered per fiber.  The kernel basis is
+    the linear particular solution g(z) = P z, and the whitened integer search
+    box is built once and only recentered per fiber.  The kernel basis is
     LLL-reduced: the raw HNF columns can be long and skewed enough that the
-    box covering the section ball has millions of points.
+    box covering the section ball has millions of points.  X must map Z^m
+    onto Z^n, so that every label has a fiber.
     """
 
-    def __init__(
-        self,
-        X: IntMatrix,
-        R: GaussianShape,
-        c: Sequence[float],
-        section_radius: float | None = None,
-    ):
+    def __init__(self, X: IntMatrix, R: GaussianShape, c: Sequence[float]):
         n, m = X.shape
         H, U = hnf_column(X)
-        self._hnf = (H, U, hnf_pivots(H))
-        if len(self._hnf[2]) < n:
+        pivots = hnf_pivots(H)
+        if len(pivots) < n:
             raise ValueError("X must have full row rank")
+        if any(H.rows[r][j] != 1 for r, j in pivots):
+            raise NotInSupport("X does not map Z^m onto Z^n: some labels have no fiber")
+        # onto, so H = [I | 0] and the first n columns P of U solve X P = I
+        self.P = IntMatrix.from_columns(U.column(j) for j in range(n))
+        if (X @ self.P).rows != IntMatrix.identity(n).rows:
+            raise InvariantViolation("HNF particular map P does not solve X P = I")
         self.X = X
         self.R = R
         self.c = np.asarray(list(c), dtype=float)
@@ -115,9 +116,7 @@ class FiberWorkspace:
             raise ValueError("shift dimension mismatch")
         self.W = R.whitening(m)
         self.rank = m - n
-        if section_radius is None:
-            section_radius = region_radius_for_tail(max(self.rank, 1), SECTION_TAIL_BUDGET)
-        self.section_radius = float(section_radius)
+        self.section_radius = region_radius_for_tail(max(self.rank, 1), SECTION_TAIL_BUDGET)
         self.kernel = lll_reduce(LatticeBasis(IntMatrix.from_columns(_hnf_kernel(X, U, n)))) if m > n else None
         if self.kernel is not None:
             self.K = self.kernel.matrix.to_numpy()
@@ -136,10 +135,7 @@ class FiberWorkspace:
         self.Xc = Xf @ self.c
 
     def particular(self, z: Sequence[int]) -> np.ndarray:
-        g = _back_substitute(self.X, *self._hnf, [int(v) for v in z])
-        if g is None:
-            raise NotInSupport(f"{tuple(z)} not in X Z^m")
-        return np.array(g, dtype=float) + self.c
+        return np.array(self.P @ z, dtype=float) + self.c
 
     def _section(self, f: np.ndarray) -> tuple[np.ndarray, float]:
         """Box mask and truncated weight of the kernel lattice shifted by f."""
@@ -201,35 +197,24 @@ def region_radius_for_tail(n: int, tail: float = 1e-12, cap: float = 12.0) -> fl
     return r
 
 
-def fiber_mass(
-    X: IntMatrix,
-    R: GaussianShape,
-    c: Sequence[float],
-    z: Sequence[int],
-    section_radius: float | None = None,
-) -> FiberEnumeration:
+def fiber_mass(X: IntMatrix, R: GaussianShape, c: Sequence[float], z: Sequence[int]) -> FiberEnumeration:
     """Truncated Gaussian weight of one fiber; see FiberWorkspace.fiber."""
-    return FiberWorkspace(X, R, c, section_radius=section_radius).fiber(z)
+    return FiberWorkspace(X, R, c).fiber(z)
 
 
-def _labels(X, R, c, region, region_radius, workspace, section_radius=None):
+def _labels(X, R, c, region_radius, workspace):
     """(workspace, region radius, labels) shared by the image and target pmfs."""
-    ws = workspace or FiberWorkspace(
-        X, R, c if c is not None else [0.0] * X.n_cols, section_radius=section_radius
-    )
+    ws = workspace or FiberWorkspace(X, R, c if c is not None else [0.0] * X.n_cols)
     if region_radius is None:
         region_radius = region_radius_for_tail(X.n_rows)
-    labels = [tuple(int(v) for v in z) for z in region] if region is not None else ws.region(region_radius)
-    return ws, region_radius, labels
+    return ws, region_radius, ws.region(region_radius)
 
 
 def exact_output_pmf(
     X: IntMatrix,
     R: GaussianShape,
     c: Sequence[float] | None = None,
-    region: Sequence[Sequence[int]] | None = None,
     region_radius: float | None = None,
-    section_radius: float | None = None,
     workspace: FiberWorkspace | None = None,
 ) -> DiscretePMF:
     """Truncated pmf of {X v : v ~ D_{Z^m + c, R}} over integer labels z.
@@ -239,7 +224,7 @@ def exact_output_pmf(
     (safety factor 3 covering the image-vs-target band), fiber tails via the
     section ball bound.
     """
-    ws, region_radius, labels = _labels(X, R, c, region, region_radius, workspace, section_radius)
+    ws, region_radius, labels = _labels(X, R, c, region_radius, workspace)
     masses = np.array([ws.fiber_weight(z) for z in labels])
     total = float(np.sum(np.sort(masses)))
     if total <= 0:
@@ -253,12 +238,11 @@ def target_pmf(
     X: IntMatrix,
     R: GaussianShape,
     c: Sequence[float] | None = None,
-    region: Sequence[Sequence[int]] | None = None,
     region_radius: float | None = None,
     workspace: FiberWorkspace | None = None,
 ) -> DiscretePMF:
     """Truncated pmf of the discrete Gaussian on Z^n + X c with shape R X^T."""
-    ws, region_radius, labels = _labels(X, R, c, region, region_radius, workspace)
+    ws, region_radius, labels = _labels(X, R, c, region_radius, workspace)
     vals = np.array([ws.target_weight(z) for z in labels])
     total = float(np.sum(np.sort(vals)))
     return DiscretePMF(tuple(labels), vals / total, ball_tail_bound(X.n_rows, region_radius))

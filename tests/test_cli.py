@@ -257,6 +257,19 @@ def test_replay_manifest_with_removed_keys(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_parser_keeps_no_state_between_calls(tmp_path):
+    # one parser serves every main call in a process
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1\n")
+    common = ["sample", "--x-file", xfile, "-r", "2.0", "--samples", "10"]
+    assert run(common + ["--seed", "9", "--mc", "--out-dir", tmp_path / "a"]) == EXIT_OK
+    assert run(common + ["--out-dir", tmp_path / "b"]) == EXIT_OK
+    first = read_json(tmp_path / "a" / "manifest.json")["resolved_config"]
+    second = read_json(tmp_path / "b" / "manifest.json")["resolved_config"]
+    assert (first["seed"], first["mode"]) == (9, "mc")
+    assert (second["seed"], second["mode"]) == (1, "exact")
+
+
 def test_enumeration_budget_exceeded_exits_2_with_one_line(tmp_path, capsys):
     # r = 1e7 needs a label box of about 4.2e7 points, above the budget
     xfile = tmp_path / "X.txt"

@@ -8,6 +8,7 @@ import pytest
 from dgsum.gaussian import GaussianShape, SampleStream, sample_dg_ints
 from dgsum.intmat import IntMatrix, dot, norm_sq
 from dgsum.lattice import integer_kernel, lll_reduce, smoothing_bound, successive_minima_upper
+from dgsum import quality
 from dgsum.quality import (
     CollisionNotFound,
     CollisionSearchParams,
@@ -22,6 +23,7 @@ from dgsum.quality import (
     distance_threshold,
     parameter_check,
 )
+from dgsum.quality import _collision_dual_vector
 
 X2 = IntMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
 
@@ -84,6 +86,116 @@ def test_pigeonhole_random_batch():
 def test_pigeonhole_bound_violation():
     with pytest.raises(ValueError):
         pigeonhole_collision([(9,)], 2, SampleStream(0))
+
+
+# ---------------------------------------------------------------- birthday search oracles
+#
+# The two per-row loops that the shared birthday search replaced, kept as
+# references: the search must return exactly what they return.
+
+
+def oracle_pigeonhole(xs, B, stream, max_probes=500_000, memory_budget=1 << 21):
+    xs_int = [tuple(int(v) for v in x) for x in xs]
+    ell = len(xs_int)
+    if any(abs(v) > B for x in xs_int for v in x):
+        raise ValueError("infinity norm bound violated")
+    M = np.array(xs_int, dtype=np.int64)
+    gen = stream.generator()
+    table = {}
+    probes = 0
+    while probes < max_probes:
+        batch = min(4096, max_probes - probes)
+        masks = gen.integers(0, 2, size=(batch, ell), dtype=np.int8)
+        sums = masks.astype(np.int64) @ M
+        for mask, s in zip(masks, sums):
+            key = tuple(int(v) for v in s)
+            prev = table.get(key)
+            if prev is not None:
+                alpha = tuple(int(a) - int(b) for a, b in zip(mask, prev))
+                if any(alpha):
+                    return alpha
+            elif len(table) < memory_budget:
+                table[key] = mask.copy()
+        probes += batch
+    raise CollisionNotFound(f"no 0/1 collision within {max_probes} probes")
+
+
+def oracle_dual_vector(rows, target_index, prefix, stream, max_probes=200_000, memory_budget=1 << 20):
+    d = len(rows)
+    m = len(rows[0])
+    prefix = min(prefix, m)
+    cols = np.array([[rows[i][j] for i in range(d)] for j in range(prefix)], dtype=np.int64)
+    e = np.zeros(d, dtype=np.int64)
+    e[target_index] = 1
+    gen = stream.generator()
+    if prefix < 16:
+        max_probes = min(max_probes, 4 * 3 ** prefix)
+    table = {}
+    probes = 0
+    while probes < max_probes:
+        batch = min(4096, max_probes - probes)
+        coeffs = gen.integers(-1, 2, size=(batch, prefix), dtype=np.int8)
+        sums = coeffs.astype(np.int64) @ cols
+        for coeff, s in zip(coeffs, sums):
+            hit = table.get(tuple(int(v) for v in (s - e)))
+            if hit is not None:
+                u = -np.concatenate([hit.astype(np.int64) - coeff.astype(np.int64), np.zeros(m - prefix, dtype=np.int64)])
+                return tuple(int(v) for v in u)
+            hit = table.get(tuple(int(v) for v in (s + e)))
+            if hit is not None:
+                u = -np.concatenate([coeff.astype(np.int64) - hit.astype(np.int64), np.zeros(m - prefix, dtype=np.int64)])
+                return tuple(int(v) for v in u)
+            if tuple(int(v) for v in s) not in table and len(table) < memory_budget:
+                table[tuple(int(v) for v in s)] = coeff.copy()
+        probes += batch
+    return None
+
+
+def _pigeonhole_or_none(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except CollisionNotFound:
+        return None
+
+
+def test_birthday_search_matches_pigeonhole_oracle(monkeypatch):
+    # a smaller probe cap keeps the relation-free inputs cheap; both sides use it
+    cap = 20_000
+    monkeypatch.setattr(quality, "PIGEONHOLE_MAX_PROBES", cap)
+    rng = np.random.default_rng(12)
+    outcomes = set()
+    for i in range(300):
+        n, B = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        if i % 3 == 0:  # a duplicated vector among a few others
+            ell = int(rng.integers(2, 6))
+            xs = [tuple(int(v) for v in rng.integers(-B, B + 1, size=n)) for _ in range(ell - 1)]
+            xs.insert(int(rng.integers(0, ell)), xs[int(rng.integers(0, ell - 1))])
+        else:  # the lemma's length; B n = 1 gives a single vector and no relation
+            ell = max(int(2 * n * math.log2(B * n)), 1)
+            xs = [tuple(int(v) for v in rng.integers(-B, B + 1, size=n)) for _ in range(ell)]
+        want = _pigeonhole_or_none(oracle_pigeonhole, xs, B, SampleStream(700 + i), max_probes=cap)
+        got = _pigeonhole_or_none(pigeonhole_collision, xs, B, SampleStream(700 + i))
+        assert got == want, (i, xs)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+def test_birthday_search_matches_dual_vector_oracle():
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    short = 0
+    for i in range(300):
+        d, m = int(rng.integers(1, 6)), int(rng.integers(2, 24))
+        rows = [tuple(int(v) for v in r) for r in rng.integers(-3, 4, size=(d, m))]
+        # every other prefix is short, where the probe cap is 4 * 3^prefix
+        prefix = m if i % 2 else int(rng.integers(1, min(m, 8) + 1))
+        target = int(rng.integers(0, d))
+        want = oracle_dual_vector(rows, target, prefix, SampleStream(500 + i))
+        got = _collision_dual_vector(rows, target, prefix, SampleStream(500 + i))
+        assert got == want, (i, rows, target, prefix)
+        outcomes.add(want is None)
+        short += prefix < 16
+    assert outcomes == {True, False} and short >= 150
 
 
 # ---------------------------------------------------------------- dual vectors

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dgsum.gaussian import GaussianShape, LatticeCoset, SampleStream, sample_dg_coset
-from dgsum.intmat import IntMatrix, solve_integer
+from dgsum.intmat import IntMatrix, is_surjective, solve_integer
 from dgsum.lattice import integer_kernel, smoothing_bound
 from dgsum.tvd import (
     FiberWorkspace,
@@ -85,20 +85,20 @@ def test_workspace_particular_matches_solve_integer():
         X = IntMatrix.from_rows(rng.integers(-3, 4, size=(n, int(rng.integers(n, n + 3)))).tolist())
         if np.linalg.matrix_rank(X.to_numpy()) == n:
             mats.append(X)
-    outside = 0
+    onto = 0
     for X in mats:
         n, m = X.shape
         c = rng.normal(size=m)
+        if not is_surjective(X):
+            with pytest.raises(NotInSupport):
+                FiberWorkspace(X, GaussianShape.spherical(0.5), c)
+            continue
+        onto += 1
         ws = FiberWorkspace(X, GaussianShape.spherical(0.5), c)  # small s keeps the box small
         for z in rng.integers(-4, 5, size=(6, n)).tolist() + [[1] + [0] * (n - 1)]:
             g = solve_integer(X, z)
-            if g is None:
-                outside += 1
-                with pytest.raises(NotInSupport):
-                    ws.particular(z)
-            else:
-                assert np.array_equal(ws.particular(z), np.array(g, dtype=float) + c)
-    assert outside > 0
+            assert np.array_equal(ws.particular(z), np.array(g, dtype=float) + c)
+    assert 0 < onto < len(mats)
 
 
 def test_exact_output_pmf_matches_per_label_solve():
