@@ -210,6 +210,7 @@ def cmd_quality(cfg: dict) -> int:
     if cert is None:
         write_json(out / "certificate.json", {"verified": False, "nominal_bounds": nominal})
         write_manifest(out, "quality", cfg, {"quality": "failed"}, t0)
+        print("no certificate: neither the collision search nor the exact fallback verified one", file=sys.stderr)
         return EXIT_GATE
     report = cert.to_json_dict()
     report["nominal_bounds"] = nominal
@@ -254,10 +255,9 @@ def _tvd_instance(X: IntMatrix, r: float, eps: float, c, mode: str, stream: Samp
     R = GaussianShape.spherical(r)
     ws = FiberWorkspace(X, R, c if c is not None else [0.0] * m)
     result = {}
-    p = exact_output_pmf(X, R, workspace=ws)
     q = target_pmf(X, R, workspace=ws)
     if mode in ("exact", "both"):
-        rep = exact_tvd(p, q)
+        rep = exact_tvd(exact_output_pmf(X, R, workspace=ws), q)
         result["exact"] = rep.to_json_dict()
     if mode in ("mc", "both"):
         def sampler(N, st):

@@ -205,14 +205,17 @@ def find_dual_vectors(X: IntMatrix, stream: SampleStream | None = None) -> list[
 
     The i-th vector is found against X augmented with the rows u_1..u_{i-1}
     and target e_i (so orthogonality to earlier u's comes for free); entries
-    live in {-2..2} on the searched prefix.  Raises CollisionNotFound when a
-    budget is exhausted; callers may fall back to exact_dual_fallback.
+    live in {-2..2} on the searched prefix.  Raises SurjectivityError, before
+    any probe, when X does not map Z^m onto Z^n (rank-deficient X included),
+    and CollisionNotFound when a budget is exhausted; callers may fall back
+    to exact_dual_fallback.
     """
     if stream is None:
         stream = SampleStream(seed=0)
     n, m = X.shape
-    if fraction_rank(X.rows) < n:
-        raise SurjectivityError("X must have full row rank")
+    # every certificate needs X Z^m = Z^n; no probe can succeed without it
+    if not is_surjective(X):
+        raise SurjectivityError("X does not map Z^m onto Z^n")
     prefix = CollisionSearchParams.for_matrix(X).prefix_budget
     # an unlucky early u_i can make a later augmented search infeasible, so
     # restart the whole sequence with a fresh substream a few times

@@ -1,10 +1,17 @@
 """Statistical distance between X-image distributions and discrete Gaussians.
 
 The image distribution pushes v ~ D_{Z^m + c, R} through v -> X v.  Its mass
-at an output point factors over the fiber {v : X v = z'}, a translate of the
-orthogonal lattice A(X); each fiber weight splits as
-rho(u_z) * (Gaussian weight of a translated copy of A), which is what makes
-exact desk-scale computation and the ratio-band diagnostics feasible.
+at an output point z + X c is the weight of the fiber {v : X v = z + X c}, a
+translate P z + c + A of the kernel lattice A = ker X ∩ Z^m.  For spherical R
+that weight factors as rho_target(z) * rho(A + f(z)): the fiber's component
+along span X^T is the same for all its points and gives the target weight,
+and the section sum rho(A + f(z)) depends only on the class of z modulo
+G Z^n, G = X X^T.  Two labels z and z + G w have fibers that differ by the
+vector X^T w (P G w - X^T w lies in A), which is orthogonal to ker X, so
+their section sums are equal for any c.  exact_output_pmf keys each label by
+the exact integer vector adj(G) z mod det G, takes one section sum per class
+(at most det G of them) and carries it to the other labels of the class by
+their target weights.
 
 Also hosts numeric evaluators for the tail, ratio and shift bounds used by
 the threshold analysis.
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -182,11 +190,15 @@ class FiberWorkspace:
     def region(self, region_radius: float) -> list[tuple[int, ...]]:
         """Integer labels z with whitened target norm of z + X c within radius."""
         T = enumerate_affine(self.Wt, self.Wt @ self.Xc, region_radius)
-        return [tuple(int(v) for v in t) for t in T]
+        return list(map(tuple, T.tolist()))
+
+    def target_norms(self, T: np.ndarray) -> np.ndarray:
+        """||Wt (z + X c)||^2 for each label row z of T."""
+        Y = (T + self.Xc) @ self.Wt.T
+        return np.einsum("ij,ij->i", Y, Y)
 
     def target_weight(self, z: Sequence[int]) -> float:
-        y = self.Wt @ (np.asarray(z, dtype=float) + self.Xc)
-        return float(np.exp(-math.pi * y @ y))
+        return float(np.exp(-math.pi * self.target_norms(np.asarray([z], dtype=float))[0]))
 
 
 def region_radius_for_tail(n: int, tail: float = 1e-12, cap: float = 12.0) -> float:
@@ -203,11 +215,56 @@ def fiber_mass(X: IntMatrix, R: GaussianShape, c: Sequence[float], z: Sequence[i
 
 
 def _labels(X, R, c, region_radius, workspace):
-    """(workspace, region radius, labels) shared by the image and target pmfs."""
+    """(workspace, region radius, labels, labels as an int array) shared by
+    the image and target pmfs; labels are in lexicographic order."""
     ws = workspace or FiberWorkspace(X, R, c if c is not None else [0.0] * X.n_cols)
     if region_radius is None:
         region_radius = region_radius_for_tail(X.n_rows)
-    return ws, region_radius, ws.region(region_radius)
+    labels = ws.region(region_radius)
+    T = np.fromiter(chain.from_iterable(labels), dtype=np.int64, count=len(labels) * X.n_rows)
+    return ws, region_radius, labels, T.reshape(len(labels), X.n_rows)
+
+
+def _int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant by fraction-free (Bareiss) elimination; every division is exact."""
+    M = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(M)):
+        piv = next((i for i in range(k, len(M)) if M[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        top = M[k]
+        for i in range(k + 1, len(M)):
+            row = M[i]
+            M[i] = [(top[k] * a - row[k] * b) // prev for a, b in zip(row, top)]
+        prev = top[k]
+    return sign * prev
+
+
+def _adjugate(G: IntMatrix) -> tuple[list[list[int]], int]:
+    """(adj G, det G) of a square integer matrix, so that adj(G) G = det(G) I."""
+    n = G.n_rows
+
+    def minor(i, j):
+        return [[x for b, x in enumerate(row) if b != j] for a, row in enumerate(G.rows) if a != i]
+
+    adj = [[(-1) ** (i + j) * _int_det(minor(j, i)) for j in range(n)] for i in range(n)]
+    return adj, _int_det(G.rows)
+
+
+def _row_groups(keys: np.ndarray, *tiebreak: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): order sorts the rows of keys lexicographically, ties
+    by the tiebreak arrays and then by index; starts[k] marks order[k] as the
+    first row of a run of equal rows.  np.unique(axis=0) sorts the rows as
+    opaque bytes and takes several times as long."""
+    order = np.lexsort(tiebreak[::-1] + tuple(keys.T[::-1]))
+    sk = keys[order]
+    starts = np.ones(len(sk), dtype=bool)
+    starts[1:] = np.any(sk[1:] != sk[:-1], axis=1)
+    return order, starts
 
 
 def exact_output_pmf(
@@ -219,13 +276,35 @@ def exact_output_pmf(
 ) -> DiscretePMF:
     """Truncated pmf of {X v : v ~ D_{Z^m + c, R}} over integer labels z.
 
-    The support label z stands for the output point z + X c.  Truncation is
-    certified: region tail via the Gaussian ball bound on the target shape
-    (safety factor 3 covering the image-vs-target band), fiber tails via the
-    section ball bound.
+    The support label z stands for the output point z + X c.  For spherical R
+    the labels are grouped by the exact key adj(G) z mod d, G = X X^T and
+    d = det G: labels with one key differ by some G w, and their fibers by
+    X^T w, orthogonal to ker X (see the module docstring).  Each class gets
+    one section sum, fiber_weight at its representative r, and a label z of
+    the class weighs fiber_weight(r) exp(-pi (|y_z|^2 - |y_r|^2)) with
+    y = Wt (z + X c).  r is the class's label of least |y| (the first in
+    lexicographic order among ties), so that factor is at most 1 and a
+    far-out representative cannot underflow a whole class to zero.  A
+    non-spherical R takes one fiber_weight per label, and so does a d too
+    large for the keys to stay exact in int64.
+    Truncation is certified: region tail via the Gaussian ball bound on the
+    target shape (safety factor 3 covering the image-vs-target band), fiber
+    tails via the section ball bound.
     """
-    ws, region_radius, labels = _labels(X, R, c, region_radius, workspace)
-    masses = np.array([ws.fiber_weight(z) for z in labels])
+    ws, region_radius, labels, T = _labels(X, R, c, region_radius, workspace)
+    adj, d = _adjugate(X @ X.T)
+    if R.is_spherical and X.n_rows * (d - 1) ** 2 < 2 ** 63:  # int64 keys stay exact
+        adj_d = np.array([[a % d for a in row] for row in adj], dtype=np.int64)
+        keys = (T % d) @ adj_d.T % d
+        q = ws.target_norms(T)
+        order, starts = _row_groups(keys, q)
+        cls = np.empty(len(labels), dtype=np.intp)
+        cls[order] = np.cumsum(starts) - 1
+        rep = order[starts]
+        class_weights = np.array([ws.fiber_weight(labels[i]) for i in rep])
+        masses = class_weights[cls] * np.exp(-math.pi * (q - q[rep][cls]))
+    else:
+        masses = np.array([ws.fiber_weight(z) for z in labels])
     total = float(np.sum(np.sort(masses)))
     if total <= 0:
         raise ValueError("empty region")
@@ -242,21 +321,33 @@ def target_pmf(
     workspace: FiberWorkspace | None = None,
 ) -> DiscretePMF:
     """Truncated pmf of the discrete Gaussian on Z^n + X c with shape R X^T."""
-    ws, region_radius, labels = _labels(X, R, c, region_radius, workspace)
-    vals = np.array([ws.target_weight(z) for z in labels])
+    ws, region_radius, labels, T = _labels(X, R, c, region_radius, workspace)
+    vals = np.exp(-math.pi * ws.target_norms(T))
     total = float(np.sum(np.sort(vals)))
     return DiscretePMF(tuple(labels), vals / total, ball_tail_bound(X.n_rows, region_radius))
 
 
 def exact_tvd(p: DiscretePMF, q: DiscretePMF, radius: float = 0.0) -> ExactTVDReport:
-    """Half the l1 difference over the union support, with truncation slack."""
-    pd, qd = p.as_dict(), q.as_dict()
-    keys = set(pd) | set(qd)
-    tvd = 0.5 * sum(abs(pd.get(k, 0.0) - qd.get(k, 0.0)) for k in sorted(keys))
+    """Half the l1 difference over the union support, with truncation slack.
+
+    Both paths add the absolute differences one at a time in sorted label
+    order, so pmfs on one support get the dict path's result bit for bit
+    from the array difference.
+    """
+    if p.points == q.points:
+        order = sorted(range(len(p.points)), key=p.points.__getitem__)
+        diffs = np.abs(p.masses - q.masses)[order]
+        tvd = 0.5 * (np.cumsum(diffs)[-1] if len(diffs) else 0.0)  # cumsum adds in order
+        support = len(p.points)
+    else:
+        pd, qd = p.as_dict(), q.as_dict()
+        keys = set(pd) | set(qd)
+        tvd = 0.5 * sum(abs(pd.get(k, 0.0) - qd.get(k, 0.0)) for k in sorted(keys))
+        support = len(keys)
     trunc = 0.5 * (p.tail_bound + q.tail_bound)
     return ExactTVDReport(
         tvd=float(tvd), truncation_error=float(trunc),
-        support_size=len(keys), radius=radius,
+        support_size=support, radius=radius,
     )
 
 
@@ -278,8 +369,16 @@ def mc_tvd(
     draws = np.asarray(sampler(N, stream))
     if draws.ndim == 1:
         draws = draws[:, None]
-    counts: dict[tuple, int] = {}
-    for row in draws:
+    # rows within 1e-9 of an integer vector are counted in one pass; any other
+    # row keys its near-integer coordinates as ints and the rest as floats
+    nearest = np.round(draws)
+    integral = np.all(np.abs(draws - nearest) < 1e-9, axis=1)
+    Z = nearest[integral].astype(np.int64)
+    order, starts = _row_groups(Z)
+    first = np.flatnonzero(starts)
+    freq = np.diff(np.r_[first, len(Z)])
+    counts: dict[tuple, int] = dict(zip(map(tuple, Z[order[first]].tolist()), freq.tolist()))
+    for row in draws[~integral]:
         key = tuple(int(round(v)) if abs(v - round(v)) < 1e-9 else float(v) for v in row)
         counts[key] = counts.get(key, 0) + 1
     td = target.as_dict()

@@ -128,6 +128,18 @@ def test_cmd_quality_rank_failure(tmp_path):
     assert read_json(out / "certificate.json")["verified"] is False
 
 
+def test_cmd_quality_not_onto_exits_2_with_one_line(tmp_path, capsys):
+    # full row rank but not onto: no certificate exists
+    xfile = tmp_path / "X.txt"
+    xfile.write_text(" ".join(["-4 -2 2 2 4"] * 4) + "\n")
+    out = tmp_path / "run"
+    assert run(["quality", "--x-file", xfile, "--out-dir", out]) == EXIT_GATE
+    err = capsys.readouterr().err
+    assert err.startswith("no certificate: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert read_json(out / "certificate.json")["verified"] is False
+
+
 def test_cmd_kernel(tmp_path):
     xfile = tmp_path / "X.txt"
     xfile.write_text("1 0 1\n0 1 1\n")
@@ -177,6 +189,21 @@ def test_cmd_tvd_below_threshold_gate(tmp_path):
                 "-r", "1.3", "--seed", "4", "--out-dir", out])
     assert code == EXIT_GATE
     assert read_json(out / "tvd.json")["verdict"] == "precondition unmet"
+
+
+def test_tvd_mc_does_not_build_image_pmf(tmp_path, monkeypatch):
+    import dgsum.cli
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("--mc must not build the exact image pmf")
+
+    monkeypatch.setattr(dgsum.cli, "exact_output_pmf", refuse)
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 1\n")
+    out = tmp_path / "run"
+    assert run(["tvd", "--x-file", xfile, "--mc", "--samples", "10000", "--out-dir", out]) == EXIT_OK
+    rep = read_json(out / "tvd.json")
+    assert "mc" in rep and "exact" not in rep
 
 
 def test_cmd_main_micro(tmp_path):

@@ -218,6 +218,19 @@ def test_exact_dual_fallback_surjectivity_error():
         exact_dual_fallback(IntMatrix.from_rows([[2]]))
 
 
+# full row rank, but every entry is even, so X Z^m = 2Z
+NOT_ONTO = IntMatrix.from_rows([[-4, -2, 2, 2, 4] * 4])
+
+
+def test_find_dual_vectors_rejects_not_onto_before_probing(monkeypatch):
+    probes = []
+    monkeypatch.setattr(quality, "_birthday", lambda *args: probes.append(args))
+    for X in (NOT_ONTO, IntMatrix.from_rows([[1, 1, 0], [2, 2, 0]])):
+        with pytest.raises(SurjectivityError):
+            find_dual_vectors(X, stream=SampleStream(1))
+    assert probes == []
+
+
 def test_exact_dual_fallback_hand_instance():
     us = exact_dual_fallback(X2)
     cert = certify_quality(X2, us)

@@ -101,16 +101,77 @@ def test_workspace_particular_matches_solve_integer():
     assert 0 < onto < len(mats)
 
 
-def test_exact_output_pmf_matches_per_label_solve():
-    # the reference solves each label with its own HNF
-    for rows, c in (([[1, 1, 1], [0, 1, 2]], [0.0, 0.0, 0.0]), ([[1, 0, 1, 1], [0, 1, 1, -1]], [0.3, -0.2, 0.0, 0.1])):
-        X = IntMatrix.from_rows(rows)
-        R = GaussianShape.spherical(3.0)
-        p = exact_output_pmf(X, R, c=c)
-        ref = FiberWorkspace(X, R, c)
+def _per_label_pmf(X, R, c, points, solve_each=False):
+    """Oracle: one section sum per label; with solve_each, each label also
+    gets its particular solution from its own HNF."""
+    ref = FiberWorkspace(X, R, c)
+    if solve_each:
         ref.particular = lambda z: np.array(solve_integer(X, [int(v) for v in z]), dtype=float) + ref.c
-        masses = np.array([ref.fiber_weight(z) for z in p.points])
-        assert np.array_equal(p.masses, masses / float(np.sum(np.sort(masses))))
+    masses = np.array([ref.fiber_weight(z) for z in points])
+    return masses / float(np.sum(np.sort(masses)))
+
+
+def _det_xxt(X):
+    Xf = X.to_numpy(dtype=np.int64)
+    return int(round(np.linalg.det(Xf @ Xf.T)))
+
+
+def test_class_path_matches_per_label_oracle():
+    # the hand instances are checked against per-label HNF solves as well
+    cases = [
+        (IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]]), [0.0, 0.0, 0.0], 3.0, True),
+        (IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]]), [0.3, -0.2, 0.0, 0.1], 3.0, True),
+        (IntMatrix.from_rows([[1, 2, 3, 3]]), [0.0] * 4, 0.8, False),  # det X X^T = 23
+    ]
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        for k in (1, 2, 3):
+            drawn = 0
+            while drawn < 2:
+                X = IntMatrix.from_rows(rng.integers(-2 if n == 1 else -1, 3 if n == 1 else 2, size=(n, n + k)).tolist())
+                if np.linalg.matrix_rank(X.to_numpy()) < n or not is_surjective(X):
+                    continue
+                c = [0.0] * (n + k) if drawn == 0 else rng.normal(scale=0.5, size=n + k).tolist()
+                cases.append((X, c, 0.5 if n == 3 else 0.8, False))
+                drawn += 1
+    dets = set()
+    for X, c, s, solve_each in cases:
+        R = GaussianShape.spherical(s)
+        p = exact_output_pmf(X, R, c=c)
+        np.testing.assert_allclose(p.masses, _per_label_pmf(X, R, c, p.points, solve_each), rtol=1e-12, atol=0)
+        dets.add(_det_xxt(X))
+    assert min(dets) == 1 and max(dets) >= 20
+
+
+def test_exact_output_pmf_one_section_sum_per_class(monkeypatch):
+    calls = []
+    fiber_weight = FiberWorkspace.fiber_weight
+
+    def counting(self, z):
+        calls.append(tuple(z))
+        return fiber_weight(self, z)
+
+    monkeypatch.setattr(FiberWorkspace, "fiber_weight", counting)
+    for rows in ([[1, 1, 1], [0, 1, 2]], [[1, 0, 1, 1], [0, 1, 1, -1]], [[1, 2, 3, 3]], [[1, 0, 0], [0, 1, 0]]):
+        X = IntMatrix.from_rows(rows)
+        calls.clear()
+        p = exact_output_pmf(X, GaussianShape.spherical(2.0))
+        assert 1 <= len(calls) <= _det_xxt(X) < len(p.points)
+
+
+def test_ellipsoidal_shapes_take_the_per_label_path():
+    # R = r I as a matrix takes the per-label path and must agree with the
+    # spherical class path; a genuinely ellipsoidal R has no class identity
+    for rows, c in (([[1, 1, 1], [0, 1, 2]], [0.0, 0.0, 0.0]), ([[1, 2, 3, 3]], [0.1, -0.4, 0.2, 0.0])):
+        X = IntMatrix.from_rows(rows)
+        m = X.n_cols
+        p = exact_output_pmf(X, GaussianShape.spherical(1.5), c=c)
+        e = exact_output_pmf(X, GaussianShape.ellipsoidal(1.5 * np.eye(m)), c=c)
+        assert e.points == p.points
+        np.testing.assert_allclose(e.masses, p.masses, rtol=1e-12, atol=0)
+        R = GaussianShape.ellipsoidal(np.diag(np.linspace(1.0, 2.0, m)))
+        f = exact_output_pmf(X, R, c=c)
+        assert np.array_equal(f.masses, _per_label_pmf(X, R, c, f.points))
 
 
 def test_hnf_calls_independent_of_label_count(monkeypatch):
@@ -224,6 +285,30 @@ def test_exact_tvd_disjoint_supports():
     assert exact_tvd(p, q).tvd == pytest.approx(1.0)
 
 
+def test_exact_tvd_array_path_matches_dict_path():
+    from dgsum.gaussian import DiscretePMF
+
+    def dict_path(p, q):
+        # a reordered copy of q has different points, so exact_tvd takes the dict path
+        rev = DiscretePMF(q.points[::-1], q.masses[::-1], q.tail_bound)
+        assert rev.points != p.points
+        return exact_tvd(p, rev)
+
+    pairs = []
+    for rows, c in (([[1, 1, 1], [0, 1, 2]], [0.0, 0.0, 0.0]), ([[1, 0, 1, 1], [0, 1, 1, -1]], [0.3, -0.2, 0.0, 0.1])):
+        X = IntMatrix.from_rows(rows)
+        ws = FiberWorkspace(X, GaussianShape.spherical(3.0), c)
+        pairs.append((exact_output_pmf(X, ws.R, workspace=ws), target_pmf(X, ws.R, workspace=ws)))
+    rng = np.random.default_rng(2)
+    for size in (2, 17, 1000, 5000):
+        pts = [tuple(t) for t in rng.permutation(np.arange(2 * size).reshape(size, 2)).tolist()]  # unsorted
+        a, b = rng.random(size) ** 8, rng.random(size)
+        pairs.append((DiscretePMF(tuple(pts), a / a.sum(), 1e-9), DiscretePMF(tuple(pts), b / b.sum(), 0.0)))
+    for p, q in pairs:
+        got, ref = exact_tvd(p, q), dict_path(p, q)
+        assert got.tvd == ref.tvd and got.to_json_dict() == ref.to_json_dict()
+
+
 def test_exact_tvd_symmetry_and_triangle():
     ps = [
         exact_output_pmf(X11, GaussianShape.spherical(r))
@@ -281,6 +366,51 @@ def test_mc_tvd_ci_shrinks_with_n():
         w.append(rep.ci_hi - rep.ci_lo)
     # quadrupling N should halve the band width (same support, +-30% slack)
     assert 0.35 <= w[1] / w[0] <= 0.65
+
+
+def _mc_counts_oracle(sampler, target, N, stream, confidence=0.99):
+    # the per-row counting loop mc_tvd used before it counted integral rows with np.unique
+    draws = np.asarray(sampler(N, stream))
+    if draws.ndim == 1:
+        draws = draws[:, None]
+    counts = {}
+    for row in draws:
+        key = tuple(int(round(v)) if abs(v - round(v)) < 1e-9 else float(v) for v in row)
+        counts[key] = counts.get(key, 0) + 1
+    td = target.as_dict()
+    keys = set(td) | set(counts)
+    est = 0.5 * sum(abs(counts.get(k, 0) / N - td.get(k, 0.0)) for k in sorted(keys))
+    k = len(keys)
+    half = 0.5 * (k + 1) * math.sqrt(math.log(2 * (k + 1) / (1.0 - confidence)) / (2 * N))
+    return est, max(0.0, est - half), min(1.0, est + half), math.sqrt(k / N)
+
+
+def test_mc_tvd_counting_matches_per_row_oracle():
+    X = IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])
+    Xf = X.to_numpy()
+    R = GaussianShape.spherical(1.5)
+    c = np.array([0.25, 0.1, -0.5])
+
+    def integral(N, st):  # labels z, within float error of integers
+        return sample_dg_coset(LatticeCoset.integers(3, tuple(c)), R, st, size=N) @ Xf.T - Xf @ c
+
+    def shifted(N, st):  # output points z + X c: both coordinates off the integers
+        return sample_dg_coset(LatticeCoset.integers(3, tuple(c)), R, st, size=N) @ Xf.T
+
+    def mixed(N, st):  # some rows keep an integral first coordinate only, some miss by 1e-7
+        d = integral(N, st)
+        d[::4, 1] += 0.5
+        d[1::4, 0] += 1e-7
+        return d
+
+    def one_dim(N, st):
+        return _sampler_for(X11, R2)(N, st)[:, 0]
+
+    q = target_pmf(X, R, c=c.tolist())
+    for sampler, target in ((integral, q), (shifted, q), (mixed, q), (one_dim, target_pmf(X11, R2))):
+        rep = mc_tvd(sampler, target, 20_000, SampleStream(3))
+        ref = _mc_counts_oracle(sampler, target, 20_000, SampleStream(3))
+        assert (rep.estimate, rep.ci_lo, rep.ci_hi, rep.bias_bound) == ref
 
 
 def test_mc_tvd_min_samples():
