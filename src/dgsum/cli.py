@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +68,17 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(jround(obj), indent=2, sort_keys=True) + "\n")
 
 
+def _read_text(path: str, what: str) -> str:
+    """The file's text; an unreadable file is bad input (ValueError), not a crash."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {what} file {path!r}: {exc.strerror or exc}") from None
+
+
 def parse_config(path: str) -> dict:
     """Key-value config (``key = value`` lines) or a manifest JSON file."""
-    text = Path(path).read_text()
+    text = _read_text(path, "config")
     if text.lstrip().startswith("{"):
         data = json.loads(text)
         return dict(data.get("resolved_config", data))
@@ -127,7 +136,7 @@ def draw_matrix(n: int, m: int, s: float, stream: SampleStream, require_surjecti
 
 def load_or_draw_matrix(cfg: dict, stream: SampleStream) -> IntMatrix:
     if cfg["x_file"]:
-        return IntMatrix.from_text(Path(cfg["x_file"]).read_text())
+        return IntMatrix.from_text(_read_text(cfg["x_file"], "X"))
     return draw_matrix(cfg["n"], cfg["m"], cfg["s"], stream)
 
 
@@ -363,6 +372,9 @@ def cmd_main_experiment(cfg: dict) -> int:
     if n_fail > 0:
         return EXIT_INVARIANT
     if n_pass == 0:
+        reasons = Counter(e["status"] for e in per_trial)  # every trial was skipped
+        why = "; ".join(f"{k} (x{v})" for k, v in sorted(reasons.items())) or "no trials"
+        print(f"no trial passed: {n_skip} of {trials} trials skipped: {why}", file=sys.stderr)
         return EXIT_GATE
     return EXIT_OK
 

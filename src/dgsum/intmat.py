@@ -2,14 +2,18 @@
 
 Everything here runs on Python big integers, so there is no overflow and no
 rounding.  The HNF is the workhorse: it yields integer kernels,
-integer solvability tests and particular solutions of ``X u = t``.  Ranks
-come from fraction-free (Bareiss) elimination.
+integer solvability tests and particular solutions of ``X u = t``.  Each
+matrix object is decomposed at most once (``IntMatrix.hermite``); equal
+matrices built separately are decomposed separately, so nothing is shared
+beyond the life of the object.  Ranks come from fraction-free (Bareiss)
+elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,6 +90,19 @@ class IntMatrix:
             raise ValueError("dimension mismatch")
         return tuple(dot(r, v) for r in self.rows)
 
+    @cached_property
+    def hermite(self) -> "Hermite":
+        """This matrix's column HNF, computed by ``hnf_column`` on first use
+        and kept with the matrix object (not with its contents), so that every
+        solve, kernel and surjectivity test of one matrix shares one
+        decomposition.  The kernel columns are checked once, here."""
+        H, U = hnf_column(self)
+        pivots = hnf_pivots(H)
+        kernel = tuple(U.column(j) for j in range(len(pivots), self.n_cols))
+        if any(any(self @ v) for v in kernel):
+            raise InvariantViolation("HNF kernel column not in the kernel of X")
+        return Hermite(H, U, pivots, kernel)
+
     def to_numpy(self, dtype=float) -> np.ndarray:
         return np.array([list(r) for r in self.rows], dtype=dtype)
 
@@ -96,6 +113,16 @@ class IntMatrix:
     def from_text(text: str) -> "IntMatrix":
         rows = [line.split() for line in text.strip().splitlines() if line.strip()]
         return IntMatrix.from_rows([[int(tok) for tok in row] for row in rows])
+
+
+class Hermite(NamedTuple):
+    """X U = H from hnf_column(X), H's pivots and the integer kernel of X
+    (the columns of U over the zero columns of H)."""
+
+    H: IntMatrix
+    U: IntMatrix
+    pivots: tuple[tuple[int, int], ...]
+    kernel: tuple[IntVector, ...]
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -181,16 +208,7 @@ def hnf_pivots(H: IntMatrix) -> tuple[tuple[int, int], ...]:
 
 def kernel_columns(X: IntMatrix) -> list[IntVector]:
     """Basis of the integer kernel {v in Z^m : X v = 0} as column vectors."""
-    H, U = hnf_column(X)
-    return _hnf_kernel(X, U, len(hnf_pivots(H)))
-
-
-def _hnf_kernel(X: IntMatrix, U: IntMatrix, rank: int) -> list[IntVector]:
-    """kernel_columns given X U = H from hnf_column(X) and H's rank."""
-    ker = [U.column(j) for j in range(rank, X.n_cols)]
-    if any(any(X @ v) for v in ker):
-        raise InvariantViolation("HNF kernel column not in the kernel of X")
-    return ker
+    return list(X.hermite.kernel)
 
 
 def solve_integer(X: IntMatrix, target: Sequence[int]) -> IntVector | None:
@@ -199,10 +217,10 @@ def solve_integer(X: IntMatrix, target: Sequence[int]) -> IntVector | None:
     t = [_as_int(x) for x in target]
     if len(t) != n:
         raise ValueError("dimension mismatch")
-    H, U = hnf_column(X)
+    H, U, pivots, _ = X.hermite
     y = [0] * m
     resid = list(t)
-    for (row, col) in hnf_pivots(H):
+    for (row, col) in pivots:
         # rows above the pivot row in this column are zero by echelon shape
         if resid[row] % H.rows[row][col] != 0:
             return None
@@ -219,8 +237,7 @@ def solve_integer(X: IntMatrix, target: Sequence[int]) -> IntVector | None:
 
 def is_surjective(X: IntMatrix) -> bool:
     """True iff X maps Z^m onto Z^n."""
-    H, _ = hnf_column(X)
-    pivots = hnf_pivots(H)
+    H, _, pivots, _ = X.hermite
     if len(pivots) != X.n_rows:
         return False
     return all(H.rows[r][c] == 1 for (r, c) in pivots)

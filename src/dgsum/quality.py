@@ -242,8 +242,9 @@ def exact_dual_fallback(X: IntMatrix) -> list[tuple[int, ...]]:
 
     Solves [X; u_1; ..; u_{i-1}] u = e_i over the integers (HNF), then
     shortens u modulo the kernel lattice with LLL + nearest-plane when the
-    kernel rank is small enough.  No a-priori norm bound; the achieved q2 is
-    whatever comes out.
+    kernel rank is small enough.  Each augmented system is decomposed once,
+    for both the solution and the kernel.  No a-priori norm bound; the
+    achieved q2 is whatever comes out.
     """
     n, m = X.shape
     if fraction_rank(X.rows) < n:
@@ -252,8 +253,9 @@ def exact_dual_fallback(X: IntMatrix) -> list[tuple[int, ...]]:
         raise SurjectivityError("X does not map Z^m onto Z^n")
     us: list[tuple[int, ...]] = []
     for i in range(n):
-        rows = _augmented_rows(X, us)
-        M = IntMatrix.from_rows(rows)
+        # X itself for u_1, so its decomposition is the one already checked
+        M = IntMatrix.from_rows(_augmented_rows(X, us)) if us else X
+        rows = M.rows
         target = [1 if j == i else 0 for j in range(len(rows))]
         u = solve_integer(M, target)
         if u is None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +35,7 @@ from .gaussian import (
     enumerate_affine,
     integer_box,
 )
-from .intmat import IntMatrix, InvariantViolation, _hnf_kernel, hnf_column, hnf_pivots
+from .intmat import IntMatrix, InvariantViolation
 from .lattice import LatticeBasis, lll_reduce
 
 SECTION_TAIL_BUDGET = 1e-10  # certified relative tail per fiber section
@@ -97,18 +96,20 @@ class FiberWorkspace:
     """Per-(X, R, c) precomputation for repeated fiber enumerations.
 
     All fibers of one instance are translates g(z) + ker X of the same kernel
-    lattice, so one Hermite decomposition X U = H gives the kernel basis and
-    the linear particular solution g(z) = P z, and the whitened integer search
-    box is built once and only recentered per fiber.  The kernel basis is
-    LLL-reduced: the raw HNF columns can be long and skewed enough that the
+    lattice, so X's Hermite decomposition X U = H (``X.hermite``, shared with
+    the certificate search on the same matrix object) gives the kernel basis
+    and the linear particular solution g(z) = P z, and the whitened integer
+    search box is built once and only recentered per fiber.  The kernel basis
+    is LLL-reduced: the raw HNF columns can be long and skewed enough that the
     box covering the section ball has millions of points.  X must map Z^m
-    onto Z^n, so that every label has a fiber.
+    onto Z^n, so that every label has a fiber.  The labels of a region are
+    enumerated once per workspace and radius (``labels``), so the image and
+    target pmfs built on one workspace share them.
     """
 
     def __init__(self, X: IntMatrix, R: GaussianShape, c: Sequence[float]):
         n, m = X.shape
-        H, U = hnf_column(X)
-        pivots = hnf_pivots(H)
+        H, U, pivots, kernel = X.hermite
         if len(pivots) < n:
             raise ValueError("X must have full row rank")
         if any(H.rows[r][j] != 1 for r, j in pivots):
@@ -125,7 +126,7 @@ class FiberWorkspace:
         self.W = R.whitening(m)
         self.rank = m - n
         self.section_radius = region_radius_for_tail(max(self.rank, 1), SECTION_TAIL_BUDGET)
-        self.kernel = lll_reduce(LatticeBasis(IntMatrix.from_columns(_hnf_kernel(X, U, n)))) if m > n else None
+        self.kernel = lll_reduce(LatticeBasis(IntMatrix.from_columns(kernel))) if m > n else None
         if self.kernel is not None:
             self.K = self.kernel.matrix.to_numpy()
             self.WK = self.W @ self.K
@@ -141,6 +142,7 @@ class FiberWorkspace:
         self.target_gram = Gt
         self.Wt = np.linalg.inv(np.linalg.cholesky(Gt))
         self.Xc = Xf @ self.c
+        self._regions: dict[float, tuple[tuple[tuple[int, ...], ...], np.ndarray]] = {}
 
     def particular(self, z: Sequence[int]) -> np.ndarray:
         return np.array(self.P @ z, dtype=float) + self.c
@@ -187,10 +189,18 @@ class FiberWorkspace:
             return 1.0
         return self._section(np.zeros(self.rank))[1]
 
-    def region(self, region_radius: float) -> list[tuple[int, ...]]:
-        """Integer labels z with whitened target norm of z + X c within radius."""
-        T = enumerate_affine(self.Wt, self.Wt @ self.Xc, region_radius)
-        return list(map(tuple, T.tolist()))
+    def region(self, region_radius: float) -> np.ndarray:
+        """Integer labels z with whitened target norm of z + X c within
+        radius, as the rows of an int64 array in lexicographic order."""
+        return enumerate_affine(self.Wt, self.Wt @ self.Xc, region_radius)
+
+    def labels(self, region_radius: float) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+        """(labels as tuples, the same labels as an int64 array) of ``region``,
+        enumerated on the first call for a radius and kept with the workspace."""
+        if region_radius not in self._regions:
+            T = self.region(region_radius)
+            self._regions[region_radius] = (tuple(map(tuple, T.tolist())), T)
+        return self._regions[region_radius]
 
     def target_norms(self, T: np.ndarray) -> np.ndarray:
         """||Wt (z + X c)||^2 for each label row z of T."""
@@ -220,9 +230,7 @@ def _labels(X, R, c, region_radius, workspace):
     ws = workspace or FiberWorkspace(X, R, c if c is not None else [0.0] * X.n_cols)
     if region_radius is None:
         region_radius = region_radius_for_tail(X.n_rows)
-    labels = ws.region(region_radius)
-    T = np.fromiter(chain.from_iterable(labels), dtype=np.int64, count=len(labels) * X.n_rows)
-    return ws, region_radius, labels, T.reshape(len(labels), X.n_rows)
+    return (ws, region_radius, *ws.labels(region_radius))
 
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -310,7 +318,7 @@ def exact_output_pmf(
         raise ValueError("empty region")
     section_tail = 0.0 if ws.kernel is None else ball_tail_bound(ws.rank, ws.section_radius)
     tail = min(1.0, 3.0 * ball_tail_bound(X.n_rows, region_radius) + section_tail)
-    return DiscretePMF(tuple(labels), masses / total, tail)
+    return DiscretePMF(labels, masses / total, tail)
 
 
 def target_pmf(
@@ -324,7 +332,7 @@ def target_pmf(
     ws, region_radius, labels, T = _labels(X, R, c, region_radius, workspace)
     vals = np.exp(-math.pi * ws.target_norms(T))
     total = float(np.sum(np.sort(vals)))
-    return DiscretePMF(tuple(labels), vals / total, ball_tail_bound(X.n_rows, region_radius))
+    return DiscretePMF(labels, vals / total, ball_tail_bound(X.n_rows, region_radius))
 
 
 def exact_tvd(p: DiscretePMF, q: DiscretePMF, radius: float = 0.0) -> ExactTVDReport:

@@ -258,14 +258,90 @@ def test_main_invariant_violation_exits_3(tmp_path, monkeypatch):
     ("1 0 x\n0 1 1\n", ["kernel"]),
     ("1 0\n0 1\n1 1\n", ["kernel"]),
     ("1 1\n", ["tvd", "--mc", "--samples", "5000"]),
+    (None, ["tvd", "--exact"]),  # the X file does not exist
+    ("1 0 1\n0 1 1\n", ["kernel", "--config", "MISSING"]),  # nor does the config
 ])
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, x_text, flags):
     xfile = tmp_path / "X.txt"
-    xfile.write_text(x_text)
+    if x_text is not None:
+        xfile.write_text(x_text)
+    flags = [tmp_path / "missing.cfg" if f == "MISSING" else f for f in flags]
     code = run(flags + ["--x-file", xfile, "--seed", "4", "--out-dir", tmp_path / "run"])
     err = capsys.readouterr().err
     assert code == EXIT_GATE
-    assert err.startswith("invalid input: ") and err.count("\n") == 1
+    prefix = "invalid config: " if "--config" in flags else "invalid input: "
+    assert err.startswith(prefix) and err.count("\n") == 1
+    if x_text is None or "--config" in flags:
+        assert "No such file or directory" in err
+
+
+def test_main_with_no_passing_trial_says_why(tmp_path, capsys):
+    # m = n: no trial has a threshold, so every one is skipped
+    out = tmp_path / "run"
+    code = run(["main", "-n", "3", "-m", "3", "--trials", "1", "--out-dir", out])
+    err = capsys.readouterr().err
+    assert code == EXIT_GATE
+    assert err.startswith("no trial passed: 1 of 1 trials skipped: ") and err.count("\n") == 1
+    status = read_json(out / "main_report.json")["trials"][0]["status"]
+    assert f"{status} (x1)" in err
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    orig = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_tvd_exact_op_decomposes_and_enumerates_once(tmp_path, monkeypatch):
+    import dgsum.gaussian
+    import dgsum.intmat
+    import dgsum.tvd
+
+    hnf, region, enum = [], [], []
+    _count_calls(monkeypatch, dgsum.intmat, "hnf_column", hnf)
+    _count_calls(monkeypatch, dgsum.tvd.FiberWorkspace, "region", region)
+    _count_calls(monkeypatch, dgsum.tvd, "enumerate_affine", enum)
+    _count_calls(monkeypatch, dgsum.gaussian, "enumerate_affine", enum)
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 0 1 1\n0 1 1 -1\n")
+    assert run(["tvd", "--x-file", xfile, "--exact", "--seed", "4", "--out-dir", tmp_path / "run"]) == EXIT_OK
+    # X (certificate search and fiber workspace) and the augmented [X; u_1]
+    assert len(hnf) == 2 and hnf[0][0].rows == ((1, 0, 1, 1), (0, 1, 1, -1))
+    assert len(hnf[1][0].rows) == 3
+    assert len(region) == 1 and len(enum) == 1
+
+
+def test_kernel_op_decomposes_each_matrix_once(tmp_path, monkeypatch):
+    import dgsum.intmat
+
+    hnf = []
+    _count_calls(monkeypatch, dgsum.intmat, "hnf_column", hnf)
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 0 1 1 2 -1\n0 1 1 -1 1 2\n")
+    assert run(["kernel", "--x-file", xfile, "--seed", "4", "--out-dir", tmp_path / "run"]) == EXIT_OK
+    matrices = [args[0] for args in hnf]
+    assert len(matrices) == len(set(matrices)) == 2
+
+
+def test_decompositions_do_not_outlive_an_op(tmp_path, monkeypatch):
+    import dgsum.intmat
+
+    hnf = []
+    _count_calls(monkeypatch, dgsum.intmat, "hnf_column", hnf)
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 0 1 1\n0 1 1 -1\n")
+    args = ["tvd", "--x-file", xfile, "--exact", "--seed", "4"]
+    assert run(args + ["--out-dir", tmp_path / "a"]) == EXIT_OK
+    first = [a[0] for a in hnf]
+    assert run(args + ["--out-dir", tmp_path / "b"]) == EXIT_OK
+    second = [a[0] for a in hnf[len(first):]]
+    # the same matrices again, as new objects decomposed anew
+    assert second == first and all(a is not b for a, b in zip(first, second))
+    assert (tmp_path / "a" / "tvd.json").read_bytes() == (tmp_path / "b" / "tvd.json").read_bytes()
 
 
 def test_replay_manifest_with_removed_keys(tmp_path):

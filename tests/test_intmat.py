@@ -95,12 +95,18 @@ def test_solve_integer_random():
         n = int(rng.integers(1, 4))
         m = int(rng.integers(n, 6))
         X = random_matrix(rng, n, m)
+        # a matrix whose decomposition is held answers as a fresh equal one
+        ker, onto = kernel_columns(X), is_surjective(X)
+        fresh = IntMatrix(X.rows)
+        assert "hermite" in X.__dict__ and "hermite" not in fresh.__dict__
+        assert kernel_columns(fresh) == ker and is_surjective(fresh) == onto
         if fraction_rank(X.rows) < n:
             continue
         w = rng.integers(-3, 4, size=m).tolist()
         t = X @ w
         u = solve_integer(X, t)
         assert u is not None and X @ u == tuple(t)
+        assert solve_integer(IntMatrix(X.rows), t) == u
 
 
 def test_is_surjective():

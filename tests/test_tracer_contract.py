@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import dgsum.cli
 from dgsum.gaussian import GaussianShape
 from dgsum.intmat import IntMatrix
 from dgsum.tvd import FiberWorkspace
@@ -28,3 +29,21 @@ def test_traced_names_exist():
     ws = FiberWorkspace(IntMatrix.from_rows([[1, 1]]), GaussianShape.spherical(2.0), [0.0, 0.0])
     for attr in ("kernel", "box", "box_w", "section_radius"):
         assert hasattr(ws, attr), attr
+
+
+def test_tvd_exact_op_spans(tmp_path):
+    # the per-layer metrics read these spans: the shared labels and the shared
+    # decomposition must still go through the traced names
+    tracer = load_tracer().Tracer()
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 0 1 1\n0 1 1 -1\n")
+    argv = ["tvd", "--x-file", str(xfile), "--exact", "--seed", "4", "--out-dir", str(tmp_path / "run")]
+    tracer.install()
+    try:
+        assert tracer.run_op(dgsum.cli.main, argv) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.ops == 1
+    assert tracer.calls["tvd.region"] == 1
+    assert tracer.calls["intmat.hnf_column"] == 2
+    assert tracer.calls["gaussian.enumerate_affine"] == 1
