@@ -248,9 +248,10 @@ def cmd_kernel(cfg: dict) -> int:
         skv = short_kernel_vectors(X, cert)
         report["short_vector_bound"] = skv.norm_bound
         report["independent_subset"] = list(skv.independent_subset)
-        report["lambda_last_le_bound"] = lams[-1] <= skv.norm_bound + 1e-9
-        if not report["lambda_last_le_bound"]:
-            status = EXIT_INVARIANT
+        if lams:  # a trivial kernel (m = n, X unimodular) has no last minimum
+            report["lambda_last_le_bound"] = lams[-1] <= skv.norm_bound + 1e-9
+            if not report["lambda_last_le_bound"]:
+                status = EXIT_INVARIANT
     else:
         report["short_vector_bound"] = None
     (out / "matrix.txt").write_text(X.to_text() + "\n")

@@ -144,16 +144,22 @@ class LatticeCoset:
 class DiscretePMF:
     """Finite truncated pmf over lattice points.
 
-    ``points`` are the support points (tuples, usable as dict keys); ``masses``
-    are the normalized probabilities; ``tail_bound`` certifies the relative
-    mass that the truncation may have discarded.
+    ``points`` is a (k, d) array holding one support point per row, int64 for
+    integer points; a sequence of point tuples is converted to that array,
+    and a 2-D array is kept as the same object.  ``masses`` are the
+    normalized probabilities; ``tail_bound`` certifies the relative mass
+    that the truncation may have discarded.
     """
 
-    points: tuple[tuple, ...]
+    points: np.ndarray
     masses: np.ndarray
     tail_bound: float
 
     def __post_init__(self):
+        if not (isinstance(self.points, np.ndarray) and self.points.ndim == 2):
+            pts = np.array(self.points)  # int64 for tuples of ints
+            # an empty sequence gives shape (0,): no points, of no known dimension
+            object.__setattr__(self, "points", pts if pts.ndim == 2 else pts.reshape(len(pts), 0))
         m = np.asarray(self.masses, dtype=float)
         object.__setattr__(self, "masses", m)
         if len(self.points) != len(m):
@@ -162,14 +168,16 @@ class DiscretePMF:
             raise ValueError("negative mass")
 
     def as_dict(self) -> dict:
-        return dict(zip(self.points, self.masses))
+        return dict(zip(map(tuple, self.points.tolist()), self.masses))
 
     def mass_at(self, point) -> float:
-        try:
-            i = self.points.index(tuple(point))
-        except ValueError:
+        """Mass of the first support point equal to ``point``; 0.0 off the
+        support, and for a point of another dimension."""
+        point = np.asarray(point)
+        if point.shape != self.points.shape[1:]:
             return 0.0
-        return float(self.masses[i])
+        hit = np.flatnonzero(np.all(self.points == point, axis=1))
+        return float(self.masses[hit[0]]) if len(hit) else 0.0
 
     def support_size(self) -> int:
         return len(self.points)
@@ -315,16 +323,13 @@ def exact_pmf(
     W = shape.whitening(coset.dim)
     T, Y = enumerate_coset(coset, W, radius)
     if len(Y) == 0:
-        return DiscretePMF((), np.zeros(0), 1.0)
+        return DiscretePMF(Y, np.zeros(0), 1.0)
     w = Y @ W.T
     vals = np.exp(-math.pi * np.einsum("ij,ij->i", w, w))
     total = float(np.sum(np.sort(vals)))
-    integral = np.allclose(Y, np.round(Y), atol=1e-9)
-    if integral:
-        pts = tuple(tuple(int(round(v)) for v in y) for y in Y)
-    else:
-        pts = tuple(tuple(float(v) for v in y) for y in Y)
-    return DiscretePMF(pts, vals / total, ball_tail_bound(coset.rank, radius))
+    if np.allclose(Y, np.round(Y), atol=1e-9):
+        Y = np.round(Y).astype(np.int64)
+    return DiscretePMF(Y, vals / total, ball_tail_bound(coset.rank, radius))
 
 
 def _sample_dg_ints_batch(s: float, size: int, gen: np.random.Generator) -> np.ndarray:
@@ -365,12 +370,15 @@ def sample_dg_int(s: float, stream: SampleStream) -> int:
     return int(sample_dg_ints(s, 1, stream)[0])
 
 
+def _table_sample(pmf: DiscretePMF, size: int, gen: np.random.Generator) -> np.ndarray:
+    """``size`` rows of ``pmf.points`` drawn by the pmf's masses."""
+    idx = gen.choice(pmf.support_size(), size=size, p=pmf.masses / pmf.masses.sum())
+    return pmf.points[idx]
+
+
 def _table_sample_1d(s: float, shift: float, size: int, gen: np.random.Generator) -> np.ndarray:
     pmf = exact_pmf(LatticeCoset.integers(1, (shift,)), GaussianShape.spherical(s))
-    pts = np.array([p[0] for p in pmf.points], dtype=float)
-    probs = pmf.masses / pmf.masses.sum()
-    idx = gen.choice(len(pts), size=size, p=probs)
-    return pts[idx]
+    return _table_sample(pmf, size, gen)[:, 0]
 
 
 def sample_dg_coset(
@@ -401,11 +409,7 @@ def sample_dg_coset(
     pmf = exact_pmf(coset, shape)
     if pmf.support_size() == 0:
         raise RuntimeError("empty truncated support")
-    gen = stream.generator()
-    probs = pmf.masses / pmf.masses.sum()
-    idx = gen.choice(pmf.support_size(), size=size, p=probs)
-    pts = np.array([list(p) for p in pmf.points], dtype=float)
-    return pts[idx]
+    return _table_sample(pmf, size, stream.generator()).astype(float)
 
 
 def push_to_lattice(B: IntMatrix, x: Sequence[int]) -> tuple[int, ...]:

@@ -59,15 +59,13 @@ class SmoothingBound:
 def integer_kernel(X: IntMatrix) -> LatticeBasis:
     """Basis of the orthogonal lattice {v in Z^m : X v = 0}.
 
-    Requires X of full row rank n with m > n; the returned rank m - n basis
+    Requires X of full row rank n with m >= n; the returned rank m - n basis
     generates all integer solutions.
     """
     n, m = X.shape
-    if fraction_rank(X.rows) < n:
-        raise RankError("X must have full row rank")
     ker = kernel_columns(X)
-    if len(ker) != m - n:
-        raise RankError(f"kernel rank {len(ker)} != m - n = {m - n}")
+    if len(ker) != m - n:  # rank(X) + len(ker) = m
+        raise RankError(f"X must have full row rank: kernel rank {len(ker)} != m - n = {m - n}")
     return LatticeBasis(IntMatrix.from_columns(ker), provenance="raw")
 
 

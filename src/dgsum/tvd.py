@@ -103,8 +103,9 @@ class FiberWorkspace:
     is LLL-reduced: the raw HNF columns can be long and skewed enough that the
     box covering the section ball has millions of points.  X must map Z^m
     onto Z^n, so that every label has a fiber.  The labels of a region are
-    enumerated once per workspace and radius (``labels``), so the image and
-    target pmfs built on one workspace share them.
+    enumerated once per workspace and radius (``labels``), as one int64
+    array that the image and target pmfs built on one workspace share as
+    their points.
     """
 
     def __init__(self, X: IntMatrix, R: GaussianShape, c: Sequence[float]):
@@ -142,7 +143,7 @@ class FiberWorkspace:
         self.target_gram = Gt
         self.Wt = np.linalg.inv(np.linalg.cholesky(Gt))
         self.Xc = Xf @ self.c
-        self._regions: dict[float, tuple[tuple[tuple[int, ...], ...], np.ndarray]] = {}
+        self._regions: dict[float, np.ndarray] = {}
 
     def particular(self, z: Sequence[int]) -> np.ndarray:
         return np.array(self.P @ z, dtype=float) + self.c
@@ -194,12 +195,11 @@ class FiberWorkspace:
         radius, as the rows of an int64 array in lexicographic order."""
         return enumerate_affine(self.Wt, self.Wt @ self.Xc, region_radius)
 
-    def labels(self, region_radius: float) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-        """(labels as tuples, the same labels as an int64 array) of ``region``,
-        enumerated on the first call for a radius and kept with the workspace."""
+    def labels(self, region_radius: float) -> np.ndarray:
+        """The int64 label array of ``region``, enumerated on the first call
+        for a radius and kept with the workspace."""
         if region_radius not in self._regions:
-            T = self.region(region_radius)
-            self._regions[region_radius] = (tuple(map(tuple, T.tolist())), T)
+            self._regions[region_radius] = self.region(region_radius)
         return self._regions[region_radius]
 
     def target_norms(self, T: np.ndarray) -> np.ndarray:
@@ -225,12 +225,12 @@ def fiber_mass(X: IntMatrix, R: GaussianShape, c: Sequence[float], z: Sequence[i
 
 
 def _labels(X, R, c, region_radius, workspace):
-    """(workspace, region radius, labels, labels as an int array) shared by
-    the image and target pmfs; labels are in lexicographic order."""
+    """(workspace, region radius, int64 label array) shared by the image and
+    target pmfs; labels are in lexicographic order."""
     ws = workspace or FiberWorkspace(X, R, c if c is not None else [0.0] * X.n_cols)
     if region_radius is None:
         region_radius = region_radius_for_tail(X.n_rows)
-    return (ws, region_radius, *ws.labels(region_radius))
+    return ws, region_radius, ws.labels(region_radius)
 
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -299,26 +299,26 @@ def exact_output_pmf(
     target shape (safety factor 3 covering the image-vs-target band), fiber
     tails via the section ball bound.
     """
-    ws, region_radius, labels, T = _labels(X, R, c, region_radius, workspace)
+    ws, region_radius, T = _labels(X, R, c, region_radius, workspace)
     adj, d = _adjugate(X @ X.T)
     if R.is_spherical and X.n_rows * (d - 1) ** 2 < 2 ** 63:  # int64 keys stay exact
         adj_d = np.array([[a % d for a in row] for row in adj], dtype=np.int64)
         keys = (T % d) @ adj_d.T % d
         q = ws.target_norms(T)
         order, starts = _row_groups(keys, q)
-        cls = np.empty(len(labels), dtype=np.intp)
+        cls = np.empty(len(T), dtype=np.intp)
         cls[order] = np.cumsum(starts) - 1
         rep = order[starts]
-        class_weights = np.array([ws.fiber_weight(labels[i]) for i in rep])
+        class_weights = np.array([ws.fiber_weight(T[i]) for i in rep])
         masses = class_weights[cls] * np.exp(-math.pi * (q - q[rep][cls]))
     else:
-        masses = np.array([ws.fiber_weight(z) for z in labels])
+        masses = np.array([ws.fiber_weight(z) for z in T])
     total = float(np.sum(np.sort(masses)))
     if total <= 0:
         raise ValueError("empty region")
     section_tail = 0.0 if ws.kernel is None else ball_tail_bound(ws.rank, ws.section_radius)
     tail = min(1.0, 3.0 * ball_tail_bound(X.n_rows, region_radius) + section_tail)
-    return DiscretePMF(labels, masses / total, tail)
+    return DiscretePMF(T, masses / total, tail)
 
 
 def target_pmf(
@@ -329,33 +329,31 @@ def target_pmf(
     workspace: FiberWorkspace | None = None,
 ) -> DiscretePMF:
     """Truncated pmf of the discrete Gaussian on Z^n + X c with shape R X^T."""
-    ws, region_radius, labels, T = _labels(X, R, c, region_radius, workspace)
+    ws, region_radius, T = _labels(X, R, c, region_radius, workspace)
     vals = np.exp(-math.pi * ws.target_norms(T))
     total = float(np.sum(np.sort(vals)))
-    return DiscretePMF(labels, vals / total, ball_tail_bound(X.n_rows, region_radius))
+    return DiscretePMF(T, vals / total, ball_tail_bound(X.n_rows, region_radius))
 
 
 def exact_tvd(p: DiscretePMF, q: DiscretePMF, radius: float = 0.0) -> ExactTVDReport:
     """Half the l1 difference over the union support, with truncation slack.
 
-    Both paths add the absolute differences one at a time in sorted label
-    order, so pmfs on one support get the dict path's result bit for bit
-    from the array difference.
+    The points of both pmfs are grouped by value, so an integer label and an
+    equal float point are one support point; each group's masses are summed
+    as p - q, and the absolute differences are added one at a time in
+    lexicographic order of the points.  The points of both pmfs must have
+    one dimension; a pmf with no points fits any.
     """
-    if p.points == q.points:
-        order = sorted(range(len(p.points)), key=p.points.__getitem__)
-        diffs = np.abs(p.masses - q.masses)[order]
-        tvd = 0.5 * (np.cumsum(diffs)[-1] if len(diffs) else 0.0)  # cumsum adds in order
-        support = len(p.points)
-    else:
-        pd, qd = p.as_dict(), q.as_dict()
-        keys = set(pd) | set(qd)
-        tvd = 0.5 * sum(abs(pd.get(k, 0.0) - qd.get(k, 0.0)) for k in sorted(keys))
-        support = len(keys)
+    # two pmfs with no points: no rows, and one key column to sort them by
+    Y = np.concatenate([x.points for x in (p, q) if len(x.points)] or [np.zeros((0, 1))])
+    order, starts = _row_groups(Y)
+    signed = np.concatenate([p.masses, -q.masses])[order]  # a + (-b) == a - b exactly
+    diffs = np.abs(np.add.reduceat(signed, np.flatnonzero(starts)))
+    tvd = 0.5 * np.cumsum(np.r_[0.0, diffs])[-1]  # cumsum adds in order
     trunc = 0.5 * (p.tail_bound + q.tail_bound)
     return ExactTVDReport(
         tvd=float(tvd), truncation_error=float(trunc),
-        support_size=support, radius=radius,
+        support_size=len(diffs), radius=radius,
     )
 
 
@@ -368,7 +366,10 @@ def mc_tvd(
 ) -> MCTVDReport:
     """Plug-in TVD estimate from N samples against a target pmf.
 
-    The confidence interval is a conservative union-Hoeffding band over the
+    A draw's coordinate within 1e-9 of an integer counts as that integer; the
+    draws are grouped once into an empirical pmf, and the estimate and the
+    support size are those of its exact_tvd against the target.  The
+    confidence interval is a conservative union-Hoeffding band over the
     support (distribution-free); the plug-in estimate is upward biased by at
     most about sqrt(support/N), reported separately.
     """
@@ -377,27 +378,18 @@ def mc_tvd(
     draws = np.asarray(sampler(N, stream))
     if draws.ndim == 1:
         draws = draws[:, None]
-    # rows within 1e-9 of an integer vector are counted in one pass; any other
-    # row keys its near-integer coordinates as ints and the rest as floats
     nearest = np.round(draws)
-    integral = np.all(np.abs(draws - nearest) < 1e-9, axis=1)
-    Z = nearest[integral].astype(np.int64)
-    order, starts = _row_groups(Z)
+    keys = np.where(np.abs(draws - nearest) < 1e-9, nearest, draws)
+    order, starts = _row_groups(keys)
     first = np.flatnonzero(starts)
-    freq = np.diff(np.r_[first, len(Z)])
-    counts: dict[tuple, int] = dict(zip(map(tuple, Z[order[first]].tolist()), freq.tolist()))
-    for row in draws[~integral]:
-        key = tuple(int(round(v)) if abs(v - round(v)) < 1e-9 else float(v) for v in row)
-        counts[key] = counts.get(key, 0) + 1
-    td = target.as_dict()
-    keys = set(td) | set(counts)
-    est = 0.5 * sum(abs(counts.get(k, 0) / N - td.get(k, 0.0)) for k in sorted(keys))
-    k = len(keys)
+    freq = np.diff(np.r_[first, len(keys)])
+    rep = exact_tvd(DiscretePMF(keys[order[first]], freq / N, 0.0), target)
+    est, k = rep.tvd, rep.support_size
     alpha = 1.0 - confidence
     h = math.sqrt(math.log(2 * (k + 1) / alpha) / (2 * N))
     half = 0.5 * (k + 1) * h
     return MCTVDReport(
-        estimate=float(est),
+        estimate=est,
         ci_lo=max(0.0, est - half),
         ci_hi=min(1.0, est + half),
         confidence=confidence,

@@ -160,6 +160,19 @@ def test_cmd_kernel_zero_padded_identity(tmp_path):
     assert rep["lambda_hat"] == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("x_text", ["1 0\n0 1\n", "1\n", "2 1\n1 1\n"])
+def test_cmd_kernel_square_unimodular(tmp_path, capsys, x_text):
+    # trivial kernel: the first two have a verified certificate, the last none
+    xfile = tmp_path / "X.txt"
+    xfile.write_text(x_text)
+    out = tmp_path / "run"
+    assert run(["kernel", "--x-file", xfile, "--out-dir", out]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    rep = read_json(out / "kernel.json")
+    assert rep["kernel_basis"] == [] and rep["lambda_hat"] == []
+    assert "lambda_last_le_bound" not in rep
+
+
 def test_cmd_tvd_identity(tmp_path):
     xfile = tmp_path / "X.txt"
     xfile.write_text("1\n")

@@ -109,6 +109,10 @@ def test_coset_mass_empty_region_flagged():
 def test_exact_pmf_center_mass():
     pmf = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(1.0))
     assert pmf.mass_at((0,)) == pytest.approx(1 / 1.086435, abs=1e-5)
+    assert pmf.points.dtype == np.int64 and pmf.points.shape == (pmf.support_size(), 1)
+    # a non-integral coset keeps its float points
+    half = exact_pmf(LatticeCoset.integers(1, (0.5,)), GaussianShape.spherical(1.0))
+    assert half.points.dtype == np.float64 and half.mass_at((0.5,)) == half.mass_at((-0.5,)) > 0
 
 
 def test_exact_pmf_symmetry():

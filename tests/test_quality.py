@@ -214,8 +214,9 @@ def test_find_dual_vectors_identity_submatrix():
 
 
 def test_exact_dual_fallback_surjectivity_error():
-    with pytest.raises(SurjectivityError):
-        exact_dual_fallback(IntMatrix.from_rows([[2]]))
+    for rows in ([[2]], [[1, 1, 0], [2, 2, 0]]):  # not onto; rank-deficient
+        with pytest.raises(SurjectivityError):
+            exact_dual_fallback(IntMatrix.from_rows(rows))
 
 
 # full row rank, but every entry is even, so X Z^m = 2Z

@@ -147,7 +147,7 @@ def test_class_path_matches_per_label_oracle():
         assert shared[0].points is shared[1].points
         fresh = (exact_output_pmf(IntMatrix(X.rows), R, c=c), target_pmf(IntMatrix(X.rows), R, c=c))
         for a, b in zip(shared, fresh):
-            assert a.points == b.points and a.tail_bound == b.tail_bound
+            assert np.array_equal(a.points, b.points) and a.tail_bound == b.tail_bound
             assert np.array_equal(a.masses, b.masses)
     assert min(dets) == 1 and max(dets) >= 20
 
@@ -176,7 +176,7 @@ def test_ellipsoidal_shapes_take_the_per_label_path():
         m = X.n_cols
         p = exact_output_pmf(X, GaussianShape.spherical(1.5), c=c)
         e = exact_output_pmf(X, GaussianShape.ellipsoidal(1.5 * np.eye(m)), c=c)
-        assert e.points == p.points
+        assert np.array_equal(e.points, p.points)
         np.testing.assert_allclose(e.masses, p.masses, rtol=1e-12, atol=0)
         R = GaussianShape.ellipsoidal(np.diag(np.linspace(1.0, 2.0, m)))
         f = exact_output_pmf(X, R, c=c)
@@ -290,15 +290,42 @@ def test_exact_tvd_disjoint_supports():
     p = DiscretePMF(((0,),), np.array([1.0]), 0.0)
     q = DiscretePMF(((5,),), np.array([1.0]), 0.0)
     assert exact_tvd(p, q).tvd == pytest.approx(1.0)
+    # point tuples become one int64 (k, d) array; a 2-D array is kept as is
+    two = DiscretePMF(((0, 1), (2, -3)), np.array([0.5, 0.5]), 0.0)
+    assert two.points.dtype == np.int64 and two.points.shape == (2, 2)
+    assert DiscretePMF(two.points, two.masses, 0.0).points is two.points
+    with pytest.raises(ValueError):
+        DiscretePMF(((0,), (1,)), np.array([1.0]), 0.0)
+    assert two.mass_at((2, -3)) == 0.5 and two.mass_at((2,)) == 0.0 and two.mass_at((2, -3, 0)) == 0.0
+    # no points: tvd 0 on support 0 against itself, and against r half of
+    # r's mass on r's support
+    empty = DiscretePMF((), np.zeros(0), 0.0)
+    assert empty.points.shape == (0, 0)
+    assert (exact_tvd(empty, empty).tvd, exact_tvd(empty, empty).support_size) == (0.0, 0)
+    r = DiscretePMF(((0,), (1,), (2,)), np.array([0.1, 0.2, 0.7]), 0.0)
+    for a, b in ((empty, r), (r, empty)):
+        rep = exact_tvd(a, b)
+        assert (rep.tvd, rep.support_size) == (0.5 * (0.1 + 0.2 + 0.7), 3)
+    # an integer label and an equal float point are one support point
+    rep = exact_tvd(DiscretePMF(((3,),), np.array([1.0]), 0.0), DiscretePMF(((3.0,),), np.array([1.0]), 0.0))
+    assert (rep.tvd, rep.support_size) == (0.0, 1)
+
+
+def _dict_tvd_oracle(p, q):
+    # the dict path exact_tvd took for pmfs on different supports
+    pd, qd = p.as_dict(), q.as_dict()
+    keys = set(pd) | set(qd)
+    tvd = 0.5 * sum(abs(pd.get(k, 0.0) - qd.get(k, 0.0)) for k in sorted(keys))
+    return tvd, len(keys)
 
 
 def test_exact_tvd_array_path_matches_dict_path():
     from dgsum.gaussian import DiscretePMF
 
-    def dict_path(p, q):
-        # a reordered copy of q has different points, so exact_tvd takes the dict path
+    def reordered(p, q):
+        # a reordered copy of q has different points, but the same tvd
         rev = DiscretePMF(q.points[::-1], q.masses[::-1], q.tail_bound)
-        assert rev.points != p.points
+        assert not np.array_equal(rev.points, p.points)
         return exact_tvd(p, rev)
 
     pairs = []
@@ -311,9 +338,13 @@ def test_exact_tvd_array_path_matches_dict_path():
         pts = [tuple(t) for t in rng.permutation(np.arange(2 * size).reshape(size, 2)).tolist()]  # unsorted
         a, b = rng.random(size) ** 8, rng.random(size)
         pairs.append((DiscretePMF(tuple(pts), a / a.sum(), 1e-9), DiscretePMF(tuple(pts), b / b.sum(), 0.0)))
+    # overlapping supports, one of them of float points
+    p, q = pairs[-1]
+    pairs.append((p, DiscretePMF(q.points[size // 2:] + 0.5 * (np.arange(size - size // 2) % 2)[:, None], q.masses[size // 2:], 0.0)))
     for p, q in pairs:
-        got, ref = exact_tvd(p, q), dict_path(p, q)
+        got, ref = exact_tvd(p, q), reordered(p, q)
         assert got.tvd == ref.tvd and got.to_json_dict() == ref.to_json_dict()
+        assert (got.tvd, got.support_size) == _dict_tvd_oracle(p, q)
 
 
 def test_exact_tvd_symmetry_and_triangle():
