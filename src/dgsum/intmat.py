@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -243,28 +243,36 @@ def is_surjective(X: IntMatrix) -> bool:
     return all(H.rows[r][c] == 1 for (r, c) in pivots)
 
 
-def fraction_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination.
+def independent_rows(rows: Sequence[Sequence[int]]) -> Iterator[int]:
+    """Yield, in index order, each row index whose row is independent over the
+    rationals of the rows before it: the greedy basis of the row space.
 
-    After each pivot the remaining entries are minors of the input, so every
-    division by the previous pivot is exact.
+    One incremental fraction-free (Bareiss) elimination: each row is reduced
+    against the pivot rows kept so far, in the order they were kept, and kept
+    itself if anything is left.  Every entry is then a minor of the input, so
+    each division by the previous pivot is exact.  The elimination stops when
+    the caller stops asking or the rank reaches the row length.
     """
-    M = [[_as_int(x) for x in row] for row in rows]
-    nr = len(M)
-    rank, prev = 0, 1
-    for col in range(len(M[0]) if M else 0):
-        piv = next((i for i in range(rank, nr) if M[i][col] != 0), None)
-        if piv is None:
+    pivots: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
+    for k, row in enumerate(rows):
+        v = [_as_int(x) for x in row]
+        if len(pivots) == len(v):
+            return
+        before = 1
+        for col, top in pivots:
+            p, f = top[col], v[col]
+            if f:
+                v = [(p * a - f * b) // before for a, b in zip(v, top)]
+            elif p != before:
+                v = [p * a // before for a in v]
+            before = p
+        col = next((j for j, x in enumerate(v) if x), None)
+        if col is None:
             continue
-        M[rank], M[piv] = M[piv], M[rank]
-        top = M[rank]
-        p = top[col]
-        for i in range(rank + 1, nr):
-            row = M[i]
-            f = row[col]
-            M[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-        prev = p
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+        pivots.append((col, v))
+        yield k
+
+
+def fraction_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals: the size of the greedy basis of ``independent_rows``."""
+    return sum(1 for _ in independent_rows(rows))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ from .intmat import (
     IntMatrix,
     InvariantViolation,
     dot,
-    fraction_rank,
+    independent_rows,
     is_surjective,
     kernel_columns,
     norm_sq,
@@ -307,8 +308,10 @@ def kernel_norm_bound_sq_ceil(X: IntMatrix, u: Sequence[Sequence[int]]) -> int:
 def short_kernel_vectors(X: IntMatrix, cert: QualityCertificate) -> ShortKernelBasis:
     """Short kernel vectors v_k = e_k - sum_i x_ik u_i from a certificate.
 
-    Each v_k satisfies X v_k = 0 exactly and ||v_k|| <= 1 + q1 q2; a size
-    m - n linearly independent subset is extracted greedily by index.
+    Each v_k satisfies X v_k = 0 exactly and ||v_k|| <= 1 + q1 q2.  The
+    independent subset is the first m - n indices of the greedy basis of
+    v_1..v_m by index, from one incremental elimination
+    (``intmat.independent_rows``) that stops once it has m - n of them.
     """
     if not cert.verified:
         raise ValueError("certificate not verified")
@@ -326,20 +329,12 @@ def short_kernel_vectors(X: IntMatrix, cert: QualityCertificate) -> ShortKernelB
         if norm_sq(v) > bound_sq:
             raise InvariantViolation(f"short vector v_{k + 1} exceeds (1 + q1 q2)^2")
         vs.append(tuple(v))
-    # greedy independent subset, exact rank updates
-    subset: list[int] = []
-    chosen: list[tuple[int, ...]] = []
-    for k in range(m):
-        if fraction_rank(chosen + [vs[k]]) > len(chosen):
-            subset.append(k)
-            chosen.append(vs[k])
-        if len(subset) == m - n:
-            break
+    subset = tuple(islice(independent_rows(vs), m - n))
     if len(subset) != m - n:
         raise InvariantViolation(f"short vectors span rank {len(subset)} < m - n = {m - n}")
     return ShortKernelBasis(
         v=tuple(vs),
-        independent_subset=tuple(subset),
+        independent_subset=subset,
         norm_bound=1.0 + cert.q1 * cert.q2,
     )
 

@@ -219,6 +219,66 @@ def test_tvd_mc_does_not_build_image_pmf(tmp_path, monkeypatch):
     assert "mc" in rep and "exact" not in rep
 
 
+@pytest.mark.parametrize("estimate, ci_lo, code, verdict", [
+    (0.015, 0.0, EXIT_OK, "pass"),  # the pass rule is unchanged: estimate <= 2 eps
+    (0.5, 0.021, EXIT_INVARIANT, "fail"),  # a lower confidence bound above 2 eps
+    (0.5, 0.02, EXIT_GATE, "inconclusive"),
+    (0.5, 0.0, EXIT_GATE, "inconclusive"),
+])
+def test_tvd_mc_verdict_rests_on_the_lower_confidence_bound(tmp_path, capsys, monkeypatch,
+                                                            estimate, ci_lo, code, verdict):
+    import dgsum.cli
+    from dgsum.tvd import MCTVDReport
+
+    def fixed(sampler, target, N, stream):
+        return MCTVDReport(estimate, ci_lo, 1.0, 0.99, N, 0.1, stream.identity())
+
+    monkeypatch.setattr(dgsum.cli, "mc_tvd", fixed)
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 1\n")
+    out = tmp_path / "run"
+    assert run(["tvd", "--x-file", xfile, "--eps", "0.01", "--mc", "--samples", "10000",
+                "--out-dir", out]) == code
+    assert read_json(out / "tvd.json")["verdict"] == verdict
+    err = capsys.readouterr().err
+    if verdict == "inconclusive":
+        assert err.startswith("inconclusive: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
+def test_tvd_mc_at_its_bias_is_inconclusive_not_fail(tmp_path, capsys):
+    # det XXᵀ = 6: the plug-in estimate 0.018 is far below its bias bound 0.14
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 1 1\n0 1 2\n")
+    out = tmp_path / "run"
+    code = run(["tvd", "--x-file", xfile, "--eps", "0.001", "--mc", "--samples", "200000", "--out-dir", out])
+    err = capsys.readouterr().err
+    assert code == EXIT_GATE
+    assert err.startswith("inconclusive: ") and err.count("\n") == 1
+    rep = read_json(out / "tvd.json")
+    assert rep["verdict"] == "inconclusive"
+    assert rep["mc"]["estimate"] > 0.002 >= rep["mc"]["ci"][0]
+
+
+def test_main_counts_inconclusive_trials_as_skipped(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = run(["main", "-n", "2", "-m", "3", "-s", "1.5", "--eps", "0.001", "--trials", "2",
+                "--mc", "--samples", "20000", "--seed", "1", "--out-dir", out])
+    assert code == EXIT_GATE
+    assert capsys.readouterr().err == "no trial passed: 2 of 2 trials skipped: inconclusive (x2)\n"
+    rep = read_json(out / "main_report.json")
+    assert (rep["n_pass"], rep["n_fail"], rep["n_skipped"]) == (0, 0, 2)
+
+
+def test_invalid_mode_is_an_invalid_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = exakt\n")
+    assert run(["tvd", "--config", cfg, "--out-dir", tmp_path / "run"]) == EXIT_GATE
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: mode must be") and err.count("\n") == 1
+
+
 def test_cmd_main_micro(tmp_path):
     out = tmp_path / "run"
     assert run(["main", "-n", "1", "-m", "2", "-s", "2.0", "--eps", "0.01",

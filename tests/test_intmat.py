@@ -1,6 +1,7 @@
 """Exact integer matrix algebra: HNF, kernels, integer solves."""
 
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dgsum.intmat import (
     fraction_rank,
     hnf_column,
     hnf_pivots,
+    independent_rows,
     is_surjective,
     kernel_columns,
     norm_sq,
@@ -160,6 +162,44 @@ def test_fraction_rank_matches_rational_oracle():
         assert got == _oracle_fraction_rank(rows) == np.linalg.matrix_rank(np.array(rows, dtype=float))
         deficient += got < min(nr, nc)
     assert deficient > 50
+
+
+def _per_candidate_subset(rows, limit):
+    """The greedy subset by one full rank per candidate: the reference for independent_rows."""
+    subset, chosen = [], []
+    for k, row in enumerate(rows):
+        if len(subset) == limit:
+            break
+        if _oracle_fraction_rank(chosen + [row]) > len(chosen):
+            subset.append(k)
+            chosen.append(row)
+    return subset
+
+
+def test_independent_rows_matches_per_candidate_loop():
+    rng = np.random.default_rng(23)
+    dependent = 0
+    for _ in range(300):
+        nr, nc = int(rng.integers(1, 10)), int(rng.integers(1, 8))
+        rank = int(rng.integers(0, min(nr, nc) + 1))
+        # rows in a rank-`rank` space, so later rows are often dependent
+        rows = rng.integers(-4, 5, size=(nr, rank)) @ rng.integers(-4, 5, size=(rank, nc))
+        if rng.random() < 0.3:
+            rows[:, int(rng.integers(0, nc))] = 0
+        if rng.random() < 0.3:
+            rows[int(rng.integers(0, nr))] = 0
+        rows = rows.tolist()
+        want = _per_candidate_subset(rows, nr)
+        assert list(independent_rows(rows)) == want
+        assert fraction_rank(rows) == len(want) == np.linalg.matrix_rank(np.array(rows, dtype=float))
+        # stopping early gives a prefix of the same subset
+        for limit in range(len(want) + 1):
+            assert list(islice(independent_rows(rows), limit)) == _per_candidate_subset(rows, limit)
+        dependent += len(want) < nr
+    assert dependent > 100
+    big = 10 ** 30
+    rows = [[big, big + 1, 0], [2 * big, 2 * big + 2, 0], [0, 0, big], [big + 1, big + 2, 1]]
+    assert list(independent_rows(rows)) == _per_candidate_subset(rows, 4) == [0, 2, 3]
 
 
 def test_fraction_rank_big_integers():

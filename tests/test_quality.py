@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dgsum.gaussian import GaussianShape, SampleStream, sample_dg_ints
-from dgsum.intmat import IntMatrix, dot, norm_sq
+from dgsum.intmat import IntMatrix, dot, fraction_rank, norm_sq
 from dgsum.lattice import integer_kernel, lll_reduce, smoothing_bound, successive_minima_upper
 from dgsum import quality
 from dgsum.quality import (
@@ -29,8 +29,6 @@ X2 = IntMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
 
 
 def draw_X(n, m, s, stream):
-    from dgsum.intmat import fraction_rank
-
     for k in range(100):
         cols = sample_dg_ints(s, n * m, stream.substream(k)).reshape(n, m)
         X = IntMatrix.from_rows(cols.tolist())
@@ -339,6 +337,13 @@ def test_short_kernel_random_chain():
             assert all(x == 0 for x in X @ v)
             assert norm_sq(v) <= bound_sq
         assert len(skv.independent_subset) == m - n
+        # the subset one full rank per candidate would pick
+        subset, chosen = [], []
+        for k, v in enumerate(skv.v):
+            if len(subset) < m - n and fraction_rank(chosen + [v]) > len(chosen):
+                subset.append(k)
+                chosen.append(v)
+        assert skv.independent_subset == tuple(subset)
         # the certified vectors pin the last reduced kernel length under the bound
         lams = successive_minima_upper(lll_reduce(integer_kernel(X)))
         assert lams[-1] <= skv.norm_bound + 1e-9

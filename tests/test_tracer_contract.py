@@ -47,3 +47,30 @@ def test_tvd_exact_op_spans(tmp_path):
     assert tracer.calls["tvd.region"] == 1
     assert tracer.calls["intmat.hnf_column"] == 2
     assert tracer.calls["gaussian.enumerate_affine"] == 1
+
+
+def test_kernel_op_spans(tmp_path):
+    # cli.report_bytes sums the sizes of the paths recorded from write_json
+    tracer = load_tracer().Tracer()
+    written = []
+    observe = tracer._observe_write_json
+
+    def record(idx, args, out):
+        written.append(Path(args[0]).name)
+        observe(idx, args, out)
+
+    tracer._observe_write_json = record
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 0 1 1 2 -1\n0 1 1 -1 1 2\n")
+    out = tmp_path / "run"
+    argv = ["kernel", "--x-file", str(xfile), "--seed", "4", "--out-dir", str(out)]
+    tracer.install()
+    try:
+        assert tracer.run_op(dgsum.cli.main, argv) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.ops == 1
+    assert tracer.calls["cli.write_json"] == 2
+    assert written == ["kernel.json", "manifest.json"]
+    sizes = sum((out / name).stat().st_size for name in written)
+    assert tracer.counts["cli.report_bytes"] == sizes
