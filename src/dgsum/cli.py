@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .gaussian import EnumerationBudgetExceeded, GaussianShape, SampleStream, sample_dg_ints
 from .intmat import IntMatrix, InvariantViolation
-from .lattice import integer_kernel, lll_reduce, successive_minima_upper
+from .lattice import reduced_integer_kernel, successive_minima_upper
 from .quality import (
     CollisionNotFound,
     CollisionSearchParams,
@@ -165,21 +165,29 @@ def resolve(args: argparse.Namespace) -> dict:
 
 
 def draw_matrix(n: int, m: int, s: float, stream: SampleStream, require_surjective: bool = True) -> IntMatrix:
-    """X with columns drawn from D_{Z^n, s}; retries until full row rank."""
+    """X with columns drawn from D_{Z^n, s}; retries until full row rank (and
+    onto Z^n if ``require_surjective``).  A ValueError after 200 draws: at a
+    small s nearly every draw is rank-deficient, which is bad input."""
     from .intmat import fraction_rank, is_surjective
 
-    for attempt in range(200):
+    attempts = 200
+    for attempt in range(attempts):
         sub = stream.substream(attempt)
         cols = sample_dg_ints(s, n * m, sub).reshape(n, m)
         X = IntMatrix.from_rows(cols.tolist())
         if fraction_rank(X.rows) == n and (not require_surjective or is_surjective(X)):
             return X
-    raise RuntimeError("could not draw a full row-rank matrix")
+    kind = "onto" if require_surjective else "full row-rank"
+    raise ValueError(f"no {kind} {n}x{m} matrix drawn in {attempts} attempts at s = {s:g}; "
+                     "raise -s or give the matrix with --x-file")
 
 
 def load_or_draw_matrix(cfg: dict, stream: SampleStream) -> IntMatrix:
     if cfg["x_file"]:
-        return IntMatrix.from_text(_read_text(cfg["x_file"], "X"))
+        X = IntMatrix.from_text(_read_text(cfg["x_file"], "X"))
+        if not X.rows:
+            raise ValueError(f"X file {cfg['x_file']!r} holds no matrix")
+        return X
     return draw_matrix(cfg["n"], cfg["m"], cfg["s"], stream)
 
 
@@ -275,8 +283,7 @@ def cmd_kernel(cfg: dict) -> int:
     stream = SampleStream(cfg["seed"])
     X = load_or_draw_matrix(cfg, stream.substream(0))
     n, m = X.shape
-    kernel = integer_kernel(X)
-    reduced = lll_reduce(kernel)
+    reduced = reduced_integer_kernel(X)
     lams = successive_minima_upper(reduced)
     cert = best_certificate(X, stream.substream(1))
     report = {

@@ -3,19 +3,23 @@
 Everything here runs on Python big integers, so there is no overflow and no
 rounding.  The HNF is the workhorse: it yields integer kernels,
 integer solvability tests and particular solutions of ``X u = t``.  Each
-matrix object is decomposed at most once (``IntMatrix.hermite``); equal
-matrices built separately are decomposed separately, so nothing is shared
-beyond the life of the object.  Ranks come from fraction-free (Bareiss)
-elimination.
+matrix object is decomposed at most once (``IntMatrix.hermite``) and its
+kernel lattice LLL-reduced at most once (``IntMatrix.reduced_kernel``);
+equal matrices built separately are decomposed and reduced separately, so
+nothing is shared beyond the life of the object.  Ranks come from
+fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .lattice import LatticeBasis
 
 IntVector = tuple[int, ...]
 
@@ -102,6 +106,17 @@ class IntMatrix:
         if any(any(self @ v) for v in kernel):
             raise InvariantViolation("HNF kernel column not in the kernel of X")
         return Hermite(H, U, pivots, kernel)
+
+    @cached_property
+    def reduced_kernel(self) -> "LatticeBasis":
+        """The LLL-reduced basis of ``hermite.kernel``, computed on first use and
+        kept with the matrix object like ``hermite``, so that the kernel report,
+        the certificate fallback and the fiber workspace of one matrix share one
+        reduction.  No rank requirement: the kernel of a rank-deficient matrix is
+        reduced as it is (its columns are independent, being columns of U)."""
+        from .lattice import LatticeBasis, lll_reduce
+
+        return lll_reduce(LatticeBasis(IntMatrix.from_columns(self.hermite.kernel)))
 
     def to_numpy(self, dtype=float) -> np.ndarray:
         return np.array([list(r) for r in self.rows], dtype=dtype)

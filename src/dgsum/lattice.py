@@ -1,9 +1,10 @@
 """Exact integer lattice linear algebra.
 
 Integer kernels via the Hermite normal form, integral LLL reduction and
-Babai nearest-plane (integer Gram-Schmidt data only, with the decisions of
-exact-rational arithmetic), rational dual bases, smoothing-parameter bounds
-and a desk-scale numeric smoothing check over the dual lattice.
+Babai nearest-plane (integer Gram-Schmidt data only, computed once per
+basis, with the decisions of exact-rational arithmetic), rational dual
+bases, smoothing-parameter bounds and a desk-scale numeric smoothing check
+over the dual lattice.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .gaussian import ball_tail_bound, enumerate_affine
-from .intmat import IntMatrix, InvariantViolation, dot, fraction_rank, kernel_columns, norm_sq
+from .intmat import IntMatrix, InvariantViolation, dot, norm_sq
 
 
 class RankError(ValueError):
@@ -25,14 +27,30 @@ class RankError(ValueError):
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Columns of ``matrix`` generate the lattice; rank = number of columns."""
+    """Columns of ``matrix`` generate the lattice; rank = number of columns.
+
+    The integral Gram-Schmidt data of the columns (``gso``) is computed once
+    per basis, at construction, and kept with it: it is the independence
+    check (every Gram determinant d[1..r] non-zero), the starting point of
+    ``lll_reduce`` and the basis part of every ``nearest_plane`` call.
+    """
 
     matrix: IntMatrix
     provenance: str = "raw"
 
     def __post_init__(self):
-        if self.matrix.n_cols and fraction_rank(self.matrix.T.rows) < self.matrix.n_cols:
+        try:
+            independent = all(self.gso[0][1:])
+        except ZeroDivisionError:  # a dependent column before the last divides by d = 0
+            independent = False
+        if not independent:
             raise RankError("basis columns are linearly dependent")
+
+    @cached_property
+    def gso(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """``_integral_gso`` of the columns, as tuples (d, lam)."""
+        d, lam = _integral_gso([list(c) for c in self.matrix.columns()])
+        return tuple(d), tuple(map(tuple, lam))
 
     @property
     def rank(self) -> int:
@@ -56,17 +74,30 @@ class SmoothingBound:
     value: float
 
 
+def _require_full_row_rank(X: IntMatrix) -> None:
+    """RankError unless X (n x m) has full row rank n: its kernel rank is m - n."""
+    n, m = X.shape
+    k = len(X.hermite.kernel)  # rank(X) + k = m
+    if k != m - n:
+        raise RankError(f"X must have full row rank: kernel rank {k} != m - n = {m - n}")
+
+
 def integer_kernel(X: IntMatrix) -> LatticeBasis:
     """Basis of the orthogonal lattice {v in Z^m : X v = 0}.
 
     Requires X of full row rank n with m >= n; the returned rank m - n basis
-    generates all integer solutions.
+    (the raw HNF kernel columns) generates all integer solutions.
     """
-    n, m = X.shape
-    ker = kernel_columns(X)
-    if len(ker) != m - n:  # rank(X) + len(ker) = m
-        raise RankError(f"X must have full row rank: kernel rank {len(ker)} != m - n = {m - n}")
-    return LatticeBasis(IntMatrix.from_columns(ker), provenance="raw")
+    _require_full_row_rank(X)
+    return LatticeBasis(IntMatrix.from_columns(X.hermite.kernel), provenance="raw")
+
+
+def reduced_integer_kernel(X: IntMatrix) -> LatticeBasis:
+    """``X.reduced_kernel``, the LLL-reduced basis of ``integer_kernel(X)``'s
+    lattice, under the same full-row-rank requirement.  The requirement is
+    read off the kernel's length, so no second raw basis is built for it."""
+    _require_full_row_rank(X)
+    return X.reduced_kernel
 
 
 def _round_half_even(num: int, den: int) -> int:
@@ -77,36 +108,54 @@ def _round_half_even(num: int, den: int) -> int:
     return q
 
 
+def _gso_row(
+    b: Sequence[Sequence[int]], d: Sequence[int], lam: Sequence[Sequence[int]], v: Sequence[int]
+) -> tuple[list[int], int]:
+    """One row of integral Gram-Schmidt data: v placed after b[:k], k = len(lam).
+
+    ``d[:k + 1]`` and ``lam[:k]`` are the data of b[:k] (see ``_integral_gso``).
+    Returns (row, dv) with row[j] = d[j + 1] * mu_vj for j < k and dv the Gram
+    determinant of b[:k] + [v].  Divides by d[1..k-1] only.
+    """
+    k = len(lam)
+    row = [0] * k
+    for j in range(k + 1):
+        bj, lj = (b[j], lam[j]) if j < k else (v, row)
+        u = dot(v, bj)
+        for i in range(j):
+            u = (d[i + 1] * u - row[i] * lj[i]) // d[i]
+        if j < k:
+            row[j] = u
+    return row, u
+
+
 def _integral_gso(b: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     """Integral Gram-Schmidt data of integer vectors.
 
     Returns ``d`` with d[0] = 1 and d[i] the Gram determinant of b[:i], and
-    ``lam`` with lam[i][j] = d[j + 1] * mu_ij for j < i, both exact integers
-    (Cohen, GTM 138, Alg. 2.6.7); B*_i^2 = d[i + 1] / d[i].  Only d[1..r-1]
-    are divisors, so b[:-1] must be linearly independent but b[-1] may lie
-    in their span (then d[r] = 0).
+    ``lam`` with lam[i][j] = d[j + 1] * mu_ij for j < i (zero for j >= i),
+    both exact integers (Cohen, GTM 138, Alg. 2.6.7); B*_i^2 = d[i + 1] / d[i].
+    Only d[1..r-1] are divisors, so b[:-1] must be linearly independent but
+    b[-1] may lie in their span (then d[r] = 0); a dependent earlier vector
+    raises ZeroDivisionError or leaves a zero d[i].
     """
     r = len(b)
-    d = [1] + [0] * r
-    lam = [[0] * r for _ in range(r)]
-    for k in range(r):
-        for j in range(k + 1):
-            u = dot(b[k], b[j])
-            for i in range(j):
-                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-            if j < k:
-                lam[k][j] = u
-            else:
-                d[k + 1] = u
+    d = [1]
+    lam: list[list[int]] = []
+    for v in b:
+        row, dv = _gso_row(b, d, lam, v)
+        lam.append(row + [0] * (r - len(row)))
+        d.append(dv)
     return d, lam
 
 
 def lll_reduce(basis: LatticeBasis, delta: float = 0.99) -> LatticeBasis:
     """Integral LLL reduction of the basis (same lattice).
 
-    The Gram-Schmidt data is kept as the integers of ``_integral_gso`` and
-    updated in place on each size reduction and swap, so every rounding and
-    Lovasz decision is the exact-rational one.
+    Starts from a copy of the input's ``gso`` and updates those integers in
+    place on each size reduction and swap, so every rounding and Lovasz
+    decision is the exact-rational one.  The tracked data is checked once,
+    against the reduced basis's own ``gso``; the input basis is not changed.
     """
     if not 0.25 < delta < 1:
         raise ValueError("delta must be in (0.25, 1)")
@@ -116,7 +165,8 @@ def lll_reduce(basis: LatticeBasis, delta: float = 0.99) -> LatticeBasis:
     r = len(b)
     if r <= 1:
         return LatticeBasis(basis.matrix, provenance="reduced")
-    d, lam = _integral_gso(b)
+    d = list(basis.gso[0])
+    lam = [list(row) for row in basis.gso[1]]
     k = 1
     while k < r:
         lk = lam[k]
@@ -145,11 +195,15 @@ def lll_reduce(basis: LatticeBasis, delta: float = 0.99) -> LatticeBasis:
             li[k - 1] = (bnew * t + lm * li[k]) // d[k + 1]
         d[k] = bnew
         k = max(k - 1, 1)
+    try:
+        out = LatticeBasis(IntMatrix.from_columns(b), provenance="reduced")
+    except RankError:
+        raise InvariantViolation("LLL output columns are linearly dependent") from None
     # d[r], the Gram determinant, is never updated, so a match also shows
     # that the reduced basis spans a lattice of the input's volume
-    if _integral_gso(b) != (d, lam):
+    if out.gso != (tuple(d), tuple(map(tuple, lam))):
         raise InvariantViolation("incremental LLL Gram data differs from the reduced basis's")
-    return LatticeBasis(IntMatrix.from_columns(b), provenance="reduced")
+    return out
 
 
 def successive_minima_upper(basis: LatticeBasis, delta: float = 0.99) -> list[float]:
@@ -165,15 +219,16 @@ def nearest_plane(basis: LatticeBasis, target: Sequence[Fraction]) -> tuple[int,
     The target (integers or rationals) is scaled by the lcm L of its
     denominators and size-reduced against the integral Gram-Schmidt data,
     with the same ties-to-even rounding as an exact-rational computation.
-    Expects a reduced basis for good quality; correctness (membership) holds
-    for any basis.
+    The basis part of that data is ``basis.gso``; only the target's row is
+    computed here.  Expects a reduced basis for good quality; correctness
+    (membership) holds for any basis.
     """
-    cols = [list(c) for c in basis.matrix.columns()]
+    cols = basis.matrix.columns()
     ratios = [Fraction(x).as_integer_ratio() for x in target]
     L = math.lcm(*(q for _, q in ratios))
-    # with the scaled target L t appended last, lt[j] = L * d[j + 1] * mu_j(t)
-    d, lam = _integral_gso(cols + [[p * (L // q) for p, q in ratios]])
-    lt = lam[-1]
+    d, lam = basis.gso
+    # with the scaled target L t after the basis, lt[j] = L * d[j + 1] * mu_j(t)
+    lt, _ = _gso_row(cols, d, lam, [p * (L // q) for p, q in ratios])
     v = [0] * basis.dim
     for i in range(len(cols) - 1, -1, -1):
         c = _round_half_even(lt[i], L * d[i + 1])

@@ -30,11 +30,10 @@ from .intmat import (
     dot,
     independent_rows,
     is_surjective,
-    kernel_columns,
     norm_sq,
     solve_integer,
 )
-from .lattice import LatticeBasis, lll_reduce, nearest_plane
+from .lattice import nearest_plane
 
 
 class CollisionNotFound(RuntimeError):
@@ -117,6 +116,11 @@ def _birthday(
     one with that sum; offsets are tried in order and a hit with a_k == a_j is
     skipped.  Returns (t, a_k - a_j), whose combination of ``cols`` is
     offsets[t], or None after ``max_probes`` probes.
+
+    Coefficients are drawn in batches of up to 4096 rows, one draw each, so
+    the random stream does not depend on where the search stops.  Sums and
+    keys are built only for the rows probed, block by block within a batch
+    (64 rows, then four times the last block), since most hits come early.
     """
     ell, d = cols.shape
     width = 8 * d  # bytes of one int64 sum row
@@ -125,19 +129,23 @@ def _birthday(
     while probes < max_probes:
         batch = min(4096, max_probes - probes)
         coeffs = gen.integers(low, 2, size=(batch, ell), dtype=np.int8)
-        sums = coeffs.astype(np.int64) @ cols
-        keys = sums.tobytes()
-        wanted = [(sums - off).tobytes() for off in offsets]
         rows = coeffs.tobytes()
-        for k in range(batch):
-            lo, hi = k * width, (k + 1) * width
-            row = rows[k * ell:(k + 1) * ell]
-            for t, w in enumerate(wanted):
-                prev = table.get(w[lo:hi])
-                if prev is not None and prev != row:
-                    diff = np.frombuffer(row, np.int8).astype(np.int64) - np.frombuffer(prev, np.int8)
-                    return t, diff
-            table.setdefault(keys[lo:hi], row)
+        start, block = 0, 64
+        while start < batch:
+            stop = min(start + block, batch)
+            sums = coeffs[start:stop].astype(np.int64) @ cols
+            keys = sums.tobytes()
+            wanted = [(sums - off).tobytes() for off in offsets]
+            for k in range(stop - start):
+                lo, hi = k * width, (k + 1) * width
+                row = rows[(start + k) * ell:(start + k + 1) * ell]
+                for t, w in enumerate(wanted):
+                    prev = table.get(w[lo:hi])
+                    if prev is not None and prev != row:
+                        diff = np.frombuffer(row, np.int8).astype(np.int64) - np.frombuffer(prev, np.int8)
+                        return t, diff
+                table.setdefault(keys[lo:hi], row)
+            start, block = stop, 4 * block
         probes += batch
     return None
 
@@ -242,10 +250,12 @@ def exact_dual_fallback(X: IntMatrix) -> list[tuple[int, ...]]:
     """Deterministic u_i via exact integer solves on augmented systems.
 
     Solves [X; u_1; ..; u_{i-1}] u = e_i over the integers (HNF), then
-    shortens u modulo the kernel lattice with LLL + nearest-plane when the
-    kernel rank is small enough.  Each augmented system is decomposed once,
-    for both the solution and the kernel.  No a-priori norm bound; the
-    achieved q2 is whatever comes out.
+    shortens u modulo the kernel lattice with nearest-plane on the system's
+    ``reduced_kernel`` when the kernel rank is small enough.  Each augmented
+    system is decomposed and reduced once, for both the solution and the
+    kernel; for u_1 the system is X itself, so its reduced kernel is the one
+    the kernel report and the fiber workspace read.  No a-priori norm bound;
+    the achieved q2 is whatever comes out.
     """
     n, m = X.shape
     if not is_surjective(X):  # also false for a rank-deficient X
@@ -259,10 +269,8 @@ def exact_dual_fallback(X: IntMatrix) -> list[tuple[int, ...]]:
         u = solve_integer(M, target)
         if u is None:
             raise CollisionNotFound(f"augmented system for u_{i + 1} has no integer solution")
-        ker = kernel_columns(M)
-        if 0 < len(ker) <= LLL_RANK_CAP:
-            kb = lll_reduce(LatticeBasis(IntMatrix.from_columns(ker)))
-            near = nearest_plane(kb, u)
+        if 0 < len(M.hermite.kernel) <= LLL_RANK_CAP:
+            near = nearest_plane(M.reduced_kernel, u)
             u = tuple(a - b for a, b in zip(u, near))
         got = [dot(u, r) for r in rows]
         if got != target:

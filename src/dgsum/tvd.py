@@ -36,7 +36,6 @@ from .gaussian import (
     integer_box,
 )
 from .intmat import IntMatrix, InvariantViolation
-from .lattice import LatticeBasis, lll_reduce
 
 SECTION_TAIL_BUDGET = 1e-10  # certified relative tail per fiber section
 
@@ -97,11 +96,13 @@ class FiberWorkspace:
 
     All fibers of one instance are translates g(z) + ker X of the same kernel
     lattice, so X's Hermite decomposition X U = H (``X.hermite``, shared with
-    the certificate search on the same matrix object) gives the kernel basis
-    and the linear particular solution g(z) = P z, and the whitened integer
-    search box is built once and only recentered per fiber.  The kernel basis
-    is LLL-reduced: the raw HNF columns can be long and skewed enough that the
-    box covering the section ball has millions of points.  X must map Z^m
+    the certificate search on the same matrix object) gives the linear
+    particular solution g(z) = P z, and the whitened integer search box is
+    built once and only recentered per fiber.  The kernel basis is
+    ``X.reduced_kernel``, the LLL-reduced one that the certificate fallback
+    on the same matrix object also reads: the raw HNF columns can be long
+    and skewed enough that the box covering the section ball has millions of
+    points.  X must map Z^m
     onto Z^n, so that every label has a fiber.  The labels of a region are
     enumerated once per workspace and radius (``labels``), as one int64
     array that the image and target pmfs built on one workspace share as
@@ -110,7 +111,7 @@ class FiberWorkspace:
 
     def __init__(self, X: IntMatrix, R: GaussianShape, c: Sequence[float]):
         n, m = X.shape
-        H, U, pivots, kernel = X.hermite
+        H, U, pivots, _ = X.hermite
         if len(pivots) < n:
             raise ValueError("X must have full row rank")
         if any(H.rows[r][j] != 1 for r, j in pivots):
@@ -127,7 +128,7 @@ class FiberWorkspace:
         self.W = R.whitening(m)
         self.rank = m - n
         self.section_radius = region_radius_for_tail(max(self.rank, 1), SECTION_TAIL_BUDGET)
-        self.kernel = lll_reduce(LatticeBasis(IntMatrix.from_columns(kernel))) if m > n else None
+        self.kernel = X.reduced_kernel if m > n else None
         if self.kernel is not None:
             self.K = self.kernel.matrix.to_numpy()
             self.WK = self.W @ self.K

@@ -333,6 +333,8 @@ def test_main_invariant_violation_exits_3(tmp_path, monkeypatch):
     ("1 1\n", ["tvd", "--mc", "--samples", "5000"]),
     (None, ["tvd", "--exact"]),  # the X file does not exist
     ("1 0 1\n0 1 1\n", ["kernel", "--config", "MISSING"]),  # nor does the config
+    ("", ["kernel"]),  # an empty X file
+    (" \n\t\n", ["tvd", "--exact"]),  # whitespace only
 ])
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, x_text, flags):
     xfile = tmp_path / "X.txt"
@@ -346,6 +348,27 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, x_text, flags):
     assert err.startswith(prefix) and err.count("\n") == 1
     if x_text is None or "--config" in flags:
         assert "No such file or directory" in err
+    elif not x_text.strip():
+        assert err == f"invalid input: X file {str(xfile)!r} holds no matrix\n"
+
+
+@pytest.mark.parametrize("command", ["sample", "quality", "kernel", "tvd"])
+def test_undrawable_matrix_exits_2_with_one_line(tmp_path, capsys, command):
+    # at s = 0.05 nearly every entry is 0: no draw maps Z^3 onto Z^3
+    code = run([command, "-n", "3", "-m", "3", "-s", "0.05", "--out-dir", tmp_path / "run"])
+    err = capsys.readouterr().err
+    assert code == EXIT_GATE
+    assert err == ("invalid input: no onto 3x3 matrix drawn in 200 attempts at s = 0.05; "
+                   "raise -s or give the matrix with --x-file\n")
+
+
+def test_main_records_an_undrawable_matrix_as_a_skipped_trial(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = run(["main", "-n", "3", "-m", "3", "-s", "0.05", "--trials", "1", "--out-dir", out])
+    assert code == EXIT_GATE and capsys.readouterr().err.count("\n") == 1
+    report = read_json(out / "main_report.json")
+    assert report["n_skipped"] == 1
+    assert report["trials"][0]["status"].startswith("error: no onto 3x3 matrix drawn in 200 attempts")
 
 
 def test_main_with_no_passing_trial_says_why(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Integer kernels, LLL, duals, and smoothing-parameter checks."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dgsum
 from dgsum.intmat import IntMatrix, InvariantViolation, dot, fraction_rank, kernel_columns, norm_sq, solve_integer
 from dgsum.lattice import (
     LatticeBasis,
@@ -16,6 +19,7 @@ from dgsum.lattice import (
     integer_kernel,
     lll_reduce,
     nearest_plane,
+    reduced_integer_kernel,
     singular_values,
     smoothing_bound,
     smoothing_check,
@@ -68,6 +72,80 @@ def test_kernel_random_invariants():
         for v in K.vectors():
             assert all(x == 0 for x in X @ v)
         done += 1
+
+
+def test_reduced_integer_kernel_is_the_shared_reduction():
+    X = IntMatrix.from_rows([[1, 0, 1, 1, 2], [0, 1, 1, -1, 1]])
+    red = reduced_integer_kernel(X)
+    assert red is X.reduced_kernel and red.provenance == "reduced"
+    assert red.vectors() == lll_reduce(integer_kernel(X)).vectors()
+    # same requirement and message as integer_kernel, before any reduction
+    Y = IntMatrix.from_rows([[1, 1, 0], [2, 2, 0]])
+    with pytest.raises(RankError, match=r"kernel rank 2 != m - n = 1"):
+        reduced_integer_kernel(Y)
+    assert "reduced_kernel" not in Y.__dict__
+    # the matrix's own reduced kernel carries no rank requirement
+    assert Y.reduced_kernel.rank == 2
+
+
+def _gso_tuples(cols):
+    d, lam = _integral_gso([list(c) for c in cols])
+    return tuple(d), tuple(map(tuple, lam))
+
+
+def _builds(cols) -> bool:
+    try:
+        LatticeBasis(IntMatrix.from_columns(cols))
+    except RankError:
+        return False
+    return True
+
+
+def test_gso_rank_check_matches_fraction_rank():
+    rng = np.random.default_rng(17)
+    outcomes = set()
+    for i in range(300):
+        r = int(rng.integers(1, 7))
+        dim = int(rng.integers(max(r - 1, 1), r + 2))  # dim < r forces a dependency
+        cols = [[int(x) for x in c] for c in rng.integers(-2, 3, size=(r, dim))]
+        if i % 3 == 0 and r > 1:  # one column a combination of the others
+            k = int(rng.integers(0, r))
+            coef = rng.integers(-3, 4, size=r)
+            cols[k] = [sum(int(coef[j]) * cols[j][t] for j in range(r) if j != k) for t in range(dim)]
+        if i % 2 == 0:  # big integers: scale, and shift by a multiple of one column
+            big = 10 ** int(rng.integers(20, 40)) + int(rng.integers(1, 1000))
+            cols = [[big * x for x in c] for c in cols]
+            j = int(rng.integers(0, r))
+            cols = [c if k == j else [a + big * b for a, b in zip(c, cols[j])] for k, c in enumerate(cols)]
+        independent = fraction_rank(cols) == r
+        assert _builds(cols) == independent, cols
+        outcomes.add(independent)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("cols", [
+    [(0, 0, 0), (1, 2, 3)],  # zero first column
+    [(1, 2, 3), (4, 5, 6), (1, 2, 3)],  # a duplicate
+    [(1, 0, 0, 0), (0, 1, 0, 0), (2, -3, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],  # dependency in the middle
+    [(1, 0, 2), (0, 1, 1), (1, 1, 3)],  # dependent last column
+    [(10 ** 30, 1), (10 ** 60, 10 ** 30)],  # big integers, dependent last column
+])
+def test_dependent_bases_raise_rank_error(cols):
+    assert fraction_rank(cols) < len(cols)
+    with pytest.raises(RankError):
+        LatticeBasis(IntMatrix.from_columns(cols))
+
+
+def test_reduction_leaves_the_input_gso_unchanged():
+    rng = np.random.default_rng(23)
+    for cols in _random_bases(29, 40, 8):
+        basis = LatticeBasis(IntMatrix.from_columns(cols))
+        first, second = lll_reduce(basis), lll_reduce(basis)
+        assert first == second and first.gso == second.gso
+        target = [Fraction(int(x), 3) for x in rng.integers(-30, 31, size=basis.dim)]
+        assert nearest_plane(first, target) == nearest_plane(first, target)
+        assert basis.gso == _gso_tuples(cols)
+        assert first.gso == _gso_tuples(first.vectors())
 
 
 def test_lll_orthogonal_unchanged():
@@ -243,7 +321,7 @@ def test_lll_gram_data_check_raises(monkeypatch):
     def drifting(b):
         d, lam = _integral_gso(b)
         calls.append(b)
-        if len(calls) == 2:  # the final recomputation inside lll_reduce
+        if len(calls) == 2:  # the reduced basis's own gso, built inside lll_reduce
             d[-1] += 1
         return d, lam
 
@@ -325,3 +403,72 @@ def test_singular_values_examples():
     sv = singular_values([[1.0, 1.0], [0.0, 1.0]])
     assert sv[0] * sv[1] == pytest.approx(1.0, rel=1e-10)
     assert sv[0] ** 2 + sv[1] ** 2 == pytest.approx(3.0, rel=1e-10)
+
+
+# ------------------------------------------------- one computation per object
+#
+# The integral Gram-Schmidt data is computed once per basis (LatticeBasis.gso)
+# and a kernel lattice is reduced once per matrix object
+# (IntMatrix.reduced_kernel); a direct call elsewhere would compute it again.
+
+SRC = Path(dgsum.__file__).resolve().parent
+ALLOWED_CALLERS = {
+    "_integral_gso": {"LatticeBasis.gso"},
+    "lll_reduce": {"IntMatrix.reduced_kernel", "successive_minima_upper"},
+}
+
+
+def call_sites(source: str, names) -> list[tuple[str, str]]:
+    """(callee, qualified name of the enclosing def or class) of every call to
+    one of ``names``, as a plain or an attribute call."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in names:
+                    found.append((name, scope or "<module>"))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_call_sites_finds_every_call():
+    source = """
+from dgsum import lattice
+def f(b):
+    lattice.lll_reduce(b)
+    return _integral_gso(b)
+class LatticeBasis:
+    @property
+    def gso(self):
+        return _integral_gso(self)
+    def other(self):
+        def inner():
+            return lll_reduce(self, 0.5)
+        return inner
+lll_reduce(x)
+integral_gso(x)
+"""
+    assert call_sites(source, ALLOWED_CALLERS) == [
+        ("lll_reduce", "f"),
+        ("_integral_gso", "f"),
+        ("_integral_gso", "LatticeBasis.gso"),
+        ("lll_reduce", "LatticeBasis.other.inner"),
+        ("lll_reduce", "<module>"),
+    ]
+
+
+def test_gso_and_lll_are_called_only_by_their_owners():
+    found = {name: set() for name in ALLOWED_CALLERS}
+    for path in sorted(SRC.glob("*.py")):
+        for name, scope in call_sites(path.read_text(), ALLOWED_CALLERS):
+            assert scope in ALLOWED_CALLERS[name], f"{path.name}: {scope} calls {name}"
+            found[name].add(scope)
+    assert found == ALLOWED_CALLERS

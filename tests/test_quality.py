@@ -196,6 +196,85 @@ def test_birthday_search_matches_dual_vector_oracle():
     assert outcomes == {True, False} and short >= 150
 
 
+class _Replay:
+    """A stream whose generator hands out prepared coefficient rows in order,
+    in the batch sizes the search asks for."""
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+
+    def generator(self):
+        coeffs, pos = self.coeffs, [0]
+
+        class Gen:
+            def integers(self, low, high, size, dtype):
+                rows = coeffs[pos[0]:pos[0] + size[0]]
+                assert rows.shape == size and low <= rows.min() and rows.max() < high
+                pos[0] += size[0]
+                return rows.astype(dtype)
+
+        return Gen()
+
+
+def _pigeonhole_rows(count, hit_probe, rng):
+    """xs = 1, 2, 4, .., 2^12, 1 and 0/1 rows with no relation (the last
+    coefficient 0) except at probe ``hit_probe`` (1-based), which repeats an
+    earlier row's sum by moving its first coefficient to the last vector."""
+    xs = [(1 << k,) for k in range(13)] + [(1,)]
+    rows = rng.integers(0, 2, size=(count, len(xs)), dtype=np.int8)
+    rows[:, -1] = 0
+    if hit_probe is not None:
+        j = int(np.flatnonzero(rows[:hit_probe - 1, 0])[0])
+        rows[hit_probe - 1] = rows[j]
+        rows[hit_probe - 1, [0, -1]] = (0, 1)
+    return xs, rows
+
+
+def _dual_rows(count, hit_probe, rng):
+    """One row (1, 3, 9, .., 3^7) and {-1,0,1} rows whose sums are multiples
+    of 3 (first coefficient 0), so no two differ by +-1, except at probe
+    ``hit_probe`` (1-based): an earlier row with first coefficient +1 (sum
+    + 1, offset +e) at an even probe and -1 (sum - 1, offset -e) at an odd one."""
+    rows = rng.integers(-1, 2, size=(count, 8), dtype=np.int8)
+    rows[:, 0] = 0
+    if hit_probe is not None:
+        rows[hit_probe - 1] = rows[int(rng.integers(0, hit_probe - 1))]
+        rows[hit_probe - 1, 0] = 1 if hit_probe % 2 == 0 else -1
+    return [tuple(3 ** k for k in range(8))], rows
+
+
+# the search builds sums for blocks of 64, 256, 1024, .. rows of a 4096-row batch
+BLOCK_EDGES = (64, 65, 320, 321, 4096 + 64, 4096 + 65)
+
+
+@pytest.mark.parametrize("hit_probe", BLOCK_EDGES + (None,))
+def test_birthday_pigeonhole_hits_at_block_edges(monkeypatch, hit_probe):
+    cap = 10_000  # a miss runs through two full batches and part of a third
+    monkeypatch.setattr(quality, "PIGEONHOLE_MAX_PROBES", cap)
+    xs, rows = _pigeonhole_rows(cap, hit_probe, np.random.default_rng(hit_probe or 0))
+    B = 1 << 12
+    want = _pigeonhole_or_none(oracle_pigeonhole, xs, B, _Replay(rows), max_probes=cap)
+    assert _pigeonhole_or_none(pigeonhole_collision, xs, B, _Replay(rows)) == want
+    if hit_probe is None:
+        assert want is None
+    else:  # the first hit is at hit_probe exactly
+        assert want == (-1,) + (0,) * 12 + (1,)
+        assert _pigeonhole_or_none(oracle_pigeonhole, xs, B, _Replay(rows), max_probes=hit_probe - 1) is None
+
+
+@pytest.mark.parametrize("hit_probe", BLOCK_EDGES + (None,))
+def test_birthday_dual_vector_hits_at_block_edges(hit_probe):
+    cap = 4 * 3 ** 8  # the probe cap at prefix 8: six full batches and part of a seventh
+    rows_x, coeffs = _dual_rows(cap, hit_probe, np.random.default_rng(hit_probe or 0))
+    want = oracle_dual_vector(rows_x, 0, 8, _Replay(coeffs))
+    assert _collision_dual_vector(rows_x, 0, 8, _Replay(coeffs)) == want
+    if hit_probe is None:
+        assert want is None
+    else:
+        assert want == (1,) + (0,) * 7
+        assert oracle_dual_vector(rows_x, 0, 8, _Replay(coeffs), max_probes=hit_probe - 1) is None
+
+
 # ---------------------------------------------------------------- dual vectors
 
 

@@ -35,6 +35,14 @@ def test_tvd_exact_op_spans(tmp_path):
     # the per-layer metrics read these spans: the shared labels and the shared
     # decomposition must still go through the traced names
     tracer = load_tracer().Tracer()
+    workspaces = []
+    observe = tracer._observe_fiber_weight
+
+    def record(idx, args, out):
+        workspaces.append(args[0])
+        observe(idx, args, out)
+
+    tracer._observe_fiber_weight = record
     xfile = tmp_path / "X.txt"
     xfile.write_text("1 0 1 1\n0 1 1 -1\n")
     argv = ["tvd", "--x-file", str(xfile), "--exact", "--seed", "4", "--out-dir", str(tmp_path / "run")]
@@ -47,6 +55,11 @@ def test_tvd_exact_op_spans(tmp_path):
     assert tracer.calls["tvd.region"] == 1
     assert tracer.calls["intmat.hnf_column"] == 2
     assert tracer.calls["gaussian.enumerate_affine"] == 1
+    # ker X, reduced once for u_1 and the workspace, and ker [X; u_1] for u_2
+    assert tracer.calls["lattice.lll_reduce"] == 2
+    assert tracer.calls["intmat.fraction_rank"] == 0
+    ws = workspaces[0]
+    assert ws.kernel is ws.X.reduced_kernel
 
 
 def test_kernel_op_spans(tmp_path):
@@ -59,7 +72,15 @@ def test_kernel_op_spans(tmp_path):
         written.append(Path(args[0]).name)
         observe(idx, args, out)
 
+    reduced = []
+    observe_lll = tracer._observe_lll_reduce
+
+    def record_lll(idx, args, out):
+        reduced.append(args[0].matrix)
+        observe_lll(idx, args, out)
+
     tracer._observe_write_json = record
+    tracer._observe_lll_reduce = record_lll
     xfile = tmp_path / "X.txt"
     xfile.write_text("1 0 1 1 2 -1\n0 1 1 -1 1 2\n")
     out = tmp_path / "run"
@@ -74,3 +95,7 @@ def test_kernel_op_spans(tmp_path):
     assert written == ["kernel.json", "manifest.json"]
     sizes = sum((out / name).stat().st_size for name in written)
     assert tracer.counts["cli.report_bytes"] == sizes
+    # one reduction per kernel lattice: ker X (the report and u_1) and ker [X; u_1]
+    assert tracer.calls["intmat.fraction_rank"] == 0
+    assert tracer.calls["lattice.lll_reduce"] == len(reduced) == 2
+    assert [B.n_cols for B in reduced] == [4, 3]
