@@ -52,17 +52,24 @@ EXIT_GATE = 2
 EXIT_INVARIANT = 3
 
 
+_AS_IS = (int, str, bool, type(None))
+
+
 def jround(obj, sig: int = 12):
-    """Round floats to 12 significant digits for diffable reports."""
-    if isinstance(obj, float):
-        return float(f"{obj:.{sig}g}")
+    """Round floats (numpy floats too) to 12 significant digits for diffable
+    reports, turn numpy integers into ints and tuples into lists, recursing
+    into dicts and lists.  Python ints, strings, bools and None are returned
+    as they are, after one ``type()`` lookup."""
+    kind = type(obj)
+    if kind in _AS_IS:
+        return obj
+    if isinstance(obj, (float, np.floating)):
+        return float(f"{float(obj):.{sig}g}")
     if isinstance(obj, dict):
         return {k: jround(v, sig) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jround(v, sig) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.{sig}g}")
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
     return obj
 
@@ -161,6 +168,12 @@ def resolve(args: argparse.Namespace) -> dict:
         raise ValueError("need m >= n >= 1")
     if out["mode"] not in ("exact", "mc", "both"):
         raise ValueError(f"mode must be exact, mc or both, not {out['mode']!r}")
+    for key in ("trials", "samples"):
+        if out[key] < 1:
+            raise ValueError(f"{key} must be at least 1, not {out[key]}")
+    for key in ("r", "s"):
+        if out[key] is not None and not (math.isfinite(out[key]) and out[key] > 0):
+            raise ValueError(f"{key} must be finite and positive, not {out[key]:g}")
     return out
 
 

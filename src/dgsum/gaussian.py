@@ -196,9 +196,14 @@ class SampleStream:
     counter: int = 0
 
     def generator(self) -> np.random.Generator:
+        """A fresh Philox generator keyed by ``(seed, stream_id)`` and started
+        at ``counter``, each taken mod 2**64, so seed -1 and seed 2**64 - 1
+        are one stream.  Key and counter are passed as uint64 arrays: a
+        Python list holding a value of 2**63 or more would be cast through
+        float and key the stream with 0."""
         bg = np.random.Philox(
-            key=[self.seed % 2 ** 64, self.stream_id % 2 ** 64],
-            counter=[self.counter % 2 ** 64, 0, 0, 0],
+            key=np.array([self.seed % 2 ** 64, self.stream_id % 2 ** 64], dtype=np.uint64),
+            counter=np.array([self.counter % 2 ** 64, 0, 0, 0], dtype=np.uint64),
         )
         return np.random.Generator(bg)
 

@@ -12,6 +12,7 @@ fraction-free (Bareiss) elimination.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
@@ -29,6 +30,11 @@ class InvariantViolation(AssertionError):
 
 
 def _as_int(x) -> int:
+    """``x`` as a Python int: an int is returned as it is; anything else (bool,
+    numpy integer, float) is converted and must equal its conversion, so
+    ``2.0`` becomes 2 and ``2.5`` raises ``ValueError``."""
+    if type(x) is int:
+        return x
     v = int(x)
     if v != x:
         raise ValueError(f"non-integer entry {x!r}")
@@ -37,13 +43,18 @@ def _as_int(x) -> int:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix with exact arithmetic."""
+    """Immutable integer matrix with exact arithmetic.
+
+    Equality and hashing read ``rows`` only.  Derived data (``cols``,
+    ``hermite``, ``reduced_kernel``) is computed on first use and kept with the
+    matrix object.
+    """
 
     rows: tuple[IntVector, ...]
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        r = tuple(tuple(_as_int(x) for x in row) for row in rows)
+        r = tuple(tuple(map(_as_int, row)) for row in rows)
         if r and any(len(row) != len(r[0]) for row in r):
             raise ValueError("ragged rows")
         return IntMatrix(r)
@@ -72,11 +83,16 @@ class IntMatrix:
     def row(self, i: int) -> IntVector:
         return self.rows[i]
 
+    @cached_property
+    def cols(self) -> tuple[IntVector, ...]:
+        """The columns, built once per matrix object."""
+        return tuple(zip(*self.rows))
+
     def column(self, j: int) -> IntVector:
-        return tuple(r[j] for r in self.rows)
+        return self.cols[j]
 
     def columns(self) -> list[IntVector]:
-        return [self.column(j) for j in range(self.n_cols)]
+        return list(self.cols)
 
     @property
     def T(self) -> "IntMatrix":
@@ -84,12 +100,12 @@ class IntMatrix:
 
     def __matmul__(self, other):
         if isinstance(other, IntMatrix):
-            ocols = other.columns()
+            ocols = other.cols
             return IntMatrix(
                 tuple(tuple(dot(r, c) for c in ocols) for r in self.rows)
             )
         # vector
-        v = tuple(_as_int(x) for x in other)
+        v = tuple(map(_as_int, other))
         if len(v) != self.n_cols:
             raise ValueError("dimension mismatch")
         return tuple(dot(r, v) for r in self.rows)
@@ -143,11 +159,11 @@ class Hermite(NamedTuple):
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
     if len(a) != len(b):
         raise ValueError("dimension mismatch")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def norm_sq(a: Sequence[int]) -> int:
-    return sum(x * x for x in a)
+    return sum(map(operator.mul, a, a))
 
 
 def hnf_column(X: IntMatrix) -> tuple[IntMatrix, IntMatrix]:

@@ -117,28 +117,37 @@ def _birthday(
     skipped.  Returns (t, a_k - a_j), whose combination of ``cols`` is
     offsets[t], or None after ``max_probes`` probes.
 
-    Coefficients are drawn in batches of up to 4096 rows, one draw each, so
-    the random stream does not depend on where the search stops.  Sums and
-    keys are built only for the rows probed, block by block within a batch
-    (64 rows, then four times the last block), since most hits come early.
+    Coefficients come in batches of up to 4096 rows, probed in blocks of 64
+    rows, then four times the last block, since most hits come early.  Only
+    the rows up to the end of the current block are drawn: before each block
+    the generator is set back to its state at the start of the batch and the
+    first ``stop`` rows are drawn again.  numpy fills the array row by row, so
+    these are the first ``stop`` rows of one full-batch draw, and the rows
+    probed do not depend on where the search stops.  The last block redraws
+    the whole batch, so after each completed batch the generator is where one
+    full-batch draw leaves it.  On a hit it is left mid-batch; both callers
+    pass a fresh generator and do not read it afterwards.
     """
     ell, d = cols.shape
     width = 8 * d  # bytes of one int64 sum row
     table: dict[bytes, bytes] = {}  # sum -> coefficient row, both as raw bytes
+    bits = gen.bit_generator
     probes = 0
     while probes < max_probes:
         batch = min(4096, max_probes - probes)
-        coeffs = gen.integers(low, 2, size=(batch, ell), dtype=np.int8)
-        rows = coeffs.tobytes()
+        state = bits.state
         start, block = 0, 64
         while start < batch:
             stop = min(start + block, batch)
-            sums = coeffs[start:stop].astype(np.int64) @ cols
+            bits.state = state
+            coeffs = gen.integers(low, 2, size=(stop, ell), dtype=np.int8)[start:]
+            rows = coeffs.tobytes()
+            sums = coeffs.astype(np.int64) @ cols
             keys = sums.tobytes()
             wanted = [(sums - off).tobytes() for off in offsets]
             for k in range(stop - start):
                 lo, hi = k * width, (k + 1) * width
-                row = rows[(start + k) * ell:(start + k + 1) * ell]
+                row = rows[k * ell:(k + 1) * ell]
                 for t, w in enumerate(wanted):
                     prev = table.get(w[lo:hi])
                     if prev is not None and prev != row:

@@ -38,6 +38,16 @@ def test_jround_significant_digits():
     }
 
 
+def test_jround_keeps_exact_values_and_types():
+    big = 3 ** 90
+    got = jround({"i": big, "s": "x", "b": True, "n": None, "t": (1, np.int64(2), 0.1 + 0.2),
+                  "f32": np.float32(0.1), "nb": np.bool_(False)})
+    assert got == {"i": big, "s": "x", "b": True, "n": None, "t": [1, 2, 0.3],
+                   "f32": float(f"{float(np.float32(0.1)):.12g}"), "nb": False}
+    assert type(got["b"]) is bool and type(got["t"][1]) is int and type(got["nb"]) is np.bool_
+    assert json.dumps(jround([True, 1, None])) == "[true, 1, null]"
+
+
 def test_parse_config_key_value(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 2\nm = 4  # comment\n\ns = 3.0\n")
@@ -277,6 +287,30 @@ def test_invalid_mode_is_an_invalid_config(tmp_path, capsys):
     assert run(["tvd", "--config", cfg, "--out-dir", tmp_path / "run"]) == EXIT_GATE
     err = capsys.readouterr().err
     assert err.startswith("invalid config: mode must be") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (["main", "--trials", "-1"], "trials must be at least 1, not -1"),
+    (["main", "--trials", "0"], "trials must be at least 1, not 0"),
+    (["sample", "--samples", "-5"], "samples must be at least 1, not -5"),
+    (["tvd", "-r", "0"], "r must be finite and positive, not 0"),
+    (["tvd", "-r", "inf"], "r must be finite and positive, not inf"),
+    (["tvd", "-r", "nan"], "r must be finite and positive, not nan"),
+    (["kernel", "-s", "-2"], "s must be finite and positive, not -2"),
+    (["quality", "-s", "inf"], "s must be finite and positive, not inf"),
+])
+def test_meaningless_numeric_options_are_invalid_config(tmp_path, capsys, args, message):
+    out = tmp_path / "run"
+    assert run(args + ["-n", "1", "-m", "2", "--out-dir", out]) == EXIT_GATE
+    assert capsys.readouterr().err == f"invalid config: {message}\n"
+    assert not out.exists()
+
+
+def test_numeric_options_from_a_config_file_are_checked(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 0\n")
+    assert run(["sample", "--config", cfg, "--out-dir", tmp_path / "run"]) == EXIT_GATE
+    assert capsys.readouterr().err == "invalid config: samples must be at least 1, not 0\n"
 
 
 def test_cmd_main_micro(tmp_path):

@@ -1,6 +1,8 @@
 """Gaussian weights, coset pmfs, and the integer samplers."""
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +202,28 @@ def test_substream_derivation():
     assert st.substream(3) == st.substream(3)
     ident = st.identity()
     assert ident["generator"] == "numpy.random.Philox"
+
+
+def _digest(stream, k=64):
+    return hashlib.sha256(stream.generator().integers(0, 2 ** 32, k, dtype=np.uint64).tobytes()).hexdigest()
+
+
+def test_generator_keys_large_and_negative_seeds_mod_2_64():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top, last, minus = (_digest(SampleStream(s)) for s in (2 ** 63, 2 ** 64 - 1, -1))
+        zero = _digest(SampleStream(0))
+    assert len({top, last, zero}) == 3  # no longer all keyed with 0
+    assert minus == last  # the key is the seed mod 2**64
+    assert _digest(SampleStream(5, stream_id=-1)) == _digest(SampleStream(5, stream_id=2 ** 64 - 1))
+    assert _digest(SampleStream(5, counter=2 ** 63)) != _digest(SampleStream(5, counter=0))
+
+
+def test_generator_small_seed_streams_did_not_move():
+    assert _digest(SampleStream(7)) == "6a8f19850349692913732ad6c1c6e5529a0233e6799fa31dc80ccbdec49a9f02"
+    assert _digest(SampleStream(7, stream_id=3, counter=5)) == (
+        "1ee2f27ea5a59527d381efcc75b2c669d531f8fc07b556564e6058c13ad5968a"
+    )
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])

@@ -41,6 +41,39 @@ def test_matmul_matrix_and_vector():
         A @ (1, 1, 1)
 
 
+def test_from_rows_converts_to_python_ints():
+    X = IntMatrix.from_rows([[np.int64(3), True, 2.0], [np.int8(-1), False, -0.0]])
+    assert X.rows == ((3, 1, 2), (-1, 0, 0))
+    assert all(type(x) is int for r in X.rows for x in r)
+    assert all(type(x) is int for x in X @ (np.int64(1), True, 2.0))
+    for bad in (2.5, float("nan")):
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([[1, bad]])
+        with pytest.raises(ValueError):
+            X @ (1, 1, bad)
+
+
+def test_cached_columns():
+    rng = np.random.default_rng(3)
+    for n, m in ((1, 1), (2, 5), (4, 3)):
+        X = random_matrix(rng, n, m)
+        assert X.cols == tuple(zip(*X.rows))
+        assert X.columns() == list(zip(*X.rows))
+        assert [X.column(j) for j in range(m)] == list(zip(*X.rows))
+        assert X.cols is X.cols  # built once per object
+    assert IntMatrix(()).cols == () and IntMatrix(()).columns() == []
+
+
+def test_cache_does_not_touch_equality_or_hash():
+    A = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    B = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    h = hash(B)
+    _ = A.cols, A.hermite  # fill A's caches only
+    assert A == B and hash(A) == hash(B) == h
+    assert {A: 1}[B] == 1
+    assert A != IntMatrix.from_rows([[1, 2, 3], [4, 5, 7]])
+
+
 def test_text_round_trip():
     X = IntMatrix.from_rows([[1, -2, 30], [0, 7, -100]])
     assert IntMatrix.from_text(X.to_text()).rows == X.rows

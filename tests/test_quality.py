@@ -198,19 +198,26 @@ def test_birthday_search_matches_dual_vector_oracle():
 
 class _Replay:
     """A stream whose generator hands out prepared coefficient rows in order,
-    in the batch sizes the search asks for."""
+    in the sizes the search asks for.  ``bit_generator.state`` is the read
+    position, so a search that sets it back re-reads the same rows."""
 
     def __init__(self, coeffs):
         self.coeffs = coeffs
 
     def generator(self):
-        coeffs, pos = self.coeffs, [0]
+        coeffs = self.coeffs
+
+        class Bits:
+            state = 0
 
         class Gen:
+            bit_generator = Bits()
+
             def integers(self, low, high, size, dtype):
-                rows = coeffs[pos[0]:pos[0] + size[0]]
+                pos = self.bit_generator.state
+                rows = coeffs[pos:pos + size[0]]
                 assert rows.shape == size and low <= rows.min() and rows.max() < high
-                pos[0] += size[0]
+                self.bit_generator.state = pos + size[0]
                 return rows.astype(dtype)
 
         return Gen()
@@ -273,6 +280,78 @@ def test_birthday_dual_vector_hits_at_block_edges(hit_probe):
     else:
         assert want == (1,) + (0,) * 7
         assert oracle_dual_vector(rows_x, 0, 8, _Replay(coeffs), max_probes=hit_probe - 1) is None
+
+
+# ---------------------------------------------------------------- prefix redraws
+#
+# The search draws only the rows up to the end of the block it probes, by
+# setting the generator back to the batch's start and drawing a prefix.  That
+# rests on numpy filling the array row by row.
+
+
+def _same_state(a, b):
+    """Equality of two bit-generator states (nested dicts holding arrays)."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("low", [-1, 0])
+@pytest.mark.parametrize("ell", [1, 3, 8, 15])
+def test_numpy_prefix_draw_equals_full_batch_prefix(low, ell):
+    for seed in range(3):
+        gen = SampleStream(seed, stream_id=ell).generator()
+        state = gen.bit_generator.state
+        full = gen.integers(low, 2, size=(4096, ell), dtype=np.int8)
+        after = gen.bit_generator.state
+        for k in (1, 64, 320, 1344):
+            gen.bit_generator.state = state
+            assert np.array_equal(gen.integers(low, 2, size=(k, ell), dtype=np.int8), full[:k])
+        gen.bit_generator.state = state
+        gen.integers(low, 2, size=(4096, ell), dtype=np.int8)
+        assert _same_state(gen.bit_generator.state, after)
+
+
+class _Recording:
+    """A stream whose generator is a real one that records each draw's row count."""
+
+    def __init__(self, seed):
+        self.seed, self.sizes = seed, []
+
+    def generator(self):
+        gen, sizes = SampleStream(self.seed).generator(), self.sizes
+
+        class Gen:
+            bit_generator = gen.bit_generator
+
+            def integers(self, low, high, size, dtype):
+                sizes.append(size[0])
+                return gen.integers(low, high, size=size, dtype=dtype)
+
+        self.gen = Gen()
+        return self.gen
+
+
+def test_birthday_early_hit_draws_one_block():
+    # two equal vectors: the first probe with exactly one of them set repeats
+    # an earlier sum within a few probes
+    stream = _Recording(3)
+    assert pigeonhole_collision([(1,), (1,)], 1, stream) in ((1, -1), (-1, 1))
+    assert stream.sizes == [64]
+
+
+def test_birthday_miss_leaves_generator_where_full_batches_do():
+    # powers of two: every 0/1 row has its own sum, so no probe ever hits
+    ell, cap = 13, 2 * 4096 + 100
+    cols = np.array([[1 << k] for k in range(ell)], dtype=np.int64)
+    stream = _Recording(4)
+    assert quality._birthday(stream.generator(), 0, cols, [np.zeros(1, np.int64)], cap) is None
+    oracle = SampleStream(4).generator()
+    for batch in (4096, 4096, 100):
+        oracle.integers(0, 2, size=(batch, ell), dtype=np.int8)
+    assert _same_state(stream.gen.bit_generator.state, oracle.bit_generator.state)
+    # each batch ends by redrawing the whole batch
+    assert stream.sizes == [64, 320, 1344, 4096] * 2 + [64, 100]
 
 
 # ---------------------------------------------------------------- dual vectors
