@@ -48,12 +48,11 @@ from .quality import (
 )
 from .tvd import (
     ExactTVDReport,
-    FiberEnumeration,
     FiberWorkspace,
     MCTVDReport,
+    class_tvd,
     exact_output_pmf,
     exact_tvd,
-    fiber_mass,
     mc_tvd,
     ratio_band_check,
     shift_bound_eval,

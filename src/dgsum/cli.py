@@ -39,13 +39,7 @@ from .quality import (
     distance_threshold,
     parameter_check,
 )
-from .tvd import (
-    FiberWorkspace,
-    exact_output_pmf,
-    exact_tvd,
-    mc_tvd,
-    target_pmf,
-)
+from .tvd import FiberWorkspace, class_tvd, mc_tvd, target_pmf
 
 EXIT_OK = 0
 EXIT_GATE = 2
@@ -324,22 +318,25 @@ def _tvd_instance(X: IntMatrix, r: float, eps: float, c, mode: str, stream: Samp
     """The exact and/or MC TVD of X·D_{Z^m+c, r} from its target and, given
     a verified certificate and m > n, the verdict against 2 eps.
 
-    Below the certificate's threshold the verdict is ``precondition unmet``.
-    Otherwise an exact TVD (``--exact``, ``--both``) passes when it is at most
-    2 eps plus its truncation error and fails above.  An MC estimate alone
-    (``--mc``) passes when it is at most 2 eps; it fails only when the lower
-    end of its confidence interval exceeds 2 eps, since the plug-in estimate
-    is biased upward, and is ``inconclusive`` in between.
+    The exact TVD is ``class_tvd``'s, summed over the d = det X X^T coset
+    classes on the dual side; the target pmf over a label region is built
+    only for MC.  Below the certificate's threshold the verdict is
+    ``precondition unmet``.  Otherwise an exact TVD (``--exact``, ``--both``)
+    passes when it is at most 2 eps plus its truncation error and fails
+    above.  An MC estimate alone (``--mc``) passes when it is at most 2 eps;
+    it fails only when the lower end of its confidence interval exceeds
+    2 eps, since the plug-in estimate is biased upward, and is
+    ``inconclusive`` in between.
     """
     m = X.n_cols
     R = GaussianShape.spherical(r)
     ws = FiberWorkspace(X, R, c if c is not None else [0.0] * m)
     result = {}
-    q = target_pmf(X, R, workspace=ws)
     if mode in ("exact", "both"):
-        rep = exact_tvd(exact_output_pmf(X, R, workspace=ws), q)
-        result["exact"] = rep.to_json_dict()
+        result["exact"] = class_tvd(ws).to_json_dict()
     if mode in ("mc", "both"):
+        q = target_pmf(X, R, workspace=ws)
+
         def sampler(N, st):
             from .gaussian import LatticeCoset, sample_dg_coset
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +20,8 @@ from .intmat import IntMatrix
 
 DEFAULT_RADIUS = 12.0  # whitened truncation radius, tail < 2^-100 per direction
 ENUM_BUDGET = 20_000_000  # max integer box size in a single enumeration
+DUAL_TAIL = 2.0 ** -100  # Banaszczyk bound at the truncation radius of a dual sum
+DUAL_BLOCK = 2 ** 20  # max (point, shift) entries evaluated at once by PoissonSum.sums
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -241,6 +244,178 @@ def ball_tail_bound(rank: int, whitened_radius: float) -> float:
         return 1.0
     base = c * math.sqrt(2 * math.pi * math.e) * math.exp(-math.pi * c * c)
     return float(min(1.0, 6.0 * base ** rank))
+
+
+def banaszczyk_bound(rank: int, radius: float) -> float:
+    """(c sqrt(2 pi e) e^{-pi c^2})^rank at c = radius / sqrt(rank), or 1 for
+    c <= 1/sqrt(2 pi).  For any lattice L of this rank, the Gaussian weight
+    rho(x) = exp(-pi ||x||^2) of the points of L outside the ball of this
+    radius is at most this fraction of rho(L) (Banaszczyk 1993; Micciancio-
+    Regev 2007, Lemma 2.10)."""
+    if rank == 0:
+        return 0.0
+    c = radius / math.sqrt(rank)
+    if c <= 1.0 / math.sqrt(2 * math.pi):
+        return 1.0
+    return math.exp(rank * (math.log(c) + 0.5 * math.log(2 * math.pi * math.e) - math.pi * c * c))
+
+
+@lru_cache(maxsize=None)
+def banaszczyk_radius(rank: int, tail: float = DUAL_TAIL) -> float:
+    """Least radius, to a relative 1e-12, at which ``banaszczyk_bound(rank,
+    radius) <= tail``; 0 for rank 0.  The bound decreases in the radius above
+    sqrt(rank / (2 pi)), so a bisection finds it, once per (rank, tail)."""
+    if rank == 0:
+        return 0.0
+    lo, hi = math.sqrt(rank / (2 * math.pi)), math.sqrt(rank)
+    while banaszczyk_bound(rank, hi) > tail:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if banaszczyk_bound(rank, mid) <= tail else (mid, hi)
+    return hi
+
+
+def exact_in_int64(inner: int, modulus: int) -> bool:
+    """True when a product of residues mod ``modulus`` summed over ``inner``
+    terms, inner * (modulus - 1)^2, stays below 2^63."""
+    return inner * (modulus - 1) ** 2 < 2 ** 63
+
+
+@dataclass(frozen=True)
+class PoissonSum:
+    """Gaussian sums over the nonzero points of a lattice A Z^k, with phases.
+
+    ``points`` holds one of each pair +-t of nonzero integer vectors with
+    ||A t|| <= ``radius`` (the first nonzero entry positive), and ``weights``
+    their e^{-pi ||A t||^2}.  The radius is ``banaszczyk_radius`` of the rank,
+    so the weight of the omitted points is at most DUAL_TAIL * rho(A Z^k).
+    Built by ``poisson_sum``.
+
+    Through Poisson summation this is the one section sum of the package:
+    a Gaussian sum over a shifted lattice is the sum over its dual lattice of
+    the dual weights times cos(2 pi <y, shift>) (Micciancio-Regev 2007,
+    Lemma 2.8), and ``sums`` evaluates the nonzero part of that dual sum for a
+    batch of shifts.
+    """
+
+    points: np.ndarray
+    weights: np.ndarray
+    radius: float
+    rank: int
+
+    @property
+    def mass(self) -> float:
+        """sum of e^{-pi ||A t||^2} over the kept nonzero points, both of each pair."""
+        return 2.0 * float(np.sum(np.sort(self.weights)))
+
+    @property
+    def tail(self) -> float:
+        """Bound on the omitted part of any phase sum: the omitted weight is at
+        most beta rho(L), beta = banaszczyk_bound(rank, radius), and the kept
+        weight 1 + mass is at least (1 - beta) rho(L), so rho(L) <= (1 + mass) /
+        (1 - beta) and the omitted part is at most beta (1 + mass) / (1 - beta)."""
+        beta = banaszczyk_bound(self.rank, self.radius)
+        return beta * (1.0 + self.mass) / (1.0 - beta)
+
+    def sums(
+        self,
+        shifts: np.ndarray | None = None,
+        residues: np.ndarray | None = None,
+        modulus: int = 1,
+    ) -> np.ndarray:
+        """For each row b, the sum over the kept nonzero points t of
+        e^{-pi ||A t||^2} cos(2 pi phase_b(t)), with phase_b(t) = t . shifts_b +
+        (t . residues_b mod modulus) / modulus.
+
+        ``shifts`` is one float row for every b or a (B, k) array; ``residues``
+        a (B, k) int64 array with entries in [0, modulus), whose phase is exact
+        in int64 (``exact_in_int64(k, modulus)``).  The (point, row) terms are
+        charged against ENUM_BUDGET (EnumerationBudgetExceeded above it) and
+        evaluated in blocks of at most DUAL_BLOCK entries.  The y = 0 term, 1,
+        is not included.
+        """
+        k = self.rank
+        rows = len(residues) if residues is not None else len(np.atleast_2d(shifts))
+        terms = rows * len(self.points)
+        if terms > ENUM_BUDGET:
+            raise EnumerationBudgetExceeded(
+                f"dual sum of {rows} shifts over {len(self.points)} points "
+                f"({terms} terms) exceeds budget {ENUM_BUDGET}"
+            )
+        out = np.zeros(rows)
+        if not len(self.points):
+            return out
+        T = self.points
+        if residues is not None:
+            if not exact_in_int64(k, modulus):
+                raise ValueError(f"phases mod {modulus} over rank {k} are not exact in int64")
+            Tm = T % modulus
+        if shifts is not None:
+            shifts = np.asarray(shifts, dtype=float)
+            shifts = shifts - np.round(shifts)  # the phase depends on the shift mod 1
+        step = max(1, DUAL_BLOCK // len(T))
+        for lo in range(0, rows, step):
+            hi = min(rows, lo + step)
+            phase = np.zeros((len(T), hi - lo))
+            if shifts is not None:
+                phase += T @ (shifts if shifts.ndim == 1 else shifts[lo:hi]).reshape(-1, k).T
+            if residues is not None:
+                phase += (Tm @ residues[lo:hi].T % modulus) / modulus
+            out[lo:hi] = 2.0 * (self.weights @ np.cos(2 * math.pi * phase))
+        return out
+
+
+def poisson_sum(A: np.ndarray) -> PoissonSum:
+    """The PoissonSum of the lattice with basis the columns of A (full column
+    rank), truncated at ``banaszczyk_radius(k)``."""
+    A = np.asarray(A, dtype=float)
+    k = A.shape[1]
+    radius = banaszczyk_radius(k)
+    if k == 0:
+        return PoissonSum(np.zeros((0, 0), dtype=np.int64), np.zeros(0), radius, 0)
+    T = ball_points(A, radius)
+    lead = T[np.arange(len(T)), np.argmax(T != 0, axis=1)]
+    T = T[lead > 0]  # one of each pair +-t; drops t = 0
+    w = T @ A.T
+    return PoissonSum(T, np.exp(-math.pi * np.einsum("ij,ij->i", w, w)), radius, k)
+
+
+def ball_points(A: np.ndarray, radius: float, budget: int = ENUM_BUDGET) -> np.ndarray:
+    """Every integer t with ||A t|| <= radius, as int64 rows in lexicographic order.
+
+    A must have full column rank k.  Fincke-Pohst enumeration, one level at a
+    time for all partial vectors at once: with A = Q U (U upper triangular),
+    ||A t||^2 = sum_i U_ii^2 (t_i - c_i)^2, c_i = -sum_{j>i} U_ij t_j / U_ii,
+    so the coordinates are fixed from the last to the first, each within the
+    interval that the radius left over by the later ones allows.  Unlike the
+    bounding box of ``enumerate_affine``, which holds about 400 times the
+    ball's points at rank 10, every partial vector kept extends to a point of
+    the ball's projection.  The int64 entries of each level's partial vectors
+    are charged against ``budget`` (EnumerationBudgetExceeded above it).
+    """
+    A = np.asarray(A, dtype=float)
+    k = A.shape[1]
+    U = np.linalg.qr(A, mode="r")
+    bound = radius * radius * (1 + 1e-12) + 1e-12
+    T = np.zeros((1, 0), dtype=np.int64)
+    used = np.zeros(1)  # ||A t||^2 restricted to the fixed coordinates
+    for i in range(k - 1, -1, -1):
+        center = -(T @ U[i, i + 1:]) / U[i, i]
+        half = np.sqrt(np.maximum(bound - used, 0.0)) / abs(U[i, i])
+        lo = np.ceil(center - half).astype(np.int64)
+        count = np.maximum(np.floor(center + half).astype(np.int64) - lo + 1, 0)
+        total = int(count.sum())
+        if total * (k - i) > budget:
+            raise EnumerationBudgetExceeded(
+                f"{total} partial points of rank {k - i} in a ball of radius {radius:g} exceed budget {budget}"
+            )
+        parent = np.repeat(np.arange(len(T)), count)
+        first = np.cumsum(count) - count
+        ti = np.arange(total) - first[parent] + lo[parent]
+        used = used[parent] + (U[i, i] * (ti - center[parent])) ** 2
+        T = np.concatenate([ti[:, None], T[parent]], axis=1)
+    return T[np.lexsort(T.T[::-1])]
 
 
 def integer_box(lo: np.ndarray, hi: np.ndarray, budget: int = ENUM_BUDGET) -> np.ndarray:

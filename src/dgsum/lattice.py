@@ -3,8 +3,8 @@
 Integer kernels via the Hermite normal form, integral LLL reduction and
 Babai nearest-plane (integer Gram-Schmidt data only, computed once per
 basis, with the decisions of exact-rational arithmetic), rational dual
-bases, smoothing-parameter bounds and a desk-scale numeric smoothing check
-over the dual lattice.
+bases, smoothing-parameter bounds and a numeric smoothing check over the
+dual lattice.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussian import ball_tail_bound, enumerate_affine
+from .gaussian import poisson_sum
 from .intmat import IntMatrix, InvariantViolation, dot, norm_sq
 
 
@@ -288,30 +288,21 @@ def smoothing_bound(n: int, eps: float, lambda_n: float) -> SmoothingBound:
     return SmoothingBound(n=n, eps=eps, lambda_n=lambda_n, value=value)
 
 
-def smoothing_check(
-    basis: LatticeBasis,
-    s: float,
-    eps: float,
-    radius: float = 12.0,
-) -> tuple[bool, float, float]:
+def smoothing_check(basis: LatticeBasis, s: float, eps: float) -> tuple[bool, float, float]:
     """Numeric check that s is above the smoothing parameter of the lattice.
 
-    Evaluates the truncated Gaussian weight with parameter 1/s over the
-    nonzero dual points (desk-scale enumeration) and certifies the tail.
+    Evaluates rho_{1/s}(L* minus 0), the Gaussian weight exp(-pi s^2 ||y||^2)
+    of the nonzero dual points, as the mass of the ``PoissonSum`` with basis
+    s B (B^T B)^-1, truncated where Banaszczyk's bound is 2^-100; ``tail`` is
+    that sum's bound on the omitted weight, beta (1 + lhs) / (1 - beta).
     Returns (holds, lhs, tail) with holds = (lhs + tail <= eps).
     """
     if not s > 0:
         raise ValueError("s must be positive")
     dual = dual_basis(basis)
     D = np.array([[float(x) for x in col] for col in zip(*dual)], dtype=float)
-    # rho_{1/s}(y) = exp(-pi s^2 ||y||^2): whitening is s * I restricted to span
-    A = s * D
-    T = enumerate_affine(A, np.zeros(A.shape[0]), radius)
-    w = T @ A.T
-    nrm = np.einsum("ij,ij->i", w, w)
-    nonzero = nrm > 1e-18
-    lhs = float(np.sum(np.sort(np.exp(-math.pi * nrm[nonzero]))))
-    tail = 2.0 * ball_tail_bound(basis.rank, radius) * (1.0 + lhs)
+    ps = poisson_sum(s * D)
+    lhs, tail = ps.mass, ps.tail
     return (lhs + tail <= eps), lhs, tail
 
 

@@ -2,16 +2,23 @@
 
 The image distribution pushes v ~ D_{Z^m + c, R} through v -> X v.  Its mass
 at an output point z + X c is the weight of the fiber {v : X v = z + X c}, a
-translate P z + c + A of the kernel lattice A = ker X ∩ Z^m.  For spherical R
-that weight factors as rho_target(z) * rho(A + f(z)): the fiber's component
-along span X^T is the same for all its points and gives the target weight,
-and the section sum rho(A + f(z)) depends only on the class of z modulo
-G Z^n, G = X X^T.  Two labels z and z + G w have fibers that differ by the
-vector X^T w (P G w - X^T w lies in A), which is orthogonal to ker X, so
-their section sums are equal for any c.  exact_output_pmf keys each label by
-the exact integer vector adj(G) z mod det G, takes one section sum per class
-(at most det G of them) and carries it to the other labels of the class by
-their target weights.
+translate P z + c + A of the kernel lattice A = ker X ∩ Z^m.  That weight
+factors as rho_target(z) * rho(section): the fiber's component orthogonal to
+the (whitened) kernel is the same for all its points and gives the target
+weight, and the section sum over the shifted kernel lattice is, by Poisson
+summation (Micciancio-Regev 2007, Lemma 2.8), det(A)^-1 times a sum over the
+dual lattice A*: (1 + delta(z)) with delta(z) = sum over y in A* minus 0 of
+e^{-pi ||y||^2} cos(2 pi <y, P z + c>) (whitened).  So the image pmf is the
+target pmf reweighted by (1 + delta(z)) / (1 + mean delta).  Every section sum
+of the module is one ``gaussian.PoissonSum`` over the dual of the whitened
+kernel, built once per workspace and evaluated for a batch of shifts.
+
+For spherical R, delta(z) depends only on the class of z modulo G Z^n,
+G = X X^T: two labels z and z + G w have fibers that differ by X^T w, which is
+orthogonal to ker X.  There are d = det G classes, and the class masses Q_k of
+the target are a second Poisson sum, over Z^n with phases u^T adj(G) z_k / d.
+Then TVD = 1/2 sum_k Q_k |delta_k - mean delta| / (1 + mean delta) exactly,
+with no label region (``class_tvd``).
 
 Also hosts numeric evaluators for the tail, ratio and shift bounds used by
 the threshold analysis.
@@ -21,37 +28,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .gaussian import (
+    ENUM_BUDGET,
     DiscretePMF,
+    EnumerationBudgetExceeded,
     GaussianShape,
     LatticeCoset,
+    PoissonSum,
     SampleStream,
     ball_tail_bound,
+    banaszczyk_radius,
     coset_mass,
     enumerate_affine,
+    exact_in_int64,
     integer_box,
+    poisson_sum,
 )
 from .intmat import IntMatrix, InvariantViolation
-
-SECTION_TAIL_BUDGET = 1e-10  # certified relative tail per fiber section
 
 
 class NotInSupport(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class FiberEnumeration:
-    """Enumerated fiber {v in Z^m + c : X v = z + X c} with truncated weight."""
-
-    z: tuple[int, ...]
-    points: np.ndarray
-    mass: float
-    tail_bound: float
 
 
 @dataclass(frozen=True)
@@ -91,22 +93,61 @@ class MCTVDReport:
         }
 
 
-class FiberWorkspace:
-    """Per-(X, R, c) precomputation for repeated fiber enumerations.
+@dataclass(frozen=True)
+class CosetClasses:
+    """The d = det(X X^T) classes of Z^n / G Z^n with their dual-side data.
 
-    All fibers of one instance are translates g(z) + ker X of the same kernel
-    lattice, so X's Hermite decomposition X U = H (``X.hermite``, shared with
-    the certificate search on the same matrix object) gives the linear
-    particular solution g(z) = P z, and the whitened integer search box is
-    built once and only recentered per fiber.  The kernel basis is
-    ``X.reduced_kernel``, the LLL-reduced one that the certificate fallback
-    on the same matrix object also reads: the raw HNF columns can be long
-    and skewed enough that the box covering the section ball has millions of
-    points.  X must map Z^m
-    onto Z^n, so that every label has a fiber.  The labels of a region are
-    enumerated once per workspace and radius (``labels``), as one int64
-    array that the image and target pmfs built on one workspace share as
-    their points.
+    Class k is represented by z_k, the k-th of the integer points
+    0 <= z_i < h_ii in lexicographic order, h the diagonal of the
+    lower-triangular HNF ``hnf`` of G.  ``delta[k]`` is the nonzero part of
+    the kernel's dual sum at P z_k + c, and ``Q[k]`` the target mass of class
+    k.  ``delta_slack`` bounds |computed delta_k - delta_k| for every k, and
+    ``Q_slack`` the l1 distance of the computed Q from the true one (see
+    ``class_tvd``).
+    """
+
+    hnf: np.ndarray
+    delta: np.ndarray
+    Q: np.ndarray
+    delta_slack: float
+    Q_slack: float
+
+    @property
+    def mean_delta(self) -> float:
+        return float(self.Q @ self.delta)
+
+    @property
+    def mass_slack(self) -> float:
+        """Bound on the l1 error of the computed x_k = Q_k (1 + delta_k):
+        sum_k Q'_k |delta'_k - delta_k| + sum_k |1 + delta_k| |Q'_k - Q_k|, the
+        primes marking computed values."""
+        top = float(np.max(np.abs(1.0 + self.delta))) + self.delta_slack
+        return self.delta_slack + top * self.Q_slack
+
+    def index(self, T: np.ndarray) -> np.ndarray:
+        """Class index k of each label row of T: the z_k it reduces to modulo
+        the columns of ``hnf``."""
+        Z = np.array(T, dtype=np.int64)
+        for i in range(len(self.hnf)):
+            Z -= (Z[:, i] // self.hnf[i, i])[:, None] * self.hnf[:, i]
+        return np.ravel_multi_index(tuple(Z.T), tuple(np.diag(self.hnf)))
+
+
+class FiberWorkspace:
+    """Per-(X, R, c) precomputation for the image and target pmfs.
+
+    All fibers of one instance are translates P z + c + ker X of the same
+    kernel lattice, so X's Hermite decomposition X U = H (``X.hermite``,
+    shared with the certificate search on the same matrix object) gives the
+    linear particular solution P z.  The kernel basis K is
+    ``X.reduced_kernel``, the LLL-reduced one that the certificate fallback on
+    the same matrix object also reads, so that the dual basis
+    W K (K^T W^T W K)^-1 of the whitened kernel is short too.  Its
+    ``PoissonSum`` (``dual``) is enumerated once, on first use, and every
+    section sum of the workspace evaluates it.  X must map Z^m onto Z^n, so
+    that every label has a fiber.  The labels of a region are enumerated once
+    per workspace and radius (``labels``), as one int64 array that the image
+    and target pmfs built on one workspace share as their points.
     """
 
     def __init__(self, X: IntMatrix, R: GaussianShape, c: Sequence[float]):
@@ -127,17 +168,19 @@ class FiberWorkspace:
             raise ValueError("shift dimension mismatch")
         self.W = R.whitening(m)
         self.rank = m - n
-        self.section_radius = region_radius_for_tail(max(self.rank, 1), SECTION_TAIL_BUDGET)
         self.kernel = X.reduced_kernel if m > n else None
+        # a section sum is section_scale * (1 + the dual sum at coef),
+        # coef = Gw^-1 (W K)^T W f for a fiber point f, Gw = (W K)^T W K
+        self.section_scale = 1.0
+        self.K = np.zeros((m, 0))
+        self.Gw_inv = np.zeros((0, 0))
+        self.to_coef = np.zeros((m, 0))
         if self.kernel is not None:
             self.K = self.kernel.matrix.to_numpy()
-            self.WK = self.W @ self.K
-            G = self.WK.T @ self.WK
-            self.Ginv = np.linalg.inv(G)
-            # fixed integer displacement box covering any fractional recentering
-            half = self.section_radius * np.sqrt(np.maximum(np.diag(self.Ginv), 0.0)) + 0.5
-            self.box = integer_box(np.floor(-half).astype(np.int64), np.ceil(half).astype(np.int64))
-            self.box_w = self.box @ self.WK.T
+            WK = self.W @ self.K
+            self.Gw_inv = np.linalg.inv(WK.T @ WK)
+            self.section_scale = math.sqrt(np.linalg.det(self.Gw_inv))
+            self.to_coef = self.W.T @ WK @ self.Gw_inv
         # target shape R X^T: Gram = X R^T R X^T
         Xf = X.to_numpy()
         Gt = Xf @ R.gram(m) @ Xf.T
@@ -149,47 +192,26 @@ class FiberWorkspace:
     def particular(self, z: Sequence[int]) -> np.ndarray:
         return np.array(self.P @ z, dtype=float) + self.c
 
-    def _section(self, f: np.ndarray) -> tuple[np.ndarray, float]:
-        """Box mask and truncated weight of the kernel lattice shifted by f."""
-        shift = self.box_w - f @ self.WK.T
-        nrm = np.einsum("ij,ij->i", shift, shift)
-        mask = nrm <= self.section_radius ** 2 * (1 + 1e-12)
-        return mask, float(np.sum(np.sort(np.exp(-math.pi * nrm[mask]))))
+    @cached_property
+    def dual(self) -> PoissonSum:
+        """The PoissonSum of the dual of the whitened kernel lattice W A,
+        basis W K Gw^-1; no points when ker X = 0."""
+        return poisson_sum(self.W @ self.K @ self.Gw_inv)
 
-    def _mass(self, w0: np.ndarray):
-        """(mass, base, mask) of the fiber w0 + ker X; its kept kernel
-        coordinates are box[mask] + base (both None when ker X = 0)."""
-        Ww0 = self.W @ w0
-        if self.kernel is None:
-            return float(np.exp(-math.pi * Ww0 @ Ww0)), None, None
-        # split W w0 into components along and orthogonal to span(W K)
-        coef = self.Ginv @ (self.WK.T @ Ww0)
-        perp = Ww0 - self.WK @ coef
-        base = np.round(-coef)
-        mask, section_sum = self._section(-coef - base)  # shift in [-1/2, 1/2]^rank
-        return math.exp(-math.pi * float(perp @ perp)) * section_sum, base, mask
+    def section_deltas(self, T: np.ndarray) -> np.ndarray:
+        """delta(z) for each label row z of T, one batched dual sum."""
+        F = np.asarray(T, dtype=float) @ self.P.to_numpy().T + self.c
+        return self.dual.sums(F @ self.to_coef)
 
     def fiber_weight(self, z: Sequence[int]) -> float:
-        """Truncated Gaussian weight of the fiber over z (no point table)."""
-        return self._mass(self.particular(z))[0]
-
-    def fiber(self, z: Sequence[int]) -> FiberEnumeration:
-        z = tuple(int(v) for v in z)
-        w0 = self.particular(z)
-        mass, base, mask = self._mass(w0)
-        if self.kernel is None:
-            return FiberEnumeration(z=z, points=w0[None, :], mass=mass, tail_bound=0.0)
-        points = (self.box[mask] + base) @ self.K.T + w0
-        return FiberEnumeration(
-            z=z, points=points, mass=mass,
-            tail_bound=ball_tail_bound(self.rank, self.section_radius),
-        )
+        """Gaussian weight of the fiber over z, the target weight times the
+        section sum."""
+        delta = self.section_deltas(np.asarray([z]))[0]
+        return float(self.target_weight(z) * self.section_scale * (1.0 + delta))
 
     def kernel_weight(self) -> float:
-        """Truncated Gaussian weight of the orthogonal lattice itself."""
-        if self.kernel is None:
-            return 1.0
-        return self._section(np.zeros(self.rank))[1]
+        """Gaussian weight of the orthogonal lattice itself."""
+        return self.section_scale * (1.0 + self.dual.mass)
 
     def region(self, region_radius: float) -> np.ndarray:
         """Integer labels z with whitened target norm of z + X c within
@@ -211,6 +233,86 @@ class FiberWorkspace:
     def target_weight(self, z: Sequence[int]) -> float:
         return float(np.exp(-math.pi * self.target_norms(np.asarray([z], dtype=float))[0]))
 
+    @cached_property
+    def classes(self) -> CosetClasses:
+        """The coset classes of a spherical R, computed once per workspace.
+
+        delta_k takes its phase <y, P z_k> exactly: with y = K (K^T K)^-1 t,
+        it is t^T adj(K^T K) K^T P z_k / det(K^T K) and det(K^T K) = d since X
+        is onto (checked), so it is an int64 residue mod d plus the float
+        term of c.  Q_k is proportional to sum over u in Z^n of
+        e^{-pi u^T G^-1 Gt G^-1 u} cos(2 pi (u^T adj(G) z_k / d + u^T G^-1 X c)),
+        Gt the target Gram matrix, normalized over the classes.  A single
+        class (d = 1) needs no sum.  Raises EnumerationBudgetExceeded when d,
+        or d times the dual points of either sum, exceeds ENUM_BUDGET.
+        """
+        if not self.R.is_spherical:
+            raise ValueError("coset classes need a spherical R")
+        n = self.X.n_rows
+        G = self.X @ self.X.T
+        adjG, d = _adjugate(G)
+        H = G.hermite.H
+        hnf = H.to_numpy(dtype=np.int64)
+        diag = [H.rows[i][i] for i in range(n)]
+        if math.prod(diag) != d:
+            raise InvariantViolation("the HNF diagonal of X X^T does not multiply to its determinant")
+        if d > ENUM_BUDGET:
+            raise EnumerationBudgetExceeded(f"{d} coset classes exceed budget {ENUM_BUDGET}")
+        if d == 1:
+            return CosetClasses(hnf, np.zeros(1), np.ones(1), 0.0, 0.0)
+        if not exact_in_int64(max(n, self.rank), d):
+            raise EnumerationBudgetExceeded(f"phases mod det X X^T = {d} are not exact in int64")
+        K = self.kernel.matrix
+        adjK, dK = _adjugate(K.T @ K)
+        if dK != d:
+            raise InvariantViolation(f"det(K^T K) = {dK} differs from det(X X^T) = {d}")
+        M = IntMatrix.from_rows(adjK) @ K.T @ self.P
+        reps = integer_box(np.zeros(n, dtype=np.int64), np.array(diag, dtype=np.int64) - 1)
+        delta = self.dual.sums(self.c @ self.to_coef, reps @ _mod(M.rows, d).T % d, d)
+        Ginv = np.array(adjG, dtype=float) / d
+        target = poisson_sum(np.linalg.cholesky(self.target_gram).T @ Ginv)
+        q = 1.0 + target.sums(Ginv @ self.Xc, reps @ _mod(adjG, d).T % d, d)
+        if np.any(q < 0):
+            raise InvariantViolation("a class mass of the target is negative")
+        total = float(np.sum(q))
+        Q_slack = 2.0 * d * target.tail / total
+        return CosetClasses(hnf, delta, q / total, self.dual.tail, Q_slack)
+
+
+def _mod(rows: Sequence[Sequence[int]], d: int) -> np.ndarray:
+    """An integer matrix reduced mod d, as int64."""
+    return np.array([[x % d for x in row] for row in rows], dtype=np.int64)
+
+
+def class_tvd(ws: FiberWorkspace) -> ExactTVDReport:
+    """Exact TVD between the image and target pmfs of a spherical workspace,
+    from its coset classes: TVD = 1/2 sum_k Q_k |delta_k - dbar| / (1 + dbar),
+    dbar = sum_k Q_k delta_k.
+
+    The image pmf is the target pmf times (1 + delta_k) / (1 + dbar) on class
+    k, so the TVD is that of the class distributions P_k = x_k / sum x,
+    x_k = Q_k (1 + delta_k), and Q_k.  Truncation: both dual sums stop where
+    Banaszczyk's bound is 2^-100, so each computed delta_k is within
+    e_A = ``PoissonSum.tail`` of its full sum, and each unnormalized class
+    mass within e_Q.  For x >= 0 and a computed x' with positive sum,
+    ||x'/sum x' - x/sum x||_1 <= 2 ||x' - x||_1 / sum x'; so
+    ||Q' - Q||_1 <= 2 d e_Q / sum q' (``Q_slack``), ||x' - x||_1 <= E =
+    e_A + (max_k |1 + delta'_k| + e_A) ||Q' - Q||_1 (``mass_slack``), and
+    ``truncation_error`` = 1/2 (2 E / (1 + dbar') + ||Q' - Q||_1) bounds
+    |TVD' - TVD|.  ``support_size`` is d and ``radius`` the whitened radius
+    of the kernel's dual sum.
+    """
+    cl = ws.classes
+    dbar = cl.mean_delta
+    tvd = 0.5 * float(cl.Q @ np.abs(cl.delta - dbar)) / (1.0 + dbar)
+    if not (math.isfinite(tvd) and 0.0 <= tvd <= 1.0):
+        raise InvariantViolation(f"class TVD {tvd} is not in [0, 1]")
+    trunc = cl.mass_slack / (1.0 + dbar) + 0.5 * cl.Q_slack
+    return ExactTVDReport(
+        tvd=tvd, truncation_error=trunc,
+        support_size=len(cl.Q), radius=banaszczyk_radius(ws.rank),
+    )
+
 
 def region_radius_for_tail(n: int, tail: float = 1e-12, cap: float = 12.0) -> float:
     """Smallest whitened radius whose certified ball tail is below ``tail``."""
@@ -218,11 +320,6 @@ def region_radius_for_tail(n: int, tail: float = 1e-12, cap: float = 12.0) -> fl
     while r < cap and ball_tail_bound(n, r) > tail:
         r += 0.25
     return r
-
-
-def fiber_mass(X: IntMatrix, R: GaussianShape, c: Sequence[float], z: Sequence[int]) -> FiberEnumeration:
-    """Truncated Gaussian weight of one fiber; see FiberWorkspace.fiber."""
-    return FiberWorkspace(X, R, c).fiber(z)
 
 
 def _labels(X, R, c, region_radius, workspace):
@@ -264,12 +361,12 @@ def _adjugate(G: IntMatrix) -> tuple[list[list[int]], int]:
     return adj, _int_det(G.rows)
 
 
-def _row_groups(keys: np.ndarray, *tiebreak: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, starts): order sorts the rows of keys lexicographically, ties
-    by the tiebreak arrays and then by index; starts[k] marks order[k] as the
-    first row of a run of equal rows.  np.unique(axis=0) sorts the rows as
-    opaque bytes and takes several times as long."""
-    order = np.lexsort(tiebreak[::-1] + tuple(keys.T[::-1]))
+    by index; starts[k] marks order[k] as the first row of a run of equal
+    rows.  np.unique(axis=0) sorts the rows as opaque bytes and takes several
+    times as long."""
+    order = np.lexsort(tuple(keys.T[::-1]))
     sk = keys[order]
     starts = np.ones(len(sk), dtype=bool)
     starts[1:] = np.any(sk[1:] != sk[:-1], axis=1)
@@ -285,41 +382,38 @@ def exact_output_pmf(
 ) -> DiscretePMF:
     """Truncated pmf of {X v : v ~ D_{Z^m + c, R}} over integer labels z.
 
-    The support label z stands for the output point z + X c.  For spherical R
-    the labels are grouped by the exact key adj(G) z mod d, G = X X^T and
-    d = det G: labels with one key differ by some G w, and their fibers by
-    X^T w, orthogonal to ker X (see the module docstring).  Each class gets
-    one section sum, fiber_weight at its representative r, and a label z of
-    the class weighs fiber_weight(r) exp(-pi (|y_z|^2 - |y_r|^2)) with
-    y = Wt (z + X c).  r is the class's label of least |y| (the first in
-    lexicographic order among ties), so that factor is at most 1 and a
-    far-out representative cannot underflow a whole class to zero.  A
-    non-spherical R takes one fiber_weight per label, and so does a d too
-    large for the keys to stay exact in int64.
-    Truncation is certified: region tail via the Gaussian ball bound on the
-    target shape (safety factor 3 covering the image-vs-target band), fiber
-    tails via the section ball bound.
+    The support label z stands for the output point z + X c, and its mass is
+    the target weight of z times 1 + delta(z), normalized over the region.
+    For spherical R, delta is the workspace's class table: one dual sum per
+    class of Z^n / G Z^n (none for d = 1), each label reduced onto its class
+    representative.  Otherwise every label takes its own delta(z), in one
+    batched dual sum.
+
+    Truncation is certified.  The image mass outside the region is at most
+    the target's ball tail times max (1 + delta) / (1 + mean delta): for
+    spherical R computed from the class weights, max_k (1 + delta_k) + e_A
+    over 1 + dbar - E (see ``class_tvd``); otherwise from the dual mass mu =
+    ``dual.mass`` + e_A as (1 + mu) / (1 - mu), since |delta(z)| <= mu.  The
+    dual truncation adds e_A over the same denominator.
     """
     ws, region_radius, T = _labels(X, R, c, region_radius, workspace)
-    adj, d = _adjugate(X @ X.T)
-    if R.is_spherical and X.n_rows * (d - 1) ** 2 < 2 ** 63:  # int64 keys stay exact
-        adj_d = np.array([[a % d for a in row] for row in adj], dtype=np.int64)
-        keys = (T % d) @ adj_d.T % d
-        q = ws.target_norms(T)
-        order, starts = _row_groups(keys, q)
-        cls = np.empty(len(T), dtype=np.intp)
-        cls[order] = np.cumsum(starts) - 1
-        rep = order[starts]
-        class_weights = np.array([ws.fiber_weight(T[i]) for i in rep])
-        masses = class_weights[cls] * np.exp(-math.pi * (q - q[rep][cls]))
+    weights = np.exp(-math.pi * ws.target_norms(T))
+    if R.is_spherical:
+        cl = ws.classes
+        e_A = cl.delta_slack
+        masses = weights * (1.0 + cl.delta[cl.index(T)])
+        hi = 1.0 + float(np.max(cl.delta)) + e_A
+        lo = 1.0 + cl.mean_delta - cl.mass_slack
     else:
-        masses = np.array([ws.fiber_weight(z) for z in T])
+        e_A = ws.dual.tail
+        masses = weights * (1.0 + ws.section_deltas(T))
+        mu = ws.dual.mass + e_A
+        hi, lo = 1.0 + mu, 1.0 - mu
     total = float(np.sum(np.sort(masses)))
     if total <= 0:
         raise ValueError("empty region")
-    section_tail = 0.0 if ws.kernel is None else ball_tail_bound(ws.rank, ws.section_radius)
-    tail = min(1.0, 3.0 * ball_tail_bound(X.n_rows, region_radius) + section_tail)
-    return DiscretePMF(T, masses / total, tail)
+    tail = (ball_tail_bound(X.n_rows, region_radius) * hi + e_A) / lo if lo > 0 else 1.0
+    return DiscretePMF(T, masses / total, min(1.0, tail))
 
 
 def target_pmf(

@@ -218,15 +218,31 @@ def test_tvd_mc_does_not_build_image_pmf(tmp_path, monkeypatch):
     import dgsum.cli
 
     def refuse(*args, **kwargs):
-        raise RuntimeError("--mc must not build the exact image pmf")
+        raise RuntimeError("--mc must not compute the exact class TVD")
 
-    monkeypatch.setattr(dgsum.cli, "exact_output_pmf", refuse)
+    monkeypatch.setattr(dgsum.cli, "class_tvd", refuse)
     xfile = tmp_path / "X.txt"
     xfile.write_text("1 1\n")
     out = tmp_path / "run"
     assert run(["tvd", "--x-file", xfile, "--mc", "--samples", "10000", "--out-dir", out]) == EXIT_OK
     rep = read_json(out / "tvd.json")
     assert "mc" in rep and "exact" not in rep
+
+
+def test_tvd_exact_builds_no_label_region(tmp_path, monkeypatch):
+    import dgsum.cli
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("--exact must not build the target pmf over a label region")
+
+    monkeypatch.setattr(dgsum.cli, "target_pmf", refuse)
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 1 1\n0 1 2\n")
+    out = tmp_path / "run"
+    assert run(["tvd", "--x-file", xfile, "--exact", "--out-dir", out]) == EXIT_OK
+    rep = read_json(out / "tvd.json")
+    assert rep["exact"]["support_size"] == 6  # det X X^T classes
+    assert "mc" not in rep
 
 
 @pytest.mark.parametrize("estimate, ci_lo, code, verdict", [
@@ -431,18 +447,22 @@ def test_tvd_exact_op_decomposes_and_enumerates_once(tmp_path, monkeypatch):
     import dgsum.intmat
     import dgsum.tvd
 
-    hnf, region, enum = [], [], []
+    hnf, region, enum, ball = [], [], [], []
     _count_calls(monkeypatch, dgsum.intmat, "hnf_column", hnf)
     _count_calls(monkeypatch, dgsum.tvd.FiberWorkspace, "region", region)
     _count_calls(monkeypatch, dgsum.tvd, "enumerate_affine", enum)
     _count_calls(monkeypatch, dgsum.gaussian, "enumerate_affine", enum)
+    _count_calls(monkeypatch, dgsum.gaussian, "ball_points", ball)
     xfile = tmp_path / "X.txt"
     xfile.write_text("1 0 1 1\n0 1 1 -1\n")
     assert run(["tvd", "--x-file", xfile, "--exact", "--seed", "4", "--out-dir", tmp_path / "run"]) == EXIT_OK
-    # X (certificate search and fiber workspace) and the augmented [X; u_1]
-    assert len(hnf) == 2 and hnf[0][0].rows == ((1, 0, 1, 1), (0, 1, 1, -1))
+    # X (certificate search and fiber workspace), the augmented [X; u_1] and
+    # G = X X^T for the coset classes
+    assert len(hnf) == 3 and hnf[0][0].rows == ((1, 0, 1, 1), (0, 1, 1, -1))
     assert len(hnf[1][0].rows) == 3
-    assert len(region) == 1 and len(enum) == 1
+    assert hnf[2][0].rows == ((3, 0), (0, 3))
+    # no label region; one dual enumeration each for ker X and for Z^n
+    assert len(region) == 0 and len(enum) == 0 and len(ball) == 2
 
 
 def test_kernel_op_decomposes_each_matrix_once(tmp_path, monkeypatch):
@@ -504,26 +524,50 @@ def test_parser_keeps_no_state_between_calls(tmp_path):
 
 
 def test_enumeration_budget_exceeded_exits_2_with_one_line(tmp_path, capsys):
-    # r = 1e7 needs a label box of about 4.2e7 points, above the budget
+    # det X X^T = 40001 classes, and at r = 1 the kernel's dual sum keeps 959
+    # of each pair of points: 3.8e7 terms, above the budget
     xfile = tmp_path / "X.txt"
-    xfile.write_text("1 1\n")
-    code = run(["tvd", "--x-file", xfile, "-r", "1e7", "--exact", "--out-dir", tmp_path / "run"])
+    xfile.write_text("1 200\n")
+    code = run(["tvd", "--x-file", xfile, "-r", "1", "--exact", "--out-dir", tmp_path / "run"])
     err = capsys.readouterr().err
     assert code == EXIT_GATE
-    assert err.startswith("enumeration budget exceeded: ") and err.count("\n") == 1
+    assert err.startswith("enumeration budget exceeded: dual sum of 40001 shifts") and err.count("\n") == 1
+
+
+SKEWED = "-2 -3 3 0 2 2\n3 -3 -1 3 0 -1\n-2 -3 -3 3 -3 -3\n"
 
 
 def test_tvd_skewed_kernel_uses_reduced_fiber_basis(tmp_path, capsys):
-    # the raw HNF kernel basis of this X needs a fiber box of 26,650,767 points
+    # the raw HNF kernel basis of this X has entries up to 1500; at its default
+    # threshold the class TVD over det X X^T = 31,434 classes runs in well under a second
     xfile = tmp_path / "X.txt"
-    xfile.write_text("-2 -3 3 0 2 2\n3 -3 -1 3 0 -1\n-2 -3 -3 3 -3 -3\n")
+    xfile.write_text(SKEWED)
     out = tmp_path / "run"
-    code = run(["tvd", "--x-file", xfile, "-r", "0.5", "--exact", "--out-dir", out])
+    code = run(["tvd", "--x-file", xfile, "--exact", "--out-dir", out])
+    assert code == EXIT_OK, capsys.readouterr().err
+    rep = read_json(out / "tvd.json")
+    assert rep["verdict"] == "pass" and rep["exact"]["support_size"] == 31434
+    assert rep["threshold"] > 2000
+
+
+def test_tvd_skewed_kernel_below_threshold_exits_2_within_budget(tmp_path, capsys):
+    # at r = 2 the kernel's dual sum needs 5,603 points for each of the 31,434
+    # classes; the budget stops it before the terms are evaluated
+    import tracemalloc
+
+    xfile = tmp_path / "X.txt"
+    xfile.write_text(SKEWED)
+    tracemalloc.start()
+    try:
+        code = run(["tvd", "--x-file", xfile, "-r", "2", "--exact", "--out-dir", tmp_path / "run"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     err = capsys.readouterr().err
     assert code == EXIT_GATE
-    assert err.startswith("precondition unmet: ") and err.count("\n") == 1
-    rep = read_json(out / "tvd.json")
-    assert rep["verdict"] == "precondition unmet" and rep["exact"]["support_size"] > 0
+    assert err.startswith("enumeration budget exceeded: dual sum of 31434 shifts") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert peak < 50 * 2 ** 20
 
 
 def test_invariant_violation_exits_3_under_python_O(tmp_path):

@@ -11,10 +11,16 @@ from dgsum.gaussian import (
     DiscretePMF,
     GaussianShape,
     LatticeCoset,
+    EnumerationBudgetExceeded,
+    PoissonSum,
     SampleStream,
+    ball_points,
     ball_tail_bound,
+    banaszczyk_bound,
+    banaszczyk_radius,
     coset_mass,
     enumerate_affine,
+    poisson_sum,
     exact_pmf,
     push_to_lattice,
     rho,
@@ -180,6 +186,84 @@ def test_enumerate_affine_matches_brute_force():
 
 
 # ---------------------------------------------------------------- samplers
+
+
+def test_banaszczyk_radius_is_the_least_radius_for_the_tail():
+    for rank in (1, 2, 3, 8, 14):
+        for tail in (1e-10, 2.0 ** -100):
+            R = banaszczyk_radius(rank, tail)
+            assert banaszczyk_bound(rank, R) <= tail < banaszczyk_bound(rank, R * (1 - 1e-9))
+    assert banaszczyk_radius(0) == 0.0 and banaszczyk_bound(0, 1.0) == 0.0
+    assert banaszczyk_bound(2, 0.5) == 1.0  # c <= 1 / sqrt(2 pi)
+    # the package's old per-section fixed factor 6 sits on top of this bound
+    assert ball_tail_bound(3, 5.0) == pytest.approx(6 * banaszczyk_bound(3, 5.0), rel=1e-12, abs=0)
+
+
+def test_ball_points_match_the_bounding_box():
+    rng = np.random.default_rng(4)
+    for _ in range(150):
+        k = int(rng.integers(1, 6))
+        A = rng.normal(size=(k + int(rng.integers(0, 3)), k))
+        r = float(rng.uniform(0.3, 3.5))
+        try:
+            box = enumerate_affine(A, np.zeros(len(A)), r, budget=1_000_000)
+        except EnumerationBudgetExceeded:
+            continue
+        got = ball_points(A, r)
+        assert got.dtype == np.int64 and np.array_equal(got, box)
+    # the partial points of each level are charged against the budget
+    with pytest.raises(EnumerationBudgetExceeded, match="partial points"):
+        ball_points(np.eye(3) * 0.01, 5.0, budget=10 ** 5)
+
+
+def _poisson_oracle(A, shifts):
+    """Every kept point of both signs, one shift at a time, plain float phases."""
+    T = ball_points(A, banaszczyk_radius(A.shape[1]))
+    T = T[np.any(T != 0, axis=1)]
+    w = np.exp(-math.pi * np.einsum("ij,ij->i", T @ A.T, T @ A.T))
+    return np.array([float(np.sum(w * np.cos(2 * math.pi * (T @ f)))) for f in shifts])
+
+
+def test_poisson_sum_matches_a_direct_sum(monkeypatch):
+    import dgsum.gaussian
+
+    rng = np.random.default_rng(8)
+    for k in (1, 2, 3):
+        A = rng.normal(size=(k + 1, k)) * 0.7
+        ps = poisson_sum(A)
+        assert len(ps.points) and np.all(ps.points[np.arange(len(ps.points)), np.argmax(ps.points != 0, axis=1)] > 0)
+        shifts = rng.normal(size=(7, k)) * 3
+        want = _poisson_oracle(A, shifts)
+        np.testing.assert_allclose(ps.sums(shifts), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ps.sums(shifts[0]), want[:1], rtol=0, atol=1e-12)  # one row for all
+        assert ps.mass == pytest.approx(_poisson_oracle(A, np.zeros((1, k)))[0], rel=1e-12, abs=0)
+        # exact residues mod d give the phases of the shifts residues / d
+        d = 11
+        res = rng.integers(0, d, size=(5, k))
+        np.testing.assert_allclose(ps.sums(residues=res, modulus=d), _poisson_oracle(A, res / d), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ps.sums(shifts[:5], res, d), _poisson_oracle(A, shifts[:5] + res / d), rtol=0, atol=1e-12)
+        # blocks of one row each give the sums of one block
+        whole = ps.sums(shifts)
+        monkeypatch.setattr(dgsum.gaussian, "DUAL_BLOCK", 1)
+        np.testing.assert_allclose(ps.sums(shifts), whole, rtol=1e-15, atol=1e-15)
+        monkeypatch.undo()
+        # the tail is beta rho(L) with rho(L) bounded from the kept weight, and
+        # covers the weight of the points just outside the radius
+        beta = banaszczyk_bound(k, ps.radius)
+        assert 0 < beta <= 2.0 ** -100 and ps.mass > 0
+        assert ps.tail == pytest.approx(beta * (1 + ps.mass) / (1 - beta), rel=1e-12, abs=0)
+        T = ball_points(A, 1.5 * ps.radius)
+        nrm = np.einsum("ij,ij->i", T @ A.T, T @ A.T)
+        assert float(np.sum(np.exp(-math.pi * nrm[nrm > ps.radius ** 2]))) <= ps.tail
+        monkeypatch.setattr(dgsum.gaussian, "ENUM_BUDGET", len(ps.points) * 7 - 1)
+        with pytest.raises(EnumerationBudgetExceeded, match="terms"):
+            ps.sums(shifts)
+        monkeypatch.undo()
+    with pytest.raises(ValueError, match="int64"):
+        poisson_sum(np.eye(2)).sums(residues=np.zeros((1, 2), dtype=np.int64), modulus=3 * 2 ** 31)
+    empty = poisson_sum(np.zeros((3, 0)))
+    assert isinstance(empty, PoissonSum) and empty.mass == 0.0 and empty.tail == 0.0
+    assert np.array_equal(empty.sums(np.zeros((4, 0))), np.zeros(4))
 
 
 def test_sampler_determinism():

@@ -397,6 +397,39 @@ def test_smoothing_check_lhs_monotone_in_s():
         prev = lhs
 
 
+def _smoothing_lhs_radius_12(basis, s):
+    """The fixed-radius sum smoothing_check took before: every nonzero dual
+    point with ||s y|| <= 12, from the dual basis's bounding box."""
+    from dgsum.gaussian import enumerate_affine
+
+    D = np.array([[float(x) for x in col] for col in zip(*dual_basis(basis))], dtype=float)
+    T = enumerate_affine(s * D, np.zeros(D.shape[0]), 12.0)
+    w = T @ (s * D).T
+    nrm = np.einsum("ij,ij->i", w, w)
+    return float(np.sum(np.sort(np.exp(-math.pi * nrm[nrm > 1e-18]))))
+
+
+def test_smoothing_check_matches_radius_12_oracle():
+    from dgsum.gaussian import banaszczyk_bound, banaszczyk_radius
+
+    rng = np.random.default_rng(12)
+    bases = [LatticeBasis(IntMatrix.identity(k)) for k in (1, 2, 3)]
+    while len(bases) < 12:
+        k = int(rng.integers(1, 4))
+        M = IntMatrix.from_rows(rng.integers(-2, 3, size=(k + int(rng.integers(0, 2)), k)).tolist())
+        if fraction_rank(M.rows) == k:
+            bases.append(lll_reduce(LatticeBasis(M)))
+    for basis in bases:
+        for s in (0.6, 1.0, 1.7, 3.0):
+            holds, lhs, tail = smoothing_check(basis, s, 0.01)
+            assert abs(lhs - _smoothing_lhs_radius_12(basis, s)) <= 1e-12 * max(1.0, lhs)
+            # the tail is the dual sum's Banaszczyk bound at 2^-100, from lhs
+            beta = banaszczyk_bound(basis.rank, banaszczyk_radius(basis.rank))
+            assert 0 < beta <= 2.0 ** -100
+            assert tail == pytest.approx(beta * (1 + lhs) / (1 - beta), rel=1e-12, abs=0)
+            assert holds == (lhs + tail <= 0.01)
+
+
 def test_singular_values_examples():
     assert np.allclose(singular_values(3 * np.eye(4)), 3.0)
     assert np.allclose(singular_values(np.diag([1.0, 3.0])), [3.0, 1.0])

@@ -5,8 +5,6 @@ import importlib.util
 from pathlib import Path
 
 import dgsum.cli
-from dgsum.gaussian import GaussianShape
-from dgsum.intmat import IntMatrix
 from dgsum.tvd import FiberWorkspace
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -25,41 +23,52 @@ def test_traced_names_exist():
         assert callable(getattr(importlib.import_module(f"dgsum.{module}"), function, None)), (module, function)
     for method in tracer.METHODS:
         assert method in FiberWorkspace.__dict__, method
-    # workspace attributes the tracer reads to count box points
-    ws = FiberWorkspace(IntMatrix.from_rows([[1, 1]]), GaussianShape.spherical(2.0), [0.0, 0.0])
-    for attr in ("kernel", "box", "box_w", "section_radius"):
-        assert hasattr(ws, attr), attr
 
 
-def test_tvd_exact_op_spans(tmp_path):
-    # the per-layer metrics read these spans: the shared labels and the shared
-    # decomposition must still go through the traced names
+def _traced_op(tmp_path, argv):
+    """One traced CLI op on X = [1 0 1 1; 0 1 1 -1]: its tracer."""
     tracer = load_tracer().Tracer()
-    workspaces = []
-    observe = tracer._observe_fiber_weight
-
-    def record(idx, args, out):
-        workspaces.append(args[0])
-        observe(idx, args, out)
-
-    tracer._observe_fiber_weight = record
     xfile = tmp_path / "X.txt"
     xfile.write_text("1 0 1 1\n0 1 1 -1\n")
-    argv = ["tvd", "--x-file", str(xfile), "--exact", "--seed", "4", "--out-dir", str(tmp_path / "run")]
     tracer.install()
     try:
-        assert tracer.run_op(dgsum.cli.main, argv) == 0
+        assert tracer.run_op(dgsum.cli.main, [*argv, "--x-file", str(xfile), "--seed", "4",
+                                             "--out-dir", str(tmp_path / argv[0])]) == 0
     finally:
         tracer.uninstall()
     assert tracer.ops == 1
-    assert tracer.calls["tvd.region"] == 1
-    assert tracer.calls["intmat.hnf_column"] == 2
-    assert tracer.calls["gaussian.enumerate_affine"] == 1
+    return tracer
+
+
+def test_tvd_exact_op_spans(tmp_path):
+    # the per-layer metrics read these spans: the shared decomposition must
+    # still go through the traced names
+    tracer = _traced_op(tmp_path, ["tvd", "--exact"])
+    # the class TVD needs no label region and no per-label fiber sum
+    assert tracer.calls["tvd.region"] == 0
+    assert tracer.calls["tvd.fiber_weight"] == 0
+    assert tracer.calls["tvd.target_pmf"] == 0
+    # X, the augmented [X; u_1], and G = X X^T for the coset classes
+    assert tracer.calls["intmat.hnf_column"] == 3
+    # the dual sums enumerate their balls with gaussian.ball_points
+    assert tracer.calls["gaussian.enumerate_affine"] == 0
     # ker X, reduced once for u_1 and the workspace, and ker [X; u_1] for u_2
     assert tracer.calls["lattice.lll_reduce"] == 2
     assert tracer.calls["intmat.fraction_rank"] == 0
-    ws = workspaces[0]
-    assert ws.kernel is ws.X.reduced_kernel
+
+
+def test_tvd_ops_make_no_fiber_weight_calls(tmp_path):
+    # the tracer reads a workspace's section box after any fiber_weight call;
+    # no subcommand may call it, and the box counters read 0
+    for argv in (["tvd", "--exact"], ["tvd", "--both", "--samples", "10000"],
+                 ["main", "-n", "2", "-m", "4", "--trials", "2", "--exact"]):
+        tracer = _traced_op(tmp_path, argv)
+        assert tracer.calls["tvd.fiber_weight"] == 0, argv
+        metrics = tracer.layer_metrics()
+        assert metrics["tvd.box_points"][0] == metrics["tvd.box_keep_frac"][0] == 0.0, argv
+    # --both builds the target pmf over one label region, for MC only
+    tracer = _traced_op(tmp_path, ["tvd", "--both", "--samples", "10000"])
+    assert tracer.calls["tvd.region"] == tracer.calls["tvd.target_pmf"] == 1
 
 
 def test_kernel_op_spans(tmp_path):

@@ -1,19 +1,19 @@
-"""Fiber enumeration, exact/Monte-Carlo statistical distance, bound evaluators."""
+"""Dual-side fiber and class sums, exact/Monte-Carlo statistical distance, bound evaluators."""
 
 import math
 
 import numpy as np
 import pytest
 
-from dgsum.gaussian import GaussianShape, LatticeCoset, SampleStream, sample_dg_coset
-from dgsum.intmat import IntMatrix, is_surjective, solve_integer
+from dgsum.gaussian import GaussianShape, LatticeCoset, PoissonSum, SampleStream, banaszczyk_radius, sample_dg_coset
+from dgsum.intmat import IntMatrix, InvariantViolation, is_surjective, solve_integer
 from dgsum.lattice import integer_kernel, smoothing_bound
 from dgsum.tvd import (
     FiberWorkspace,
     NotInSupport,
+    class_tvd,
     exact_output_pmf,
     exact_tvd,
-    fiber_mass,
     mc_tvd,
     ratio_band_check,
     region_radius_for_tail,
@@ -22,6 +22,7 @@ from dgsum.tvd import (
     target_pmf,
 )
 from dgsum.quality import distance_threshold
+from primal_oracle import PrimalSections, primal_tvd
 
 X11 = IntMatrix.from_rows([[1, 1]])
 R2 = GaussianShape.spherical(2.0)
@@ -31,49 +32,49 @@ R2 = GaussianShape.spherical(2.0)
 
 
 def test_fiber_zero_mass():
-    fe = fiber_mass(X11, R2, [0.0, 0.0], [0])
+    ws = FiberWorkspace(X11, R2, [0.0, 0.0])
     # sum_k exp(-pi * 2 k^2 / 4) over the kernel line k (1,-1)
-    assert fe.mass == pytest.approx(1.419495, abs=1e-5)
-    for v in fe.points:
+    assert ws.fiber_weight([0]) == pytest.approx(1.419495, abs=1e-5)
+    for v in PrimalSections(X11, R2, [0.0, 0.0]).fiber([0])[1]:
         assert int(round(v[0] + v[1])) == 0
 
 
 def test_fiber_shifted_smaller():
-    f0 = fiber_mass(X11, R2, [0.0, 0.0], [0])
-    f1 = fiber_mass(X11, R2, [0.0, 0.0], [1])
-    assert f1.mass < f0.mass
+    ws = FiberWorkspace(X11, R2, [0.0, 0.0])
+    assert ws.fiber_weight([1]) < ws.fiber_weight([0])
 
 
 def test_fiber_points_coset_structure():
-    fe = fiber_mass(X11, R2, [0.0, 0.0], [2])
+    _, points = PrimalSections(X11, R2, [0.0, 0.0]).fiber([2])
     K = integer_kernel(X11).matrix
-    base = fe.points[0]
-    for v in fe.points[1:]:
+    base = points[0]
+    for v in points[1:]:
         diff = [int(round(a - b)) for a, b in zip(v, base)]
         assert solve_integer(K, diff) is not None
 
 
 def test_fiber_unimodular_single_point():
     X = IntMatrix.from_rows([[1, 1], [0, 1]])
-    fe = fiber_mass(X, R2, [0.0, 0.0], [3, 1])
-    assert len(fe.points) == 1
+    _, points = PrimalSections(X, R2, [0.0, 0.0]).fiber([3, 1])
+    assert len(points) == 1
     from dgsum.gaussian import rho
 
-    v = fe.points[0]
-    assert fe.mass == pytest.approx(rho(R2, v), rel=1e-12)
+    v = points[0]
+    assert FiberWorkspace(X, R2, [0.0, 0.0]).fiber_weight([3, 1]) == pytest.approx(rho(R2, v), rel=1e-12, abs=0)
     assert tuple(int(round(x)) for x in X.to_numpy() @ v) == (3, 1)
 
 
 def test_fiber_not_in_support():
     X = IntMatrix.from_rows([[2, 2]])
     with pytest.raises(NotInSupport):
-        fiber_mass(X, R2, [0.0, 0.0], [1])
+        FiberWorkspace(X, R2, [0.0, 0.0])
 
 
 def test_fiber_weight_matches_fiber():
     ws = FiberWorkspace(X11, R2, [0.0, 0.0])
+    oracle = PrimalSections(X11, R2, [0.0, 0.0])
     for z in ([-2], [0], [3]):
-        assert ws.fiber_weight(z) == pytest.approx(ws.fiber(z).mass, rel=1e-12)
+        assert ws.fiber_weight(z) == pytest.approx(oracle.fiber(z)[0], rel=1e-12)
 
 
 def test_workspace_particular_matches_solve_integer():
@@ -94,7 +95,7 @@ def test_workspace_particular_matches_solve_integer():
                 FiberWorkspace(X, GaussianShape.spherical(0.5), c)
             continue
         onto += 1
-        ws = FiberWorkspace(X, GaussianShape.spherical(0.5), c)  # small s keeps the box small
+        ws = FiberWorkspace(X, GaussianShape.spherical(0.5), c)
         for z in rng.integers(-4, 5, size=(6, n)).tolist() + [[1] + [0] * (n - 1)]:
             g = solve_integer(X, z)
             assert np.array_equal(ws.particular(z), np.array(g, dtype=float) + c)
@@ -102,13 +103,12 @@ def test_workspace_particular_matches_solve_integer():
 
 
 def _per_label_pmf(X, R, c, points, solve_each=False):
-    """Oracle: one section sum per label; with solve_each, each label also
-    gets its particular solution from its own HNF."""
-    ref = FiberWorkspace(X, R, c)
+    """Oracle: one primal section sum per label; with solve_each, each label
+    also gets its particular solution from its own HNF."""
+    ref = PrimalSections(X, R, c)
     if solve_each:
-        ref.particular = lambda z: np.array(solve_integer(X, [int(v) for v in z]), dtype=float) + ref.c
-    masses = np.array([ref.fiber_weight(z) for z in points])
-    return masses / float(np.sum(np.sort(masses)))
+        ref.ws.particular = lambda z: np.array(solve_integer(X, [int(v) for v in z]), dtype=float) + ref.ws.c
+    return ref.output_masses(points)
 
 
 def _det_xxt(X):
@@ -138,7 +138,7 @@ def test_class_path_matches_per_label_oracle():
     for X, c, s, solve_each in cases:
         R = GaussianShape.spherical(s)
         p = exact_output_pmf(X, R, c=c)
-        np.testing.assert_allclose(p.masses, _per_label_pmf(X, R, c, p.points, solve_each), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(p.masses, _per_label_pmf(X, R, c, p.points, solve_each), rtol=0, atol=1e-12)
         dets.add(_det_xxt(X))
         # both pmfs on one workspace share its labels and equal those built
         # on two fresh workspaces of fresh equal matrices, bit for bit
@@ -153,19 +153,22 @@ def test_class_path_matches_per_label_oracle():
 
 
 def test_exact_output_pmf_one_section_sum_per_class(monkeypatch):
-    calls = []
-    fiber_weight = FiberWorkspace.fiber_weight
+    rows_per_call = []
+    sums = PoissonSum.sums
 
-    def counting(self, z):
-        calls.append(tuple(z))
-        return fiber_weight(self, z)
+    def counting(self, shifts=None, residues=None, modulus=1, **kwargs):
+        rows_per_call.append(len(residues) if residues is not None else len(np.atleast_2d(shifts)))
+        return sums(self, shifts, residues, modulus, **kwargs)
 
-    monkeypatch.setattr(FiberWorkspace, "fiber_weight", counting)
+    monkeypatch.setattr(PoissonSum, "sums", counting)
     for rows in ([[1, 1, 1], [0, 1, 2]], [[1, 0, 1, 1], [0, 1, 1, -1]], [[1, 2, 3, 3]], [[1, 0, 0], [0, 1, 0]]):
         X = IntMatrix.from_rows(rows)
-        calls.clear()
+        rows_per_call.clear()
         p = exact_output_pmf(X, GaussianShape.spherical(2.0))
-        assert 1 <= len(calls) <= _det_xxt(X) < len(p.points)
+        d = _det_xxt(X)
+        # one kernel-side and one target-side sum over the d classes; none for d = 1
+        assert rows_per_call == ([d, d] if d > 1 else [])
+        assert d < len(p.points)
 
 
 def test_ellipsoidal_shapes_take_the_per_label_path():
@@ -180,7 +183,7 @@ def test_ellipsoidal_shapes_take_the_per_label_path():
         np.testing.assert_allclose(e.masses, p.masses, rtol=1e-12, atol=0)
         R = GaussianShape.ellipsoidal(np.diag(np.linspace(1.0, 2.0, m)))
         f = exact_output_pmf(X, R, c=c)
-        assert np.array_equal(f.masses, _per_label_pmf(X, R, c, f.points))
+        np.testing.assert_allclose(f.masses, _per_label_pmf(X, R, c, f.points), rtol=0, atol=1e-12)
 
 
 def test_hnf_calls_independent_of_label_count(monkeypatch):
@@ -202,20 +205,170 @@ def test_hnf_calls_independent_of_label_count(monkeypatch):
         target_pmf(X, R2, region_radius=radius)
         per_radius[p.support_size()] = len(calls)
     assert len(per_radius) == 2
-    assert set(per_radius.values()) == {1}
+    assert set(per_radius.values()) == {2}  # X, and X X^T for the coset classes
 
 
 def test_workspace_reduces_skewed_kernel_basis():
-    # raw HNF kernel entries reach 1500 here and its fiber box 26,650,767 points
+    # raw HNF kernel entries reach 1500 here; the dual basis K (K^T K)^-1 of
+    # the reduced kernel keeps the dual box small
     X = IntMatrix.from_rows([[-2, -3, 3, 0, 2, 2], [3, -3, -1, 3, 0, -1], [-2, -3, -3, 3, -3, -3]])
-    ws = FiberWorkspace(X, GaussianShape.spherical(0.5), [0.0] * 6)
+    R = GaussianShape.spherical(3.0)
+    ws = FiberWorkspace(X, R, [0.0] * 6)
     assert ws.kernel.provenance == "reduced"
     assert max(abs(x) for v in ws.kernel.vectors() for x in v) <= 10
-    assert len(ws.box) < 10 ** 5
+    assert len(ws.dual.points) < 10 ** 4
     raw = integer_kernel(X)
     for v in raw.vectors():  # same lattice as the raw basis
         assert solve_integer(ws.kernel.matrix, v) is not None
-    assert ws.fiber_weight([0, 0, 0]) > 0
+    assert ws.fiber_weight([0, 0, 0]) == pytest.approx(PrimalSections(X, R, [0.0] * 6).fiber_weight([0, 0, 0]), rel=1e-12)
+
+
+def _random_onto(rng, n, m, lo=-2, hi=3):
+    while True:
+        X = IntMatrix.from_rows(rng.integers(lo, hi, size=(n, m)).tolist())
+        if np.linalg.matrix_rank(X.to_numpy()) == n and is_surjective(X):
+            return X
+
+
+def test_dual_sums_match_primal_oracle():
+    # random X with n <= 2, m <= n + 3, r in [1.2, 3]; c = 0 and c != 0;
+    # spherical and ellipsoidal R, against primal section sums
+    rng = np.random.default_rng(17)
+    dets = set()
+    for i in range(24):
+        n = 1 + i % 2
+        X = _random_onto(rng, n, n + 1 + i % 3)
+        m = X.n_cols
+        c = [0.0] * m if i % 4 < 2 else rng.normal(scale=0.5, size=m).tolist()
+        r = float(rng.uniform(1.2, 3.0))
+        dets.add(_det_xxt(X))
+        shapes = [GaussianShape.spherical(r), GaussianShape.ellipsoidal(np.diag(rng.uniform(0.8 * r, 1.2 * r, size=m)))]
+        if i % 3 == 0:  # a skew shape, no longer diagonal
+            shapes.append(GaussianShape.ellipsoidal(np.triu(rng.uniform(0.0, 0.4 * r, size=(m, m))) + r * np.eye(m)))
+        for R in shapes:
+            ws = FiberWorkspace(X, R, c)
+            oracle = PrimalSections(X, R, c)
+            assert abs(ws.kernel_weight() - oracle.kernel_weight()) <= 1e-12
+            for z in rng.integers(-3, 4, size=(4, n)).tolist():
+                assert abs(ws.fiber_weight(z) - oracle.fiber_weight(z)) <= 1e-12
+            p = exact_output_pmf(X, R, workspace=ws)
+            np.testing.assert_allclose(p.masses, oracle.output_masses(p.points), rtol=0, atol=1e-12)
+            if R.is_spherical:
+                assert abs(class_tvd(ws).tvd - primal_tvd(X, R, c)) <= 1e-12
+    assert min(dets) == 1 and max(dets) >= 20
+
+
+def test_class_tvd_matches_tvd_of_the_two_pmfs():
+    # the class sum and the label-region pmfs of one workspace agree
+    rng = np.random.default_rng(23)
+    for i in range(12):
+        n = 1 + i % 3
+        X = _random_onto(rng, n, n + 1 + i % 3, -1, 2)
+        c = [0.0] * X.n_cols if i % 2 else rng.normal(scale=0.3, size=X.n_cols).tolist()
+        R = GaussianShape.spherical(float(rng.uniform(1.0, 2.5)))
+        ws = FiberWorkspace(X, R, c)
+        rep = class_tvd(ws)
+        ref = exact_tvd(exact_output_pmf(X, R, workspace=ws), target_pmf(X, R, workspace=ws))
+        assert abs(rep.tvd - ref.tvd) <= 1e-12
+        assert rep.support_size == _det_xxt(X) and rep.truncation_error <= 1e-25
+        assert rep.radius == banaszczyk_radius(ws.rank)
+
+
+def _threshold_instances_s3():
+    """Certified instances at s = 3 with det X X^T >= 2 and sigma_m at the threshold."""
+    from dgsum.cli import best_certificate, draw_matrix
+
+    st = SampleStream(4300)
+    out = []
+    for i, (n, m) in enumerate([(1, 3), (2, 4), (2, 4), (2, 5), (1, 6), (3, 6), (2, 8), (3, 10), (2, 12), (4, 12)]):
+        for j in range(3):
+            X = draw_matrix(n, m, 3.0, st.substream(10 * i + j))
+            cert = best_certificate(X, st.substream(1000 + 10 * i + j))
+            if cert is not None and _det_xxt(X) >= 2:
+                out.append((X, 0.01 if j % 2 == 0 else 0.001, distance_threshold(cert.q1, cert.q2, m, n, 0.01 if j % 2 == 0 else 0.001)))
+                break
+    return out
+
+
+def test_class_tvd_at_threshold_s3_up_to_m12():
+    # acceptance-style: the paper's bound at its threshold, with the primal
+    # oracle where its section box and label region stay small
+    instances = _threshold_instances_s3()
+    shapes = {X.shape for X, _, _ in instances}
+    assert (4, 12) in shapes and (2, 12) in shapes and len(instances) >= 9
+    compared = 0
+    for X, eps, r in instances:
+        R = GaussianShape.spherical(r)
+        ws = FiberWorkspace(X, R, [0.0] * X.n_cols)
+        rep = class_tvd(ws)
+        assert rep.support_size == _det_xxt(X) >= 2
+        assert rep.tvd <= 2 * eps + rep.truncation_error
+        assert rep.truncation_error <= 1e-25
+        if ws.rank <= 3:
+            oracle = PrimalSections(X, R, [0.0] * X.n_cols, budget=100_000)
+            if len(oracle.box) * len(target_pmf(X, R, workspace=ws).points) <= 20_000_000:
+                assert abs(rep.tvd - primal_tvd(X, R)) <= 1e-12
+                compared += 1
+    assert compared >= 2
+
+
+def test_class_tvd_budget():
+    from dgsum.gaussian import EnumerationBudgetExceeded
+
+    X = IntMatrix.from_rows([[1, 200]])  # 40001 classes
+    with pytest.raises(EnumerationBudgetExceeded, match="dual sum of 40001 shifts"):
+        class_tvd(FiberWorkspace(X, GaussianShape.spherical(1.0), [0.0, 0.0]))
+    # well above its smoothing parameter the kernel's dual sum has no points
+    rep = class_tvd(FiberWorkspace(X, GaussianShape.spherical(2000.0), [0.0, 0.0]))
+    assert rep.support_size == 40001 and rep.tvd < 1e-20
+
+
+def test_class_tvd_invariants(monkeypatch):
+    from dgsum.lattice import LatticeBasis
+
+    X = IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])
+    R = GaussianShape.spherical(1.5)
+    # a sublattice of index 2 as the kernel basis: det K^T K = 4 d
+    ws = FiberWorkspace(X, R, [0.0] * 3)
+    ws.kernel = LatticeBasis(IntMatrix.from_columns([[2 * x for x in ws.kernel.vectors()[0]]]))
+    with pytest.raises(InvariantViolation, match="det"):
+        class_tvd(ws)
+    sums = PoissonSum.sums
+    for returns, message in (
+        ([np.zeros(6), np.full(6, -2.0)], "negative"),  # 1 + (-2): a negative class mass
+        ([np.r_[-4.0, np.zeros(5)], np.zeros(6)], r"not in \[0, 1\]"),  # 1 + delta_0 < 0
+    ):
+        faked = iter(returns)  # the kernel-side sum, then the target-side sum
+        monkeypatch.setattr(PoissonSum, "sums", lambda self, *args, **kwargs: next(faked))
+        with pytest.raises(InvariantViolation, match=message):
+            class_tvd(FiberWorkspace(X, R, [0.0] * 3))
+    monkeypatch.setattr(PoissonSum, "sums", sums)
+    with pytest.raises(ValueError, match="spherical"):
+        class_tvd(FiberWorkspace(X, GaussianShape.ellipsoidal(np.diag([1.0, 2.0, 3.0])), [0.0] * 3))
+
+
+def test_exact_output_pmf_tail_from_class_weights():
+    from dgsum.gaussian import ball_tail_bound
+
+    X = IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])
+    factors = []
+    for r in (1.0, 1.5, 3.0):
+        R = GaussianShape.spherical(r)
+        ws = FiberWorkspace(X, R, [0.0] * 3)
+        p = exact_output_pmf(X, R, workspace=ws)
+        cl = ws.classes
+        target_tail = ball_tail_bound(2, region_radius_for_tail(2))
+        factor = (1 + cl.delta.max()) / (1 + cl.mean_delta)
+        assert p.tail_bound == pytest.approx(target_tail * factor, rel=1e-9, abs=0)
+        factors.append(factor)
+    # the factor falls towards 1 as r passes the smoothing parameter
+    assert factors[0] > factors[1] > factors[2] > 1 and factors[2] < 1.05
+    # non-spherical R: the bound (1 + mu) / (1 - mu) from the dual mass
+    R = GaussianShape.ellipsoidal(np.diag([1.5, 1.6, 1.7]))
+    ws = FiberWorkspace(X, R, [0.0] * 3)
+    mu = ws.dual.mass
+    want = ball_tail_bound(2, region_radius_for_tail(2)) * (1 + mu) / (1 - mu)
+    assert exact_output_pmf(X, R, workspace=ws).tail_bound == pytest.approx(want, rel=1e-9, abs=0)
 
 
 def test_region_radius_for_tail():
