@@ -19,7 +19,7 @@ import numpy as np
 from .intmat import IntMatrix
 
 DEFAULT_RADIUS = 12.0  # whitened truncation radius, tail < 2^-100 per direction
-ENUM_BUDGET = 20_000_000  # max integer box size in a single enumeration
+ENUM_BUDGET = 20_000_000  # max entries of one enumeration, max terms of one dual sum
 DUAL_TAIL = 2.0 ** -100  # Banaszczyk bound at the truncation radius of a dual sum
 DUAL_BLOCK = 2 ** 20  # max (point, shift) entries evaluated at once by PoissonSum.sums
 
@@ -261,18 +261,18 @@ def banaszczyk_bound(rank: int, radius: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def banaszczyk_radius(rank: int, tail: float = DUAL_TAIL) -> float:
+def banaszczyk_radius(rank: int) -> float:
     """Least radius, to a relative 1e-12, at which ``banaszczyk_bound(rank,
-    radius) <= tail``; 0 for rank 0.  The bound decreases in the radius above
-    sqrt(rank / (2 pi)), so a bisection finds it, once per (rank, tail)."""
+    radius) <= DUAL_TAIL``; 0 for rank 0.  The bound decreases in the radius
+    above sqrt(rank / (2 pi)), so a bisection finds it, once per rank."""
     if rank == 0:
         return 0.0
     lo, hi = math.sqrt(rank / (2 * math.pi)), math.sqrt(rank)
-    while banaszczyk_bound(rank, hi) > tail:
+    while banaszczyk_bound(rank, hi) > DUAL_TAIL:
         lo, hi = hi, 2 * hi
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if banaszczyk_bound(rank, mid) <= tail else (mid, hi)
+        lo, hi = (lo, mid) if banaszczyk_bound(rank, mid) <= DUAL_TAIL else (mid, hi)
     return hi
 
 
@@ -370,96 +370,69 @@ def poisson_sum(A: np.ndarray) -> PoissonSum:
     """The PoissonSum of the lattice with basis the columns of A (full column
     rank), truncated at ``banaszczyk_radius(k)``."""
     A = np.asarray(A, dtype=float)
-    k = A.shape[1]
+    m, k = A.shape
     radius = banaszczyk_radius(k)
     if k == 0:
         return PoissonSum(np.zeros((0, 0), dtype=np.int64), np.zeros(0), radius, 0)
-    T = ball_points(A, radius)
+    T = enumerate_affine(A, np.zeros(m), radius)
     lead = T[np.arange(len(T)), np.argmax(T != 0, axis=1)]
     T = T[lead > 0]  # one of each pair +-t; drops t = 0
     w = T @ A.T
     return PoissonSum(T, np.exp(-math.pi * np.einsum("ij,ij->i", w, w)), radius, k)
 
 
-def ball_points(A: np.ndarray, radius: float, budget: int = ENUM_BUDGET) -> np.ndarray:
-    """Every integer t with ||A t|| <= radius, as int64 rows in lexicographic order.
+def enumerate_affine(A: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
+    """Integer t with ||A t + b|| <= radius, as int64 rows in lexicographic order.
 
     A must have full column rank k.  Fincke-Pohst enumeration, one level at a
-    time for all partial vectors at once: with A = Q U (U upper triangular),
-    ||A t||^2 = sum_i U_ii^2 (t_i - c_i)^2, c_i = -sum_{j>i} U_ij t_j / U_ii,
-    so the coordinates are fixed from the last to the first, each within the
-    interval that the radius left over by the later ones allows.  Unlike the
-    bounding box of ``enumerate_affine``, which holds about 400 times the
-    ball's points at rank 10, every partial vector kept extends to a point of
-    the ball's projection.  The int64 entries of each level's partial vectors
-    are charged against ``budget`` (EnumerationBudgetExceeded above it).
+    time for all partial vectors at once: with A = Q U (U upper triangular)
+    and y = Q^T b, ||A t + b||^2 = sum_i U_ii^2 (t_i - c_i)^2 + ||b - Q y||^2,
+    c_i = -(y_i + sum_{j>i} U_ij t_j) / U_ii, so the coordinates are fixed
+    from the last to the first, each within the interval that the radius left
+    over by the later ones allows.  Every partial vector kept extends to a
+    point of the ellipsoid's projection, where the axis-aligned bounding box
+    of a ball holds about 400 times its points at rank 10.  The levels run at
+    a radius larger by a relative 1e-9, and the points are then kept by
+    ||A t + b||^2 <= radius^2 (1 + 1e-12) + 1e-12 computed directly, so that
+    rounding in U cannot drop a point on the boundary.  The int64 entries of
+    each level's partial vectors are charged against ENUM_BUDGET
+    (EnumerationBudgetExceeded above it).
     """
     A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
     k = A.shape[1]
-    U = np.linalg.qr(A, mode="r")
+    Q, U = np.linalg.qr(A)
+    y = Q.T @ b
+    perp = b - Q @ y
     bound = radius * radius * (1 + 1e-12) + 1e-12
-    T = np.zeros((1, 0), dtype=np.int64)
-    used = np.zeros(1)  # ||A t||^2 restricted to the fixed coordinates
+    level_bound = bound * (1 + 1e-9) + 1e-9 - float(perp @ perp)
+    T = np.zeros((1 if level_bound >= 0 else 0, 0), dtype=np.int64)
+    used = np.zeros(len(T))  # ||A t + b||^2 restricted to the fixed coordinates
     for i in range(k - 1, -1, -1):
-        center = -(T @ U[i, i + 1:]) / U[i, i]
-        half = np.sqrt(np.maximum(bound - used, 0.0)) / abs(U[i, i])
+        center = -(y[i] + T @ U[i, i + 1:]) / U[i, i]
+        half = np.sqrt(np.maximum(level_bound - used, 0.0)) / abs(U[i, i])
         lo = np.ceil(center - half).astype(np.int64)
         count = np.maximum(np.floor(center + half).astype(np.int64) - lo + 1, 0)
         total = int(count.sum())
-        if total * (k - i) > budget:
+        if total * (k - i) > ENUM_BUDGET:
             raise EnumerationBudgetExceeded(
-                f"{total} partial points of rank {k - i} in a ball of radius {radius:g} exceed budget {budget}"
+                f"{total} partial points of rank {k - i} in a ball of radius {radius:g} "
+                f"exceed budget {ENUM_BUDGET}"
             )
         parent = np.repeat(np.arange(len(T)), count)
         first = np.cumsum(count) - count
         ti = np.arange(total) - first[parent] + lo[parent]
         used = used[parent] + (U[i, i] * (ti - center[parent])) ** 2
         T = np.concatenate([ti[:, None], T[parent]], axis=1)
-    return T[np.lexsort(T.T[::-1])]
-
-
-def integer_box(lo: np.ndarray, hi: np.ndarray, budget: int = ENUM_BUDGET) -> np.ndarray:
-    """Every integer point t with lo <= t <= hi, as rows in lexicographic order."""
-    total = int(np.prod((hi - lo + 1).astype(object)))
-    if total > budget:
-        raise EnumerationBudgetExceeded(
-            f"integer box of size {total} exceeds budget {budget}"
-        )
-    grids = np.meshgrid(*[np.arange(l, h + 1) for l, h in zip(lo, hi)], indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def enumerate_affine(
-    A: np.ndarray,
-    b: np.ndarray,
-    radius: float,
-    budget: int = ENUM_BUDGET,
-) -> np.ndarray:
-    """Integer t with ||A t + b|| <= radius, as rows of the returned array.
-
-    A must have full column rank.  Enumerates the axis-aligned bounding box
-    of the ellipsoid, then filters; rows are in lexicographic order so
-    downstream sums are deterministic.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    G = A.T @ A
-    Ginv = np.linalg.inv(G)
-    t0 = -Ginv @ (A.T @ b)
-    half = radius * np.sqrt(np.maximum(np.diag(Ginv), 0.0))
-    lo = np.floor(t0 - half - 1e-9).astype(np.int64)
-    hi = np.ceil(t0 + half + 1e-9).astype(np.int64)
-    T = integer_box(lo, hi, budget)
     w = T @ A.T + b
-    keep = np.einsum("ij,ij->i", w, w) <= radius * radius * (1 + 1e-12) + 1e-12
-    return T[keep]
+    T = T[np.einsum("ij,ij->i", w, w) <= bound]
+    return T[np.lexsort(T.T[::-1])]
 
 
 def enumerate_coset(
     coset: LatticeCoset,
     W: np.ndarray,
     radius: float,
-    budget: int = ENUM_BUDGET,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All coset points y = B t + c with ||W y|| <= radius.
 
@@ -467,7 +440,7 @@ def enumerate_coset(
     """
     B = coset.basis.to_numpy()
     c = np.asarray(coset.shift, dtype=float)
-    T = enumerate_affine(W @ B, W @ c, radius, budget)
+    T = enumerate_affine(W @ B, W @ c, radius)
     Y = T @ B.T + c
     return T, Y
 

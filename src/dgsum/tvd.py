@@ -46,7 +46,6 @@ from .gaussian import (
     coset_mass,
     enumerate_affine,
     exact_in_int64,
-    integer_box,
     poisson_sum,
 )
 from .intmat import IntMatrix, InvariantViolation
@@ -260,14 +259,14 @@ class FiberWorkspace:
             raise EnumerationBudgetExceeded(f"{d} coset classes exceed budget {ENUM_BUDGET}")
         if d == 1:
             return CosetClasses(hnf, np.zeros(1), np.ones(1), 0.0, 0.0)
-        if not exact_in_int64(max(n, self.rank), d):
-            raise EnumerationBudgetExceeded(f"phases mod det X X^T = {d} are not exact in int64")
+        # the int64 phases of both sums are exact: PoissonSum.sums checks
+        # rank * (d - 1)^2 < 2^63, which d <= ENUM_BUDGET leaves to ranks above 23,000
         K = self.kernel.matrix
         adjK, dK = _adjugate(K.T @ K)
         if dK != d:
             raise InvariantViolation(f"det(K^T K) = {dK} differs from det(X X^T) = {d}")
         M = IntMatrix.from_rows(adjK) @ K.T @ self.P
-        reps = integer_box(np.zeros(n, dtype=np.int64), np.array(diag, dtype=np.int64) - 1)
+        reps = np.stack(np.unravel_index(np.arange(d), diag), axis=1)  # lexicographic
         delta = self.dual.sums(self.c @ self.to_coef, reps @ _mod(M.rows, d).T % d, d)
         Ginv = np.array(adjG, dtype=float) / d
         target = poisson_sum(np.linalg.cholesky(self.target_gram).T @ Ginv)
@@ -384,35 +383,54 @@ def exact_output_pmf(
 
     The support label z stands for the output point z + X c, and its mass is
     the target weight of z times 1 + delta(z), normalized over the region.
-    For spherical R, delta is the workspace's class table: one dual sum per
-    class of Z^n / G Z^n (none for d = 1), each label reduced onto its class
-    representative.  Otherwise every label takes its own delta(z), in one
-    batched dual sum.
+    For spherical R with at most as many classes of Z^n / G Z^n as labels,
+    delta is the workspace's class table (one dual sum per class, none for
+    d = 1), each label reduced onto its class representative.  Otherwise
+    every label takes the delta of its class in one batched dual sum: for
+    spherical R one label per class, the classes told apart by the exact key
+    adj(G) z mod d while n (d - 1)^2 < 2^63 (labels with one key differ by
+    some G w, and their fibers by X^T w, orthogonal to ker X), and for an
+    ellipsoidal R every label.
 
     Truncation is certified.  The image mass outside the region is at most
-    the target's ball tail times max (1 + delta) / (1 + mean delta): for
-    spherical R computed from the class weights, max_k (1 + delta_k) + e_A
-    over 1 + dbar - E (see ``class_tvd``); otherwise from the dual mass mu =
-    ``dual.mass`` + e_A as (1 + mu) / (1 - mu), since |delta(z)| <= mu.  The
-    dual truncation adds e_A over the same denominator.
+    the target's ball tail tt times max (1 + delta) / (1 + mean delta), the
+    mean over all labels under the target.  From the class table that is
+    max_k (1 + delta_k) + e_A over 1 + dbar - E (see ``class_tvd``).
+    Otherwise the maximum is at most 1 + mu, mu = ``dual.mass`` + e_A, since
+    |delta(z)| <= mu, and the mean is at least the region's part of it: the
+    target weight outside the region is at most tt / (1 - tt) of the weight
+    S inside, so 1 + mean delta >= (1 - tt) (sum of the masses / S - e_A).
+    The dual truncation adds e_A over the same denominator.  A fiber weight
+    is >= 0 and 1 + delta is computed to within e_A plus rounding, so a
+    negative value stands for a weight of 0.
     """
     ws, region_radius, T = _labels(X, R, c, region_radius, workspace)
     weights = np.exp(-math.pi * ws.target_norms(T))
-    if R.is_spherical:
+    n = X.n_rows
+    tt = ball_tail_bound(n, region_radius)
+    adj, d = _adjugate(X @ X.T) if R.is_spherical else (None, None)
+    if R.is_spherical and d <= len(T):
         cl = ws.classes
         e_A = cl.delta_slack
-        masses = weights * (1.0 + cl.delta[cl.index(T)])
+        masses = weights * np.maximum(1.0 + cl.delta[cl.index(T)], 0.0)
         hi = 1.0 + float(np.max(cl.delta)) + e_A
         lo = 1.0 + cl.mean_delta - cl.mass_slack
     else:
+        rows, inverse = T, slice(None)
+        if R.is_spherical and exact_in_int64(n, d):
+            keys = (T % d) @ _mod(adj, d).T % d
+            order, starts = _row_groups(keys)
+            inverse = np.empty(len(T), dtype=np.intp)
+            inverse[order] = np.cumsum(starts) - 1
+            rows = T[order[starts]]
         e_A = ws.dual.tail
-        masses = weights * (1.0 + ws.section_deltas(T))
-        mu = ws.dual.mass + e_A
-        hi, lo = 1.0 + mu, 1.0 - mu
+        masses = weights * np.maximum(1.0 + ws.section_deltas(rows)[inverse], 0.0)
+        hi = 1.0 + ws.dual.mass + e_A
+        lo = (1.0 - tt) * (float(np.sum(np.sort(masses))) / float(np.sum(np.sort(weights))) - e_A)
     total = float(np.sum(np.sort(masses)))
     if total <= 0:
         raise ValueError("empty region")
-    tail = (ball_tail_bound(X.n_rows, region_radius) * hi + e_A) / lo if lo > 0 else 1.0
+    tail = (tt * hi + e_A) / lo if lo > 0 else 1.0
     return DiscretePMF(T, masses / total, min(1.0, tail))
 
 

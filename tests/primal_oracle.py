@@ -15,10 +15,19 @@ import math
 
 import numpy as np
 
-from dgsum.gaussian import integer_box
+from dgsum.gaussian import EnumerationBudgetExceeded
 from dgsum.tvd import FiberWorkspace, exact_tvd, region_radius_for_tail, target_pmf
 
 SECTION_TAIL = 1e-16  # certified relative tail per fiber section, below the tests' tolerance
+
+
+def integer_box(lo: np.ndarray, hi: np.ndarray, budget: int) -> np.ndarray:
+    """Every integer point t with lo <= t <= hi, as rows in lexicographic order."""
+    total = int(np.prod((hi - lo + 1).astype(object)))
+    if total > budget:
+        raise EnumerationBudgetExceeded(f"integer box of size {total} exceeds budget {budget}")
+    grids = np.meshgrid(*[np.arange(l, h + 1) for l, h in zip(lo, hi)], indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 class PrimalSections:

@@ -447,12 +447,11 @@ def test_tvd_exact_op_decomposes_and_enumerates_once(tmp_path, monkeypatch):
     import dgsum.intmat
     import dgsum.tvd
 
-    hnf, region, enum, ball = [], [], [], []
+    hnf, region, enum = [], [], []
     _count_calls(monkeypatch, dgsum.intmat, "hnf_column", hnf)
     _count_calls(monkeypatch, dgsum.tvd.FiberWorkspace, "region", region)
     _count_calls(monkeypatch, dgsum.tvd, "enumerate_affine", enum)
     _count_calls(monkeypatch, dgsum.gaussian, "enumerate_affine", enum)
-    _count_calls(monkeypatch, dgsum.gaussian, "ball_points", ball)
     xfile = tmp_path / "X.txt"
     xfile.write_text("1 0 1 1\n0 1 1 -1\n")
     assert run(["tvd", "--x-file", xfile, "--exact", "--seed", "4", "--out-dir", tmp_path / "run"]) == EXIT_OK
@@ -462,7 +461,7 @@ def test_tvd_exact_op_decomposes_and_enumerates_once(tmp_path, monkeypatch):
     assert len(hnf[1][0].rows) == 3
     assert hnf[2][0].rows == ((3, 0), (0, 3))
     # no label region; one dual enumeration each for ker X and for Z^n
-    assert len(region) == 0 and len(enum) == 0 and len(ball) == 2
+    assert len(region) == 0 and len(enum) == 2
 
 
 def test_kernel_op_decomposes_each_matrix_once(tmp_path, monkeypatch):
@@ -524,14 +523,29 @@ def test_parser_keeps_no_state_between_calls(tmp_path):
 
 
 def test_enumeration_budget_exceeded_exits_2_with_one_line(tmp_path, capsys):
-    # det X X^T = 40001 classes, and at r = 1 the kernel's dual sum keeps 959
-    # of each pair of points: 3.8e7 terms, above the budget
+    # det X X^T = 25,000,001 classes exceed the budget, and so do the label
+    # region's dual terms: 32,501 labels times the 23,986 points the kernel's
+    # dual sum keeps at r = 1
     xfile = tmp_path / "X.txt"
-    xfile.write_text("1 200\n")
+    xfile.write_text("1 5000\n")
     code = run(["tvd", "--x-file", xfile, "-r", "1", "--exact", "--out-dir", tmp_path / "run"])
     err = capsys.readouterr().err
     assert code == EXIT_GATE
-    assert err.startswith("enumeration budget exceeded: dual sum of 40001 shifts") and err.count("\n") == 1
+    assert err.startswith("enumeration budget exceeded: dual sum of 32501 shifts") and err.count("\n") == 1
+
+
+def test_tvd_exact_takes_the_label_region_when_the_classes_exceed_the_budget(tmp_path, capsys):
+    # det X X^T = 40001 classes, and at r = 1 the kernel's dual sum keeps 959
+    # of each pair of points: 3.8e7 class terms, above the budget.  The
+    # region's 1301 labels give 1.2e6 terms instead.
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 200\n")
+    out = tmp_path / "run"
+    code = run(["tvd", "--x-file", xfile, "-r", "1", "--exact", "--out-dir", out])
+    assert code == EXIT_GATE and capsys.readouterr().err.startswith("precondition unmet")
+    rep = read_json(out / "tvd.json")["exact"]
+    assert rep["support_size"] == 1301 and rep["radius"] == 3.25
+    assert abs(rep["tvd"] - 0.983697586462) < 1e-11 and rep["truncation_error"] < 1e-10
 
 
 SKEWED = "-2 -3 3 0 2 2\n3 -3 -1 3 0 -1\n-2 -3 -3 3 -3 -3\n"
@@ -552,7 +566,8 @@ def test_tvd_skewed_kernel_uses_reduced_fiber_basis(tmp_path, capsys):
 
 def test_tvd_skewed_kernel_below_threshold_exits_2_within_budget(tmp_path, capsys):
     # at r = 2 the kernel's dual sum needs 5,603 points for each of the 31,434
-    # classes; the budget stops it before the terms are evaluated
+    # classes, and the label region holds more labels than there are classes;
+    # the budget stops it before the terms are evaluated
     import tracemalloc
 
     xfile = tmp_path / "X.txt"

@@ -14,7 +14,6 @@ from dgsum.gaussian import (
     EnumerationBudgetExceeded,
     PoissonSum,
     SampleStream,
-    ball_points,
     ball_tail_bound,
     banaszczyk_bound,
     banaszczyk_radius,
@@ -189,36 +188,58 @@ def test_enumerate_affine_matches_brute_force():
 
 
 def test_banaszczyk_radius_is_the_least_radius_for_the_tail():
+    from dgsum.gaussian import DUAL_TAIL
+
     for rank in (1, 2, 3, 8, 14):
-        for tail in (1e-10, 2.0 ** -100):
-            R = banaszczyk_radius(rank, tail)
-            assert banaszczyk_bound(rank, R) <= tail < banaszczyk_bound(rank, R * (1 - 1e-9))
+        R = banaszczyk_radius(rank)
+        assert banaszczyk_bound(rank, R) <= DUAL_TAIL < banaszczyk_bound(rank, R * (1 - 1e-9))
     assert banaszczyk_radius(0) == 0.0 and banaszczyk_bound(0, 1.0) == 0.0
     assert banaszczyk_bound(2, 0.5) == 1.0  # c <= 1 / sqrt(2 pi)
     # the package's old per-section fixed factor 6 sits on top of this bound
     assert ball_tail_bound(3, 5.0) == pytest.approx(6 * banaszczyk_bound(3, 5.0), rel=1e-12, abs=0)
 
 
-def test_ball_points_match_the_bounding_box():
+def _box_and_mask(A, b, radius):
+    """The integer points of the ellipsoid's axis-aligned bounding box, kept
+    where ||A t + b|| <= radius, in lexicographic order."""
+    Ginv = np.linalg.inv(A.T @ A)
+    t0 = -Ginv @ (A.T @ b)
+    half = radius * np.sqrt(np.diag(Ginv))
+    lo = np.floor(t0 - half - 1e-9).astype(np.int64)
+    hi = np.ceil(t0 + half + 1e-9).astype(np.int64)
+    grids = np.meshgrid(*[np.arange(l, h + 1) for l, h in zip(lo, hi)], indexing="ij")
+    T = np.stack([g.ravel() for g in grids], axis=1)
+    w = T @ A.T + b
+    return T[np.einsum("ij,ij->i", w, w) <= radius * radius * (1 + 1e-12) + 1e-12]
+
+
+def test_enumerate_affine_matches_the_bounding_box(monkeypatch):
+    import dgsum.gaussian
+
     rng = np.random.default_rng(4)
-    for _ in range(150):
+    for trial in range(150):
         k = int(rng.integers(1, 6))
         A = rng.normal(size=(k + int(rng.integers(0, 3)), k))
+        b = rng.normal(size=len(A)) * 2 if trial % 2 else np.zeros(len(A))
         r = float(rng.uniform(0.3, 3.5))
-        try:
-            box = enumerate_affine(A, np.zeros(len(A)), r, budget=1_000_000)
-        except EnumerationBudgetExceeded:
-            continue
-        got = ball_points(A, r)
-        assert got.dtype == np.int64 and np.array_equal(got, box)
-    # the partial points of each level are charged against the budget
+        got = enumerate_affine(A, b, r)
+        assert got.dtype == np.int64 and np.array_equal(got, _box_and_mask(A, b, r))
+    # points on the boundary, where rounding in the triangular factor could drop them
+    A = np.array([[3.0, 1.0], [0.0, 2.0], [1.0, 1.0]])
+    b = np.array([0.5, 0.0, -1.0])
+    for r in (2.5, np.linalg.norm(A @ [1, -1] + b), np.linalg.norm(A @ [2, 3] + b)):
+        assert np.array_equal(enumerate_affine(A, b, r), _box_and_mask(A, b, r))
+    # a centre whose component off the column space exceeds the radius: no points
+    assert enumerate_affine(np.array([[1.0], [0.0]]), np.array([0.0, 2.0]), 1.5).shape == (0, 1)
+    # the partial points of each level are charged against the budget, read at call time
+    monkeypatch.setattr(dgsum.gaussian, "ENUM_BUDGET", 10 ** 5)
     with pytest.raises(EnumerationBudgetExceeded, match="partial points"):
-        ball_points(np.eye(3) * 0.01, 5.0, budget=10 ** 5)
+        enumerate_affine(np.eye(3) * 0.01, np.zeros(3), 5.0)
 
 
 def _poisson_oracle(A, shifts):
     """Every kept point of both signs, one shift at a time, plain float phases."""
-    T = ball_points(A, banaszczyk_radius(A.shape[1]))
+    T = enumerate_affine(A, np.zeros(len(A)), banaszczyk_radius(A.shape[1]))
     T = T[np.any(T != 0, axis=1)]
     w = np.exp(-math.pi * np.einsum("ij,ij->i", T @ A.T, T @ A.T))
     return np.array([float(np.sum(w * np.cos(2 * math.pi * (T @ f)))) for f in shifts])
@@ -252,7 +273,7 @@ def test_poisson_sum_matches_a_direct_sum(monkeypatch):
         beta = banaszczyk_bound(k, ps.radius)
         assert 0 < beta <= 2.0 ** -100 and ps.mass > 0
         assert ps.tail == pytest.approx(beta * (1 + ps.mass) / (1 - beta), rel=1e-12, abs=0)
-        T = ball_points(A, 1.5 * ps.radius)
+        T = enumerate_affine(A, np.zeros(len(A)), 1.5 * ps.radius)
         nrm = np.einsum("ij,ij->i", T @ A.T, T @ A.T)
         assert float(np.sum(np.exp(-math.pi * nrm[nrm > ps.radius ** 2]))) <= ps.tail
         monkeypatch.setattr(dgsum.gaussian, "ENUM_BUDGET", len(ps.points) * 7 - 1)

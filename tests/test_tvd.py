@@ -102,13 +102,31 @@ def test_workspace_particular_matches_solve_integer():
     assert 0 < onto < len(mats)
 
 
-def _per_label_pmf(X, R, c, points, solve_each=False):
+def _label_oracle(X, R, c, solve_each=False):
     """Oracle: one primal section sum per label; with solve_each, each label
     also gets its particular solution from its own HNF."""
     ref = PrimalSections(X, R, c)
     if solve_each:
         ref.ws.particular = lambda z: np.array(solve_integer(X, [int(v) for v in z]), dtype=float) + ref.ws.c
-    return ref.output_masses(points)
+    return ref
+
+
+def _assert_matches_oracle(p, oracle):
+    """The masses of p against the oracle's, to 1e-12 absolute, and relative
+    to 1e-12 (1 + mu) / (1 + delta(z)) on every label of oracle mass above
+    1e-200.  A dual sum is exact to an absolute error in units of the
+    kernel's dual sum 1 + mu, mu = ``dual.mass``, so a label whose section
+    factor 1 + delta(z), the fiber weight over the target weight times the
+    section scale, is small keeps only that much relative accuracy: below
+    the kernel's smoothing parameter 1 + delta(z) reaches 1e-15."""
+    ws = oracle.ws
+    weights = np.array([oracle.fiber_weight(z) for z in p.points])
+    want = weights / float(np.sum(np.sort(weights)))
+    np.testing.assert_allclose(p.masses, want, rtol=0, atol=1e-12)
+    factor = weights / (ws.section_scale * np.array([ws.target_weight(z) for z in p.points]))
+    keep = want > 1e-200
+    rel = np.abs(p.masses - want)[keep] / want[keep]
+    assert np.all(rel <= 1e-12 * (1.0 + ws.dual.mass) / factor[keep])
 
 
 def _det_xxt(X):
@@ -138,7 +156,7 @@ def test_class_path_matches_per_label_oracle():
     for X, c, s, solve_each in cases:
         R = GaussianShape.spherical(s)
         p = exact_output_pmf(X, R, c=c)
-        np.testing.assert_allclose(p.masses, _per_label_pmf(X, R, c, p.points, solve_each), rtol=0, atol=1e-12)
+        _assert_matches_oracle(p, _label_oracle(X, R, c, solve_each))
         dets.add(_det_xxt(X))
         # both pmfs on one workspace share its labels and equal those built
         # on two fresh workspaces of fresh equal matrices, bit for bit
@@ -169,6 +187,15 @@ def test_exact_output_pmf_one_section_sum_per_class(monkeypatch):
         # one kernel-side and one target-side sum over the d classes; none for d = 1
         assert rows_per_call == ([d, d] if d > 1 else [])
         assert d < len(p.points)
+    # more classes (det X X^T = 40001) than labels: one kernel-side sum over
+    # the labels' classes, here one per second coordinate
+    X = IntMatrix.from_rows([[1, 0, 0], [0, 1, 200]])
+    rows_per_call.clear()
+    p = exact_output_pmf(X, GaussianShape.spherical(1.0))
+    assert len(p.points) < 40001 and rows_per_call == [len(np.unique(p.points[:, 1]))] < [len(p.points)]
+    e = exact_output_pmf(X, GaussianShape.ellipsoidal(np.eye(3)))  # every label
+    assert np.array_equal(e.points, p.points) and e.tail_bound == pytest.approx(p.tail_bound, rel=1e-12, abs=0)
+    np.testing.assert_allclose(e.masses, p.masses, rtol=0, atol=1e-15)
 
 
 def test_ellipsoidal_shapes_take_the_per_label_path():
@@ -183,7 +210,7 @@ def test_ellipsoidal_shapes_take_the_per_label_path():
         np.testing.assert_allclose(e.masses, p.masses, rtol=1e-12, atol=0)
         R = GaussianShape.ellipsoidal(np.diag(np.linspace(1.0, 2.0, m)))
         f = exact_output_pmf(X, R, c=c)
-        np.testing.assert_allclose(f.masses, _per_label_pmf(X, R, c, f.points), rtol=0, atol=1e-12)
+        _assert_matches_oracle(f, _label_oracle(X, R, c))
 
 
 def test_hnf_calls_independent_of_label_count(monkeypatch):
@@ -252,7 +279,7 @@ def test_dual_sums_match_primal_oracle():
             for z in rng.integers(-3, 4, size=(4, n)).tolist():
                 assert abs(ws.fiber_weight(z) - oracle.fiber_weight(z)) <= 1e-12
             p = exact_output_pmf(X, R, workspace=ws)
-            np.testing.assert_allclose(p.masses, oracle.output_masses(p.points), rtol=0, atol=1e-12)
+            _assert_matches_oracle(p, oracle)
             if R.is_spherical:
                 assert abs(class_tvd(ws).tvd - primal_tvd(X, R, c)) <= 1e-12
     assert min(dets) == 1 and max(dets) >= 20
@@ -363,12 +390,23 @@ def test_exact_output_pmf_tail_from_class_weights():
         factors.append(factor)
     # the factor falls towards 1 as r passes the smoothing parameter
     assert factors[0] > factors[1] > factors[2] > 1 and factors[2] < 1.05
-    # non-spherical R: the bound (1 + mu) / (1 - mu) from the dual mass
+    # per-label path: 1 + mu from the dual mass over the region's mean of 1 + delta
+    target_tail = ball_tail_bound(2, region_radius_for_tail(2))
     R = GaussianShape.ellipsoidal(np.diag([1.5, 1.6, 1.7]))
     ws = FiberWorkspace(X, R, [0.0] * 3)
+    T = ws.labels(region_radius_for_tail(2))
+    w = np.exp(-math.pi * ws.target_norms(T))
+    mean = float(w @ (1 + ws.section_deltas(T))) / float(np.sum(w))
     mu = ws.dual.mass
-    want = ball_tail_bound(2, region_radius_for_tail(2)) * (1 + mu) / (1 - mu)
+    want = target_tail * (1 + mu) / ((1 - target_tail) * mean)
     assert exact_output_pmf(X, R, workspace=ws).tail_bound == pytest.approx(want, rel=1e-9, abs=0)
+    assert want < target_tail * (1 + mu) / (1 - mu)
+    # and with more classes than labels, where 1 - mu < 0
+    X = IntMatrix.from_rows([[1, 200]])
+    R = GaussianShape.spherical(1.0)
+    ws = FiberWorkspace(X, R, [0.0, 0.0])
+    p = exact_output_pmf(X, R, workspace=ws)
+    assert ws.dual.mass > 1 and len(p.points) < 40001 and p.tail_bound < 1e-10
 
 
 def test_region_radius_for_tail():
