@@ -52,6 +52,9 @@ from .tvd import (
 EXIT_OK = 0
 EXIT_GATE = 2
 EXIT_INVARIANT = 3
+# bound on the entries of the shift c: float64 holds every integer below 2^53,
+# so round(c_i) is exact, and it and the draws added to it stay far inside int64
+C_BOUND = 2.0 ** 53
 
 
 _AS_IS = (int, str, bool, type(None))
@@ -176,6 +179,9 @@ def resolve(args: argparse.Namespace) -> dict:
     for key in ("r", "s"):
         if out[key] is not None and not (math.isfinite(out[key]) and out[key] > 0):
             raise ValueError(f"{key} must be finite and positive, not {out[key]:g}")
+    for x in out["c"] or ():
+        if not (math.isfinite(x) and abs(x) < C_BOUND):
+            raise ValueError(f"c entries must be finite with |c_i| < 2^53, not {x:g}")
     return out
 
 

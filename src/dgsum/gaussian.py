@@ -5,6 +5,17 @@ the spherical case S = s*I gives exp(-pi ||x||^2 / s^2).  Discrete Gaussians on
 a coset L + c weight each coset point by this function and normalize by the
 total weight of the coset.  All pmf tables are truncated with a certified
 relative tail bound.
+
+Every lattice-point enumeration is one Fincke-Pohst level loop
+(``fincke_pohst``) on an upper-triangular factor U of the lattice, under one
+of two factorizations.  ``enumerate_affine`` takes a basis A with a centre b
+and factors A = Q U (QR).  ``poisson_sum`` takes a Gram matrix, which is all a
+Gaussian sum over a lattice needs (rho(A t) = exp(-pi t^T A^T A t)), and
+factors it as U^T U (Cholesky).  The package's dual sums have integer Gram
+matrices over an integer determinant: the dual basis B (B^T B)^-1 of an
+integer basis B has Gram matrix (B^T B)^-1 = adj(B^T B) / det(B^T B), so the
+dual sum at scale s is ``poisson_sum(s^2 adj(B^T B) / det(B^T B))``, with no
+float basis to factor.
 """
 
 from __future__ import annotations
@@ -366,48 +377,54 @@ class PoissonSum:
         return out
 
 
-def poisson_sum(A: np.ndarray) -> PoissonSum:
-    """The PoissonSum of the lattice with basis the columns of A (full column
-    rank), truncated at ``banaszczyk_radius(k)``."""
-    A = np.asarray(A, dtype=float)
-    m, k = A.shape
+def poisson_sum(gram: np.ndarray) -> PoissonSum:
+    """The PoissonSum of the lattice with Gram matrix ``gram`` (k x k,
+    positive definite), truncated at ``banaszczyk_radius(k)``.
+
+    A Gaussian sum over a lattice needs its Gram matrix and nothing else:
+    with gram = U^T U (Cholesky), ||A t||^2 = t^T gram t = ||U t||^2 for any
+    basis A of the lattice, so ``fincke_pohst`` runs its levels on U, and the
+    points are kept by t^T gram t <= radius^2 (1 + 1e-12) + 1e-12, the test
+    ``enumerate_affine`` applies to ||A t||^2, with the same radius margin.
+    The squared norms carry the relative rounding of gram's entries times
+    |t|^T |gram| |t|, which for an ill-conditioned gram far exceeds
+    t^T gram t; the package's Grams are r^2 adj(B^T B) / det(B^T B) of
+    LLL-reduced or small integer bases, rounded once per entry.
+    """
+    gram = np.asarray(gram, dtype=float)
+    k = len(gram)
     radius = banaszczyk_radius(k)
     if k == 0:
         return PoissonSum(np.zeros((0, 0), dtype=np.int64), np.zeros(0), radius, 0)
-    T = enumerate_affine(A, np.zeros(m), radius)
+    bound = radius * radius * (1 + 1e-12) + 1e-12
+    T = fincke_pohst(np.linalg.cholesky(gram).T, np.zeros(k), bound * (1 + 1e-9) + 1e-9, radius)
     lead = T[np.arange(len(T)), np.argmax(T != 0, axis=1)]
     T = T[lead > 0]  # one of each pair +-t; drops t = 0
-    w = T @ A.T
-    return PoissonSum(T, np.exp(-math.pi * np.einsum("ij,ij->i", w, w)), radius, k)
+    norms = np.einsum("ij,ij->i", T @ gram, T)
+    keep = norms <= bound
+    T, norms = T[keep], norms[keep]
+    order = np.lexsort(T.T[::-1])
+    return PoissonSum(T[order], np.exp(-math.pi * norms[order]), radius, k)
 
 
-def enumerate_affine(A: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
-    """Integer t with ||A t + b|| <= radius, as int64 rows in lexicographic order.
+def fincke_pohst(U: np.ndarray, y: np.ndarray, level_bound: float, radius: float) -> np.ndarray:
+    """Integer t with sum_i U_ii^2 (t_i - c_i)^2 <= level_bound, as int64 rows,
+    c_i = -(y_i + sum_{j>i} U_ij t_j) / U_ii, U upper triangular (k x k) with
+    a nonzero diagonal of either sign.
 
-    A must have full column rank k.  Fincke-Pohst enumeration, one level at a
-    time for all partial vectors at once: with A = Q U (U upper triangular)
-    and y = Q^T b, ||A t + b||^2 = sum_i U_ii^2 (t_i - c_i)^2 + ||b - Q y||^2,
-    c_i = -(y_i + sum_{j>i} U_ij t_j) / U_ii, so the coordinates are fixed
-    from the last to the first, each within the interval that the radius left
-    over by the later ones allows.  Every partial vector kept extends to a
-    point of the ellipsoid's projection, where the axis-aligned bounding box
-    of a ball holds about 400 times its points at rank 10.  The levels run at
-    a radius larger by a relative 1e-9, and the points are then kept by
-    ||A t + b||^2 <= radius^2 (1 + 1e-12) + 1e-12 computed directly, so that
-    rounding in U cannot drop a point on the boundary.  The int64 entries of
-    each level's partial vectors are charged against ENUM_BUDGET
-    (EnumerationBudgetExceeded above it).
+    Fincke-Pohst enumeration, one level at a time for all partial vectors at
+    once: the coordinates are fixed from the last to the first, each within
+    the interval that the bound left over by the later ones allows, so every
+    partial vector kept extends to a point of the ellipsoid's projection,
+    where the axis-aligned bounding box of a ball holds about 400 times its
+    points at rank 10.  The int64 entries of each level's partial vectors are
+    charged against ENUM_BUDGET (EnumerationBudgetExceeded above it);
+    ``radius`` only names the ball in that message.  The rows come out in no
+    particular order.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    k = A.shape[1]
-    Q, U = np.linalg.qr(A)
-    y = Q.T @ b
-    perp = b - Q @ y
-    bound = radius * radius * (1 + 1e-12) + 1e-12
-    level_bound = bound * (1 + 1e-9) + 1e-9 - float(perp @ perp)
+    k = len(U)
     T = np.zeros((1 if level_bound >= 0 else 0, 0), dtype=np.int64)
-    used = np.zeros(len(T))  # ||A t + b||^2 restricted to the fixed coordinates
+    used = np.zeros(len(T))  # the bounded sum restricted to the fixed coordinates
     for i in range(k - 1, -1, -1):
         center = -(y[i] + T @ U[i, i + 1:]) / U[i, i]
         half = np.sqrt(np.maximum(level_bound - used, 0.0)) / abs(U[i, i])
@@ -424,6 +441,27 @@ def enumerate_affine(A: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
         ti = np.arange(total) - first[parent] + lo[parent]
         used = used[parent] + (U[i, i] * (ti - center[parent])) ** 2
         T = np.concatenate([ti[:, None], T[parent]], axis=1)
+    return T
+
+
+def enumerate_affine(A: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
+    """Integer t with ||A t + b|| <= radius, as int64 rows in lexicographic order.
+
+    A must have full column rank k.  With A = Q U (QR, U upper triangular)
+    and y = Q^T b, ||A t + b||^2 = sum_i U_ii^2 (t_i - c_i)^2 + ||b - Q y||^2,
+    c_i = -(y_i + sum_{j>i} U_ij t_j) / U_ii, which ``fincke_pohst``
+    enumerates.  Its levels run at a radius larger by a relative 1e-9, and
+    the points are then kept by ||A t + b||^2 <= radius^2 (1 + 1e-12) + 1e-12
+    computed directly, so that rounding in U cannot drop a point on the
+    boundary.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    Q, U = np.linalg.qr(A)
+    y = Q.T @ b
+    perp = b - Q @ y
+    bound = radius * radius * (1 + 1e-12) + 1e-12
+    T = fincke_pohst(U, y, bound * (1 + 1e-9) + 1e-9 - float(perp @ perp), radius)
     w = T @ A.T + b
     T = T[np.einsum("ij,ij->i", w, w) <= bound]
     return T[np.lexsort(T.T[::-1])]

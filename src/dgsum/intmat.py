@@ -6,8 +6,8 @@ integer solvability tests and particular solutions of ``X u = t``.  Each
 matrix object is decomposed at most once (``IntMatrix.hermite``) and its
 kernel lattice LLL-reduced at most once (``IntMatrix.reduced_kernel``);
 equal matrices built separately are decomposed and reduced separately, so
-nothing is shared beyond the life of the object.  Ranks come from
-fraction-free (Bareiss) elimination.
+nothing is shared beyond the life of the object.  Ranks, determinants and
+adjugates come from fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -307,3 +307,33 @@ def independent_rows(rows: Sequence[Sequence[int]]) -> Iterator[int]:
 def fraction_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals: the size of the greedy basis of ``independent_rows``."""
     return sum(1 for _ in independent_rows(rows))
+
+
+def _int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant by fraction-free (Bareiss) elimination; every division is exact."""
+    M = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(M)):
+        piv = next((i for i in range(k, len(M)) if M[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        top = M[k]
+        for i in range(k + 1, len(M)):
+            row = M[i]
+            M[i] = [(top[k] * a - row[k] * b) // prev for a, b in zip(row, top)]
+        prev = top[k]
+    return sign * prev
+
+
+def adjugate(G: IntMatrix) -> tuple[list[list[int]], int]:
+    """(adj G, det G) of a square integer matrix, so that adj(G) G = det(G) I."""
+    n = G.n_rows
+
+    def minor(i, j):
+        return [[x for b, x in enumerate(row) if b != j] for a, row in enumerate(G.rows) if a != i]
+
+    adj = [[(-1) ** (i + j) * _int_det(minor(j, i)) for j in range(n)] for i in range(n)]
+    return adj, _int_det(G.rows)

@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .gaussian import poisson_sum
-from .intmat import IntMatrix, InvariantViolation, dot, norm_sq
+from .intmat import IntMatrix, InvariantViolation, adjugate, dot, norm_sq
 
 
 class RankError(ValueError):
@@ -149,6 +149,14 @@ def _integral_gso(b: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return d, lam
 
 
+@lru_cache(maxsize=32)
+def _lovasz_ratio(delta: float) -> tuple[int, int]:
+    """(num, den) of the Lovasz parameter as the fraction nearest it with a
+    denominator of at most 10^6, derived once per delta."""
+    ratio = Fraction(delta).limit_denominator(10 ** 6)
+    return ratio.numerator, ratio.denominator
+
+
 def lll_reduce(basis: LatticeBasis, delta: float = 0.99) -> LatticeBasis:
     """Integral LLL reduction of the basis (same lattice).
 
@@ -159,8 +167,7 @@ def lll_reduce(basis: LatticeBasis, delta: float = 0.99) -> LatticeBasis:
     """
     if not 0.25 < delta < 1:
         raise ValueError("delta must be in (0.25, 1)")
-    ratio = Fraction(delta).limit_denominator(10 ** 6)
-    num, den = ratio.numerator, ratio.denominator
+    num, den = _lovasz_ratio(delta)
     b = [list(c) for c in basis.matrix.columns()]
     r = len(b)
     if r <= 1:
@@ -292,16 +299,18 @@ def smoothing_check(basis: LatticeBasis, s: float, eps: float) -> tuple[bool, fl
     """Numeric check that s is above the smoothing parameter of the lattice.
 
     Evaluates rho_{1/s}(L* minus 0), the Gaussian weight exp(-pi s^2 ||y||^2)
-    of the nonzero dual points, as the mass of the ``PoissonSum`` with basis
-    s B (B^T B)^-1, truncated where Banaszczyk's bound is 2^-100; ``tail`` is
-    that sum's bound on the omitted weight, beta (1 + lhs) / (1 - beta).
-    Returns (holds, lhs, tail) with holds = (lhs + tail <= eps).
+    of the nonzero dual points, as the mass of the ``PoissonSum`` of the
+    Gram matrix s^2 (B^T B)^-1 = s^2 adj(B^T B) / det(B^T B) (that of the
+    dual basis s B (B^T B)^-1), truncated where Banaszczyk's bound is 2^-100;
+    ``tail`` is that sum's bound on the omitted weight,
+    beta (1 + lhs) / (1 - beta).  Returns (holds, lhs, tail) with
+    holds = (lhs + tail <= eps).
     """
     if not s > 0:
         raise ValueError("s must be positive")
-    dual = dual_basis(basis)
-    D = np.array([[float(x) for x in col] for col in zip(*dual)], dtype=float)
-    ps = poisson_sum(s * D)
+    B = basis.matrix
+    adj, det = adjugate(B.T @ B)
+    ps = poisson_sum(s * s * np.array(adj, dtype=float) / det)
     lhs, tail = ps.mass, ps.tail
     return (lhs + tail <= eps), lhs, tail
 

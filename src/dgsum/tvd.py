@@ -11,7 +11,8 @@ dual lattice A*: (1 + delta(z)) with delta(z) = sum over y in A* minus 0 of
 e^{-pi ||y||^2} cos(2 pi <y, P z + c>) (whitened).  So the image pmf is the
 target pmf reweighted by (1 + delta(z)) / (1 + mean delta).  Every section sum
 of the module is one ``gaussian.PoissonSum`` over the dual of the whitened
-kernel, built once per workspace and evaluated for a batch of shifts.
+kernel, built once per workspace from its Gram matrix and evaluated for a
+batch of shifts.
 
 For spherical R, delta(z) depends only on the class of z modulo G Z^n,
 G = X X^T: two labels z and z + G w have fibers that differ by X^T w, which is
@@ -19,6 +20,13 @@ orthogonal to ker X.  There are d = det G classes, and the class masses Q_k of
 the target are a second Poisson sum, over Z^n with phases u^T adj(G) z_k / d.
 Then TVD = 1/2 sum_k Q_k |delta_k - mean delta| / (1 + mean delta) exactly,
 with no label region (``class_tvd``).
+
+For R = r I both dual sums are built from integers the instance already
+holds.  With K the integer kernel basis, d = det G = det(K^T K) (X is onto),
+the dual of the kernel has Gram matrix r^2 (K^T K)^-1 = r^2 adj(K^T K) / d and
+the dual of the target lattice r^2 G^-1 = r^2 adj(G) / d, and the phases of
+the shift c are adj(K^T K) K^T c / d and adj(G) X c / d.  So the class TVD
+takes one Cholesky factor per sum and none of the workspace's float data.
 
 Also hosts numeric evaluators for the tail, ratio and shift bounds used by
 the threshold analysis.
@@ -48,7 +56,7 @@ from .gaussian import (
     exact_in_int64,
     poisson_sum,
 )
-from .intmat import IntMatrix, InvariantViolation
+from .intmat import IntMatrix, InvariantViolation, adjugate
 
 
 class NotInSupport(ValueError):
@@ -147,6 +155,14 @@ class FiberWorkspace:
     that every label has a fiber.  The labels of a region are enumerated once
     per workspace and radius (``labels``), as one int64 array that the image
     and target pmfs built on one workspace share as their points.
+
+    For spherical R = r I both dual Gram matrices are integer data over an
+    integer determinant: the kernel's dual has r^2 (K^T K)^-1 =
+    r^2 adj(K^T K) / det(K^T K) (``kernel_adjugate``) and the target's
+    r^2 G^-1 = r^2 adj(G) / d, G = X X^T (``gram_adjugate``).  The float
+    data of the whitened kernel and target (``W``, ``K``, ``Gw_inv``,
+    ``section_scale``, ``to_coef``, ``target_gram``, ``Wt``, ``Xc``) is
+    computed on first use, so the class TVD of a spherical R reads none of it.
     """
 
     def __init__(self, X: IntMatrix, R: GaussianShape, c: Sequence[float]):
@@ -165,37 +181,80 @@ class FiberWorkspace:
         self.c = np.asarray(list(c), dtype=float)
         if self.c.shape != (m,):
             raise ValueError("shift dimension mismatch")
-        self.W = R.whitening(m)
         self.rank = m - n
         self.kernel = X.reduced_kernel if m > n else None
-        # a section sum is section_scale * (1 + the dual sum at coef),
-        # coef = Gw^-1 (W K)^T W f for a fiber point f, Gw = (W K)^T W K
-        self.section_scale = 1.0
-        self.K = np.zeros((m, 0))
-        self.Gw_inv = np.zeros((0, 0))
-        self.to_coef = np.zeros((m, 0))
-        if self.kernel is not None:
-            self.K = self.kernel.matrix.to_numpy()
-            WK = self.W @ self.K
-            self.Gw_inv = np.linalg.inv(WK.T @ WK)
-            self.section_scale = math.sqrt(np.linalg.det(self.Gw_inv))
-            self.to_coef = self.W.T @ WK @ self.Gw_inv
-        # target shape R X^T: Gram = X R^T R X^T
-        Xf = X.to_numpy()
-        Gt = Xf @ R.gram(m) @ Xf.T
-        self.target_gram = Gt
-        self.Wt = np.linalg.inv(np.linalg.cholesky(Gt))
-        self.Xc = Xf @ self.c
         self._regions: dict[float, np.ndarray] = {}
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        """The whitening of R: rho_R(x) = exp(-pi ||W x||^2)."""
+        return self.R.whitening(self.X.n_cols)
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        """The kernel basis as an (m, m - n) float array."""
+        if self.kernel is None:
+            return np.zeros((self.X.n_cols, 0))
+        return self.kernel.matrix.to_numpy()
+
+    @cached_property
+    def Gw_inv(self) -> np.ndarray:
+        """Gw^-1, Gw = (W K)^T W K: the Gram matrix of the dual basis
+        W K Gw^-1 of the whitened kernel."""
+        WK = self.W @ self.K
+        return np.linalg.inv(WK.T @ WK)
+
+    @cached_property
+    def section_scale(self) -> float:
+        """A section sum is section_scale * (1 + the dual sum at coef),
+        coef = f @ ``to_coef`` for a fiber point f; 1 when ker X = 0."""
+        return math.sqrt(np.linalg.det(self.Gw_inv))
+
+    @cached_property
+    def to_coef(self) -> np.ndarray:
+        """W^T W K Gw^-1, the map from a fiber point f to its phase coordinates
+        coef = Gw^-1 (W K)^T W f in the dual basis."""
+        return self.W.T @ (self.W @ self.K) @ self.Gw_inv
+
+    @cached_property
+    def target_gram(self) -> np.ndarray:
+        """X R^T R X^T, the Gram matrix of the target shape R X^T."""
+        Xf = self.X.to_numpy()
+        return Xf @ self.R.gram(self.X.n_cols) @ Xf.T
+
+    @cached_property
+    def Wt(self) -> np.ndarray:
+        """The whitening of the target shape."""
+        return np.linalg.inv(np.linalg.cholesky(self.target_gram))
+
+    @cached_property
+    def Xc(self) -> np.ndarray:
+        """X c, the shift of the target coset Z^n + X c."""
+        return self.X.to_numpy() @ self.c
+
+    @cached_property
+    def kernel_adjugate(self) -> tuple[list[list[int]], int]:
+        """(adj(K^T K), det(K^T K)) of the integer kernel basis K."""
+        K = self.kernel.matrix
+        return adjugate(K.T @ K)
+
+    @cached_property
+    def gram_adjugate(self) -> tuple[list[list[int]], int]:
+        """(adj(G), d) of G = X X^T, d = det G the number of its classes."""
+        return adjugate(self.X @ self.X.T)
 
     def particular(self, z: Sequence[int]) -> np.ndarray:
         return np.array(self.P @ z, dtype=float) + self.c
 
     @cached_property
     def dual(self) -> PoissonSum:
-        """The PoissonSum of the dual of the whitened kernel lattice W A,
-        basis W K Gw^-1; no points when ker X = 0."""
-        return poisson_sum(self.W @ self.K @ self.Gw_inv)
+        """The PoissonSum of the dual of the whitened kernel lattice W A, with
+        Gram matrix Gw^-1: r^2 adj(K^T K) / det(K^T K) for spherical R = r I.
+        No points when ker X = 0."""
+        if self.kernel is None or not self.R.is_spherical:
+            return poisson_sum(self.Gw_inv)
+        adj, det = self.kernel_adjugate
+        return poisson_sum(self.R.s ** 2 * np.array(adj, dtype=float) / det)
 
     def section_deltas(self, T: np.ndarray) -> np.ndarray:
         """delta(z) for each label row z of T, one batched dual sum."""
@@ -234,23 +293,25 @@ class FiberWorkspace:
 
     @cached_property
     def classes(self) -> CosetClasses:
-        """The coset classes of a spherical R, computed once per workspace.
+        """The coset classes of a spherical R = r I, computed once per workspace.
 
-        delta_k takes its phase <y, P z_k> exactly: with y = K (K^T K)^-1 t,
-        it is t^T adj(K^T K) K^T P z_k / det(K^T K) and det(K^T K) = d since X
-        is onto (checked), so it is an int64 residue mod d plus the float
-        term of c.  Q_k is proportional to sum over u in Z^n of
-        e^{-pi u^T G^-1 Gt G^-1 u} cos(2 pi (u^T adj(G) z_k / d + u^T G^-1 X c)),
-        Gt the target Gram matrix, normalized over the classes.  A single
+        delta_k takes its phase <y, P z_k + c> exactly: with y = K (K^T K)^-1 t,
+        it is t^T adj(K^T K) K^T (P z_k + c) / det(K^T K) and det(K^T K) = d
+        since X is onto (checked), so it is an int64 residue mod d plus the
+        float term of c.  Q_k is proportional to sum over u in Z^n of
+        e^{-pi r^2 u^T adj(G) u / d} cos(2 pi (u^T adj(G) z_k / d + u^T adj(G) X c / d)),
+        normalized over the classes.  The two dual sums are built from their
+        Gram matrices, r^2 adj(K^T K) / d (``dual``) and r^2 adj(G) / d, so
+        the integer adjugates, the HNF of G and the class residues are the
+        only data the sums need, and none of them depends on r.  A single
         class (d = 1) needs no sum.  Raises EnumerationBudgetExceeded when d,
         or d times the dual points of either sum, exceeds ENUM_BUDGET.
         """
         if not self.R.is_spherical:
             raise ValueError("coset classes need a spherical R")
         n = self.X.n_rows
-        G = self.X @ self.X.T
-        adjG, d = _adjugate(G)
-        H = G.hermite.H
+        adjG, d = self.gram_adjugate
+        H = (self.X @ self.X.T).hermite.H
         hnf = H.to_numpy(dtype=np.int64)
         diag = [H.rows[i][i] for i in range(n)]
         if math.prod(diag) != d:
@@ -261,16 +322,19 @@ class FiberWorkspace:
             return CosetClasses(hnf, np.zeros(1), np.ones(1), 0.0, 0.0)
         # the int64 phases of both sums are exact: PoissonSum.sums checks
         # rank * (d - 1)^2 < 2^63, which d <= ENUM_BUDGET leaves to ranks above 23,000
-        K = self.kernel.matrix
-        adjK, dK = _adjugate(K.T @ K)
+        adjK, dK = self.kernel_adjugate
         if dK != d:
             raise InvariantViolation(f"det(K^T K) = {dK} differs from det(X X^T) = {d}")
-        M = IntMatrix.from_rows(adjK) @ K.T @ self.P
+        M = IntMatrix.from_rows(adjK) @ self.kernel.matrix.T @ self.P
         reps = np.stack(np.unravel_index(np.arange(d), diag), axis=1)  # lexicographic
-        delta = self.dual.sums(self.c @ self.to_coef, reps @ _mod(M.rows, d).T % d, d)
-        Ginv = np.array(adjG, dtype=float) / d
-        target = poisson_sum(np.linalg.cholesky(self.target_gram).T @ Ginv)
-        q = 1.0 + target.sums(Ginv @ self.Xc, reps @ _mod(adjG, d).T % d, d)
+        adjGf = np.array(adjG, dtype=float)
+        kernel_shift = target_shift = None  # c = 0 adds no float phase
+        if np.any(self.c):
+            kernel_shift = np.array(adjK, dtype=float) @ (self.c @ self.K) / d
+            target_shift = adjGf @ self.Xc / d
+        delta = self.dual.sums(kernel_shift, reps @ _mod(M.rows, d).T % d, d)
+        target = poisson_sum(self.R.s ** 2 * adjGf / d)
+        q = 1.0 + target.sums(target_shift, reps @ _mod(adjG, d).T % d, d)
         if np.any(q < 0):
             raise InvariantViolation("a class mass of the target is negative")
         total = float(np.sum(q))
@@ -330,36 +394,6 @@ def _labels(X, R, c, region_radius, workspace):
     return ws, region_radius, ws.labels(region_radius)
 
 
-def _int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant by fraction-free (Bareiss) elimination; every division is exact."""
-    M = [list(r) for r in rows]
-    sign, prev = 1, 1
-    for k in range(len(M)):
-        piv = next((i for i in range(k, len(M)) if M[i][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        top = M[k]
-        for i in range(k + 1, len(M)):
-            row = M[i]
-            M[i] = [(top[k] * a - row[k] * b) // prev for a, b in zip(row, top)]
-        prev = top[k]
-    return sign * prev
-
-
-def _adjugate(G: IntMatrix) -> tuple[list[list[int]], int]:
-    """(adj G, det G) of a square integer matrix, so that adj(G) G = det(G) I."""
-    n = G.n_rows
-
-    def minor(i, j):
-        return [[x for b, x in enumerate(row) if b != j] for a, row in enumerate(G.rows) if a != i]
-
-    adj = [[(-1) ** (i + j) * _int_det(minor(j, i)) for j in range(n)] for i in range(n)]
-    return adj, _int_det(G.rows)
-
-
 def _row_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, starts): order sorts the rows of keys lexicographically, ties
     by index; starts[k] marks order[k] as the first row of a run of equal
@@ -408,7 +442,7 @@ def exact_output_pmf(
     weights = np.exp(-math.pi * ws.target_norms(T))
     n = X.n_rows
     tt = ball_tail_bound(n, region_radius)
-    adj, d = _adjugate(X @ X.T) if R.is_spherical else (None, None)
+    adj, d = ws.gram_adjugate if R.is_spherical else (None, None)
     if R.is_spherical and d <= len(T):
         cl = ws.classes
         e_A = cl.delta_slack

@@ -231,11 +231,16 @@ def test_tvd_mc_does_not_build_image_pmf(tmp_path, monkeypatch):
 
 def test_tvd_exact_builds_no_label_region(tmp_path, monkeypatch):
     import dgsum.cli
+    from dgsum.tvd import FiberWorkspace
 
     def refuse(*args, **kwargs):
         raise RuntimeError("--exact must not build the target pmf over a label region")
 
     monkeypatch.setattr(dgsum.cli, "target_pmf", refuse)
+    monkeypatch.setattr(FiberWorkspace, "region", refuse)
+    # nor any float data of the workspace: the two dual sums come from integer Grams
+    for name in ("W", "K", "Gw_inv", "section_scale", "to_coef", "target_gram", "Wt", "Xc"):
+        monkeypatch.setattr(FiberWorkspace, name, property(refuse))
     xfile = tmp_path / "X.txt"
     xfile.write_text("1 1 1\n0 1 2\n")
     out = tmp_path / "run"
@@ -314,6 +319,12 @@ def test_invalid_mode_is_an_invalid_config(tmp_path, capsys):
     (["tvd", "-r", "nan"], "r must be finite and positive, not nan"),
     (["kernel", "-s", "-2"], "s must be finite and positive, not -2"),
     (["quality", "-s", "inf"], "s must be finite and positive, not inf"),
+    # the shift c: non-finite, or past 2^53, where its integer part leaves the
+    # exact integers of float64 and, at 1e20, int64
+    (["tvd", "--exact", "--c", "nan 0"], "c entries must be finite with |c_i| < 2^53, not nan"),
+    (["tvd", "--mc", "--samples", "10000", "--c", "inf 0"], "c entries must be finite with |c_i| < 2^53, not inf"),
+    (["tvd", "--mc", "--samples", "10000", "--c", "1e20 0"], "c entries must be finite with |c_i| < 2^53, not 1e+20"),
+    (["sample", "--c", "0 nan"], "c entries must be finite with |c_i| < 2^53, not nan"),
 ])
 def test_meaningless_numeric_options_are_invalid_config(tmp_path, capsys, args, message):
     out = tmp_path / "run"
@@ -447,11 +458,12 @@ def test_tvd_exact_op_decomposes_and_enumerates_once(tmp_path, monkeypatch):
     import dgsum.intmat
     import dgsum.tvd
 
-    hnf, region, enum = [], [], []
+    hnf, region, enum, dual = [], [], [], []
     _count_calls(monkeypatch, dgsum.intmat, "hnf_column", hnf)
     _count_calls(monkeypatch, dgsum.tvd.FiberWorkspace, "region", region)
     _count_calls(monkeypatch, dgsum.tvd, "enumerate_affine", enum)
     _count_calls(monkeypatch, dgsum.gaussian, "enumerate_affine", enum)
+    _count_calls(monkeypatch, dgsum.tvd, "poisson_sum", dual)
     xfile = tmp_path / "X.txt"
     xfile.write_text("1 0 1 1\n0 1 1 -1\n")
     assert run(["tvd", "--x-file", xfile, "--exact", "--seed", "4", "--out-dir", tmp_path / "run"]) == EXIT_OK
@@ -460,8 +472,10 @@ def test_tvd_exact_op_decomposes_and_enumerates_once(tmp_path, monkeypatch):
     assert len(hnf) == 3 and hnf[0][0].rows == ((1, 0, 1, 1), (0, 1, 1, -1))
     assert len(hnf[1][0].rows) == 3
     assert hnf[2][0].rows == ((3, 0), (0, 3))
-    # no label region; one dual enumeration each for ker X and for Z^n
-    assert len(region) == 0 and len(enum) == 2
+    # no label region; one dual sum each for ker X and for Z^n, each built
+    # from its Gram matrix, so no basis goes through enumerate_affine
+    assert len(region) == 0 and len(enum) == 0
+    assert [gram.shape for (gram,) in dual] == [(2, 2), (2, 2)]
 
 
 def test_kernel_op_decomposes_each_matrix_once(tmp_path, monkeypatch):

@@ -251,7 +251,7 @@ def test_poisson_sum_matches_a_direct_sum(monkeypatch):
     rng = np.random.default_rng(8)
     for k in (1, 2, 3):
         A = rng.normal(size=(k + 1, k)) * 0.7
-        ps = poisson_sum(A)
+        ps = poisson_sum(A.T @ A)
         assert len(ps.points) and np.all(ps.points[np.arange(len(ps.points)), np.argmax(ps.points != 0, axis=1)] > 0)
         shifts = rng.normal(size=(7, k)) * 3
         want = _poisson_oracle(A, shifts)
@@ -282,9 +282,42 @@ def test_poisson_sum_matches_a_direct_sum(monkeypatch):
         monkeypatch.undo()
     with pytest.raises(ValueError, match="int64"):
         poisson_sum(np.eye(2)).sums(residues=np.zeros((1, 2), dtype=np.int64), modulus=3 * 2 ** 31)
-    empty = poisson_sum(np.zeros((3, 0)))
+    empty = poisson_sum(np.zeros((0, 0)))
     assert isinstance(empty, PoissonSum) and empty.mass == 0.0 and empty.tail == 0.0
     assert np.array_equal(empty.sums(np.zeros((4, 0))), np.zeros(4))
+
+
+def _basis_poisson_sum(A):
+    """The points and weights of the PoissonSum of the lattice A Z^k as a
+    basis gives them: enumerate_affine's QR, its direct test on ||A t||, one
+    of each pair +-t, weights from ||A t||^2."""
+    T = enumerate_affine(A, np.zeros(len(A)), banaszczyk_radius(A.shape[1]))
+    T = T[T[np.arange(len(T)), np.argmax(T != 0, axis=1)] > 0]
+    w = T @ A.T
+    return T, np.exp(-math.pi * np.einsum("ij,ij->i", w, w))
+
+
+def test_gram_poisson_sum_matches_the_basis_one():
+    # the Gram-built sum keeps the basis-built one's points, in its order.
+    # Its weights e^{-pi ||A t||^2} agree to 1e-14 of pi || |A| |t| ||^2, the
+    # size of the terms both routes sum for the exponent, relative to the
+    # weight: float rounding of ||A t||^2, t^T (A^T A) t and of A^T A itself
+    # is a multiple of that size, and at the truncation radius the exponent
+    # alone is 57 to 81, so one rounding in it moves the weight by 1.4e-14.
+    rng = np.random.default_rng(31)
+    bases = [rng.normal(size=(k + int(rng.integers(0, 3)), k)) * rng.uniform(0.4, 1.2)
+             for k in (1, 2, 2, 3, 3, 4, 5) for _ in range(3)]
+    # a skewed basis of a lattice with an exact Gram matrix, as the package's
+    # are (a scale times integers): condition number about 10^3
+    B = np.array([[17, 16, 17, 0], [16, 15, 16, 0], [1, 0, 2, 1], [2, 0, 1, 2]])
+    skewed = 0.75 * B
+    assert 500 < np.linalg.cond(skewed) < 2000
+    for A, gram in [(A, A.T @ A) for A in bases] + [(skewed, 0.5625 * (B.T @ B))]:
+        T, w = _basis_poisson_sum(A)
+        ps = poisson_sum(gram)
+        assert len(T) and np.array_equal(ps.points, T)
+        size = math.pi * np.sum((np.abs(T) @ np.abs(A).T) ** 2, axis=1)
+        assert np.all(np.abs(np.log(ps.weights) - np.log(w)) <= 1e-14 * size)
 
 
 def test_sampler_determinism():
