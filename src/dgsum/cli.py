@@ -39,15 +39,7 @@ from .quality import (
     distance_threshold,
     parameter_check,
 )
-from .tvd import (
-    FiberWorkspace,
-    class_tvd,
-    exact_output_pmf,
-    exact_tvd,
-    mc_tvd,
-    region_radius_for_tail,
-    target_pmf,
-)
+from .tvd import FiberWorkspace, class_tvd, mc_tvd, target_pmf
 
 EXIT_OK = 0
 EXIT_GATE = 2
@@ -332,13 +324,11 @@ def _tvd_instance(X: IntMatrix, r: float, eps: float, c, mode: str, stream: Samp
     """The exact and/or MC TVD of X·D_{Z^m+c, r} from its target and, given
     a verified certificate and m > n, the verdict against 2 eps.
 
-    The exact TVD is ``class_tvd``'s, summed over the d = det X X^T coset
-    classes on the dual side.  When the classes' dual sums exceed the
-    enumeration budget, which they do when d is large next to the labels of
-    the target's region, it is instead the ``exact_tvd`` of the image and
-    target pmfs over that region, whose dual sums go over its labels; that
-    region, and the target pmf on it, is otherwise built only for MC.
-    Below the certificate's threshold the verdict is ``precondition unmet``.  Otherwise an exact TVD (``--exact``, ``--both``)
+    The exact TVD is ``class_tvd``'s, one FFT over the d = det X X^T
+    classes of Z^n / X X^T Z^n, at any r; it raises EnumerationBudgetExceeded
+    when d exceeds the budget.  The target pmf over a label region is built
+    only for MC.  Below the certificate's threshold the verdict is
+    ``precondition unmet``.  Otherwise an exact TVD (``--exact``, ``--both``)
     passes when it is at most 2 eps plus its truncation error and fails
     above.  An MC estimate alone (``--mc``) passes when it is at most 2 eps;
     it fails only when the lower end of its confidence interval exceeds
@@ -350,13 +340,7 @@ def _tvd_instance(X: IntMatrix, r: float, eps: float, c, mode: str, stream: Samp
     ws = FiberWorkspace(X, R, c if c is not None else [0.0] * m)
     result = {}
     if mode in ("exact", "both"):
-        try:
-            report = class_tvd(ws)
-        except EnumerationBudgetExceeded:
-            radius = region_radius_for_tail(X.n_rows)
-            p = exact_output_pmf(X, R, region_radius=radius, workspace=ws)
-            report = exact_tvd(p, target_pmf(X, R, region_radius=radius, workspace=ws), radius)
-        result["exact"] = report.to_json_dict()
+        result["exact"] = class_tvd(ws).to_json_dict()
     if mode in ("mc", "both"):
         q = target_pmf(X, R, workspace=ws)
 

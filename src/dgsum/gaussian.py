@@ -11,11 +11,10 @@ Every lattice-point enumeration is one Fincke-Pohst level loop
 of two factorizations.  ``enumerate_affine`` takes a basis A with a centre b
 and factors A = Q U (QR).  ``poisson_sum`` takes a Gram matrix, which is all a
 Gaussian sum over a lattice needs (rho(A t) = exp(-pi t^T A^T A t)), and
-factors it as U^T U (Cholesky).  The package's dual sums have integer Gram
-matrices over an integer determinant: the dual basis B (B^T B)^-1 of an
-integer basis B has Gram matrix (B^T B)^-1 = adj(B^T B) / det(B^T B), so the
-dual sum at scale s is ``poisson_sum(s^2 adj(B^T B) / det(B^T B))``, with no
-float basis to factor.
+factors it as U^T U (Cholesky).  The dual basis B (B^T B)^-1 of an integer
+basis B has Gram matrix (B^T B)^-1 = adj(B^T B) / det(B^T B), so a dual sum
+at scale s over an integer lattice is ``poisson_sum(s^2 adj(B^T B) /
+det(B^T B))``, with no float basis to factor.
 """
 
 from __future__ import annotations
@@ -287,12 +286,6 @@ def banaszczyk_radius(rank: int) -> float:
     return hi
 
 
-def exact_in_int64(inner: int, modulus: int) -> bool:
-    """True when a product of residues mod ``modulus`` summed over ``inner``
-    terms, inner * (modulus - 1)^2, stays below 2^63."""
-    return inner * (modulus - 1) ** 2 < 2 ** 63
-
-
 @dataclass(frozen=True)
 class PoissonSum:
     """Gaussian sums over the nonzero points of a lattice A Z^k, with phases.
@@ -329,25 +322,17 @@ class PoissonSum:
         beta = banaszczyk_bound(self.rank, self.radius)
         return beta * (1.0 + self.mass) / (1.0 - beta)
 
-    def sums(
-        self,
-        shifts: np.ndarray | None = None,
-        residues: np.ndarray | None = None,
-        modulus: int = 1,
-    ) -> np.ndarray:
-        """For each row b, the sum over the kept nonzero points t of
-        e^{-pi ||A t||^2} cos(2 pi phase_b(t)), with phase_b(t) = t . shifts_b +
-        (t . residues_b mod modulus) / modulus.
+    def sums(self, shifts: np.ndarray) -> np.ndarray:
+        """For each row b of the (B, k) array ``shifts``, the sum over the kept
+        nonzero points t of e^{-pi ||A t||^2} cos(2 pi t . shifts_b).
 
-        ``shifts`` is one float row for every b or a (B, k) array; ``residues``
-        a (B, k) int64 array with entries in [0, modulus), whose phase is exact
-        in int64 (``exact_in_int64(k, modulus)``).  The (point, row) terms are
-        charged against ENUM_BUDGET (EnumerationBudgetExceeded above it) and
-        evaluated in blocks of at most DUAL_BLOCK entries.  The y = 0 term, 1,
-        is not included.
+        The (point, row) terms are charged against ENUM_BUDGET
+        (EnumerationBudgetExceeded above it) and evaluated in blocks of at
+        most DUAL_BLOCK entries.  The y = 0 term, 1, is not included.
         """
-        k = self.rank
-        rows = len(residues) if residues is not None else len(np.atleast_2d(shifts))
+        shifts = np.asarray(shifts, dtype=float)
+        shifts = shifts - np.round(shifts)  # the phase depends on the shift mod 1
+        rows = len(shifts)
         terms = rows * len(self.points)
         if terms > ENUM_BUDGET:
             raise EnumerationBudgetExceeded(
@@ -358,22 +343,10 @@ class PoissonSum:
         if not len(self.points):
             return out
         T = self.points
-        if residues is not None:
-            if not exact_in_int64(k, modulus):
-                raise ValueError(f"phases mod {modulus} over rank {k} are not exact in int64")
-            Tm = T % modulus
-        if shifts is not None:
-            shifts = np.asarray(shifts, dtype=float)
-            shifts = shifts - np.round(shifts)  # the phase depends on the shift mod 1
         step = max(1, DUAL_BLOCK // len(T))
         for lo in range(0, rows, step):
             hi = min(rows, lo + step)
-            phase = np.zeros((len(T), hi - lo))
-            if shifts is not None:
-                phase += T @ (shifts if shifts.ndim == 1 else shifts[lo:hi]).reshape(-1, k).T
-            if residues is not None:
-                phase += (Tm @ residues[lo:hi].T % modulus) / modulus
-            out[lo:hi] = 2.0 * (self.weights @ np.cos(2 * math.pi * phase))
+            out[lo:hi] = 2.0 * (self.weights @ np.cos(2 * math.pi * (T @ shifts[lo:hi].T)))
         return out
 
 
@@ -388,8 +361,8 @@ def poisson_sum(gram: np.ndarray) -> PoissonSum:
     ``enumerate_affine`` applies to ||A t||^2, with the same radius margin.
     The squared norms carry the relative rounding of gram's entries times
     |t|^T |gram| |t|, which for an ill-conditioned gram far exceeds
-    t^T gram t; the package's Grams are r^2 adj(B^T B) / det(B^T B) of
-    LLL-reduced or small integer bases, rounded once per entry.
+    t^T gram t; the package's Grams are those of duals of LLL-reduced or
+    small integer bases.
     """
     gram = np.asarray(gram, dtype=float)
     k = len(gram)
@@ -592,8 +565,8 @@ def sample_dg_coset(
         cols = []
         for i in range(dim):
             c = coset.shift[i]
-            if abs(c - round(c)) < 1e-12:
-                cols.append(_sample_dg_ints_batch(float(diag[i]), size, gen) + round(c))
+            if abs(c - round(c)) < 1e-12:  # Z + c is Z, weighted about 0
+                cols.append(_sample_dg_ints_batch(float(diag[i]), size, gen))
             else:
                 cols.append(_table_sample_1d(float(diag[i]), c, size, gen))
         return np.stack(cols, axis=1).astype(float)

@@ -12,6 +12,7 @@ adjugates come from fraction-free (Bareiss) elimination.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -326,6 +327,44 @@ def _int_det(rows: Sequence[Sequence[int]]) -> int:
             M[i] = [(top[k] * a - row[k] * b) // prev for a, b in zip(row, top)]
         prev = top[k]
     return sign * prev
+
+
+def smith(G: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[int]]:
+    """(U, V, D) with U G V = diag(D), U and V unimodular, D_i > 0 and
+    D_i | D_{i+1}, for a nonsingular square G: the Smith normal form.
+
+    The column HNFs of the matrix and of its transpose alternate until it is
+    diagonal; while some D_i does not divide a later D_j, column j is added
+    to column i and the alternation resumes, which lowers D_i to a proper
+    divisor.  Raises InvariantViolation unless U G V = diag(D), D is a
+    divisor chain, prod D = |det G| and |det U| = |det V| = 1.
+    """
+    n = G.n_rows
+
+    def diagonal(A):
+        return all(x == 0 for i, row in enumerate(A.rows) for j, x in enumerate(row) if i != j)
+
+    U = IntMatrix.identity(n)
+    A, V = hnf_column(G)
+    while True:
+        while not diagonal(A):
+            H, W = hnf_column(A.T)
+            A, U = H.T, W.T @ U
+            if not diagonal(A):
+                A, W = hnf_column(A)
+                V = V @ W
+        D = [A.rows[i][i] for i in range(n)]
+        pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if D[j] % D[i]), None)
+        if pair is None:
+            break
+        E = IntMatrix.from_rows([[int(a == b or (a, b) == pair[::-1]) for b in range(n)] for a in range(n)])
+        A, V = A @ E, V @ E
+    if ((U @ G @ V).rows != tuple(tuple(D[i] if i == j else 0 for j in range(n)) for i in range(n))
+            or min(D) <= 0 or any(D[i + 1] % D[i] for i in range(n - 1))
+            or math.prod(D) != abs(_int_det(G.rows))
+            or abs(_int_det(U.rows)) != 1 or abs(_int_det(V.rows)) != 1):
+        raise InvariantViolation(f"U G V = diag({D}) is not a Smith form of G with unimodular U, V")
+    return U, V, D
 
 
 def adjugate(G: IntMatrix) -> tuple[list[list[int]], int]:

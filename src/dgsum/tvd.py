@@ -14,19 +14,28 @@ of the module is one ``gaussian.PoissonSum`` over the dual of the whitened
 kernel, built once per workspace from its Gram matrix and evaluated for a
 batch of shifts.
 
-For spherical R, delta(z) depends only on the class of z modulo G Z^n,
-G = X X^T: two labels z and z + G w have fibers that differ by X^T w, which is
-orthogonal to ker X.  There are d = det G classes, and the class masses Q_k of
-the target are a second Poisson sum, over Z^n with phases u^T adj(G) z_k / d.
-Then TVD = 1/2 sum_k Q_k |delta_k - mean delta| / (1 + mean delta) exactly,
-with no label region (``class_tvd``).
+For spherical R = r I the image pmf is the target pmf times a factor that
+is constant on each of the d = det G classes of Z^n / G Z^n, G = X X^T (the
+fibers over z and z + G w differ by X^T w, orthogonal to ker X), so the TVD
+is that of the two class pmfs.  ``class_tvd`` forms both in Fourier space,
+with neither ker X nor its dual.  With U G V = diag(D) (``intmat.smith``),
+z -> U z mod D maps the classes onto the product of the Z / D_i, whose
+characters are chi_t(g) = e^{2 pi i sum_i t_i g_i / D_i}.
 
-For R = r I both dual sums are built from integers the instance already
-holds.  With K the integer kernel basis, d = det G = det(K^T K) (X is onto),
-the dual of the kernel has Gram matrix r^2 (K^T K)^-1 = r^2 adj(K^T K) / d and
-the dual of the target lattice r^2 G^-1 = r^2 adj(G) / d, and the phases of
-the shift c are adj(K^T K) K^T c / d and adj(G) X c / d.  So the class TVD
-takes one Cholesky factor per sum and none of the workspace's float data.
+- Image.  With v = w + c, w in Z^m, the class of X w is sum_j w_j a_j,
+  a_j = U x_j mod D, a sum of m independent 1-D discrete Gaussians.  So
+  P^(t) = prod_j theta_j(<t, a_j>_D), theta_j(a) = sum_w rho_r(w + c_j)
+  e^{2 pi i w a} / sum_w rho_r(w + c_j), each tabulated once on the int64
+  residues mod L = D_n of the phases <t, a_j>_D.
+- Target.  Poisson summation (Micciancio-Regev 2007, Lemma 2.8) turns
+  Q^(t) = sum_z rho(z + X c) chi_t(U z) / sum_z rho(z + X c) into a sum over
+  the dual lattice G^-1 Z^n (Gram matrix r^2 adj(G) / d), whose point
+  G^-1 w has the phase e^{2 pi i w^T adj(G) X c / d} and falls on the
+  character t = -V^T w mod D (G^-1 = U^T D^-1 V^T).  With W(k) the sum of
+  the terms with V^T w = k mod D, Q^(t) = W(-t) / W(0) = conj(W(t)) / W(0).
+- TVD = 1/2 sum_g |P(g) - Q(g)|, P - Q the inverse FFT of P^ - Q^:
+  differencing in Fourier space keeps the relative precision of a small
+  TVD.  c enters only as c - round(c), which gives the same pmfs.
 
 Also hosts numeric evaluators for the tail, ratio and shift bounds used by
 the threshold analysis.
@@ -42,6 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gaussian import (
+    DUAL_TAIL,
     ENUM_BUDGET,
     DiscretePMF,
     EnumerationBudgetExceeded,
@@ -50,13 +60,13 @@ from .gaussian import (
     PoissonSum,
     SampleStream,
     ball_tail_bound,
-    banaszczyk_radius,
     coset_mass,
     enumerate_affine,
-    exact_in_int64,
     poisson_sum,
 )
-from .intmat import IntMatrix, InvariantViolation, adjugate
+from .intmat import IntMatrix, InvariantViolation, smith
+
+ULP = 2.0 ** -53  # unit roundoff u of float64
 
 
 class NotInSupport(ValueError):
@@ -100,46 +110,6 @@ class MCTVDReport:
         }
 
 
-@dataclass(frozen=True)
-class CosetClasses:
-    """The d = det(X X^T) classes of Z^n / G Z^n with their dual-side data.
-
-    Class k is represented by z_k, the k-th of the integer points
-    0 <= z_i < h_ii in lexicographic order, h the diagonal of the
-    lower-triangular HNF ``hnf`` of G.  ``delta[k]`` is the nonzero part of
-    the kernel's dual sum at P z_k + c, and ``Q[k]`` the target mass of class
-    k.  ``delta_slack`` bounds |computed delta_k - delta_k| for every k, and
-    ``Q_slack`` the l1 distance of the computed Q from the true one (see
-    ``class_tvd``).
-    """
-
-    hnf: np.ndarray
-    delta: np.ndarray
-    Q: np.ndarray
-    delta_slack: float
-    Q_slack: float
-
-    @property
-    def mean_delta(self) -> float:
-        return float(self.Q @ self.delta)
-
-    @property
-    def mass_slack(self) -> float:
-        """Bound on the l1 error of the computed x_k = Q_k (1 + delta_k):
-        sum_k Q'_k |delta'_k - delta_k| + sum_k |1 + delta_k| |Q'_k - Q_k|, the
-        primes marking computed values."""
-        top = float(np.max(np.abs(1.0 + self.delta))) + self.delta_slack
-        return self.delta_slack + top * self.Q_slack
-
-    def index(self, T: np.ndarray) -> np.ndarray:
-        """Class index k of each label row of T: the z_k it reduces to modulo
-        the columns of ``hnf``."""
-        Z = np.array(T, dtype=np.int64)
-        for i in range(len(self.hnf)):
-            Z -= (Z[:, i] // self.hnf[i, i])[:, None] * self.hnf[:, i]
-        return np.ravel_multi_index(tuple(Z.T), tuple(np.diag(self.hnf)))
-
-
 class FiberWorkspace:
     """Per-(X, R, c) precomputation for the image and target pmfs.
 
@@ -152,17 +122,11 @@ class FiberWorkspace:
     W K (K^T W^T W K)^-1 of the whitened kernel is short too.  Its
     ``PoissonSum`` (``dual``) is enumerated once, on first use, and every
     section sum of the workspace evaluates it.  X must map Z^m onto Z^n, so
-    that every label has a fiber.  The labels of a region are enumerated once
-    per workspace and radius (``labels``), as one int64 array that the image
-    and target pmfs built on one workspace share as their points.
+    that every label has a fiber.
 
-    For spherical R = r I both dual Gram matrices are integer data over an
-    integer determinant: the kernel's dual has r^2 (K^T K)^-1 =
-    r^2 adj(K^T K) / det(K^T K) (``kernel_adjugate``) and the target's
-    r^2 G^-1 = r^2 adj(G) / d, G = X X^T (``gram_adjugate``).  The float
-    data of the whitened kernel and target (``W``, ``K``, ``Gw_inv``,
-    ``section_scale``, ``to_coef``, ``target_gram``, ``Wt``, ``Xc``) is
-    computed on first use, so the class TVD of a spherical R reads none of it.
+    The float data of the whitened kernel and target (``W``, ``K``,
+    ``Gw_inv``, ``section_scale``, ``to_coef``, ``target_gram``, ``Wt``,
+    ``Xc``) is computed on first use; the class TVD reads none of it.
     """
 
     def __init__(self, X: IntMatrix, R: GaussianShape, c: Sequence[float]):
@@ -181,9 +145,7 @@ class FiberWorkspace:
         self.c = np.asarray(list(c), dtype=float)
         if self.c.shape != (m,):
             raise ValueError("shift dimension mismatch")
-        self.rank = m - n
         self.kernel = X.reduced_kernel if m > n else None
-        self._regions: dict[float, np.ndarray] = {}
 
     @cached_property
     def W(self) -> np.ndarray:
@@ -232,29 +194,14 @@ class FiberWorkspace:
         """X c, the shift of the target coset Z^n + X c."""
         return self.X.to_numpy() @ self.c
 
-    @cached_property
-    def kernel_adjugate(self) -> tuple[list[list[int]], int]:
-        """(adj(K^T K), det(K^T K)) of the integer kernel basis K."""
-        K = self.kernel.matrix
-        return adjugate(K.T @ K)
-
-    @cached_property
-    def gram_adjugate(self) -> tuple[list[list[int]], int]:
-        """(adj(G), d) of G = X X^T, d = det G the number of its classes."""
-        return adjugate(self.X @ self.X.T)
-
     def particular(self, z: Sequence[int]) -> np.ndarray:
         return np.array(self.P @ z, dtype=float) + self.c
 
     @cached_property
     def dual(self) -> PoissonSum:
         """The PoissonSum of the dual of the whitened kernel lattice W A, with
-        Gram matrix Gw^-1: r^2 adj(K^T K) / det(K^T K) for spherical R = r I.
-        No points when ker X = 0."""
-        if self.kernel is None or not self.R.is_spherical:
-            return poisson_sum(self.Gw_inv)
-        adj, det = self.kernel_adjugate
-        return poisson_sum(self.R.s ** 2 * np.array(adj, dtype=float) / det)
+        Gram matrix Gw^-1.  No points when ker X = 0."""
+        return poisson_sum(self.Gw_inv)
 
     def section_deltas(self, T: np.ndarray) -> np.ndarray:
         """delta(z) for each label row z of T, one batched dual sum."""
@@ -276,13 +223,6 @@ class FiberWorkspace:
         radius, as the rows of an int64 array in lexicographic order."""
         return enumerate_affine(self.Wt, self.Wt @ self.Xc, region_radius)
 
-    def labels(self, region_radius: float) -> np.ndarray:
-        """The int64 label array of ``region``, enumerated on the first call
-        for a radius and kept with the workspace."""
-        if region_radius not in self._regions:
-            self._regions[region_radius] = self.region(region_radius)
-        return self._regions[region_radius]
-
     def target_norms(self, T: np.ndarray) -> np.ndarray:
         """||Wt (z + X c)||^2 for each label row z of T."""
         Y = (T + self.Xc) @ self.Wt.T
@@ -291,90 +231,175 @@ class FiberWorkspace:
     def target_weight(self, z: Sequence[int]) -> float:
         return float(np.exp(-math.pi * self.target_norms(np.asarray([z], dtype=float))[0]))
 
-    @cached_property
-    def classes(self) -> CosetClasses:
-        """The coset classes of a spherical R = r I, computed once per workspace.
 
-        delta_k takes its phase <y, P z_k + c> exactly: with y = K (K^T K)^-1 t,
-        it is t^T adj(K^T K) K^T (P z_k + c) / det(K^T K) and det(K^T K) = d
-        since X is onto (checked), so it is an int64 residue mod d plus the
-        float term of c.  Q_k is proportional to sum over u in Z^n of
-        e^{-pi r^2 u^T adj(G) u / d} cos(2 pi (u^T adj(G) z_k / d + u^T adj(G) X c / d)),
-        normalized over the classes.  The two dual sums are built from their
-        Gram matrices, r^2 adj(K^T K) / d (``dual``) and r^2 adj(G) / d, so
-        the integer adjugates, the HNF of G and the class residues are the
-        only data the sums need, and none of them depends on r.  A single
-        class (d = 1) needs no sum.  Raises EnumerationBudgetExceeded when d,
-        or d times the dual points of either sum, exceeds ENUM_BUDGET.
-        """
-        if not self.R.is_spherical:
-            raise ValueError("coset classes need a spherical R")
-        n = self.X.n_rows
-        adjG, d = self.gram_adjugate
-        H = (self.X @ self.X.T).hermite.H
-        hnf = H.to_numpy(dtype=np.int64)
-        diag = [H.rows[i][i] for i in range(n)]
-        if math.prod(diag) != d:
-            raise InvariantViolation("the HNF diagonal of X X^T does not multiply to its determinant")
-        if d > ENUM_BUDGET:
-            raise EnumerationBudgetExceeded(f"{d} coset classes exceed budget {ENUM_BUDGET}")
-        if d == 1:
-            return CosetClasses(hnf, np.zeros(1), np.ones(1), 0.0, 0.0)
-        # the int64 phases of both sums are exact: PoissonSum.sums checks
-        # rank * (d - 1)^2 < 2^63, which d <= ENUM_BUDGET leaves to ranks above 23,000
-        adjK, dK = self.kernel_adjugate
-        if dK != d:
-            raise InvariantViolation(f"det(K^T K) = {dK} differs from det(X X^T) = {d}")
-        M = IntMatrix.from_rows(adjK) @ self.kernel.matrix.T @ self.P
-        reps = np.stack(np.unravel_index(np.arange(d), diag), axis=1)  # lexicographic
-        adjGf = np.array(adjG, dtype=float)
-        kernel_shift = target_shift = None  # c = 0 adds no float phase
-        if np.any(self.c):
-            kernel_shift = np.array(adjK, dtype=float) @ (self.c @ self.K) / d
-            target_shift = adjGf @ self.Xc / d
-        delta = self.dual.sums(kernel_shift, reps @ _mod(M.rows, d).T % d, d)
-        target = poisson_sum(self.R.s ** 2 * adjGf / d)
-        q = 1.0 + target.sums(target_shift, reps @ _mod(adjG, d).T % d, d)
-        if np.any(q < 0):
-            raise InvariantViolation("a class mass of the target is negative")
-        total = float(np.sum(q))
-        Q_slack = 2.0 * d * target.tail / total
-        return CosetClasses(hnf, delta, q / total, self.dual.tail, Q_slack)
+def _theta_table(r: float, c: float, L: int) -> tuple[np.ndarray, float]:
+    """(theta, e): theta[k] = S(k / L) / S(0), k < L, the transform of the
+    integer part w of a draw from D_{Z + c, r}, |c| <= 1/2, with
+    S(a) = sum_w rho_r(w + c) e^{2 pi i w a}; e bounds every entry's error.
+
+    For r <= 1 the sum runs over w; above, over its Poisson dual
+    S(a) = r sum_y e^{-pi r^2 (y - a)^2} e^{2 pi i c (y - a)}.  Either way the
+    terms are a Gaussian e^{-pi x^2 / s^2} (s = r, or 1/r) over a shifted Z,
+    kept for |x| <= R = s sqrt(ln(1/DUAL_TAIL) / pi) (plus 1/2 in the primal
+    form, whose largest term sits at |x| = |c|), so the rest weigh at most
+    t = 2 e^{-pi (R^2 - c^2) / s^2} / (1 - e^{-2 pi R / s^2}), about
+    2 DUAL_TAIL of the largest term (dual: c -> 0, times r).  A term with
+    exponent a and angle phi is off by (6 a + 4 |phi| + 10) u of its weight at
+    most, u = 2^-53, and T terms add T u of their weights (``bound``); as
+    |S(a)| <= S(0), e = 2 (t + max bound) / |S'(0)| + u.
+    """
+    k = np.arange(L, dtype=np.int64)
+    # the primal terms are scaled by e^{pi c^2 / r^2}, so that the largest is 1
+    s, scale, shift = (r, 1.0, c) if r <= 1 else (1.0 / r, r, 0.0)
+    R = s * math.sqrt(-math.log(DUAL_TAIL) / math.pi) + (0.5 if r <= 1 else 0.0)
+    # every w with |w + c| <= R, or every y with |y - a| <= R for some a in [0, 1)
+    ys = range(-math.floor(R + 0.5), math.floor(R + 0.5) + 1) if r <= 1 else range(-math.floor(R), math.floor(R) + 2)
+    S = np.zeros(L, dtype=complex)
+    bound = np.zeros(L)
+    for y in ys:
+        if r <= 1:  # the term of w = y at every a = k / L: (y + c)^2 - c^2 = y (y + 2c)
+            lo, hi = 0, L
+            a, angle = math.pi * y * (y + 2 * c) / (s * s), 2 * math.pi * ((y * k) % L) / L
+        else:  # the term of y at the a = k / L with |y - a| <= R
+            lo, hi = max(0, math.floor(L * (y - R))), min(L, math.ceil(L * (y + R)) + 1)
+            x = (y * L - k[lo:hi]) / L
+            a, angle = math.pi * x * x / (s * s), 2 * math.pi * c * x if c else 0.0
+        g = scale * np.exp(-a)
+        S[lo:hi] += g * np.exp(1j * angle) if np.ndim(angle) else g
+        bound[lo:hi] += (6 * a + 4 * np.abs(angle) + 10 + len(ys)) * g
+    tail = 2 * scale * math.exp(-math.pi * (R * R - shift * shift) / (s * s))
+    tail /= 1 - math.exp(-2 * math.pi * R / (s * s))
+    err = 2 * (tail + ULP * float(np.max(bound))) / abs(S[0]) + ULP
+    if not S.imag.any():  # c = 0 in the dual form
+        S = S.real
+    theta = S / S[0]
+    theta[0] = 1.0
+    return theta, err
 
 
-def _mod(rows: Sequence[Sequence[int]], d: int) -> np.ndarray:
-    """An integer matrix reduced mod d, as int64."""
-    return np.array([[x % d for x in row] for row in rows], dtype=np.int64)
+def _grid_residues(a: Sequence[int], L: int, out: np.ndarray) -> np.ndarray:
+    """sum_i t_i a_i mod L for every t in the grid 0 <= t < out.shape, into
+    the int64 array ``out``; exact for a_i, t_i < L < 2^31."""
+    lead = np.zeros((), dtype=np.int64)
+    for size, ai in zip(out.shape[:-1], a[:-1]):
+        lead = (lead[..., None] + np.arange(size, dtype=np.int64) * ai) % L
+    np.add(lead[..., None], np.arange(out.shape[-1], dtype=np.int64) * a[-1], out=out)
+    return np.remainder(out, L, out=out)
+
+
+def _masses_ok(F: np.ndarray, err, dims: tuple[int, ...], eta: float) -> bool:
+    """True when every mass of the class pmf whose conjugate transform is F
+    on the half grid (F[0] = 1), each entry within ``err``, is at least minus
+    its error bound.  A pmf f has f(g) >= (1 - sum_{t != 0} |f^(t)|) / d, so
+    an l1 norm below 1 needs no transform; otherwise each transformed mass
+    is within max err plus the FFT's l2 error eta ||f||_2."""
+    l1 = 2 * (float(np.sum(np.abs(F))) - abs(F.flat[0]) + float(np.sum(err)) * F.size / np.size(err))
+    if l1 < 1:
+        return True
+    f = np.fft.irfftn(F, s=dims, axes=tuple(range(len(dims))))
+    return float(np.min(f)) >= -(float(np.max(err)) + eta * float(np.linalg.norm(f)))
 
 
 def class_tvd(ws: FiberWorkspace) -> ExactTVDReport:
-    """Exact TVD between the image and target pmfs of a spherical workspace,
-    from its coset classes: TVD = 1/2 sum_k Q_k |delta_k - dbar| / (1 + dbar),
-    dbar = sum_k Q_k delta_k.
+    """Exact TVD between the image and the target of a spherical workspace,
+    over the class group Z^n / G Z^n (see the module docstring).
 
-    The image pmf is the target pmf times (1 + delta_k) / (1 + dbar) on class
-    k, so the TVD is that of the class distributions P_k = x_k / sum x,
-    x_k = Q_k (1 + delta_k), and Q_k.  Truncation: both dual sums stop where
-    Banaszczyk's bound is 2^-100, so each computed delta_k is within
-    e_A = ``PoissonSum.tail`` of its full sum, and each unnormalized class
-    mass within e_Q.  For x >= 0 and a computed x' with positive sum,
-    ||x'/sum x' - x/sum x||_1 <= 2 ||x' - x||_1 / sum x'; so
-    ||Q' - Q||_1 <= 2 d e_Q / sum q' (``Q_slack``), ||x' - x||_1 <= E =
-    e_A + (max_k |1 + delta'_k| + e_A) ||Q' - Q||_1 (``mass_slack``), and
-    ``truncation_error`` = 1/2 (2 E / (1 + dbar') + ||Q' - Q||_1) bounds
-    |TVD' - TVD|.  ``support_size`` is d and ``radius`` the whitened radius
-    of the kernel's dual sum.
+    Only the factors D_i > 1 of U G V = diag(D) are kept (one factor 1 when
+    d = 1), L = D_n the largest.  conj(P^) and conj(Q^) are formed on the
+    half t_n <= L / 2 of the grid, as both class pmfs are real, and one
+    inverse real FFT of their difference gives P - Q.
+
+    ``truncation_error`` bounds |TVD' - TVD| from computed quantities (primes
+    mark computed values, u = 2^-53).  P^'(t) is within E_P =
+    prod_j (1 + e_j)(1 + 3u) - 1 of P^(t), e_j the error of column j's theta
+    table.  W'(t) is within e_W(t), ``PoissonSum.tail`` plus
+    u sum_w (eps_w + N) weight_w over the terms of its bin, N in all, eps_w
+    covering the exponent ((n + 2) pi |w|^T |gram| |w|, from the rounded Gram
+    entries), the angle ((n + m + 2) 2 pi |w|^T |adj(G) X| |c| / d) and 7
+    more roundings; so conj(Q^') is within e_Q(t) = (e_W(t) + e_W(0)) /
+    W'(0) + 2u, as |W(t)| <= W(0).  By Cauchy-Schwarz and Parseval these
+    errors move 1/2 sum_g |P - Q| by at most 1/2 (sqrt(d) E_P + ||e_Q||_2),
+    the other half of the grid mirroring this one.  The FFT's l2 error
+    eta ||P - Q||_2 (Higham 2002, Thm 24.2: about 7 u log2 N for a radix-2
+    FFT of length N, charged three times over at length 2d for pocketfft's
+    mixed-radix and Bluestein passes) adds 1/2 sqrt(d) eta ||P - Q||_2, and
+    the sum (d + 2) u TVD'.  ``support_size`` is d and ``radius`` that of
+    the target's dual sum.
+
+    Raises InvariantViolation unless prod D = d, the TVD is in [0, 1] and
+    every class mass of both pmfs is at least minus its error bound
+    (``_masses_ok``); EnumerationBudgetExceeded when d exceeds ENUM_BUDGET;
+    ValueError when W'(0) does not exceed its error (far below smoothing).
     """
-    cl = ws.classes
-    dbar = cl.mean_delta
-    tvd = 0.5 * float(cl.Q @ np.abs(cl.delta - dbar)) / (1.0 + dbar)
-    if not (math.isfinite(tvd) and 0.0 <= tvd <= 1.0):
-        raise InvariantViolation(f"class TVD {tvd} is not in [0, 1]")
-    trunc = cl.mass_slack / (1.0 + dbar) + 0.5 * cl.Q_slack
-    return ExactTVDReport(
-        tvd=tvd, truncation_error=trunc,
-        support_size=len(cl.Q), radius=banaszczyk_radius(ws.rank),
-    )
+    if not ws.R.is_spherical:
+        raise ValueError("the class TVD needs a spherical R")
+    X, r = ws.X, float(ws.R.s)
+    n, m = X.shape
+    U, V, D = smith(X @ X.T)  # checks prod D = d = det G
+    d = math.prod(D)
+    if d > ENUM_BUDGET:
+        raise EnumerationBudgetExceeded(f"{d} coset classes exceed budget {ENUM_BUDGET}")
+    adjG = V @ IntMatrix.from_rows([[d // Di if i == j else 0 for j in range(n)] for i, Di in enumerate(D)]) @ U
+    keep = [i for i in range(n) if D[i] > 1] or [n - 1]  # d = 1: one class
+    dims = tuple(D[i] for i in keep)
+    L = dims[-1]
+    half = dims[:-1] + (L // 2 + 1,)
+    c = ws.c - np.round(ws.c)
+
+    # image side: P^(t) = prod_j theta_j(<t, a_j> / L), a_j = U x_j mod D scaled to L
+    UX = (U @ X).rows
+    k = np.empty(half, dtype=np.int64)
+    Ph = np.ones(half)  # real while every table is (c_j = 0, r > 1)
+    log_err = 0.0
+    for cj in sorted(set(c.tolist())):  # one table per distinct shift
+        theta, e = _theta_table(r, float(cj), L)
+        Ph = Ph.astype(np.result_type(Ph, theta), copy=False)
+        for j in np.flatnonzero(c == cj):
+            a = [UX[i][j] % D[i] * (L // D[i]) for i in keep]
+            Ph *= theta[_grid_residues(a, L, k)]
+            log_err += math.log1p(e) + math.log1p(3 * ULP)
+    E_P = math.expm1(log_err)
+
+    # target side: the dual sum's points w and -w, binned by V^T w mod D,
+    # each with the phase w^T adj(G) X c / d, so that conj(Q^) = W / W(0)
+    gram = r * r * adjG.to_numpy() / d
+    target = poisson_sum(gram)
+    pts = np.concatenate([target.points, -target.points])
+    wts = np.concatenate([target.weights, target.weights])
+    M = (adjG @ X).to_numpy()
+    Vt = np.array([[x % Di for x in V.cols[i]] for i, Di in zip(keep, dims)], dtype=np.int64)
+    res = pts @ Vt.T % np.array(dims)
+    terms = wts * np.exp(2j * math.pi * (pts @ (M @ c)) / d)
+    apts = np.abs(pts).astype(float)
+    eps = (math.pi * (n + 2) * np.einsum("ij,jk,ik->i", apts, np.abs(gram), apts)
+           + 2 * math.pi * (n + m + 2) * (apts @ (np.abs(M) @ np.abs(c))) / d + 7)
+    inside = res[:, -1] < half[-1]
+    idx = np.ravel_multi_index(res[inside].T, half)
+    H = math.prod(half)
+    W = np.bincount(idx, terms.real[inside], H) + 1j * np.bincount(idx, terms.imag[inside], H)
+    W[0] += 1.0
+    W0 = W[0].real
+    e_W = target.tail + ULP * np.bincount(idx, (eps[inside] + len(pts) + 1) * wts[inside], H)
+    if not W0 > e_W[0]:  # far below the smoothing parameter of Z^n under r X^T
+        raise ValueError(f"the target's dual sum cancels below its rounding at r = {r:g}: W(0) = {W0:g}")
+    e_Q = ((e_W + e_W[0]) / W0 + 2 * ULP).reshape(half)
+
+    # both pmfs sum to 1, so the t = 0 entries of P^ and Q^ are 1
+    eta = 22 * ULP * (math.log2(2 * d) + 1)  # covers eta / (1 - eta) at 21 u
+    np.conjugate(Ph, out=Ph)
+    Qh = W.reshape(half) / W0
+    masses_ok = _masses_ok(Ph, E_P, dims, eta) and _masses_ok(Qh, e_Q, dims, eta)
+    Dh = Ph - Qh
+    Dh.flat[0] = 0.0
+    Dm = np.fft.irfftn(Dh, s=dims, axes=tuple(range(len(dims))))
+    tvd = 0.5 * float(np.sum(np.abs(Dm)))
+    l2_Q = math.sqrt(2.0) * float(np.linalg.norm(e_Q))
+    trunc = 0.5 * (math.sqrt(d) * (E_P + eta * float(np.linalg.norm(Dm))) + l2_Q) + (d + 2) * ULP * tvd
+    if not (math.isfinite(tvd) and tvd <= 1.0 + trunc):
+        raise InvariantViolation(f"class TVD {tvd} is not in [0, 1] within its error bound {trunc:g}")
+    if not masses_ok:
+        raise InvariantViolation("a class mass of the image or the target is below minus its error bound")
+    return ExactTVDReport(tvd=tvd, truncation_error=trunc, support_size=d, radius=target.radius)
 
 
 def region_radius_for_tail(n: int, tail: float = 1e-12, cap: float = 12.0) -> float:
@@ -386,12 +411,12 @@ def region_radius_for_tail(n: int, tail: float = 1e-12, cap: float = 12.0) -> fl
 
 
 def _labels(X, R, c, region_radius, workspace):
-    """(workspace, region radius, int64 label array) shared by the image and
-    target pmfs; labels are in lexicographic order."""
+    """(workspace, region radius, int64 label array) of the image and target
+    pmfs; labels are in lexicographic order."""
     ws = workspace or FiberWorkspace(X, R, c if c is not None else [0.0] * X.n_cols)
     if region_radius is None:
         region_radius = region_radius_for_tail(X.n_rows)
-    return ws, region_radius, ws.labels(region_radius)
+    return ws, region_radius, ws.region(region_radius)
 
 
 def _row_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -416,51 +441,27 @@ def exact_output_pmf(
     """Truncated pmf of {X v : v ~ D_{Z^m + c, R}} over integer labels z.
 
     The support label z stands for the output point z + X c, and its mass is
-    the target weight of z times 1 + delta(z), normalized over the region.
-    For spherical R with at most as many classes of Z^n / G Z^n as labels,
-    delta is the workspace's class table (one dual sum per class, none for
-    d = 1), each label reduced onto its class representative.  Otherwise
-    every label takes the delta of its class in one batched dual sum: for
-    spherical R one label per class, the classes told apart by the exact key
-    adj(G) z mod d while n (d - 1)^2 < 2^63 (labels with one key differ by
-    some G w, and their fibers by X^T w, orthogonal to ker X), and for an
-    ellipsoidal R every label.
+    the target weight of z times 1 + delta(z), normalized over the region,
+    every label's delta from one batched dual sum.
 
     Truncation is certified.  The image mass outside the region is at most
     the target's ball tail tt times max (1 + delta) / (1 + mean delta), the
-    mean over all labels under the target.  From the class table that is
-    max_k (1 + delta_k) + e_A over 1 + dbar - E (see ``class_tvd``).
-    Otherwise the maximum is at most 1 + mu, mu = ``dual.mass`` + e_A, since
-    |delta(z)| <= mu, and the mean is at least the region's part of it: the
-    target weight outside the region is at most tt / (1 - tt) of the weight
-    S inside, so 1 + mean delta >= (1 - tt) (sum of the masses / S - e_A).
-    The dual truncation adds e_A over the same denominator.  A fiber weight
-    is >= 0 and 1 + delta is computed to within e_A plus rounding, so a
-    negative value stands for a weight of 0.
+    mean over all labels under the target.  The maximum is at most 1 + mu,
+    mu = ``dual.mass`` + e_A, e_A = ``dual.tail``, since |delta(z)| <= mu,
+    and the mean is at least the region's part of it: the target weight
+    outside the region is at most tt / (1 - tt) of the weight S inside, so
+    1 + mean delta >= (1 - tt) (sum of the masses / S - e_A).  The dual
+    truncation adds e_A over the same denominator.  A fiber weight is >= 0
+    and 1 + delta is computed to within e_A plus rounding, so a negative
+    value stands for a weight of 0.
     """
     ws, region_radius, T = _labels(X, R, c, region_radius, workspace)
     weights = np.exp(-math.pi * ws.target_norms(T))
-    n = X.n_rows
-    tt = ball_tail_bound(n, region_radius)
-    adj, d = ws.gram_adjugate if R.is_spherical else (None, None)
-    if R.is_spherical and d <= len(T):
-        cl = ws.classes
-        e_A = cl.delta_slack
-        masses = weights * np.maximum(1.0 + cl.delta[cl.index(T)], 0.0)
-        hi = 1.0 + float(np.max(cl.delta)) + e_A
-        lo = 1.0 + cl.mean_delta - cl.mass_slack
-    else:
-        rows, inverse = T, slice(None)
-        if R.is_spherical and exact_in_int64(n, d):
-            keys = (T % d) @ _mod(adj, d).T % d
-            order, starts = _row_groups(keys)
-            inverse = np.empty(len(T), dtype=np.intp)
-            inverse[order] = np.cumsum(starts) - 1
-            rows = T[order[starts]]
-        e_A = ws.dual.tail
-        masses = weights * np.maximum(1.0 + ws.section_deltas(rows)[inverse], 0.0)
-        hi = 1.0 + ws.dual.mass + e_A
-        lo = (1.0 - tt) * (float(np.sum(np.sort(masses))) / float(np.sum(np.sort(weights))) - e_A)
+    tt = ball_tail_bound(X.n_rows, region_radius)
+    e_A = ws.dual.tail
+    masses = weights * np.maximum(1.0 + ws.section_deltas(T), 0.0)
+    hi = 1.0 + ws.dual.mass + e_A
+    lo = (1.0 - tt) * (float(np.sum(np.sort(masses))) / float(np.sum(np.sort(weights))) - e_A)
     total = float(np.sum(np.sort(masses)))
     if total <= 0:
         raise ValueError("empty region")
@@ -482,7 +483,7 @@ def target_pmf(
     return DiscretePMF(T, vals / total, ball_tail_bound(X.n_rows, region_radius))
 
 
-def exact_tvd(p: DiscretePMF, q: DiscretePMF, radius: float = 0.0) -> ExactTVDReport:
+def exact_tvd(p: DiscretePMF, q: DiscretePMF) -> ExactTVDReport:
     """Half the l1 difference over the union support, with truncation slack.
 
     The points of both pmfs are grouped by value, so an integer label and an
@@ -500,7 +501,7 @@ def exact_tvd(p: DiscretePMF, q: DiscretePMF, radius: float = 0.0) -> ExactTVDRe
     trunc = 0.5 * (p.tail_bound + q.tail_bound)
     return ExactTVDReport(
         tvd=float(tvd), truncation_error=float(trunc),
-        support_size=len(diffs), radius=radius,
+        support_size=len(diffs), radius=0.0,
     )
 
 

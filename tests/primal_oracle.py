@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from dgsum.gaussian import EnumerationBudgetExceeded
+from dgsum.intmat import InvariantViolation, adjugate
 from dgsum.tvd import FiberWorkspace, exact_tvd, region_radius_for_tail, target_pmf
 
 SECTION_TAIL = 1e-16  # certified relative tail per fiber section, below the tests' tolerance
@@ -30,13 +31,26 @@ def integer_box(lo: np.ndarray, hi: np.ndarray, budget: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def check_kernel_basis(ws: FiberWorkspace) -> None:
+    """det(K^T K) = det(X X^T) for the workspace's kernel basis K: for an onto
+    X the kernel lattice ker X ∩ Z^m has covolume sqrt(det X X^T), so a basis
+    of a proper sublattice fails this."""
+    if ws.kernel is None:
+        return
+    K = ws.kernel.matrix
+    dK, d = adjugate(K.T @ K)[1], adjugate(ws.X @ ws.X.T)[1]
+    if dK != d:
+        raise InvariantViolation(f"det(K^T K) = {dK} differs from det(X X^T) = {d}")
+
+
 class PrimalSections:
     """Fiber and kernel weights of one (X, R, c) by primal enumeration."""
 
     def __init__(self, X, R, c, tail: float = SECTION_TAIL, budget: int = 5_000_000):
         ws = FiberWorkspace(X, R, c)  # P, the reduced kernel basis, the target
+        check_kernel_basis(ws)
         self.ws = ws
-        self.rank = ws.rank
+        self.rank = X.n_cols - X.n_rows
         self.radius = region_radius_for_tail(max(self.rank, 1), tail, cap=20.0)
         if ws.kernel is not None:
             self.WK = ws.W @ ws.K

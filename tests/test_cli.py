@@ -472,10 +472,10 @@ def test_tvd_exact_op_decomposes_and_enumerates_once(tmp_path, monkeypatch):
     assert len(hnf) == 3 and hnf[0][0].rows == ((1, 0, 1, 1), (0, 1, 1, -1))
     assert len(hnf[1][0].rows) == 3
     assert hnf[2][0].rows == ((3, 0), (0, 3))
-    # no label region; one dual sum each for ker X and for Z^n, each built
-    # from its Gram matrix, so no basis goes through enumerate_affine
+    # no label region and no kernel-dual sum: one dual sum over Z^n for the
+    # target, built from its Gram matrix, so no basis goes through enumerate_affine
     assert len(region) == 0 and len(enum) == 0
-    assert [gram.shape for (gram,) in dual] == [(2, 2), (2, 2)]
+    assert [gram.shape for (gram,) in dual] == [(2, 2)]
 
 
 def test_kernel_op_decomposes_each_matrix_once(tmp_path, monkeypatch):
@@ -537,28 +537,26 @@ def test_parser_keeps_no_state_between_calls(tmp_path):
 
 
 def test_enumeration_budget_exceeded_exits_2_with_one_line(tmp_path, capsys):
-    # det X X^T = 25,000,001 classes exceed the budget, and so do the label
-    # region's dual terms: 32,501 labels times the 23,986 points the kernel's
-    # dual sum keeps at r = 1
+    # det X X^T = 25,000,001 classes exceed the budget
     xfile = tmp_path / "X.txt"
     xfile.write_text("1 5000\n")
     code = run(["tvd", "--x-file", xfile, "-r", "1", "--exact", "--out-dir", tmp_path / "run"])
     err = capsys.readouterr().err
     assert code == EXIT_GATE
-    assert err.startswith("enumeration budget exceeded: dual sum of 32501 shifts") and err.count("\n") == 1
+    assert err.startswith("enumeration budget exceeded: 25000001 coset classes") and err.count("\n") == 1
 
 
-def test_tvd_exact_takes_the_label_region_when_the_classes_exceed_the_budget(tmp_path, capsys):
-    # det X X^T = 40001 classes, and at r = 1 the kernel's dual sum keeps 959
-    # of each pair of points: 3.8e7 class terms, above the budget.  The
-    # region's 1301 labels give 1.2e6 terms instead.
+def test_tvd_exact_sums_all_40001_classes_far_below_the_threshold(tmp_path, capsys):
+    # det X X^T = 40001 classes at r = 1, where the kernel's dual sum would
+    # keep 959 of each pair of points; the FFT over the classes needs none.
+    # The label-region pmfs give the same TVD.
     xfile = tmp_path / "X.txt"
     xfile.write_text("1 200\n")
     out = tmp_path / "run"
     code = run(["tvd", "--x-file", xfile, "-r", "1", "--exact", "--out-dir", out])
     assert code == EXIT_GATE and capsys.readouterr().err.startswith("precondition unmet")
     rep = read_json(out / "tvd.json")["exact"]
-    assert rep["support_size"] == 1301 and rep["radius"] == 3.25
+    assert rep["support_size"] == 40001
     assert abs(rep["tvd"] - 0.983697586462) < 1e-11 and rep["truncation_error"] < 1e-10
 
 
@@ -579,9 +577,8 @@ def test_tvd_skewed_kernel_uses_reduced_fiber_basis(tmp_path, capsys):
 
 
 def test_tvd_skewed_kernel_below_threshold_exits_2_within_budget(tmp_path, capsys):
-    # at r = 2 the kernel's dual sum needs 5,603 points for each of the 31,434
-    # classes, and the label region holds more labels than there are classes;
-    # the budget stops it before the terms are evaluated
+    # at r = 2 the kernel's dual sum would need 5,603 points for each of the
+    # 31,434 classes; the FFT over the classes answers in a few arrays of d
     import tracemalloc
 
     xfile = tmp_path / "X.txt"
@@ -594,8 +591,9 @@ def test_tvd_skewed_kernel_below_threshold_exits_2_within_budget(tmp_path, capsy
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert code == EXIT_GATE
-    assert err.startswith("enumeration budget exceeded: dual sum of 31434 shifts") and err.count("\n") == 1
+    assert err.startswith("precondition unmet") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert read_json(tmp_path / "run" / "tvd.json")["exact"]["support_size"] == 31434
     assert peak < 50 * 2 ** 20
 
 

@@ -256,13 +256,7 @@ def test_poisson_sum_matches_a_direct_sum(monkeypatch):
         shifts = rng.normal(size=(7, k)) * 3
         want = _poisson_oracle(A, shifts)
         np.testing.assert_allclose(ps.sums(shifts), want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(ps.sums(shifts[0]), want[:1], rtol=0, atol=1e-12)  # one row for all
         assert ps.mass == pytest.approx(_poisson_oracle(A, np.zeros((1, k)))[0], rel=1e-12, abs=0)
-        # exact residues mod d give the phases of the shifts residues / d
-        d = 11
-        res = rng.integers(0, d, size=(5, k))
-        np.testing.assert_allclose(ps.sums(residues=res, modulus=d), _poisson_oracle(A, res / d), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(ps.sums(shifts[:5], res, d), _poisson_oracle(A, shifts[:5] + res / d), rtol=0, atol=1e-12)
         # blocks of one row each give the sums of one block
         whole = ps.sums(shifts)
         monkeypatch.setattr(dgsum.gaussian, "DUAL_BLOCK", 1)
@@ -280,8 +274,6 @@ def test_poisson_sum_matches_a_direct_sum(monkeypatch):
         with pytest.raises(EnumerationBudgetExceeded, match="terms"):
             ps.sums(shifts)
         monkeypatch.undo()
-    with pytest.raises(ValueError, match="int64"):
-        poisson_sum(np.eye(2)).sums(residues=np.zeros((1, 2), dtype=np.int64), modulus=3 * 2 ** 31)
     empty = poisson_sum(np.zeros((0, 0)))
     assert isinstance(empty, PoissonSum) and empty.mass == 0.0 and empty.tail == 0.0
     assert np.array_equal(empty.sums(np.zeros((4, 0))), np.zeros(4))
@@ -418,6 +410,29 @@ def test_sample_dg_coset_half_shift():
     for v in vs[:, 0]:
         counts[(float(v),)] = counts.get((float(v),), 0) + 1
     assert tvd_from_counts(counts, pmf, len(vs)) < 0.02
+
+
+def test_sample_dg_coset_integer_shift_matches_exact_pmf():
+    # Z^2 + c is Z^2 for an integer c, weighted about 0: the draws must not
+    # move with c
+    from scipy import stats
+
+    shape = GaussianShape.spherical(1.5)
+    N = 100_000
+    for c in ((3.0, -2.0), (0.0, 0.0)):
+        coset = LatticeCoset.integers(2, c)
+        vs = sample_dg_coset(coset, shape, SampleStream(81), size=N)
+        pmf = exact_pmf(coset, shape)
+        expected = N * pmf.masses
+        cells = expected >= 5  # the rest pooled into one cell
+        index = {p: i for i, p in enumerate(map(tuple, pmf.points.tolist()))}
+        observed = np.zeros(len(expected))
+        keys, freq = np.unique(np.round(vs).astype(np.int64), axis=0, return_counts=True)
+        for key, f in zip(map(tuple, keys.tolist()), freq):
+            observed[index[key]] += f
+        obs = np.r_[observed[cells], N - observed[cells].sum()]
+        exp = np.r_[expected[cells], N - expected[cells].sum()]
+        assert stats.chisquare(obs, exp).pvalue > 1e-3, c
 
 
 def test_sample_dg_coset_table_path():

@@ -16,6 +16,7 @@ from dgsum.intmat import (
     is_surjective,
     kernel_columns,
     norm_sq,
+    smith,
     solve_integer,
 )
 
@@ -249,3 +250,60 @@ def test_big_integer_exactness():
     v = ker[0]
     assert big * v[0] + (big + 1) * v[1] == 0
     assert v in ((big + 1, -big), (-(big + 1), big))
+
+
+def _determinantal_divisors(G):
+    """D_k = g_k / g_{k-1}, g_k the gcd of the k x k minors of G (g_0 = 1)."""
+    from itertools import combinations
+    from math import gcd
+
+    n = G.n_rows
+    g = [1]
+    for k in range(1, n + 1):
+        acc = 0
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(n), k):
+                sub = np.array([[G.rows[i][j] for j in cols] for i in rows], dtype=float)
+                acc = gcd(acc, int(round(np.linalg.det(sub))))
+        g.append(acc)
+    return [g[k] // g[k - 1] for k in range(1, n + 1)]
+
+
+def test_smith_matches_determinantal_divisors():
+    rng = np.random.default_rng(31)
+    cases = [IntMatrix.from_rows([[4, 0, 0], [0, 6, 0], [0, 0, 10]]), IntMatrix.from_rows([[3, 3], [3, 5]])]
+    while len(cases) < 60:
+        n = int(rng.integers(1, 5))
+        if len(cases) % 2:  # a Gram matrix X X^T, as the class TVD takes it
+            X = random_matrix(rng, n, n + int(rng.integers(0, 4)), -3, 4)
+            G = X @ X.T
+        else:
+            G = random_matrix(rng, n, n, -6, 7)
+        if round(np.linalg.det(G.to_numpy())) != 0:
+            cases.append(G)
+    for G in cases:
+        U, V, D = smith(G)
+        n = G.n_rows
+        assert (U @ G @ V).rows == tuple(tuple(D[i] if i == j else 0 for j in range(n)) for i in range(n))
+        assert D == _determinantal_divisors(G)
+        for M in (U, V):
+            assert abs(round(np.linalg.det(M.to_numpy()))) == 1
+    assert smith(IntMatrix.from_rows([[4, 0, 0], [0, 6, 0], [0, 0, 10]]))[2] == [2, 2, 60]
+
+
+def test_smith_checks_its_transforms(monkeypatch):
+    import dgsum.intmat
+    from dgsum.intmat import InvariantViolation
+
+    G = IntMatrix.from_rows([[3, 3], [3, 5]])
+    hnf = dgsum.intmat.hnf_column
+
+    def broken(A):
+        H, U = hnf(A)
+        rows = [list(r) for r in U.rows]
+        rows[0][0] += 2  # no longer the transform of H
+        return H, IntMatrix.from_rows(rows)
+
+    monkeypatch.setattr(dgsum.intmat, "hnf_column", broken)
+    with pytest.raises(InvariantViolation):
+        smith(G)

@@ -158,11 +158,11 @@ def test_class_path_matches_per_label_oracle():
         p = exact_output_pmf(X, R, c=c)
         _assert_matches_oracle(p, _label_oracle(X, R, c, solve_each))
         dets.add(_det_xxt(X))
-        # both pmfs on one workspace share its labels and equal those built
+        # both pmfs on one workspace have one label set and equal those built
         # on two fresh workspaces of fresh equal matrices, bit for bit
         ws = FiberWorkspace(X, R, c)
         shared = (exact_output_pmf(X, R, workspace=ws), target_pmf(X, R, workspace=ws))
-        assert shared[0].points is shared[1].points
+        assert np.array_equal(shared[0].points, shared[1].points)
         fresh = (exact_output_pmf(IntMatrix(X.rows), R, c=c), target_pmf(IntMatrix(X.rows), R, c=c))
         for a, b in zip(shared, fresh):
             assert np.array_equal(a.points, b.points) and a.tail_bound == b.tail_bound
@@ -170,37 +170,9 @@ def test_class_path_matches_per_label_oracle():
     assert min(dets) == 1 and max(dets) >= 20
 
 
-def test_exact_output_pmf_one_section_sum_per_class(monkeypatch):
-    rows_per_call = []
-    sums = PoissonSum.sums
-
-    def counting(self, shifts=None, residues=None, modulus=1, **kwargs):
-        rows_per_call.append(len(residues) if residues is not None else len(np.atleast_2d(shifts)))
-        return sums(self, shifts, residues, modulus, **kwargs)
-
-    monkeypatch.setattr(PoissonSum, "sums", counting)
-    for rows in ([[1, 1, 1], [0, 1, 2]], [[1, 0, 1, 1], [0, 1, 1, -1]], [[1, 2, 3, 3]], [[1, 0, 0], [0, 1, 0]]):
-        X = IntMatrix.from_rows(rows)
-        rows_per_call.clear()
-        p = exact_output_pmf(X, GaussianShape.spherical(2.0))
-        d = _det_xxt(X)
-        # one kernel-side and one target-side sum over the d classes; none for d = 1
-        assert rows_per_call == ([d, d] if d > 1 else [])
-        assert d < len(p.points)
-    # more classes (det X X^T = 40001) than labels: one kernel-side sum over
-    # the labels' classes, here one per second coordinate
-    X = IntMatrix.from_rows([[1, 0, 0], [0, 1, 200]])
-    rows_per_call.clear()
-    p = exact_output_pmf(X, GaussianShape.spherical(1.0))
-    assert len(p.points) < 40001 and rows_per_call == [len(np.unique(p.points[:, 1]))] < [len(p.points)]
-    e = exact_output_pmf(X, GaussianShape.ellipsoidal(np.eye(3)))  # every label
-    assert np.array_equal(e.points, p.points) and e.tail_bound == pytest.approx(p.tail_bound, rel=1e-12, abs=0)
-    np.testing.assert_allclose(e.masses, p.masses, rtol=0, atol=1e-15)
-
-
 def test_ellipsoidal_shapes_take_the_per_label_path():
-    # R = r I as a matrix takes the per-label path and must agree with the
-    # spherical class path; a genuinely ellipsoidal R has no class identity
+    # R = r I as a matrix must agree with the spherical R, and a genuinely
+    # ellipsoidal R with the primal oracle
     for rows, c in (([[1, 1, 1], [0, 1, 2]], [0.0, 0.0, 0.0]), ([[1, 2, 3, 3]], [0.1, -0.4, 0.2, 0.0])):
         X = IntMatrix.from_rows(rows)
         m = X.n_cols
@@ -232,7 +204,7 @@ def test_hnf_calls_independent_of_label_count(monkeypatch):
         target_pmf(X, R2, region_radius=radius)
         per_radius[p.support_size()] = len(calls)
     assert len(per_radius) == 2
-    assert set(per_radius.values()) == {2}  # X, and X X^T for the coset classes
+    assert set(per_radius.values()) == {1}  # X only: the per-label pmfs need no class group
 
 
 def test_workspace_reduces_skewed_kernel_basis():
@@ -297,8 +269,9 @@ def test_class_tvd_matches_tvd_of_the_two_pmfs():
         rep = class_tvd(ws)
         ref = exact_tvd(exact_output_pmf(X, R, workspace=ws), target_pmf(X, R, workspace=ws))
         assert abs(rep.tvd - ref.tvd) <= 1e-12
-        assert rep.support_size == _det_xxt(X) and rep.truncation_error <= 1e-25
-        assert rep.radius == banaszczyk_radius(ws.rank)
+        # the bound is rounding: 1/2 sqrt(d) times m theta tables, each a few tens of u
+        assert rep.support_size == _det_xxt(X) and rep.truncation_error <= 1e-12
+        assert rep.radius == banaszczyk_radius(X.n_rows)
 
 
 def _threshold_instances_s3():
@@ -330,8 +303,8 @@ def test_class_tvd_at_threshold_s3_up_to_m12():
         rep = class_tvd(ws)
         assert rep.support_size == _det_xxt(X) >= 2
         assert rep.tvd <= 2 * eps + rep.truncation_error
-        assert rep.truncation_error <= 1e-25
-        if ws.rank <= 3:
+        assert rep.truncation_error <= 1e-11  # d <= 5 10^4, m <= 12
+        if X.n_cols - X.n_rows <= 3:
             oracle = PrimalSections(X, R, [0.0] * X.n_cols, budget=100_000)
             if len(oracle.box) * len(target_pmf(X, R, workspace=ws).points) <= 20_000_000:
                 assert abs(rep.tvd - primal_tvd(X, R)) <= 1e-12
@@ -339,68 +312,98 @@ def test_class_tvd_at_threshold_s3_up_to_m12():
     assert compared >= 2
 
 
-def test_class_tvd_budget():
+def test_class_tvd_budget(monkeypatch):
+    import dgsum.tvd
     from dgsum.gaussian import EnumerationBudgetExceeded
 
     X = IntMatrix.from_rows([[1, 200]])  # 40001 classes
-    with pytest.raises(EnumerationBudgetExceeded, match="dual sum of 40001 shifts"):
-        class_tvd(FiberWorkspace(X, GaussianShape.spherical(1.0), [0.0, 0.0]))
-    # well above its smoothing parameter the kernel's dual sum has no points
+    # far below the threshold the FFT needs no kernel-dual points; the
+    # per-label pmfs over the label region give the same TVD
+    rep = class_tvd(FiberWorkspace(X, GaussianShape.spherical(1.0), [0.0, 0.0]))
+    assert rep.support_size == 40001 and abs(rep.tvd - 0.983697586462) <= 1e-11
     rep = class_tvd(FiberWorkspace(X, GaussianShape.spherical(2000.0), [0.0, 0.0]))
     assert rep.support_size == 40001 and rep.tvd < 1e-20
+    # d itself is charged against the budget, read at call time
+    monkeypatch.setattr(dgsum.tvd, "ENUM_BUDGET", 40000)
+    with pytest.raises(EnumerationBudgetExceeded, match="40001 coset classes"):
+        class_tvd(FiberWorkspace(X, GaussianShape.spherical(1.0), [0.0, 0.0]))
 
 
 def test_class_tvd_invariants(monkeypatch):
+    import dgsum.intmat
+    import dgsum.tvd
     from dgsum.lattice import LatticeBasis
+    from primal_oracle import check_kernel_basis
 
     X = IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])
     R = GaussianShape.spherical(1.5)
-    # a sublattice of index 2 as the kernel basis: det K^T K = 4 d
+    # the oracle's kernel check: a sublattice of index 2 has det K^T K = 4 d
     ws = FiberWorkspace(X, R, [0.0] * 3)
+    check_kernel_basis(ws)
     ws.kernel = LatticeBasis(IntMatrix.from_columns([[2 * x for x in ws.kernel.vectors()[0]]]))
     with pytest.raises(InvariantViolation, match="det"):
+        check_kernel_basis(ws)
+    # the Smith form is checked against det X X^T = 6, here faked as 7
+    ws = FiberWorkspace(X, R, [0.0] * 3)
+    monkeypatch.setattr(dgsum.intmat, "_int_det", lambda rows: 7)
+    with pytest.raises(InvariantViolation, match="Smith form"):
         class_tvd(ws)
-    sums = PoissonSum.sums
-    for returns, message in (
-        ([np.zeros(6), np.full(6, -2.0)], "negative"),  # 1 + (-2): a negative class mass
-        ([np.r_[-4.0, np.zeros(5)], np.zeros(6)], r"not in \[0, 1\]"),  # 1 + delta_0 < 0
-    ):
-        faked = iter(returns)  # the kernel-side sum, then the target-side sum
-        monkeypatch.setattr(PoissonSum, "sums", lambda self, *args, **kwargs: next(faked))
+    monkeypatch.undo()
+    # a target dual sum with one point of negative weight: no pmf has that transform
+    for weight, message in ((-0.9, "below minus its error bound"), (-3.0, r"not in \[0, 1\]")):
+        fake = PoissonSum(np.array([[1, 0]]), np.array([weight]), banaszczyk_radius(2), 2)
+        monkeypatch.setattr(dgsum.tvd, "poisson_sum", lambda gram: fake)
         with pytest.raises(InvariantViolation, match=message):
             class_tvd(FiberWorkspace(X, R, [0.0] * 3))
-    monkeypatch.setattr(PoissonSum, "sums", sums)
+    monkeypatch.undo()
     with pytest.raises(ValueError, match="spherical"):
         class_tvd(FiberWorkspace(X, GaussianShape.ellipsoidal(np.diag([1.0, 2.0, 3.0])), [0.0] * 3))
 
 
-def test_exact_output_pmf_tail_from_class_weights():
+def test_class_tvd_far_below_the_smoothing_parameter():
+    # at r = 0.2 and c = 1/2 each v_j is +-1/2 with probability 1/2, and the
+    # target sits on the four points of Z^2 + (3/2, 1/2) nearest 0: TVD 1/2,
+    # by direct enumeration
+    X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
+    rep = class_tvd(FiberWorkspace(X, GaussianShape.spherical(0.2), [0.5] * 4))
+    assert abs(rep.tvd - 0.5) <= rep.truncation_error <= 1e-6  # every bin charged all 2 10^4 terms
+    # further down the target's dual sum cancels to its rounding: refused
+    with pytest.raises(ValueError, match="cancels"):
+        class_tvd(FiberWorkspace(X, GaussianShape.spherical(0.05), [0.5] * 4))
+
+
+def test_class_tvd_reduces_c_mod_the_integers():
+    # c and c - round(c) give the same pmfs; a float phase of the unreduced c
+    # would lose digits (8e-9 relative at c = 1e12), so the agreement is relative
+    X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
+    R = GaussianShape.spherical(3.33678000397)  # the CLI's threshold at --seed 1
+    base = class_tvd(FiberWorkspace(X, R, [0.0] * 4)).tvd
+    assert 7.6762316e-06 < base < 7.6762317e-06
+    assert abs(class_tvd(FiberWorkspace(X, R, [1e12, 0.0, 0.0, 0.0])).tvd - base) <= 1e-12 * base
+    frac = [0.3, -0.2, 0.45, 0.1]
+    shifted = class_tvd(FiberWorkspace(X, R, frac)).tvd
+    assert abs(shifted - base) > 1e-9  # the shift matters
+    for whole in ([5, 0, 0, 0], [-3, 7, 1, -12]):
+        c = [f + w for f, w in zip(frac, whole)]
+        assert abs(class_tvd(FiberWorkspace(X, R, c)).tvd - shifted) <= 1e-12 * shifted
+
+
+def test_exact_output_pmf_tail_from_the_dual_mass():
     from dgsum.gaussian import ball_tail_bound
 
+    # 1 + mu from the dual mass over the region's mean of 1 + delta, for
+    # spherical and ellipsoidal R alike
     X = IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])
-    factors = []
-    for r in (1.0, 1.5, 3.0):
-        R = GaussianShape.spherical(r)
-        ws = FiberWorkspace(X, R, [0.0] * 3)
-        p = exact_output_pmf(X, R, workspace=ws)
-        cl = ws.classes
-        target_tail = ball_tail_bound(2, region_radius_for_tail(2))
-        factor = (1 + cl.delta.max()) / (1 + cl.mean_delta)
-        assert p.tail_bound == pytest.approx(target_tail * factor, rel=1e-9, abs=0)
-        factors.append(factor)
-    # the factor falls towards 1 as r passes the smoothing parameter
-    assert factors[0] > factors[1] > factors[2] > 1 and factors[2] < 1.05
-    # per-label path: 1 + mu from the dual mass over the region's mean of 1 + delta
     target_tail = ball_tail_bound(2, region_radius_for_tail(2))
-    R = GaussianShape.ellipsoidal(np.diag([1.5, 1.6, 1.7]))
-    ws = FiberWorkspace(X, R, [0.0] * 3)
-    T = ws.labels(region_radius_for_tail(2))
-    w = np.exp(-math.pi * ws.target_norms(T))
-    mean = float(w @ (1 + ws.section_deltas(T))) / float(np.sum(w))
-    mu = ws.dual.mass
-    want = target_tail * (1 + mu) / ((1 - target_tail) * mean)
-    assert exact_output_pmf(X, R, workspace=ws).tail_bound == pytest.approx(want, rel=1e-9, abs=0)
-    assert want < target_tail * (1 + mu) / (1 - mu)
+    for R in (GaussianShape.spherical(1.5), GaussianShape.ellipsoidal(np.diag([1.5, 1.6, 1.7]))):
+        ws = FiberWorkspace(X, R, [0.0] * 3)
+        T = ws.region(region_radius_for_tail(2))
+        w = np.exp(-math.pi * ws.target_norms(T))
+        mean = float(w @ (1 + ws.section_deltas(T))) / float(np.sum(w))
+        mu = ws.dual.mass
+        want = target_tail * (1 + mu) / ((1 - target_tail) * mean)
+        assert exact_output_pmf(X, R, workspace=ws).tail_bound == pytest.approx(want, rel=1e-9, abs=0)
+        assert want < target_tail * (1 + mu) / (1 - mu)
     # and with more classes than labels, where 1 - mu < 0
     X = IntMatrix.from_rows([[1, 200]])
     R = GaussianShape.spherical(1.0)
