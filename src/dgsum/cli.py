@@ -45,7 +45,7 @@ EXIT_OK = 0
 EXIT_GATE = 2
 EXIT_INVARIANT = 3
 # bound on the entries of the shift c: float64 holds every integer below 2^53,
-# so round(c_i) is exact, and it and the draws added to it stay far inside int64
+# so round(c_i) is exact and c - round(c) keeps c's fractional part
 C_BOUND = 2.0 ** 53
 
 
@@ -243,15 +243,15 @@ def cmd_sample(cfg: dict) -> int:
     n, m = X.shape
     r = cfg["r"] if cfg["r"] is not None else 3.0
     c = cfg["c"] or [0.0] * m
+    if len(c) != m:
+        raise ValueError("shift dimension mismatch")
+    # integer shifts only on the sampling fast path; Z^m + c is Z^m, about 0
+    if any(abs(x - round(x)) > 1e-12 for x in c):
+        raise ValueError("cmd_sample supports integer shifts only")
     N = cfg["samples"]
     vs = np.stack(
         [sample_dg_ints(r, N, stream.substream(100 + i)) for i in range(m)], axis=1
     )
-    if any(abs(x) > 1e-12 for x in c):
-        # integer shifts only on the sampling fast path
-        if any(abs(x - round(x)) > 1e-12 for x in c):
-            raise ValueError("cmd_sample supports integer shifts only")
-        vs = vs + np.array([round(x) for x in c], dtype=np.int64)
     Xf = X.to_numpy(dtype=np.int64)
     zs = vs @ Xf.T
     lines = [",".join(f"z{i + 1}" for i in range(n))]

@@ -3,8 +3,18 @@
 The Gaussian weight of a point x under a shape S is exp(-pi * x^T (S^T S)^-1 x);
 the spherical case S = s*I gives exp(-pi ||x||^2 / s^2).  Discrete Gaussians on
 a coset L + c weight each coset point by this function and normalize by the
-total weight of the coset.  All pmf tables are truncated with a certified
-relative tail bound.
+total weight of the coset.
+
+Every truncation keeps the points within the least whitened radius R
+(``_least_radius``, one bisection) at which its dropped relative weight is
+certified below DUAL_TAIL through beta(k, R) = ``banaszczyk_bound``, L of
+rank k (Banaszczyk 1993; Micciancio-Regev 2007, Lemma 2.10).  A dual sum
+(``poisson_sum``, R = ``banaszczyk_radius``) drops at most beta rho(L); a
+primal region (``truncate_coset``, R = ``coset_radius``) of a whitened coset
+L + x, x its shortest point, at most 2 beta e^{pi ||x||^2} of its weight, as
+pairing y with -y (L = -L, cosh >= 1) gives rho(L + x) >= e^{-pi ||x||^2}
+rho(L) and Banaszczyk's coset lemma rho((L + x) minus R B) < 2 beta rho(L).
+So R > ||x||: the region holds x.
 
 Every lattice-point enumeration is one Fincke-Pohst level loop
 (``fincke_pohst``) on an upper-triangular factor U of the lattice, under one
@@ -28,9 +38,8 @@ import numpy as np
 
 from .intmat import IntMatrix
 
-DEFAULT_RADIUS = 12.0  # whitened truncation radius, tail < 2^-100 per direction
 ENUM_BUDGET = 20_000_000  # max entries of one enumeration, max terms of one dual sum
-DUAL_TAIL = 2.0 ** -100  # Banaszczyk bound at the truncation radius of a dual sum
+DUAL_TAIL = 2.0 ** -100  # certified relative tail of every truncation, primal and dual
 DUAL_BLOCK = 2 ** 20  # max (point, shift) entries evaluated at once by PoissonSum.sums
 
 
@@ -239,21 +248,14 @@ def rho(shape: GaussianShape, x) -> float:
     return float(np.exp(-math.pi * np.sum((W @ x) ** 2)))
 
 
-def ball_tail_bound(rank: int, whitened_radius: float) -> float:
-    """Certified relative Gaussian mass outside a whitened ball.
-
-    Uses the standard discrete-Gaussian tail estimate
-    (c sqrt(2 pi e) e^{-pi c^2})^rank at c = radius/sqrt(rank), with a
-    conservative prefactor 6 absorbing the smoothing correction and a
-    safety factor 2.  Vacuous (returns 1) for small radii.
-    """
+def _log_banaszczyk_bound(rank: int, radius: float) -> float:
+    """log ``banaszczyk_bound(rank, radius)``, finite where the bound underflows."""
     if rank == 0:
+        return -math.inf
+    c = radius / math.sqrt(rank)
+    if c <= 1.0 / math.sqrt(2 * math.pi):
         return 0.0
-    c = whitened_radius / math.sqrt(rank)
-    if c < 1.0:
-        return 1.0
-    base = c * math.sqrt(2 * math.pi * math.e) * math.exp(-math.pi * c * c)
-    return float(min(1.0, 6.0 * base ** rank))
+    return rank * (math.log(c) + 0.5 * math.log(2 * math.pi * math.e) - math.pi * c * c)
 
 
 def banaszczyk_bound(rank: int, radius: float) -> float:
@@ -262,28 +264,37 @@ def banaszczyk_bound(rank: int, radius: float) -> float:
     rho(x) = exp(-pi ||x||^2) of the points of L outside the ball of this
     radius is at most this fraction of rho(L) (Banaszczyk 1993; Micciancio-
     Regev 2007, Lemma 2.10)."""
+    return math.exp(_log_banaszczyk_bound(rank, radius))
+
+
+def _least_radius(rank: int, log_factor: float) -> tuple[float, float]:
+    """(R, tail): the least R, to a relative 1e-12, with tail =
+    e^log_factor banaszczyk_bound(rank, R) <= DUAL_TAIL, by a bisection on
+    logs (a large factor cannot overflow) above sqrt(rank / (2 pi)), where
+    the bound decreases; (0, 0) for rank 0."""
     if rank == 0:
-        return 0.0
-    c = radius / math.sqrt(rank)
-    if c <= 1.0 / math.sqrt(2 * math.pi):
-        return 1.0
-    return math.exp(rank * (math.log(c) + 0.5 * math.log(2 * math.pi * math.e) - math.pi * c * c))
+        return 0.0, 0.0
+    goal = math.log(DUAL_TAIL) - log_factor
+    lo, hi = math.sqrt(rank / (2 * math.pi)), math.sqrt(rank)
+    while _log_banaszczyk_bound(rank, hi) > goal:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if _log_banaszczyk_bound(rank, mid) <= goal else (mid, hi)
+    return hi, math.exp(log_factor + _log_banaszczyk_bound(rank, hi))
 
 
 @lru_cache(maxsize=None)
 def banaszczyk_radius(rank: int) -> float:
-    """Least radius, to a relative 1e-12, at which ``banaszczyk_bound(rank,
-    radius) <= DUAL_TAIL``; 0 for rank 0.  The bound decreases in the radius
-    above sqrt(rank / (2 pi)), so a bisection finds it, once per rank."""
-    if rank == 0:
-        return 0.0
-    lo, hi = math.sqrt(rank / (2 * math.pi)), math.sqrt(rank)
-    while banaszczyk_bound(rank, hi) > DUAL_TAIL:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if banaszczyk_bound(rank, mid) <= DUAL_TAIL else (mid, hi)
-    return hi
+    """The radius of a dual sum over a lattice of this rank: the least at
+    which ``banaszczyk_bound(rank, radius) <= DUAL_TAIL``; 0 for rank 0."""
+    return _least_radius(rank, 0.0)[0]
+
+
+def coset_radius(rank: int, delta: float) -> tuple[float, float]:
+    """(R, tail) of a primal region of a coset L + x, ||x|| = delta: the least
+    R with tail = 2 banaszczyk_bound(rank, R) e^{pi delta^2} <= DUAL_TAIL."""
+    return _least_radius(rank, math.log(2.0) + math.pi * delta * delta)
 
 
 @dataclass(frozen=True)
@@ -440,60 +451,49 @@ def enumerate_affine(A: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     return T[np.lexsort(T.T[::-1])]
 
 
-def enumerate_coset(
-    coset: LatticeCoset,
-    W: np.ndarray,
-    radius: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All coset points y = B t + c with ||W y|| <= radius.
+def truncate_coset(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(T, weights, tail) of the whitened coset A Z^k + b, A of full column
+    rank: the t with ||A (t + t0)|| <= R, t0 = A^+ b, as int64 rows in
+    lexicographic order, their weights e^{-pi ||A t + b||^2} over the
+    largest, and (R, tail) = ``coset_radius(k, delta)``, delta the norm of
+    the coset's shortest point; the part of b off A's span scales every
+    weight alike.  That point is searched in the balls of radius min(d, R0),
+    R0 = ``coset_radius(k, 0)``, doubled up to d = ||A (t0 - round(t0))||,
+    which a skew A can put far out, until one holds a point."""
+    A = np.asarray(A, dtype=float)
+    t0 = np.linalg.lstsq(A, np.asarray(b, dtype=float), rcond=None)[0]
+    b_in, x = A @ t0, A @ (t0 - np.round(t0))
+    d = math.sqrt(float(x @ x))
+    ball = min(d, coset_radius(A.shape[1], 0.0)[0])
+    while not len(near := enumerate_affine(A, b_in, ball) @ A.T + b_in) and ball < d:
+        ball = min(2 * ball, d)
+    delta = min([d, *np.sqrt(np.einsum("ij,ij->i", near, near))])
+    radius, tail = coset_radius(A.shape[1], delta)
+    T = enumerate_affine(A, b_in, radius)
+    w = T @ A.T + b_in
+    norms = np.einsum("ij,ij->i", w, w)
+    return T, np.exp(-math.pi * (norms - norms.min())), tail
 
-    Returns (T, Y): integer coefficient matrix and the float points.
-    """
+
+def coset_mass(coset: LatticeCoset, shape: GaussianShape) -> tuple[float, float]:
+    """Truncated total Gaussian weight of the coset and its relative tail,
+    from ``exact_pmf``: the weight is rho(y) / p(y) at its heaviest point y."""
+    pmf = exact_pmf(coset, shape)
+    top = int(np.argmax(pmf.masses))
+    return rho(shape, pmf.points[top]) / float(pmf.masses[top]), pmf.tail_bound
+
+
+def exact_pmf(coset: LatticeCoset, shape: GaussianShape) -> DiscretePMF:
+    """Truncated pmf of the discrete Gaussian on the coset, over the region
+    and with the tail of ``truncate_coset``."""
+    W = shape.whitening(coset.dim)
     B = coset.basis.to_numpy()
     c = np.asarray(coset.shift, dtype=float)
-    T = enumerate_affine(W @ B, W @ c, radius)
+    T, weights, tail = truncate_coset(W @ B, W @ c)
     Y = T @ B.T + c
-    return T, Y
-
-
-def coset_mass(
-    coset: LatticeCoset,
-    shape: GaussianShape,
-    radius: float = DEFAULT_RADIUS,
-) -> tuple[float, float]:
-    """Truncated total Gaussian weight of the coset, with certified tail.
-
-    The truncation keeps points with whitened norm <= radius; the returned
-    tail bound is relative to the full coset weight.
-    """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    W = shape.whitening(coset.dim)
-    _, Y = enumerate_coset(coset, W, radius)
-    if len(Y) == 0:
-        return 0.0, 1.0
-    w = Y @ W.T
-    vals = np.exp(-math.pi * np.einsum("ij,ij->i", w, w))
-    mass = float(np.sum(np.sort(vals)))
-    return mass, ball_tail_bound(coset.rank, radius)
-
-
-def exact_pmf(
-    coset: LatticeCoset,
-    shape: GaussianShape,
-    radius: float = DEFAULT_RADIUS,
-) -> DiscretePMF:
-    """Truncated pmf of the discrete Gaussian on the coset."""
-    W = shape.whitening(coset.dim)
-    T, Y = enumerate_coset(coset, W, radius)
-    if len(Y) == 0:
-        return DiscretePMF(Y, np.zeros(0), 1.0)
-    w = Y @ W.T
-    vals = np.exp(-math.pi * np.einsum("ij,ij->i", w, w))
-    total = float(np.sum(np.sort(vals)))
     if np.allclose(Y, np.round(Y), atol=1e-9):
         Y = np.round(Y).astype(np.int64)
-    return DiscretePMF(Y, vals / total, ball_tail_bound(coset.rank, radius))
+    return DiscretePMF(Y, weights / float(np.sum(np.sort(weights))), tail)
 
 
 def _sample_dg_ints_batch(s: float, size: int, gen: np.random.Generator) -> np.ndarray:
@@ -540,11 +540,6 @@ def _table_sample(pmf: DiscretePMF, size: int, gen: np.random.Generator) -> np.n
     return pmf.points[idx]
 
 
-def _table_sample_1d(s: float, shift: float, size: int, gen: np.random.Generator) -> np.ndarray:
-    pmf = exact_pmf(LatticeCoset.integers(1, (shift,)), GaussianShape.spherical(s))
-    return _table_sample(pmf, size, gen)[:, 0]
-
-
 def sample_dg_coset(
     coset: LatticeCoset,
     shape: GaussianShape,
@@ -568,12 +563,10 @@ def sample_dg_coset(
             if abs(c - round(c)) < 1e-12:  # Z + c is Z, weighted about 0
                 cols.append(_sample_dg_ints_batch(float(diag[i]), size, gen))
             else:
-                cols.append(_table_sample_1d(float(diag[i]), c, size, gen))
+                pmf = exact_pmf(LatticeCoset.integers(1, (c,)), GaussianShape.spherical(float(diag[i])))
+                cols.append(_table_sample(pmf, size, gen)[:, 0])
         return np.stack(cols, axis=1).astype(float)
-    pmf = exact_pmf(coset, shape)
-    if pmf.support_size() == 0:
-        raise RuntimeError("empty truncated support")
-    return _table_sample(pmf, size, stream.generator()).astype(float)
+    return _table_sample(exact_pmf(coset, shape), size, stream.generator()).astype(float)
 
 
 def push_to_lattice(B: IntMatrix, x: Sequence[int]) -> tuple[int, ...]:

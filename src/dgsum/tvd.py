@@ -37,6 +37,14 @@ characters are chi_t(g) = e^{2 pi i sum_i t_i g_i / D_i}.
   differencing in Fourier space keeps the relative precision of a small
   TVD.  c enters only as c - round(c), which gives the same pmfs.
 
+The per-label pmfs (``target_pmf`` for MC, ``exact_output_pmf`` for tests)
+run over the labels that ``gaussian.truncate_coset`` keeps of the target
+coset Z^n + X c = L + x, L = Wt Z^n under its whitening Wt, x its shortest
+point: the ball of radius R, 2 beta(n, R) e^{pi ||x||^2} <= DUAL_TAIL, beta =
+``gaussian.banaszczyk_bound``, drops at most that share of the target weight,
+as rho(L + x) >= e^{-pi ||x||^2} rho(L) (pair y with -y) and
+rho((L + x) minus R B) < 2 beta rho(L) (Banaszczyk's coset lemma).
+
 Also hosts numeric evaluators for the tail, ratio and shift bounds used by
 the threshold analysis.
 """
@@ -59,10 +67,9 @@ from .gaussian import (
     LatticeCoset,
     PoissonSum,
     SampleStream,
-    ball_tail_bound,
     coset_mass,
-    enumerate_affine,
     poisson_sum,
+    truncate_coset,
 )
 from .intmat import IntMatrix, InvariantViolation, smith
 
@@ -126,7 +133,8 @@ class FiberWorkspace:
 
     The float data of the whitened kernel and target (``W``, ``K``,
     ``Gw_inv``, ``section_scale``, ``to_coef``, ``target_gram``, ``Wt``,
-    ``Xc``) is computed on first use; the class TVD reads none of it.
+    ``Xc``, ``target_region``) is computed on first use; the class TVD reads
+    none of it.
     """
 
     def __init__(self, X: IntMatrix, R: GaussianShape, c: Sequence[float]):
@@ -218,18 +226,20 @@ class FiberWorkspace:
         """Gaussian weight of the orthogonal lattice itself."""
         return self.section_scale * (1.0 + self.dual.mass)
 
-    def region(self, region_radius: float) -> np.ndarray:
-        """Integer labels z with whitened target norm of z + X c within
-        radius, as the rows of an int64 array in lexicographic order."""
-        return enumerate_affine(self.Wt, self.Wt @ self.Xc, region_radius)
+    @cached_property
+    def target_region(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(labels z, weights, tail): ``gaussian.truncate_coset`` of the
+        target coset Z^n + X c under Wt."""
+        return truncate_coset(self.Wt, self.Wt @ self.Xc)
 
-    def target_norms(self, T: np.ndarray) -> np.ndarray:
-        """||Wt (z + X c)||^2 for each label row z of T."""
-        Y = (T + self.Xc) @ self.Wt.T
-        return np.einsum("ij,ij->i", Y, Y)
+    def region(self) -> np.ndarray:
+        """The labels of ``target_region``."""
+        return self.target_region[0]
 
     def target_weight(self, z: Sequence[int]) -> float:
-        return float(np.exp(-math.pi * self.target_norms(np.asarray([z], dtype=float))[0]))
+        """e^{-pi ||Wt (z + X c)||^2}, the target weight of the label z."""
+        y = self.Wt @ (np.asarray(z, dtype=float) + self.Xc)
+        return float(np.exp(-math.pi * (y @ y)))
 
 
 def _theta_table(r: float, c: float, L: int) -> tuple[np.ndarray, float]:
@@ -402,21 +412,11 @@ def class_tvd(ws: FiberWorkspace) -> ExactTVDReport:
     return ExactTVDReport(tvd=tvd, truncation_error=trunc, support_size=d, radius=target.radius)
 
 
-def region_radius_for_tail(n: int, tail: float = 1e-12, cap: float = 12.0) -> float:
-    """Smallest whitened radius whose certified ball tail is below ``tail``."""
-    r = 1.0
-    while r < cap and ball_tail_bound(n, r) > tail:
-        r += 0.25
-    return r
-
-
-def _labels(X, R, c, region_radius, workspace):
-    """(workspace, region radius, int64 label array) of the image and target
-    pmfs; labels are in lexicographic order."""
+def _target(X, R, c, workspace):
+    """(workspace, labels, target weights, tail) of the image and target
+    pmfs; the labels from ``region``, the step the span tracer counts."""
     ws = workspace or FiberWorkspace(X, R, c if c is not None else [0.0] * X.n_cols)
-    if region_radius is None:
-        region_radius = region_radius_for_tail(X.n_rows)
-    return ws, region_radius, ws.region(region_radius)
+    return (ws, ws.region(), *ws.target_region[1:])
 
 
 def _row_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -435,7 +435,6 @@ def exact_output_pmf(
     X: IntMatrix,
     R: GaussianShape,
     c: Sequence[float] | None = None,
-    region_radius: float | None = None,
     workspace: FiberWorkspace | None = None,
 ) -> DiscretePMF:
     """Truncated pmf of {X v : v ~ D_{Z^m + c, R}} over integer labels z.
@@ -444,28 +443,37 @@ def exact_output_pmf(
     the target weight of z times 1 + delta(z), normalized over the region,
     every label's delta from one batched dual sum.
 
-    Truncation is certified.  The image mass outside the region is at most
-    the target's ball tail tt times max (1 + delta) / (1 + mean delta), the
-    mean over all labels under the target.  The maximum is at most 1 + mu,
-    mu = ``dual.mass`` + e_A, e_A = ``dual.tail``, since |delta(z)| <= mu,
-    and the mean is at least the region's part of it: the target weight
-    outside the region is at most tt / (1 - tt) of the weight S inside, so
-    1 + mean delta >= (1 - tt) (sum of the masses / S - e_A).  The dual
-    truncation adds e_A over the same denominator.  A fiber weight is >= 0
-    and 1 + delta is computed to within e_A plus rounding, so a negative
-    value stands for a weight of 0.
+    The tail covers the truncation and the rounding of the sums from the
+    workspace's float ``Gw_inv`` (G, rank k) and ``to_coef``, not those
+    matrices' own error.  Each 1 + delta(z) is off by at most e_A + e_R +
+    e_F(z), u = 2^-53: e_A = ``dual.tail``; e_R = 2 u sum_t w_t (pi (k + 2)
+    (|t|^T |G| |t| + ||t||_1) + N + 6) over the N dual points t of weight w_t;
+    e_F(z) = 4 pi sum_t w_t |t| . (m + 2) u (|z| |P|^T + |c|) |to_coef| for
+    the shift (z P^T + c) ``to_coef``, whose rounding survives its reduction
+    mod 1.  The masses see the errors' means under the target weights: e =
+    e_A + e_R + the region's mean of e_F.  The mass outside the region is at
+    most tt (1 + mu) / (1 + mean delta), tt the target's tail, mu =
+    ``dual.mass`` + e_A + e_R >= |delta|, the mean over all labels at least
+    (1 - tt) (sum of the masses / S - e), as the target weight outside is at
+    most tt / (1 - tt) of S, the weight inside; the masses' own error adds e
+    over it.  Where e swamps the mean, far below the kernel's smoothing
+    parameter, the tail is 1.  A fiber weight is >= 0, so a negative
+    1 + delta stands for a weight of 0.
     """
-    ws, region_radius, T = _labels(X, R, c, region_radius, workspace)
-    weights = np.exp(-math.pi * ws.target_norms(T))
-    tt = ball_tail_bound(X.n_rows, region_radius)
-    e_A = ws.dual.tail
+    ws, T, weights, tt = _target(X, R, c, workspace)
+    dual, abs_t = ws.dual, np.abs(ws.dual.points).astype(float)
+    terms = np.einsum("ij,jk,ik->i", abs_t, np.abs(ws.Gw_inv), abs_t) + abs_t.sum(axis=1)
+    e = dual.tail + 2 * ULP * float(dual.weights @ (math.pi * (dual.rank + 2) * terms + len(abs_t) + 6))
+    hi = 1.0 + dual.mass + e
+    F_abs = np.abs(T) @ np.abs(ws.P.to_numpy()).T + np.abs(ws.c)
+    s = (ws.X.n_cols + 2) * ULP * (weights @ (F_abs @ np.abs(ws.to_coef))) / float(np.sum(np.sort(weights)))
+    e += 4 * math.pi * float(dual.weights @ (abs_t @ s))
     masses = weights * np.maximum(1.0 + ws.section_deltas(T), 0.0)
-    hi = 1.0 + ws.dual.mass + e_A
-    lo = (1.0 - tt) * (float(np.sum(np.sort(masses))) / float(np.sum(np.sort(weights))) - e_A)
     total = float(np.sum(np.sort(masses)))
+    lo = (1.0 - tt) * (total / float(np.sum(np.sort(weights))) - e)
     if total <= 0:
         raise ValueError("empty region")
-    tail = (tt * hi + e_A) / lo if lo > 0 else 1.0
+    tail = (tt * hi + e) / lo if lo > 0 else 1.0
     return DiscretePMF(T, masses / total, min(1.0, tail))
 
 
@@ -473,14 +481,12 @@ def target_pmf(
     X: IntMatrix,
     R: GaussianShape,
     c: Sequence[float] | None = None,
-    region_radius: float | None = None,
     workspace: FiberWorkspace | None = None,
 ) -> DiscretePMF:
-    """Truncated pmf of the discrete Gaussian on Z^n + X c with shape R X^T."""
-    ws, region_radius, T = _labels(X, R, c, region_radius, workspace)
-    vals = np.exp(-math.pi * ws.target_norms(T))
-    total = float(np.sum(np.sort(vals)))
-    return DiscretePMF(T, vals / total, ball_tail_bound(X.n_rows, region_radius))
+    """Truncated pmf of the discrete Gaussian on Z^n + X c with shape R X^T,
+    over the labels of ``FiberWorkspace.target_region``."""
+    _, T, weights, tail = _target(X, R, c, workspace)
+    return DiscretePMF(T, weights / float(np.sum(np.sort(weights))), tail)
 
 
 def exact_tvd(p: DiscretePMF, q: DiscretePMF) -> ExactTVDReport:
@@ -573,7 +579,6 @@ def ratio_band_check(
     eps: float,
     shifts: Sequence[Sequence[float]],
     lambda_n: float | None = None,
-    radius: float = 12.0,
 ) -> dict:
     """Coset-to-lattice Gaussian weight ratios over a grid of shifts.
 
@@ -583,14 +588,14 @@ def ratio_band_check(
     """
     from .lattice import smoothing_bound
 
-    base, _ = coset_mass(LatticeCoset.integers(basis_dim), shape, radius)
+    base, _ = coset_mass(LatticeCoset.integers(basis_dim), shape)
     lo = (1 - eps) / (1 + eps)
     precondition_ok = None
     if lambda_n is not None:
         precondition_ok = shape.sigma_min(basis_dim) >= smoothing_bound(basis_dim, eps, lambda_n).value
     ratios = []
     for cvec in shifts:
-        m, _ = coset_mass(LatticeCoset.integers(basis_dim, tuple(cvec)), shape, radius)
+        m, _ = coset_mass(LatticeCoset.integers(basis_dim, tuple(cvec)), shape)
         ratios.append(m / base)
     return {
         "min_ratio": min(ratios),

@@ -3,23 +3,23 @@
 Each fiber {v : X v = z + X c} = P z + c + A is summed directly: the kernel
 lattice A's coordinates are enumerated over a fixed integer box in the
 whitened kernel basis, recentred per fiber, and the points inside a section
-radius are added.  This is the enumeration the package used before its
-section sums moved to the dual side; the tests compare the dual sums with it.
-It is exponential in the kernel rank and in r, so it runs on small instances
-only.
+radius are added; the radius is the package's primal rule,
+``gaussian.coset_radius``, at the largest shift a section can have.  This is
+the enumeration the package used before its section sums moved to the dual
+side; the tests compare the dual sums with it.  It is exponential in the
+kernel rank and in r, so it runs on small instances only.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 
-from dgsum.gaussian import EnumerationBudgetExceeded
+from dgsum.gaussian import EnumerationBudgetExceeded, coset_radius
 from dgsum.intmat import InvariantViolation, adjugate
-from dgsum.tvd import FiberWorkspace, exact_tvd, region_radius_for_tail, target_pmf
-
-SECTION_TAIL = 1e-16  # certified relative tail per fiber section, below the tests' tolerance
+from dgsum.tvd import FiberWorkspace, exact_tvd, target_pmf
 
 
 def integer_box(lo: np.ndarray, hi: np.ndarray, budget: int) -> np.ndarray:
@@ -44,16 +44,23 @@ def check_kernel_basis(ws: FiberWorkspace) -> None:
 
 
 class PrimalSections:
-    """Fiber and kernel weights of one (X, R, c) by primal enumeration."""
+    """Fiber and kernel weights of one (X, R, c) by primal enumeration.
 
-    def __init__(self, X, R, c, tail: float = SECTION_TAIL, budget: int = 5_000_000):
+    Each section is the whitened kernel lattice W A shifted by W K f, f in
+    the unit cell [-1/2, 1/2]^rank, so one radius serves them all:
+    ``coset_radius`` at the largest ||W K f||, taken at a vertex of the cell.
+    """
+
+    def __init__(self, X, R, c, budget: int = 5_000_000):
         ws = FiberWorkspace(X, R, c)  # P, the reduced kernel basis, the target
         check_kernel_basis(ws)
         self.ws = ws
         self.rank = X.n_cols - X.n_rows
-        self.radius = region_radius_for_tail(max(self.rank, 1), tail, cap=20.0)
+        self._weights = {}  # fiber weight by label: the tests ask for each one twice
         if ws.kernel is not None:
             self.WK = ws.W @ ws.K
+            vertices = 0.5 * np.array(list(product((-1.0, 1.0), repeat=self.rank)))
+            self.radius = coset_radius(self.rank, float(np.max(np.linalg.norm(vertices @ self.WK.T, axis=1))))[0]
             self.Ginv = np.linalg.inv(self.WK.T @ self.WK)
             half = self.radius * np.sqrt(np.maximum(np.diag(self.Ginv), 0.0)) + 0.5
             self.box = integer_box(np.floor(-half).astype(np.int64), np.ceil(half).astype(np.int64), budget)
@@ -81,7 +88,10 @@ class PrimalSections:
         return math.exp(-math.pi * float(perp @ perp)) * section_sum, points
 
     def fiber_weight(self, z) -> float:
-        return self.fiber(z)[0]
+        z = tuple(int(v) for v in z)
+        if z not in self._weights:
+            self._weights[z] = self.fiber(z)[0]
+        return self._weights[z]
 
     def kernel_weight(self) -> float:
         if self.ws.kernel is None:
@@ -94,10 +104,8 @@ class PrimalSections:
         return masses / float(np.sum(np.sort(masses)))
 
 
-def primal_tvd(X, R, c=None, region_radius: float | None = None, **kwargs) -> float:
-    """TVD of the per-label primal image pmf from the target pmf on one region."""
-    c = [0.0] * X.n_cols if c is None else list(c)
-    oracle = PrimalSections(X, R, c, **kwargs)
-    q = target_pmf(X, R, region_radius=region_radius, workspace=oracle.ws)
+def primal_tvd(oracle: PrimalSections) -> float:
+    """TVD of the oracle's per-label primal image pmf from the target pmf on one region."""
+    q = target_pmf(oracle.ws.X, oracle.ws.R, workspace=oracle.ws)
     p = type(q)(q.points, oracle.output_masses(q.points), 0.0)
     return exact_tvd(p, q).tvd

@@ -88,6 +88,30 @@ def test_cmd_sample(tmp_path):
     assert manifest["rng"]["generator"] == "numpy.random.Philox"
 
 
+def test_cmd_sample_integer_shift_draws_as_at_zero(tmp_path):
+    # Z^m + c is Z^m for an integer c, weighted about 0, as in tvd --mc and
+    # every pmf: the samples do not move with c
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 0 1 1\n0 1 1 -1\n")
+    common = ["sample", "--x-file", xfile, "-r", "2.0", "--samples", "2000", "--seed", "3"]
+    assert run(common + ["--out-dir", tmp_path / "zero"]) == EXIT_OK
+    assert run(common + ["--c", "1 0 0 0", "--out-dir", tmp_path / "one"]) == EXIT_OK
+    assert run(common + ["--c", "-7 2 0 5", "--out-dir", tmp_path / "far"]) == EXIT_OK
+    zero = (tmp_path / "zero" / "samples.csv").read_bytes()
+    assert (tmp_path / "one" / "samples.csv").read_bytes() == zero == (tmp_path / "far" / "samples.csv").read_bytes()
+    assert run(common + ["--c", "0.5 0 0 0", "--out-dir", tmp_path / "half"]) == EXIT_GATE
+
+
+@pytest.mark.parametrize("command, c", [("sample", "0 0"), ("sample", "1 0"), ("tvd", "0 0")])
+def test_shift_length_is_checked(tmp_path, capsys, command, c):
+    # a --c of the wrong length is bad input, in one line, for sample as for tvd
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 0 1 1\n0 1 1 -1\n")
+    assert run([command, "--x-file", xfile, "-r", "2.0", "--samples", "10000", "--mc", "--c", c,
+                "--out-dir", tmp_path / "run"]) == EXIT_GATE
+    assert capsys.readouterr().err == "invalid input: shift dimension mismatch\n"
+
+
 def test_cmd_sample_identity_instance_chi2(tmp_path):
     from scipy import stats
 
@@ -229,6 +253,19 @@ def test_tvd_mc_does_not_build_image_pmf(tmp_path, monkeypatch):
     assert "mc" in rep and "exact" not in rep
 
 
+def test_tvd_mc_far_below_smoothing_with_a_half_shift(tmp_path):
+    # Z^4 + (1/2, 0, 0, 0) at r = 0.03: the sampler's table and the target's
+    # region each hold the coset's nearest points, so MC answers
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 0 1 1\n0 1 1 -1\n")
+    out = tmp_path / "run"
+    code = run(["tvd", "--x-file", xfile, "--mc", "-r", "0.03", "--c", "0.5 0 0 0",
+                "--samples", "10000", "--out-dir", out])
+    rep = read_json(out / "tvd.json")
+    assert code == EXIT_GATE and rep["verdict"] == "precondition unmet"
+    assert rep["mc"]["N"] == 10000 and rep["mc"]["estimate"] < 0.05
+
+
 def test_tvd_exact_builds_no_label_region(tmp_path, monkeypatch):
     import dgsum.cli
     from dgsum.tvd import FiberWorkspace
@@ -239,7 +276,7 @@ def test_tvd_exact_builds_no_label_region(tmp_path, monkeypatch):
     monkeypatch.setattr(dgsum.cli, "target_pmf", refuse)
     monkeypatch.setattr(FiberWorkspace, "region", refuse)
     # nor any float data of the workspace: the two dual sums come from integer Grams
-    for name in ("W", "K", "Gw_inv", "section_scale", "to_coef", "target_gram", "Wt", "Xc"):
+    for name in ("W", "K", "Gw_inv", "section_scale", "to_coef", "target_gram", "Wt", "Xc", "target_region"):
         monkeypatch.setattr(FiberWorkspace, name, property(refuse))
     xfile = tmp_path / "X.txt"
     xfile.write_text("1 1 1\n0 1 2\n")
@@ -461,7 +498,7 @@ def test_tvd_exact_op_decomposes_and_enumerates_once(tmp_path, monkeypatch):
     hnf, region, enum, dual = [], [], [], []
     _count_calls(monkeypatch, dgsum.intmat, "hnf_column", hnf)
     _count_calls(monkeypatch, dgsum.tvd.FiberWorkspace, "region", region)
-    _count_calls(monkeypatch, dgsum.tvd, "enumerate_affine", enum)
+    _count_calls(monkeypatch, dgsum.tvd, "truncate_coset", enum)
     _count_calls(monkeypatch, dgsum.gaussian, "enumerate_affine", enum)
     _count_calls(monkeypatch, dgsum.tvd, "poisson_sum", dual)
     xfile = tmp_path / "X.txt"

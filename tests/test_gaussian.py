@@ -14,7 +14,6 @@ from dgsum.gaussian import (
     EnumerationBudgetExceeded,
     PoissonSum,
     SampleStream,
-    ball_tail_bound,
     banaszczyk_bound,
     banaszczyk_radius,
     coset_mass,
@@ -84,7 +83,7 @@ def test_singular_values_of_shapes():
 
 
 def test_coset_mass_integers():
-    mass, tail = coset_mass(LatticeCoset.integers(1), GaussianShape.spherical(1.0), radius=10.0)
+    mass, tail = coset_mass(LatticeCoset.integers(1), GaussianShape.spherical(1.0))
     # 1 + 2 e^{-pi} + 2 e^{-4 pi} + ...
     assert mass == pytest.approx(1.086435, abs=1e-6)
     assert tail < 1e-30
@@ -101,16 +100,20 @@ def test_coset_mass_shift_ratio_band():
 def test_coset_mass_monotone_in_s():
     prev = 0.0
     for s in (0.5, 1.0, 2.0, 4.0):
-        mass, _ = coset_mass(LatticeCoset.integers(2), GaussianShape.spherical(s), radius=8.0)
+        mass, _ = coset_mass(LatticeCoset.integers(2), GaussianShape.spherical(s))
         assert mass > prev
         prev = mass
 
 
 def test_coset_mass_empty_region_flagged():
-    mass, tail = coset_mass(
-        LatticeCoset.integers(1, (0.5,)), GaussianShape.spherical(1.0), radius=0.1
-    )
-    assert mass == 0.0 and tail == 1.0
+    # no region is empty: far below smoothing Z + 1/2 keeps its two nearest
+    # points, whose weight underflows no pmf, with a certified tail
+    from dgsum.gaussian import DUAL_TAIL
+
+    mass, tail = coset_mass(LatticeCoset.integers(1, (0.5,)), GaussianShape.spherical(0.1))
+    assert mass == pytest.approx(2 * math.exp(-25 * math.pi), rel=1e-12) and 0 < tail <= DUAL_TAIL
+    pmf = exact_pmf(LatticeCoset.integers(1, (0.5,)), GaussianShape.spherical(0.03))
+    assert pmf.points.tolist() == [[-0.5], [0.5]] and pmf.masses == pytest.approx([0.5, 0.5], rel=1e-12)
 
 
 def test_exact_pmf_center_mass():
@@ -130,16 +133,96 @@ def test_exact_pmf_symmetry():
 
 
 def test_exact_pmf_sums_to_one_within_tail():
-    pmf = exact_pmf(LatticeCoset.integers(2), GaussianShape.spherical(1.5), radius=8.0)
+    pmf = exact_pmf(LatticeCoset.integers(2), GaussianShape.spherical(1.5))
     assert 1 - pmf.tail_bound <= float(pmf.masses.sum()) <= 1 + 1e-12
 
 
-def test_tail_bound_monotone_in_radius():
-    prev = 1.0
-    for r in (2.0, 4.0, 8.0, 12.0):
-        pmf = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(1.0), radius=r)
-        assert pmf.tail_bound <= prev
-        prev = pmf.tail_bound
+def _log_sum_exp(x: np.ndarray) -> float:
+    top = float(np.max(x))
+    return top + math.log(float(np.sum(np.exp(x - top))))
+
+
+def _assert_tail_certified(points, tail_bound, gram, shift):
+    """tail_bound is at least the relative weight of the coset Z^k + shift
+    (whitened by gram^-1) outside the coset points ``points``, summed in log
+    space over an integer box that reaches 6 whitened units past them, so
+    each point left out weighs below e^{-36 pi} of the lightest kept one."""
+    shift = np.asarray(shift, dtype=float)
+    points = np.asarray(points, dtype=float)
+    G_inv = np.linalg.inv(gram)
+
+    def norm2(Y):
+        return np.einsum("ij,jk,ik->i", Y, G_inv, Y)
+
+    reach = math.sqrt(float(norm2(points).max())) + 6.0
+    half = np.ceil(reach * np.sqrt(np.diag(gram))).astype(np.int64) + 1
+    centre = -np.round(shift).astype(np.int64)
+    grids = np.meshgrid(*[np.arange(c - h, c + h + 1) for c, h in zip(centre, half)], indexing="ij")
+    T = np.stack([g.ravel() for g in grids], axis=1)
+    kept = set(map(tuple, np.round(points - shift).astype(np.int64).tolist()))
+    outside = np.array([t not in kept for t in map(tuple, T.tolist())])
+    log_w = -math.pi * norm2(T + shift)
+    log_tail = _log_sum_exp(log_w[outside]) - _log_sum_exp(log_w)
+    assert len(kept) == len(points) and outside.sum() == len(T) - len(kept)
+    assert tail_bound > 0 and math.log(tail_bound) >= log_tail, (tail_bound, math.exp(log_tail))
+
+
+def test_primal_tail_bound_is_certified():
+    # every primal truncation's tail_bound covers the weight it drops,
+    # shifted cosets and far below smoothing included (the old fixed radius
+    # claimed 1.0e-194 at s = 0.1249, c = 1/2, where the tail is 1.2e-175)
+    from dgsum.tvd import FiberWorkspace, target_pmf
+
+    skew = np.array([[1.0, 0.6], [0.0, 0.7]])
+    for s in np.geomspace(0.03, 2.0, 15).tolist() + [0.1249]:
+        for c in (0.0, 0.25, 0.5):
+            pmf = exact_pmf(LatticeCoset.integers(1, (c,)), GaussianShape.spherical(s))
+            _assert_tail_certified(pmf.points, pmf.tail_bound, [[s * s]], [c])
+            shape = GaussianShape.ellipsoidal(s * skew)
+            pmf = exact_pmf(LatticeCoset.integers(2, (c, c)), shape)
+            _assert_tail_certified(pmf.points, pmf.tail_bound, shape.gram(2), [c, c])
+    X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
+    for r in (0.03, 0.2, 1.0, 3.0):
+        for c in ([0.5, 0.0, 0.0, 0.0], [0.5] * 4):
+            ws = FiberWorkspace(X, GaussianShape.spherical(r), c)
+            q = target_pmf(X, ws.R, workspace=ws)
+            _assert_tail_certified(q.points + ws.Xc, q.tail_bound, ws.target_gram, ws.Xc)
+
+
+def test_skew_basis_region_is_sized_by_the_nearest_coset_point():
+    # rounding the shift in a skew basis lands 50 / r out (skew 100), but
+    # the nearest point of Z^2 + X c is 1/(2r) out, and the region follows it
+    from dgsum.tvd import FiberWorkspace, target_pmf
+
+    for skew in (100, 10_000):
+        X = IntMatrix.from_rows([[1, 0, 0], [skew, 1, 0]])
+        sizes = {}
+        for c in ((0.0, 0.0, 0.0), (0.5, 0.0, 0.0)):
+            ws = FiberWorkspace(X, GaussianShape.spherical(1.0), c)
+            q = target_pmf(X, ws.R, workspace=ws)
+            sizes[c[0]] = q.support_size()
+            if skew == 100:
+                _assert_tail_certified(q.points + ws.Xc, q.tail_bound, ws.target_gram, ws.Xc)
+        assert sizes[0.0] < 100 and sizes[0.5] < 1.5 * sizes[0.0], sizes
+    coset = LatticeCoset.of([[1, 0], [100, 1]], (0.5, 0.0))
+    pmf = exact_pmf(coset, GaussianShape.spherical(1.0))
+    base = exact_pmf(LatticeCoset.of([[1, 0], [100, 1]]), GaussianShape.spherical(1.0))
+    assert pmf.support_size() < 1.5 * base.support_size() < 150
+
+
+def test_coset_radius_is_the_least_radius_for_the_tail():
+    from dgsum.gaussian import DUAL_TAIL, coset_radius
+
+    def log_tail(rank, delta, R):  # log 2 beta(rank, R) e^{pi delta^2}, R > sqrt(rank / (2 pi))
+        c = R / math.sqrt(rank)
+        return math.log(2) + math.pi * delta ** 2 + rank * (math.log(c) + 0.5 * math.log(2 * math.pi * math.e) - math.pi * c * c)
+
+    for rank, delta in ((1, 0.0), (2, 0.0), (2, 0.7), (1, 16.7), (3, 40.0)):
+        R, tail = coset_radius(rank, delta)
+        assert delta < R and tail == pytest.approx(math.exp(log_tail(rank, delta, R)), rel=1e-9)
+        assert log_tail(rank, delta, R) <= math.log(DUAL_TAIL) + 1e-9 < log_tail(rank, delta, R * (1 - 1e-9))
+    # at c = 0 the region of Z^2 reaches about 4.9 whitened units
+    assert 4.85 < coset_radius(2, 0.0)[0] < 4.95
 
 
 def test_scaled_lattice_pushforward():
@@ -159,13 +242,6 @@ def test_product_structure_n2():
             if got:
                 want = one.mass_at((a,)) * one.mass_at((b,))
                 assert got == pytest.approx(want, rel=1e-9)
-
-
-def test_ball_tail_bound_properties():
-    assert ball_tail_bound(0, 1.0) == 0.0
-    assert ball_tail_bound(2, 0.5) == 1.0  # vacuous below c = 1
-    assert ball_tail_bound(1, 12.0) < 2 ** -100
-    assert ball_tail_bound(2, 6.0) < ball_tail_bound(2, 4.0)
 
 
 def test_enumerate_affine_matches_brute_force():
@@ -195,8 +271,6 @@ def test_banaszczyk_radius_is_the_least_radius_for_the_tail():
         assert banaszczyk_bound(rank, R) <= DUAL_TAIL < banaszczyk_bound(rank, R * (1 - 1e-9))
     assert banaszczyk_radius(0) == 0.0 and banaszczyk_bound(0, 1.0) == 0.0
     assert banaszczyk_bound(2, 0.5) == 1.0  # c <= 1 / sqrt(2 pi)
-    # the package's old per-section fixed factor 6 sits on top of this bound
-    assert ball_tail_bound(3, 5.0) == pytest.approx(6 * banaszczyk_bound(3, 5.0), rel=1e-12, abs=0)
 
 
 def _box_and_mask(A, b, radius):
@@ -435,6 +509,13 @@ def test_sample_dg_coset_integer_shift_matches_exact_pmf():
         assert stats.chisquare(obs, exp).pvalue > 1e-3, c
 
 
+def test_sample_dg_coset_far_below_smoothing():
+    # Z + 1/2 at s = 0.03: the sampler's table holds the two nearest points
+    vs = sample_dg_coset(LatticeCoset.integers(1, (0.5,)), GaussianShape.spherical(0.03), SampleStream(82), size=4000)
+    assert set(vs[:, 0].tolist()) == {-0.5, 0.5}
+    assert abs(float(np.mean(vs[:, 0] > 0)) - 0.5) < 0.05
+
+
 def test_sample_dg_coset_table_path():
     # non-diagonal shape forces the table path
     S = np.array([[1.0, 0.6], [0.0, 1.0]])
@@ -461,10 +542,10 @@ def test_pushforward_pmf_matches():
     # pmf of Z^2 under shape S, pushed through B, equals pmf of L(B) with shape S B^T
     B = IntMatrix.from_rows([[1, 0], [0, 2]])
     s = 1.5
-    base = exact_pmf(LatticeCoset.integers(2), GaussianShape.spherical(s), radius=8.0)
+    base = exact_pmf(LatticeCoset.integers(2), GaussianShape.spherical(s))
     Bf = B.to_numpy()
     pushed_shape = GaussianShape.ellipsoidal(s * Bf.T)
-    target = exact_pmf(LatticeCoset.of(B.rows), pushed_shape, radius=8.0)
+    target = exact_pmf(LatticeCoset.of(B.rows), pushed_shape)
     for pt, mass in zip(base.points, base.masses):
         img = push_to_lattice(B, pt)
         assert target.mass_at(img) == pytest.approx(float(mass), rel=1e-9)

@@ -1,0 +1,69 @@
+"""One truncation rule: every primal region and every Banaszczyk tail of the
+package goes through the functions that certify it, so a second radius or
+tail formula cannot come back unnoticed."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dgsum"
+
+# callee -> the functions of the package that may call it
+ALLOWED = {
+    # the one primal region: its radius and tail from ``coset_radius``
+    "enumerate_affine": {"truncate_coset"},
+    # the bisection that both radius rules run, the bound itself, and the
+    # dual sums' tail at ``banaszczyk_radius``
+    "banaszczyk_bound": {"PoissonSum.tail"},
+    "_log_banaszczyk_bound": {"banaszczyk_bound", "_least_radius"},
+    "_least_radius": {"banaszczyk_radius", "coset_radius"},
+}
+
+
+def stray_calls(source: str) -> set[tuple[str, str]]:
+    """(callee, caller) for every call of an ALLOWED callee from elsewhere;
+    the caller is the dotted name of the enclosing classes and functions,
+    or <module>."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            caller = ".".join(scope) or "<module>"
+            if name in ALLOWED and caller not in ALLOWED[name]:
+                found.add((name, caller))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_stray_calls_flags_a_second_region_and_tail():
+    snippet = """
+def truncate_coset(A, b):
+    return enumerate_affine(A, b, coset_radius(A.shape[1], 0.0)[0])
+
+class Region:
+    def points(self):
+        return gaussian.enumerate_affine(self.A, self.b, 12.0)
+
+def ball_tail_bound(k, r):
+    return 6 * banaszczyk_bound(k, r)
+
+RADIUS = _least_radius(2, 0.0)
+"""
+    assert stray_calls(snippet) == {
+        ("enumerate_affine", "Region.points"),
+        ("banaszczyk_bound", "ball_tail_bound"),
+        ("_least_radius", "<module>"),
+    }
+
+
+def test_package_has_one_truncation_rule():
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    for path in sources:
+        assert stray_calls(path.read_text()) == set(), path.name

@@ -16,7 +16,6 @@ from dgsum.tvd import (
     exact_tvd,
     mc_tvd,
     ratio_band_check,
-    region_radius_for_tail,
     shift_bound_eval,
     tail_bound_eval,
     target_pmf,
@@ -196,15 +195,16 @@ def test_hnf_calls_independent_of_label_count(monkeypatch):
         return hnf(X)
 
     monkeypatch.setattr(dgsum.intmat, "hnf_column", counting)
-    per_radius = {}
-    for radius in (2.0, 4.0):
+    per_size = {}
+    for r in (1.0, 3.0):
         calls.clear()
         X = IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])  # a fresh object holds no decomposition
-        p = exact_output_pmf(X, R2, region_radius=radius)
-        target_pmf(X, R2, region_radius=radius)
-        per_radius[p.support_size()] = len(calls)
-    assert len(per_radius) == 2
-    assert set(per_radius.values()) == {1}  # X only: the per-label pmfs need no class group
+        R = GaussianShape.spherical(r)
+        p = exact_output_pmf(X, R)
+        target_pmf(X, R)
+        per_size[p.support_size()] = len(calls)
+    assert len(per_size) == 2
+    assert set(per_size.values()) == {1}  # X only: the per-label pmfs need no class group
 
 
 def test_workspace_reduces_skewed_kernel_basis():
@@ -253,7 +253,7 @@ def test_dual_sums_match_primal_oracle():
             p = exact_output_pmf(X, R, workspace=ws)
             _assert_matches_oracle(p, oracle)
             if R.is_spherical:
-                assert abs(class_tvd(ws).tvd - primal_tvd(X, R, c)) <= 1e-12
+                assert abs(class_tvd(ws).tvd - primal_tvd(oracle)) <= 1e-12
     assert min(dets) == 1 and max(dets) >= 20
 
 
@@ -306,8 +306,8 @@ def test_class_tvd_at_threshold_s3_up_to_m12():
         assert rep.truncation_error <= 1e-11  # d <= 5 10^4, m <= 12
         if X.n_cols - X.n_rows <= 3:
             oracle = PrimalSections(X, R, [0.0] * X.n_cols, budget=100_000)
-            if len(oracle.box) * len(target_pmf(X, R, workspace=ws).points) <= 20_000_000:
-                assert abs(rep.tvd - primal_tvd(X, R)) <= 1e-12
+            if len(oracle.box) * len(target_pmf(X, R, workspace=ws).points) <= 50_000_000:
+                assert abs(rep.tvd - primal_tvd(oracle)) <= 1e-12
                 compared += 1
     assert compared >= 2
 
@@ -388,36 +388,48 @@ def test_class_tvd_reduces_c_mod_the_integers():
         assert abs(class_tvd(FiberWorkspace(X, R, c)).tvd - shifted) <= 1e-12 * shifted
 
 
-def test_exact_output_pmf_tail_from_the_dual_mass():
-    from dgsum.gaussian import ball_tail_bound
+def test_per_label_tvd_is_within_its_bound_of_the_class_tvd():
+    # far below the kernel's smoothing parameter (r = 0.2, c = 1/2) every
+    # 1 + delta(z) is below the rounding of its dual sum, so the per-label
+    # image pmf is off (0.75 against 0.5), and its tail bound must say so
+    X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
+    for r in (0.2, 0.5, 1.0, 3.0):
+        for c in ([0.5] * 4, [0.5, 0.0, 0.0, 0.0], [0.0] * 4):
+            ws = FiberWorkspace(X, GaussianShape.spherical(r), c)
+            rep = exact_tvd(exact_output_pmf(X, ws.R, workspace=ws), target_pmf(X, ws.R, workspace=ws))
+            ref = class_tvd(ws)
+            assert abs(rep.tvd - ref.tvd) <= rep.truncation_error + ref.truncation_error, (r, c)
 
+
+def test_exact_output_pmf_tail_from_the_dual_mass():
     # 1 + mu from the dual mass over the region's mean of 1 + delta, for
     # spherical and ellipsoidal R alike
     X = IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])
-    target_tail = ball_tail_bound(2, region_radius_for_tail(2))
     for R in (GaussianShape.spherical(1.5), GaussianShape.ellipsoidal(np.diag([1.5, 1.6, 1.7]))):
         ws = FiberWorkspace(X, R, [0.0] * 3)
-        T = ws.region(region_radius_for_tail(2))
-        w = np.exp(-math.pi * ws.target_norms(T))
+        target_tail = target_pmf(X, R, workspace=ws).tail_bound
+        T = ws.region()
+        w = np.array([ws.target_weight(z) for z in T])
         mean = float(w @ (1 + ws.section_deltas(T))) / float(np.sum(w))
-        mu = ws.dual.mass
-        want = target_tail * (1 + mu) / ((1 - target_tail) * mean)
+        mu, t = ws.dual.mass, np.abs(ws.dual.points)
+        k, N = ws.dual.rank, len(t)
+        rounding = 2 * 2.0 ** -53 * sum(
+            wt * (math.pi * (k + 2) * (float(a @ np.abs(ws.Gw_inv) @ a) + float(a.sum())) + N + 6)
+            for wt, a in zip(ws.dual.weights, t))
+        # the shifts' rounding, as a mean under the target weights
+        F_abs = np.abs(T) @ np.abs(ws.P.to_numpy()).T + np.abs(ws.c)
+        shift_err = 5 * 2.0 ** -53 * (w @ (F_abs @ np.abs(ws.to_coef))) / float(np.sum(w))
+        e = ws.dual.tail + rounding + 4 * math.pi * float(ws.dual.weights @ (t @ shift_err))
+        hi = 1 + mu + ws.dual.tail + rounding
+        want = (target_tail * hi + e) / ((1 - target_tail) * (mean - e))
         assert exact_output_pmf(X, R, workspace=ws).tail_bound == pytest.approx(want, rel=1e-9, abs=0)
-        assert want < target_tail * (1 + mu) / (1 - mu)
+        assert want < (target_tail * hi + e) / (1 - mu - e) and want < 1e-12
     # and with more classes than labels, where 1 - mu < 0
     X = IntMatrix.from_rows([[1, 200]])
     R = GaussianShape.spherical(1.0)
     ws = FiberWorkspace(X, R, [0.0, 0.0])
     p = exact_output_pmf(X, R, workspace=ws)
     assert ws.dual.mass > 1 and len(p.points) < 40001 and p.tail_bound < 1e-10
-
-
-def test_region_radius_for_tail():
-    from dgsum.gaussian import ball_tail_bound
-
-    r = region_radius_for_tail(2, 1e-10)
-    assert ball_tail_bound(2, r) <= 1e-10
-    assert ball_tail_bound(2, r - 0.25) > 1e-10
 
 
 # ---------------------------------------------------------------- output/target pmfs
@@ -464,7 +476,7 @@ def test_output_pmf_ratio_band_against_target():
     kw = ws.kernel_weight()
     eps = 0.01
     lo = (1 - eps) / (1 + eps)
-    for z in ws.region(6.0):
+    for z in ws.region():
         ratio = ws.fiber_weight(z) / (ws.target_weight(z) * kw)
         assert lo - 1e-9 <= ratio <= 1.0 + 1e-9
 
