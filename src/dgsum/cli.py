@@ -126,7 +126,10 @@ def parse_config(path: str) -> dict:
     text = _read_text(path, "config")
     if text.lstrip().startswith("{"):
         data = json.loads(text)
-        return dict(data.get("resolved_config", data))
+        data = data.get("resolved_config", data)
+        if not isinstance(data, dict):
+            raise ValueError(f"resolved_config must be an object, not {data!r}")
+        return dict(data)
     cfg = {}
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -139,6 +142,34 @@ def parse_config(path: str) -> dict:
     return cfg
 
 
+def _number(cfg: dict, key: str, kind: type, default):
+    """cfg[key], or the default, as an int or a float.  Text (a flag, a
+    ``key = value`` line) is parsed; a JSON value must be a number of the
+    kind, an int for an int, so that a seed of 1.5 is refused, not run as 1."""
+    v = cfg.get(key, default)
+    if isinstance(v, str) or type(v) is int or (kind is float and type(v) is float):
+        return kind(v)
+    raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, not {v!r}")
+
+
+def _text(cfg: dict, key: str, default: str | None) -> str | None:
+    """cfg[key], or the default, which must be text; None only where the default is."""
+    v = cfg.get(key, default)
+    if isinstance(v, str) or (v is None and default is None):
+        return v
+    raise ValueError(f"{key} must be text, not {v!r}")
+
+
+def _shift(v) -> list[float] | None:
+    """The shift c from text of numbers (a flag, a ``key = value`` line) or
+    from a list of numbers, as a manifest records it; None when empty."""
+    if isinstance(v, str):
+        v = v.split()
+    elif not (v is None or isinstance(v, list) and all(type(x) in (int, float) for x in v)):
+        raise ValueError(f"c must be a list of numbers, not {v!r}")
+    return [float(x) for x in v] if v else None
+
+
 def resolve(args: argparse.Namespace) -> dict:
     cfg = parse_config(args.config) if args.config else {}
     for key in ("seed", "eps", "samples", "trials", "n", "m", "s", "r", "out_dir", "x_file", "c", "mode"):
@@ -146,18 +177,18 @@ def resolve(args: argparse.Namespace) -> dict:
         if v is not None:
             cfg[key] = v
     out = {
-        "n": int(cfg.get("n", 1)),
-        "m": int(cfg.get("m", 2)),
-        "s": float(cfg.get("s", 3.0)),
-        "r": float(cfg["r"]) if "r" in cfg and cfg["r"] is not None else None,
-        "eps": float(cfg.get("eps", 0.01)),
-        "seed": int(cfg.get("seed", 1)),
-        "samples": int(cfg.get("samples", 100_000)),
-        "trials": int(cfg.get("trials", 10)),
-        "out_dir": str(cfg.get("out_dir", ".")),
-        "x_file": cfg.get("x_file"),
-        "c": [float(t) for t in str(cfg.get("c", "")).split()] if cfg.get("c") else None,
-        "mode": str(cfg.get("mode", "exact")),
+        "n": _number(cfg, "n", int, 1),
+        "m": _number(cfg, "m", int, 2),
+        "s": _number(cfg, "s", float, 3.0),
+        "r": None if cfg.get("r") is None else _number(cfg, "r", float, None),
+        "eps": _number(cfg, "eps", float, 0.01),
+        "seed": _number(cfg, "seed", int, 1),
+        "samples": _number(cfg, "samples", int, 100_000),
+        "trials": _number(cfg, "trials", int, 10),
+        "out_dir": _text(cfg, "out_dir", "."),
+        "x_file": _text(cfg, "x_file", None),
+        "c": _shift(cfg.get("c")),
+        "mode": _text(cfg, "mode", "exact"),
     }
     if not 0 < out["eps"] < 1:
         raise ValueError("eps out of range")
@@ -245,7 +276,8 @@ def cmd_sample(cfg: dict) -> int:
     c = cfg["c"] or [0.0] * m
     if len(c) != m:
         raise ValueError("shift dimension mismatch")
-    # integer shifts only on the sampling fast path; Z^m + c is Z^m, about 0
+    # samples.csv holds the integer X v, so c must be integer: Z^m + c is
+    # then Z^m, drawn about 0
     if any(abs(x - round(x)) > 1e-12 for x in c):
         raise ValueError("cmd_sample supports integer shifts only")
     N = cfg["samples"]
@@ -495,7 +527,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = resolve(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:  # OverflowError: an integer too large for a float
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_GATE
     handler = {

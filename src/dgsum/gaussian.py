@@ -1,4 +1,4 @@
-"""Gaussian weights, discrete Gaussian pmfs over lattice cosets, and samplers.
+"""Gaussian weights, discrete Gaussian pmfs over lattice cosets, and one sampler.
 
 The Gaussian weight of a point x under a shape S is exp(-pi * x^T (S^T S)^-1 x);
 the spherical case S = s*I gives exp(-pi ||x||^2 / s^2).  Discrete Gaussians on
@@ -25,6 +25,10 @@ factors it as U^T U (Cholesky).  The dual basis B (B^T B)^-1 of an integer
 basis B has Gram matrix (B^T B)^-1 = adj(B^T B) / det(B^T B), so a dual sum
 at scale s over an integer lattice is ``poisson_sum(s^2 adj(B^T B) /
 det(B^T B))``, with no float basis to factor.
+
+Every draw of the package, integer shift or not, is one inverse-CDF draw
+(``_table_sample``) from a table that ``exact_pmf`` truncated by the rule
+above, so no sampler has a radius, a cut or a rejection step of its own.
 """
 
 from __future__ import annotations
@@ -496,48 +500,22 @@ def exact_pmf(coset: LatticeCoset, shape: GaussianShape) -> DiscretePMF:
     return DiscretePMF(Y, weights / float(np.sum(np.sort(weights))), tail)
 
 
-def _sample_dg_ints_batch(s: float, size: int, gen: np.random.Generator) -> np.ndarray:
-    """Vectorized rejection sampler for D_{Z,s} (centered).
-
-    Proposal: two-sided geometric p(k) ~ exp(-|k|/s); accept with probability
-    exp(-pi k^2/s^2 + |k|/s) / envelope; hard tail cut at 12 s.
-    """
-    out = np.empty(size, dtype=np.int64)
-    filled = 0
-    cut = 12.0 * s
-    while filled < size:
-        batch = max(1024, int(2.5 * (size - filled)))
-        u = gen.random(batch)
-        g = np.floor(-s * np.log1p(-u)).astype(np.int64)
-        sign = np.where(gen.random(batch) < 0.5, -1, 1)
-        ok = ~((g == 0) & (sign < 0))
-        k = sign * g
-        accept = gen.random(batch) < np.exp(
-            -math.pi * (g / s) ** 2 + g / s - 1.0 / (4 * math.pi)
-        )
-        keep = ok & accept & (g <= cut)
-        vals = k[keep]
-        take = min(len(vals), size - filled)
-        out[filled : filled + take] = vals[:take]
-        filled += take
-    return out
+def _table_sample(pmf: DiscretePMF, size: int, gen: np.random.Generator) -> np.ndarray:
+    """``size`` rows of ``pmf.points`` drawn by the pmf's masses: every draw
+    of the package, from a table truncated and certified by ``exact_pmf``."""
+    idx = gen.choice(pmf.support_size(), size=size, p=pmf.masses / pmf.masses.sum())
+    return pmf.points[idx]
 
 
 def sample_dg_ints(s: float, size: int, stream: SampleStream) -> np.ndarray:
-    """``size`` i.i.d. draws from D_{Z,s}, deterministic given the stream."""
-    if not s > 0:
-        raise ValueError("s must be positive")
-    return _sample_dg_ints_batch(float(s), int(size), stream.generator())
+    """``size`` i.i.d. draws from D_{Z,s}, deterministic given the stream:
+    those of ``sample_dg_coset`` on Z, as int64."""
+    pmf = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(s))
+    return _table_sample(pmf, int(size), stream.generator())[:, 0]
 
 
 def sample_dg_int(s: float, stream: SampleStream) -> int:
     return int(sample_dg_ints(s, 1, stream)[0])
-
-
-def _table_sample(pmf: DiscretePMF, size: int, gen: np.random.Generator) -> np.ndarray:
-    """``size`` rows of ``pmf.points`` drawn by the pmf's masses."""
-    idx = gen.choice(pmf.support_size(), size=size, p=pmf.masses / pmf.masses.sum())
-    return pmf.points[idx]
 
 
 def sample_dg_coset(
@@ -548,25 +526,26 @@ def sample_dg_coset(
 ) -> np.ndarray:
     """Draws from the discrete Gaussian on the coset; shape (size, dim).
 
-    Fast path: Z^m coset with diagonal (or spherical) shape, sampled per
-    coordinate.  Otherwise falls back to the table path (exact pmf plus
-    inverse CDF), subject to the enumeration budget.
+    A Z^m coset under a diagonal (or spherical) shape is a product of 1-D
+    discrete Gaussians, drawn one coordinate at a time from one generator,
+    with one table per distinct (s_i, c_i - nearest integer): Z + c_i is
+    that coset, so an integer c_i draws Z about 0 and c_i + 7 draws as c_i.
+    Any other coset is drawn from the table of its whole pmf.  Each table
+    is ``exact_pmf``'s, subject to the enumeration budget.
     """
     dim = coset.dim
     diag = shape.diagonal(dim)
-    axis_aligned = coset.basis.rows == IntMatrix.identity(dim).rows
-    if axis_aligned and diag is not None:
-        gen = stream.generator()
-        cols = []
-        for i in range(dim):
-            c = coset.shift[i]
-            if abs(c - round(c)) < 1e-12:  # Z + c is Z, weighted about 0
-                cols.append(_sample_dg_ints_batch(float(diag[i]), size, gen))
-            else:
-                pmf = exact_pmf(LatticeCoset.integers(1, (c,)), GaussianShape.spherical(float(diag[i])))
-                cols.append(_table_sample(pmf, size, gen)[:, 0])
-        return np.stack(cols, axis=1).astype(float)
-    return _table_sample(exact_pmf(coset, shape), size, stream.generator()).astype(float)
+    if coset.basis.rows != IntMatrix.identity(dim).rows or diag is None:
+        return _table_sample(exact_pmf(coset, shape), size, stream.generator()).astype(float)
+    gen = stream.generator()
+    tables = {}
+    cols = []
+    for s, c in zip(diag.tolist(), coset.shift):
+        key = (s, c - math.floor(c + 0.5))
+        if key not in tables:
+            tables[key] = exact_pmf(LatticeCoset.integers(1, key[1:]), GaussianShape.spherical(s))
+        cols.append(_table_sample(tables[key], size, gen)[:, 0])
+    return np.stack(cols, axis=1).astype(float)
 
 
 def push_to_lattice(B: IntMatrix, x: Sequence[int]) -> tuple[int, ...]:

@@ -6,8 +6,8 @@ integer solvability tests and particular solutions of ``X u = t``.  Each
 matrix object is decomposed at most once (``IntMatrix.hermite``) and its
 kernel lattice LLL-reduced at most once (``IntMatrix.reduced_kernel``);
 equal matrices built separately are decomposed and reduced separately, so
-nothing is shared beyond the life of the object.  Ranks, determinants and
-adjugates come from fraction-free (Bareiss) elimination.
+nothing is shared beyond the life of the object.  Ranks and determinants
+come from fraction-free (Bareiss) elimination, adjugates from the Smith form.
 """
 
 from __future__ import annotations
@@ -360,19 +360,25 @@ def smith(G: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[int]]:
         E = IntMatrix.from_rows([[int(a == b or (a, b) == pair[::-1]) for b in range(n)] for a in range(n)])
         A, V = A @ E, V @ E
     if ((U @ G @ V).rows != tuple(tuple(D[i] if i == j else 0 for j in range(n)) for i in range(n))
-            or min(D) <= 0 or any(D[i + 1] % D[i] for i in range(n - 1))
+            or min(D, default=1) <= 0 or any(D[i + 1] % D[i] for i in range(n - 1))
             or math.prod(D) != abs(_int_det(G.rows))
             or abs(_int_det(U.rows)) != 1 or abs(_int_det(V.rows)) != 1):
         raise InvariantViolation(f"U G V = diag({D}) is not a Smith form of G with unimodular U, V")
     return U, V, D
 
 
+def smith_adjugate(U: IntMatrix, V: IntMatrix, D: Sequence[int]) -> IntMatrix:
+    """V diag(prod D / D_i) U, the adjugate of a G with U G V = diag(D) and
+    det G > 0: G^-1 = V diag(D)^-1 U and det G = prod D."""
+    d = math.prod(D)
+    return V @ IntMatrix(tuple(tuple(d // Di if i == j else 0 for j in range(len(D))) for i, Di in enumerate(D))) @ U
+
+
 def adjugate(G: IntMatrix) -> tuple[list[list[int]], int]:
-    """(adj G, det G) of a square integer matrix, so that adj(G) G = det(G) I."""
-    n = G.n_rows
-
-    def minor(i, j):
-        return [[x for b, x in enumerate(row) if b != j] for a, row in enumerate(G.rows) if a != i]
-
-    adj = [[(-1) ** (i + j) * _int_det(minor(j, i)) for j in range(n)] for i in range(n)]
-    return adj, _int_det(G.rows)
+    """(adj G, det G) of a nonsingular square integer matrix, so that
+    adj(G) G = det(G) I, from its Smith form U G V = diag(D): det G is
+    det(U) det(V) prod D, as det U and det V are +-1 and their own inverses,
+    and adj G = det(G) G^-1 is that sign times ``smith_adjugate``."""
+    U, V, D = smith(G)
+    sign = _int_det(U.rows) * _int_det(V.rows)
+    return [[sign * x for x in row] for row in smith_adjugate(U, V, D).rows], sign * math.prod(D)

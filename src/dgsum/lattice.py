@@ -247,42 +247,14 @@ def nearest_plane(basis: LatticeBasis, target: Sequence[Fraction]) -> tuple[int,
     return tuple(v)
 
 
-def _fraction_inverse(M: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(M)
-    A = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if A[i][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        A[col] = [x / pv for x in A[col]]
-        for i in range(n):
-            if i != col and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [x - f * y for x, y in zip(A[i], A[col])]
-    return [row[n:] for row in A]
-
-
 def dual_basis(basis: LatticeBasis) -> list[tuple[Fraction, ...]]:
-    """Exact rational dual basis; pairing with the primal is the identity.
-
-    Full-rank lattices get the inverse-transpose dual; lower-rank bases get
-    the dual within their span, B (B^T B)^{-1}.
-    """
+    """Exact rational dual basis B (B^T B)^-1 = B adj(B^T B) / det(B^T B),
+    one column per basis vector; pairing with the primal is the identity.
+    For a full-rank lattice this is the inverse transpose; for a lower rank
+    it is the dual within the span."""
     B = basis.matrix
-    cols = B.columns()
-    G = [[Fraction(dot(a, b)) for b in cols] for a in cols]
-    Ginv = _fraction_inverse(G)
-    # dual columns: B @ Ginv
-    dual = []
-    for j in range(basis.rank):
-        col = tuple(
-            sum(Fraction(B.rows[i][k]) * Ginv[k][j] for k in range(basis.rank))
-            for i in range(basis.dim)
-        )
-        dual.append(col)
-    return dual
+    adj, det = adjugate(B.T @ B)
+    return [tuple(Fraction(dot(row, a), det) for row in B.rows) for a in zip(*adj)]
 
 
 def smoothing_bound(n: int, eps: float, lambda_n: float) -> SmoothingBound:

@@ -71,7 +71,7 @@ from .gaussian import (
     poisson_sum,
     truncate_coset,
 )
-from .intmat import IntMatrix, InvariantViolation, smith
+from .intmat import IntMatrix, InvariantViolation, smith, smith_adjugate
 
 ULP = 2.0 ** -53  # unit roundoff u of float64
 
@@ -349,7 +349,7 @@ def class_tvd(ws: FiberWorkspace) -> ExactTVDReport:
     d = math.prod(D)
     if d > ENUM_BUDGET:
         raise EnumerationBudgetExceeded(f"{d} coset classes exceed budget {ENUM_BUDGET}")
-    adjG = V @ IntMatrix.from_rows([[d // Di if i == j else 0 for j in range(n)] for i, Di in enumerate(D)]) @ U
+    adjG = smith_adjugate(U, V, D)
     keep = [i for i in range(n) if D[i] > 1] or [n - 1]  # d = 1: one class
     dims = tuple(D[i] for i in keep)
     L = dims[-1]

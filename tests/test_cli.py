@@ -71,8 +71,19 @@ def test_resolve_validation():
         resolve(args)
 
 
-def test_invalid_config_exit_code():
+def test_invalid_config_exit_code(tmp_path, capsys):
+    # bad values, a malformed JSON config among them, are one line and exit 2
     assert run(["sample", "-n", "3", "-m", "2"]) == EXIT_GATE
+    assert capsys.readouterr().err == "invalid config: need m >= n >= 1\n"
+    for text, why in [
+        ('{"n": [1], "m": 3}', "n must be an integer, not [1]"),
+        ('{"resolved_config": 5}', "resolved_config must be an object, not 5"),
+        ('{"seed": 1.5}', "seed must be an integer, not 1.5"),
+    ]:
+        (tmp_path / "cfg.json").write_text(text)
+        assert run(["sample", "--config", tmp_path / "cfg.json", "--out-dir", tmp_path / "run"]) == EXIT_GATE, text
+        assert capsys.readouterr().err == f"invalid config: {why}\n"
+        assert not (tmp_path / "run").exists()
 
 
 def test_cmd_sample(tmp_path):
@@ -100,6 +111,25 @@ def test_cmd_sample_integer_shift_draws_as_at_zero(tmp_path):
     zero = (tmp_path / "zero" / "samples.csv").read_bytes()
     assert (tmp_path / "one" / "samples.csv").read_bytes() == zero == (tmp_path / "far" / "samples.csv").read_bytes()
     assert run(common + ["--c", "0.5 0 0 0", "--out-dir", tmp_path / "half"]) == EXIT_GATE
+
+
+def test_sample_beyond_the_budget_exits_2_before_drawing(tmp_path, capsys):
+    # the table of D_{Z, 10^7} holds about 9.6 10^7 points, above the
+    # enumeration budget: refused in one line before any of it is built
+    import tracemalloc
+
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 0 1 1\n0 1 1 -1\n")
+    tracemalloc.start()
+    try:
+        code = run(["sample", "--x-file", xfile, "-r", "1e7", "--samples", "1000000", "--out-dir", tmp_path / "run"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == EXIT_GATE
+    assert err.startswith("enumeration budget exceeded: ") and err.count("\n") == 1
+    assert peak < 2 ** 20 and not (tmp_path / "run" / "samples.csv").exists()
 
 
 @pytest.mark.parametrize("command, c", [("sample", "0 0"), ("sample", "1 0"), ("tvd", "0 0")])
@@ -399,6 +429,17 @@ def test_manifest_replay_byte_identical(tmp_path):
     assert run(["tvd", "--config", out1 / "manifest.json", "--out-dir", out2]) == EXIT_OK
     for name in ("tvd.json", "matrix.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_manifest_replay_with_a_shift(tmp_path):
+    # the manifest records c as a list of numbers, which a replay reads back
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 0 1 1\n0 1 1 -1\n")
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run(["tvd", "--x-file", xfile, "-r", "4", "--c", "0.5 0 0 0.25", "--out-dir", out1]) == EXIT_OK
+    assert read_json(out1 / "manifest.json")["resolved_config"]["c"] == [0.5, 0.0, 0.0, 0.25]
+    assert run(["tvd", "--config", out1 / "manifest.json", "--out-dir", out2]) == EXIT_OK
+    assert (out1 / "tvd.json").read_bytes() == (out2 / "tvd.json").read_bytes()
 
 
 def test_sample_replay_byte_identical(tmp_path):

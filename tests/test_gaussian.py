@@ -450,6 +450,39 @@ def test_small_s_concentrates():
     assert abs(emp0 - pmf.mass_at((0,))) < 0.01
 
 
+def test_sample_dg_ints_is_the_coset_sampler_on_the_integers():
+    for s in (0.5, 3.0, 30.0):
+        st = SampleStream(61, stream_id=int(s))
+        ints = sample_dg_ints(s, 5000, st)
+        assert ints.dtype == np.int64
+        assert np.array_equal(ints.astype(float), sample_dg_coset(LatticeCoset.integers(1), GaussianShape.spherical(s), st, size=5000)[:, 0])
+
+
+def test_sample_dg_coset_draws_alike_at_c_and_c_plus_7():
+    # Z + c is Z + c + 7: the same points, so the same table and the same
+    # draws, the half shifts, the integer ones and a diagonal shape included
+    c = np.array([0.25, -0.5, 0.5, 0.0, -3.0, 0.375])
+    for shape in (GaussianShape.spherical(1.5), GaussianShape.ellipsoidal(np.diag([0.3, 1.0, 2.0, 1.0, 4.0, 9.0]))):
+        a = sample_dg_coset(LatticeCoset.integers(6, tuple(c)), shape, SampleStream(62), size=3000)
+        b = sample_dg_coset(LatticeCoset.integers(6, tuple(c + 7)), shape, SampleStream(62), size=3000)
+        assert np.array_equal(a, b)
+        assert np.array_equal(a - c, np.round(a - c))  # points of Z^6 + c
+
+
+@pytest.mark.parametrize("s", [0.05, 0.5, 3.0, 30.0])
+def test_integer_table_matches_a_direct_sum(s):
+    # the sampler's table of D_{Z,s} against e^{-pi k^2 / s^2} summed
+    # directly over |k| <= 40 s, with no truncation rule
+    pmf = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(s))
+    k = np.arange(-math.ceil(40 * s), math.ceil(40 * s) + 1)
+    w = np.exp(-math.pi * (k / s) ** 2)
+    direct = w / float(np.sum(np.sort(w)))
+    kept = np.isin(k, pmf.points[:, 0])
+    assert kept.sum() == len(pmf.points) and pmf.tail_bound <= 2.0 ** -100
+    np.testing.assert_allclose(pmf.masses, direct[kept], rtol=1e-13, atol=0)
+    assert float(np.sum(direct[~kept])) <= pmf.tail_bound
+
+
 def test_sample_dg_coset_iid_coordinates():
     st = SampleStream(77)
     vs = sample_dg_coset(LatticeCoset.integers(3), GaussianShape.spherical(2.0), st, size=50_000)

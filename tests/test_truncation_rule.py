@@ -1,6 +1,7 @@
-"""One truncation rule: every primal region and every Banaszczyk tail of the
-package goes through the functions that certify it, so a second radius or
-tail formula cannot come back unnoticed."""
+"""One truncation rule and one sampler: every primal region and every
+Banaszczyk tail of the package goes through the functions that certify it,
+and every draw through the one table sampler, so a second radius, tail
+formula or sampler cannot come back unnoticed."""
 
 import ast
 from pathlib import Path
@@ -16,6 +17,10 @@ ALLOWED = {
     "banaszczyk_bound": {"PoissonSum.tail"},
     "_log_banaszczyk_bound": {"banaszczyk_bound", "_least_radius"},
     "_least_radius": {"banaszczyk_radius", "coset_radius"},
+    # the one sampler: an inverse-CDF draw from a certified table, and no
+    # uniforms drawn for a rejection step or a proposal
+    "choice": {"_table_sample"},
+    "random": set(),
 }
 
 
@@ -60,6 +65,22 @@ RADIUS = _least_radius(2, 0.0)
         ("banaszczyk_bound", "ball_tail_bound"),
         ("_least_radius", "<module>"),
     }
+
+
+def test_stray_calls_flags_a_second_sampler():
+    snippet = """
+def _table_sample(pmf, size, gen):
+    return pmf.points[gen.choice(len(pmf.points), size=size, p=pmf.masses)]
+
+def sample_dg_ints(s, size, gen):
+    u = gen.random(size)
+    return np.floor(-s * np.log1p(-u))
+
+class Coin:
+    def flip(self, gen):
+        return gen.choice([-1, 1])
+"""
+    assert stray_calls(snippet) == {("random", "sample_dg_ints"), ("choice", "Coin.flip")}
 
 
 def test_package_has_one_truncation_rule():
