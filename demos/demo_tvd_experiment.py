@@ -42,12 +42,12 @@ def main():
     for z in (0, 1, 2, 3):
         print(f"  z={z}: mass {ws.fiber_weight([z]):.6f}  ratio {ws.fiber_weight([z]) / (ws.target_weight([z]) * kw):.9f}")
 
-    rep = class_tvd(ws)
+    rep = class_tvd(X, r, [0.0, 0.0])
     print(f"\nexact TVD = {rep.tvd:.3e}  (truncation error {rep.truncation_error:.1e},"
           f" {rep.support_size} coset classes)")
     print(f"guarantee 2 eps = {2 * eps}: {'met' if rep.tvd <= 2 * eps else 'violated'}")
-    p = exact_output_pmf(X, R, workspace=ws)
-    q = target_pmf(X, R, workspace=ws)
+    p = exact_output_pmf(ws)
+    q = target_pmf(ws)
     print(f"the same from the two pmfs over {q.support_size()} labels: {exact_tvd(p, q).tvd:.3e}")
 
     def sampler(N, st):
@@ -60,8 +60,7 @@ def main():
 
     print("\nbelow the threshold the match degrades:")
     for frac in (1.0, 0.5, 0.25):
-        Rf = GaussianShape.spherical(frac * r)
-        d = class_tvd(FiberWorkspace(X, Rf, [0.0, 0.0]))
+        d = class_tvd(X, frac * r, [0.0, 0.0])
         print(f"  r = {frac:.2f} * threshold: exact TVD {d.tvd:.3e}")
 
 

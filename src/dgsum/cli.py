@@ -25,8 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .gaussian import EnumerationBudgetExceeded, GaussianShape, SampleStream, sample_dg_ints
-from .intmat import IntMatrix, InvariantViolation
+from .gaussian import (
+    EnumerationBudgetExceeded, GaussianShape, LatticeCoset, SampleStream, draw_ints, int_table, sample_dg_coset,
+)
+from .intmat import IntMatrix, InvariantViolation, is_surjective
 from .lattice import reduced_integer_kernel, successive_minima_upper
 from .quality import (
     CollisionNotFound,
@@ -52,7 +54,7 @@ C_BOUND = 2.0 ** 53
 _AS_IS = (int, str, bool, type(None))
 
 
-def jround(obj, sig: int = 12):
+def jround(obj):
     """Round floats (numpy floats too) to 12 significant digits for diffable
     reports, turn numpy integers into ints and tuples into lists, recursing
     into dicts and lists.  Python ints, strings, bools and None are returned
@@ -61,11 +63,11 @@ def jround(obj, sig: int = 12):
     if kind in _AS_IS:
         return obj
     if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.{sig}g}")
+        return float(f"{float(obj):.12g}")
     if isinstance(obj, dict):
-        return {k: jround(v, sig) for k, v in obj.items()}
+        return {k: jround(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [jround(v, sig) for v in obj]
+        return [jround(v) for v in obj]
     if isinstance(obj, np.integer):
         return int(obj)
     return obj
@@ -209,17 +211,15 @@ def resolve(args: argparse.Namespace) -> dict:
 
 
 def draw_matrix(n: int, m: int, s: float, stream: SampleStream, require_surjective: bool = True) -> IntMatrix:
-    """X with columns drawn from D_{Z^n, s}; retries until full row rank (and
-    onto Z^n if ``require_surjective``).  A ValueError after 200 draws: at a
-    small s nearly every draw is rank-deficient, which is bad input."""
-    from .intmat import fraction_rank, is_surjective
-
+    """X with columns drawn from D_{Z^n, s}, all attempts from one table;
+    retries until full row rank (and onto Z^n if ``require_surjective``),
+    both read off X's HNF.  A ValueError after 200 draws: at a small s
+    nearly every draw is rank-deficient, which is bad input."""
     attempts = 200
+    table = int_table(s)
     for attempt in range(attempts):
-        sub = stream.substream(attempt)
-        cols = sample_dg_ints(s, n * m, sub).reshape(n, m)
-        X = IntMatrix.from_rows(cols.tolist())
-        if fraction_rank(X.rows) == n and (not require_surjective or is_surjective(X)):
+        X = IntMatrix.from_rows(draw_ints(table, n * m, stream.substream(attempt)).reshape(n, m).tolist())
+        if (is_surjective(X) if require_surjective else len(X.hermite.pivots) == n):
             return X
     kind = "onto" if require_surjective else "full row-rank"
     raise ValueError(f"no {kind} {n}x{m} matrix drawn in {attempts} attempts at s = {s:g}; "
@@ -281,9 +281,8 @@ def cmd_sample(cfg: dict) -> int:
     if any(abs(x - round(x)) > 1e-12 for x in c):
         raise ValueError("cmd_sample supports integer shifts only")
     N = cfg["samples"]
-    vs = np.stack(
-        [sample_dg_ints(r, N, stream.substream(100 + i)) for i in range(m)], axis=1
-    )
+    table = int_table(r)
+    vs = np.stack([draw_ints(table, N, stream.substream(100 + i)) for i in range(m)], axis=1)
     Xf = X.to_numpy(dtype=np.int64)
     zs = vs @ Xf.T
     lines = [",".join(f"z{i + 1}" for i in range(n))]
@@ -358,31 +357,28 @@ def _tvd_instance(X: IntMatrix, r: float, eps: float, c, mode: str, stream: Samp
 
     The exact TVD is ``class_tvd``'s, one FFT over the d = det X X^T
     classes of Z^n / X X^T Z^n, at any r; it raises EnumerationBudgetExceeded
-    when d exceeds the budget.  The target pmf over a label region is built
-    only for MC.  Below the certificate's threshold the verdict is
-    ``precondition unmet``.  Otherwise an exact TVD (``--exact``, ``--both``)
+    when d exceeds the budget.  A ``FiberWorkspace`` and its target pmf over
+    a label region are built only for MC.  Both reduce c mod Z^m first, so c
+    and c plus an integer vector give one report.  Below the certificate's
+    threshold the verdict is ``precondition unmet``.  Otherwise an exact TVD (``--exact``, ``--both``)
     passes when it is at most 2 eps plus its truncation error and fails
     above.  An MC estimate alone (``--mc``) passes when it is at most 2 eps;
     it fails only when the lower end of its confidence interval exceeds
     2 eps, since the plug-in estimate is biased upward, and is
     ``inconclusive`` in between.
     """
-    m = X.n_cols
-    R = GaussianShape.spherical(r)
-    ws = FiberWorkspace(X, R, c if c is not None else [0.0] * m)
+    c = c if c is not None else [0.0] * X.n_cols
     result = {}
     if mode in ("exact", "both"):
-        result["exact"] = class_tvd(ws).to_json_dict()
+        result["exact"] = class_tvd(X, r, c).to_json_dict()
     if mode in ("mc", "both"):
-        q = target_pmf(X, R, workspace=ws)
+        R = GaussianShape.spherical(r)
+        ws = FiberWorkspace(X, R, c)
+        coset = LatticeCoset.integers(X.n_cols, tuple(ws.c))
 
         def sampler(N, st):
-            from .gaussian import LatticeCoset, sample_dg_coset
-
-            coset = LatticeCoset.integers(m, tuple(ws.c))
-            vs = sample_dg_coset(coset, R, st, size=N)
-            return vs @ X.to_numpy().T - ws.Xc
-        result["mc"] = mc_tvd(sampler, q, samples, stream).to_json_dict()
+            return sample_dg_coset(coset, R, st, size=N) @ X.to_numpy().T - ws.Xc
+        result["mc"] = mc_tvd(sampler, target_pmf(ws), samples, stream).to_json_dict()
     if cert is not None and cert.verified and X.n_cols > X.n_rows:
         threshold = distance_threshold(cert.q1, cert.q2, X.n_cols, X.n_rows, eps)
         result["threshold"] = threshold

@@ -92,9 +92,6 @@ class GaussianShape:
     def is_spherical(self) -> bool:
         return self.s is not None
 
-    def rank(self, ambient_dim: int) -> int:
-        return ambient_dim if self.is_spherical else self.S.shape[1]
-
     def gram(self, dim: int) -> np.ndarray:
         if self.is_spherical:
             return (self.s ** 2) * np.eye(dim)
@@ -507,11 +504,22 @@ def _table_sample(pmf: DiscretePMF, size: int, gen: np.random.Generator) -> np.n
     return pmf.points[idx]
 
 
+def int_table(s: float) -> DiscretePMF:
+    """The table of D_{Z,s} that ``draw_ints`` reads: ``exact_pmf`` on Z.
+    Build it once to draw many columns at one width."""
+    return exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(s))
+
+
+def draw_ints(table: DiscretePMF, size: int, stream: SampleStream) -> np.ndarray:
+    """``size`` i.i.d. draws from an ``int_table``, deterministic given the
+    stream, as int64."""
+    return _table_sample(table, int(size), stream.generator())[:, 0]
+
+
 def sample_dg_ints(s: float, size: int, stream: SampleStream) -> np.ndarray:
     """``size`` i.i.d. draws from D_{Z,s}, deterministic given the stream:
     those of ``sample_dg_coset`` on Z, as int64."""
-    pmf = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(s))
-    return _table_sample(pmf, int(size), stream.generator())[:, 0]
+    return draw_ints(int_table(s), size, stream)
 
 
 def sample_dg_int(s: float, stream: SampleStream) -> int:

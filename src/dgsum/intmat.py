@@ -337,7 +337,8 @@ def smith(G: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[int]]:
     diagonal; while some D_i does not divide a later D_j, column j is added
     to column i and the alternation resumes, which lowers D_i to a proper
     divisor.  Raises InvariantViolation unless U G V = diag(D), D is a
-    divisor chain, prod D = |det G| and |det U| = |det V| = 1.
+    divisor chain of positive entries and prod D = |det G|, which makes U and
+    V unimodular: det U det V = prod D / det G = +-1, both integers.
     """
     n = G.n_rows
 
@@ -361,8 +362,7 @@ def smith(G: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[int]]:
         A, V = A @ E, V @ E
     if ((U @ G @ V).rows != tuple(tuple(D[i] if i == j else 0 for j in range(n)) for i in range(n))
             or min(D, default=1) <= 0 or any(D[i + 1] % D[i] for i in range(n - 1))
-            or math.prod(D) != abs(_int_det(G.rows))
-            or abs(_int_det(U.rows)) != 1 or abs(_int_det(V.rows)) != 1):
+            or math.prod(D) != abs(_int_det(G.rows))):
         raise InvariantViolation(f"U G V = diag({D}) is not a Smith form of G with unimodular U, V")
     return U, V, D
 
@@ -376,9 +376,10 @@ def smith_adjugate(U: IntMatrix, V: IntMatrix, D: Sequence[int]) -> IntMatrix:
 
 def adjugate(G: IntMatrix) -> tuple[list[list[int]], int]:
     """(adj G, det G) of a nonsingular square integer matrix, so that
-    adj(G) G = det(G) I, from its Smith form U G V = diag(D): det G is
-    det(U) det(V) prod D, as det U and det V are +-1 and their own inverses,
-    and adj G = det(G) G^-1 is that sign times ``smith_adjugate``."""
+    adj(G) G = det(G) I, from its Smith form U G V = diag(D): adj G =
+    det(G) G^-1 = det(G) V diag(D)^-1 U is the sign det G / prod D times
+    ``smith_adjugate``."""
     U, V, D = smith(G)
-    sign = _int_det(U.rows) * _int_det(V.rows)
-    return [[sign * x for x in row] for row in smith_adjugate(U, V, D).rows], sign * math.prod(D)
+    det = _int_det(G.rows)
+    sign = det // math.prod(D)
+    return [[sign * x for x in row] for row in smith_adjugate(U, V, D).rows], det

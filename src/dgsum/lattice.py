@@ -12,13 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .gaussian import poisson_sum
 from .intmat import IntMatrix, InvariantViolation, adjugate, dot, norm_sq
+
+
+LOVASZ = Fraction(99, 100)  # the Lovasz parameter delta of lll_reduce
 
 
 class RankError(ValueError):
@@ -149,25 +152,16 @@ def _integral_gso(b: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return d, lam
 
 
-@lru_cache(maxsize=32)
-def _lovasz_ratio(delta: float) -> tuple[int, int]:
-    """(num, den) of the Lovasz parameter as the fraction nearest it with a
-    denominator of at most 10^6, derived once per delta."""
-    ratio = Fraction(delta).limit_denominator(10 ** 6)
-    return ratio.numerator, ratio.denominator
-
-
-def lll_reduce(basis: LatticeBasis, delta: float = 0.99) -> LatticeBasis:
-    """Integral LLL reduction of the basis (same lattice).
+def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
+    """Integral LLL reduction of the basis (same lattice), with the Lovasz
+    parameter ``LOVASZ``.
 
     Starts from a copy of the input's ``gso`` and updates those integers in
     place on each size reduction and swap, so every rounding and Lovasz
     decision is the exact-rational one.  The tracked data is checked once,
     against the reduced basis's own ``gso``; the input basis is not changed.
     """
-    if not 0.25 < delta < 1:
-        raise ValueError("delta must be in (0.25, 1)")
-    num, den = _lovasz_ratio(delta)
+    num, den = LOVASZ.numerator, LOVASZ.denominator
     b = [list(c) for c in basis.matrix.columns()]
     r = len(b)
     if r <= 1:
@@ -213,9 +207,9 @@ def lll_reduce(basis: LatticeBasis, delta: float = 0.99) -> LatticeBasis:
     return out
 
 
-def successive_minima_upper(basis: LatticeBasis, delta: float = 0.99) -> list[float]:
+def successive_minima_upper(basis: LatticeBasis) -> list[float]:
     """Sorted lengths of an LLL-reduced basis: upper bounds on the minima."""
-    red = basis if basis.provenance == "reduced" else lll_reduce(basis, delta)
+    red = basis if basis.provenance == "reduced" else lll_reduce(basis)
     lens = sorted(math.sqrt(norm_sq(v)) for v in red.vectors())
     return lens
 

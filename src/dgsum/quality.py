@@ -218,7 +218,7 @@ def _augmented_rows(X: IntMatrix, us: list[tuple[int, ...]]) -> list[tuple[int, 
     return list(X.rows) + list(us)
 
 
-def find_dual_vectors(X: IntMatrix, stream: SampleStream | None = None) -> list[tuple[int, ...]]:
+def find_dual_vectors(X: IntMatrix, stream: SampleStream) -> list[tuple[int, ...]]:
     """Pairwise orthogonal u_i with u_i . x_j = delta_ij, by collision search.
 
     The i-th vector is found against X augmented with the rows u_1..u_{i-1}
@@ -228,8 +228,6 @@ def find_dual_vectors(X: IntMatrix, stream: SampleStream | None = None) -> list[
     and CollisionNotFound when a budget is exhausted; callers may fall back
     to exact_dual_fallback.
     """
-    if stream is None:
-        stream = SampleStream(seed=0)
     n, m = X.shape
     # every certificate needs X Z^m = Z^n; no probe can succeed without it
     if not is_surjective(X):

@@ -17,10 +17,11 @@ batch of shifts.
 For spherical R = r I the image pmf is the target pmf times a factor that
 is constant on each of the d = det G classes of Z^n / G Z^n, G = X X^T (the
 fibers over z and z + G w differ by X^T w, orthogonal to ker X), so the TVD
-is that of the two class pmfs.  ``class_tvd`` forms both in Fourier space,
-with neither ker X nor its dual.  With U G V = diag(D) (``intmat.smith``),
-z -> U z mod D maps the classes onto the product of the Z / D_i, whose
-characters are chi_t(g) = e^{2 pi i sum_i t_i g_i / D_i}.
+is that of the two class pmfs.  ``class_tvd(X, r, c)`` forms both in
+Fourier space, with no workspace and neither ker X nor its dual.  With
+U G V = diag(D) (``intmat.smith``), z -> U z mod D maps the classes onto the
+product of the Z / D_i, whose characters are
+chi_t(g) = e^{2 pi i sum_i t_i g_i / D_i}.
 
 - Image.  With v = w + c, w in Z^m, the class of X w is sum_j w_j a_j,
   a_j = U x_j mod D, a sum of m independent 1-D discrete Gaussians.  So
@@ -35,11 +36,13 @@ characters are chi_t(g) = e^{2 pi i sum_i t_i g_i / D_i}.
   the terms with V^T w = k mod D, Q^(t) = W(-t) / W(0) = conj(W(t)) / W(0).
 - TVD = 1/2 sum_g |P(g) - Q(g)|, P - Q the inverse FFT of P^ - Q^:
   differencing in Fourier space keeps the relative precision of a small
-  TVD.  c enters only as c - round(c), which gives the same pmfs.
+  TVD.
 
-The per-label pmfs (``target_pmf`` for MC, ``exact_output_pmf`` for tests)
-run over the labels that ``gaussian.truncate_coset`` keeps of the target
-coset Z^n + X c = L + x, L = Wt Z^n under its whitening Wt, x its shortest
+Both ``class_tvd`` and ``FiberWorkspace`` reduce c mod Z^m once, where the
+instance is built (``_reduced_shift``).  The per-label pmfs (``target_pmf``
+for MC, ``exact_output_pmf`` for tests) read a workspace alone and run over
+the labels that ``gaussian.truncate_coset`` keeps of the target coset
+Z^n + X c = L + x, L = Wt Z^n under its whitening Wt, x its shortest
 point: the ball of radius R, 2 beta(n, R) e^{pi ||x||^2} <= DUAL_TAIL, beta =
 ``gaussian.banaszczyk_bound``, drops at most that share of the target weight,
 as rho(L + x) >= e^{-pi ||x||^2} rho(L) (pair y with -y) and
@@ -72,8 +75,10 @@ from .gaussian import (
     truncate_coset,
 )
 from .intmat import IntMatrix, InvariantViolation, smith, smith_adjugate
+from .lattice import LatticeBasis, smoothing_bound
 
 ULP = 2.0 ** -53  # unit roundoff u of float64
+MC_CONFIDENCE = 0.99  # level of the MC confidence interval
 
 
 class NotInSupport(ValueError):
@@ -117,43 +122,55 @@ class MCTVDReport:
         }
 
 
+def _reduced_shift(X: IntMatrix, c: Sequence[float]) -> np.ndarray:
+    """c - round(c): every pmf of X D_{Z^m + c, R} depends on c only mod Z^m.
+    ValueError unless X (n x m) has full row rank and c has m entries,
+    NotInSupport unless X maps Z^m onto Z^n (every label has a fiber)."""
+    H, _, pivots, _ = X.hermite
+    if len(pivots) < X.n_rows:
+        raise ValueError("X must have full row rank")
+    if any(H.rows[r][j] != 1 for r, j in pivots):
+        raise NotInSupport("X does not map Z^m onto Z^n: some labels have no fiber")
+    c = np.asarray(list(c), dtype=float)
+    if c.shape != (X.n_cols,):
+        raise ValueError("shift dimension mismatch")
+    return c - np.round(c)
+
+
 class FiberWorkspace:
-    """Per-(X, R, c) precomputation for the image and target pmfs.
+    """Per-(X, R, c) precomputation for the per-label image and target pmfs,
+    with c reduced mod Z^m once, here (``_reduced_shift``).
 
     All fibers of one instance are translates P z + c + ker X of the same
     kernel lattice, so X's Hermite decomposition X U = H (``X.hermite``,
     shared with the certificate search on the same matrix object) gives the
     linear particular solution P z.  The kernel basis K is
-    ``X.reduced_kernel``, the LLL-reduced one that the certificate fallback on
-    the same matrix object also reads, so that the dual basis
-    W K (K^T W^T W K)^-1 of the whitened kernel is short too.  Its
-    ``PoissonSum`` (``dual``) is enumerated once, on first use, and every
-    section sum of the workspace evaluates it.  X must map Z^m onto Z^n, so
-    that every label has a fiber.
-
-    The float data of the whitened kernel and target (``W``, ``K``,
-    ``Gw_inv``, ``section_scale``, ``to_coef``, ``target_gram``, ``Wt``,
-    ``Xc``, ``target_region``) is computed on first use; the class TVD reads
-    none of it.
+    ``X.reduced_kernel``, which the certificate fallback also reads, so that
+    the dual basis W K (K^T W^T W K)^-1 of the whitened kernel is short too;
+    its ``PoissonSum`` (``dual``) serves every section sum.  Everything past
+    the checks (``P``, ``kernel``, the float data) is computed on first use.
     """
 
     def __init__(self, X: IntMatrix, R: GaussianShape, c: Sequence[float]):
-        n, m = X.shape
-        H, U, pivots, _ = X.hermite
-        if len(pivots) < n:
-            raise ValueError("X must have full row rank")
-        if any(H.rows[r][j] != 1 for r, j in pivots):
-            raise NotInSupport("X does not map Z^m onto Z^n: some labels have no fiber")
-        # onto, so H = [I | 0] and the first n columns P of U solve X P = I
-        self.P = IntMatrix.from_columns(U.column(j) for j in range(n))
-        if (X @ self.P).rows != IntMatrix.identity(n).rows:
-            raise InvariantViolation("HNF particular map P does not solve X P = I")
+        self.c = _reduced_shift(X, c)
         self.X = X
         self.R = R
-        self.c = np.asarray(list(c), dtype=float)
-        if self.c.shape != (m,):
-            raise ValueError("shift dimension mismatch")
-        self.kernel = X.reduced_kernel if m > n else None
+
+    @cached_property
+    def P(self) -> IntMatrix:
+        """The first n columns of U: X is onto, so H = [I | 0] and X P = I (checked)."""
+        n = self.X.n_rows
+        U = self.X.hermite.U
+        P = IntMatrix.from_columns(U.column(j) for j in range(n))
+        if (self.X @ P).rows != IntMatrix.identity(n).rows:
+            raise InvariantViolation("HNF particular map P does not solve X P = I")
+        return P
+
+    @cached_property
+    def kernel(self) -> LatticeBasis | None:
+        """``X.reduced_kernel``; None when ker X = 0 (m = n)."""
+        n, m = self.X.shape
+        return self.X.reduced_kernel if m > n else None
 
     @cached_property
     def W(self) -> np.ndarray:
@@ -201,9 +218,6 @@ class FiberWorkspace:
     def Xc(self) -> np.ndarray:
         """X c, the shift of the target coset Z^n + X c."""
         return self.X.to_numpy() @ self.c
-
-    def particular(self, z: Sequence[int]) -> np.ndarray:
-        return np.array(self.P @ z, dtype=float) + self.c
 
     @cached_property
     def dual(self) -> PoissonSum:
@@ -310,11 +324,12 @@ def _masses_ok(F: np.ndarray, err, dims: tuple[int, ...], eta: float) -> bool:
     return float(np.min(f)) >= -(float(np.max(err)) + eta * float(np.linalg.norm(f)))
 
 
-def class_tvd(ws: FiberWorkspace) -> ExactTVDReport:
-    """Exact TVD between the image and the target of a spherical workspace,
+def class_tvd(X: IntMatrix, r: float, c: Sequence[float]) -> ExactTVDReport:
+    """Exact TVD between X D_{Z^m + c, r} and its target D_{Z^n + X c, r X^T},
     over the class group Z^n / G Z^n (see the module docstring).
 
-    Only the factors D_i > 1 of U G V = diag(D) are kept (one factor 1 when
+    X and c are checked, and c reduced mod Z^m, by ``_reduced_shift``.  Only
+    the factors D_i > 1 of U G V = diag(D) are kept (one factor 1 when
     d = 1), L = D_n the largest.  conj(P^) and conj(Q^) are formed on the
     half t_n <= L / 2 of the grid, as both class pmfs are real, and one
     inverse real FFT of their difference gives P - Q.
@@ -341,9 +356,7 @@ def class_tvd(ws: FiberWorkspace) -> ExactTVDReport:
     (``_masses_ok``); EnumerationBudgetExceeded when d exceeds ENUM_BUDGET;
     ValueError when W'(0) does not exceed its error (far below smoothing).
     """
-    if not ws.R.is_spherical:
-        raise ValueError("the class TVD needs a spherical R")
-    X, r = ws.X, float(ws.R.s)
+    c = _reduced_shift(X, c)
     n, m = X.shape
     U, V, D = smith(X @ X.T)  # checks prod D = d = det G
     d = math.prod(D)
@@ -354,7 +367,6 @@ def class_tvd(ws: FiberWorkspace) -> ExactTVDReport:
     dims = tuple(D[i] for i in keep)
     L = dims[-1]
     half = dims[:-1] + (L // 2 + 1,)
-    c = ws.c - np.round(ws.c)
 
     # image side: P^(t) = prod_j theta_j(<t, a_j> / L), a_j = U x_j mod D scaled to L
     UX = (U @ X).rows
@@ -412,13 +424,6 @@ def class_tvd(ws: FiberWorkspace) -> ExactTVDReport:
     return ExactTVDReport(tvd=tvd, truncation_error=trunc, support_size=d, radius=target.radius)
 
 
-def _target(X, R, c, workspace):
-    """(workspace, labels, target weights, tail) of the image and target
-    pmfs; the labels from ``region``, the step the span tracer counts."""
-    ws = workspace or FiberWorkspace(X, R, c if c is not None else [0.0] * X.n_cols)
-    return (ws, ws.region(), *ws.target_region[1:])
-
-
 def _row_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, starts): order sorts the rows of keys lexicographically, ties
     by index; starts[k] marks order[k] as the first row of a run of equal
@@ -431,13 +436,9 @@ def _row_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, starts
 
 
-def exact_output_pmf(
-    X: IntMatrix,
-    R: GaussianShape,
-    c: Sequence[float] | None = None,
-    workspace: FiberWorkspace | None = None,
-) -> DiscretePMF:
-    """Truncated pmf of {X v : v ~ D_{Z^m + c, R}} over integer labels z.
+def exact_output_pmf(ws: FiberWorkspace) -> DiscretePMF:
+    """Truncated pmf of {X v : v ~ D_{Z^m + c, R}} over integer labels z, for
+    the workspace's X, R and reduced c.
 
     The support label z stands for the output point z + X c, and its mass is
     the target weight of z times 1 + delta(z), normalized over the region,
@@ -460,7 +461,8 @@ def exact_output_pmf(
     parameter, the tail is 1.  A fiber weight is >= 0, so a negative
     1 + delta stands for a weight of 0.
     """
-    ws, T, weights, tt = _target(X, R, c, workspace)
+    T = ws.region()
+    _, weights, tt = ws.target_region
     dual, abs_t = ws.dual, np.abs(ws.dual.points).astype(float)
     terms = np.einsum("ij,jk,ik->i", abs_t, np.abs(ws.Gw_inv), abs_t) + abs_t.sum(axis=1)
     e = dual.tail + 2 * ULP * float(dual.weights @ (math.pi * (dual.rank + 2) * terms + len(abs_t) + 6))
@@ -477,15 +479,11 @@ def exact_output_pmf(
     return DiscretePMF(T, masses / total, min(1.0, tail))
 
 
-def target_pmf(
-    X: IntMatrix,
-    R: GaussianShape,
-    c: Sequence[float] | None = None,
-    workspace: FiberWorkspace | None = None,
-) -> DiscretePMF:
+def target_pmf(ws: FiberWorkspace) -> DiscretePMF:
     """Truncated pmf of the discrete Gaussian on Z^n + X c with shape R X^T,
-    over the labels of ``FiberWorkspace.target_region``."""
-    _, T, weights, tail = _target(X, R, c, workspace)
+    over the labels of the workspace's ``target_region``."""
+    T = ws.region()
+    _, weights, tail = ws.target_region
     return DiscretePMF(T, weights / float(np.sum(np.sort(weights))), tail)
 
 
@@ -516,16 +514,16 @@ def mc_tvd(
     target: DiscretePMF,
     N: int,
     stream: SampleStream,
-    confidence: float = 0.99,
 ) -> MCTVDReport:
     """Plug-in TVD estimate from N samples against a target pmf.
 
     A draw's coordinate within 1e-9 of an integer counts as that integer; the
     draws are grouped once into an empirical pmf, and the estimate and the
     support size are those of its exact_tvd against the target.  The
-    confidence interval is a conservative union-Hoeffding band over the
-    support (distribution-free); the plug-in estimate is upward biased by at
-    most about sqrt(support/N), reported separately.
+    confidence interval, at level MC_CONFIDENCE, is a conservative
+    union-Hoeffding band over the support (distribution-free); the plug-in
+    estimate is upward biased by at most about sqrt(support/N), reported
+    separately.
     """
     if N < 10_000:
         raise ValueError("N must be at least 10^4")
@@ -539,14 +537,14 @@ def mc_tvd(
     freq = np.diff(np.r_[first, len(keys)])
     rep = exact_tvd(DiscretePMF(keys[order[first]], freq / N, 0.0), target)
     est, k = rep.tvd, rep.support_size
-    alpha = 1.0 - confidence
+    alpha = 1.0 - MC_CONFIDENCE
     h = math.sqrt(math.log(2 * (k + 1) / alpha) / (2 * N))
     half = 0.5 * (k + 1) * h
     return MCTVDReport(
         estimate=est,
         ci_lo=max(0.0, est - half),
         ci_hi=min(1.0, est + half),
-        confidence=confidence,
+        confidence=MC_CONFIDENCE,
         N=N,
         bias_bound=math.sqrt(k / N),
         stream=stream.identity(),
@@ -586,8 +584,6 @@ def ratio_band_check(
     [(1-eps)/(1+eps), 1]; below it the check still runs as a diagnostic.
     Currently supports the integer lattice Z^dim.
     """
-    from .lattice import smoothing_bound
-
     base, _ = coset_mass(LatticeCoset.integers(basis_dim), shape)
     lo = (1 - eps) / (1 + eps)
     precondition_ok = None

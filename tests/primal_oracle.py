@@ -61,7 +61,7 @@ class PrimalSections:
     """
 
     def __init__(self, X, R, c, budget: int = 5_000_000):
-        ws = FiberWorkspace(X, R, c)  # P, the reduced kernel basis, the target
+        ws = FiberWorkspace(X, R, c)  # the reduced c, P, the reduced kernel basis, the target
         check_kernel_basis(ws)
         self.ws = ws
         self.rank = X.n_cols - X.n_rows
@@ -76,6 +76,10 @@ class PrimalSections:
             self.box = integer_box(np.floor(-half).astype(np.int64), np.ceil(half).astype(np.int64), budget)
             self.box_w = self.box @ self.WK.T
 
+    def particular(self, T) -> np.ndarray:
+        """P z for each label row z of T, as int64 rows."""
+        return np.asarray(T, dtype=np.int64) @ self.P.T
+
     def sections(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Box masks and truncated weights of the kernel lattice shifted by
         each row f of F, each weight one sorted sum."""
@@ -87,9 +91,9 @@ class PrimalSections:
 
     def _fibers(self, T) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
         """(w0, weights, base, mask) of the fibers over the label rows of T:
-        the particular points w0 = P z + c, the fiber weights, and each
-        section's kernel offset round(-coef) and box mask."""
-        w0 = (np.asarray(T, dtype=np.int64) @ self.P.T).astype(float) + self.ws.c
+        the particular points w0 = ``particular`` + c, the fiber weights, and
+        each section's kernel offset round(-coef) and box mask."""
+        w0 = self.particular(T).astype(float) + self.ws.c
         Ww0 = _stacked(self.ws.W, w0)
         if self.ws.kernel is None:
             return w0, np.array([float(np.exp(-math.pi * v @ v)) for v in Ww0]), None, None
@@ -135,6 +139,6 @@ class PrimalSections:
 
 def primal_tvd(oracle: PrimalSections) -> float:
     """TVD of the oracle's per-label primal image pmf from the target pmf on one region."""
-    q = target_pmf(oracle.ws.X, oracle.ws.R, workspace=oracle.ws)
+    q = target_pmf(oracle.ws)
     p = type(q)(q.points, oracle.output_masses(q.points), 0.0)
     return exact_tvd(p, q).tvd

@@ -142,6 +142,38 @@ def test_shift_length_is_checked(tmp_path, capsys, command, c):
     assert capsys.readouterr().err == "invalid input: shift dimension mismatch\n"
 
 
+def test_one_table_draws_as_one_table_per_column_and_attempt(tmp_path):
+    # sample's columns and draw_matrix's attempts share one D_{Z,s} table,
+    # and draw_matrix reads the rank off the HNF: the draws and accept
+    # decisions are those of one sample_dg_ints call, and one Bareiss rank,
+    # per column or attempt
+    from dgsum.cli import draw_matrix
+    from dgsum.gaussian import SampleStream, sample_dg_ints
+    from dgsum.intmat import IntMatrix, fraction_rank, is_surjective
+
+    def reference(n, m, s, stream, onto):
+        for attempt in range(200):
+            X = IntMatrix.from_rows(sample_dg_ints(s, n * m, stream.substream(attempt)).reshape(n, m).tolist())
+            if fraction_rank(X.rows) == n and (not onto or is_surjective(X)):
+                return X, attempt
+
+    late = not_onto = 0
+    for seed in range(40):
+        for onto in (True, False):
+            want, attempt = reference(2, 3, 1.5, SampleStream(seed), onto)
+            assert draw_matrix(2, 3, 1.5, SampleStream(seed), require_surjective=onto) == want
+            late += attempt > 0
+            not_onto += not is_surjective(want)
+    assert late >= 10 and not_onto >= 1  # rank-deficient draws were refused
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 0 1 1\n0 1 1 -1\n")
+    out = tmp_path / "run"
+    assert run(["sample", "--x-file", xfile, "-r", "2.0", "--samples", "500", "--seed", "3", "--out-dir", out]) == EXIT_OK
+    vs = np.stack([sample_dg_ints(2.0, 500, SampleStream(3).substream(100 + i)) for i in range(4)], axis=1)
+    got = np.loadtxt(out / "samples.csv", skiprows=1, delimiter=",", dtype=np.int64)
+    assert np.array_equal(got, vs @ np.array([[1, 0, 1, 1], [0, 1, 1, -1]]).T)
+
+
 def test_cmd_sample_identity_instance_chi2(tmp_path):
     from scipy import stats
 
@@ -297,24 +329,43 @@ def test_tvd_mc_far_below_smoothing_with_a_half_shift(tmp_path):
 
 
 def test_tvd_exact_builds_no_label_region(tmp_path, monkeypatch):
+    # the class TVD reads X, r and c only: no workspace, so no label region
+    # and none of a workspace's float data; the report is the same bytes
     import dgsum.cli
     from dgsum.tvd import FiberWorkspace
 
-    def refuse(*args, **kwargs):
-        raise RuntimeError("--exact must not build the target pmf over a label region")
-
-    monkeypatch.setattr(dgsum.cli, "target_pmf", refuse)
-    monkeypatch.setattr(FiberWorkspace, "region", refuse)
-    # nor any float data of the workspace: the two dual sums come from integer Grams
-    for name in ("W", "K", "Gw_inv", "section_scale", "to_coef", "target_gram", "Wt", "Xc", "target_region"):
-        monkeypatch.setattr(FiberWorkspace, name, property(refuse))
     xfile = tmp_path / "X.txt"
     xfile.write_text("1 1 1\n0 1 2\n")
+    argv = ["tvd", "--x-file", xfile, "--exact", "--c", "0.3 -0.2 0.1"]
+    assert run([*argv, "--out-dir", tmp_path / "free"]) == EXIT_OK
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("--exact must not build a FiberWorkspace or the target pmf")
+
+    monkeypatch.setattr(dgsum.cli, "target_pmf", refuse)
+    monkeypatch.setattr(FiberWorkspace, "__init__", refuse)
     out = tmp_path / "run"
-    assert run(["tvd", "--x-file", xfile, "--exact", "--out-dir", out]) == EXIT_OK
+    assert run([*argv, "--out-dir", out]) == EXIT_OK
+    assert (out / "tvd.json").read_bytes() == (tmp_path / "free" / "tvd.json").read_bytes()
     rep = read_json(out / "tvd.json")
     assert rep["exact"]["support_size"] == 6  # det X X^T classes
     assert "mc" not in rep
+
+
+def test_tvd_reports_depend_on_c_mod_the_integers(tmp_path):
+    # 2^51 + 1/2 and 1/2 give one coset Z^4 + c; the MC labels and the
+    # target region are formed from the reduced shift, not at the size of c
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 0 1 1\n0 1 1 -1\n")
+    reps = []
+    for c in ("0.5 0 0 0", "2251799813685248.5 0 0 0"):
+        out = tmp_path / c.split()[0]
+        code = run(["tvd", "--x-file", xfile, "--both", "-r", "1.5", "--samples", "20000", "--seed", "3",
+                    "--c", c, "--out-dir", out])
+        assert code == EXIT_GATE  # r = 1.5 is below this X's threshold
+        reps.append(read_json(out / "tvd.json"))
+    assert reps[0]["exact"] == reps[1]["exact"] and reps[0]["mc"] == reps[1]["mc"]
+    assert reps[0]["mc"]["estimate"] == 0.0910597819782
 
 
 @pytest.mark.parametrize("estimate, ci_lo, code, verdict", [
@@ -545,8 +596,8 @@ def test_tvd_exact_op_decomposes_and_enumerates_once(tmp_path, monkeypatch):
     xfile = tmp_path / "X.txt"
     xfile.write_text("1 0 1 1\n0 1 1 -1\n")
     assert run(["tvd", "--x-file", xfile, "--exact", "--seed", "4", "--out-dir", tmp_path / "run"]) == EXIT_OK
-    # X (certificate search and fiber workspace), the augmented [X; u_1] and
-    # G = X X^T for the coset classes
+    # X (certificate search and the class TVD's checks), the augmented
+    # [X; u_1] and G = X X^T for the coset classes
     assert len(hnf) == 3 and hnf[0][0].rows == ((1, 0, 1, 1), (0, 1, 1, -1))
     assert len(hnf[1][0].rows) == 3
     assert hnf[2][0].rows == ((3, 0), (0, 3))

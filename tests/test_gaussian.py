@@ -185,7 +185,7 @@ def test_primal_tail_bound_is_certified():
     for r in (0.03, 0.2, 1.0, 3.0):
         for c in ([0.5, 0.0, 0.0, 0.0], [0.5] * 4):
             ws = FiberWorkspace(X, GaussianShape.spherical(r), c)
-            q = target_pmf(X, ws.R, workspace=ws)
+            q = target_pmf(ws)
             _assert_tail_certified(q.points + ws.Xc, q.tail_bound, ws.target_gram, ws.Xc)
 
 
@@ -199,7 +199,7 @@ def test_skew_basis_region_is_sized_by_the_nearest_coset_point():
         sizes = {}
         for c in ((0.0, 0.0, 0.0), (0.5, 0.0, 0.0)):
             ws = FiberWorkspace(X, GaussianShape.spherical(1.0), c)
-            q = target_pmf(X, ws.R, workspace=ws)
+            q = target_pmf(ws)
             sizes[c[0]] = q.support_size()
             if skew == 100:
                 _assert_tail_certified(q.points + ws.Xc, q.tail_bound, ws.target_gram, ws.Xc)

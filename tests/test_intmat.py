@@ -8,6 +8,7 @@ import pytest
 
 from dgsum.intmat import (
     IntMatrix,
+    adjugate,
     dot,
     fraction_rank,
     hnf_column,
@@ -288,6 +289,10 @@ def test_smith_matches_determinantal_divisors():
         assert D == _determinantal_divisors(G)
         for M in (U, V):
             assert abs(round(np.linalg.det(M.to_numpy()))) == 1
+        # the adjugate takes its sign from det G, negative for some G here
+        adj, det = adjugate(G)
+        assert det == round(np.linalg.det(G.to_numpy()))
+        assert (IntMatrix.from_rows(adj) @ G).rows == tuple(tuple(det * (i == j) for j in range(n)) for i in range(n))
     assert smith(IntMatrix.from_rows([[4, 0, 0], [0, 6, 0], [0, 0, 10]]))[2] == [2, 2, 60]
 
 

@@ -286,14 +286,19 @@ def test_integral_gso_matches_rational_gso():
 
 
 @pytest.mark.parametrize("delta", [0.5, 0.75, 0.99])
-def test_lll_matches_rational_oracle(delta):
+def test_lll_matches_rational_oracle(delta, monkeypatch):
+    import dgsum.lattice
+
+    # LOVASZ is 99/100; the other values check the integral updates against
+    # the oracle at more swap-heavy settings
+    monkeypatch.setattr(dgsum.lattice, "LOVASZ", Fraction(delta).limit_denominator(10 ** 6))
     rng = np.random.default_rng(int(delta * 100))
     bases = _random_bases(int(delta * 100), 100, 8)
     # kernels of one row at ranks 12 and 14, as in the large certify instances
     bases += [kernel_columns(IntMatrix.from_rows([rng.integers(-2, 3, size=r + 1).tolist()])) for r in (12, 14)]
     bases.append([(2, 0), (5, 1)])  # mu = 5/2: ties to even give q = 2, not 3
     for cols in bases:
-        red = lll_reduce(LatticeBasis(IntMatrix.from_columns(cols)), delta)
+        red = lll_reduce(LatticeBasis(IntMatrix.from_columns(cols)))
         assert red.vectors() == [tuple(c) for c in _oracle_lll(cols, delta)], cols
 
 

@@ -53,7 +53,7 @@ def test_tvd_exact_op_spans(tmp_path):
     # the dual sums over ker X and over Z^n are built from Gram matrices,
     # with no basis for enumerate_affine
     assert tracer.calls["gaussian.enumerate_affine"] == 0
-    # ker X, reduced once for u_1 and the workspace, and ker [X; u_1] for u_2
+    # ker X, reduced once for u_1, and ker [X; u_1] for u_2
     assert tracer.calls["lattice.lll_reduce"] == 2
     assert tracer.calls["intmat.fraction_rank"] == 0
 

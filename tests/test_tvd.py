@@ -35,6 +35,11 @@ X11 = IntMatrix.from_rows([[1, 1]])
 R2 = GaussianShape.spherical(2.0)
 
 
+def _at_zero(X, R):
+    """The workspace of (X, R) at c = 0."""
+    return FiberWorkspace(X, R, [0.0] * X.n_cols)
+
+
 # ---------------------------------------------------------------- fibers
 
 
@@ -75,6 +80,13 @@ def test_fiber_not_in_support():
     X = IntMatrix.from_rows([[2, 2]])
     with pytest.raises(NotInSupport):
         FiberWorkspace(X, R2, [0.0, 0.0])
+    # the class TVD, with no workspace, runs the same checks
+    with pytest.raises(NotInSupport, match="no fiber"):
+        class_tvd(X, 2.0, [0.0, 0.0])
+    with pytest.raises(ValueError, match="full row rank"):
+        class_tvd(IntMatrix.from_rows([[1, 1], [1, 1]]), 2.0, [0.0, 0.0])
+    with pytest.raises(ValueError, match="shift dimension mismatch"):
+        class_tvd(X11, 2.0, [0.0])
 
 
 def test_fiber_weight_matches_fiber():
@@ -103,9 +115,9 @@ def test_workspace_particular_matches_solve_integer():
             continue
         onto += 1
         ws = FiberWorkspace(X, GaussianShape.spherical(0.5), c)
+        assert np.array_equal(ws.c, c - np.round(c))  # reduced mod Z^m once, at construction
         for z in rng.integers(-4, 5, size=(6, n)).tolist() + [[1] + [0] * (n - 1)]:
-            g = solve_integer(X, z)
-            assert np.array_equal(ws.particular(z), np.array(g, dtype=float) + c)
+            assert ws.P @ z == solve_integer(X, z)
     assert 0 < onto < len(mats)
 
 
@@ -114,7 +126,7 @@ def _label_oracle(X, R, c, solve_each=False):
     also gets its particular solution from its own HNF."""
     ref = PrimalSections(X, R, c)
     if solve_each:
-        ref.ws.particular = lambda z: np.array(solve_integer(X, [int(v) for v in z]), dtype=float) + ref.ws.c
+        ref.particular = lambda T: np.array([solve_integer(X, z) for z in np.asarray(T, dtype=np.int64).tolist()])
     return ref
 
 
@@ -162,15 +174,16 @@ def test_class_path_matches_per_label_oracle():
     dets = set()
     for X, c, s, solve_each in cases:
         R = GaussianShape.spherical(s)
-        p = exact_output_pmf(X, R, c=c)
+        ws = FiberWorkspace(X, R, c)
+        p = exact_output_pmf(ws)
         _assert_matches_oracle(p, _label_oracle(X, R, c, solve_each))
         dets.add(_det_xxt(X))
         # both pmfs on one workspace have one label set and equal those built
-        # on two fresh workspaces of fresh equal matrices, bit for bit
-        ws = FiberWorkspace(X, R, c)
-        shared = (exact_output_pmf(X, R, workspace=ws), target_pmf(X, R, workspace=ws))
+        # on a fresh workspace of a fresh equal matrix, bit for bit
+        shared = (p, target_pmf(ws))
         assert np.array_equal(shared[0].points, shared[1].points)
-        fresh = (exact_output_pmf(IntMatrix(X.rows), R, c=c), target_pmf(IntMatrix(X.rows), R, c=c))
+        other = FiberWorkspace(IntMatrix(X.rows), R, c)
+        fresh = (exact_output_pmf(other), target_pmf(other))
         for a, b in zip(shared, fresh):
             assert np.array_equal(a.points, b.points) and a.tail_bound == b.tail_bound
             assert np.array_equal(a.masses, b.masses)
@@ -183,12 +196,12 @@ def test_ellipsoidal_shapes_take_the_per_label_path():
     for rows, c in (([[1, 1, 1], [0, 1, 2]], [0.0, 0.0, 0.0]), ([[1, 2, 3, 3]], [0.1, -0.4, 0.2, 0.0])):
         X = IntMatrix.from_rows(rows)
         m = X.n_cols
-        p = exact_output_pmf(X, GaussianShape.spherical(1.5), c=c)
-        e = exact_output_pmf(X, GaussianShape.ellipsoidal(1.5 * np.eye(m)), c=c)
+        p = exact_output_pmf(FiberWorkspace(X, GaussianShape.spherical(1.5), c))
+        e = exact_output_pmf(FiberWorkspace(X, GaussianShape.ellipsoidal(1.5 * np.eye(m)), c))
         assert np.array_equal(e.points, p.points)
         np.testing.assert_allclose(e.masses, p.masses, rtol=1e-12, atol=0)
         R = GaussianShape.ellipsoidal(np.diag(np.linspace(1.0, 2.0, m)))
-        f = exact_output_pmf(X, R, c=c)
+        f = exact_output_pmf(FiberWorkspace(X, R, c))
         _assert_matches_oracle(f, _label_oracle(X, R, c))
 
 
@@ -208,8 +221,9 @@ def test_hnf_calls_independent_of_label_count(monkeypatch):
         calls.clear()
         X = IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])  # a fresh object holds no decomposition
         R = GaussianShape.spherical(r)
-        p = exact_output_pmf(X, R)
-        target_pmf(X, R)
+        ws = FiberWorkspace(X, R, [0.0] * 3)
+        p = exact_output_pmf(ws)
+        target_pmf(ws)
         per_size[p.support_size()] = len(calls)
     assert len(per_size) == 2
     assert set(per_size.values()) == {1}  # X only: the per-label pmfs need no class group
@@ -258,12 +272,12 @@ def test_dual_sums_match_primal_oracle():
             assert abs(ws.kernel_weight() - oracle.kernel_weight()) <= 1e-12
             for z in rng.integers(-3, 4, size=(4, n)).tolist():
                 assert abs(ws.fiber_weight(z) - oracle.fiber_weight(z)) <= 1e-12
-            p = exact_output_pmf(X, R, workspace=ws)
+            p = exact_output_pmf(ws)
             _assert_matches_oracle(p, oracle)
             for z in p.points[:: max(1, len(p.points) // 5)]:  # a chunked sum has the bits of a lone one
                 assert oracle.fiber_weight(z) == oracle.fiber(z)[0]
             if R.is_spherical:
-                assert abs(class_tvd(ws).tvd - primal_tvd(oracle)) <= 1e-12
+                assert abs(class_tvd(X, r, c).tvd - primal_tvd(oracle)) <= 1e-12
     assert min(dets) == 1 and max(dets) >= 20
 
 
@@ -274,10 +288,10 @@ def test_class_tvd_matches_tvd_of_the_two_pmfs():
         n = 1 + i % 3
         X = _random_onto(rng, n, n + 1 + i % 3, -1, 2)
         c = [0.0] * X.n_cols if i % 2 else rng.normal(scale=0.3, size=X.n_cols).tolist()
-        R = GaussianShape.spherical(float(rng.uniform(1.0, 2.5)))
-        ws = FiberWorkspace(X, R, c)
-        rep = class_tvd(ws)
-        ref = exact_tvd(exact_output_pmf(X, R, workspace=ws), target_pmf(X, R, workspace=ws))
+        r = float(rng.uniform(1.0, 2.5))
+        ws = FiberWorkspace(X, GaussianShape.spherical(r), c)
+        rep = class_tvd(X, r, c)
+        ref = exact_tvd(exact_output_pmf(ws), target_pmf(ws))
         assert abs(rep.tvd - ref.tvd) <= 1e-12
         # the bound is rounding: 1/2 sqrt(d) times m theta tables, each a few tens of u
         assert rep.support_size == _det_xxt(X) and rep.truncation_error <= 1e-12
@@ -310,7 +324,7 @@ def test_class_tvd_at_threshold_s3_up_to_m12():
     for X, eps, r in instances:
         R = GaussianShape.spherical(r)
         ws = FiberWorkspace(X, R, [0.0] * X.n_cols)
-        rep = class_tvd(ws)
+        rep = class_tvd(X, r, [0.0] * X.n_cols)
         assert rep.support_size == _det_xxt(X) >= 2
         assert rep.tvd <= 2 * eps + rep.truncation_error
         assert rep.truncation_error <= 1e-11  # d <= 5 10^4, m <= 12
@@ -319,7 +333,7 @@ def test_class_tvd_at_threshold_s3_up_to_m12():
                 oracle = PrimalSections(X, R, [0.0] * X.n_cols, budget=100_000)
             except EnumerationBudgetExceeded:
                 continue
-            if len(oracle.box) * len(target_pmf(X, R, workspace=ws).points) <= 50_000_000:
+            if len(oracle.box) * len(target_pmf(ws).points) <= 50_000_000:
                 assert abs(rep.tvd - primal_tvd(oracle)) <= 1e-12
                 compared += 1
     assert compared >= 2
@@ -331,14 +345,14 @@ def test_class_tvd_budget(monkeypatch):
     X = IntMatrix.from_rows([[1, 200]])  # 40001 classes
     # far below the threshold the FFT needs no kernel-dual points; the
     # per-label pmfs over the label region give the same TVD
-    rep = class_tvd(FiberWorkspace(X, GaussianShape.spherical(1.0), [0.0, 0.0]))
+    rep = class_tvd(X, 1.0, [0.0, 0.0])
     assert rep.support_size == 40001 and abs(rep.tvd - 0.983697586462) <= 1e-11
-    rep = class_tvd(FiberWorkspace(X, GaussianShape.spherical(2000.0), [0.0, 0.0]))
+    rep = class_tvd(X, 2000.0, [0.0, 0.0])
     assert rep.support_size == 40001 and rep.tvd < 1e-20
     # d itself is charged against the budget, read at call time
     monkeypatch.setattr(dgsum.tvd, "ENUM_BUDGET", 40000)
     with pytest.raises(EnumerationBudgetExceeded, match="40001 coset classes"):
-        class_tvd(FiberWorkspace(X, GaussianShape.spherical(1.0), [0.0, 0.0]))
+        class_tvd(X, 1.0, [0.0, 0.0])
 
 
 def test_class_tvd_invariants(monkeypatch):
@@ -356,20 +370,16 @@ def test_class_tvd_invariants(monkeypatch):
     with pytest.raises(InvariantViolation, match="det"):
         check_kernel_basis(ws)
     # the Smith form is checked against det X X^T = 6, here faked as 7
-    ws = FiberWorkspace(X, R, [0.0] * 3)
     monkeypatch.setattr(dgsum.intmat, "_int_det", lambda rows: 7)
     with pytest.raises(InvariantViolation, match="Smith form"):
-        class_tvd(ws)
+        class_tvd(X, 1.5, [0.0] * 3)
     monkeypatch.undo()
     # a target dual sum with one point of negative weight: no pmf has that transform
     for weight, message in ((-0.9, "below minus its error bound"), (-3.0, r"not in \[0, 1\]")):
         fake = PoissonSum(np.array([[1, 0]]), np.array([weight]), banaszczyk_radius(2), 2)
         monkeypatch.setattr(dgsum.tvd, "poisson_sum", lambda gram: fake)
         with pytest.raises(InvariantViolation, match=message):
-            class_tvd(FiberWorkspace(X, R, [0.0] * 3))
-    monkeypatch.undo()
-    with pytest.raises(ValueError, match="spherical"):
-        class_tvd(FiberWorkspace(X, GaussianShape.ellipsoidal(np.diag([1.0, 2.0, 3.0])), [0.0] * 3))
+            class_tvd(X, 1.5, [0.0] * 3)
 
 
 def test_class_tvd_far_below_the_smoothing_parameter():
@@ -377,27 +387,27 @@ def test_class_tvd_far_below_the_smoothing_parameter():
     # target sits on the four points of Z^2 + (3/2, 1/2) nearest 0: TVD 1/2,
     # by direct enumeration
     X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
-    rep = class_tvd(FiberWorkspace(X, GaussianShape.spherical(0.2), [0.5] * 4))
+    rep = class_tvd(X, 0.2, [0.5] * 4)
     assert abs(rep.tvd - 0.5) <= rep.truncation_error <= 1e-6  # every bin charged all 2 10^4 terms
     # further down the target's dual sum cancels to its rounding: refused
     with pytest.raises(ValueError, match="cancels"):
-        class_tvd(FiberWorkspace(X, GaussianShape.spherical(0.05), [0.5] * 4))
+        class_tvd(X, 0.05, [0.5] * 4)
 
 
 def test_class_tvd_reduces_c_mod_the_integers():
     # c and c - round(c) give the same pmfs; a float phase of the unreduced c
     # would lose digits (8e-9 relative at c = 1e12), so the agreement is relative
     X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
-    R = GaussianShape.spherical(3.33678000397)  # the CLI's threshold at --seed 1
-    base = class_tvd(FiberWorkspace(X, R, [0.0] * 4)).tvd
+    r = 3.33678000397  # the CLI's threshold at --seed 1
+    base = class_tvd(X, r, [0.0] * 4).tvd
     assert 7.6762316e-06 < base < 7.6762317e-06
-    assert abs(class_tvd(FiberWorkspace(X, R, [1e12, 0.0, 0.0, 0.0])).tvd - base) <= 1e-12 * base
+    assert abs(class_tvd(X, r, [1e12, 0.0, 0.0, 0.0]).tvd - base) <= 1e-12 * base
     frac = [0.3, -0.2, 0.45, 0.1]
-    shifted = class_tvd(FiberWorkspace(X, R, frac)).tvd
+    shifted = class_tvd(X, r, frac).tvd
     assert abs(shifted - base) > 1e-9  # the shift matters
     for whole in ([5, 0, 0, 0], [-3, 7, 1, -12]):
         c = [f + w for f, w in zip(frac, whole)]
-        assert abs(class_tvd(FiberWorkspace(X, R, c)).tvd - shifted) <= 1e-12 * shifted
+        assert abs(class_tvd(X, r, c).tvd - shifted) <= 1e-12 * shifted
 
 
 def test_per_label_tvd_is_within_its_bound_of_the_class_tvd():
@@ -408,8 +418,8 @@ def test_per_label_tvd_is_within_its_bound_of_the_class_tvd():
     for r in (0.2, 0.5, 1.0, 3.0):
         for c in ([0.5] * 4, [0.5, 0.0, 0.0, 0.0], [0.0] * 4):
             ws = FiberWorkspace(X, GaussianShape.spherical(r), c)
-            rep = exact_tvd(exact_output_pmf(X, ws.R, workspace=ws), target_pmf(X, ws.R, workspace=ws))
-            ref = class_tvd(ws)
+            rep = exact_tvd(exact_output_pmf(ws), target_pmf(ws))
+            ref = class_tvd(X, r, c)
             assert abs(rep.tvd - ref.tvd) <= rep.truncation_error + ref.truncation_error, (r, c)
 
 
@@ -419,7 +429,7 @@ def test_exact_output_pmf_tail_from_the_dual_mass():
     X = IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])
     for R in (GaussianShape.spherical(1.5), GaussianShape.ellipsoidal(np.diag([1.5, 1.6, 1.7]))):
         ws = FiberWorkspace(X, R, [0.0] * 3)
-        target_tail = target_pmf(X, R, workspace=ws).tail_bound
+        target_tail = target_pmf(ws).tail_bound
         T = ws.region()
         w = np.array([ws.target_weight(z) for z in T])
         mean = float(w @ (1 + ws.section_deltas(T))) / float(np.sum(w))
@@ -434,13 +444,13 @@ def test_exact_output_pmf_tail_from_the_dual_mass():
         e = ws.dual.tail + rounding + 4 * math.pi * float(ws.dual.weights @ (t @ shift_err))
         hi = 1 + mu + ws.dual.tail + rounding
         want = (target_tail * hi + e) / ((1 - target_tail) * (mean - e))
-        assert exact_output_pmf(X, R, workspace=ws).tail_bound == pytest.approx(want, rel=1e-9, abs=0)
+        assert exact_output_pmf(ws).tail_bound == pytest.approx(want, rel=1e-9, abs=0)
         assert want < (target_tail * hi + e) / (1 - mu - e) and want < 1e-12
     # and with more classes than labels, where 1 - mu < 0
     X = IntMatrix.from_rows([[1, 200]])
     R = GaussianShape.spherical(1.0)
     ws = FiberWorkspace(X, R, [0.0, 0.0])
-    p = exact_output_pmf(X, R, workspace=ws)
+    p = exact_output_pmf(ws)
     assert ws.dual.mass > 1 and len(p.points) < 40001 and p.tail_bound < 1e-10
 
 
@@ -453,14 +463,14 @@ def test_output_pmf_identity_matches_exact_pmf():
     X = IntMatrix.from_rows([[1]])
     for r in (1.0, 2.5):
         R = GaussianShape.spherical(r)
-        p = exact_output_pmf(X, R)
+        p = exact_output_pmf(_at_zero(X, R))
         base = exact_pmf(LatticeCoset.integers(1), R)
         for pt in base.points:
             assert p.mass_at(pt) == pytest.approx(base.mass_at(pt), abs=1e-12)
 
 
 def test_output_pmf_symmetry():
-    p = exact_output_pmf(X11, R2)
+    p = exact_output_pmf(_at_zero(X11, R2))
     for z in p.points:
         assert p.mass_at(z) == pytest.approx(p.mass_at((-z[0],)), rel=1e-10)
 
@@ -468,7 +478,7 @@ def test_output_pmf_symmetry():
 def test_target_pmf_is_1d_gaussian_with_r_sqrt2():
     from dgsum.gaussian import exact_pmf
 
-    q = target_pmf(X11, R2)
+    q = target_pmf(_at_zero(X11, R2))
     base = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(2.0 * math.sqrt(2)))
     for z in base.points:
         if q.mass_at(z):
@@ -478,7 +488,7 @@ def test_target_pmf_is_1d_gaussian_with_r_sqrt2():
 def test_target_pmf_shifted_support():
     ws = FiberWorkspace(X11, R2, [0.25, 0.25])
     assert ws.Xc == pytest.approx(np.array([0.5]))
-    q = target_pmf(X11, R2, c=[0.25, 0.25])
+    q = target_pmf(ws)
     assert float(q.masses.sum()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -497,7 +507,7 @@ def test_output_pmf_ratio_band_against_target():
 
 
 def test_exact_tvd_self_is_zero():
-    p = exact_output_pmf(X11, R2)
+    p = exact_output_pmf(_at_zero(X11, R2))
     rep = exact_tvd(p, p)
     assert rep.tvd == 0.0
 
@@ -550,7 +560,7 @@ def test_exact_tvd_array_path_matches_dict_path():
     for rows, c in (([[1, 1, 1], [0, 1, 2]], [0.0, 0.0, 0.0]), ([[1, 0, 1, 1], [0, 1, 1, -1]], [0.3, -0.2, 0.0, 0.1])):
         X = IntMatrix.from_rows(rows)
         ws = FiberWorkspace(X, GaussianShape.spherical(3.0), c)
-        pairs.append((exact_output_pmf(X, ws.R, workspace=ws), target_pmf(X, ws.R, workspace=ws)))
+        pairs.append((exact_output_pmf(ws), target_pmf(ws)))
     rng = np.random.default_rng(2)
     for size in (2, 17, 1000, 5000):
         pts = [tuple(t) for t in rng.permutation(np.arange(2 * size).reshape(size, 2)).tolist()]  # unsorted
@@ -567,7 +577,7 @@ def test_exact_tvd_array_path_matches_dict_path():
 
 def test_exact_tvd_symmetry_and_triangle():
     ps = [
-        exact_output_pmf(X11, GaussianShape.spherical(r))
+        exact_output_pmf(_at_zero(X11, GaussianShape.spherical(r)))
         for r in (1.5, 2.0, 3.0)
     ]
     d = lambda a, b: exact_tvd(a, b).tvd
@@ -580,7 +590,7 @@ def test_threshold_pipeline_small_instance():
     r = distance_threshold(1.0, 1.0, 2, 1, eps)
     R = GaussianShape.spherical(r)
     ws = FiberWorkspace(X11, R, [0.0, 0.0])
-    rep = exact_tvd(exact_output_pmf(X11, R, workspace=ws), target_pmf(X11, R, workspace=ws))
+    rep = exact_tvd(exact_output_pmf(ws), target_pmf(ws))
     assert rep.tvd <= 2 * eps + rep.truncation_error
 
 
@@ -599,7 +609,7 @@ def _sampler_for(X, R):
 
 
 def test_mc_tvd_self_distance_small():
-    q = target_pmf(X11, R2)
+    q = target_pmf(_at_zero(X11, R2))
     rep = mc_tvd(_sampler_for(X11, R2), q, 100_000, SampleStream(55))
     # E_{X,r} at r=2 is within a few e-3 of the target; the plug-in estimate
     # should sit near the bias floor
@@ -608,14 +618,14 @@ def test_mc_tvd_self_distance_small():
 
 
 def test_mc_tvd_determinism():
-    q = target_pmf(X11, R2)
+    q = target_pmf(_at_zero(X11, R2))
     a = mc_tvd(_sampler_for(X11, R2), q, 20_000, SampleStream(7))
     b = mc_tvd(_sampler_for(X11, R2), q, 20_000, SampleStream(7))
     assert a.estimate == b.estimate
 
 
 def test_mc_tvd_ci_shrinks_with_n():
-    q = target_pmf(X11, R2)
+    q = target_pmf(_at_zero(X11, R2))
     w = []
     for N in (10_000, 40_000):
         rep = mc_tvd(_sampler_for(X11, R2), q, N, SampleStream(8))
@@ -662,15 +672,15 @@ def test_mc_tvd_counting_matches_per_row_oracle():
     def one_dim(N, st):
         return _sampler_for(X11, R2)(N, st)[:, 0]
 
-    q = target_pmf(X, R, c=c.tolist())
-    for sampler, target in ((integral, q), (shifted, q), (mixed, q), (one_dim, target_pmf(X11, R2))):
+    q = target_pmf(FiberWorkspace(X, R, c))
+    for sampler, target in ((integral, q), (shifted, q), (mixed, q), (one_dim, target_pmf(_at_zero(X11, R2)))):
         rep = mc_tvd(sampler, target, 20_000, SampleStream(3))
         ref = _mc_counts_oracle(sampler, target, 20_000, SampleStream(3))
         assert (rep.estimate, rep.ci_lo, rep.ci_hi, rep.bias_bound) == ref
 
 
 def test_mc_tvd_min_samples():
-    q = target_pmf(X11, R2)
+    q = target_pmf(_at_zero(X11, R2))
     with pytest.raises(ValueError):
         mc_tvd(_sampler_for(X11, R2), q, 100, SampleStream(9))
 
