@@ -17,7 +17,6 @@ from .gaussian import (
     push_to_lattice,
     rho,
     sample_dg_coset,
-    sample_dg_int,
     sample_dg_ints,
 )
 from .intmat import IntMatrix, InvariantViolation

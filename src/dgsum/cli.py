@@ -302,7 +302,7 @@ def cmd_quality(cfg: dict) -> int:
     write_report(out / "matrix.txt", X.to_text() + "\n")
     cert = best_certificate(X, stream.substream(1))
     sigma1 = float(np.linalg.svd(X.to_numpy(), compute_uv=False)[0])
-    params = CollisionSearchParams.for_matrix(X, sigma1)
+    params = CollisionSearchParams.for_matrix(X)
     nominal = {
         "q1": sigma1 * math.sqrt(max(n * math.log2(max(m, 2)), 1e-12)),
         "q2": 2.0 * math.sqrt(max(30.0 * n * math.log2(max(sigma1 * n, 2.0)), 0.0)),

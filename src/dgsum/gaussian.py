@@ -14,14 +14,17 @@ primal region (``truncate_coset``, R = ``coset_radius``) of a whitened coset
 L + x, x its shortest point, at most 2 beta e^{pi ||x||^2} of its weight, as
 pairing y with -y (L = -L, cosh >= 1) gives rho(L + x) >= e^{-pi ||x||^2}
 rho(L) and Banaszczyk's coset lemma rho((L + x) minus R B) < 2 beta rho(L).
-So R > ||x||: the region holds x.
+So R > ||x||: the region holds x.  The class TVD's 1-D theta tables
+(``tvd._theta_table``) take the same rule: ``truncate_coset``'s table of
+Z + c for r <= 1, and the dual terms within ``coset_radius(1, 0)`` above.
 
 Every lattice-point enumeration is one Fincke-Pohst level loop
 (``fincke_pohst``) on an upper-triangular factor U of the lattice, under one
 of two factorizations.  ``enumerate_affine`` takes a basis A with a centre b
 and factors A = Q U (QR).  ``poisson_sum`` takes a Gram matrix, which is all a
 Gaussian sum over a lattice needs (rho(A t) = exp(-pi t^T A^T A t)), and
-factors it as U^T U (Cholesky).  The dual basis B (B^T B)^-1 of an integer
+factors it as U^T U (Cholesky); both keep the points within one boundary
+margin (``_boundary``).  The dual basis B (B^T B)^-1 of an integer
 basis B has Gram matrix (B^T B)^-1 = adj(B^T B) / det(B^T B), so a dual sum
 at scale s over an integer lattice is ``poisson_sum(s^2 adj(B^T B) /
 det(B^T B))``, with no float basis to factor.
@@ -292,9 +295,13 @@ def banaszczyk_radius(rank: int) -> float:
     return _least_radius(rank, 0.0)[0]
 
 
+@lru_cache(maxsize=1024)
 def coset_radius(rank: int, delta: float) -> tuple[float, float]:
     """(R, tail) of a primal region of a coset L + x, ||x|| = delta: the least
-    R with tail = 2 banaszczyk_bound(rank, R) e^{pi delta^2} <= DUAL_TAIL."""
+    R with tail = 2 banaszczyk_bound(rank, R) e^{pi delta^2} <= DUAL_TAIL.
+    The last 1024 are cached: one bisection takes about 24 us, and
+    ``coset_radius(rank, 0)`` starts every region search and bounds every
+    dual theta table of ``tvd.class_tvd``."""
     return _least_radius(rank, math.log(2.0) + math.pi * delta * delta)
 
 
@@ -369,10 +376,9 @@ def poisson_sum(gram: np.ndarray) -> PoissonSum:
     A Gaussian sum over a lattice needs its Gram matrix and nothing else:
     with gram = U^T U (Cholesky), ||A t||^2 = t^T gram t = ||U t||^2 for any
     basis A of the lattice, so ``fincke_pohst`` runs its levels on U, and the
-    points are kept by t^T gram t <= radius^2 (1 + 1e-12) + 1e-12, the test
-    ``enumerate_affine`` applies to ||A t||^2, with the same radius margin.
-    The squared norms carry the relative rounding of gram's entries times
-    |t|^T |gram| |t|, which for an ill-conditioned gram far exceeds
+    points are kept by t^T gram t within ``_boundary(radius)``, the test
+    ``enumerate_affine`` applies to ||A t||^2.  The squared norms carry the
+    relative rounding of gram's entries times |t|^T |gram| |t|, which for an ill-conditioned gram far exceeds
     t^T gram t; the package's Grams are those of duals of LLL-reduced or
     small integer bases.
     """
@@ -381,8 +387,8 @@ def poisson_sum(gram: np.ndarray) -> PoissonSum:
     radius = banaszczyk_radius(k)
     if k == 0:
         return PoissonSum(np.zeros((0, 0), dtype=np.int64), np.zeros(0), radius, 0)
-    bound = radius * radius * (1 + 1e-12) + 1e-12
-    T = fincke_pohst(np.linalg.cholesky(gram).T, np.zeros(k), bound * (1 + 1e-9) + 1e-9, radius)
+    bound, level = _boundary(radius)
+    T = fincke_pohst(np.linalg.cholesky(gram).T, np.zeros(k), level, radius)
     lead = T[np.arange(len(T)), np.argmax(T != 0, axis=1)]
     T = T[lead > 0]  # one of each pair +-t; drops t = 0
     norms = np.einsum("ij,ij->i", T @ gram, T)
@@ -390,6 +396,15 @@ def poisson_sum(gram: np.ndarray) -> PoissonSum:
     T, norms = T[keep], norms[keep]
     order = np.lexsort(T.T[::-1])
     return PoissonSum(T[order], np.exp(-math.pi * norms[order]), radius, k)
+
+
+def _boundary(radius: float) -> tuple[float, float]:
+    """(keep, level): both enumerations keep the points whose squared norm,
+    computed directly, is at most keep = radius^2 (1 + 1e-12) + 1e-12, and
+    run ``fincke_pohst``'s levels at level = keep (1 + 1e-9) + 1e-9, so that
+    rounding in the triangular factor cannot drop a point on the boundary."""
+    keep = radius * radius * (1 + 1e-12) + 1e-12
+    return keep, keep * (1 + 1e-9) + 1e-9
 
 
 def fincke_pohst(U: np.ndarray, y: np.ndarray, level_bound: float, radius: float) -> np.ndarray:
@@ -435,18 +450,16 @@ def enumerate_affine(A: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     A must have full column rank k.  With A = Q U (QR, U upper triangular)
     and y = Q^T b, ||A t + b||^2 = sum_i U_ii^2 (t_i - c_i)^2 + ||b - Q y||^2,
     c_i = -(y_i + sum_{j>i} U_ij t_j) / U_ii, which ``fincke_pohst``
-    enumerates.  Its levels run at a radius larger by a relative 1e-9, and
-    the points are then kept by ||A t + b||^2 <= radius^2 (1 + 1e-12) + 1e-12
-    computed directly, so that rounding in U cannot drop a point on the
-    boundary.
+    enumerates; the points are kept by ||A t + b||^2 within
+    ``_boundary(radius)``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     Q, U = np.linalg.qr(A)
     y = Q.T @ b
     perp = b - Q @ y
-    bound = radius * radius * (1 + 1e-12) + 1e-12
-    T = fincke_pohst(U, y, bound * (1 + 1e-9) + 1e-9 - float(perp @ perp), radius)
+    bound, level = _boundary(radius)
+    T = fincke_pohst(U, y, level - float(perp @ perp), radius)
     w = T @ A.T + b
     T = T[np.einsum("ij,ij->i", w, w) <= bound]
     return T[np.lexsort(T.T[::-1])]
@@ -520,10 +533,6 @@ def sample_dg_ints(s: float, size: int, stream: SampleStream) -> np.ndarray:
     """``size`` i.i.d. draws from D_{Z,s}, deterministic given the stream:
     those of ``sample_dg_coset`` on Z, as int64."""
     return draw_ints(int_table(s), size, stream)
-
-
-def sample_dg_int(s: float, stream: SampleStream) -> int:
-    return int(sample_dg_ints(s, 1, stream)[0])
 
 
 def sample_dg_coset(

@@ -172,59 +172,38 @@ def hnf_column(X: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
     U is unimodular; H is lower column-echelon with positive pivots and the
     entries to the right of each pivot reduced.  Columns of U over the zero
-    columns of H generate the integer kernel of X.
+    columns of H generate the integer kernel of X.  The column operations
+    run on the columns of [X; I], whose first n entries end as H's and last
+    m entries as U's.
     """
     n, m = X.shape
-    H = [list(r) for r in X.rows]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def swap_cols(a, b):
-        for r in H:
-            r[a], r[b] = r[b], r[a]
-        for r in U:
-            r[a], r[b] = r[b], r[a]
-
-    def addmul_col(dst, src, k):
-        # col_dst += k * col_src
-        for r in H:
-            r[dst] += k * r[src]
-        for r in U:
-            r[dst] += k * r[src]
-
-    def scale_col(j, k):
-        for r in H:
-            r[j] *= k
-        for r in U:
-            r[j] *= k
-
-    pivot_col = 0
+    cols = [[*col, *[0] * j, 1, *[0] * (m - j - 1)] for j, col in enumerate(X.cols)]
+    p = 0  # the pivot column
     for row in range(n):
         # eliminate within row using gcd column operations
-        nz = [c for c in range(pivot_col, m) if H[row][c] != 0]
+        nz = [j for j in range(p, m) if cols[j][row]]
         if not nz:
             continue
-        if nz[0] != pivot_col:
-            swap_cols(pivot_col, nz[0])
-        while True:
-            nz = [c for c in range(pivot_col + 1, m) if H[row][c] != 0]
-            if not nz:
-                break
-            for c in nz:
-                q = H[row][c] // H[row][pivot_col]
-                addmul_col(c, pivot_col, -q)
-                if H[row][c] != 0 and abs(H[row][c]) < abs(H[row][pivot_col]):
-                    swap_cols(pivot_col, c)
-        if H[row][pivot_col] < 0:
-            scale_col(pivot_col, -1)
+        cols[p], cols[nz[0]] = cols[nz[0]], cols[p]
+        while nz := [j for j in range(p + 1, m) if cols[j][row]]:
+            for j in nz:
+                q = cols[j][row] // cols[p][row]
+                if q:
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[p])]
+                if cols[j][row] and abs(cols[j][row]) < abs(cols[p][row]):
+                    cols[p], cols[j] = cols[j], cols[p]
+        if cols[p][row] < 0:
+            cols[p] = [-a for a in cols[p]]
         # reduce earlier columns against the new pivot column
-        for c in range(pivot_col):
-            q = H[row][c] // H[row][pivot_col]
+        for j in range(p):
+            q = cols[j][row] // cols[p][row]
             if q:
-                addmul_col(c, pivot_col, -q)
-        pivot_col += 1
-        if pivot_col == m:
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[p])]
+        p += 1
+        if p == m:
             break
-    return IntMatrix.from_rows(H), IntMatrix.from_rows(U)
+    rows = tuple(zip(*cols)) or ((),) * n  # m = 0: n empty rows
+    return IntMatrix(rows[:n]), IntMatrix(rows[n:])
 
 
 def hnf_pivots(H: IntMatrix) -> tuple[tuple[int, int], ...]:
@@ -236,11 +215,6 @@ def hnf_pivots(H: IntMatrix) -> tuple[tuple[int, int], ...]:
         if nz:
             pivots.append((nz[0], j))
     return tuple(pivots)
-
-
-def kernel_columns(X: IntMatrix) -> list[IntVector]:
-    """Basis of the integer kernel {v in Z^m : X v = 0} as column vectors."""
-    return list(X.hermite.kernel)
 
 
 def solve_integer(X: IntMatrix, target: Sequence[int]) -> IntVector | None:

@@ -58,10 +58,9 @@ class CollisionSearchParams:
     prefix_budget: int
 
     @staticmethod
-    def for_matrix(X: IntMatrix, sigma1: float | None = None) -> "CollisionSearchParams":
+    def for_matrix(X: IntMatrix) -> "CollisionSearchParams":
         n, m = X.shape
-        if sigma1 is None:
-            sigma1 = float(np.linalg.svd(X.to_numpy(), compute_uv=False)[0])
+        sigma1 = float(np.linalg.svd(X.to_numpy(), compute_uv=False)[0])
         t = 3.0 * n * math.log2(max(sigma1 * n, 2.0))
         return CollisionSearchParams(t=t, prefix_budget=min(m, int(10 * t)))
 
@@ -214,10 +213,6 @@ def _collision_dual_vector(
     return tuple(int(v) for v in u) + (0,) * (m - prefix)
 
 
-def _augmented_rows(X: IntMatrix, us: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    return list(X.rows) + list(us)
-
-
 def find_dual_vectors(X: IntMatrix, stream: SampleStream) -> list[tuple[int, ...]]:
     """Pairwise orthogonal u_i with u_i . x_j = delta_ij, by collision search.
 
@@ -239,7 +234,7 @@ def find_dual_vectors(X: IntMatrix, stream: SampleStream) -> list[tuple[int, ...
         us: list[tuple[int, ...]] = []
         ok = True
         for i in range(n):
-            rows = _augmented_rows(X, us)
+            rows = [*X.rows, *us]
             u = _collision_dual_vector(rows, i, prefix, stream.substream(attempt * 64 + i))
             if u is None:
                 ok = False
@@ -270,7 +265,7 @@ def exact_dual_fallback(X: IntMatrix) -> list[tuple[int, ...]]:
     us: list[tuple[int, ...]] = []
     for i in range(n):
         # X itself for u_1, so its decomposition is the one already checked
-        M = IntMatrix.from_rows(_augmented_rows(X, us)) if us else X
+        M = IntMatrix.from_rows([*X.rows, *us]) if us else X
         rows = M.rows
         target = [1 if j == i else 0 for j in range(len(rows))]
         u = solve_integer(M, target)

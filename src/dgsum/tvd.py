@@ -27,7 +27,8 @@ chi_t(g) = e^{2 pi i sum_i t_i g_i / D_i}.
   a_j = U x_j mod D, a sum of m independent 1-D discrete Gaussians.  So
   P^(t) = prod_j theta_j(<t, a_j>_D), theta_j(a) = sum_w rho_r(w + c_j)
   e^{2 pi i w a} / sum_w rho_r(w + c_j), each tabulated once on the int64
-  residues mod L = D_n of the phases <t, a_j>_D.
+  residues mod L = D_n of the phases <t, a_j>_D, its terms and tail from
+  ``gaussian``'s one truncation rule (``_theta_table``).
 - Target.  Poisson summation (Micciancio-Regev 2007, Lemma 2.8) turns
   Q^(t) = sum_z rho(z + X c) chi_t(U z) / sum_z rho(z + X c) into a sum over
   the dual lattice G^-1 Z^n (Gram matrix r^2 adj(G) / d), whose point
@@ -62,7 +63,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gaussian import (
-    DUAL_TAIL,
     ENUM_BUDGET,
     DiscretePMF,
     EnumerationBudgetExceeded,
@@ -71,6 +71,7 @@ from .gaussian import (
     PoissonSum,
     SampleStream,
     coset_mass,
+    coset_radius,
     poisson_sum,
     truncate_coset,
 )
@@ -261,23 +262,32 @@ def _theta_table(r: float, c: float, L: int) -> tuple[np.ndarray, float]:
     integer part w of a draw from D_{Z + c, r}, |c| <= 1/2, with
     S(a) = sum_w rho_r(w + c) e^{2 pi i w a}; e bounds every entry's error.
 
-    For r <= 1 the sum runs over w; above, over its Poisson dual
-    S(a) = r sum_y e^{-pi r^2 (y - a)^2} e^{2 pi i c (y - a)}.  Either way the
-    terms are a Gaussian e^{-pi x^2 / s^2} (s = r, or 1/r) over a shifted Z,
-    kept for |x| <= R = s sqrt(ln(1/DUAL_TAIL) / pi) (plus 1/2 in the primal
-    form, whose largest term sits at |x| = |c|), so the rest weigh at most
-    t = 2 e^{-pi (R^2 - c^2) / s^2} / (1 - e^{-2 pi R / s^2}), about
-    2 DUAL_TAIL of the largest term (dual: c -> 0, times r).  A term with
-    exponent a and angle phi is off by (6 a + 4 |phi| + 10) u of its weight at
-    most, u = 2^-53, and T terms add T u of their weights (``bound``); as
-    |S(a)| <= S(0), e = 2 (t + max bound) / |S'(0)| + u.
+    Both forms truncate by ``gaussian``'s one rule, and either way the
+    dropped part of any S(a) is at most t = tail K / (1 - tail), K the kept
+    weight at a = 0.  For r <= 1 the sum runs over the w that
+    ``truncate_coset`` keeps of the whitened coset (Z + c) / r, the table
+    ``exact_pmf`` gives the sampler for D_{Z + c, r}, with its tail; K is
+    S(0).  Above, it runs over its Poisson dual
+    S(a) = r sum_y e^{-pi r^2 (y - a)^2} e^{2 pi i c (y - a)}, kept where
+    r |y - a| <= R, (R, tail) = ``coset_radius(1, 0)``: by Banaszczyk's
+    coset lemma the rest weigh at most tail r rho(r Z), and the kept terms
+    at a = 0, K, at least (1 - tail / 2) r rho(r Z), as in
+    ``PoissonSum.tail``.  A term with exponent a and angle phi is off by
+    (6 a + 4 |phi| + 10) u of its weight at most, u = 2^-53, and T terms add
+    T u of their weights (``bound``); as |S(a)| <= S(0),
+    e = 2 (t + max bound) / |S'(0)| + u.
     """
     k = np.arange(L, dtype=np.int64)
-    # the primal terms are scaled by e^{pi c^2 / r^2}, so that the largest is 1
-    s, scale, shift = (r, 1.0, c) if r <= 1 else (1.0 / r, r, 0.0)
-    R = s * math.sqrt(-math.log(DUAL_TAIL) / math.pi) + (0.5 if r <= 1 else 0.0)
-    # every w with |w + c| <= R, or every y with |y - a| <= R for some a in [0, 1)
-    ys = range(-math.floor(R + 0.5), math.floor(R + 0.5) + 1) if r <= 1 else range(-math.floor(R), math.floor(R) + 2)
+    if r <= 1:  # the terms are scaled by e^{pi c^2 / r^2}, so that the largest is 1
+        s, scale = r, 1.0
+        W = np.eye(1) / r
+        T, _, tail = truncate_coset(W, W @ [c])
+        ys = T[:, 0].tolist()
+    else:
+        s, scale = 1.0 / r, r
+        R, tail = coset_radius(1, 0.0)
+        R *= s  # in units of y - a; every y with |y - a| <= R for some a in [0, 1)
+        ys = range(-math.floor(R), math.floor(R) + 2)
     S = np.zeros(L, dtype=complex)
     bound = np.zeros(L)
     for y in ys:
@@ -291,9 +301,8 @@ def _theta_table(r: float, c: float, L: int) -> tuple[np.ndarray, float]:
         g = scale * np.exp(-a)
         S[lo:hi] += g * np.exp(1j * angle) if np.ndim(angle) else g
         bound[lo:hi] += (6 * a + 4 * np.abs(angle) + 10 + len(ys)) * g
-    tail = 2 * scale * math.exp(-math.pi * (R * R - shift * shift) / (s * s))
-    tail /= 1 - math.exp(-2 * math.pi * R / (s * s))
-    err = 2 * (tail + ULP * float(np.max(bound))) / abs(S[0]) + ULP
+    K = S[0].real if r <= 1 else scale * sum(math.exp(-math.pi * y * y / (s * s)) for y in ys if abs(y) <= R)
+    err = 2 * (tail * K / (1 - tail) + ULP * float(np.max(bound))) / abs(S[0]) + ULP
     if not S.imag.any():  # c = 0 in the dual form
         S = S.real
     theta = S / S[0]
@@ -337,8 +346,9 @@ def class_tvd(X: IntMatrix, r: float, c: Sequence[float]) -> ExactTVDReport:
     ``truncation_error`` bounds |TVD' - TVD| from computed quantities (primes
     mark computed values, u = 2^-53).  P^'(t) is within E_P =
     prod_j (1 + e_j)(1 + 3u) - 1 of P^(t), e_j the error of column j's theta
-    table.  W'(t) is within e_W(t), ``PoissonSum.tail`` plus
-    u sum_w (eps_w + N) weight_w over the terms of its bin, N in all, eps_w
+    table, its truncation included (``_theta_table``).  W'(t) is within
+    e_W(t), ``PoissonSum.tail`` plus u sum_w (eps_w + N) weight_w over the
+    terms of its bin, N in all, eps_w
     covering the exponent ((n + 2) pi |w|^T |gram| |w|, from the rounded Gram
     entries), the angle ((n + m + 2) 2 pi |w|^T |adj(G) X| |c| / d) and 7
     more roundings; so conj(Q^') is within e_Q(t) = (e_W(t) + e_W(0)) /

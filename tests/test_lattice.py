@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dgsum
-from dgsum.intmat import IntMatrix, InvariantViolation, dot, fraction_rank, kernel_columns, norm_sq, solve_integer
+from dgsum.intmat import IntMatrix, InvariantViolation, dot, fraction_rank, norm_sq, solve_integer
 from dgsum.lattice import (
     LatticeBasis,
     RankError,
@@ -259,7 +259,7 @@ def _random_bases(seed, count, max_rank):
         if rng.random() < 0.5:
             # kernel of a 1 x (r + 1) row: HNF columns with large entries
             X = IntMatrix.from_rows([rng.integers(-9, 10, size=r + 1).tolist()])
-            cols = kernel_columns(X) if any(X.rows[0]) else []
+            cols = list(X.hermite.kernel) if any(X.rows[0]) else []
         else:
             dim = r + int(rng.integers(0, 3))
             # even entries and half-steps make exact ties in the rounding
@@ -295,7 +295,7 @@ def test_lll_matches_rational_oracle(delta, monkeypatch):
     rng = np.random.default_rng(int(delta * 100))
     bases = _random_bases(int(delta * 100), 100, 8)
     # kernels of one row at ranks 12 and 14, as in the large certify instances
-    bases += [kernel_columns(IntMatrix.from_rows([rng.integers(-2, 3, size=r + 1).tolist()])) for r in (12, 14)]
+    bases += [list(IntMatrix.from_rows([rng.integers(-2, 3, size=r + 1).tolist()]).hermite.kernel) for r in (12, 14)]
     bases.append([(2, 0), (5, 1)])  # mu = 5/2: ties to even give q = 2, not 3
     for cols in bases:
         red = lll_reduce(LatticeBasis(IntMatrix.from_columns(cols)))

@@ -1,7 +1,7 @@
-"""One truncation rule and one sampler: every primal region and every
-Banaszczyk tail of the package goes through the functions that certify it,
-and every draw through the one table sampler, so a second radius, tail
-formula or sampler cannot come back unnoticed."""
+"""One truncation rule and one sampler: every primal region, every
+Banaszczyk tail and every theta table of the package goes through the
+functions that certify it, and every draw through the one table sampler, so
+a second radius, tail formula or sampler cannot come back unnoticed."""
 
 import ast
 from pathlib import Path
@@ -17,6 +17,8 @@ ALLOWED = {
     "banaszczyk_bound": {"PoissonSum.tail"},
     "_log_banaszczyk_bound": {"banaszczyk_bound", "_least_radius"},
     "_least_radius": {"banaszczyk_radius", "coset_radius"},
+    # the primal region's rule, and the class TVD's dual theta tables
+    "coset_radius": {"truncate_coset", "_theta_table"},
     # the one sampler: an inverse-CDF draw from a certified table, and no
     # uniforms drawn for a rejection step or a proposal
     "choice": {"_table_sample"},
@@ -46,6 +48,20 @@ def stray_calls(source: str) -> set[tuple[str, str]]:
     return found
 
 
+def tail_names(source: str) -> set[int]:
+    """The lines whose code names DUAL_TAIL: a name, an attribute or an
+    import; docstrings and comments do not count."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            named = "DUAL_TAIL" in (node.name, node.asname)
+        else:
+            named = getattr(node, "id", getattr(node, "attr", None)) == "DUAL_TAIL"
+        if named:
+            found.add(node.lineno)
+    return found
+
+
 def test_stray_calls_flags_a_second_region_and_tail():
     snippet = """
 def truncate_coset(A, b):
@@ -59,12 +75,31 @@ def ball_tail_bound(k, r):
     return 6 * banaszczyk_bound(k, r)
 
 RADIUS = _least_radius(2, 0.0)
+
+def theta_radius(r):
+    return coset_radius(1, 0.0)[0] / r
 """
     assert stray_calls(snippet) == {
         ("enumerate_affine", "Region.points"),
         ("banaszczyk_bound", "ball_tail_bound"),
         ("_least_radius", "<module>"),
+        ("coset_radius", "theta_radius"),
     }
+
+
+def test_tail_names_flags_code_only():
+    snippet = """
+from .gaussian import DUAL_TAIL as TAIL, ENUM_BUDGET
+from . import gaussian
+
+def radius(s):
+    \"\"\"Radius at which the tail is below DUAL_TAIL.\"\"\"
+    return s * math.sqrt(-math.log(gaussian.DUAL_TAIL) / math.pi)  # DUAL_TAIL
+
+def cut(s):
+    return s * DUAL_TAIL
+"""
+    assert tail_names(snippet) == {2, 7, 10}
 
 
 def test_stray_calls_flags_a_second_sampler():
@@ -88,3 +123,6 @@ def test_package_has_one_truncation_rule():
     assert sources
     for path in sources:
         assert stray_calls(path.read_text()) == set(), path.name
+        # only the rule itself reads the tail it certifies
+        if path.name != "gaussian.py":
+            assert tail_names(path.read_text()) == set(), path.name

@@ -17,6 +17,7 @@ from dgsum.gaussian import (
 from dgsum.intmat import IntMatrix, InvariantViolation, is_surjective, solve_integer
 from dgsum.lattice import integer_kernel, smoothing_bound
 from dgsum.tvd import (
+    ULP,
     FiberWorkspace,
     NotInSupport,
     class_tvd,
@@ -27,6 +28,7 @@ from dgsum.tvd import (
     shift_bound_eval,
     tail_bound_eval,
     target_pmf,
+    _theta_table,
 )
 from dgsum.quality import distance_threshold
 from primal_oracle import PrimalSections, primal_tvd
@@ -392,6 +394,33 @@ def test_class_tvd_far_below_the_smoothing_parameter():
     # further down the target's dual sum cancels to its rounding: refused
     with pytest.raises(ValueError, match="cancels"):
         class_tvd(X, 0.05, [0.5] * 4)
+
+
+def _theta_oracle(r, c, L):
+    """S(k / L) / S(0), k < L, of the primal series S(a) = sum_w rho_r(w + c)
+    e^{2 pi i w a} over |w| <= 12 r + 2, its real and imaginary parts each
+    summed by math.fsum, every phase formed from the integer residue w k mod L."""
+    ws = range(-math.ceil(12 * r) - 2, math.ceil(12 * r) + 3)
+    rho = [math.exp(-math.pi * ((w + c) / r) ** 2) for w in ws]
+    out = np.empty(L, dtype=complex)
+    for k in range(L):
+        phase = [2 * math.pi * (w * k % L) / L for w in ws]
+        re = math.fsum(p * math.cos(f) for p, f in zip(rho, phase))
+        im = math.fsum(p * math.sin(f) for p, f in zip(rho, phase))
+        out[k] = complex(re, im) / math.fsum(rho)
+    return out
+
+
+@pytest.mark.parametrize("r", [0.3, 0.8, 1.0, 1.25, 3.0, 7.0])
+def test_theta_table_within_its_error_bound(r):
+    # both forms, primal (r <= 1) and dual, against the primal series summed
+    # exactly; 8 u covers the oracle's own rounding, and e < 1e-12 keeps an
+    # inflated bound from passing
+    for c in (0.0, 0.25, -0.5, 0.5):
+        for L in (1, 2, 7, 48, 97):
+            theta, e = _theta_table(r, c, L)
+            assert e < 1e-12
+            assert np.all(np.abs(theta - _theta_oracle(r, c, L)) <= e + 8 * ULP), (c, L)
 
 
 def test_class_tvd_reduces_c_mod_the_integers():
