@@ -3,10 +3,10 @@
 Pushing v ~ D_{Z^m, r} through v -> X v gives a distribution on Z^n that, for
 r above a threshold driven by the quality (q1, q2) of X, is within 2 eps of
 the discrete Gaussian with shape r X^T.  The mass at z is the Gaussian weight
-of the solution coset {v : X v = z}, a translate of the kernel lattice; by
-Poisson summation it is the target weight times a sum over the kernel's dual
-lattice, which depends only on the class of z modulo X X^T.  So the exact TVD
-is a sum over det(X X^T) classes, with no enumeration of output labels.
+of the solution coset {v : X v = z}, a translate of the kernel lattice; it is
+the target weight times a factor that depends only on the class of z modulo
+X X^T, the ratio of the image's and the target's class masses.  So the exact
+TVD is a sum over det(X X^T) classes, with no enumeration of output labels.
 """
 
 from dgsum import (
@@ -38,7 +38,7 @@ def main():
     ws = FiberWorkspace(X, R, [0.0, 0.0])
 
     print("\nfiber masses (Gaussian weight of {v : v1 + v2 = z}) against target weight x kernel weight:")
-    kw = ws.kernel_weight()
+    kw = ws.fiber_weight([0])  # at c = 0 the fiber over 0 is the kernel lattice
     for z in (0, 1, 2, 3):
         print(f"  z={z}: mass {ws.fiber_weight([z]):.6f}  ratio {ws.fiber_weight([z]) / (ws.target_weight([z]) * kw):.9f}")
 

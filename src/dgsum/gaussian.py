@@ -47,7 +47,6 @@ from .intmat import IntMatrix
 
 ENUM_BUDGET = 20_000_000  # max entries of one enumeration, max terms of one dual sum
 DUAL_TAIL = 2.0 ** -100  # certified relative tail of every truncation, primal and dual
-DUAL_BLOCK = 2 ** 20  # max (point, shift) entries evaluated at once by PoissonSum.sums
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -307,7 +306,7 @@ def coset_radius(rank: int, delta: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class PoissonSum:
-    """Gaussian sums over the nonzero points of a lattice A Z^k, with phases.
+    """Gaussian weights of the nonzero points of a lattice A Z^k.
 
     ``points`` holds one of each pair +-t of nonzero integer vectors with
     ||A t|| <= ``radius`` (the first nonzero entry positive), and ``weights``
@@ -315,11 +314,10 @@ class PoissonSum:
     so the weight of the omitted points is at most DUAL_TAIL * rho(A Z^k).
     Built by ``poisson_sum``.
 
-    Through Poisson summation this is the one section sum of the package:
-    a Gaussian sum over a shifted lattice is the sum over its dual lattice of
-    the dual weights times cos(2 pi <y, shift>) (Micciancio-Regev 2007,
-    Lemma 2.8), and ``sums`` evaluates the nonzero part of that dual sum for a
-    batch of shifts.
+    Through Poisson summation (Micciancio-Regev 2007, Lemma 2.8) this is the
+    one dual sum of the package: the class TVD's target transform bins its
+    points with their phases (``tvd.class_tvd``), and
+    ``lattice.smoothing_check`` reads its ``mass``.
     """
 
     points: np.ndarray
@@ -340,33 +338,6 @@ class PoissonSum:
         (1 - beta) and the omitted part is at most beta (1 + mass) / (1 - beta)."""
         beta = banaszczyk_bound(self.rank, self.radius)
         return beta * (1.0 + self.mass) / (1.0 - beta)
-
-    def sums(self, shifts: np.ndarray) -> np.ndarray:
-        """For each row b of the (B, k) array ``shifts``, the sum over the kept
-        nonzero points t of e^{-pi ||A t||^2} cos(2 pi t . shifts_b).
-
-        The (point, row) terms are charged against ENUM_BUDGET
-        (EnumerationBudgetExceeded above it) and evaluated in blocks of at
-        most DUAL_BLOCK entries.  The y = 0 term, 1, is not included.
-        """
-        shifts = np.asarray(shifts, dtype=float)
-        shifts = shifts - np.round(shifts)  # the phase depends on the shift mod 1
-        rows = len(shifts)
-        terms = rows * len(self.points)
-        if terms > ENUM_BUDGET:
-            raise EnumerationBudgetExceeded(
-                f"dual sum of {rows} shifts over {len(self.points)} points "
-                f"({terms} terms) exceeds budget {ENUM_BUDGET}"
-            )
-        out = np.zeros(rows)
-        if not len(self.points):
-            return out
-        T = self.points
-        step = max(1, DUAL_BLOCK // len(T))
-        for lo in range(0, rows, step):
-            hi = min(rows, lo + step)
-            out[lo:hi] = 2.0 * (self.weights @ np.cos(2 * math.pi * (T @ shifts[lo:hi].T)))
-        return out
 
 
 def poisson_sum(gram: np.ndarray) -> PoissonSum:

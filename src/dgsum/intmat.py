@@ -127,9 +127,8 @@ class IntMatrix:
     @cached_property
     def reduced_kernel(self) -> "LatticeBasis":
         """The LLL-reduced basis of ``hermite.kernel``, computed on first use and
-        kept with the matrix object like ``hermite``, so that the kernel report,
-        the certificate fallback and the fiber workspace of one matrix share one
-        reduction.  No rank requirement: the kernel of a rank-deficient matrix is
+        kept with the matrix object like ``hermite``, so that the kernel report
+        and the certificate fallback of one matrix share one reduction.  No rank requirement: the kernel of a rank-deficient matrix is
         reduced as it is (its columns are independent, being columns of U)."""
         from .lattice import LatticeBasis, lll_reduce
 

@@ -256,7 +256,7 @@ def exact_dual_fallback(X: IntMatrix) -> list[tuple[int, ...]]:
     ``reduced_kernel`` when the kernel rank is small enough.  Each augmented
     system is decomposed and reduced once, for both the solution and the
     kernel; for u_1 the system is X itself, so its reduced kernel is the one
-    the kernel report and the fiber workspace read.  No a-priori norm bound;
+    the kernel report reads.  No a-priori norm bound;
     the achieved q2 is whatever comes out.
     """
     n, m = X.shape

@@ -1,26 +1,14 @@
 """Statistical distance between X-image distributions and discrete Gaussians.
 
-The image distribution pushes v ~ D_{Z^m + c, R} through v -> X v.  Its mass
-at an output point z + X c is the weight of the fiber {v : X v = z + X c}, a
-translate P z + c + A of the kernel lattice A = ker X ∩ Z^m.  That weight
-factors as rho_target(z) * rho(section): the fiber's component orthogonal to
-the (whitened) kernel is the same for all its points and gives the target
-weight, and the section sum over the shifted kernel lattice is, by Poisson
-summation (Micciancio-Regev 2007, Lemma 2.8), det(A)^-1 times a sum over the
-dual lattice A*: (1 + delta(z)) with delta(z) = sum over y in A* minus 0 of
-e^{-pi ||y||^2} cos(2 pi <y, P z + c>) (whitened).  So the image pmf is the
-target pmf reweighted by (1 + delta(z)) / (1 + mean delta).  Every section sum
-of the module is one ``gaussian.PoissonSum`` over the dual of the whitened
-kernel, built once per workspace from its Gram matrix and evaluated for a
-batch of shifts.
-
+The image distribution pushes v ~ D_{Z^m + c, R} through v -> X v; its mass
+at an output point z + X c is the weight of the fiber {v : X v = z + X c}.
 For spherical R = r I the image pmf is the target pmf times a factor that
 is constant on each of the d = det G classes of Z^n / G Z^n, G = X X^T (the
 fibers over z and z + G w differ by X^T w, orthogonal to ker X), so the TVD
 is that of the two class pmfs.  ``class_tvd(X, r, c)`` forms both in
 Fourier space, with no workspace and neither ker X nor its dual.  With
 U G V = diag(D) (``intmat.smith``), z -> U z mod D maps the classes onto the
-product of the Z / D_i, whose characters are
+product of the Z / D_i (``ClassGroup``), whose characters are
 chi_t(g) = e^{2 pi i sum_i t_i g_i / D_i}.
 
 - Image.  With v = w + c, w in Z^m, the class of X w is sum_j w_j a_j,
@@ -28,13 +16,16 @@ chi_t(g) = e^{2 pi i sum_i t_i g_i / D_i}.
   P^(t) = prod_j theta_j(<t, a_j>_D), theta_j(a) = sum_w rho_r(w + c_j)
   e^{2 pi i w a} / sum_w rho_r(w + c_j), each tabulated once on the int64
   residues mod L = D_n of the phases <t, a_j>_D, its terms and tail from
-  ``gaussian``'s one truncation rule (``_theta_table``).
+  ``gaussian``'s one truncation rule (``_theta_table``,
+  ``_image_transform``).
 - Target.  Poisson summation (Micciancio-Regev 2007, Lemma 2.8) turns
   Q^(t) = sum_z rho(z + X c) chi_t(U z) / sum_z rho(z + X c) into a sum over
   the dual lattice G^-1 Z^n (Gram matrix r^2 adj(G) / d), whose point
   G^-1 w has the phase e^{2 pi i w^T adj(G) X c / d} and falls on the
   character t = -V^T w mod D (G^-1 = U^T D^-1 V^T).  With W(k) the sum of
   the terms with V^T w = k mod D, Q^(t) = W(-t) / W(0) = conj(W(t)) / W(0).
+  Far below smoothing, where W(0) cancels to its rounding, Q is binned
+  from the target's primal label region instead.
 - TVD = 1/2 sum_g |P(g) - Q(g)|, P - Q the inverse FFT of P^ - Q^:
   differencing in Fourier space keeps the relative precision of a small
   TVD.
@@ -47,7 +38,12 @@ Z^n + X c = L + x, L = Wt Z^n under its whitening Wt, x its shortest
 point: the ball of radius R, 2 beta(n, R) e^{pi ||x||^2} <= DUAL_TAIL, beta =
 ``gaussian.banaszczyk_bound``, drops at most that share of the target weight,
 as rho(L + x) >= e^{-pi ||x||^2} rho(L) (pair y with -y) and
-rho((L + x) minus R B) < 2 beta rho(L) (Banaszczyk's coset lemma).
+rho((L + x) minus R B) < 2 beta rho(L) (Banaszczyk's coset lemma).  The
+per-label image pmf and the fiber weights are the target's times the class
+factor P_k / Q_k, with the region's target mass in class k for Q_k and the
+image's class pmf P convolved directly on the grid from the same 1-D terms
+(``_image_pmf``): a sum of nonnegative terms keeps the relative precision
+of a small P_k, which an inverse FFT of P^ does not.
 
 Also hosts numeric evaluators for the tail, ratio and shift bounds used by
 the threshold analysis.
@@ -58,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,7 +64,6 @@ from .gaussian import (
     EnumerationBudgetExceeded,
     GaussianShape,
     LatticeCoset,
-    PoissonSum,
     SampleStream,
     coset_mass,
     coset_radius,
@@ -76,7 +71,7 @@ from .gaussian import (
     truncate_coset,
 )
 from .intmat import IntMatrix, InvariantViolation, smith, smith_adjugate
-from .lattice import LatticeBasis, smoothing_bound
+from .lattice import smoothing_bound
 
 ULP = 2.0 ** -53  # unit roundoff u of float64
 MC_CONFIDENCE = 0.99  # level of the MC confidence interval
@@ -139,70 +134,17 @@ def _reduced_shift(X: IntMatrix, c: Sequence[float]) -> np.ndarray:
 
 
 class FiberWorkspace:
-    """Per-(X, R, c) precomputation for the per-label image and target pmfs,
-    with c reduced mod Z^m once, here (``_reduced_shift``).
-
-    All fibers of one instance are translates P z + c + ker X of the same
-    kernel lattice, so X's Hermite decomposition X U = H (``X.hermite``,
-    shared with the certificate search on the same matrix object) gives the
-    linear particular solution P z.  The kernel basis K is
-    ``X.reduced_kernel``, which the certificate fallback also reads, so that
-    the dual basis W K (K^T W^T W K)^-1 of the whitened kernel is short too;
-    its ``PoissonSum`` (``dual``) serves every section sum.  Everything past
-    the checks (``P``, ``kernel``, the float data) is computed on first use.
-    """
+    """Per-(X, R, c) label region and class pmfs for the per-label pmfs, with
+    c reduced mod Z^m once, here (``_reduced_shift``).  The target side
+    (``target_region``, ``target_weight``; MC's ``target_pmf``) takes any R,
+    the image side (``classes``, ``fiber_weight``, ``exact_output_pmf``)
+    R = r I, for which alone the image pmf over the target pmf is a function
+    of the class.  Everything past the checks is computed on first use."""
 
     def __init__(self, X: IntMatrix, R: GaussianShape, c: Sequence[float]):
         self.c = _reduced_shift(X, c)
         self.X = X
         self.R = R
-
-    @cached_property
-    def P(self) -> IntMatrix:
-        """The first n columns of U: X is onto, so H = [I | 0] and X P = I (checked)."""
-        n = self.X.n_rows
-        U = self.X.hermite.U
-        P = IntMatrix.from_columns(U.column(j) for j in range(n))
-        if (self.X @ P).rows != IntMatrix.identity(n).rows:
-            raise InvariantViolation("HNF particular map P does not solve X P = I")
-        return P
-
-    @cached_property
-    def kernel(self) -> LatticeBasis | None:
-        """``X.reduced_kernel``; None when ker X = 0 (m = n)."""
-        n, m = self.X.shape
-        return self.X.reduced_kernel if m > n else None
-
-    @cached_property
-    def W(self) -> np.ndarray:
-        """The whitening of R: rho_R(x) = exp(-pi ||W x||^2)."""
-        return self.R.whitening(self.X.n_cols)
-
-    @cached_property
-    def K(self) -> np.ndarray:
-        """The kernel basis as an (m, m - n) float array."""
-        if self.kernel is None:
-            return np.zeros((self.X.n_cols, 0))
-        return self.kernel.matrix.to_numpy()
-
-    @cached_property
-    def Gw_inv(self) -> np.ndarray:
-        """Gw^-1, Gw = (W K)^T W K: the Gram matrix of the dual basis
-        W K Gw^-1 of the whitened kernel."""
-        WK = self.W @ self.K
-        return np.linalg.inv(WK.T @ WK)
-
-    @cached_property
-    def section_scale(self) -> float:
-        """A section sum is section_scale * (1 + the dual sum at coef),
-        coef = f @ ``to_coef`` for a fiber point f; 1 when ker X = 0."""
-        return math.sqrt(np.linalg.det(self.Gw_inv))
-
-    @cached_property
-    def to_coef(self) -> np.ndarray:
-        """W^T W K Gw^-1, the map from a fiber point f to its phase coordinates
-        coef = Gw^-1 (W K)^T W f in the dual basis."""
-        return self.W.T @ (self.W @ self.K) @ self.Gw_inv
 
     @cached_property
     def target_gram(self) -> np.ndarray:
@@ -221,25 +163,30 @@ class FiberWorkspace:
         return self.X.to_numpy() @ self.c
 
     @cached_property
-    def dual(self) -> PoissonSum:
-        """The PoissonSum of the dual of the whitened kernel lattice W A, with
-        Gram matrix Gw^-1.  No points when ker X = 0."""
-        return poisson_sum(self.Gw_inv)
-
-    def section_deltas(self, T: np.ndarray) -> np.ndarray:
-        """delta(z) for each label row z of T, one batched dual sum."""
-        F = np.asarray(T, dtype=float) @ self.P.to_numpy().T + self.c
-        return self.dual.sums(F @ self.to_coef)
+    def classes(self) -> tuple[ClassGroup, np.ndarray, np.ndarray, float, float]:
+        """(group, index, P, e, rho): the class group of X, the class of each
+        ``target_region`` label (``ClassGroup.index``), the image's class pmf
+        P on the flat grid with its l1 error e, and rho = rho_r(Z^m + c)
+        (``_image_pmf``).  ValueError unless R is spherical."""
+        if not self.R.is_spherical:
+            raise ValueError("the image's class pmf needs a spherical R")
+        grp = class_group(self.X)
+        return (grp, grp.index(self.target_region[0]), *_image_pmf(self.X, self.R.s, self.c, grp))
 
     def fiber_weight(self, z: Sequence[int]) -> float:
-        """Gaussian weight of the fiber over z, the target weight times the
-        section sum."""
-        delta = self.section_deltas(np.asarray([z]))[0]
-        return float(self.target_weight(z) * self.section_scale * (1.0 + delta))
-
-    def kernel_weight(self) -> float:
-        """Gaussian weight of the orthogonal lattice itself."""
-        return self.section_scale * (1.0 + self.dual.mass)
+        """Gaussian weight of the fiber over z, for R = r I:
+        target_weight(z) rho_r(Z^m + c) P_k / rho_t^reg(k), k the class of z
+        and rho_t^reg(k) the target weight of the region's labels in it
+        (``classes``).  ValueError when the region holds no label of z's
+        class."""
+        grp, index, P, _, rho = self.classes
+        T, w, _ = self.target_region
+        k = int(grp.index(np.asarray([z]))[0])
+        Wk = float(np.sum(np.sort(w[index == k])))  # over the heaviest label's weight
+        if not Wk > 0:
+            raise ValueError(f"the label region holds no label of the class of {[int(v) for v in z]}")
+        top = self.target_weight(T[int(np.argmax(w))])
+        return float(self.target_weight(z) * rho * P[k] / (Wk * top))
 
     @cached_property
     def target_region(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -333,20 +280,115 @@ def _masses_ok(F: np.ndarray, err, dims: tuple[int, ...], eta: float) -> bool:
     return float(np.min(f)) >= -(float(np.max(err)) + eta * float(np.linalg.norm(f)))
 
 
+class ClassGroup(NamedTuple):
+    """The class group Z^n / G Z^n of G = X X^T through its Smith form
+    U G V = diag(D) (``class_group``): z -> U z mod D maps the classes onto
+    the product of the Z / D_i, of which the factors D_i > 1 are kept (the
+    last one when d = 1), the grid ``dims``."""
+
+    U: IntMatrix
+    V: IntMatrix
+    D: list[int]
+    keep: list[int]
+    dims: tuple[int, ...]
+
+    def index(self, T: np.ndarray) -> np.ndarray:
+        """The class U z mod D of each label row z of T, as a flat index into
+        the C-ordered grid ``dims``."""
+        Uk = np.array([[u % self.D[i] for u in self.U.rows[i]] for i in self.keep], dtype=np.int64)
+        return np.ravel_multi_index(tuple((np.asarray(T, dtype=np.int64) @ Uk.T % self.dims).T), self.dims)
+
+
+def class_group(X: IntMatrix) -> ClassGroup:
+    """The ``ClassGroup`` of X, from ``intmat.smith(X X^T)``, which checks
+    prod D = d = det G; EnumerationBudgetExceeded when d exceeds ENUM_BUDGET."""
+    n = X.n_rows
+    U, V, D = smith(X @ X.T)
+    d = math.prod(D)
+    if d > ENUM_BUDGET:
+        raise EnumerationBudgetExceeded(f"{d} coset classes exceed budget {ENUM_BUDGET}")
+    keep = [i for i in range(n) if D[i] > 1] or [n - 1]
+    return ClassGroup(U, V, D, keep, tuple(D[i] for i in keep))
+
+
+def _image_transform(X: IntMatrix, r: float, c: np.ndarray, grp: ClassGroup) -> tuple[np.ndarray, float]:
+    """(Ph, E_P): the image's conjugate class transform for ``class_tvd``.
+
+    Ph = conj(P^) on the half t_n <= L / 2 of the grid, L = D_n:
+    P^(t) = prod_j theta_j(<t, a_j> / L), a_j = U x_j mod D scaled to L, one
+    theta table per distinct c_j (``_theta_table``).  Each entry is within
+    E_P = prod_j (1 + e_j)(1 + 3u) - 1 of its exact value, e_j the error of
+    column j's table, its truncation included.
+    """
+    U, _, D, keep, dims = grp
+    L = D[keep[-1]]
+    half = dims[:-1] + (L // 2 + 1,)
+    UX = (U @ X).rows
+    k = np.empty(half, dtype=np.int64)
+    Ph = np.ones(half)  # real while every table is (c_j = 0, r > 1)
+    log_err = 0.0
+    for cj in sorted(set(c.tolist())):  # one table per distinct shift
+        theta, e = _theta_table(r, float(cj), L)
+        Ph = Ph.astype(np.result_type(Ph, theta), copy=False)
+        for j in np.flatnonzero(c == cj):
+            a = [UX[i][j] % D[i] * (L // D[i]) for i in keep]
+            Ph *= theta[_grid_residues(a, L, k)]
+            log_err += math.log1p(e) + math.log1p(3 * ULP)
+    return np.conjugate(Ph, out=Ph), math.expm1(log_err)
+
+
+def _image_pmf(X: IntMatrix, r: float, c: np.ndarray, grp: ClassGroup) -> tuple[np.ndarray, float, float]:
+    """(P, e, rho): the image's class pmf on the flat grid, its l1 error,
+    and rho_r(Z^m + c), the product of the m 1-D sums.
+
+    P is the pmf of sum_j w_j a_j, a_j = U x_j mod D, w_j the integer part
+    of a draw from D_{Z + c_j, r}: m cyclic convolutions with the n_j terms
+    that ``gaussian.truncate_coset`` keeps of (Z + c_j) / r, the sampler's
+    table, each within 2 tail_j of D_{Z + c_j, r} in l1.  Sums of
+    nonnegative terms keep a small mass's relative precision.  A term with
+    exponent a is off by (6 a + 10) u of its weight at most, as in
+    ``_theta_table``; the normalization and the convolution add (n_j + 1) u
+    each.
+    """
+    U, _, D, keep, dims = grp
+    axes = tuple(range(len(keep)))
+    UX = (U @ X).rows
+    P = np.zeros(dims)
+    P.flat[0] = 1.0
+    e, log_rho, tables = 0.0, 0.0, {}
+    for j, cj in enumerate(c.tolist()):
+        if cj not in tables:  # the terms (y + c)^2 - c^2 = y (y + 2c), scaled by e^{pi c^2 / r^2}
+            W = np.eye(1) / r
+            T, _, tail = truncate_coset(W, W @ [cj])
+            y = T[:, 0]
+            a = math.pi * y * (y + 2 * cj) / (r * r)
+            g = np.exp(-a)
+            total = float(np.sum(np.sort(g)))
+            err = 2 * tail + ULP * (float(g @ (6 * a + 10)) / total + 2 * len(y) + 2)
+            tables[cj] = (y.tolist(), (g / total).tolist(), err, math.log(total) - math.pi * cj * cj / (r * r))
+        ys, masses, err, log_sum = tables[cj]
+        aj = np.array([UX[i][j] % D[i] for i in keep], dtype=np.int64)
+        out = np.zeros(dims)
+        for yi, mi in zip(ys, masses):
+            out += mi * np.roll(P, tuple(yi * aj % dims), axes)
+        P = out
+        e += err
+        log_rho += log_sum
+    return P.ravel(), e, math.exp(log_rho)
+
+
 def class_tvd(X: IntMatrix, r: float, c: Sequence[float]) -> ExactTVDReport:
     """Exact TVD between X D_{Z^m + c, r} and its target D_{Z^n + X c, r X^T},
     over the class group Z^n / G Z^n (see the module docstring).
 
-    X and c are checked, and c reduced mod Z^m, by ``_reduced_shift``.  Only
-    the factors D_i > 1 of U G V = diag(D) are kept (one factor 1 when
-    d = 1), L = D_n the largest.  conj(P^) and conj(Q^) are formed on the
-    half t_n <= L / 2 of the grid, as both class pmfs are real, and one
-    inverse real FFT of their difference gives P - Q.
+    X and c are checked, and c reduced mod Z^m, by ``_reduced_shift``; the
+    class group is ``class_group``'s.  The image side, conj(P^) on the half
+    t_n <= L / 2 of the grid within E_P of exact, is ``_image_transform``'s.
+    conj(Q^) is formed on the same half, as both class pmfs are real, and
+    one inverse real FFT of their difference gives P - Q.
 
     ``truncation_error`` bounds |TVD' - TVD| from computed quantities (primes
-    mark computed values, u = 2^-53).  P^'(t) is within E_P =
-    prod_j (1 + e_j)(1 + 3u) - 1 of P^(t), e_j the error of column j's theta
-    table, its truncation included (``_theta_table``).  W'(t) is within
+    mark computed values, u = 2^-53).  W'(t) is within
     e_W(t), ``PoissonSum.tail`` plus u sum_w (eps_w + N) weight_w over the
     terms of its bin, N in all, eps_w
     covering the exponent ((n + 2) pi |w|^T |gram| |w|, from the rounded Gram
@@ -361,36 +403,26 @@ def class_tvd(X: IntMatrix, r: float, c: Sequence[float]) -> ExactTVDReport:
     the sum (d + 2) u TVD'.  ``support_size`` is d and ``radius`` that of
     the target's dual sum.
 
+    Far below smoothing, where W'(0) does not exceed e_W(0), the target's
+    class pmf Q' is binned instead from the N labels that
+    ``gaussian.truncate_coset`` keeps of the target coset, with tail tt
+    (``ClassGroup.index``; weights as in ``target_pmf``), and transformed by
+    a forward FFT: e_Q = 2 tt + 2 (N + 1) u + eta sqrt(d) ||Q'||_2 bounds the
+    region's l1 distance from the target, the bins' rounding and the FFT's.
+
     Raises InvariantViolation unless prod D = d, the TVD is in [0, 1] and
     every class mass of both pmfs is at least minus its error bound
-    (``_masses_ok``); EnumerationBudgetExceeded when d exceeds ENUM_BUDGET;
-    ValueError when W'(0) does not exceed its error (far below smoothing).
+    (``_masses_ok``); EnumerationBudgetExceeded when d exceeds ENUM_BUDGET.
     """
     c = _reduced_shift(X, c)
     n, m = X.shape
-    U, V, D = smith(X @ X.T)  # checks prod D = d = det G
+    grp = class_group(X)
+    U, V, D, keep, dims = grp
     d = math.prod(D)
-    if d > ENUM_BUDGET:
-        raise EnumerationBudgetExceeded(f"{d} coset classes exceed budget {ENUM_BUDGET}")
     adjG = smith_adjugate(U, V, D)
-    keep = [i for i in range(n) if D[i] > 1] or [n - 1]  # d = 1: one class
-    dims = tuple(D[i] for i in keep)
-    L = dims[-1]
-    half = dims[:-1] + (L // 2 + 1,)
-
-    # image side: P^(t) = prod_j theta_j(<t, a_j> / L), a_j = U x_j mod D scaled to L
-    UX = (U @ X).rows
-    k = np.empty(half, dtype=np.int64)
-    Ph = np.ones(half)  # real while every table is (c_j = 0, r > 1)
-    log_err = 0.0
-    for cj in sorted(set(c.tolist())):  # one table per distinct shift
-        theta, e = _theta_table(r, float(cj), L)
-        Ph = Ph.astype(np.result_type(Ph, theta), copy=False)
-        for j in np.flatnonzero(c == cj):
-            a = [UX[i][j] % D[i] * (L // D[i]) for i in keep]
-            Ph *= theta[_grid_residues(a, L, k)]
-            log_err += math.log1p(e) + math.log1p(3 * ULP)
-    E_P = math.expm1(log_err)
+    Ph, E_P = _image_transform(X, r, c, grp)
+    half = Ph.shape
+    eta = 22 * ULP * (math.log2(2 * d) + 1)  # covers eta / (1 - eta) at 21 u
 
     # target side: the dual sum's points w and -w, binned by V^T w mod D,
     # each with the phase w^T adj(G) X c / d, so that conj(Q^) = W / W(0)
@@ -412,14 +444,18 @@ def class_tvd(X: IntMatrix, r: float, c: Sequence[float]) -> ExactTVDReport:
     W[0] += 1.0
     W0 = W[0].real
     e_W = target.tail + ULP * np.bincount(idx, (eps[inside] + len(pts) + 1) * wts[inside], H)
-    if not W0 > e_W[0]:  # far below the smoothing parameter of Z^n under r X^T
-        raise ValueError(f"the target's dual sum cancels below its rounding at r = {r:g}: W(0) = {W0:g}")
-    e_Q = ((e_W + e_W[0]) / W0 + 2 * ULP).reshape(half)
+    if W0 > e_W[0]:
+        Qh = W.reshape(half) / W0
+        e_Q = ((e_W + e_W[0]) / W0 + 2 * ULP).reshape(half)
+    else:  # far below the smoothing parameter of Z^n under r X^T: the primal target
+        Xf = X.to_numpy()
+        Wt = np.linalg.inv(np.linalg.cholesky(r * r * (Xf @ Xf.T)))
+        T, w, tt = truncate_coset(Wt, Wt @ (Xf @ c))
+        Q = np.bincount(grp.index(T), w, d) / float(np.sum(np.sort(w)))
+        Qh = np.fft.rfftn(Q.reshape(dims))
+        e_Q = np.full(half, 2 * tt + 2 * (len(T) + 1) * ULP + eta * math.sqrt(d) * float(np.linalg.norm(Q)))
 
     # both pmfs sum to 1, so the t = 0 entries of P^ and Q^ are 1
-    eta = 22 * ULP * (math.log2(2 * d) + 1)  # covers eta / (1 - eta) at 21 u
-    np.conjugate(Ph, out=Ph)
-    Qh = W.reshape(half) / W0
     masses_ok = _masses_ok(Ph, E_P, dims, eta) and _masses_ok(Qh, e_Q, dims, eta)
     Dh = Ph - Qh
     Dh.flat[0] = 0.0
@@ -447,46 +483,35 @@ def _row_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exact_output_pmf(ws: FiberWorkspace) -> DiscretePMF:
-    """Truncated pmf of {X v : v ~ D_{Z^m + c, R}} over integer labels z, for
-    the workspace's X, R and reduced c.
+    """Truncated pmf of {X v : v ~ D_{Z^m + c, r}} over the labels z of the
+    workspace's ``target_region``, z standing for the output point z + X c.
 
-    The support label z stands for the output point z + X c, and its mass is
-    the target weight of z times 1 + delta(z), normalized over the region,
-    every label's delta from one batched dual sum.
+    The image pmf is the target pmf times P_k / Q_k at the class k of z
+    (module docstring), so the mass of z is q(z) P_k / Q_k^reg: q is the
+    target's pmf over the region, Q_k^reg its mass in class k and P the
+    image's class pmf (``classes``).  The masses add up to the image mass of
+    the classes that the region holds, and are not renormalized.
 
-    The tail covers the truncation and the rounding of the sums from the
-    workspace's float ``Gw_inv`` (G, rank k) and ``to_coef``, not those
-    matrices' own error.  Each 1 + delta(z) is off by at most e_A + e_R +
-    e_F(z), u = 2^-53: e_A = ``dual.tail``; e_R = 2 u sum_t w_t (pi (k + 2)
-    (|t|^T |G| |t| + ||t||_1) + N + 6) over the N dual points t of weight w_t;
-    e_F(z) = 4 pi sum_t w_t |t| . (m + 2) u (|z| |P|^T + |c|) |to_coef| for
-    the shift (z P^T + c) ``to_coef``, whose rounding survives its reduction
-    mod 1.  The masses see the errors' means under the target weights: e =
-    e_A + e_R + the region's mean of e_F.  The mass outside the region is at
-    most tt (1 + mu) / (1 + mean delta), tt the target's tail, mu =
-    ``dual.mass`` + e_A + e_R >= |delta|, the mean over all labels at least
-    (1 - tt) (sum of the masses / S - e), as the target weight outside is at
-    most tt / (1 - tt) of S, the weight inside; the masses' own error adds e
-    over it.  Where e swamps the mean, far below the kernel's smoothing
-    parameter, the tail is 1.  A fiber weight is >= 0, so a negative
-    1 + delta stands for a weight of 0.
+    The tail bounds the l1 distance of the masses from the image pmf, from
+    computed quantities (u = 2^-53).  With P' within e of P in l1
+    (``_image_pmf``), a held class k gets P'_k in place of P_k times its
+    share inside the region, and a missed class nothing: at most e, plus
+    the P'_k of the missed classes, plus twice the image mass outside the
+    region in the held ones, at most max_k (P'_k / Q_k^reg) tt / (1 - tt)
+    (tt the target's tail) and 2 e.  A mass is rounded by at most
+    (N_k + 2) u of itself, N_k the labels of its class.  The target weights
+    are ``target_region``'s, as in ``target_pmf``.  ValueError unless R is
+    spherical.
     """
+    _, index, P, e, _ = ws.classes
     T = ws.region()
-    _, weights, tt = ws.target_region
-    dual, abs_t = ws.dual, np.abs(ws.dual.points).astype(float)
-    terms = np.einsum("ij,jk,ik->i", abs_t, np.abs(ws.Gw_inv), abs_t) + abs_t.sum(axis=1)
-    e = dual.tail + 2 * ULP * float(dual.weights @ (math.pi * (dual.rank + 2) * terms + len(abs_t) + 6))
-    hi = 1.0 + dual.mass + e
-    F_abs = np.abs(T) @ np.abs(ws.P.to_numpy()).T + np.abs(ws.c)
-    s = (ws.X.n_cols + 2) * ULP * (weights @ (F_abs @ np.abs(ws.to_coef))) / float(np.sum(np.sort(weights)))
-    e += 4 * math.pi * float(dual.weights @ (abs_t @ s))
-    masses = weights * np.maximum(1.0 + ws.section_deltas(T), 0.0)
-    total = float(np.sum(np.sort(masses)))
-    lo = (1.0 - tt) * (total / float(np.sum(np.sort(weights))) - e)
-    if total <= 0:
-        raise ValueError("empty region")
-    tail = (tt * hi + e) / lo if lo > 0 else 1.0
-    return DiscretePMF(T, masses / total, min(1.0, tail))
+    _, w, tt = ws.target_region
+    Wk = np.bincount(index, w, len(P))
+    held = Wk > 0
+    masses = w * (P / np.where(held, Wk, 1.0))[index]
+    ratio = float(np.max(P[held] / Wk[held])) * float(np.sum(np.sort(w)))
+    tail = 3 * e + float(np.sum(P[~held])) + 2 * ratio * tt / (1 - tt) + (int(np.max(np.bincount(index))) + 2) * ULP
+    return DiscretePMF(T, masses, min(1.0, tail))
 
 
 def target_pmf(ws: FiberWorkspace) -> DiscretePMF:

@@ -1,13 +1,21 @@
-"""Primal-side oracle for the fiber and section sums of ``dgsum.tvd``.
+"""Per-label oracles for the fiber weights of ``dgsum.tvd``.
 
-Each fiber {v : X v = z + X c} = P z + c + A is summed directly: the kernel
-lattice A's coordinates are enumerated over a fixed integer box in the
-whitened kernel basis, recentred per fiber, and the points inside a section
-radius are added; the radius is the package's primal rule,
-``gaussian.coset_radius``, at the largest shift a section can have.  This is
-the enumeration the package used before its section sums moved to the dual
-side; the tests compare the dual sums with it.  It is exponential in the
-kernel rank and in r, so it runs on small instances only.
+Each fiber {v : X v = z + X c} is a translate P z + c + A of the kernel
+lattice A = ker X ∩ Z^m.  The oracles build their own frame from X and R:
+the particular map P from X's HNF transform (``particular_map``), the kernel
+basis K from ``X.reduced_kernel`` (``check_kernel_basis``) and R's whitening
+W; the workspace gives only the reduced c and the target weights.  Each sums
+a fiber one of two ways, for any R:
+
+- ``PrimalSections`` enumerates A's coordinates over a fixed integer box in
+  the whitened kernel basis, recentred per fiber, and adds the points inside
+  a section radius, the package's primal rule ``gaussian.coset_radius`` at
+  the largest shift a section can have.  It is exponential in the kernel
+  rank and in r, so it runs on small instances only.
+- ``DualSections`` sums the section by Poisson summation (Micciancio-Regev
+  2007, Lemma 2.8) over the dual of the whitened kernel, one batched dual sum
+  per chunk of labels: the per-label path the package had before its image
+  pmf moved to the class pmfs.
 """
 
 from __future__ import annotations
@@ -17,11 +25,12 @@ from itertools import product
 
 import numpy as np
 
-from dgsum.gaussian import EnumerationBudgetExceeded, coset_radius
-from dgsum.intmat import InvariantViolation, adjugate
+from dgsum.gaussian import EnumerationBudgetExceeded, coset_radius, poisson_sum
+from dgsum.intmat import IntMatrix, InvariantViolation, adjugate
 from dgsum.tvd import FiberWorkspace, exact_tvd, target_pmf
 
 CHUNK = 2 ** 18  # max (label, box point) pairs summed at once
+DUAL_BLOCK = 2 ** 20  # max (dual point, label) terms of one batched dual sum
 
 
 def integer_box(lo: np.ndarray, hi: np.ndarray, budget: int) -> np.ndarray:
@@ -40,19 +49,70 @@ def _stacked(A: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.matmul(A, V[:, :, None])[:, :, 0]
 
 
-def check_kernel_basis(ws: FiberWorkspace) -> None:
-    """det(K^T K) = det(X X^T) for the workspace's kernel basis K: for an onto
-    X the kernel lattice ker X ∩ Z^m has covolume sqrt(det X X^T), so a basis
-    of a proper sublattice fails this."""
-    if ws.kernel is None:
+def particular_map(X: IntMatrix) -> IntMatrix:
+    """The first n columns P of X's HNF transform U: X is onto, so H = [I | 0]
+    and X P = I (checked)."""
+    n = X.n_rows
+    P = IntMatrix.from_columns(X.hermite.U.column(j) for j in range(n))
+    if (X @ P).rows != IntMatrix.identity(n).rows:
+        raise InvariantViolation("HNF particular map P does not solve X P = I")
+    return P
+
+
+def check_kernel_basis(X: IntMatrix) -> None:
+    """det(K^T K) = det(X X^T) for K = ``X.reduced_kernel``: for an onto X the
+    kernel lattice ker X ∩ Z^m has covolume sqrt(det X X^T), so a basis of a
+    proper sublattice fails this."""
+    if X.n_cols == X.n_rows:
         return
-    K = ws.kernel.matrix
-    dK, d = adjugate(K.T @ K)[1], adjugate(ws.X @ ws.X.T)[1]
+    K = X.reduced_kernel.matrix
+    dK, d = adjugate(K.T @ K)[1], adjugate(X @ X.T)[1]
     if dK != d:
         raise InvariantViolation(f"det(K^T K) = {dK} differs from det(X X^T) = {d}")
 
 
-class PrimalSections:
+class _Sections:
+    """The frame of one (X, R, c) and the memoized fiber weights; a subclass
+    sums the fibers (``_fibers``)."""
+
+    box = np.zeros((1, 0))  # the points summed per label, unless a primal box is set
+
+    def __init__(self, X, R, c):
+        self.ws = FiberWorkspace(X, R, c)  # the reduced c and the target weights
+        check_kernel_basis(X)
+        n, m = X.shape
+        self.rank = m - n
+        self.P = particular_map(X).to_numpy(dtype=np.int64)
+        self.K = X.reduced_kernel.matrix.to_numpy() if self.rank else np.zeros((m, 0))
+        self.W = R.whitening(m)
+        self.WK = self.W @ self.K
+        self._weights = {}  # fiber weight by label: the tests ask for each one twice
+
+    def particular(self, T) -> np.ndarray:
+        """P z for each label row z of T, as int64 rows."""
+        return np.asarray(T, dtype=np.int64) @ self.P.T
+
+    def fiber_weights(self, T) -> np.ndarray:
+        """Fiber weights of the label rows of T, memoized by label; the labels
+        not seen yet are summed in chunks of at most CHUNK box points."""
+        labels = [tuple(z) for z in np.asarray(T, dtype=np.int64).tolist()]
+        new = list(dict.fromkeys(z for z in labels if z not in self._weights))
+        step = max(1, CHUNK // len(self.box))
+        for lo in range(0, len(new), step):
+            chunk = new[lo:lo + step]
+            self._weights.update(zip(chunk, self._fibers(chunk)[1].tolist()))
+        return np.array([self._weights[z] for z in labels])
+
+    def fiber_weight(self, z) -> float:
+        return float(self.fiber_weights([z])[0])
+
+    def output_masses(self, T: np.ndarray) -> np.ndarray:
+        """Normalized fiber weights of the label rows of T."""
+        masses = self.fiber_weights(T)
+        return masses / float(np.sum(np.sort(masses)))
+
+
+class PrimalSections(_Sections):
     """Fiber and kernel weights of one (X, R, c) by primal enumeration.
 
     Each section is the whitened kernel lattice W A shifted by W K f, f in
@@ -61,24 +121,14 @@ class PrimalSections:
     """
 
     def __init__(self, X, R, c, budget: int = 5_000_000):
-        ws = FiberWorkspace(X, R, c)  # the reduced c, P, the reduced kernel basis, the target
-        check_kernel_basis(ws)
-        self.ws = ws
-        self.rank = X.n_cols - X.n_rows
-        self.P = ws.P.to_numpy(dtype=np.int64)
-        self._weights = {}  # fiber weight by label: the tests ask for each one twice
-        if ws.kernel is not None:
-            self.WK = ws.W @ ws.K
+        super().__init__(X, R, c)
+        if self.rank:
             vertices = 0.5 * np.array(list(product((-1.0, 1.0), repeat=self.rank)))
             self.radius = coset_radius(self.rank, float(np.max(np.linalg.norm(vertices @ self.WK.T, axis=1))))[0]
             self.Ginv = np.linalg.inv(self.WK.T @ self.WK)
             half = self.radius * np.sqrt(np.maximum(np.diag(self.Ginv), 0.0)) + 0.5
             self.box = integer_box(np.floor(-half).astype(np.int64), np.ceil(half).astype(np.int64), budget)
             self.box_w = self.box @ self.WK.T
-
-    def particular(self, T) -> np.ndarray:
-        """P z for each label row z of T, as int64 rows."""
-        return np.asarray(T, dtype=np.int64) @ self.P.T
 
     def sections(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Box masks and truncated weights of the kernel lattice shifted by
@@ -94,8 +144,8 @@ class PrimalSections:
         the particular points w0 = ``particular`` + c, the fiber weights, and
         each section's kernel offset round(-coef) and box mask."""
         w0 = self.particular(T).astype(float) + self.ws.c
-        Ww0 = _stacked(self.ws.W, w0)
-        if self.ws.kernel is None:
+        Ww0 = _stacked(self.W, w0)
+        if not self.rank:
             return w0, np.array([float(np.exp(-math.pi * v @ v)) for v in Ww0]), None, None
         # split W w0 into components along and orthogonal to span(W K)
         coef = _stacked(self.Ginv, _stacked(self.WK.T, Ww0))
@@ -108,37 +158,60 @@ class PrimalSections:
     def fiber(self, z) -> tuple[float, np.ndarray]:
         """(weight, enumerated points) of the fiber over the label z."""
         w0, weight, base, mask = self._fibers([[int(v) for v in z]])
-        if self.ws.kernel is None:
+        if not self.rank:
             return float(weight[0]), w0
-        return float(weight[0]), (self.box[mask[0]] + base[0]) @ self.ws.K.T + w0[0]
-
-    def fiber_weights(self, T) -> np.ndarray:
-        """Fiber weights of the label rows of T, memoized by label; the labels
-        not seen yet are summed in chunks of at most CHUNK box points."""
-        labels = [tuple(z) for z in np.asarray(T, dtype=np.int64).tolist()]
-        new = list(dict.fromkeys(z for z in labels if z not in self._weights))
-        step = max(1, CHUNK // (len(self.box) if self.ws.kernel is not None else 1))
-        for lo in range(0, len(new), step):
-            chunk = new[lo:lo + step]
-            self._weights.update(zip(chunk, self._fibers(chunk)[1].tolist()))
-        return np.array([self._weights[z] for z in labels])
-
-    def fiber_weight(self, z) -> float:
-        return float(self.fiber_weights([z])[0])
+        return float(weight[0]), (self.box[mask[0]] + base[0]) @ self.K.T + w0[0]
 
     def kernel_weight(self) -> float:
-        if self.ws.kernel is None:
+        if not self.rank:
             return 1.0
         return float(self.sections(np.zeros((1, self.rank)))[1][0])
 
-    def output_masses(self, T: np.ndarray) -> np.ndarray:
-        """Normalized fiber weights of the label rows of T."""
-        masses = self.fiber_weights(T)
-        return masses / float(np.sum(np.sort(masses)))
+
+class DualSections(_Sections):
+    """Fiber and kernel weights of one (X, R, c) by dual sums.
+
+    The fiber over z weighs target_weight(z) * section_scale * (1 + delta(z)):
+    the fiber's component orthogonal to the whitened kernel gives the target
+    weight, and the section sum over the shifted lattice W A is, by Poisson
+    summation, det(W A)^-1 = section_scale times 1 plus the sum over the
+    nonzero points y of the dual lattice (Gram matrix Gw^-1, Gw = (W K)^T W K)
+    of e^{-pi ||y||^2} cos(2 pi <y, coef>), coef = Gw^-1 (W K)^T W f the phase
+    coordinates of a fiber point f = P z + c (``to_coef``).
+    """
+
+    def __init__(self, X, R, c):
+        super().__init__(X, R, c)
+        Gw_inv = np.linalg.inv(self.WK.T @ self.WK)
+        self.section_scale = math.sqrt(np.linalg.det(Gw_inv))
+        self.to_coef = self.W.T @ self.WK @ Gw_inv
+        self.dual = poisson_sum(Gw_inv)
+
+    def deltas(self, T) -> np.ndarray:
+        """delta(z) for each label row z of T, in blocks of at most DUAL_BLOCK
+        terms; the phase depends on coef mod 1."""
+        coef = (self.particular(T).astype(float) + self.ws.c) @ self.to_coef
+        coef -= np.round(coef)
+        out = np.zeros(len(coef))
+        if not len(self.dual.points):
+            return out
+        step = max(1, DUAL_BLOCK // len(self.dual.points))
+        for lo in range(0, len(coef), step):
+            phases = self.dual.points @ coef[lo:lo + step].T
+            out[lo:lo + step] = 2.0 * (self.dual.weights @ np.cos(2 * math.pi * phases))
+        return out
+
+    def _fibers(self, T) -> tuple[None, np.ndarray]:
+        """(None, the fiber weights over the label rows of T)."""
+        tw = np.array([self.ws.target_weight(z) for z in T])
+        return None, tw * self.section_scale * (1.0 + self.deltas(T))
+
+    def kernel_weight(self) -> float:
+        return self.section_scale * (1.0 + self.dual.mass)
 
 
-def primal_tvd(oracle: PrimalSections) -> float:
-    """TVD of the oracle's per-label primal image pmf from the target pmf on one region."""
+def primal_tvd(oracle: _Sections) -> float:
+    """TVD of the oracle's per-label image pmf from the target pmf on one region."""
     q = target_pmf(oracle.ws)
     p = type(q)(q.points, oracle.output_masses(q.points), 0.0)
     return exact_tvd(p, q).tvd

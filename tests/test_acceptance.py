@@ -214,7 +214,7 @@ def test_criterion_5_ratio_band(threshold_instances):
     for X, cert, eps, r in threshold_instances:
         R = GaussianShape.spherical(r)
         ws = FiberWorkspace(X, R, [0.0] * X.n_cols)
-        kw = ws.kernel_weight()
+        kw = ws.fiber_weight([0] * X.n_rows)  # at c = 0 the fiber over 0 is the kernel lattice
         lo = (1 - eps) / (1 + eps)
         p = exact_output_pmf(ws)
         for z in p.points:

@@ -328,6 +328,20 @@ def test_tvd_mc_far_below_smoothing_with_a_half_shift(tmp_path):
     assert rep["mc"]["N"] == 10000 and rep["mc"]["estimate"] < 0.05
 
 
+def test_tvd_exact_far_below_smoothing_with_a_half_shift(tmp_path):
+    # Z^4 + 1/2 at r = 0.1: the target's dual sum cancels to its rounding, so
+    # its class pmf is binned from the target's primal region; half the image
+    # lands on the target's four points, TVD 1/2 by direct enumeration
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 0 1 1\n0 1 1 -1\n")
+    out = tmp_path / "run"
+    code = run(["tvd", "--x-file", xfile, "--exact", "-r", "0.1", "--c", "0.5 0.5 0.5 0.5", "--out-dir", out])
+    rep = read_json(out / "tvd.json")
+    assert code == EXIT_GATE and rep["verdict"] == "precondition unmet"
+    ex = rep["exact"]
+    assert ex["support_size"] == 9 and abs(ex["tvd"] - 0.5) <= ex["truncation_error"] <= 1e-12
+
+
 def test_tvd_exact_builds_no_label_region(tmp_path, monkeypatch):
     # the class TVD reads X, r and c only: no workspace, so no label region
     # and none of a workspace's float data; the report is the same bytes

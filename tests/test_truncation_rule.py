@@ -1,7 +1,9 @@
-"""One truncation rule and one sampler: every primal region, every
-Banaszczyk tail and every theta table of the package goes through the
-functions that certify it, and every draw through the one table sampler, so
-a second radius, tail formula or sampler cannot come back unnoticed."""
+"""One truncation rule, one sampler and one image pmf: every primal region,
+every Banaszczyk tail and every theta table of the package goes through the
+functions that certify it, every draw through the one table sampler, and
+every image transform through one helper, with no per-label dual sum, so a
+second radius, tail formula, sampler or image path cannot come back
+unnoticed."""
 
 import ast
 from pathlib import Path
@@ -23,7 +25,13 @@ ALLOWED = {
     # uniforms drawn for a rejection step or a proposal
     "choice": {"_table_sample"},
     "random": set(),
+    # one image side: the theta tables of the class pmf, and no batched
+    # dual sum per label
+    "_theta_table": {"_image_transform"},
+    "sums": set(),
 }
+# the per-label dual sum's shifts and Gram inverse
+GONE = {"section_deltas", "Gw_inv"}
 
 
 def stray_calls(source: str) -> set[tuple[str, str]]:
@@ -48,18 +56,23 @@ def stray_calls(source: str) -> set[tuple[str, str]]:
     return found
 
 
-def tail_names(source: str) -> set[int]:
-    """The lines whose code names DUAL_TAIL: a name, an attribute or an
-    import; docstrings and comments do not count."""
+def named_lines(source: str, names: set[str]) -> set[int]:
+    """The lines whose code names one of ``names``: a name, an attribute, an
+    import or a definition; docstrings and comments do not count."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.alias):
-            named = "DUAL_TAIL" in (node.name, node.asname)
+            named = bool(names & {node.name, node.asname})
         else:
-            named = getattr(node, "id", getattr(node, "attr", None)) == "DUAL_TAIL"
+            named = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None))) in names
         if named:
             found.add(node.lineno)
     return found
+
+
+def tail_names(source: str) -> set[int]:
+    """The lines whose code names DUAL_TAIL."""
+    return named_lines(source, {"DUAL_TAIL"})
 
 
 def test_stray_calls_flags_a_second_region_and_tail():
@@ -78,12 +91,21 @@ RADIUS = _least_radius(2, 0.0)
 
 def theta_radius(r):
     return coset_radius(1, 0.0)[0] / r
+
+def _image_transform(X, r, c):
+    return _theta_table(r, 0.0, 7)
+
+class FiberWorkspace:
+    def fiber_weight(self, z):
+        return self.dual.sums(z) + _theta_table(1.0, 0.0, 3)[0]
 """
     assert stray_calls(snippet) == {
         ("enumerate_affine", "Region.points"),
         ("banaszczyk_bound", "ball_tail_bound"),
         ("_least_radius", "<module>"),
         ("coset_radius", "theta_radius"),
+        ("sums", "FiberWorkspace.fiber_weight"),
+        ("_theta_table", "FiberWorkspace.fiber_weight"),
     }
 
 
@@ -100,6 +122,16 @@ def cut(s):
     return s * DUAL_TAIL
 """
     assert tail_names(snippet) == {2, 7, 10}
+    snippet = """
+class FiberWorkspace:
+    def section_deltas(self, T):
+        \"\"\"The dual sums at T @ to_coef, from Gw_inv.\"\"\"
+        return self.dual.points @ T  # not Gw_inv
+
+    def scale(self):
+        return np.linalg.det(self.Gw_inv)
+"""
+    assert named_lines(snippet, GONE) == {3, 8}
 
 
 def test_stray_calls_flags_a_second_sampler():
@@ -126,3 +158,5 @@ def test_package_has_one_truncation_rule():
         # only the rule itself reads the tail it certifies
         if path.name != "gaussian.py":
             assert tail_names(path.read_text()) == set(), path.name
+        # the per-label dual sum is gone from the package
+        assert named_lines(path.read_text(), GONE) == set(), path.name

@@ -1,4 +1,4 @@
-"""Dual-side fiber and class sums, exact/Monte-Carlo statistical distance, bound evaluators."""
+"""Class pmfs and the per-label pmfs read from them, exact/Monte-Carlo statistical distance, bound evaluators."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dgsum.gaussian import (
+    DiscretePMF,
     EnumerationBudgetExceeded,
     GaussianShape,
     LatticeCoset,
@@ -31,7 +32,7 @@ from dgsum.tvd import (
     _theta_table,
 )
 from dgsum.quality import distance_threshold
-from primal_oracle import PrimalSections, primal_tvd
+from primal_oracle import DualSections, PrimalSections, check_kernel_basis, particular_map, primal_tvd
 
 X11 = IntMatrix.from_rows([[1, 1]])
 R2 = GaussianShape.spherical(2.0)
@@ -118,8 +119,9 @@ def test_workspace_particular_matches_solve_integer():
         onto += 1
         ws = FiberWorkspace(X, GaussianShape.spherical(0.5), c)
         assert np.array_equal(ws.c, c - np.round(c))  # reduced mod Z^m once, at construction
+        P = particular_map(X)  # the oracles' particular map, from X's HNF transform
         for z in rng.integers(-4, 5, size=(6, n)).tolist() + [[1] + [0] * (n - 1)]:
-            assert ws.P @ z == solve_integer(X, z)
+            assert P @ z == solve_integer(X, z)
     assert 0 < onto < len(mats)
 
 
@@ -136,18 +138,20 @@ def _assert_matches_oracle(p, oracle):
     """The masses of p against the oracle's, to 1e-12 absolute, and relative
     to 1e-12 (1 + mu) / (1 + delta(z)) on every label of oracle mass above
     1e-200.  A dual sum is exact to an absolute error in units of the
-    kernel's dual sum 1 + mu, mu = ``dual.mass``, so a label whose section
-    factor 1 + delta(z), the fiber weight over the target weight times the
-    section scale, is small keeps only that much relative accuracy: below
-    the kernel's smoothing parameter 1 + delta(z) reaches 1e-15."""
+    kernel's dual sum 1 + mu, mu = ``dual.mass`` (``DualSections``), so a
+    label whose section factor 1 + delta(z), the fiber weight over the
+    target weight times the section scale, is small keeps only that much
+    relative accuracy: below the kernel's smoothing parameter 1 + delta(z)
+    reaches 1e-15."""
     ws = oracle.ws
+    dual = DualSections(ws.X, ws.R, ws.c)
     weights = oracle.fiber_weights(p.points)
     want = oracle.output_masses(p.points)
     np.testing.assert_allclose(p.masses, want, rtol=0, atol=1e-12)
-    factor = weights / (ws.section_scale * np.array([ws.target_weight(z) for z in p.points]))
+    factor = weights / (dual.section_scale * np.array([ws.target_weight(z) for z in p.points]))
     keep = want > 1e-200
     rel = np.abs(p.masses - want)[keep] / want[keep]
-    assert np.all(rel <= 1e-12 * (1.0 + ws.dual.mass) / factor[keep])
+    assert np.all(rel <= 1e-12 * (1.0 + dual.dual.mass) / factor[keep])
 
 
 def _det_xxt(X):
@@ -192,19 +196,23 @@ def test_class_path_matches_per_label_oracle():
     assert min(dets) == 1 and max(dets) >= 20
 
 
-def test_ellipsoidal_shapes_take_the_per_label_path():
-    # R = r I as a matrix must agree with the spherical R, and a genuinely
-    # ellipsoidal R with the primal oracle
+def test_per_label_path_refuses_ellipsoidal_shapes():
+    # the class pmfs need R = r I: any matrix R, even r I, is refused by the
+    # image side, while the target side (MC's target pmf) takes it; the dual
+    # oracle's masses for R = r I as a matrix agree with the spherical pmf
     for rows, c in (([[1, 1, 1], [0, 1, 2]], [0.0, 0.0, 0.0]), ([[1, 2, 3, 3]], [0.1, -0.4, 0.2, 0.0])):
         X = IntMatrix.from_rows(rows)
         m = X.n_cols
         p = exact_output_pmf(FiberWorkspace(X, GaussianShape.spherical(1.5), c))
-        e = exact_output_pmf(FiberWorkspace(X, GaussianShape.ellipsoidal(1.5 * np.eye(m)), c))
-        assert np.array_equal(e.points, p.points)
-        np.testing.assert_allclose(e.masses, p.masses, rtol=1e-12, atol=0)
-        R = GaussianShape.ellipsoidal(np.diag(np.linspace(1.0, 2.0, m)))
-        f = exact_output_pmf(FiberWorkspace(X, R, c))
-        _assert_matches_oracle(f, _label_oracle(X, R, c))
+        for R in (GaussianShape.ellipsoidal(1.5 * np.eye(m)), GaussianShape.ellipsoidal(np.diag(np.linspace(1.0, 2.0, m)))):
+            ws = FiberWorkspace(X, R, c)
+            with pytest.raises(ValueError, match="spherical"):
+                exact_output_pmf(ws)
+            with pytest.raises(ValueError, match="spherical"):
+                ws.fiber_weight([0] * X.n_rows)
+            assert target_pmf(ws).support_size() > 0
+        e = DualSections(X, GaussianShape.ellipsoidal(1.5 * np.eye(m)), c).output_masses(p.points)
+        np.testing.assert_allclose(e, p.masses, rtol=1e-12, atol=0)
 
 
 def test_hnf_calls_independent_of_label_count(monkeypatch):
@@ -228,22 +236,28 @@ def test_hnf_calls_independent_of_label_count(monkeypatch):
         target_pmf(ws)
         per_size[p.support_size()] = len(calls)
     assert len(per_size) == 2
-    assert set(per_size.values()) == {1}  # X only: the per-label pmfs need no class group
+    # X's HNF and the Smith form of X X^T, once per workspace at either size
+    assert len(set(per_size.values())) == 1
 
 
 def test_workspace_reduces_skewed_kernel_basis():
-    # raw HNF kernel entries reach 1500 here; the dual basis K (K^T K)^-1 of
-    # the reduced kernel keeps the dual box small
+    # raw HNF kernel entries reach 1500 here; the oracles read the reduced
+    # kernel, whose dual basis K (K^T K)^-1 keeps the dual box small, and the
+    # workspace's fiber weight from the class pmfs matches their sections
     X = IntMatrix.from_rows([[-2, -3, 3, 0, 2, 2], [3, -3, -1, 3, 0, -1], [-2, -3, -3, 3, -3, -3]])
     R = GaussianShape.spherical(3.0)
     ws = FiberWorkspace(X, R, [0.0] * 6)
-    assert ws.kernel.provenance == "reduced"
-    assert max(abs(x) for v in ws.kernel.vectors() for x in v) <= 10
-    assert len(ws.dual.points) < 10 ** 4
+    kernel = X.reduced_kernel
+    assert kernel.provenance == "reduced"
+    assert max(abs(x) for v in kernel.vectors() for x in v) <= 10
+    dual = DualSections(X, R, [0.0] * 6)
+    assert len(dual.dual.points) < 10 ** 4
     raw = integer_kernel(X)
     for v in raw.vectors():  # same lattice as the raw basis
-        assert solve_integer(ws.kernel.matrix, v) is not None
-    assert ws.fiber_weight([0, 0, 0]) == pytest.approx(PrimalSections(X, R, [0.0] * 6).fiber_weight([0, 0, 0]), rel=1e-12)
+        assert solve_integer(kernel.matrix, v) is not None
+    primal = PrimalSections(X, R, [0.0] * 6).fiber_weight([0, 0, 0])
+    assert ws.fiber_weight([0, 0, 0]) == pytest.approx(primal, rel=1e-12)
+    assert dual.fiber_weight([0, 0, 0]) == pytest.approx(primal, rel=1e-12)
 
 
 def _random_onto(rng, n, m, lo=-2, hi=3):
@@ -255,7 +269,8 @@ def _random_onto(rng, n, m, lo=-2, hi=3):
 
 def test_dual_sums_match_primal_oracle():
     # random X with n <= 2, m <= n + 3, r in [1.2, 3]; c = 0 and c != 0;
-    # spherical and ellipsoidal R, against primal section sums
+    # the dual oracle for spherical and ellipsoidal R, and the class pmfs
+    # for spherical R, against primal section sums
     rng = np.random.default_rng(17)
     dets = set()
     for i in range(24):
@@ -269,16 +284,21 @@ def test_dual_sums_match_primal_oracle():
         if i % 3 == 0:  # a skew shape, no longer diagonal
             shapes.append(GaussianShape.ellipsoidal(np.triu(rng.uniform(0.0, 0.4 * r, size=(m, m))) + r * np.eye(m)))
         for R in shapes:
-            ws = FiberWorkspace(X, R, c)
+            dual = DualSections(X, R, c)
             oracle = PrimalSections(X, R, c)
-            assert abs(ws.kernel_weight() - oracle.kernel_weight()) <= 1e-12
-            for z in rng.integers(-3, 4, size=(4, n)).tolist():
-                assert abs(ws.fiber_weight(z) - oracle.fiber_weight(z)) <= 1e-12
-            p = exact_output_pmf(ws)
-            _assert_matches_oracle(p, oracle)
-            for z in p.points[:: max(1, len(p.points) // 5)]:  # a chunked sum has the bits of a lone one
+            ws = oracle.ws
+            assert abs(dual.kernel_weight() - oracle.kernel_weight()) <= 1e-12
+            labels = rng.integers(-3, 4, size=(4, n)).tolist()
+            for z in labels:
+                assert abs(dual.fiber_weight(z) - oracle.fiber_weight(z)) <= 1e-12
+            T = ws.region()
+            _assert_matches_oracle(DiscretePMF(T, dual.output_masses(T), 0.0), oracle)
+            for z in T[:: max(1, len(T) // 5)]:  # a chunked sum has the bits of a lone one
                 assert oracle.fiber_weight(z) == oracle.fiber(z)[0]
             if R.is_spherical:
+                for z in labels:
+                    assert abs(ws.fiber_weight(z) - oracle.fiber_weight(z)) <= 1e-12
+                _assert_matches_oracle(exact_output_pmf(ws), oracle)
                 assert abs(class_tvd(X, r, c).tvd - primal_tvd(oracle)) <= 1e-12
     assert min(dets) == 1 and max(dets) >= 20
 
@@ -361,16 +381,15 @@ def test_class_tvd_invariants(monkeypatch):
     import dgsum.intmat
     import dgsum.tvd
     from dgsum.lattice import LatticeBasis
-    from primal_oracle import check_kernel_basis
 
     X = IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])
-    R = GaussianShape.spherical(1.5)
     # the oracle's kernel check: a sublattice of index 2 has det K^T K = 4 d
-    ws = FiberWorkspace(X, R, [0.0] * 3)
-    check_kernel_basis(ws)
-    ws.kernel = LatticeBasis(IntMatrix.from_columns([[2 * x for x in ws.kernel.vectors()[0]]]))
+    check_kernel_basis(X)
+    faked = IntMatrix(X.rows)  # a fresh object, holding its own kernel basis
+    doubled = LatticeBasis(IntMatrix.from_columns([[2 * x for x in X.reduced_kernel.vectors()[0]]]))
+    monkeypatch.setitem(faked.__dict__, "reduced_kernel", doubled)
     with pytest.raises(InvariantViolation, match="det"):
-        check_kernel_basis(ws)
+        check_kernel_basis(faked)
     # the Smith form is checked against det X X^T = 6, here faked as 7
     monkeypatch.setattr(dgsum.intmat, "_int_det", lambda rows: 7)
     with pytest.raises(InvariantViolation, match="Smith form"):
@@ -384,16 +403,35 @@ def test_class_tvd_invariants(monkeypatch):
             class_tvd(X, 1.5, [0.0] * 3)
 
 
-def test_class_tvd_far_below_the_smoothing_parameter():
+def test_class_tvd_far_below_the_smoothing_parameter(monkeypatch):
     # at r = 0.2 and c = 1/2 each v_j is +-1/2 with probability 1/2, and the
     # target sits on the four points of Z^2 + (3/2, 1/2) nearest 0: TVD 1/2,
     # by direct enumeration
+    import dgsum.tvd
+
     X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
     rep = class_tvd(X, 0.2, [0.5] * 4)
     assert abs(rep.tvd - 0.5) <= rep.truncation_error <= 1e-6  # every bin charged all 2 10^4 terms
-    # further down the target's dual sum cancels to its rounding: refused
-    with pytest.raises(ValueError, match="cancels"):
-        class_tvd(X, 0.05, [0.5] * 4)
+    # further down the target's dual sum cancels to its rounding, and the
+    # target's class pmf is binned from its primal label region instead
+    regions = []
+    truncate = dgsum.tvd.truncate_coset
+
+    def recorded(A, b):  # the target regions, not the 1-D theta tables
+        out = truncate(A, b)
+        if len(b) == 2:
+            regions.append(out)
+        return out
+
+    monkeypatch.setattr(dgsum.tvd, "truncate_coset", recorded)
+    for r in (0.1, 0.05):
+        rep = class_tvd(X, r, [0.5] * 4)
+        assert abs(rep.tvd - 0.5) <= rep.truncation_error <= 1e-12
+        assert rep.support_size == 9 and len(regions[-1][0]) == 4  # the four nearest points
+    assert len(regions) == 2
+    # where W(0) resolves, the dual target is kept, vacuous bound and all
+    rep = class_tvd(X, 0.1, [0.5, 0.0, 0.0, 0.0])
+    assert len(regions) == 2 and rep.truncation_error > 0.5
 
 
 def _theta_oracle(r, c, L):
@@ -440,9 +478,8 @@ def test_class_tvd_reduces_c_mod_the_integers():
 
 
 def test_per_label_tvd_is_within_its_bound_of_the_class_tvd():
-    # far below the kernel's smoothing parameter (r = 0.2, c = 1/2) every
-    # 1 + delta(z) is below the rounding of its dual sum, so the per-label
-    # image pmf is off (0.75 against 0.5), and its tail bound must say so
+    # down to far below the kernel's smoothing parameter (r = 0.2, c = 1/2),
+    # the per-label pair and the class TVD agree within their bounds
     X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
     for r in (0.2, 0.5, 1.0, 3.0):
         for c in ([0.5] * 4, [0.5, 0.0, 0.0, 0.0], [0.0] * 4):
@@ -452,35 +489,63 @@ def test_per_label_tvd_is_within_its_bound_of_the_class_tvd():
             assert abs(rep.tvd - ref.tvd) <= rep.truncation_error + ref.truncation_error, (r, c)
 
 
-def test_exact_output_pmf_tail_from_the_dual_mass():
-    # 1 + mu from the dual mass over the region's mean of 1 + delta, for
-    # spherical and ellipsoidal R alike
+def test_exact_output_pmf_tail_from_the_class_pmfs():
+    # three times the class pmf's l1 error, the image mass of the classes the
+    # region misses, twice the largest class ratio times the target's tail,
+    # and the rounding of the largest class's masses
     X = IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])
-    for R in (GaussianShape.spherical(1.5), GaussianShape.ellipsoidal(np.diag([1.5, 1.6, 1.7]))):
-        ws = FiberWorkspace(X, R, [0.0] * 3)
-        target_tail = target_pmf(ws).tail_bound
-        T = ws.region()
-        w = np.array([ws.target_weight(z) for z in T])
-        mean = float(w @ (1 + ws.section_deltas(T))) / float(np.sum(w))
-        mu, t = ws.dual.mass, np.abs(ws.dual.points)
-        k, N = ws.dual.rank, len(t)
-        rounding = 2 * 2.0 ** -53 * sum(
-            wt * (math.pi * (k + 2) * (float(a @ np.abs(ws.Gw_inv) @ a) + float(a.sum())) + N + 6)
-            for wt, a in zip(ws.dual.weights, t))
-        # the shifts' rounding, as a mean under the target weights
-        F_abs = np.abs(T) @ np.abs(ws.P.to_numpy()).T + np.abs(ws.c)
-        shift_err = 5 * 2.0 ** -53 * (w @ (F_abs @ np.abs(ws.to_coef))) / float(np.sum(w))
-        e = ws.dual.tail + rounding + 4 * math.pi * float(ws.dual.weights @ (t @ shift_err))
-        hi = 1 + mu + ws.dual.tail + rounding
-        want = (target_tail * hi + e) / ((1 - target_tail) * (mean - e))
-        assert exact_output_pmf(ws).tail_bound == pytest.approx(want, rel=1e-9, abs=0)
-        assert want < (target_tail * hi + e) / (1 - mu - e) and want < 1e-12
-    # and with more classes than labels, where 1 - mu < 0
-    X = IntMatrix.from_rows([[1, 200]])
-    R = GaussianShape.spherical(1.0)
-    ws = FiberWorkspace(X, R, [0.0, 0.0])
+    ws = FiberWorkspace(X, GaussianShape.spherical(1.5), [0.0] * 3)
+    _, index, P, e, _ = ws.classes
+    T, w, tt = ws.target_region
+    assert len(P) == 6 and np.all(np.bincount(index, minlength=6) > 0)  # every class held
+    ratio = float(np.max(P / np.bincount(index, w))) * float(np.sum(w))
+    want = 3 * e + 2 * ratio * tt / (1 - tt) + (int(np.max(np.bincount(index))) + 2) * ULP
     p = exact_output_pmf(ws)
-    assert ws.dual.mass > 1 and len(p.points) < 40001 and p.tail_bound < 1e-10
+    assert p.tail_bound == pytest.approx(want, rel=1e-9, abs=0) and want < 1e-12
+    assert abs(float(np.sum(p.masses)) - 1) <= want
+    # more classes than labels: the region misses the classes of the labels
+    # past it, and their image mass is charged
+    X = IntMatrix.from_rows([[1, 200]])
+    ws = FiberWorkspace(X, GaussianShape.spherical(1.0), [0.0, 0.0])
+    p = exact_output_pmf(ws)
+    _, index, P, e, _ = ws.classes
+    missed = np.bincount(index, minlength=len(P)) == 0
+    assert len(P) == 40001 and len(p.points) < 40001 and np.any(missed)
+    assert float(np.sum(P[missed])) <= p.tail_bound < 1e-10
+
+
+def test_per_label_pair_far_below_the_smoothing_parameter():
+    # c = 1/2: the image puts half its mass on the four target points (TVD
+    # 1/2, by direct enumeration); from r = 0.1 down the region holds just
+    # those four labels, so the other half, in the classes it misses, goes to
+    # the tail.  At c = (1/2, 0, 0, 0) image and target agree to rounding.
+    X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
+    for r in (0.2, 0.1, 0.05):
+        ws = FiberWorkspace(X, GaussianShape.spherical(r), [0.5] * 4)
+        rep = exact_tvd(exact_output_pmf(ws), target_pmf(ws))
+        assert abs(rep.tvd - 0.5) <= rep.truncation_error, r
+    assert rep.truncation_error <= 0.25 + 1e-12  # half of the tail, the missed half of the image
+    with pytest.raises(ValueError, match="no label of the class"):  # z = 0 mod 3: a missed class
+        ws.fiber_weight([0, 1])
+    ws = FiberWorkspace(X, GaussianShape.spherical(0.2), [0.5] * 4)
+    assert exact_tvd(exact_output_pmf(ws), target_pmf(ws)).truncation_error <= 1e-6
+    ws = FiberWorkspace(X, GaussianShape.spherical(0.1), [0.5, 0.0, 0.0, 0.0])
+    rep = exact_tvd(exact_output_pmf(ws), target_pmf(ws))
+    assert rep.tvd <= rep.truncation_error < 1e-6
+
+
+def test_per_label_pmf_past_the_old_dual_sum_budget():
+    # labels x kernel-dual points exceeded ENUM_BUDGET on the per-label dual
+    # sums here (7739 x 14530 and 56143 x 541 terms); the class pmfs need no
+    # dual sum per label
+    for rows, r in (([[-2, -2, 1, -2, -2, 1], [1, 2, -1, 2, 0, 1], [-2, 1, 1, 0, 0, -2]], 0.8),
+                    ([[2, 2, 2, 2, 1], [2, 2, -2, 1, 0], [2, 1, 0, 1, -2]], 1.5)):
+        X = IntMatrix.from_rows(rows)
+        c = [0.0] * X.n_cols
+        ws = FiberWorkspace(X, GaussianShape.spherical(r), c)
+        rep = exact_tvd(exact_output_pmf(ws), target_pmf(ws))
+        ref = class_tvd(X, r, c)
+        assert abs(rep.tvd - ref.tvd) <= rep.truncation_error + ref.truncation_error < 1e-9
 
 
 # ---------------------------------------------------------------- output/target pmfs
@@ -524,7 +589,7 @@ def test_target_pmf_shifted_support():
 def test_output_pmf_ratio_band_against_target():
     # the fiber-factorization mechanism: pmf(z)/pmf(0) tracks the target shape
     ws = FiberWorkspace(X11, R2, [0.0, 0.0])
-    kw = ws.kernel_weight()
+    kw = ws.fiber_weight([0])  # at c = 0 the fiber over 0 is the kernel lattice
     eps = 0.01
     lo = (1 - eps) / (1 + eps)
     for z in ws.region():
