@@ -34,8 +34,7 @@ def main():
     print(f"X = [1 1], eps = {eps}, measured (q1, q2) = ({cert.q1:.3f}, {cert.q2:.3f})")
     print(f"threshold: r = {r:.4f}")
 
-    R = GaussianShape.spherical(r)
-    ws = FiberWorkspace(X, R, [0.0, 0.0])
+    ws = FiberWorkspace(X, r, [0.0, 0.0])
 
     print("\nfiber masses (Gaussian weight of {v : v1 + v2 = z}) against target weight x kernel weight:")
     kw = ws.fiber_weight([0])  # at c = 0 the fiber over 0 is the kernel lattice
@@ -51,7 +50,7 @@ def main():
     print(f"the same from the two pmfs over {q.support_size()} labels: {exact_tvd(p, q).tvd:.3e}")
 
     def sampler(N, st):
-        vs = sample_dg_coset(LatticeCoset.integers(2), R, st, size=N)
+        vs = sample_dg_coset(LatticeCoset.integers(2), GaussianShape.spherical(r), st, size=N)
         return vs @ X.to_numpy().T
 
     mc = mc_tvd(sampler, q, 100_000, SampleStream(99))

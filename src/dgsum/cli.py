@@ -373,7 +373,7 @@ def _tvd_instance(X: IntMatrix, r: float, eps: float, c, mode: str, stream: Samp
         result["exact"] = class_tvd(X, r, c).to_json_dict()
     if mode in ("mc", "both"):
         R = GaussianShape.spherical(r)
-        ws = FiberWorkspace(X, R, c)
+        ws = FiberWorkspace(X, r, c)
         coset = LatticeCoset.integers(X.n_cols, tuple(ws.c))
 
         def sampler(N, st):

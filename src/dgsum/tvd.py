@@ -1,15 +1,15 @@
 """Statistical distance between X-image distributions and discrete Gaussians.
 
-The image distribution pushes v ~ D_{Z^m + c, R} through v -> X v; its mass
+The image distribution pushes v ~ D_{Z^m + c, r} through v -> X v; its mass
 at an output point z + X c is the weight of the fiber {v : X v = z + X c}.
-For spherical R = r I the image pmf is the target pmf times a factor that
-is constant on each of the d = det G classes of Z^n / G Z^n, G = X X^T (the
-fibers over z and z + G w differ by X^T w, orthogonal to ker X), so the TVD
-is that of the two class pmfs.  ``class_tvd(X, r, c)`` forms both in
-Fourier space, with no workspace and neither ker X nor its dual.  With
-U G V = diag(D) (``intmat.smith``), z -> U z mod D maps the classes onto the
-product of the Z / D_i (``ClassGroup``), whose characters are
-chi_t(g) = e^{2 pi i sum_i t_i g_i / D_i}.
+Its target is D_{Z^n + X c, r X^T}.  The image pmf is the target pmf times
+a factor that is constant on each of the d = det G classes of Z^n / G Z^n,
+G = X X^T (the fibers over z and z + G w differ by X^T w, orthogonal to
+ker X), so the TVD is that of the two class pmfs.  ``class_tvd(X, r, c)``
+forms both in Fourier space, with no workspace and neither ker X nor its
+dual.  With U G V = diag(D) (``intmat.smith``), z -> U z mod D maps the
+classes onto the product of the Z / D_i (``ClassGroup``), whose characters
+are chi_t(g) = e^{2 pi i sum_i t_i g_i / D_i}.
 
 - Image.  With v = w + c, w in Z^m, the class of X w is sum_j w_j a_j,
   a_j = U x_j mod D, a sum of m independent 1-D discrete Gaussians.  So
@@ -17,33 +17,41 @@ chi_t(g) = e^{2 pi i sum_i t_i g_i / D_i}.
   e^{2 pi i w a} / sum_w rho_r(w + c_j), each tabulated once on the int64
   residues mod L = D_n of the phases <t, a_j>_D, its terms and tail from
   ``gaussian``'s one truncation rule (``_theta_table``,
-  ``_image_transform``).
+  ``_image_transform``).  The column classes a_j come from one map
+  (``ClassGroup.columns``), and the 1-D terms of (Z + c_j) / r, for
+  r <= 1 here and always for the per-label pmfs, from one helper
+  (``_terms_1d``).
 - Target.  Poisson summation (Micciancio-Regev 2007, Lemma 2.8) turns
   Q^(t) = sum_z rho(z + X c) chi_t(U z) / sum_z rho(z + X c) into a sum over
   the dual lattice G^-1 Z^n (Gram matrix r^2 adj(G) / d), whose point
   G^-1 w has the phase e^{2 pi i w^T adj(G) X c / d} and falls on the
   character t = -V^T w mod D (G^-1 = U^T D^-1 V^T).  With W(k) the sum of
   the terms with V^T w = k mod D, Q^(t) = W(-t) / W(0) = conj(W(t)) / W(0).
-  Far below smoothing, where W(0) cancels to its rounding, Q is binned
-  from the target's primal label region instead.
+  Far below smoothing, where W(0) cancels to its rounding or the dual sum
+  exceeds ENUM_BUDGET, Q is binned from the target's primal label region
+  instead (``_target_region``).
 - TVD = 1/2 sum_g |P(g) - Q(g)|, P - Q the inverse FFT of P^ - Q^:
   differencing in Fourier space keeps the relative precision of a small
   TVD.
 
-Both ``class_tvd`` and ``FiberWorkspace`` reduce c mod Z^m once, where the
-instance is built (``_reduced_shift``).  The per-label pmfs (``target_pmf``
-for MC, ``exact_output_pmf`` for tests) read a workspace alone and run over
-the labels that ``gaussian.truncate_coset`` keeps of the target coset
-Z^n + X c = L + x, L = Wt Z^n under its whitening Wt, x its shortest
-point: the ball of radius R, 2 beta(n, R) e^{pi ||x||^2} <= DUAL_TAIL, beta =
+Both entry points, ``class_tvd(X, r, c)`` and ``FiberWorkspace(X, r, c)``,
+take one frame: c reduced mod Z^m once, where the instance is built
+(``_reduced_shift``), one target region (``_target_region``) and one image
+side (``ClassGroup.columns``, ``_terms_1d``).  The per-label pmfs
+(``target_pmf`` for MC, ``exact_output_pmf`` for tests) read a workspace
+alone and run over the labels that ``gaussian.truncate_coset`` keeps of the
+target coset Z^n + X c = L + x, L = Wt Z^n under the whitening Wt of
+r^2 X X^T, x its shortest point: the ball of radius R,
+2 beta(n, R) e^{pi ||x||^2} <= DUAL_TAIL, beta =
 ``gaussian.banaszczyk_bound``, drops at most that share of the target weight,
 as rho(L + x) >= e^{-pi ||x||^2} rho(L) (pair y with -y) and
 rho((L + x) minus R B) < 2 beta rho(L) (Banaszczyk's coset lemma).  The
 per-label image pmf and the fiber weights are the target's times the class
-factor P_k / Q_k, with the region's target mass in class k for Q_k and the
-image's class pmf P convolved directly on the grid from the same 1-D terms
-(``_image_pmf``): a sum of nonnegative terms keeps the relative precision
-of a small P_k, which an inverse FFT of P^ does not.
+factor P_k / Q_k, with the region's target mass in class k for Q_k (one
+per-class array, ``FiberWorkspace.classes``) and the image's class pmf P
+convolved directly on the grid from the same 1-D terms (``_image_pmf``): a
+sum of nonnegative terms keeps the relative precision of a small P_k, which
+an inverse FFT of P^ does not.
 
 Also hosts numeric evaluators for the tail, ratio and shift bounds used by
 the threshold analysis.
@@ -52,7 +60,7 @@ the threshold analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
@@ -65,12 +73,13 @@ from .gaussian import (
     GaussianShape,
     LatticeCoset,
     SampleStream,
+    banaszczyk_radius,
     coset_mass,
     coset_radius,
     poisson_sum,
     truncate_coset,
 )
-from .intmat import IntMatrix, InvariantViolation, smith, smith_adjugate
+from .intmat import IntMatrix, InvariantViolation, is_surjective, smith, smith_adjugate
 from .lattice import smoothing_bound
 
 ULP = 2.0 ** -53  # unit roundoff u of float64
@@ -89,12 +98,7 @@ class ExactTVDReport:
     radius: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "tvd": self.tvd,
-            "truncation_error": self.truncation_error,
-            "support_size": self.support_size,
-            "radius": self.radius,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -119,13 +123,12 @@ class MCTVDReport:
 
 
 def _reduced_shift(X: IntMatrix, c: Sequence[float]) -> np.ndarray:
-    """c - round(c): every pmf of X D_{Z^m + c, R} depends on c only mod Z^m.
+    """c - round(c): every pmf of X D_{Z^m + c, r} depends on c only mod Z^m.
     ValueError unless X (n x m) has full row rank and c has m entries,
     NotInSupport unless X maps Z^m onto Z^n (every label has a fiber)."""
-    H, _, pivots, _ = X.hermite
-    if len(pivots) < X.n_rows:
+    if len(X.hermite.pivots) < X.n_rows:
         raise ValueError("X must have full row rank")
-    if any(H.rows[r][j] != 1 for r, j in pivots):
+    if not is_surjective(X):
         raise NotInSupport("X does not map Z^m onto Z^n: some labels have no fiber")
     c = np.asarray(list(c), dtype=float)
     if c.shape != (X.n_cols,):
@@ -133,66 +136,73 @@ def _reduced_shift(X: IntMatrix, c: Sequence[float]) -> np.ndarray:
     return c - np.round(c)
 
 
+def _target_region(X: IntMatrix, r: float, Xc: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(gram, Wt, region): the target's Gram matrix r^2 G, G = X X^T formed
+    exactly in integers (one rounding per entry), its whitening
+    Wt = chol(gram)^-1, and the labels z, weights and tail that
+    ``gaussian.truncate_coset`` keeps of the target coset Z^n + X c under
+    Wt.  The one target region of both TVD entry points."""
+    gram = r * r * (X @ X.T).to_numpy()
+    Wt = np.linalg.inv(np.linalg.cholesky(gram))
+    return gram, Wt, truncate_coset(Wt, Wt @ Xc)
+
+
 class FiberWorkspace:
-    """Per-(X, R, c) label region and class pmfs for the per-label pmfs, with
-    c reduced mod Z^m once, here (``_reduced_shift``).  The target side
-    (``target_region``, ``target_weight``; MC's ``target_pmf``) takes any R,
-    the image side (``classes``, ``fiber_weight``, ``exact_output_pmf``)
-    R = r I, for which alone the image pmf over the target pmf is a function
-    of the class.  Everything past the checks is computed on first use."""
+    """Per-(X, r, c) label region and class pmfs for the per-label pmfs of
+    X D_{Z^m + c, r} and its target D_{Z^n + X c, r X^T}, with c reduced mod
+    Z^m once, here (``_reduced_shift``).  The target side (``target_region``,
+    ``target_weight``; MC's ``target_pmf``) and the image side (``classes``,
+    ``fiber_weight``, ``exact_output_pmf``) share one frame: the region is
+    ``_target_region``'s, as in ``class_tvd``, and the image pmf over the
+    target pmf is a function of the class.  ``Xc`` is X c, the shift of the
+    target coset Z^n + X c.  Everything past the checks and ``Xc`` is
+    computed on first use."""
 
-    def __init__(self, X: IntMatrix, R: GaussianShape, c: Sequence[float]):
+    def __init__(self, X: IntMatrix, r: float, c: Sequence[float]):
         self.c = _reduced_shift(X, c)
-        self.X = X
-        self.R = R
+        self.X, self.r = X, r
+        self.Xc = X.to_numpy() @ self.c
 
     @cached_property
+    def _target_frame(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+        return _target_region(self.X, self.r, self.Xc)
+
+    @property
     def target_gram(self) -> np.ndarray:
-        """X R^T R X^T, the Gram matrix of the target shape R X^T."""
-        Xf = self.X.to_numpy()
-        return Xf @ self.R.gram(self.X.n_cols) @ Xf.T
+        """r^2 X X^T, the Gram matrix of the target shape r X^T."""
+        return self._target_frame[0]
+
+    @property
+    def target_region(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(labels z, weights, tail): ``_target_region``'s truncation of the
+        target coset Z^n + X c."""
+        return self._target_frame[2]
 
     @cached_property
-    def Wt(self) -> np.ndarray:
-        """The whitening of the target shape."""
-        return np.linalg.inv(np.linalg.cholesky(self.target_gram))
-
-    @cached_property
-    def Xc(self) -> np.ndarray:
-        """X c, the shift of the target coset Z^n + X c."""
-        return self.X.to_numpy() @ self.c
-
-    @cached_property
-    def classes(self) -> tuple[ClassGroup, np.ndarray, np.ndarray, float, float]:
-        """(group, index, P, e, rho): the class group of X, the class of each
-        ``target_region`` label (``ClassGroup.index``), the image's class pmf
+    def classes(self) -> tuple[ClassGroup, np.ndarray, np.ndarray, np.ndarray, float, float]:
+        """(group, index, Wk, P, e, rho): the class group of X, the class of
+        each ``target_region`` label (``ClassGroup.index``), the target
+        weight of the region's labels in each class, the image's class pmf
         P on the flat grid with its l1 error e, and rho = rho_r(Z^m + c)
-        (``_image_pmf``).  ValueError unless R is spherical."""
-        if not self.R.is_spherical:
-            raise ValueError("the image's class pmf needs a spherical R")
+        (``_image_pmf``)."""
         grp = class_group(self.X)
-        return (grp, grp.index(self.target_region[0]), *_image_pmf(self.X, self.R.s, self.c, grp))
+        T, w, _ = self.target_region
+        index = grp.index(T)
+        return (grp, index, np.bincount(index, w, math.prod(grp.dims)), *_image_pmf(self.X, self.r, self.c, grp))
 
     def fiber_weight(self, z: Sequence[int]) -> float:
-        """Gaussian weight of the fiber over z, for R = r I:
+        """Gaussian weight of the fiber over z:
         target_weight(z) rho_r(Z^m + c) P_k / rho_t^reg(k), k the class of z
         and rho_t^reg(k) the target weight of the region's labels in it
         (``classes``).  ValueError when the region holds no label of z's
         class."""
-        grp, index, P, _, rho = self.classes
+        grp, _, Wk, P, _, rho = self.classes
         T, w, _ = self.target_region
         k = int(grp.index(np.asarray([z]))[0])
-        Wk = float(np.sum(np.sort(w[index == k])))  # over the heaviest label's weight
-        if not Wk > 0:
+        if not Wk[k] > 0:
             raise ValueError(f"the label region holds no label of the class of {[int(v) for v in z]}")
-        top = self.target_weight(T[int(np.argmax(w))])
-        return float(self.target_weight(z) * rho * P[k] / (Wk * top))
-
-    @cached_property
-    def target_region(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(labels z, weights, tail): ``gaussian.truncate_coset`` of the
-        target coset Z^n + X c under Wt."""
-        return truncate_coset(self.Wt, self.Wt @ self.Xc)
+        top = self.target_weight(T[int(np.argmax(w))])  # the region's weights are over the heaviest label's
+        return float(self.target_weight(z) * rho * P[k] / (Wk[k] * top))
 
     def region(self) -> np.ndarray:
         """The labels of ``target_region``."""
@@ -200,8 +210,22 @@ class FiberWorkspace:
 
     def target_weight(self, z: Sequence[int]) -> float:
         """e^{-pi ||Wt (z + X c)||^2}, the target weight of the label z."""
-        y = self.Wt @ (np.asarray(z, dtype=float) + self.Xc)
+        y = self._target_frame[1] @ (np.asarray(z, dtype=float) + self.Xc)
         return float(np.exp(-math.pi * (y @ y)))
+
+
+def _terms_1d(r: float, c: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(y, a, tail): the w = y that ``gaussian.truncate_coset`` keeps of the
+    whitened coset (Z + c) / r, |c| <= 1/2, the sampler's table for
+    D_{Z + c, r}, with its tail, and their exponents
+    a = pi y (y + 2c) / r^2 = pi ((y + c)^2 - c^2) / r^2: the weights
+    rho_r(y + c) scaled by e^{pi c^2 / r^2}, so that the largest, at y = 0,
+    is 1.  The one 1-D table of the image side (``_theta_table`` for r <= 1,
+    ``_image_pmf``)."""
+    W = np.eye(1) / r
+    T, _, tail = truncate_coset(W, W @ [c])
+    y = T[:, 0]
+    return y, math.pi * y * (y + 2 * c) / (r * r), tail
 
 
 def _theta_table(r: float, c: float, L: int) -> tuple[np.ndarray, float]:
@@ -211,9 +235,8 @@ def _theta_table(r: float, c: float, L: int) -> tuple[np.ndarray, float]:
 
     Both forms truncate by ``gaussian``'s one rule, and either way the
     dropped part of any S(a) is at most t = tail K / (1 - tail), K the kept
-    weight at a = 0.  For r <= 1 the sum runs over the w that
-    ``truncate_coset`` keeps of the whitened coset (Z + c) / r, the table
-    ``exact_pmf`` gives the sampler for D_{Z + c, r}, with its tail; K is
+    weight at a = 0.  For r <= 1 the sum runs over the terms of
+    ``_terms_1d``, the sampler's table for D_{Z + c, r} with its tail; K is
     S(0).  Above, it runs over its Poisson dual
     S(a) = r sum_y e^{-pi r^2 (y - a)^2} e^{2 pi i c (y - a)}, kept where
     r |y - a| <= R, (R, tail) = ``coset_radius(1, 0)``: by Banaszczyk's
@@ -225,11 +248,10 @@ def _theta_table(r: float, c: float, L: int) -> tuple[np.ndarray, float]:
     e = 2 (t + max bound) / |S'(0)| + u.
     """
     k = np.arange(L, dtype=np.int64)
-    if r <= 1:  # the terms are scaled by e^{pi c^2 / r^2}, so that the largest is 1
+    if r <= 1:
         s, scale = r, 1.0
-        W = np.eye(1) / r
-        T, _, tail = truncate_coset(W, W @ [c])
-        ys = T[:, 0].tolist()
+        y, a, tail = _terms_1d(r, c)
+        ys, exps = y.tolist(), a.tolist()
     else:
         s, scale = 1.0 / r, r
         R, tail = coset_radius(1, 0.0)
@@ -237,10 +259,10 @@ def _theta_table(r: float, c: float, L: int) -> tuple[np.ndarray, float]:
         ys = range(-math.floor(R), math.floor(R) + 2)
     S = np.zeros(L, dtype=complex)
     bound = np.zeros(L)
-    for y in ys:
-        if r <= 1:  # the term of w = y at every a = k / L: (y + c)^2 - c^2 = y (y + 2c)
+    for i, y in enumerate(ys):
+        if r <= 1:  # the term of w = y at every a = k / L
             lo, hi = 0, L
-            a, angle = math.pi * y * (y + 2 * c) / (s * s), 2 * math.pi * ((y * k) % L) / L
+            a, angle = exps[i], 2 * math.pi * ((y * k) % L) / L
         else:  # the term of y at the a = k / L with |y - a| <= R
             lo, hi = max(0, math.floor(L * (y - R))), min(L, math.ceil(L * (y + R)) + 1)
             x = (y * L - k[lo:hi]) / L
@@ -298,6 +320,12 @@ class ClassGroup(NamedTuple):
         Uk = np.array([[u % self.D[i] for u in self.U.rows[i]] for i in self.keep], dtype=np.int64)
         return np.ravel_multi_index(tuple((np.asarray(T, dtype=np.int64) @ Uk.T % self.dims).T), self.dims)
 
+    def columns(self, X: IntMatrix) -> np.ndarray:
+        """The class a_j = U x_j mod D of each column x_j of X, an int64 row
+        on the grid ``dims`` per column, formed exactly in integers."""
+        UX = (self.U @ X).rows
+        return np.array([[UX[i][j] % self.D[i] for i in self.keep] for j in range(X.n_cols)], dtype=np.int64)
+
 
 def class_group(X: IntMatrix) -> ClassGroup:
     """The ``ClassGroup`` of X, from ``intmat.smith(X X^T)``, which checks
@@ -316,14 +344,15 @@ def _image_transform(X: IntMatrix, r: float, c: np.ndarray, grp: ClassGroup) -> 
 
     Ph = conj(P^) on the half t_n <= L / 2 of the grid, L = D_n:
     P^(t) = prod_j theta_j(<t, a_j> / L), a_j = U x_j mod D scaled to L, one
-    theta table per distinct c_j (``_theta_table``).  Each entry is within
-    E_P = prod_j (1 + e_j)(1 + 3u) - 1 of its exact value, e_j the error of
-    column j's table, its truncation included.
+    theta table per distinct c_j (``_theta_table``), a_j from
+    ``ClassGroup.columns``.  Each entry is within E_P = prod_j (1 + e_j)
+    (1 + 3u) - 1 of its exact value, e_j the error of column j's table, its
+    truncation included.
     """
-    U, _, D, keep, dims = grp
-    L = D[keep[-1]]
+    dims = grp.dims
+    L = dims[-1]
     half = dims[:-1] + (L // 2 + 1,)
-    UX = (U @ X).rows
+    A = grp.columns(X) * (L // np.array(dims))
     k = np.empty(half, dtype=np.int64)
     Ph = np.ones(half)  # real while every table is (c_j = 0, r > 1)
     log_err = 0.0
@@ -331,8 +360,7 @@ def _image_transform(X: IntMatrix, r: float, c: np.ndarray, grp: ClassGroup) -> 
         theta, e = _theta_table(r, float(cj), L)
         Ph = Ph.astype(np.result_type(Ph, theta), copy=False)
         for j in np.flatnonzero(c == cj):
-            a = [UX[i][j] % D[i] * (L // D[i]) for i in keep]
-            Ph *= theta[_grid_residues(a, L, k)]
+            Ph *= theta[_grid_residues(A[j], L, k)]
             log_err += math.log1p(e) + math.log1p(3 * ULP)
     return np.conjugate(Ph, out=Ph), math.expm1(log_err)
 
@@ -341,40 +369,71 @@ def _image_pmf(X: IntMatrix, r: float, c: np.ndarray, grp: ClassGroup) -> tuple[
     """(P, e, rho): the image's class pmf on the flat grid, its l1 error,
     and rho_r(Z^m + c), the product of the m 1-D sums.
 
-    P is the pmf of sum_j w_j a_j, a_j = U x_j mod D, w_j the integer part
-    of a draw from D_{Z + c_j, r}: m cyclic convolutions with the n_j terms
-    that ``gaussian.truncate_coset`` keeps of (Z + c_j) / r, the sampler's
-    table, each within 2 tail_j of D_{Z + c_j, r} in l1.  Sums of
-    nonnegative terms keep a small mass's relative precision.  A term with
-    exponent a is off by (6 a + 10) u of its weight at most, as in
-    ``_theta_table``; the normalization and the convolution add (n_j + 1) u
-    each.
+    P is the pmf of sum_j w_j a_j, a_j = U x_j mod D
+    (``ClassGroup.columns``), w_j the integer part of a draw from
+    D_{Z + c_j, r}: m cyclic convolutions with the n_j terms of
+    ``_terms_1d``, the sampler's table, each within 2 tail_j of
+    D_{Z + c_j, r} in l1.  Sums of nonnegative terms keep a small mass's
+    relative precision.  A term with exponent a is off by (6 a + 10) u of
+    its weight at most, as in ``_theta_table``; the normalization and the
+    convolution add (n_j + 1) u each.
     """
-    U, _, D, keep, dims = grp
-    axes = tuple(range(len(keep)))
-    UX = (U @ X).rows
+    dims = grp.dims
+    axes = tuple(range(len(dims)))
+    A = grp.columns(X)
     P = np.zeros(dims)
     P.flat[0] = 1.0
     e, log_rho, tables = 0.0, 0.0, {}
     for j, cj in enumerate(c.tolist()):
-        if cj not in tables:  # the terms (y + c)^2 - c^2 = y (y + 2c), scaled by e^{pi c^2 / r^2}
-            W = np.eye(1) / r
-            T, _, tail = truncate_coset(W, W @ [cj])
-            y = T[:, 0]
-            a = math.pi * y * (y + 2 * cj) / (r * r)
+        if cj not in tables:
+            y, a, tail = _terms_1d(r, cj)
             g = np.exp(-a)
             total = float(np.sum(np.sort(g)))
             err = 2 * tail + ULP * (float(g @ (6 * a + 10)) / total + 2 * len(y) + 2)
             tables[cj] = (y.tolist(), (g / total).tolist(), err, math.log(total) - math.pi * cj * cj / (r * r))
         ys, masses, err, log_sum = tables[cj]
-        aj = np.array([UX[i][j] % D[i] for i in keep], dtype=np.int64)
         out = np.zeros(dims)
         for yi, mi in zip(ys, masses):
-            out += mi * np.roll(P, tuple(yi * aj % dims), axes)
+            out += mi * np.roll(P, tuple(yi * A[j] % dims), axes)
         P = out
         e += err
         log_rho += log_sum
     return P.ravel(), e, math.exp(log_rho)
+
+
+def _dual_target(X: IntMatrix, r: float, c: np.ndarray, grp: ClassGroup, half: tuple) -> tuple | None:
+    """(conj Q^', e_Q) on the half grid ``half`` from the target's dual sum
+    (``class_tvd``), or None far below smoothing: where the sum's points
+    exceed ENUM_BUDGET, or where W'(0) does not exceed e_W(0)."""
+    U, V, D, keep, dims = grp
+    d = math.prod(D)
+    adjG = smith_adjugate(U, V, D)
+    # the dual sum's points w and -w, binned by V^T w mod D, each with the
+    # phase w^T adj(G) X c / d, so that conj(Q^) = W / W(0)
+    gram = r * r * adjG.to_numpy() / d
+    try:
+        target = poisson_sum(gram)
+    except EnumerationBudgetExceeded:
+        return None
+    pts = np.concatenate([target.points, -target.points])
+    wts = np.concatenate([target.weights, target.weights])
+    M = (adjG @ X).to_numpy()
+    Vt = np.array([[x % Di for x in V.cols[i]] for i, Di in zip(keep, dims)], dtype=np.int64)
+    res = pts @ Vt.T % np.array(dims)
+    terms = wts * np.exp(2j * math.pi * (pts @ (M @ c)) / d)
+    apts = np.abs(pts).astype(float)
+    eps = (math.pi * (X.n_rows + 2) * np.einsum("ij,jk,ik->i", apts, np.abs(gram), apts)
+           + 2 * math.pi * (X.n_rows + X.n_cols + 2) * (apts @ (np.abs(M) @ np.abs(c))) / d + 7)
+    inside = res[:, -1] < half[-1]
+    idx = np.ravel_multi_index(res[inside].T, half)
+    H = math.prod(half)
+    W = np.bincount(idx, terms.real[inside], H) + 1j * np.bincount(idx, terms.imag[inside], H)
+    W[0] += 1.0
+    W0 = W[0].real
+    e_W = target.tail + ULP * np.bincount(idx, (eps[inside] + len(pts) + 1) * wts[inside], H)
+    if not W0 > e_W[0]:
+        return None
+    return W.reshape(half) / W0, ((e_W + e_W[0]) / W0 + 2 * ULP).reshape(half)
 
 
 def class_tvd(X: IntMatrix, r: float, c: Sequence[float]) -> ExactTVDReport:
@@ -384,73 +443,49 @@ def class_tvd(X: IntMatrix, r: float, c: Sequence[float]) -> ExactTVDReport:
     X and c are checked, and c reduced mod Z^m, by ``_reduced_shift``; the
     class group is ``class_group``'s.  The image side, conj(P^) on the half
     t_n <= L / 2 of the grid within E_P of exact, is ``_image_transform``'s.
-    conj(Q^) is formed on the same half, as both class pmfs are real, and
-    one inverse real FFT of their difference gives P - Q.
+    conj(Q^) is formed on the same half (``_dual_target``), as both class
+    pmfs are real, and one inverse real FFT of their difference gives P - Q.
 
     ``truncation_error`` bounds |TVD' - TVD| from computed quantities (primes
-    mark computed values, u = 2^-53).  W'(t) is within
-    e_W(t), ``PoissonSum.tail`` plus u sum_w (eps_w + N) weight_w over the
-    terms of its bin, N in all, eps_w
-    covering the exponent ((n + 2) pi |w|^T |gram| |w|, from the rounded Gram
-    entries), the angle ((n + m + 2) 2 pi |w|^T |adj(G) X| |c| / d) and 7
-    more roundings; so conj(Q^') is within e_Q(t) = (e_W(t) + e_W(0)) /
-    W'(0) + 2u, as |W(t)| <= W(0).  By Cauchy-Schwarz and Parseval these
-    errors move 1/2 sum_g |P - Q| by at most 1/2 (sqrt(d) E_P + ||e_Q||_2),
-    the other half of the grid mirroring this one.  The FFT's l2 error
-    eta ||P - Q||_2 (Higham 2002, Thm 24.2: about 7 u log2 N for a radix-2
-    FFT of length N, charged three times over at length 2d for pocketfft's
-    mixed-radix and Bluestein passes) adds 1/2 sqrt(d) eta ||P - Q||_2, and
-    the sum (d + 2) u TVD'.  ``support_size`` is d and ``radius`` that of
-    the target's dual sum.
+    mark computed values, u = 2^-53).  W'(t) is within e_W(t),
+    ``PoissonSum.tail`` plus u sum_w (eps_w + N) weight_w over the terms of
+    its bin, N in all, eps_w covering the exponent
+    ((n + 2) pi |w|^T |gram| |w|, from the rounded Gram entries), the angle
+    ((n + m + 2) 2 pi |w|^T |adj(G) X| |c| / d) and 7 more roundings; so
+    conj(Q^') is within e_Q(t) = (e_W(t) + e_W(0)) / W'(0) + 2u, as
+    |W(t)| <= W(0).  By Cauchy-Schwarz and Parseval these errors move
+    1/2 sum_g |P - Q| by at most 1/2 (sqrt(d) E_P + ||e_Q||_2), the other
+    half of the grid mirroring this one.  The FFT's l2 error eta ||P - Q||_2
+    (Higham 2002, Thm 24.2: about 7 u log2 N for a radix-2 FFT of length N,
+    charged three times over at length 2d for pocketfft's mixed-radix and
+    Bluestein passes) adds 1/2 sqrt(d) eta ||P - Q||_2, and the sum
+    (d + 2) u TVD'.  ``support_size`` is d and ``radius`` that of the
+    target's dual sum, ``banaszczyk_radius(n)``.
 
-    Far below smoothing, where W'(0) does not exceed e_W(0), the target's
-    class pmf Q' is binned instead from the N labels that
-    ``gaussian.truncate_coset`` keeps of the target coset, with tail tt
-    (``ClassGroup.index``; weights as in ``target_pmf``), and transformed by
-    a forward FFT: e_Q = 2 tt + 2 (N + 1) u + eta sqrt(d) ||Q'||_2 bounds the
-    region's l1 distance from the target, the bins' rounding and the FFT's.
+    Far below smoothing, where W'(0) does not exceed e_W(0) or the dual sum
+    exceeds ENUM_BUDGET, the target's class pmf Q' is binned instead from
+    the N labels of ``_target_region``, the workspace's ``target_region``,
+    with tail tt (``ClassGroup.index``; weights as in ``target_pmf``), and
+    transformed by a forward FFT: e_Q = 2 tt + 2 (N + 1) u +
+    eta sqrt(d) ||Q'||_2 bounds the region's l1 distance from the target,
+    the bins' rounding and the FFT's.
 
     Raises InvariantViolation unless prod D = d, the TVD is in [0, 1] and
     every class mass of both pmfs is at least minus its error bound
     (``_masses_ok``); EnumerationBudgetExceeded when d exceeds ENUM_BUDGET.
     """
     c = _reduced_shift(X, c)
-    n, m = X.shape
     grp = class_group(X)
-    U, V, D, keep, dims = grp
-    d = math.prod(D)
-    adjG = smith_adjugate(U, V, D)
+    dims = grp.dims
+    d = math.prod(dims)
     Ph, E_P = _image_transform(X, r, c, grp)
     half = Ph.shape
     eta = 22 * ULP * (math.log2(2 * d) + 1)  # covers eta / (1 - eta) at 21 u
-
-    # target side: the dual sum's points w and -w, binned by V^T w mod D,
-    # each with the phase w^T adj(G) X c / d, so that conj(Q^) = W / W(0)
-    gram = r * r * adjG.to_numpy() / d
-    target = poisson_sum(gram)
-    pts = np.concatenate([target.points, -target.points])
-    wts = np.concatenate([target.weights, target.weights])
-    M = (adjG @ X).to_numpy()
-    Vt = np.array([[x % Di for x in V.cols[i]] for i, Di in zip(keep, dims)], dtype=np.int64)
-    res = pts @ Vt.T % np.array(dims)
-    terms = wts * np.exp(2j * math.pi * (pts @ (M @ c)) / d)
-    apts = np.abs(pts).astype(float)
-    eps = (math.pi * (n + 2) * np.einsum("ij,jk,ik->i", apts, np.abs(gram), apts)
-           + 2 * math.pi * (n + m + 2) * (apts @ (np.abs(M) @ np.abs(c))) / d + 7)
-    inside = res[:, -1] < half[-1]
-    idx = np.ravel_multi_index(res[inside].T, half)
-    H = math.prod(half)
-    W = np.bincount(idx, terms.real[inside], H) + 1j * np.bincount(idx, terms.imag[inside], H)
-    W[0] += 1.0
-    W0 = W[0].real
-    e_W = target.tail + ULP * np.bincount(idx, (eps[inside] + len(pts) + 1) * wts[inside], H)
-    if W0 > e_W[0]:
-        Qh = W.reshape(half) / W0
-        e_Q = ((e_W + e_W[0]) / W0 + 2 * ULP).reshape(half)
+    dual = _dual_target(X, r, c, grp, half)
+    if dual is not None:
+        Qh, e_Q = dual
     else:  # far below the smoothing parameter of Z^n under r X^T: the primal target
-        Xf = X.to_numpy()
-        Wt = np.linalg.inv(np.linalg.cholesky(r * r * (Xf @ Xf.T)))
-        T, w, tt = truncate_coset(Wt, Wt @ (Xf @ c))
+        _, _, (T, w, tt) = _target_region(X, r, X.to_numpy() @ c)
         Q = np.bincount(grp.index(T), w, d) / float(np.sum(np.sort(w)))
         Qh = np.fft.rfftn(Q.reshape(dims))
         e_Q = np.full(half, 2 * tt + 2 * (len(T) + 1) * ULP + eta * math.sqrt(d) * float(np.linalg.norm(Q)))
@@ -467,7 +502,7 @@ def class_tvd(X: IntMatrix, r: float, c: Sequence[float]) -> ExactTVDReport:
         raise InvariantViolation(f"class TVD {tvd} is not in [0, 1] within its error bound {trunc:g}")
     if not masses_ok:
         raise InvariantViolation("a class mass of the image or the target is below minus its error bound")
-    return ExactTVDReport(tvd=tvd, truncation_error=trunc, support_size=d, radius=target.radius)
+    return ExactTVDReport(tvd=tvd, truncation_error=trunc, support_size=d, radius=banaszczyk_radius(X.n_rows))
 
 
 def _row_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -488,7 +523,8 @@ def exact_output_pmf(ws: FiberWorkspace) -> DiscretePMF:
 
     The image pmf is the target pmf times P_k / Q_k at the class k of z
     (module docstring), so the mass of z is q(z) P_k / Q_k^reg: q is the
-    target's pmf over the region, Q_k^reg its mass in class k and P the
+    target's pmf over the region, Q_k^reg its mass in class k (from the
+    workspace's per-class target weights, as in ``fiber_weight``) and P the
     image's class pmf (``classes``).  The masses add up to the image mass of
     the classes that the region holds, and are not renormalized.
 
@@ -500,13 +536,10 @@ def exact_output_pmf(ws: FiberWorkspace) -> DiscretePMF:
     region in the held ones, at most max_k (P'_k / Q_k^reg) tt / (1 - tt)
     (tt the target's tail) and 2 e.  A mass is rounded by at most
     (N_k + 2) u of itself, N_k the labels of its class.  The target weights
-    are ``target_region``'s, as in ``target_pmf``.  ValueError unless R is
-    spherical.
+    are ``target_region``'s, as in ``target_pmf``.
     """
-    _, index, P, e, _ = ws.classes
-    T = ws.region()
-    _, w, tt = ws.target_region
-    Wk = np.bincount(index, w, len(P))
+    _, index, Wk, P, e, _ = ws.classes
+    T, w, tt = ws.target_region
     held = Wk > 0
     masses = w * (P / np.where(held, Wk, 1.0))[index]
     ratio = float(np.max(P[held] / Wk[held])) * float(np.sum(np.sort(w)))
@@ -515,11 +548,10 @@ def exact_output_pmf(ws: FiberWorkspace) -> DiscretePMF:
 
 
 def target_pmf(ws: FiberWorkspace) -> DiscretePMF:
-    """Truncated pmf of the discrete Gaussian on Z^n + X c with shape R X^T,
+    """Truncated pmf of the discrete Gaussian on Z^n + X c with shape r X^T,
     over the labels of the workspace's ``target_region``."""
-    T = ws.region()
     _, weights, tail = ws.target_region
-    return DiscretePMF(T, weights / float(np.sum(np.sort(weights))), tail)
+    return DiscretePMF(ws.region(), weights / float(np.sum(np.sort(weights))), tail)
 
 
 def exact_tvd(p: DiscretePMF, q: DiscretePMF) -> ExactTVDReport:

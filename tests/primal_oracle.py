@@ -1,11 +1,14 @@
 """Per-label oracles for the fiber weights of ``dgsum.tvd``.
 
 Each fiber {v : X v = z + X c} is a translate P z + c + A of the kernel
-lattice A = ker X ∩ Z^m.  The oracles build their own frame from X and R:
-the particular map P from X's HNF transform (``particular_map``), the kernel
-basis K from ``X.reduced_kernel`` (``check_kernel_basis``) and R's whitening
-W; the workspace gives only the reduced c and the target weights.  Each sums
-a fiber one of two ways, for any R:
+lattice A = ker X ∩ Z^m.  The oracles build their own frame from X, R and c,
+for any R, spherical or not: c reduced mod Z^m, the particular map P from
+X's HNF transform (``particular_map``), the kernel basis K from
+``X.reduced_kernel`` (``check_kernel_basis``), R's whitening W, and the
+target D_{Z^n + X c, R X^T}: its whitening Wt of X R^T R X^T, its weights
+and its label region (``gaussian.truncate_coset`` under Wt).  They are the
+reference for the ellipsoidal statement, which the package's spherical
+``FiberWorkspace`` does not take.  Each sums a fiber one of two ways:
 
 - ``PrimalSections`` enumerates A's coordinates over a fixed integer box in
   the whitened kernel basis, recentred per fiber, and adds the points inside
@@ -21,13 +24,14 @@ a fiber one of two ways, for any R:
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 
-from dgsum.gaussian import EnumerationBudgetExceeded, coset_radius, poisson_sum
+from dgsum.gaussian import DiscretePMF, EnumerationBudgetExceeded, coset_radius, poisson_sum, truncate_coset
 from dgsum.intmat import IntMatrix, InvariantViolation, adjugate
-from dgsum.tvd import FiberWorkspace, exact_tvd, target_pmf
+from dgsum.tvd import exact_tvd
 
 CHUNK = 2 ** 18  # max (label, box point) pairs summed at once
 DUAL_BLOCK = 2 ** 20  # max (dual point, label) terms of one batched dual sum
@@ -78,15 +82,34 @@ class _Sections:
     box = np.zeros((1, 0))  # the points summed per label, unless a primal box is set
 
     def __init__(self, X, R, c):
-        self.ws = FiberWorkspace(X, R, c)  # the reduced c and the target weights
         check_kernel_basis(X)
         n, m = X.shape
+        self.X, self.R = X, R
+        self.c = np.asarray(c, dtype=float) - np.round(c)  # Z^m + c depends on c mod Z^m
+        Xf = X.to_numpy()
+        self.Xc = Xf @ self.c
+        self.Wt = np.linalg.inv(np.linalg.cholesky(Xf @ R.gram(m) @ Xf.T))  # the target shape R X^T
         self.rank = m - n
         self.P = particular_map(X).to_numpy(dtype=np.int64)
         self.K = X.reduced_kernel.matrix.to_numpy() if self.rank else np.zeros((m, 0))
         self.W = R.whitening(m)
         self.WK = self.W @ self.K
         self._weights = {}  # fiber weight by label: the tests ask for each one twice
+
+    def target_weight(self, z) -> float:
+        """e^{-pi ||Wt (z + X c)||^2}, the target weight of the label z."""
+        y = self.Wt @ (np.asarray(z, dtype=float) + self.Xc)
+        return float(np.exp(-math.pi * (y @ y)))
+
+    @cached_property
+    def target_region(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(labels z, weights, tail) of the target coset Z^n + X c under Wt."""
+        return truncate_coset(self.Wt, self.Wt @ self.Xc)
+
+    def target_pmf(self) -> DiscretePMF:
+        """The target pmf over ``target_region``."""
+        T, w, tail = self.target_region
+        return DiscretePMF(T, w / float(np.sum(np.sort(w))), tail)
 
     def particular(self, T) -> np.ndarray:
         """P z for each label row z of T, as int64 rows."""
@@ -143,7 +166,7 @@ class PrimalSections(_Sections):
         """(w0, weights, base, mask) of the fibers over the label rows of T:
         the particular points w0 = ``particular`` + c, the fiber weights, and
         each section's kernel offset round(-coef) and box mask."""
-        w0 = self.particular(T).astype(float) + self.ws.c
+        w0 = self.particular(T).astype(float) + self.c
         Ww0 = _stacked(self.W, w0)
         if not self.rank:
             return w0, np.array([float(np.exp(-math.pi * v @ v)) for v in Ww0]), None, None
@@ -190,7 +213,7 @@ class DualSections(_Sections):
     def deltas(self, T) -> np.ndarray:
         """delta(z) for each label row z of T, in blocks of at most DUAL_BLOCK
         terms; the phase depends on coef mod 1."""
-        coef = (self.particular(T).astype(float) + self.ws.c) @ self.to_coef
+        coef = (self.particular(T).astype(float) + self.c) @ self.to_coef
         coef -= np.round(coef)
         out = np.zeros(len(coef))
         if not len(self.dual.points):
@@ -203,7 +226,7 @@ class DualSections(_Sections):
 
     def _fibers(self, T) -> tuple[None, np.ndarray]:
         """(None, the fiber weights over the label rows of T)."""
-        tw = np.array([self.ws.target_weight(z) for z in T])
+        tw = np.array([self.target_weight(z) for z in T])
         return None, tw * self.section_scale * (1.0 + self.deltas(T))
 
     def kernel_weight(self) -> float:
@@ -211,7 +234,7 @@ class DualSections(_Sections):
 
 
 def primal_tvd(oracle: _Sections) -> float:
-    """TVD of the oracle's per-label image pmf from the target pmf on one region."""
-    q = target_pmf(oracle.ws)
-    p = type(q)(q.points, oracle.output_masses(q.points), 0.0)
+    """TVD of the oracle's per-label image pmf from its target pmf on one region."""
+    q = oracle.target_pmf()
+    p = DiscretePMF(q.points, oracle.output_masses(q.points), 0.0)
     return exact_tvd(p, q).tvd

@@ -197,7 +197,7 @@ def test_criterion_4_exact_tvd_at_threshold(threshold_instances):
     worst = 0.0
     for X, cert, eps, r in threshold_instances:
         c = [0.0] * X.n_cols
-        ws = FiberWorkspace(X, GaussianShape.spherical(r), c)
+        ws = FiberWorkspace(X, r, c)
         # the per-label pmfs and the class TVD, the CLI's path, under one rule
         for rep in (exact_tvd(exact_output_pmf(ws), target_pmf(ws)), class_tvd(X, r, c)):
             worst = max(worst, rep.tvd / (2 * eps))
@@ -212,8 +212,7 @@ def test_criterion_5_ratio_band(threshold_instances):
     failures = 0
     worst_lo, worst_hi = 1.0, 1.0
     for X, cert, eps, r in threshold_instances:
-        R = GaussianShape.spherical(r)
-        ws = FiberWorkspace(X, R, [0.0] * X.n_cols)
+        ws = FiberWorkspace(X, r, [0.0] * X.n_cols)
         kw = ws.fiber_weight([0] * X.n_rows)  # at c = 0 the fiber over 0 is the kernel lattice
         lo = (1 - eps) / (1 + eps)
         p = exact_output_pmf(ws)
@@ -314,8 +313,7 @@ def test_criterion_9_pushforward_reduction():
     cert = best_certificate(X, st.substream(2))
     assert cert is not None
     r = distance_threshold(cert.q1, cert.q2, 4, 2, 0.01)
-    R = GaussianShape.spherical(r)
-    ws = FiberWorkspace(X, R, [0.0] * 4)
+    ws = FiberWorkspace(X, r, [0.0] * 4)
     p = exact_output_pmf(ws)
     q = target_pmf(ws)
     baseline = exact_tvd(p, q).tvd

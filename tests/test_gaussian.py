@@ -183,7 +183,7 @@ def test_primal_tail_bound_is_certified():
     X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
     for r in (0.03, 0.2, 1.0, 3.0):
         for c in ([0.5, 0.0, 0.0, 0.0], [0.5] * 4):
-            ws = FiberWorkspace(X, GaussianShape.spherical(r), c)
+            ws = FiberWorkspace(X, r, c)
             q = target_pmf(ws)
             _assert_tail_certified(q.points + ws.Xc, q.tail_bound, ws.target_gram, ws.Xc)
 
@@ -197,7 +197,7 @@ def test_skew_basis_region_is_sized_by_the_nearest_coset_point():
         X = IntMatrix.from_rows([[1, 0, 0], [skew, 1, 0]])
         sizes = {}
         for c in ((0.0, 0.0, 0.0), (0.5, 0.0, 0.0)):
-            ws = FiberWorkspace(X, GaussianShape.spherical(1.0), c)
+            ws = FiberWorkspace(X, 1.0, c)
             q = target_pmf(ws)
             sizes[c[0]] = q.support_size()
             if skew == 100:

@@ -1,8 +1,9 @@
 """One truncation rule, one sampler and one image pmf: every primal region,
 every Banaszczyk tail and every theta table of the package goes through the
-functions that certify it, every draw through the one table sampler, and
-every image transform through one helper, with no per-label dual sum, so a
-second radius, tail formula, sampler or image path cannot come back
+functions that certify it, every draw through the one table sampler, every
+target region and every 1-D term table through one helper each, and every
+image transform through one helper, with no per-label dual sum, so a second
+radius, tail formula, sampler, region or image path cannot come back
 unnoticed."""
 
 import ast
@@ -14,6 +15,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "dgsum"
 ALLOWED = {
     # the one primal region: its radius and tail from ``coset_radius``
     "enumerate_affine": {"truncate_coset"},
+    # its callers: the sampler's tables, the one target region of both TVD
+    # entry points, and the one 1-D term table of the image side
+    "truncate_coset": {"exact_pmf", "_target_region", "_terms_1d"},
     # the bisection that both radius rules run, the bound itself, and the
     # dual sums' tail at ``banaszczyk_radius``
     "banaszczyk_bound": {"PoissonSum.tail"},
@@ -98,6 +102,9 @@ def _image_transform(X, r, c):
 class FiberWorkspace:
     def fiber_weight(self, z):
         return self.dual.sums(z) + _theta_table(1.0, 0.0, 3)[0]
+
+def class_tvd(X, r, c):
+    return gaussian.truncate_coset(r * X, X @ c)
 """
     assert stray_calls(snippet) == {
         ("enumerate_affine", "Region.points"),
@@ -106,6 +113,7 @@ class FiberWorkspace:
         ("coset_radius", "theta_radius"),
         ("sums", "FiberWorkspace.fiber_weight"),
         ("_theta_table", "FiberWorkspace.fiber_weight"),
+        ("truncate_coset", "class_tvd"),
     }
 
 

@@ -38,16 +38,16 @@ X11 = IntMatrix.from_rows([[1, 1]])
 R2 = GaussianShape.spherical(2.0)
 
 
-def _at_zero(X, R):
-    """The workspace of (X, R) at c = 0."""
-    return FiberWorkspace(X, R, [0.0] * X.n_cols)
+def _at_zero(X, r):
+    """The workspace of (X, r) at c = 0."""
+    return FiberWorkspace(X, r, [0.0] * X.n_cols)
 
 
 # ---------------------------------------------------------------- fibers
 
 
 def test_fiber_zero_mass():
-    ws = FiberWorkspace(X11, R2, [0.0, 0.0])
+    ws = FiberWorkspace(X11, 2.0, [0.0, 0.0])
     # sum_k exp(-pi * 2 k^2 / 4) over the kernel line k (1,-1)
     assert ws.fiber_weight([0]) == pytest.approx(1.419495, abs=1e-5)
     for v in PrimalSections(X11, R2, [0.0, 0.0]).fiber([0])[1]:
@@ -55,7 +55,7 @@ def test_fiber_zero_mass():
 
 
 def test_fiber_shifted_smaller():
-    ws = FiberWorkspace(X11, R2, [0.0, 0.0])
+    ws = FiberWorkspace(X11, 2.0, [0.0, 0.0])
     assert ws.fiber_weight([1]) < ws.fiber_weight([0])
 
 
@@ -75,14 +75,14 @@ def test_fiber_unimodular_single_point():
     from dgsum.gaussian import rho
 
     v = points[0]
-    assert FiberWorkspace(X, R2, [0.0, 0.0]).fiber_weight([3, 1]) == pytest.approx(rho(R2, v), rel=1e-12, abs=0)
+    assert FiberWorkspace(X, 2.0, [0.0, 0.0]).fiber_weight([3, 1]) == pytest.approx(rho(R2, v), rel=1e-12, abs=0)
     assert tuple(int(round(x)) for x in X.to_numpy() @ v) == (3, 1)
 
 
 def test_fiber_not_in_support():
     X = IntMatrix.from_rows([[2, 2]])
     with pytest.raises(NotInSupport):
-        FiberWorkspace(X, R2, [0.0, 0.0])
+        FiberWorkspace(X, 2.0, [0.0, 0.0])
     # the class TVD, with no workspace, runs the same checks
     with pytest.raises(NotInSupport, match="no fiber"):
         class_tvd(X, 2.0, [0.0, 0.0])
@@ -93,7 +93,7 @@ def test_fiber_not_in_support():
 
 
 def test_fiber_weight_matches_fiber():
-    ws = FiberWorkspace(X11, R2, [0.0, 0.0])
+    ws = FiberWorkspace(X11, 2.0, [0.0, 0.0])
     oracle = PrimalSections(X11, R2, [0.0, 0.0])
     for z in ([-2], [0], [3]):
         assert ws.fiber_weight(z) == pytest.approx(oracle.fiber(z)[0], rel=1e-12)
@@ -114,10 +114,10 @@ def test_workspace_particular_matches_solve_integer():
         c = rng.normal(size=m)
         if not is_surjective(X):
             with pytest.raises(NotInSupport):
-                FiberWorkspace(X, GaussianShape.spherical(0.5), c)
+                FiberWorkspace(X, 0.5, c)
             continue
         onto += 1
-        ws = FiberWorkspace(X, GaussianShape.spherical(0.5), c)
+        ws = FiberWorkspace(X, 0.5, c)
         assert np.array_equal(ws.c, c - np.round(c))  # reduced mod Z^m once, at construction
         P = particular_map(X)  # the oracles' particular map, from X's HNF transform
         for z in rng.integers(-4, 5, size=(6, n)).tolist() + [[1] + [0] * (n - 1)]:
@@ -143,12 +143,11 @@ def _assert_matches_oracle(p, oracle):
     target weight times the section scale, is small keeps only that much
     relative accuracy: below the kernel's smoothing parameter 1 + delta(z)
     reaches 1e-15."""
-    ws = oracle.ws
-    dual = DualSections(ws.X, ws.R, ws.c)
+    dual = DualSections(oracle.X, oracle.R, oracle.c)
     weights = oracle.fiber_weights(p.points)
     want = oracle.output_masses(p.points)
     np.testing.assert_allclose(p.masses, want, rtol=0, atol=1e-12)
-    factor = weights / (dual.section_scale * np.array([ws.target_weight(z) for z in p.points]))
+    factor = weights / (dual.section_scale * np.array([oracle.target_weight(z) for z in p.points]))
     keep = want > 1e-200
     rel = np.abs(p.masses - want)[keep] / want[keep]
     assert np.all(rel <= 1e-12 * (1.0 + dual.dual.mass) / factor[keep])
@@ -180,7 +179,7 @@ def test_class_path_matches_per_label_oracle():
     dets = set()
     for X, c, s, solve_each in cases:
         R = GaussianShape.spherical(s)
-        ws = FiberWorkspace(X, R, c)
+        ws = FiberWorkspace(X, s, c)
         p = exact_output_pmf(ws)
         _assert_matches_oracle(p, _label_oracle(X, R, c, solve_each))
         dets.add(_det_xxt(X))
@@ -188,31 +187,12 @@ def test_class_path_matches_per_label_oracle():
         # on a fresh workspace of a fresh equal matrix, bit for bit
         shared = (p, target_pmf(ws))
         assert np.array_equal(shared[0].points, shared[1].points)
-        other = FiberWorkspace(IntMatrix(X.rows), R, c)
+        other = FiberWorkspace(IntMatrix(X.rows), s, c)
         fresh = (exact_output_pmf(other), target_pmf(other))
         for a, b in zip(shared, fresh):
             assert np.array_equal(a.points, b.points) and a.tail_bound == b.tail_bound
             assert np.array_equal(a.masses, b.masses)
     assert min(dets) == 1 and max(dets) >= 20
-
-
-def test_per_label_path_refuses_ellipsoidal_shapes():
-    # the class pmfs need R = r I: any matrix R, even r I, is refused by the
-    # image side, while the target side (MC's target pmf) takes it; the dual
-    # oracle's masses for R = r I as a matrix agree with the spherical pmf
-    for rows, c in (([[1, 1, 1], [0, 1, 2]], [0.0, 0.0, 0.0]), ([[1, 2, 3, 3]], [0.1, -0.4, 0.2, 0.0])):
-        X = IntMatrix.from_rows(rows)
-        m = X.n_cols
-        p = exact_output_pmf(FiberWorkspace(X, GaussianShape.spherical(1.5), c))
-        for R in (GaussianShape.ellipsoidal(1.5 * np.eye(m)), GaussianShape.ellipsoidal(np.diag(np.linspace(1.0, 2.0, m)))):
-            ws = FiberWorkspace(X, R, c)
-            with pytest.raises(ValueError, match="spherical"):
-                exact_output_pmf(ws)
-            with pytest.raises(ValueError, match="spherical"):
-                ws.fiber_weight([0] * X.n_rows)
-            assert target_pmf(ws).support_size() > 0
-        e = DualSections(X, GaussianShape.ellipsoidal(1.5 * np.eye(m)), c).output_masses(p.points)
-        np.testing.assert_allclose(e, p.masses, rtol=1e-12, atol=0)
 
 
 def test_hnf_calls_independent_of_label_count(monkeypatch):
@@ -230,8 +210,7 @@ def test_hnf_calls_independent_of_label_count(monkeypatch):
     for r in (1.0, 3.0):
         calls.clear()
         X = IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])  # a fresh object holds no decomposition
-        R = GaussianShape.spherical(r)
-        ws = FiberWorkspace(X, R, [0.0] * 3)
+        ws = FiberWorkspace(X, r, [0.0] * 3)
         p = exact_output_pmf(ws)
         target_pmf(ws)
         per_size[p.support_size()] = len(calls)
@@ -246,7 +225,7 @@ def test_workspace_reduces_skewed_kernel_basis():
     # workspace's fiber weight from the class pmfs matches their sections
     X = IntMatrix.from_rows([[-2, -3, 3, 0, 2, 2], [3, -3, -1, 3, 0, -1], [-2, -3, -3, 3, -3, -3]])
     R = GaussianShape.spherical(3.0)
-    ws = FiberWorkspace(X, R, [0.0] * 6)
+    ws = FiberWorkspace(X, 3.0, [0.0] * 6)
     kernel = X.reduced_kernel
     assert kernel.provenance == "reduced"
     assert max(abs(x) for v in kernel.vectors() for x in v) <= 10
@@ -268,6 +247,13 @@ def _random_onto(rng, n, m, lo=-2, hi=3):
 
 
 def test_dual_sums_match_primal_oracle():
+    # the dual oracle's masses for R = r I as a matrix agree with the
+    # workspace's spherical pmf
+    for rows, c in (([[1, 1, 1], [0, 1, 2]], [0.0, 0.0, 0.0]), ([[1, 2, 3, 3]], [0.1, -0.4, 0.2, 0.0])):
+        X = IntMatrix.from_rows(rows)
+        p = exact_output_pmf(FiberWorkspace(X, 1.5, c))
+        e = DualSections(X, GaussianShape.ellipsoidal(1.5 * np.eye(X.n_cols)), c).output_masses(p.points)
+        np.testing.assert_allclose(e, p.masses, rtol=1e-12, atol=0)
     # random X with n <= 2, m <= n + 3, r in [1.2, 3]; c = 0 and c != 0;
     # the dual oracle for spherical and ellipsoidal R, and the class pmfs
     # for spherical R, against primal section sums
@@ -286,16 +272,16 @@ def test_dual_sums_match_primal_oracle():
         for R in shapes:
             dual = DualSections(X, R, c)
             oracle = PrimalSections(X, R, c)
-            ws = oracle.ws
             assert abs(dual.kernel_weight() - oracle.kernel_weight()) <= 1e-12
             labels = rng.integers(-3, 4, size=(4, n)).tolist()
             for z in labels:
                 assert abs(dual.fiber_weight(z) - oracle.fiber_weight(z)) <= 1e-12
-            T = ws.region()
+            T = oracle.target_region[0]
             _assert_matches_oracle(DiscretePMF(T, dual.output_masses(T), 0.0), oracle)
             for z in T[:: max(1, len(T) // 5)]:  # a chunked sum has the bits of a lone one
                 assert oracle.fiber_weight(z) == oracle.fiber(z)[0]
             if R.is_spherical:
+                ws = FiberWorkspace(X, r, c)
                 for z in labels:
                     assert abs(ws.fiber_weight(z) - oracle.fiber_weight(z)) <= 1e-12
                 _assert_matches_oracle(exact_output_pmf(ws), oracle)
@@ -311,7 +297,7 @@ def test_class_tvd_matches_tvd_of_the_two_pmfs():
         X = _random_onto(rng, n, n + 1 + i % 3, -1, 2)
         c = [0.0] * X.n_cols if i % 2 else rng.normal(scale=0.3, size=X.n_cols).tolist()
         r = float(rng.uniform(1.0, 2.5))
-        ws = FiberWorkspace(X, GaussianShape.spherical(r), c)
+        ws = FiberWorkspace(X, r, c)
         rep = class_tvd(X, r, c)
         ref = exact_tvd(exact_output_pmf(ws), target_pmf(ws))
         assert abs(rep.tvd - ref.tvd) <= 1e-12
@@ -345,7 +331,7 @@ def test_class_tvd_at_threshold_s3_up_to_m12():
     compared = 0
     for X, eps, r in instances:
         R = GaussianShape.spherical(r)
-        ws = FiberWorkspace(X, R, [0.0] * X.n_cols)
+        ws = FiberWorkspace(X, r, [0.0] * X.n_cols)
         rep = class_tvd(X, r, [0.0] * X.n_cols)
         assert rep.support_size == _det_xxt(X) >= 2
         assert rep.tvd <= 2 * eps + rep.truncation_error
@@ -434,6 +420,54 @@ def test_class_tvd_far_below_the_smoothing_parameter(monkeypatch):
     assert len(regions) == 2 and rep.truncation_error > 0.5
 
 
+def test_class_tvd_primal_target_is_the_workspace_region(monkeypatch):
+    # far below smoothing the class TVD bins the workspace's own target
+    # region: the same labels, weights and tail, bit for bit
+    import dgsum.tvd
+
+    regions = []
+    truncate = dgsum.tvd.truncate_coset
+
+    def recorded(A, b):
+        out = truncate(A, b)
+        if len(b) > 1:  # the target region, not a 1-D term table
+            regions.append(out)
+        return out
+
+    monkeypatch.setattr(dgsum.tvd, "truncate_coset", recorded)
+    # on the last two a whitening of X (r^2 I) X^T would round differently
+    # from that of r^2 X X^T, and change the region's tail
+    X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
+    cases = [(X, r, [0.5] * 4) for r in (0.1, 0.05, 0.002)] + [
+        (X, 0.002, [0.0] * 4),
+        (IntMatrix.from_rows([[1, -1, 0], [2, -1, -1]]), 0.03, [0.11, 0.31, 0.13]),
+        (IntMatrix.from_rows([[2, -1, 0, 2], [1, 0, 1, -2]]), 0.02, [0.5] * 4),
+    ]
+    for M, r, c in cases:
+        regions.clear()
+        class_tvd(M, r, c)
+        assert len(regions) == 1, (r, c)
+        want = FiberWorkspace(M, r, c).target_region
+        got = regions[0]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]) and got[2] == want[2], (r, c)
+
+
+def test_class_tvd_past_the_target_dual_sum_budget():
+    # at r = 0.002 the target's dual sum holds more than ENUM_BUDGET partial
+    # points; the primal target answers, and agrees with the per-label pair
+    X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
+    for c in ([0.0] * 4, [0.5] * 4, [0.5, 0.0, 0.0, 0.0]):
+        rep = class_tvd(X, 0.002, c)
+        assert rep.radius == banaszczyk_radius(2) and rep.support_size == 9
+        ws = FiberWorkspace(X, 0.002, c)
+        pair = exact_tvd(exact_output_pmf(ws), target_pmf(ws))
+        assert abs(rep.tvd - pair.tvd) <= rep.truncation_error + pair.truncation_error, c
+        if c == [0.5] * 4:
+            assert abs(rep.tvd - 0.5) <= rep.truncation_error <= 1e-12
+        else:
+            assert rep.tvd <= rep.truncation_error <= 1e-12
+
+
 def _theta_oracle(r, c, L):
     """S(k / L) / S(0), k < L, of the primal series S(a) = sum_w rho_r(w + c)
     e^{2 pi i w a} over |w| <= 12 r + 2, its real and imaginary parts each
@@ -483,7 +517,7 @@ def test_per_label_tvd_is_within_its_bound_of_the_class_tvd():
     X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
     for r in (0.2, 0.5, 1.0, 3.0):
         for c in ([0.5] * 4, [0.5, 0.0, 0.0, 0.0], [0.0] * 4):
-            ws = FiberWorkspace(X, GaussianShape.spherical(r), c)
+            ws = FiberWorkspace(X, r, c)
             rep = exact_tvd(exact_output_pmf(ws), target_pmf(ws))
             ref = class_tvd(X, r, c)
             assert abs(rep.tvd - ref.tvd) <= rep.truncation_error + ref.truncation_error, (r, c)
@@ -494,8 +528,8 @@ def test_exact_output_pmf_tail_from_the_class_pmfs():
     # region misses, twice the largest class ratio times the target's tail,
     # and the rounding of the largest class's masses
     X = IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])
-    ws = FiberWorkspace(X, GaussianShape.spherical(1.5), [0.0] * 3)
-    _, index, P, e, _ = ws.classes
+    ws = FiberWorkspace(X, 1.5, [0.0] * 3)
+    _, index, _, P, e, _ = ws.classes
     T, w, tt = ws.target_region
     assert len(P) == 6 and np.all(np.bincount(index, minlength=6) > 0)  # every class held
     ratio = float(np.max(P / np.bincount(index, w))) * float(np.sum(w))
@@ -506,9 +540,9 @@ def test_exact_output_pmf_tail_from_the_class_pmfs():
     # more classes than labels: the region misses the classes of the labels
     # past it, and their image mass is charged
     X = IntMatrix.from_rows([[1, 200]])
-    ws = FiberWorkspace(X, GaussianShape.spherical(1.0), [0.0, 0.0])
+    ws = FiberWorkspace(X, 1.0, [0.0, 0.0])
     p = exact_output_pmf(ws)
-    _, index, P, e, _ = ws.classes
+    _, index, _, P, e, _ = ws.classes
     missed = np.bincount(index, minlength=len(P)) == 0
     assert len(P) == 40001 and len(p.points) < 40001 and np.any(missed)
     assert float(np.sum(P[missed])) <= p.tail_bound < 1e-10
@@ -521,15 +555,15 @@ def test_per_label_pair_far_below_the_smoothing_parameter():
     # the tail.  At c = (1/2, 0, 0, 0) image and target agree to rounding.
     X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
     for r in (0.2, 0.1, 0.05):
-        ws = FiberWorkspace(X, GaussianShape.spherical(r), [0.5] * 4)
+        ws = FiberWorkspace(X, r, [0.5] * 4)
         rep = exact_tvd(exact_output_pmf(ws), target_pmf(ws))
         assert abs(rep.tvd - 0.5) <= rep.truncation_error, r
     assert rep.truncation_error <= 0.25 + 1e-12  # half of the tail, the missed half of the image
     with pytest.raises(ValueError, match="no label of the class"):  # z = 0 mod 3: a missed class
         ws.fiber_weight([0, 1])
-    ws = FiberWorkspace(X, GaussianShape.spherical(0.2), [0.5] * 4)
+    ws = FiberWorkspace(X, 0.2, [0.5] * 4)
     assert exact_tvd(exact_output_pmf(ws), target_pmf(ws)).truncation_error <= 1e-6
-    ws = FiberWorkspace(X, GaussianShape.spherical(0.1), [0.5, 0.0, 0.0, 0.0])
+    ws = FiberWorkspace(X, 0.1, [0.5, 0.0, 0.0, 0.0])
     rep = exact_tvd(exact_output_pmf(ws), target_pmf(ws))
     assert rep.tvd <= rep.truncation_error < 1e-6
 
@@ -542,7 +576,7 @@ def test_per_label_pmf_past_the_old_dual_sum_budget():
                     ([[2, 2, 2, 2, 1], [2, 2, -2, 1, 0], [2, 1, 0, 1, -2]], 1.5)):
         X = IntMatrix.from_rows(rows)
         c = [0.0] * X.n_cols
-        ws = FiberWorkspace(X, GaussianShape.spherical(r), c)
+        ws = FiberWorkspace(X, r, c)
         rep = exact_tvd(exact_output_pmf(ws), target_pmf(ws))
         ref = class_tvd(X, r, c)
         assert abs(rep.tvd - ref.tvd) <= rep.truncation_error + ref.truncation_error < 1e-9
@@ -557,14 +591,14 @@ def test_output_pmf_identity_matches_exact_pmf():
     X = IntMatrix.from_rows([[1]])
     for r in (1.0, 2.5):
         R = GaussianShape.spherical(r)
-        p = exact_output_pmf(_at_zero(X, R))
+        p = exact_output_pmf(_at_zero(X, r))
         base = exact_pmf(LatticeCoset.integers(1), R)
         for pt in base.points:
             assert p.mass_at(pt) == pytest.approx(base.mass_at(pt), abs=1e-12)
 
 
 def test_output_pmf_symmetry():
-    p = exact_output_pmf(_at_zero(X11, R2))
+    p = exact_output_pmf(_at_zero(X11, 2.0))
     for z in p.points:
         assert p.mass_at(z) == pytest.approx(p.mass_at((-z[0],)), rel=1e-10)
 
@@ -572,7 +606,7 @@ def test_output_pmf_symmetry():
 def test_target_pmf_is_1d_gaussian_with_r_sqrt2():
     from dgsum.gaussian import exact_pmf
 
-    q = target_pmf(_at_zero(X11, R2))
+    q = target_pmf(_at_zero(X11, 2.0))
     base = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(2.0 * math.sqrt(2)))
     for z in base.points:
         if q.mass_at(z):
@@ -580,7 +614,7 @@ def test_target_pmf_is_1d_gaussian_with_r_sqrt2():
 
 
 def test_target_pmf_shifted_support():
-    ws = FiberWorkspace(X11, R2, [0.25, 0.25])
+    ws = FiberWorkspace(X11, 2.0, [0.25, 0.25])
     assert ws.Xc == pytest.approx(np.array([0.5]))
     q = target_pmf(ws)
     assert float(q.masses.sum()) == pytest.approx(1.0, abs=1e-9)
@@ -588,7 +622,7 @@ def test_target_pmf_shifted_support():
 
 def test_output_pmf_ratio_band_against_target():
     # the fiber-factorization mechanism: pmf(z)/pmf(0) tracks the target shape
-    ws = FiberWorkspace(X11, R2, [0.0, 0.0])
+    ws = FiberWorkspace(X11, 2.0, [0.0, 0.0])
     kw = ws.fiber_weight([0])  # at c = 0 the fiber over 0 is the kernel lattice
     eps = 0.01
     lo = (1 - eps) / (1 + eps)
@@ -601,7 +635,7 @@ def test_output_pmf_ratio_band_against_target():
 
 
 def test_exact_tvd_self_is_zero():
-    p = exact_output_pmf(_at_zero(X11, R2))
+    p = exact_output_pmf(_at_zero(X11, 2.0))
     rep = exact_tvd(p, p)
     assert rep.tvd == 0.0
 
@@ -653,7 +687,7 @@ def test_exact_tvd_array_path_matches_dict_path():
     pairs = []
     for rows, c in (([[1, 1, 1], [0, 1, 2]], [0.0, 0.0, 0.0]), ([[1, 0, 1, 1], [0, 1, 1, -1]], [0.3, -0.2, 0.0, 0.1])):
         X = IntMatrix.from_rows(rows)
-        ws = FiberWorkspace(X, GaussianShape.spherical(3.0), c)
+        ws = FiberWorkspace(X, 3.0, c)
         pairs.append((exact_output_pmf(ws), target_pmf(ws)))
     rng = np.random.default_rng(2)
     for size in (2, 17, 1000, 5000):
@@ -671,7 +705,7 @@ def test_exact_tvd_array_path_matches_dict_path():
 
 def test_exact_tvd_symmetry_and_triangle():
     ps = [
-        exact_output_pmf(_at_zero(X11, GaussianShape.spherical(r)))
+        exact_output_pmf(_at_zero(X11, r))
         for r in (1.5, 2.0, 3.0)
     ]
     d = lambda a, b: exact_tvd(a, b).tvd
@@ -682,8 +716,7 @@ def test_exact_tvd_symmetry_and_triangle():
 def test_threshold_pipeline_small_instance():
     eps = 0.01
     r = distance_threshold(1.0, 1.0, 2, 1, eps)
-    R = GaussianShape.spherical(r)
-    ws = FiberWorkspace(X11, R, [0.0, 0.0])
+    ws = FiberWorkspace(X11, r, [0.0, 0.0])
     rep = exact_tvd(exact_output_pmf(ws), target_pmf(ws))
     assert rep.tvd <= 2 * eps + rep.truncation_error
 
@@ -703,7 +736,7 @@ def _sampler_for(X, R):
 
 
 def test_mc_tvd_self_distance_small():
-    q = target_pmf(_at_zero(X11, R2))
+    q = target_pmf(_at_zero(X11, 2.0))
     rep = mc_tvd(_sampler_for(X11, R2), q, 100_000, SampleStream(55))
     # E_{X,r} at r=2 is within a few e-3 of the target; the plug-in estimate
     # should sit near the bias floor
@@ -712,14 +745,14 @@ def test_mc_tvd_self_distance_small():
 
 
 def test_mc_tvd_determinism():
-    q = target_pmf(_at_zero(X11, R2))
+    q = target_pmf(_at_zero(X11, 2.0))
     a = mc_tvd(_sampler_for(X11, R2), q, 20_000, SampleStream(7))
     b = mc_tvd(_sampler_for(X11, R2), q, 20_000, SampleStream(7))
     assert a.estimate == b.estimate
 
 
 def test_mc_tvd_ci_shrinks_with_n():
-    q = target_pmf(_at_zero(X11, R2))
+    q = target_pmf(_at_zero(X11, 2.0))
     w = []
     for N in (10_000, 40_000):
         rep = mc_tvd(_sampler_for(X11, R2), q, N, SampleStream(8))
@@ -766,15 +799,15 @@ def test_mc_tvd_counting_matches_per_row_oracle():
     def one_dim(N, st):
         return _sampler_for(X11, R2)(N, st)[:, 0]
 
-    q = target_pmf(FiberWorkspace(X, R, c))
-    for sampler, target in ((integral, q), (shifted, q), (mixed, q), (one_dim, target_pmf(_at_zero(X11, R2)))):
+    q = target_pmf(FiberWorkspace(X, 1.5, c))
+    for sampler, target in ((integral, q), (shifted, q), (mixed, q), (one_dim, target_pmf(_at_zero(X11, 2.0)))):
         rep = mc_tvd(sampler, target, 20_000, SampleStream(3))
         ref = _mc_counts_oracle(sampler, target, 20_000, SampleStream(3))
         assert (rep.estimate, rep.ci_lo, rep.ci_hi, rep.bias_bound) == ref
 
 
 def test_mc_tvd_min_samples():
-    q = target_pmf(_at_zero(X11, R2))
+    q = target_pmf(_at_zero(X11, 2.0))
     with pytest.raises(ValueError):
         mc_tvd(_sampler_for(X11, R2), q, 100, SampleStream(9))
 
