@@ -1,14 +1,21 @@
 """Seeded, manifest-driven command-line front end.
 
-Subcommands: sample | quality | kernel | tvd | main.  Each run writes a
-manifest (resolved config, tool version, RNG identity, wall clock, stage
-status) plus machine-readable JSON/CSV reports, all through ``write_report``,
-which overwrites an existing file in place.  Report files contain no
-timestamps, so a re-run from the same manifest is byte-identical.
+Subcommands: sample | quality | kernel | tvd | main.  Every option is one
+entry of ``OPTIONS`` (flag, kind, default), which both the parser and
+``resolve`` read.  A subcommand's handler takes the resolved config and the
+run's ``SampleStream`` and returns a ``Run``: exit status, reports, stage
+status and at most one stderr line.  ``main`` is the one run frame: it makes
+the output directory, calls the handler, writes each report through
+``write_report`` (JSON through ``write_json``), then the manifest (resolved
+config, tool version, RNG identity, wall clock, stage status), and prints
+the handler's line.  A run without reports writes no manifest, and a run
+that raises writes no file.  ``write_report`` overwrites an existing file in
+place.  Report files contain no timestamps, so a re-run from the same
+manifest is byte-identical.
 
 Exit codes: 0 = all gates passed, 2 = gates unmet, an inconclusive MC
 verdict or invalid input (an output path that cannot be written included),
-3 = invariant violation.
+3 = invariant violation, or a failed verdict (one ``fail: ...`` line).
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +36,7 @@ from . import __version__
 from .gaussian import (
     EnumerationBudgetExceeded, GaussianShape, LatticeCoset, SampleStream, draw_ints, int_table, sample_dg_coset,
 )
-from .intmat import IntMatrix, InvariantViolation, is_surjective
+from .intmat import IntMatrix, is_surjective
 from .lattice import reduced_integer_kernel, successive_minima_upper
 from .quality import (
     CollisionNotFound,
@@ -144,54 +152,54 @@ def parse_config(path: str) -> dict:
     return cfg
 
 
-def _number(cfg: dict, key: str, kind: type, default):
-    """cfg[key], or the default, as an int or a float.  Text (a flag, a
-    ``key = value`` line) is parsed; a JSON value must be a number of the
-    kind, an int for an int, so that a seed of 1.5 is refused, not run as 1."""
+# key -> (flag, kind, default) of every option.  A kind of int or float
+# parses a number, str keeps text and list reads the shift c; the mode has no
+# flag of its own but the --exact/--mc/--both group.  The order is the order
+# in which ``resolve`` reads, and so refuses, the values.
+OPTIONS = {
+    "n": ("-n", int, 1),
+    "m": ("-m", int, 2),
+    "s": ("-s", float, 3.0),
+    "r": ("-r", float, None),
+    "eps": ("--eps", float, 0.01),
+    "seed": ("--seed", int, 1),
+    "samples": ("--samples", int, 100_000),
+    "trials": ("--trials", int, 10),
+    "out_dir": ("--out-dir", str, "."),
+    "x_file": ("--x-file", str, None),
+    "c": ("--c", list, None),
+    "mode": (None, str, "exact"),
+}
+
+
+def _option(cfg: dict, key: str, kind: type, default):
+    """cfg[key], or the default, as its option's kind; None only where the
+    default is.  Text (a flag, a ``key = value`` line) is parsed; a JSON value
+    must already be of the kind, an int for an int, so that a seed of 1.5 is
+    refused, not run as 1.  The shift c is text of numbers or a list of
+    numbers, as a manifest records it, and None when empty."""
     v = cfg.get(key, default)
+    if v is None and default is None:
+        return None
+    if kind is list:
+        if isinstance(v, str):
+            v = v.split()
+        elif not (isinstance(v, list) and all(type(x) in (int, float) for x in v)):
+            raise ValueError(f"{key} must be a list of numbers, not {v!r}")
+        return [float(x) for x in v] or None
+    if kind is str:
+        if isinstance(v, str):
+            return v
+        raise ValueError(f"{key} must be text, not {v!r}")
     if isinstance(v, str) or type(v) is int or (kind is float and type(v) is float):
         return kind(v)
     raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, not {v!r}")
 
 
-def _text(cfg: dict, key: str, default: str | None) -> str | None:
-    """cfg[key], or the default, which must be text; None only where the default is."""
-    v = cfg.get(key, default)
-    if isinstance(v, str) or (v is None and default is None):
-        return v
-    raise ValueError(f"{key} must be text, not {v!r}")
-
-
-def _shift(v) -> list[float] | None:
-    """The shift c from text of numbers (a flag, a ``key = value`` line) or
-    from a list of numbers, as a manifest records it; None when empty."""
-    if isinstance(v, str):
-        v = v.split()
-    elif not (v is None or isinstance(v, list) and all(type(x) in (int, float) for x in v)):
-        raise ValueError(f"c must be a list of numbers, not {v!r}")
-    return [float(x) for x in v] if v else None
-
-
 def resolve(args: argparse.Namespace) -> dict:
     cfg = parse_config(args.config) if args.config else {}
-    for key in ("seed", "eps", "samples", "trials", "n", "m", "s", "r", "out_dir", "x_file", "c", "mode"):
-        v = getattr(args, key, None)
-        if v is not None:
-            cfg[key] = v
-    out = {
-        "n": _number(cfg, "n", int, 1),
-        "m": _number(cfg, "m", int, 2),
-        "s": _number(cfg, "s", float, 3.0),
-        "r": None if cfg.get("r") is None else _number(cfg, "r", float, None),
-        "eps": _number(cfg, "eps", float, 0.01),
-        "seed": _number(cfg, "seed", int, 1),
-        "samples": _number(cfg, "samples", int, 100_000),
-        "trials": _number(cfg, "trials", int, 10),
-        "out_dir": _text(cfg, "out_dir", "."),
-        "x_file": _text(cfg, "x_file", None),
-        "c": _shift(cfg.get("c")),
-        "mode": _text(cfg, "mode", "exact"),
-    }
+    cfg.update((key, v) for key in OPTIONS if (v := getattr(args, key, None)) is not None)
+    out = {key: _option(cfg, key, kind, default) for key, (_, kind, default) in OPTIONS.items()}
     if not 0 < out["eps"] < 1:
         raise ValueError("eps out of range")
     if out["n"] < 1 or out["m"] < out["n"]:
@@ -236,40 +244,30 @@ def load_or_draw_matrix(cfg: dict, stream: SampleStream) -> IntMatrix:
 
 
 def best_certificate(X: IntMatrix, stream: SampleStream):
-    """Collision search first, exact fallback second; best (smaller) q2 wins."""
-    candidates = []
-    try:
-        candidates.append(find_dual_vectors(X, stream=stream))
-    except (CollisionNotFound, SurjectivityError):
-        pass
-    try:
-        candidates.append(exact_dual_fallback(X))
-    except (CollisionNotFound, SurjectivityError):
-        pass
-    certs = [certify_quality(X, u) for u in candidates]
-    certs = [c for c in certs if c.verified]
-    if not certs:
-        return None
-    return min(certs, key=lambda c: c.q2)
+    """Collision search first, exact fallback second; the verified
+    certificate with the smaller q2 wins, None when neither verifies."""
+    certs = []
+    for search in (lambda: find_dual_vectors(X, stream=stream), lambda: exact_dual_fallback(X)):
+        try:
+            u = search()
+        except (CollisionNotFound, SurjectivityError):
+            continue
+        certs.append(certify_quality(X, u))
+    return min((c for c in certs if c.verified), key=lambda c: c.q2, default=None)
 
 
-def write_manifest(out_dir: Path, command: str, cfg: dict, stages: dict, t0: float) -> None:
-    manifest = {
-        "tool": "dgsum",
-        "version": __version__,
-        "command": command,
-        "resolved_config": {k: v for k, v in cfg.items()},
-        "rng": SampleStream(cfg["seed"]).identity(),
-        "wall_clock_s": time.time() - t0,
-        "stages": stages,
-    }
-    write_json(out_dir / "manifest.json", manifest)
+class Run(NamedTuple):
+    """What a subcommand hands back to ``main``, which writes it: the exit
+    status, the reports (file name -> text, or an object written as JSON),
+    the manifest's stage status and at most one line for stderr."""
+
+    status: int
+    files: dict
+    stage: str = "ok"
+    message: str | None = None
 
 
-def cmd_sample(cfg: dict) -> int:
-    t0 = time.time()
-    out = make_out_dir(cfg)
-    stream = SampleStream(cfg["seed"])
+def cmd_sample(cfg: dict, stream: SampleStream) -> Run:
     X = load_or_draw_matrix(cfg, stream.substream(0))
     n, m = X.shape
     r = cfg["r"] if cfg["r"] is not None else 3.0
@@ -278,8 +276,9 @@ def cmd_sample(cfg: dict) -> int:
         raise ValueError("shift dimension mismatch")
     # samples.csv holds the integer X v, so c must be integer: Z^m + c is
     # then Z^m, drawn about 0
-    if any(abs(x - round(x)) > 1e-12 for x in c):
-        raise ValueError("cmd_sample supports integer shifts only")
+    for i, x in enumerate(c):
+        if abs(x - round(x)) > 1e-12:
+            raise ValueError(f"sample takes integer shifts only, not c_{i + 1} = {x!r}")
     N = cfg["samples"]
     table = int_table(r)
     vs = np.stack([draw_ints(table, N, stream.substream(100 + i)) for i in range(m)], axis=1)
@@ -287,80 +286,64 @@ def cmd_sample(cfg: dict) -> int:
     zs = vs @ Xf.T
     lines = [",".join(f"z{i + 1}" for i in range(n))]
     lines += [",".join(str(int(v)) for v in row) for row in zs]
-    write_report(out / "samples.csv", "\n".join(lines) + "\n")
-    write_report(out / "matrix.txt", X.to_text() + "\n")
-    write_manifest(out, "sample", cfg, {"sample": "ok"}, t0)
-    return EXIT_OK
+    return Run(EXIT_OK, {"samples.csv": "\n".join(lines) + "\n", "matrix.txt": X.to_text() + "\n"})
 
 
-def cmd_quality(cfg: dict) -> int:
-    t0 = time.time()
-    out = make_out_dir(cfg)
-    stream = SampleStream(cfg["seed"])
+def cmd_quality(cfg: dict, stream: SampleStream) -> Run:
     X = load_or_draw_matrix(cfg, stream.substream(0))
     n, m = X.shape
-    write_report(out / "matrix.txt", X.to_text() + "\n")
     cert = best_certificate(X, stream.substream(1))
     sigma1 = float(np.linalg.svd(X.to_numpy(), compute_uv=False)[0])
     params = CollisionSearchParams.for_matrix(X)
-    nominal = {
+    report = cert.to_json_dict() if cert is not None else {"verified": False}
+    report["nominal_bounds"] = {
         "q1": sigma1 * math.sqrt(max(n * math.log2(max(m, 2)), 1e-12)),
         "q2": 2.0 * math.sqrt(max(30.0 * n * math.log2(max(sigma1 * n, 2.0)), 0.0)),
         "t": params.t,
         "prefix_budget": params.prefix_budget,
     }
+    files = {"matrix.txt": X.to_text() + "\n", "certificate.json": report}
     if cert is None:
-        write_json(out / "certificate.json", {"verified": False, "nominal_bounds": nominal})
-        write_manifest(out, "quality", cfg, {"quality": "failed"}, t0)
-        print("no certificate: neither the collision search nor the exact fallback verified one", file=sys.stderr)
-        return EXIT_GATE
-    report = cert.to_json_dict()
-    report["nominal_bounds"] = nominal
-    write_json(out / "certificate.json", report)
-    write_manifest(out, "quality", cfg, {"quality": "ok"}, t0)
-    return EXIT_OK
+        return Run(EXIT_GATE, files, "failed",
+                   "no certificate: neither the collision search nor the exact fallback verified one")
+    return Run(EXIT_OK, files)
 
 
-def cmd_kernel(cfg: dict) -> int:
-    t0 = time.time()
-    out = make_out_dir(cfg)
-    stream = SampleStream(cfg["seed"])
+def cmd_kernel(cfg: dict, stream: SampleStream) -> Run:
     X = load_or_draw_matrix(cfg, stream.substream(0))
-    n, m = X.shape
     reduced = reduced_integer_kernel(X)
     lams = successive_minima_upper(reduced)
     cert = best_certificate(X, stream.substream(1))
     report = {
         "kernel_basis": [list(v) for v in reduced.vectors()],
         "lambda_hat": lams,
+        "short_vector_bound": None,
     }
-    status = EXIT_OK
-    if cert is not None:
-        skv = short_kernel_vectors(X, cert)
-        report["short_vector_bound"] = skv.norm_bound
-        report["independent_subset"] = list(skv.independent_subset)
-        if lams:  # a trivial kernel (m = n, X unimodular) has no last minimum
-            report["lambda_last_le_bound"] = lams[-1] <= skv.norm_bound + 1e-9
-            if not report["lambda_last_le_bound"]:
-                status = EXIT_INVARIANT
-    else:
-        report["short_vector_bound"] = None
-    write_report(out / "matrix.txt", X.to_text() + "\n")
-    write_json(out / "kernel.json", report)
-    write_manifest(out, "kernel", cfg, {"kernel": "ok"}, t0)
-    return status
+    files = {"matrix.txt": X.to_text() + "\n", "kernel.json": report}
+    if cert is None:
+        return Run(EXIT_OK, files)
+    skv = short_kernel_vectors(X, cert)
+    report["short_vector_bound"] = skv.norm_bound
+    report["independent_subset"] = list(skv.independent_subset)
+    if lams:  # a trivial kernel (m = n, X unimodular) has no last minimum
+        report["lambda_last_le_bound"] = lams[-1] <= skv.norm_bound + 1e-9
+        if not report["lambda_last_le_bound"]:
+            return Run(EXIT_INVARIANT, files, message=f"fail: lambda_hat_{len(lams)} = {lams[-1]:g} exceeds "
+                       f"the short-vector bound 1 + q1 q2 = {skv.norm_bound:g}")
+    return Run(EXIT_OK, files)
 
 
-def _tvd_instance(X: IntMatrix, r: float, eps: float, c, mode: str, stream: SampleStream, samples: int, cert=None):
+def _tvd_instance(X: IntMatrix, r: float, eps: float, c, mode: str, stream: SampleStream, samples: int, threshold):
     """The exact and/or MC TVD of X·D_{Z^m+c, r} from its target and, given
-    a verified certificate and m > n, the verdict against 2 eps.
+    a threshold (a verified certificate's, for m > n), the verdict against
+    2 eps.
 
     The exact TVD is ``class_tvd``'s, one FFT over the d = det X X^T
     classes of Z^n / X X^T Z^n, at any r; it raises EnumerationBudgetExceeded
     when d exceeds the budget.  A ``FiberWorkspace`` and its target pmf over
     a label region are built only for MC.  Both reduce c mod Z^m first, so c
-    and c plus an integer vector give one report.  Below the certificate's
-    threshold the verdict is ``precondition unmet``.  Otherwise an exact TVD (``--exact``, ``--both``)
+    and c plus an integer vector give one report.  Below the threshold the
+    verdict is ``precondition unmet``.  Otherwise an exact TVD (``--exact``, ``--both``)
     passes when it is at most 2 eps plus its truncation error and fails
     above.  An MC estimate alone (``--mc``) passes when it is at most 2 eps;
     it fails only when the lower end of its confidence interval exceeds
@@ -379,8 +362,7 @@ def _tvd_instance(X: IntMatrix, r: float, eps: float, c, mode: str, stream: Samp
         def sampler(N, st):
             return sample_dg_coset(coset, R, st, size=N) @ X.to_numpy().T - ws.Xc
         result["mc"] = mc_tvd(sampler, target_pmf(ws), samples, stream).to_json_dict()
-    if cert is not None and cert.verified and X.n_cols > X.n_rows:
-        threshold = distance_threshold(cert.q1, cert.q2, X.n_cols, X.n_rows, eps)
+    if threshold is not None:
         result["threshold"] = threshold
         result["sigma_m"] = r
         result["precondition_met"] = r >= threshold - 1e-12
@@ -396,45 +378,39 @@ def _tvd_instance(X: IntMatrix, r: float, eps: float, c, mode: str, stream: Samp
     return result
 
 
-def cmd_tvd(cfg: dict) -> int:
-    t0 = time.time()
-    out = make_out_dir(cfg)
-    stream = SampleStream(cfg["seed"])
+def cmd_tvd(cfg: dict, stream: SampleStream) -> Run:
     X = load_or_draw_matrix(cfg, stream.substream(0))
     cert = best_certificate(X, stream.substream(1))
     eps = cfg["eps"]
-    r = cfg["r"]
+    threshold = None
+    if cert is not None and X.n_cols > X.n_rows:
+        threshold = distance_threshold(cert.q1, cert.q2, X.n_cols, X.n_rows, eps)
+    r = cfg["r"] if cfg["r"] is not None else threshold
     if r is None:
-        if cert is None or X.n_cols == X.n_rows:
-            print("no threshold available: give -r explicitly", file=sys.stderr)
-            return EXIT_GATE
-        r = distance_threshold(cert.q1, cert.q2, X.n_cols, X.n_rows, eps)
-    result = _tvd_instance(X, r, eps, cfg["c"], cfg["mode"], stream.substream(2), cfg["samples"], cert)
-    write_report(out / "matrix.txt", X.to_text() + "\n")
-    write_json(out / "tvd.json", result)
-    write_manifest(out, "tvd", cfg, {"tvd": "ok"}, t0)
-    if result.get("verdict") == "fail":
-        return EXIT_INVARIANT
-    if result.get("verdict") == "precondition unmet":
-        print(f"precondition unmet: sigma_m = {r:g} is below the threshold {result['threshold']:g}", file=sys.stderr)
-        return EXIT_GATE
-    if result.get("verdict") == "inconclusive":
-        mc = result["mc"]
-        print(f"inconclusive: the MC estimate {mc['estimate']:g} exceeds 2 eps = {2 * eps:g}, "
-              f"but the lower end of its {mc['confidence']:g} confidence interval, {mc['ci'][0]:g}, does not",
-              file=sys.stderr)
-        return EXIT_GATE
-    return EXIT_OK
+        return Run(EXIT_GATE, {}, message="no threshold available: give -r explicitly")
+    result = _tvd_instance(X, r, eps, cfg["c"], cfg["mode"], stream.substream(2), cfg["samples"], threshold)
+    files = {"matrix.txt": X.to_text() + "\n", "tvd.json": result}
+    verdict, ex, mc = result.get("verdict"), result.get("exact"), result.get("mc")
+    if verdict == "fail" and ex:
+        return Run(EXIT_INVARIANT, files, message=f"fail: exact TVD {ex['tvd']:g} exceeds 2 eps + truncation "
+                   f"error = {2 * eps + ex['truncation_error']:g}")
+    if verdict == "fail":
+        return Run(EXIT_INVARIANT, files, message=f"fail: the lower end of the MC estimate's {mc['confidence']:g} "
+                   f"confidence interval, {mc['ci'][0]:g}, exceeds 2 eps = {2 * eps:g}")
+    if verdict == "precondition unmet":
+        return Run(EXIT_GATE, files, message=f"precondition unmet: sigma_m = {r:g} is below the threshold "
+                   f"{threshold:g}")
+    if verdict == "inconclusive":
+        return Run(EXIT_GATE, files, message=f"inconclusive: the MC estimate {mc['estimate']:g} exceeds "
+                   f"2 eps = {2 * eps:g}, but the lower end of its {mc['confidence']:g} confidence interval, "
+                   f"{mc['ci'][0]:g}, does not")
+    return Run(EXIT_OK, files)
 
 
-def cmd_main_experiment(cfg: dict) -> int:
-    t0 = time.time()
-    out = make_out_dir(cfg)
-    stream = SampleStream(cfg["seed"])
+def cmd_main_experiment(cfg: dict, stream: SampleStream) -> Run:
     n, m, s, eps = cfg["n"], cfg["m"], cfg["s"], cfg["eps"]
     trials = cfg["trials"]
     per_trial = []
-    n_pass = n_fail = n_skip = 0
     for trial in range(trials):
         st = stream.substream(trial)
         entry = {"trial": trial}
@@ -443,66 +419,46 @@ def cmd_main_experiment(cfg: dict) -> int:
             cert = best_certificate(X, st.substream(1))
             if cert is None:
                 entry["status"] = "no-certificate"
-                n_skip += 1
-                per_trial.append(entry)
-                continue
-            threshold = distance_threshold(cert.q1, cert.q2, m, n, eps)
-            result = _tvd_instance(X, threshold, eps, None, cfg["mode"], st.substream(2), cfg["samples"], cert)
-            if not abs(result["threshold"] - threshold) < 1e-12:
-                raise InvariantViolation("trial threshold differs from its report")
-            entry.update({
-                "q1": cert.q1, "q2": cert.q2, "threshold": threshold,
-                "result": result, "status": result["verdict"],
-            })
-            if result["verdict"] == "pass":
-                n_pass += 1
-            elif result["verdict"] == "inconclusive":
-                n_skip += 1
             else:
-                n_fail += 1
+                threshold = distance_threshold(cert.q1, cert.q2, m, n, eps)
+                result = _tvd_instance(X, threshold, eps, None, cfg["mode"], st.substream(2), cfg["samples"],
+                                       threshold)
+                entry.update(q1=cert.q1, q2=cert.q2, threshold=threshold, result=result, status=result["verdict"])
         except AssertionError:
             raise
         except Exception as exc:  # per-trial failures recorded, run continues
             entry["status"] = f"error: {exc}"
-            n_skip += 1
         per_trial.append(entry)
-    S = GaussianShape.spherical(s)
-    R = GaussianShape.spherical(1.0)
+    statuses = Counter(e["status"] for e in per_trial)
+    # at r = threshold every verdict is pass, fail or inconclusive
+    n_pass, n_fail = statuses["pass"], statuses["fail"]
+    n_skip = trials - n_pass - n_fail
     report = {
         "config": {"n": n, "m": m, "s": s, "eps": eps, "trials": trials},
-        "parameter_checks": parameter_check(n, m, eps, S, R),
-        "trials": sorted(per_trial, key=lambda e: e["trial"]),
+        "parameter_checks": parameter_check(n, m, eps, GaussianShape.spherical(s), GaussianShape.spherical(1.0)),
+        "trials": per_trial,
         "n_pass": n_pass,
         "n_fail": n_fail,
         "n_skipped": n_skip,
         "pass_rate_over_certified": (n_pass / max(n_pass + n_fail, 1)),
     }
-    write_json(out / "main_report.json", report)
-    write_manifest(out, "main", cfg, {"main": "ok"}, t0)
+    files = {"main_report.json": report}
     if n_fail > 0:
-        return EXIT_INVARIANT
-    if n_pass == 0:
-        reasons = Counter(e["status"] for e in per_trial)  # every trial was skipped
-        why = "; ".join(f"{k} (x{v})" for k, v in sorted(reasons.items())) or "no trials"
-        print(f"no trial passed: {n_skip} of {trials} trials skipped: {why}", file=sys.stderr)
-        return EXIT_GATE
-    return EXIT_OK
+        failed = ", ".join(str(e["trial"]) for e in per_trial if e["status"] == "fail")
+        return Run(EXIT_INVARIANT, files, message=f"fail: {n_fail} of {trials} trials exceed 2 eps = {2 * eps:g} "
+                   f"(trials {failed})")
+    if n_pass == 0:  # every trial was skipped
+        why = "; ".join(f"{k} (x{v})" for k, v in sorted(statuses.items())) or "no trials"
+        return Run(EXIT_GATE, files, message=f"no trial passed: {n_skip} of {trials} trials skipped: {why}")
+    return Run(EXIT_OK, files)
 
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", default=None)
-    shared.add_argument("--seed", type=int, default=None)
-    shared.add_argument("--eps", type=float, default=None)
-    shared.add_argument("--samples", type=int, default=None)
-    shared.add_argument("--out-dir", dest="out_dir", default=None)
-    shared.add_argument("--trials", type=int, default=None)
-    shared.add_argument("-n", type=int, default=None)
-    shared.add_argument("-m", type=int, default=None)
-    shared.add_argument("-s", type=float, default=None)
-    shared.add_argument("-r", type=float, default=None)
-    shared.add_argument("--x-file", dest="x_file", default=None)
-    shared.add_argument("--c", dest="c", default=None)
+    for key, (flag, kind, _) in OPTIONS.items():
+        if flag:
+            shared.add_argument(flag, dest=key, type=kind if kind in (int, float) else None, default=None)
     g = shared.add_mutually_exclusive_group()
     g.add_argument("--exact", dest="mode", action="store_const", const="exact")
     g.add_argument("--mc", dest="mode", action="store_const", const="mc")
@@ -520,21 +476,46 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: make the out dir, call its handler, then write its
+    reports and, if there are any, the manifest, and print its message.  A
+    handler that raises writes nothing; the error becomes one stderr line."""
     args = _PARSER.parse_args(argv)
     try:
         cfg = resolve(args)
     except (ValueError, KeyError, OverflowError) as exc:  # OverflowError: an integer too large for a float
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_GATE
+    command = args.command
     handler = {
         "sample": cmd_sample,
         "quality": cmd_quality,
         "kernel": cmd_kernel,
         "tvd": cmd_tvd,
         "main": cmd_main_experiment,
-    }[args.command]
+    }[command]
     try:
-        return handler(cfg)
+        t0 = time.time()
+        out = make_out_dir(cfg)
+        stream = SampleStream(cfg["seed"])
+        run = handler(cfg, stream)
+        for name, body in run.files.items():
+            if isinstance(body, str):
+                write_report(out / name, body)
+            else:
+                write_json(out / name, body)
+        if run.files:
+            write_json(out / "manifest.json", {
+                "tool": "dgsum",
+                "version": __version__,
+                "command": command,
+                "resolved_config": cfg,
+                "rng": stream.identity(),
+                "wall_clock_s": time.time() - t0,
+                "stages": {command: run.stage},
+            })
+        if run.message:
+            print(run.message, file=sys.stderr)
+        return run.status
     except AssertionError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

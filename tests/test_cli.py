@@ -99,7 +99,7 @@ def test_cmd_sample(tmp_path):
     assert manifest["rng"]["generator"] == "numpy.random.Philox"
 
 
-def test_cmd_sample_integer_shift_draws_as_at_zero(tmp_path):
+def test_cmd_sample_integer_shift_draws_as_at_zero(tmp_path, capsys):
     # Z^m + c is Z^m for an integer c, weighted about 0, as in tvd --mc and
     # every pmf: the samples do not move with c
     xfile = tmp_path / "X.txt"
@@ -110,7 +110,9 @@ def test_cmd_sample_integer_shift_draws_as_at_zero(tmp_path):
     assert run(common + ["--c", "-7 2 0 5", "--out-dir", tmp_path / "far"]) == EXIT_OK
     zero = (tmp_path / "zero" / "samples.csv").read_bytes()
     assert (tmp_path / "one" / "samples.csv").read_bytes() == zero == (tmp_path / "far" / "samples.csv").read_bytes()
-    assert run(common + ["--c", "0.5 0 0 0", "--out-dir", tmp_path / "half"]) == EXIT_GATE
+    capsys.readouterr()
+    assert run(common + ["--c", "0 0 2.25 0", "--out-dir", tmp_path / "half"]) == EXIT_GATE
+    assert capsys.readouterr().err == "invalid input: sample takes integer shifts only, not c_3 = 2.25\n"
 
 
 def test_sample_beyond_the_budget_exits_2_before_drawing(tmp_path, capsys):
@@ -236,6 +238,22 @@ def test_cmd_quality_not_onto_exits_2_with_one_line(tmp_path, capsys):
     assert read_json(out / "certificate.json")["verified"] is False
 
 
+def test_cmd_quality_whose_search_raises_writes_no_report(tmp_path, capsys, monkeypatch):
+    import dgsum.cli
+    from dgsum.intmat import InvariantViolation
+
+    def broken(*args, **kwargs):
+        raise InvariantViolation("injected")
+
+    monkeypatch.setattr(dgsum.cli, "find_dual_vectors", broken)
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 0 1\n0 1 1\n")
+    out = tmp_path / "run"
+    assert run(["quality", "--x-file", xfile, "--out-dir", out]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == "invariant violation: injected\n"
+    assert list(out.iterdir()) == []
+
+
 def test_cmd_kernel(tmp_path):
     xfile = tmp_path / "X.txt"
     xfile.write_text("1 0 1\n0 1 1\n")
@@ -254,6 +272,19 @@ def test_cmd_kernel_zero_padded_identity(tmp_path):
     assert run(["kernel", "--x-file", xfile, "--out-dir", out]) == EXIT_OK
     rep = read_json(out / "kernel.json")
     assert rep["lambda_hat"] == [1.0, 1.0]
+
+
+def test_kernel_lambda_above_its_bound_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    import dgsum.cli
+
+    monkeypatch.setattr(dgsum.cli, "successive_minima_upper", lambda reduced: [100.0])
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 0 1\n0 1 1\n")
+    out = tmp_path / "run"
+    assert run(["kernel", "--x-file", xfile, "--seed", "2", "--out-dir", out]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == (
+        "fail: lambda_hat_1 = 100 exceeds the short-vector bound 1 + q1 q2 = 2.41421\n")
+    assert read_json(out / "kernel.json")["lambda_last_le_bound"] is False
 
 
 @pytest.mark.parametrize("x_text", ["1 0\n0 1\n", "1\n", "2 1\n1 1\n"])
@@ -298,6 +329,34 @@ def test_cmd_tvd_below_threshold_gate(tmp_path):
                 "-r", "1.3", "--seed", "4", "--out-dir", out])
     assert code == EXIT_GATE
     assert read_json(out / "tvd.json")["verdict"] == "precondition unmet"
+
+
+def test_tvd_exact_fail_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    import dgsum.cli
+
+    class_tvd = dgsum.cli.class_tvd
+    monkeypatch.setattr(dgsum.cli, "class_tvd", lambda X, r, c: dataclasses.replace(class_tvd(X, r, c), tvd=0.5))
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 1\n")
+    out = tmp_path / "run"
+    assert run(["tvd", "--x-file", xfile, "--eps", "0.01", "--exact", "--out-dir", out]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == "fail: exact TVD 0.5 exceeds 2 eps + truncation error = 0.02\n"
+    assert read_json(out / "tvd.json")["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("x_text", [
+    "2 1\n1 1\n",  # m = n: a certificate, but no threshold
+    " ".join(["-4 -2 2 2 4"] * 4) + "\n",  # not onto: no certificate
+])
+def test_tvd_without_a_threshold_exits_2_and_writes_nothing(tmp_path, capsys, x_text):
+    xfile = tmp_path / "X.txt"
+    xfile.write_text(x_text)
+    out = tmp_path / "run"
+    assert run(["tvd", "--x-file", xfile, "--exact", "--out-dir", out]) == EXIT_GATE
+    assert capsys.readouterr().err == "no threshold available: give -r explicitly\n"
+    assert list(out.iterdir()) == []
 
 
 def test_tvd_mc_does_not_build_image_pmf(tmp_path, monkeypatch):
@@ -404,10 +463,10 @@ def test_tvd_mc_verdict_rests_on_the_lower_confidence_bound(tmp_path, capsys, mo
                 "--out-dir", out]) == code
     assert read_json(out / "tvd.json")["verdict"] == verdict
     err = capsys.readouterr().err
-    if verdict == "inconclusive":
-        assert err.startswith("inconclusive: ") and err.count("\n") == 1
-    else:
+    if verdict == "pass":
         assert err == ""
+    else:  # fail (exit 3) and inconclusive (exit 2) each say why in one line
+        assert err.startswith(f"{verdict}: ") and err.count("\n") == 1
 
 
 def test_tvd_mc_at_its_bias_is_inconclusive_not_fail(tmp_path, capsys):
@@ -529,6 +588,25 @@ def test_main_invariant_violation_exits_3(tmp_path, monkeypatch):
     code = run(["main", "-n", "1", "-m", "2", "-s", "2.0", "--eps", "0.01",
                 "--trials", "2", "--exact", "--seed", "11", "--out-dir", tmp_path / "run"])
     assert calls and code == EXIT_INVARIANT
+
+
+def test_main_with_failed_trials_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    import dgsum.cli
+
+    tvd_instance = dgsum.cli._tvd_instance
+
+    def failing(*args):
+        return {**tvd_instance(*args), "verdict": "fail"}
+
+    monkeypatch.setattr(dgsum.cli, "_tvd_instance", failing)
+    out = tmp_path / "run"
+    code = run(["main", "-n", "1", "-m", "2", "-s", "2.0", "--eps", "0.01",
+                "--trials", "3", "--exact", "--seed", "11", "--out-dir", out])
+    rep = read_json(out / "main_report.json")
+    failed = [e["trial"] for e in rep["trials"] if e["status"] == "fail"]
+    assert code == EXIT_INVARIANT and rep["n_fail"] == len(failed) > 0
+    assert capsys.readouterr().err == (
+        f"fail: {len(failed)} of 3 trials exceed 2 eps = 0.02 (trials {', '.join(map(str, failed))})\n")
 
 
 @pytest.mark.parametrize("x_text, flags", [

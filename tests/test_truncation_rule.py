@@ -38,10 +38,10 @@ ALLOWED = {
 GONE = {"section_deltas", "Gw_inv"}
 
 
-def stray_calls(source: str) -> set[tuple[str, str]]:
-    """(callee, caller) for every call of an ALLOWED callee from elsewhere;
-    the caller is the dotted name of the enclosing classes and functions,
-    or <module>."""
+def stray_calls(source: str, allowed: dict[str, set[str]] = ALLOWED) -> set[tuple[str, str]]:
+    """(callee, caller) for every call of an ``allowed`` callee from
+    elsewhere; the caller is the dotted name of the enclosing classes and
+    functions, or <module>."""
     found = set()
 
     def visit(node, scope):
@@ -51,7 +51,7 @@ def stray_calls(source: str) -> set[tuple[str, str]]:
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             caller = ".".join(scope) or "<module>"
-            if name in ALLOWED and caller not in ALLOWED[name]:
+            if name in allowed and caller not in allowed[name]:
                 found.add((name, caller))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
