@@ -2,18 +2,16 @@
 
 Draws from D_{Z,s} with the table sampler (inverse CDF over the certified
 truncated pmf), compares empirical frequencies against that pmf, and shows
-the per-coordinate draws for diagonal shapes and half-integer shifts.
+draws from D_{Z^2,s} at one width s and from the half-integer coset Z + 1/2.
 """
 
 import numpy as np
 
 from dgsum import (
-    GaussianShape,
-    LatticeCoset,
     SampleStream,
+    draw_ints,
     exact_pmf,
     sample_dg_coset,
-    sample_dg_ints,
 )
 
 
@@ -23,8 +21,8 @@ def main():
 
     print("== D_{Z,s} table sampler vs exact pmf ==")
     for s in (0.7, 1.5, 3.0):
-        draws = sample_dg_ints(s, N, stream.substream(int(10 * s)))
-        pmf = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(s))
+        pmf = exact_pmf(s)
+        draws = draw_ints(pmf, N, stream.substream(int(10 * s)))
         ref = pmf.as_dict()
         vals, counts = np.unique(draws, return_counts=True)
         emp = {(int(v),): c / N for v, c in zip(vals, counts)}
@@ -35,22 +33,23 @@ def main():
         for k in show:
             print(f"    p({k[0]:+d}) exact {ref[k]:.5f}  empirical {emp.get(k, 0.0):.5f}")
 
-    print("\n== diagonal shape on Z^2: independent marginals ==")
-    shape = GaussianShape.ellipsoidal(np.diag([1.0, 3.0]))
-    vs = sample_dg_coset(LatticeCoset.integers(2), shape, stream.substream(99), size=N)
+    print("\n== D_{Z^2,s} at one width: independent coordinates ==")
+    s = 3.0
+    vs = sample_dg_coset(s, [0.0, 0.0], N, stream.substream(99))
+    corr = np.corrcoef(vs.T)[0, 1]
     print(f"  sample std per axis: {vs.std(axis=0).round(3)}"
-          f"  (expect about s/sqrt(2 pi) = {np.array([1.0, 3.0]) / np.sqrt(2 * np.pi)})")
+          f"  (expect about s/sqrt(2 pi) = {s / np.sqrt(2 * np.pi):.3f}); correlation {corr:+.4f}")
 
     print("\n== half-integer coset Z + 1/2 ==")
-    coset = LatticeCoset.integers(1, (0.5,))
-    vs = sample_dg_coset(coset, GaussianShape.spherical(1.0), stream.substream(7), size=N)
-    pmf = exact_pmf(coset, GaussianShape.spherical(1.0))
-    for pt in sorted(pmf.points, key=lambda p: abs(p[0]))[:6]:
-        emp = float(np.mean(vs[:, 0] == pt[0]))
-        print(f"    p({pt[0]:+.1f}) exact {pmf.mass_at(pt):.5f}  empirical {emp:.5f}")
+    ws = sample_dg_coset(1.0, [0.5], N, stream.substream(7))[:, 0]  # the draws are ws + 1/2
+    pmf = exact_pmf(1.0, 0.5)  # the labels y of the points y + 1/2
+    for (y,) in sorted(pmf.points.tolist(), key=lambda p: abs(p[0] + 0.5))[:6]:
+        emp = float(np.mean(ws == y))
+        print(f"    p({y + 0.5:+.1f}) exact {pmf.mass_at((y,)):.5f}  empirical {emp:.5f}")
 
+    table = exact_pmf(2.0)
     print("\nreplaying the same stream gives identical draws:",
-          np.array_equal(sample_dg_ints(2.0, 10, stream), sample_dg_ints(2.0, 10, stream)))
+          np.array_equal(draw_ints(table, 10, stream), draw_ints(table, 10, stream)))
 
 
 if __name__ == "__main__":

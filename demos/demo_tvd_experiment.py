@@ -9,8 +9,9 @@ X X^T, the ratio of the image's and the target's class masses.  So the exact
 TVD is a sum over det(X X^T) classes, with no enumeration of output labels.
 """
 
+import numpy as np
+
 from dgsum import (
-    GaussianShape,
     IntMatrix,
     SampleStream,
     certify_quality,
@@ -22,7 +23,7 @@ from dgsum import (
     target_pmf,
     distance_threshold,
 )
-from dgsum.gaussian import LatticeCoset, sample_dg_coset
+from dgsum.gaussian import sample_dg_coset
 from dgsum.tvd import FiberWorkspace
 
 
@@ -50,8 +51,7 @@ def main():
     print(f"the same from the two pmfs over {q.support_size()} labels: {exact_tvd(p, q).tvd:.3e}")
 
     def sampler(N, st):
-        vs = sample_dg_coset(LatticeCoset.integers(2), GaussianShape.spherical(r), st, size=N)
-        return vs @ X.to_numpy().T
+        return sample_dg_coset(r, [0.0, 0.0], N, st) @ X.to_numpy(dtype=np.int64).T
 
     mc = mc_tvd(sampler, q, 100_000, SampleStream(99))
     print(f"\nMonte-Carlo cross-check: estimate {mc.estimate:.4f}"

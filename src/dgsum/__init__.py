@@ -9,15 +9,12 @@ Gaussian with shape R X^T.
 
 from .gaussian import (
     DiscretePMF,
-    GaussianShape,
-    LatticeCoset,
     SampleStream,
     coset_mass,
+    draw_ints,
     exact_pmf,
     push_to_lattice,
-    rho,
     sample_dg_coset,
-    sample_dg_ints,
 )
 from .intmat import IntMatrix, InvariantViolation
 from .lattice import (
@@ -26,7 +23,6 @@ from .lattice import (
     dual_basis,
     integer_kernel,
     lll_reduce,
-    singular_values,
     smoothing_bound,
     smoothing_check,
     successive_minima_upper,

@@ -33,9 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .gaussian import (
-    EnumerationBudgetExceeded, GaussianShape, LatticeCoset, SampleStream, draw_ints, int_table, sample_dg_coset,
-)
+from .gaussian import EnumerationBudgetExceeded, SampleStream, draw_ints, exact_pmf, sample_dg_coset
 from .intmat import IntMatrix, is_surjective
 from .lattice import reduced_integer_kernel, successive_minima_upper
 from .quality import (
@@ -200,8 +198,8 @@ def resolve(args: argparse.Namespace) -> dict:
     cfg = parse_config(args.config) if args.config else {}
     cfg.update((key, v) for key in OPTIONS if (v := getattr(args, key, None)) is not None)
     out = {key: _option(cfg, key, kind, default) for key, (_, kind, default) in OPTIONS.items()}
-    if not 0 < out["eps"] < 1:
-        raise ValueError("eps out of range")
+    if not 0 < out["eps"] < 1 / 3:  # the range of the distance threshold
+        raise ValueError(f"eps must be in (0, 1/3), not {out['eps']:g}")
     if out["n"] < 1 or out["m"] < out["n"]:
         raise ValueError("need m >= n >= 1")
     if out["mode"] not in ("exact", "mc", "both"):
@@ -224,7 +222,7 @@ def draw_matrix(n: int, m: int, s: float, stream: SampleStream, require_surjecti
     both read off X's HNF.  A ValueError after 200 draws: at a small s
     nearly every draw is rank-deficient, which is bad input."""
     attempts = 200
-    table = int_table(s)
+    table = exact_pmf(s)
     for attempt in range(attempts):
         X = IntMatrix.from_rows(draw_ints(table, n * m, stream.substream(attempt)).reshape(n, m).tolist())
         if (is_surjective(X) if require_surjective else len(X.hermite.pivots) == n):
@@ -280,7 +278,7 @@ def cmd_sample(cfg: dict, stream: SampleStream) -> Run:
         if abs(x - round(x)) > 1e-12:
             raise ValueError(f"sample takes integer shifts only, not c_{i + 1} = {x!r}")
     N = cfg["samples"]
-    table = int_table(r)
+    table = exact_pmf(r)
     vs = np.stack([draw_ints(table, N, stream.substream(100 + i)) for i in range(m)], axis=1)
     Xf = X.to_numpy(dtype=np.int64)
     zs = vs @ Xf.T
@@ -355,12 +353,11 @@ def _tvd_instance(X: IntMatrix, r: float, eps: float, c, mode: str, stream: Samp
     if mode in ("exact", "both"):
         result["exact"] = class_tvd(X, r, c).to_json_dict()
     if mode in ("mc", "both"):
-        R = GaussianShape.spherical(r)
         ws = FiberWorkspace(X, r, c)
-        coset = LatticeCoset.integers(X.n_cols, tuple(ws.c))
+        Xt = X.to_numpy(dtype=np.int64).T
 
         def sampler(N, st):
-            return sample_dg_coset(coset, R, st, size=N) @ X.to_numpy().T - ws.Xc
+            return sample_dg_coset(r, ws.c, N, st) @ Xt
         result["mc"] = mc_tvd(sampler, target_pmf(ws), samples, stream).to_json_dict()
     if threshold is not None:
         result["threshold"] = threshold
@@ -410,7 +407,7 @@ def cmd_tvd(cfg: dict, stream: SampleStream) -> Run:
 def cmd_main_experiment(cfg: dict, stream: SampleStream) -> Run:
     n, m, s, eps = cfg["n"], cfg["m"], cfg["s"], cfg["eps"]
     trials = cfg["trials"]
-    per_trial = []
+    per_trial, thresholds = [], []
     for trial in range(trials):
         st = stream.substream(trial)
         entry = {"trial": trial}
@@ -421,6 +418,7 @@ def cmd_main_experiment(cfg: dict, stream: SampleStream) -> Run:
                 entry["status"] = "no-certificate"
             else:
                 threshold = distance_threshold(cert.q1, cert.q2, m, n, eps)
+                thresholds.append(threshold)
                 result = _tvd_instance(X, threshold, eps, None, cfg["mode"], st.substream(2), cfg["samples"],
                                        threshold)
                 entry.update(q1=cert.q1, q2=cert.q2, threshold=threshold, result=result, status=result["verdict"])
@@ -435,7 +433,8 @@ def cmd_main_experiment(cfg: dict, stream: SampleStream) -> Run:
     n_skip = trials - n_pass - n_fail
     report = {
         "config": {"n": n, "m": m, "s": s, "eps": eps, "trials": trials},
-        "parameter_checks": parameter_check(n, m, eps, GaussianShape.spherical(s), GaussianShape.spherical(1.0)),
+        # the r condition at the least width a certified trial ran at
+        "parameter_checks": parameter_check(n, m, eps, s, min(thresholds, default=None)),
         "trials": per_trial,
         "n_pass": n_pass,
         "n_fail": n_fail,

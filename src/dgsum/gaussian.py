@@ -1,9 +1,10 @@
-"""Gaussian weights, discrete Gaussian pmfs over lattice cosets, and one sampler.
+"""One discrete Gaussian, certified lattice truncation and enumeration, and one sampler.
 
-The Gaussian weight of a point x under a shape S is exp(-pi * x^T (S^T S)^-1 x);
-the spherical case S = s*I gives exp(-pi ||x||^2 / s^2).  Discrete Gaussians on
-a coset L + c weight each coset point by this function and normalize by the
-total weight of the coset.
+The one Gaussian the package builds is D_{Z + c, s}, which weighs the point
+y + c of Z + c by rho_s(y + c) = exp(-pi (y + c)^2 / s^2) over the total
+weight of the coset: one 1-D table (``exact_pmf``).  D_{Z^m + c, s}, the
+paper's v, is the product of the m cosets Z + c_i (``sample_dg_coset``).
+Every other Gaussian weight is rho(x) = exp(-pi ||x||^2) of a whitened point.
 
 Every truncation keeps the points within the least whitened radius R
 (``_least_radius``, one bisection) at which its dropped relative weight is
@@ -15,7 +16,7 @@ L + x, x its shortest point, at most 2 beta e^{pi ||x||^2} of its weight, as
 pairing y with -y (L = -L, cosh >= 1) gives rho(L + x) >= e^{-pi ||x||^2}
 rho(L) and Banaszczyk's coset lemma rho((L + x) minus R B) < 2 beta rho(L).
 So R > ||x||: the region holds x.  The class TVD's 1-D theta tables
-(``tvd._theta_table``) take the same rule: ``truncate_coset``'s table of
+(``tvd._theta_table``) take the same rule: ``exact_pmf``'s table of
 Z + c for r <= 1, and the dual terms within ``coset_radius(1, 0)`` above.
 
 Every lattice-point enumeration is one Fincke-Pohst level loop
@@ -51,118 +52,6 @@ DUAL_TAIL = 2.0 ** -100  # certified relative tail of every truncation, primal a
 
 class EnumerationBudgetExceeded(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class GaussianShape:
-    """Shape parameter of a (possibly ellipsoidal) Gaussian weight function.
-
-    Either spherical with parameter ``s > 0`` or ellipsoidal with a matrix
-    ``S`` of full column rank; the covariance-like Gram matrix is S^T S.
-    """
-
-    s: float | None = None
-    S: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.s is None) == (self.S is None):
-            raise ValueError("exactly one of s, S must be given")
-        if self.s is not None and not self.s > 0:
-            raise ValueError("s must be positive")
-        if self.S is not None:
-            S = np.asarray(self.S, dtype=float)
-            object.__setattr__(self, "S", S)
-            if np.linalg.matrix_rank(S) < S.shape[1]:
-                raise ValueError("S must have full column rank")
-
-    @staticmethod
-    def spherical(s: float) -> "GaussianShape":
-        return GaussianShape(s=s)
-
-    @staticmethod
-    def ellipsoidal(S) -> "GaussianShape":
-        return GaussianShape(S=np.asarray(S, dtype=float))
-
-    @staticmethod
-    def from_gram(G) -> "GaussianShape":
-        """Shape with prescribed Gram matrix G = S^T S (G must be SPD)."""
-        G = np.asarray(G, dtype=float)
-        L = np.linalg.cholesky(G)
-        return GaussianShape(S=L.T)
-
-    @property
-    def is_spherical(self) -> bool:
-        return self.s is not None
-
-    def gram(self, dim: int) -> np.ndarray:
-        if self.is_spherical:
-            return (self.s ** 2) * np.eye(dim)
-        if self.S.shape[1] != dim:
-            raise ValueError("dimension mismatch")
-        return self.S.T @ self.S
-
-    def whitening(self, dim: int) -> np.ndarray:
-        """Matrix W with rho(x) = exp(-pi ||W x||^2)."""
-        if self.is_spherical:
-            return np.eye(dim) / self.s
-        G = self.gram(dim)
-        L = np.linalg.cholesky(G)
-        return np.linalg.inv(L)
-
-    def singular_values(self, dim: int | None = None) -> np.ndarray:
-        if self.is_spherical:
-            if dim is None:
-                raise ValueError("dim needed for a spherical shape")
-            return np.full(dim, float(self.s))
-        return np.linalg.svd(self.S, compute_uv=False)
-
-    def sigma_max(self, dim: int | None = None) -> float:
-        return float(self.singular_values(dim)[0])
-
-    def sigma_min(self, dim: int | None = None) -> float:
-        return float(self.singular_values(dim)[-1])
-
-    def diagonal(self, dim: int) -> np.ndarray | None:
-        """Per-axis parameters if the shape is (numerically) diagonal."""
-        if self.is_spherical:
-            return np.full(dim, float(self.s))
-        S = self.S
-        if S.shape[0] != S.shape[1] or S.shape[0] != dim:
-            return None
-        off = S - np.diag(np.diag(S))
-        if np.max(np.abs(off)) > 1e-12 * max(1.0, np.max(np.abs(S))):
-            return None
-        d = np.diag(S)
-        return np.abs(d)
-
-
-@dataclass(frozen=True)
-class LatticeCoset:
-    """Coset L + c, with L generated by the integer columns of ``basis``."""
-
-    basis: IntMatrix
-    shift: tuple[float, ...]
-
-    @staticmethod
-    def integers(dim: int, shift: Sequence[float] | None = None) -> "LatticeCoset":
-        c = tuple(float(x) for x in shift) if shift is not None else (0.0,) * dim
-        if len(c) != dim:
-            raise ValueError("shift dimension mismatch")
-        return LatticeCoset(IntMatrix.identity(dim), c)
-
-    @staticmethod
-    def of(basis_rows: Sequence[Sequence[int]], shift: Sequence[float] | None = None) -> "LatticeCoset":
-        B = IntMatrix.from_rows(basis_rows)
-        c = tuple(float(x) for x in shift) if shift is not None else (0.0,) * B.n_rows
-        return LatticeCoset(B, c)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.n_rows
-
-    @property
-    def rank(self) -> int:
-        return self.basis.n_cols
 
 
 @dataclass(frozen=True)
@@ -242,13 +131,6 @@ class SampleStream:
             "stream_id": self.stream_id,
             "counter": self.counter,
         }
-
-
-def rho(shape: GaussianShape, x) -> float:
-    """Gaussian weight of a single point; 1 at the origin."""
-    x = np.asarray(x, dtype=float)
-    W = shape.whitening(x.shape[-1])
-    return float(np.exp(-math.pi * np.sum((W @ x) ** 2)))
 
 
 def _log_banaszczyk_bound(rank: int, radius: float) -> float:
@@ -460,25 +342,24 @@ def truncate_coset(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return T, np.exp(-math.pi * (norms - norms.min())), tail
 
 
-def coset_mass(coset: LatticeCoset, shape: GaussianShape) -> tuple[float, float]:
-    """Truncated total Gaussian weight of the coset and its relative tail,
-    from ``exact_pmf``: the weight is rho(y) / p(y) at its heaviest point y."""
-    pmf = exact_pmf(coset, shape)
+def exact_pmf(s: float, c: float = 0.0) -> DiscretePMF:
+    """The table of D_{Z + c, s}: the int64 labels y of the coset points y + c
+    that ``truncate_coset`` keeps of the whitened coset (Z + c) / s, their
+    masses, and its tail.  The one Gaussian the package builds: the
+    sampler's tables and the image side's 1-D terms (``tvd._terms_1d``)."""
+    if not s > 0:
+        raise ValueError(f"s must be positive, not {s!r}")
+    W = np.eye(1) / s
+    T, weights, tail = truncate_coset(W, W @ [c])
+    return DiscretePMF(T, weights / float(np.sum(np.sort(weights))), tail)
+
+
+def coset_mass(s: float, c: float = 0.0) -> tuple[float, float]:
+    """Truncated rho_s(Z + c) and its relative tail, from ``exact_pmf``: the
+    weight is rho_s(y + c) / p(y) at its heaviest label y."""
+    pmf = exact_pmf(s, c)
     top = int(np.argmax(pmf.masses))
-    return rho(shape, pmf.points[top]) / float(pmf.masses[top]), pmf.tail_bound
-
-
-def exact_pmf(coset: LatticeCoset, shape: GaussianShape) -> DiscretePMF:
-    """Truncated pmf of the discrete Gaussian on the coset, over the region
-    and with the tail of ``truncate_coset``."""
-    W = shape.whitening(coset.dim)
-    B = coset.basis.to_numpy()
-    c = np.asarray(coset.shift, dtype=float)
-    T, weights, tail = truncate_coset(W @ B, W @ c)
-    Y = T @ B.T + c
-    if np.allclose(Y, np.round(Y), atol=1e-9):
-        Y = np.round(Y).astype(np.int64)
-    return DiscretePMF(Y, weights / float(np.sum(np.sort(weights))), tail)
+    return math.exp(-math.pi * ((pmf.points[top, 0] + c) / s) ** 2) / float(pmf.masses[top]), pmf.tail_bound
 
 
 def _table_sample(pmf: DiscretePMF, size: int, gen: np.random.Generator) -> np.ndarray:
@@ -488,52 +369,31 @@ def _table_sample(pmf: DiscretePMF, size: int, gen: np.random.Generator) -> np.n
     return pmf.points[idx]
 
 
-def int_table(s: float) -> DiscretePMF:
-    """The table of D_{Z,s} that ``draw_ints`` reads: ``exact_pmf`` on Z.
-    Build it once to draw many columns at one width."""
-    return exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(s))
-
-
 def draw_ints(table: DiscretePMF, size: int, stream: SampleStream) -> np.ndarray:
-    """``size`` i.i.d. draws from an ``int_table``, deterministic given the
-    stream, as int64."""
+    """``size`` i.i.d. labels drawn from an ``exact_pmf`` table, deterministic
+    given the stream, as int64.  Build the table once to draw many columns at
+    one width."""
     return _table_sample(table, int(size), stream.generator())[:, 0]
 
 
-def sample_dg_ints(s: float, size: int, stream: SampleStream) -> np.ndarray:
-    """``size`` i.i.d. draws from D_{Z,s}, deterministic given the stream:
-    those of ``sample_dg_coset`` on Z, as int64."""
-    return draw_ints(int_table(s), size, stream)
+def sample_dg_coset(s: float, c: Sequence[float], size: int, stream: SampleStream) -> np.ndarray:
+    """The integer parts w, int64 of shape (size, m), of ``size`` draws
+    w + c from D_{Z^m + c, s}, deterministic given the stream.
 
-
-def sample_dg_coset(
-    coset: LatticeCoset,
-    shape: GaussianShape,
-    stream: SampleStream,
-    size: int = 1,
-) -> np.ndarray:
-    """Draws from the discrete Gaussian on the coset; shape (size, dim).
-
-    A Z^m coset under a diagonal (or spherical) shape is a product of 1-D
-    discrete Gaussians, drawn one coordinate at a time from one generator,
-    with one table per distinct (s_i, c_i - nearest integer): Z + c_i is
-    that coset, so an integer c_i draws Z about 0 and c_i + 7 draws as c_i.
-    Any other coset is drawn from the table of its whole pmf.  Each table
-    is ``exact_pmf``'s, subject to the enumeration budget.
+    Z^m + c is a product of m cosets Z + c_i, drawn one coordinate at a time
+    from one generator, with one ``exact_pmf`` table per distinct
+    c_i - k_i, k_i = floor(c_i + 1/2): Z + c_i is that coset shifted by k_i,
+    so a label y gives w = y - k_i, and c and c + 7 draw the same points.
     """
-    dim = coset.dim
-    diag = shape.diagonal(dim)
-    if coset.basis.rows != IntMatrix.identity(dim).rows or diag is None:
-        return _table_sample(exact_pmf(coset, shape), size, stream.generator()).astype(float)
     gen = stream.generator()
     tables = {}
     cols = []
-    for s, c in zip(diag.tolist(), coset.shift):
-        key = (s, c - math.floor(c + 0.5))
-        if key not in tables:
-            tables[key] = exact_pmf(LatticeCoset.integers(1, key[1:]), GaussianShape.spherical(s))
-        cols.append(_table_sample(tables[key], size, gen)[:, 0])
-    return np.stack(cols, axis=1).astype(float)
+    for ci in c:
+        k = math.floor(ci + 0.5)
+        if (key := ci - k) not in tables:
+            tables[key] = exact_pmf(s, key)
+        cols.append(_table_sample(tables[key], size, gen)[:, 0] - k)
+    return np.stack(cols, axis=1)
 
 
 def push_to_lattice(B: IntMatrix, x: Sequence[int]) -> tuple[int, ...]:

@@ -279,8 +279,3 @@ def smoothing_check(basis: LatticeBasis, s: float, eps: float) -> tuple[bool, fl
     ps = poisson_sum(s * s * np.array(adj, dtype=float) / det)
     lhs, tail = ps.mass, ps.tail
     return (lhs + tail <= eps), lhs, tail
-
-
-def singular_values(S) -> np.ndarray:
-    """Singular values of a real matrix, descending."""
-    return np.linalg.svd(np.asarray(S, dtype=float), compute_uv=False)

@@ -358,25 +358,24 @@ def distance_threshold(q1: float, q2: float, m: int, n: int, eps: float) -> floa
     return (1.0 + q1 * q2) * math.sqrt(math.log(2 * (m - n) * (1 + 1 / eps)) / math.pi)
 
 
-def parameter_check(n: int, m: int, eps: float, S, R) -> dict:
-    """Evaluate the three threshold-parameter inequalities numerically.
+def parameter_check(n: int, m: int, eps: float, s: float, r: float | None) -> dict:
+    """Evaluate the three threshold-parameter inequalities numerically, for
+    X drawn from D_{Z^n, s} column by column and v from D_{Z^m, r}; r None
+    (no width to test) fails the r condition.
 
     Also reports the applicability gate (n >= 100, eps < 1/1000) under which
     the probabilistic guarantee is stated; at desk scale the inequalities are
     reported as formula evaluations only.
     """
-    s1 = S.sigma_max(n)
-    sn = S.sigma_min(n)
-    sm = R.sigma_min(m)
-    m_rhs = 30.0 * n * math.log2(max(s1 * n, 2.0))
+    m_rhs = 30.0 * n * math.log2(max(s * n, 2.0))
     r_rhs = (
-        10.0 * n * s1 * math.log2(max(m, 2))
-        * math.sqrt(max(math.log2(1 / eps), 0.0) * math.log2(max(n * s1, 2.0)))
+        10.0 * n * s * math.log2(max(m, 2))
+        * math.sqrt(max(math.log2(1 / eps), 0.0) * math.log2(max(n * s, 2.0)))
     )
     s_rhs = 9.0 * math.sqrt(math.log(2 * n * (1 + 1 / eps)) / math.pi)
     return {
         "m_condition": {"lhs": m, "rhs": m_rhs, "holds": m >= m_rhs},
-        "r_condition": {"lhs": sm, "rhs": r_rhs, "holds": sm >= r_rhs},
-        "s_condition": {"lhs": sn, "rhs": s_rhs, "holds": sn >= s_rhs},
+        "r_condition": {"lhs": r, "rhs": r_rhs, "holds": r is not None and r >= r_rhs},
+        "s_condition": {"lhs": s, "rhs": s_rhs, "holds": s >= s_rhs},
         "applicability_gate": {"n": n, "eps": eps, "holds": n >= 100 and eps < 1e-3},
     }

@@ -18,9 +18,10 @@ are chi_t(g) = e^{2 pi i sum_i t_i g_i / D_i}.
   residues mod L = D_n of the phases <t, a_j>_D, its terms and tail from
   ``gaussian``'s one truncation rule (``_theta_table``,
   ``_image_transform``).  The column classes a_j come from one map
-  (``ClassGroup.columns``), and the 1-D terms of (Z + c_j) / r, for
-  r <= 1 here and always for the per-label pmfs, from one helper
-  (``_terms_1d``).
+  (``ClassGroup.columns``), and the 1-D terms, for r <= 1 here and always
+  for the per-label pmfs, from the package's one Gaussian, the table of
+  D_{Z + c_j, r} that the sampler draws from (``gaussian.exact_pmf``,
+  through ``_terms_1d``).
 - Target.  Poisson summation (Micciancio-Regev 2007, Lemma 2.8) turns
   Q^(t) = sum_z rho(z + X c) chi_t(U z) / sum_z rho(z + X c) into a sum over
   the dual lattice G^-1 Z^n (Gram matrix r^2 adj(G) / d), whose point
@@ -70,12 +71,11 @@ from .gaussian import (
     ENUM_BUDGET,
     DiscretePMF,
     EnumerationBudgetExceeded,
-    GaussianShape,
-    LatticeCoset,
     SampleStream,
     banaszczyk_radius,
     coset_mass,
     coset_radius,
+    exact_pmf,
     poisson_sum,
     truncate_coset,
 )
@@ -215,17 +215,15 @@ class FiberWorkspace:
 
 
 def _terms_1d(r: float, c: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """(y, a, tail): the w = y that ``gaussian.truncate_coset`` keeps of the
-    whitened coset (Z + c) / r, |c| <= 1/2, the sampler's table for
-    D_{Z + c, r}, with its tail, and their exponents
+    """(y, a, tail): the labels y of ``gaussian.exact_pmf(r, c)``, the table
+    of D_{Z + c, r}, |c| <= 1/2, with its tail, and their exponents
     a = pi y (y + 2c) / r^2 = pi ((y + c)^2 - c^2) / r^2: the weights
     rho_r(y + c) scaled by e^{pi c^2 / r^2}, so that the largest, at y = 0,
     is 1.  The one 1-D table of the image side (``_theta_table`` for r <= 1,
     ``_image_pmf``)."""
-    W = np.eye(1) / r
-    T, _, tail = truncate_coset(W, W @ [c])
-    y = T[:, 0]
-    return y, math.pi * y * (y + 2 * c) / (r * r), tail
+    pmf = exact_pmf(r, c)
+    y = pmf.points[:, 0]
+    return y, math.pi * y * (y + 2 * c) / (r * r), pmf.tail_bound
 
 
 def _theta_table(r: float, c: float, L: int) -> tuple[np.ndarray, float]:
@@ -639,27 +637,28 @@ def shift_bound_eval(norm_v: float, sigma_n: float, eps: float, c: float) -> flo
 
 
 def ratio_band_check(
-    basis_dim: int,
-    shape: GaussianShape,
+    dim: int,
+    s: float,
     eps: float,
     shifts: Sequence[Sequence[float]],
     lambda_n: float | None = None,
 ) -> dict:
-    """Coset-to-lattice Gaussian weight ratios over a grid of shifts.
+    """Coset-to-lattice Gaussian weight ratios rho_s(Z^dim + c) / rho_s(Z^dim)
+    over a grid of shifts c, each a product of the 1-D ``coset_mass``es.
 
-    For shapes above the smoothing bound the ratio must lie in
+    For s above the smoothing bound the ratio must lie in
     [(1-eps)/(1+eps), 1]; below it the check still runs as a diagnostic.
-    Currently supports the integer lattice Z^dim.
     """
-    base, _ = coset_mass(LatticeCoset.integers(basis_dim), shape)
+    base = coset_mass(s)[0]
     lo = (1 - eps) / (1 + eps)
     precondition_ok = None
     if lambda_n is not None:
-        precondition_ok = shape.sigma_min(basis_dim) >= smoothing_bound(basis_dim, eps, lambda_n).value
+        precondition_ok = s >= smoothing_bound(dim, eps, lambda_n).value
     ratios = []
     for cvec in shifts:
-        m, _ = coset_mass(LatticeCoset.integers(basis_dim, tuple(cvec)), shape)
-        ratios.append(m / base)
+        if len(cvec) != dim:
+            raise ValueError("shift dimension mismatch")
+        ratios.append(math.prod(coset_mass(s, float(ci))[0] / base for ci in cvec))
     return {
         "min_ratio": min(ratios),
         "max_ratio": max(ratios),

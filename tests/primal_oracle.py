@@ -1,14 +1,15 @@
 """Per-label oracles for the fiber weights of ``dgsum.tvd``.
 
 Each fiber {v : X v = z + X c} is a translate P z + c + A of the kernel
-lattice A = ker X ∩ Z^m.  The oracles build their own frame from X, R and c,
-for any R, spherical or not: c reduced mod Z^m, the particular map P from
+lattice A = ker X ∩ Z^m.  The oracles build their own frame from X, c and an
+m x m shape R of full rank, v weighing e^{-pi v^T (R^T R)^-1 v} (R = r I for
+the package's D_{Z^m + c, r}): c reduced mod Z^m, the particular map P from
 X's HNF transform (``particular_map``), the kernel basis K from
-``X.reduced_kernel`` (``check_kernel_basis``), R's whitening W, and the
-target D_{Z^n + X c, R X^T}: its whitening Wt of X R^T R X^T, its weights
-and its label region (``gaussian.truncate_coset`` under Wt).  They are the
-reference for the ellipsoidal statement, which the package's spherical
-``FiberWorkspace`` does not take.  Each sums a fiber one of two ways:
+``X.reduced_kernel`` (``check_kernel_basis``), R's whitening
+W = chol(R^T R)^-1, and the target D_{Z^n + X c, R X^T}: its whitening Wt of
+X R^T R X^T, its weights and its label region (``gaussian.truncate_coset``
+under Wt).  They are the reference for the ellipsoidal statement, which the
+package's spherical ``FiberWorkspace`` does not take.  Each sums a fiber one of two ways:
 
 - ``PrimalSections`` enumerates A's coordinates over a fixed integer box in
   the whitened kernel basis, recentred per fiber, and adds the points inside
@@ -84,15 +85,18 @@ class _Sections:
     def __init__(self, X, R, c):
         check_kernel_basis(X)
         n, m = X.shape
-        self.X, self.R = X, R
+        self.X, self.R = X, np.asarray(R, dtype=float)
+        if self.R.shape != (m, m):
+            raise ValueError(f"R must be {m} x {m}")
         self.c = np.asarray(c, dtype=float) - np.round(c)  # Z^m + c depends on c mod Z^m
         Xf = X.to_numpy()
         self.Xc = Xf @ self.c
-        self.Wt = np.linalg.inv(np.linalg.cholesky(Xf @ R.gram(m) @ Xf.T))  # the target shape R X^T
+        gram = self.R.T @ self.R
+        self.Wt = np.linalg.inv(np.linalg.cholesky(Xf @ gram @ Xf.T))  # the target shape R X^T
         self.rank = m - n
         self.P = particular_map(X).to_numpy(dtype=np.int64)
         self.K = X.reduced_kernel.matrix.to_numpy() if self.rank else np.zeros((m, 0))
-        self.W = R.whitening(m)
+        self.W = np.linalg.inv(np.linalg.cholesky(gram))
         self.WK = self.W @ self.K
         self._weights = {}  # fiber weight by label: the tests ask for each one twice
 

@@ -27,12 +27,10 @@ from scipy import stats
 from dgsum.cli import best_certificate, draw_matrix, main as cli_main
 from dgsum.gaussian import (
     DiscretePMF,
-    GaussianShape,
-    LatticeCoset,
     SampleStream,
+    draw_ints,
     exact_pmf,
     push_to_lattice,
-    sample_dg_ints,
 )
 from dgsum.intmat import IntMatrix, dot, fraction_rank, norm_sq
 from dgsum.lattice import LatticeBasis, smoothing_bound, smoothing_check
@@ -93,8 +91,8 @@ def test_criterion_1_sampler_fidelity():
     worst_tvd, worst_p = 0.0, 1.0
     for i, s in enumerate((0.5, 1.0, 2.0, 4.0)):
         N = 1_000_000
-        draws = sample_dg_ints(s, N, SampleStream(31_000 + i))
-        pmf = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(s))
+        pmf = exact_pmf(s)
+        draws = draw_ints(pmf, N, SampleStream(31_000 + i))
         ref = pmf.as_dict()
         vals, counts = np.unique(draws, return_counts=True)
         emp = {(int(v),): c / N for v, c in zip(vals, counts)}
@@ -230,7 +228,7 @@ def test_criterion_6_bound_evaluators():
     # Tail bound (spherical s=1 on Z^2, N = 10^6)
     N = 1_000_000
     draws = np.stack(
-        [sample_dg_ints(1.0, N, SampleStream(6000, stream_id=i)) for i in range(2)], axis=1
+        [draw_ints(exact_pmf(1.0), N, SampleStream(6000, stream_id=i)) for i in range(2)], axis=1
     )
     norms = np.sqrt(np.sum(draws.astype(float) ** 2, axis=1))
     tail_ok = True
@@ -243,13 +241,13 @@ def test_criterion_6_bound_evaluators():
     # Coset ratio band at the smoothing bound for Z
     s = smoothing_bound(1, 0.01, 1.0).value
     shifts = [(c,) for c in (0.1, 0.2, 0.3, 0.4, 0.5)]
-    band = ratio_band_check(1, GaussianShape.spherical(s), 0.01, shifts, lambda_n=1.0)
+    band = ratio_band_check(1, s, 0.01, shifts, lambda_n=1.0)
     band_ok = band["in_band"] and band["precondition_ok"]
     # Shift bound over interval sets, including the < 0.39 constant
     eps = 1e-5
     sigma = 9 * smoothing_bound(1, eps, 1.0).value
     const = shift_bound_eval(1.0, sigma, eps, 8.0)
-    pmf = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(sigma)).as_dict()
+    pmf = exact_pmf(sigma).as_dict()
     worst_shift = 0.0
     for a in range(-20, 21):
         for b in range(a, 21):
@@ -324,9 +322,8 @@ def test_criterion_9_pushforward_reduction():
     p_pushed = DiscretePMF(
         tuple(push_to_lattice(B, z) for z in p.points), p.masses, p.tail_bound
     )
-    pushed_shape = GaussianShape.from_gram(Bf @ ws.target_gram @ Bf.T)
     pts = [push_to_lattice(B, z) for z in q.points]
-    W = pushed_shape.whitening(2)
+    W = np.linalg.inv(np.linalg.cholesky(Bf @ ws.target_gram @ Bf.T))  # whitens the pushed shape
     w = np.array(pts, dtype=float) @ W.T
     vals = np.exp(-math.pi * np.einsum("ij,ij->i", w, w))
     q_pushed = DiscretePMF(tuple(pts), vals / float(np.sum(np.sort(vals))), q.tail_bound)

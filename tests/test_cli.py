@@ -147,15 +147,15 @@ def test_shift_length_is_checked(tmp_path, capsys, command, c):
 def test_one_table_draws_as_one_table_per_column_and_attempt(tmp_path):
     # sample's columns and draw_matrix's attempts share one D_{Z,s} table,
     # and draw_matrix reads the rank off the HNF: the draws and accept
-    # decisions are those of one sample_dg_ints call, and one Bareiss rank,
-    # per column or attempt
+    # decisions are those of one draw from a fresh table, and one Bareiss
+    # rank, per column or attempt
     from dgsum.cli import draw_matrix
-    from dgsum.gaussian import SampleStream, sample_dg_ints
+    from dgsum.gaussian import SampleStream, draw_ints, exact_pmf
     from dgsum.intmat import IntMatrix, fraction_rank, is_surjective
 
     def reference(n, m, s, stream, onto):
         for attempt in range(200):
-            X = IntMatrix.from_rows(sample_dg_ints(s, n * m, stream.substream(attempt)).reshape(n, m).tolist())
+            X = IntMatrix.from_rows(draw_ints(exact_pmf(s), n * m, stream.substream(attempt)).reshape(n, m).tolist())
             if fraction_rank(X.rows) == n and (not onto or is_surjective(X)):
                 return X, attempt
 
@@ -171,7 +171,7 @@ def test_one_table_draws_as_one_table_per_column_and_attempt(tmp_path):
     xfile.write_text("1 0 1 1\n0 1 1 -1\n")
     out = tmp_path / "run"
     assert run(["sample", "--x-file", xfile, "-r", "2.0", "--samples", "500", "--seed", "3", "--out-dir", out]) == EXIT_OK
-    vs = np.stack([sample_dg_ints(2.0, 500, SampleStream(3).substream(100 + i)) for i in range(4)], axis=1)
+    vs = np.stack([draw_ints(exact_pmf(2.0), 500, SampleStream(3).substream(100 + i)) for i in range(4)], axis=1)
     got = np.loadtxt(out / "samples.csv", skiprows=1, delimiter=",", dtype=np.int64)
     assert np.array_equal(got, vs @ np.array([[1, 0, 1, 1], [0, 1, 1, -1]]).T)
 
@@ -179,7 +179,7 @@ def test_one_table_draws_as_one_table_per_column_and_attempt(tmp_path):
 def test_cmd_sample_identity_instance_chi2(tmp_path):
     from scipy import stats
 
-    from dgsum.gaussian import GaussianShape, LatticeCoset, exact_pmf
+    from dgsum.gaussian import exact_pmf
 
     xfile = tmp_path / "X.txt"
     xfile.write_text("1\n")
@@ -188,7 +188,7 @@ def test_cmd_sample_identity_instance_chi2(tmp_path):
                 "--seed", "5", "--out-dir", out])
     assert code == EXIT_OK
     draws = np.loadtxt(out / "samples.csv", skiprows=1, dtype=np.int64)
-    pmf = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(2.0)).as_dict()
+    pmf = exact_pmf(2.0).as_dict()
     ks = sorted(k[0] for k in pmf)
     N = len(draws)
     exp, obs, e_other, o_other = [], [], 0.0, 0
@@ -543,6 +543,36 @@ def test_cmd_main_micro(tmp_path):
             assert entry["threshold"] == pytest.approx(entry["result"]["threshold"])
     assert "parameter_checks" in rep
 
+
+
+def test_main_r_condition_reads_the_least_certified_threshold(tmp_path, monkeypatch):
+    # every trial runs at its own threshold, so the r condition is checked
+    # at the least of them; with no certified trial there is no width
+    import dgsum.cli
+
+    out = tmp_path / "run"
+    assert run(["main", "-n", "2", "-m", "6", "--trials", "3", "--seed", "2", "--out-dir", out]) == EXIT_OK
+    rep = read_json(out / "main_report.json")
+    thresholds = [e["threshold"] for e in rep["trials"] if "threshold" in e]
+    assert len(thresholds) == 3 and min(thresholds) > 1.0
+    assert rep["parameter_checks"]["r_condition"]["lhs"] == min(thresholds)
+    monkeypatch.setattr(dgsum.cli, "best_certificate", lambda X, stream: None)
+    assert run(["main", "-n", "2", "-m", "6", "--trials", "2", "--seed", "2", "--out-dir", out]) == EXIT_GATE
+    cond = read_json(out / "main_report.json")["parameter_checks"]["r_condition"]
+    assert cond["lhs"] is None and cond["holds"] is False
+
+
+def test_eps_outside_the_threshold_range_is_refused_before_any_file(tmp_path, capsys):
+    # the distance threshold takes eps in (0, 1/3): a larger eps is one
+    # invalid-config line, before the certificate search or any trial
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 0 1 1\n0 1 1 -1\n")
+    for argv in (["tvd", "--x-file", xfile, "-r", "2", "--eps", "0.5"],
+                 ["main", "-n", "2", "-m", "4", "--eps", "0.5", "--trials", "2"]):
+        out = tmp_path / argv[0]
+        assert run([*argv, "--out-dir", out]) == EXIT_GATE
+        assert capsys.readouterr().err == "invalid config: eps must be in (0, 1/3), not 0.5\n"
+        assert not out.exists()
 
 def test_manifest_replay_byte_identical(tmp_path):
     xfile = tmp_path / "X.txt"

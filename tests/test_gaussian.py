@@ -9,21 +9,19 @@ import pytest
 
 from dgsum.gaussian import (
     DiscretePMF,
-    GaussianShape,
-    LatticeCoset,
     EnumerationBudgetExceeded,
     PoissonSum,
     SampleStream,
     banaszczyk_bound,
     banaszczyk_radius,
     coset_mass,
+    draw_ints,
     enumerate_affine,
     poisson_sum,
     exact_pmf,
     push_to_lattice,
-    rho,
     sample_dg_coset,
-    sample_dg_ints,
+    truncate_coset,
 )
 from dgsum.intmat import IntMatrix
 
@@ -34,55 +32,49 @@ def tvd_from_counts(counts: dict, pmf: DiscretePMF, N: int) -> float:
     return 0.5 * sum(abs(counts.get(k, 0) / N - ref.get(k, 0.0)) for k in keys)
 
 
+def _pmf_of(A, b):
+    """The pmf over the t that ``truncate_coset`` keeps of the whitened coset A Z^k + b."""
+    T, w, tail = truncate_coset(np.asarray(A, dtype=float), np.asarray(b, dtype=float))
+    return DiscretePMF(T, w / float(np.sum(np.sort(w))), tail)
+
+
+def _square(pmf: DiscretePMF) -> DiscretePMF:
+    """The pmf of two independent draws from a 1-D pmf, as points of Z^2."""
+    y = pmf.points[:, 0]
+    return DiscretePMF(np.stack(np.meshgrid(y, y, indexing="ij"), axis=-1).reshape(-1, 2),
+                       np.outer(pmf.masses, pmf.masses).ravel(), 2 * pmf.tail_bound)
+
+
 # ---------------------------------------------------------------- rho
 
 
 def test_rho_at_origin_and_symmetry():
-    s = GaussianShape.spherical(1.0)
-    assert rho(s, [0.0, 0.0]) == 1.0
-    assert rho(s, [1.0, -2.0]) == pytest.approx(rho(s, [-1.0, 2.0]))
+    # the table weighs y by rho_s(y) = e^{-pi y^2 / s^2}: heaviest at the origin, and even
+    pmf = exact_pmf(1.0)
+    assert pmf.points[int(np.argmax(pmf.masses))].tolist() == [0]
+    assert pmf.mass_at((2,)) == pytest.approx(pmf.mass_at((-2,)), rel=1e-12)
 
 
 def test_rho_spherical_value():
-    assert rho(GaussianShape.spherical(2.0), [1.0, 1.0]) == pytest.approx(
-        math.exp(-math.pi / 2), rel=1e-12
-    )
+    # rho_2((1, 1)) = rho_2(1)^2 = e^{-pi / 2}, read off the table's ratios
+    pmf = exact_pmf(2.0)
+    assert (pmf.mass_at((1,)) / pmf.mass_at((0,))) ** 2 == pytest.approx(math.exp(-math.pi / 2), rel=1e-12)
     assert math.exp(-math.pi / 2) == pytest.approx(0.207880, abs=1e-6)
 
 
-def test_rho_ellipsoidal_matches_spherical():
-    sph = GaussianShape.spherical(2.0)
-    ell = GaussianShape.ellipsoidal(2.0 * np.eye(2))
-    assert rho(ell, [1.0, 1.0]) == pytest.approx(rho(sph, [1.0, 1.0]), rel=1e-12)
-
-
 def test_shape_validation():
-    with pytest.raises(ValueError):
-        GaussianShape.spherical(-1.0)
-    with pytest.raises(ValueError):
-        GaussianShape.ellipsoidal([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(ValueError):
-        GaussianShape(s=1.0, S=np.eye(2))
-
-
-def test_shape_from_gram():
-    G = np.array([[2.0, 1.0], [1.0, 2.0]])
-    sh = GaussianShape.from_gram(G)
-    assert np.allclose(sh.gram(2), G)
-
-
-def test_singular_values_of_shapes():
-    assert GaussianShape.spherical(3.0).sigma_min(4) == 3.0
-    d = GaussianShape.ellipsoidal(np.diag([1.0, 3.0]))
-    assert d.sigma_max() == pytest.approx(3.0)
-    assert d.sigma_min() == pytest.approx(1.0)
+    for s in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError):
+            exact_pmf(s)
+        with pytest.raises(ValueError):
+            sample_dg_coset(s, [0.0], 10, SampleStream(1))
 
 
 # ---------------------------------------------------------------- coset mass / pmf
 
 
 def test_coset_mass_integers():
-    mass, tail = coset_mass(LatticeCoset.integers(1), GaussianShape.spherical(1.0))
+    mass, tail = coset_mass(1.0)
     # 1 + 2 e^{-pi} + 2 e^{-4 pi} + ...
     assert mass == pytest.approx(1.086435, abs=1e-6)
     assert tail < 1e-30
@@ -90,8 +82,8 @@ def test_coset_mass_integers():
 
 def test_coset_mass_shift_ratio_band():
     s = 1.3  # above the eps=0.01 smoothing bound for Z
-    base, _ = coset_mass(LatticeCoset.integers(1), GaussianShape.spherical(s))
-    shifted, _ = coset_mass(LatticeCoset.integers(1, (0.5,)), GaussianShape.spherical(s))
+    base, _ = coset_mass(s)
+    shifted, _ = coset_mass(s, 0.5)
     eps = 0.01
     assert (1 - eps) / (1 + eps) <= shifted / base <= 1.0
 
@@ -99,7 +91,7 @@ def test_coset_mass_shift_ratio_band():
 def test_coset_mass_monotone_in_s():
     prev = 0.0
     for s in (0.5, 1.0, 2.0, 4.0):
-        mass, _ = coset_mass(LatticeCoset.integers(2), GaussianShape.spherical(s))
+        mass, _ = coset_mass(s)
         assert mass > prev
         prev = mass
 
@@ -109,31 +101,32 @@ def test_coset_mass_empty_region_flagged():
     # points, whose weight underflows no pmf, with a certified tail
     from dgsum.gaussian import DUAL_TAIL
 
-    mass, tail = coset_mass(LatticeCoset.integers(1, (0.5,)), GaussianShape.spherical(0.1))
+    mass, tail = coset_mass(0.1, 0.5)
     assert mass == pytest.approx(2 * math.exp(-25 * math.pi), rel=1e-12) and 0 < tail <= DUAL_TAIL
-    pmf = exact_pmf(LatticeCoset.integers(1, (0.5,)), GaussianShape.spherical(0.03))
-    assert pmf.points.tolist() == [[-0.5], [0.5]] and pmf.masses == pytest.approx([0.5, 0.5], rel=1e-12)
+    pmf = exact_pmf(0.03, 0.5)  # the labels of the coset points -1/2 and 1/2
+    assert pmf.points.tolist() == [[-1], [0]] and pmf.masses == pytest.approx([0.5, 0.5], rel=1e-12)
 
 
 def test_exact_pmf_center_mass():
-    pmf = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(1.0))
+    pmf = exact_pmf(1.0)
     assert pmf.mass_at((0,)) == pytest.approx(1 / 1.086435, abs=1e-5)
     assert pmf.points.dtype == np.int64 and pmf.points.shape == (pmf.support_size(), 1)
-    # a non-integral coset keeps its float points
-    half = exact_pmf(LatticeCoset.integers(1, (0.5,)), GaussianShape.spherical(1.0))
-    assert half.points.dtype == np.float64 and half.mass_at((0.5,)) == half.mass_at((-0.5,)) > 0
+    # a non-integral coset holds the int64 labels y of its points y + c
+    half = exact_pmf(1.0, 0.5)
+    assert half.points.dtype == np.int64 and half.mass_at((0,)) == half.mass_at((-1,)) > 0
 
 
 def test_exact_pmf_symmetry():
     for s in (0.7, 1.0, 2.5):
-        pmf = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(s))
+        pmf = exact_pmf(s)
         for p in pmf.points:
             assert pmf.mass_at(p) == pytest.approx(pmf.mass_at((-p[0],)), rel=1e-12)
 
 
 def test_exact_pmf_sums_to_one_within_tail():
-    pmf = exact_pmf(LatticeCoset.integers(2), GaussianShape.spherical(1.5))
-    assert 1 - pmf.tail_bound <= float(pmf.masses.sum()) <= 1 + 1e-12
+    for c in (0.0, 0.25, -0.5):
+        pmf = exact_pmf(1.5, c)
+        assert 1 - pmf.tail_bound <= float(pmf.masses.sum()) <= 1 + 1e-12
 
 
 def _log_sum_exp(x: np.ndarray) -> float:
@@ -175,11 +168,12 @@ def test_primal_tail_bound_is_certified():
     skew = np.array([[1.0, 0.6], [0.0, 0.7]])
     for s in np.geomspace(0.03, 2.0, 15).tolist() + [0.1249]:
         for c in (0.0, 0.25, 0.5):
-            pmf = exact_pmf(LatticeCoset.integers(1, (c,)), GaussianShape.spherical(s))
-            _assert_tail_certified(pmf.points, pmf.tail_bound, [[s * s]], [c])
-            shape = GaussianShape.ellipsoidal(s * skew)
-            pmf = exact_pmf(LatticeCoset.integers(2, (c, c)), shape)
-            _assert_tail_certified(pmf.points, pmf.tail_bound, shape.gram(2), [c, c])
+            pmf = exact_pmf(s, c)
+            _assert_tail_certified(pmf.points + c, pmf.tail_bound, [[s * s]], [c])
+            gram = (s * skew).T @ (s * skew)  # Z^2 + (c, c) under the shape s skew
+            W = np.linalg.inv(np.linalg.cholesky(gram))
+            pmf = _pmf_of(W, W @ [c, c])
+            _assert_tail_certified(pmf.points + c, pmf.tail_bound, gram, [c, c])
     X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
     for r in (0.03, 0.2, 1.0, 3.0):
         for c in ([0.5, 0.0, 0.0, 0.0], [0.5] * 4):
@@ -203,9 +197,10 @@ def test_skew_basis_region_is_sized_by_the_nearest_coset_point():
             if skew == 100:
                 _assert_tail_certified(q.points + ws.Xc, q.tail_bound, ws.target_gram, ws.Xc)
         assert sizes[0.0] < 100 and sizes[0.5] < 1.5 * sizes[0.0], sizes
-    coset = LatticeCoset.of([[1, 0], [100, 1]], (0.5, 0.0))
-    pmf = exact_pmf(coset, GaussianShape.spherical(1.0))
-    base = exact_pmf(LatticeCoset.of([[1, 0], [100, 1]]), GaussianShape.spherical(1.0))
+    # the same for the coset L + (1/2, 0) of the skew lattice L = B Z^2 itself
+    B = [[1, 0], [100, 1]]
+    pmf = _pmf_of(B, [0.5, 0.0])
+    base = _pmf_of(B, [0.0, 0.0])
     assert pmf.support_size() < 1.5 * base.support_size() < 150
 
 
@@ -226,15 +221,16 @@ def test_coset_radius_is_the_least_radius_for_the_tail():
 
 def test_scaled_lattice_pushforward():
     # pmf on 2Z at s=2 equals pmf on Z at s=1 pushed through k -> 2k
-    p2 = exact_pmf(LatticeCoset.of([[2]]), GaussianShape.spherical(2.0))
-    p1 = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(1.0))
+    t2 = _pmf_of(np.array([[2.0]]) / 2.0, [0.0])
+    p2 = DiscretePMF(2 * t2.points, t2.masses, t2.tail_bound)
+    p1 = exact_pmf(1.0)
     for pt in p1.points:
         assert p2.mass_at((2 * pt[0],)) == pytest.approx(p1.mass_at(pt), rel=1e-10)
 
 
 def test_product_structure_n2():
-    one = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(1.2))
-    two = exact_pmf(LatticeCoset.integers(2), GaussianShape.spherical(1.2))
+    one = exact_pmf(1.2)
+    two = _pmf_of(np.eye(2) / 1.2, [0.0, 0.0])
     for (a,) in one.points:
         for (b,) in one.points:
             got = two.mass_at((a, b))
@@ -372,14 +368,14 @@ def test_gram_poisson_sum_matches_the_basis_one():
 
 def test_sampler_determinism():
     st = SampleStream(seed=42, stream_id=7)
-    a = sample_dg_ints(2.0, 1000, st)
-    b = sample_dg_ints(2.0, 1000, st)
+    a = draw_ints(exact_pmf(2.0), 1000, st)
+    b = draw_ints(exact_pmf(2.0), 1000, st)
     assert np.array_equal(a, b)
 
 
 def test_sampler_streams_differ():
-    a = sample_dg_ints(2.0, 1000, SampleStream(1, stream_id=0))
-    b = sample_dg_ints(2.0, 1000, SampleStream(1, stream_id=1))
+    a = draw_ints(exact_pmf(2.0), 1000, SampleStream(1, stream_id=0))
+    b = draw_ints(exact_pmf(2.0), 1000, SampleStream(1, stream_id=1))
     assert not np.array_equal(a, b)
 
 
@@ -416,8 +412,8 @@ def test_generator_small_seed_streams_did_not_move():
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
 def test_sampler_matches_exact_pmf(s):
     N = 200_000
-    draws = sample_dg_ints(s, N, SampleStream(2024, stream_id=int(10 * s)))
-    pmf = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(s))
+    pmf = exact_pmf(s)
+    draws = draw_ints(pmf, N, SampleStream(2024, stream_id=int(10 * s)))
     counts = {}
     for k in draws:
         counts[(int(k),)] = counts.get((int(k),), 0) + 1
@@ -425,38 +421,40 @@ def test_sampler_matches_exact_pmf(s):
 
 
 def test_small_s_concentrates():
-    draws = sample_dg_ints(0.5, 50_000, SampleStream(9))
+    pmf = exact_pmf(0.5)
+    draws = draw_ints(pmf, 50_000, SampleStream(9))
     frac_small = np.mean(np.abs(draws) <= 1)
     assert frac_small > 0.999
-    pmf = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(0.5))
     emp0 = np.mean(draws == 0)
     assert abs(emp0 - pmf.mass_at((0,))) < 0.01
 
 
 def test_sample_dg_ints_is_the_coset_sampler_on_the_integers():
+    # draws from the table of D_{Z,s} are those of the coset sampler on Z
     for s in (0.5, 3.0, 30.0):
         st = SampleStream(61, stream_id=int(s))
-        ints = sample_dg_ints(s, 5000, st)
+        ints = draw_ints(exact_pmf(s), 5000, st)
         assert ints.dtype == np.int64
-        assert np.array_equal(ints.astype(float), sample_dg_coset(LatticeCoset.integers(1), GaussianShape.spherical(s), st, size=5000)[:, 0])
+        assert np.array_equal(ints, sample_dg_coset(s, [0.0], 5000, st)[:, 0])
 
 
 def test_sample_dg_coset_draws_alike_at_c_and_c_plus_7():
-    # Z + c is Z + c + 7: the same points, so the same table and the same
-    # draws, the half shifts, the integer ones and a diagonal shape included
+    # Z + c is Z + c + 7: the same table, so the same points w + c, and
+    # integer parts 7 apart, the half shifts and the integer ones included
     c = np.array([0.25, -0.5, 0.5, 0.0, -3.0, 0.375])
-    for shape in (GaussianShape.spherical(1.5), GaussianShape.ellipsoidal(np.diag([0.3, 1.0, 2.0, 1.0, 4.0, 9.0]))):
-        a = sample_dg_coset(LatticeCoset.integers(6, tuple(c)), shape, SampleStream(62), size=3000)
-        b = sample_dg_coset(LatticeCoset.integers(6, tuple(c + 7)), shape, SampleStream(62), size=3000)
-        assert np.array_equal(a, b)
-        assert np.array_equal(a - c, np.round(a - c))  # points of Z^6 + c
+    for s in (0.3, 1.5, 9.0):
+        a = sample_dg_coset(s, c, 3000, SampleStream(62))
+        b = sample_dg_coset(s, c + 7, 3000, SampleStream(62))
+        assert a.dtype == b.dtype == np.int64 and a.shape == (3000, 6)
+        assert np.array_equal(a + c, b + (c + 7))
+        assert np.array_equal(b, a - 7)
 
 
 @pytest.mark.parametrize("s", [0.05, 0.5, 3.0, 30.0])
 def test_integer_table_matches_a_direct_sum(s):
     # the sampler's table of D_{Z,s} against e^{-pi k^2 / s^2} summed
     # directly over |k| <= 40 s, with no truncation rule
-    pmf = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(s))
+    pmf = exact_pmf(s)
     k = np.arange(-math.ceil(40 * s), math.ceil(40 * s) + 1)
     w = np.exp(-math.pi * (k / s) ** 2)
     direct = w / float(np.sum(np.sort(w)))
@@ -468,22 +466,10 @@ def test_integer_table_matches_a_direct_sum(s):
 
 def test_sample_dg_coset_iid_coordinates():
     st = SampleStream(77)
-    vs = sample_dg_coset(LatticeCoset.integers(3), GaussianShape.spherical(2.0), st, size=50_000)
+    vs = sample_dg_coset(2.0, [0.0] * 3, 50_000, st)
     assert vs.shape == (50_000, 3)
-    pmf = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(2.0))
+    pmf = exact_pmf(2.0)
     for i in range(3):
-        counts = {}
-        for k in vs[:, i]:
-            counts[(int(k),)] = counts.get((int(k),), 0) + 1
-        assert tvd_from_counts(counts, pmf, len(vs)) < 0.02
-
-
-def test_sample_dg_coset_diagonal_marginals():
-    st = SampleStream(78)
-    shape = GaussianShape.ellipsoidal(np.diag([1.0, 3.0]))
-    vs = sample_dg_coset(LatticeCoset.integers(2), shape, st, size=50_000)
-    for i, s in enumerate((1.0, 3.0)):
-        pmf = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(s))
         counts = {}
         for k in vs[:, i]:
             counts[(int(k),)] = counts.get((int(k),), 0) + 1
@@ -492,32 +478,29 @@ def test_sample_dg_coset_diagonal_marginals():
 
 def test_sample_dg_coset_half_shift():
     st = SampleStream(79)
-    coset = LatticeCoset.integers(1, (0.5,))
-    vs = sample_dg_coset(coset, GaussianShape.spherical(1.0), st, size=50_000)
-    assert np.allclose(vs - np.floor(vs), 0.5)
-    pmf = exact_pmf(coset, GaussianShape.spherical(1.0))
+    vs = sample_dg_coset(1.0, [0.5], 50_000, st)
+    assert vs.dtype == np.int64 and set(np.unique(vs).tolist()) >= {-1, 0}
+    pmf = exact_pmf(1.0, 0.5)  # the labels w of the points w + 1/2
     counts = {}
-    for v in vs[:, 0]:
-        counts[(float(v),)] = counts.get((float(v),), 0) + 1
+    for w in vs[:, 0]:
+        counts[(int(w),)] = counts.get((int(w),), 0) + 1
     assert tvd_from_counts(counts, pmf, len(vs)) < 0.02
 
 
 def test_sample_dg_coset_integer_shift_matches_exact_pmf():
-    # Z^2 + c is Z^2 for an integer c, weighted about 0: the draws must not
-    # move with c
+    # Z^2 + c is Z^2 for an integer c, weighted about 0: the points w + c
+    # must not move with c
     from scipy import stats
 
-    shape = GaussianShape.spherical(1.5)
     N = 100_000
+    pmf = _square(exact_pmf(1.5))
     for c in ((3.0, -2.0), (0.0, 0.0)):
-        coset = LatticeCoset.integers(2, c)
-        vs = sample_dg_coset(coset, shape, SampleStream(81), size=N)
-        pmf = exact_pmf(coset, shape)
+        vs = sample_dg_coset(1.5, c, N, SampleStream(81)) + np.array(c, dtype=np.int64)
         expected = N * pmf.masses
         cells = expected >= 5  # the rest pooled into one cell
         index = {p: i for i, p in enumerate(map(tuple, pmf.points.tolist()))}
         observed = np.zeros(len(expected))
-        keys, freq = np.unique(np.round(vs).astype(np.int64), axis=0, return_counts=True)
+        keys, freq = np.unique(vs, axis=0, return_counts=True)
         for key, f in zip(map(tuple, keys.tolist()), freq):
             observed[index[key]] += f
         obs = np.r_[observed[cells], N - observed[cells].sum()]
@@ -527,18 +510,9 @@ def test_sample_dg_coset_integer_shift_matches_exact_pmf():
 
 def test_sample_dg_coset_far_below_smoothing():
     # Z + 1/2 at s = 0.03: the sampler's table holds the two nearest points
-    vs = sample_dg_coset(LatticeCoset.integers(1, (0.5,)), GaussianShape.spherical(0.03), SampleStream(82), size=4000)
+    vs = sample_dg_coset(0.03, [0.5], 4000, SampleStream(82)) + 0.5
     assert set(vs[:, 0].tolist()) == {-0.5, 0.5}
     assert abs(float(np.mean(vs[:, 0] > 0)) - 0.5) < 0.05
-
-
-def test_sample_dg_coset_table_path():
-    # non-diagonal shape forces the table path
-    S = np.array([[1.0, 0.6], [0.0, 1.0]])
-    st = SampleStream(80)
-    vs = sample_dg_coset(LatticeCoset.integers(2), GaussianShape.ellipsoidal(S), st, size=2000)
-    assert vs.shape == (2000, 2)
-    assert np.allclose(vs, np.round(vs))
 
 
 # ---------------------------------------------------------------- pushforward
@@ -558,10 +532,11 @@ def test_pushforward_pmf_matches():
     # pmf of Z^2 under shape S, pushed through B, equals pmf of L(B) with shape S B^T
     B = IntMatrix.from_rows([[1, 0], [0, 2]])
     s = 1.5
-    base = exact_pmf(LatticeCoset.integers(2), GaussianShape.spherical(s))
+    base = _square(exact_pmf(s))
     Bf = B.to_numpy()
-    pushed_shape = GaussianShape.ellipsoidal(s * Bf.T)
-    target = exact_pmf(LatticeCoset.of(B.rows), pushed_shape)
+    W = np.linalg.inv(np.linalg.cholesky(s * s * Bf @ Bf.T))  # whitens the shape s B^T
+    t = _pmf_of(W @ Bf, [0.0, 0.0])
+    target = DiscretePMF(t.points @ B.to_numpy(dtype=np.int64).T, t.masses, t.tail_bound)
     for pt, mass in zip(base.points, base.masses):
         img = push_to_lattice(B, pt)
         assert target.mass_at(img) == pytest.approx(float(mass), rel=1e-9)

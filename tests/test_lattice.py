@@ -20,7 +20,6 @@ from dgsum.lattice import (
     lll_reduce,
     nearest_plane,
     reduced_integer_kernel,
-    singular_values,
     smoothing_bound,
     smoothing_check,
     successive_minima_upper,
@@ -433,14 +432,6 @@ def test_smoothing_check_matches_radius_12_oracle():
             assert 0 < beta <= 2.0 ** -100
             assert tail == pytest.approx(beta * (1 + lhs) / (1 - beta), rel=1e-12, abs=0)
             assert holds == (lhs + tail <= 0.01)
-
-
-def test_singular_values_examples():
-    assert np.allclose(singular_values(3 * np.eye(4)), 3.0)
-    assert np.allclose(singular_values(np.diag([1.0, 3.0])), [3.0, 1.0])
-    sv = singular_values([[1.0, 1.0], [0.0, 1.0]])
-    assert sv[0] * sv[1] == pytest.approx(1.0, rel=1e-10)
-    assert sv[0] ** 2 + sv[1] ** 2 == pytest.approx(3.0, rel=1e-10)
 
 
 # ------------------------------------------------- one computation per object

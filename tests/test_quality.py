@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dgsum.gaussian import GaussianShape, SampleStream, sample_dg_ints
+from dgsum.gaussian import SampleStream, draw_ints, exact_pmf
 from dgsum.intmat import IntMatrix, dot, fraction_rank, norm_sq
 from dgsum.lattice import integer_kernel, lll_reduce, smoothing_bound, successive_minima_upper
 from dgsum import quality
@@ -30,7 +30,7 @@ X2 = IntMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
 
 def draw_X(n, m, s, stream):
     for k in range(100):
-        cols = sample_dg_ints(s, n * m, stream.substream(k)).reshape(n, m)
+        cols = draw_ints(exact_pmf(s), n * m, stream.substream(k)).reshape(n, m)
         X = IntMatrix.from_rows(cols.tolist())
         if fraction_rank(X.rows) == n:
             return X
@@ -539,15 +539,16 @@ def test_threshold_smoothing_composition():
 
 
 def test_parameter_check_report():
-    S = GaussianShape.spherical(3.0)
-    R = GaussianShape.spherical(1e9)
-    rep = parameter_check(100, 100_000, 1e-4, S, R)
+    rep = parameter_check(100, 100_000, 1e-4, 3.0, 1e9)
     assert rep["s_condition"]["rhs"] == pytest.approx(
         9 * math.sqrt(math.log(200 * 10001) / math.pi), rel=1e-9
     )
     assert rep["s_condition"]["rhs"] == pytest.approx(19.34, abs=0.01)
     assert rep["m_condition"]["holds"] and rep["r_condition"]["holds"]
     assert rep["applicability_gate"]["holds"]
-    small = parameter_check(2, 16, 0.01, S, R)
+    small = parameter_check(2, 16, 0.01, 3.0, 1e9)
     assert not small["applicability_gate"]["holds"]
     assert "lhs" in small["m_condition"] and "rhs" in small["m_condition"]
+    # no width to test (no certified trial): the r condition fails
+    none = parameter_check(2, 16, 0.01, 3.0, None)["r_condition"]
+    assert none == {"lhs": None, "rhs": small["r_condition"]["rhs"], "holds": False}

@@ -15,9 +15,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "dgsum"
 ALLOWED = {
     # the one primal region: its radius and tail from ``coset_radius``
     "enumerate_affine": {"truncate_coset"},
-    # its callers: the sampler's tables, the one target region of both TVD
-    # entry points, and the one 1-D term table of the image side
-    "truncate_coset": {"exact_pmf", "_target_region", "_terms_1d"},
+    # its callers: the one 1-D table (the sampler's, and the image side's
+    # terms), and the one target region of both TVD entry points
+    "truncate_coset": {"exact_pmf", "_target_region"},
     # the bisection that both radius rules run, the bound itself, and the
     # dual sums' tail at ``banaszczyk_radius``
     "banaszczyk_bound": {"PoissonSum.tail"},
@@ -34,8 +34,9 @@ ALLOWED = {
     "_theta_table": {"_image_transform"},
     "sums": set(),
 }
-# the per-label dual sum's shifts and Gram inverse
-GONE = {"section_deltas", "Gw_inv"}
+# the per-label dual sum's shifts and Gram inverse; the general shape and
+# coset layer and the second integer sampler beside the one 1-D table
+GONE = {"section_deltas", "Gw_inv", "GaussianShape", "LatticeCoset", "int_table", "sample_dg_ints"}
 
 
 def stray_calls(source: str, allowed: dict[str, set[str]] = ALLOWED) -> set[tuple[str, str]]:
@@ -166,5 +167,5 @@ def test_package_has_one_truncation_rule():
         # only the rule itself reads the tail it certifies
         if path.name != "gaussian.py":
             assert tail_names(path.read_text()) == set(), path.name
-        # the per-label dual sum is gone from the package
+        # the per-label dual sum and the general shape layer are gone from the package
         assert named_lines(path.read_text(), GONE) == set(), path.name

@@ -8,8 +8,6 @@ import pytest
 from dgsum.gaussian import (
     DiscretePMF,
     EnumerationBudgetExceeded,
-    GaussianShape,
-    LatticeCoset,
     PoissonSum,
     SampleStream,
     banaszczyk_radius,
@@ -35,7 +33,7 @@ from dgsum.quality import distance_threshold
 from primal_oracle import DualSections, PrimalSections, check_kernel_basis, particular_map, primal_tvd
 
 X11 = IntMatrix.from_rows([[1, 1]])
-R2 = GaussianShape.spherical(2.0)
+R2 = 2.0 * np.eye(2)  # the oracles' shape of D_{Z^2, 2}
 
 
 def _at_zero(X, r):
@@ -72,10 +70,9 @@ def test_fiber_unimodular_single_point():
     X = IntMatrix.from_rows([[1, 1], [0, 1]])
     _, points = PrimalSections(X, R2, [0.0, 0.0]).fiber([3, 1])
     assert len(points) == 1
-    from dgsum.gaussian import rho
-
     v = points[0]
-    assert FiberWorkspace(X, 2.0, [0.0, 0.0]).fiber_weight([3, 1]) == pytest.approx(rho(R2, v), rel=1e-12, abs=0)
+    rho = math.exp(-math.pi * float(v @ v) / 4.0)  # rho_2(v)
+    assert FiberWorkspace(X, 2.0, [0.0, 0.0]).fiber_weight([3, 1]) == pytest.approx(rho, rel=1e-12, abs=0)
     assert tuple(int(round(x)) for x in X.to_numpy() @ v) == (3, 1)
 
 
@@ -178,7 +175,7 @@ def test_class_path_matches_per_label_oracle():
                 drawn += 1
     dets = set()
     for X, c, s, solve_each in cases:
-        R = GaussianShape.spherical(s)
+        R = s * np.eye(X.n_cols)
         ws = FiberWorkspace(X, s, c)
         p = exact_output_pmf(ws)
         _assert_matches_oracle(p, _label_oracle(X, R, c, solve_each))
@@ -224,7 +221,7 @@ def test_workspace_reduces_skewed_kernel_basis():
     # kernel, whose dual basis K (K^T K)^-1 keeps the dual box small, and the
     # workspace's fiber weight from the class pmfs matches their sections
     X = IntMatrix.from_rows([[-2, -3, 3, 0, 2, 2], [3, -3, -1, 3, 0, -1], [-2, -3, -3, 3, -3, -3]])
-    R = GaussianShape.spherical(3.0)
+    R = 3.0 * np.eye(6)
     ws = FiberWorkspace(X, 3.0, [0.0] * 6)
     kernel = X.reduced_kernel
     assert kernel.provenance == "reduced"
@@ -252,7 +249,7 @@ def test_dual_sums_match_primal_oracle():
     for rows, c in (([[1, 1, 1], [0, 1, 2]], [0.0, 0.0, 0.0]), ([[1, 2, 3, 3]], [0.1, -0.4, 0.2, 0.0])):
         X = IntMatrix.from_rows(rows)
         p = exact_output_pmf(FiberWorkspace(X, 1.5, c))
-        e = DualSections(X, GaussianShape.ellipsoidal(1.5 * np.eye(X.n_cols)), c).output_masses(p.points)
+        e = DualSections(X, 1.5 * np.eye(X.n_cols), c).output_masses(p.points)
         np.testing.assert_allclose(e, p.masses, rtol=1e-12, atol=0)
     # random X with n <= 2, m <= n + 3, r in [1.2, 3]; c = 0 and c != 0;
     # the dual oracle for spherical and ellipsoidal R, and the class pmfs
@@ -266,10 +263,10 @@ def test_dual_sums_match_primal_oracle():
         c = [0.0] * m if i % 4 < 2 else rng.normal(scale=0.5, size=m).tolist()
         r = float(rng.uniform(1.2, 3.0))
         dets.add(_det_xxt(X))
-        shapes = [GaussianShape.spherical(r), GaussianShape.ellipsoidal(np.diag(rng.uniform(0.8 * r, 1.2 * r, size=m)))]
+        shapes = [r * np.eye(m), np.diag(rng.uniform(0.8 * r, 1.2 * r, size=m))]
         if i % 3 == 0:  # a skew shape, no longer diagonal
-            shapes.append(GaussianShape.ellipsoidal(np.triu(rng.uniform(0.0, 0.4 * r, size=(m, m))) + r * np.eye(m)))
-        for R in shapes:
+            shapes.append(np.triu(rng.uniform(0.0, 0.4 * r, size=(m, m))) + r * np.eye(m))
+        for k, R in enumerate(shapes):
             dual = DualSections(X, R, c)
             oracle = PrimalSections(X, R, c)
             assert abs(dual.kernel_weight() - oracle.kernel_weight()) <= 1e-12
@@ -280,7 +277,7 @@ def test_dual_sums_match_primal_oracle():
             _assert_matches_oracle(DiscretePMF(T, dual.output_masses(T), 0.0), oracle)
             for z in T[:: max(1, len(T) // 5)]:  # a chunked sum has the bits of a lone one
                 assert oracle.fiber_weight(z) == oracle.fiber(z)[0]
-            if R.is_spherical:
+            if k == 0:  # the spherical shape r I
                 ws = FiberWorkspace(X, r, c)
                 for z in labels:
                     assert abs(ws.fiber_weight(z) - oracle.fiber_weight(z)) <= 1e-12
@@ -330,7 +327,7 @@ def test_class_tvd_at_threshold_s3_up_to_m12():
     assert (4, 12) in shapes and (2, 12) in shapes and len(instances) >= 9
     compared = 0
     for X, eps, r in instances:
-        R = GaussianShape.spherical(r)
+        R = r * np.eye(X.n_cols)
         ws = FiberWorkspace(X, r, [0.0] * X.n_cols)
         rep = class_tvd(X, r, [0.0] * X.n_cols)
         assert rep.support_size == _det_xxt(X) >= 2
@@ -590,9 +587,8 @@ def test_output_pmf_identity_matches_exact_pmf():
 
     X = IntMatrix.from_rows([[1]])
     for r in (1.0, 2.5):
-        R = GaussianShape.spherical(r)
         p = exact_output_pmf(_at_zero(X, r))
-        base = exact_pmf(LatticeCoset.integers(1), R)
+        base = exact_pmf(r)
         for pt in base.points:
             assert p.mass_at(pt) == pytest.approx(base.mass_at(pt), abs=1e-12)
 
@@ -607,7 +603,7 @@ def test_target_pmf_is_1d_gaussian_with_r_sqrt2():
     from dgsum.gaussian import exact_pmf
 
     q = target_pmf(_at_zero(X11, 2.0))
-    base = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(2.0 * math.sqrt(2)))
+    base = exact_pmf(2.0 * math.sqrt(2))
     for z in base.points:
         if q.mass_at(z):
             assert q.mass_at(z) == pytest.approx(base.mass_at(z), rel=1e-9)
@@ -724,12 +720,12 @@ def test_threshold_pipeline_small_instance():
 # ---------------------------------------------------------------- monte carlo
 
 
-def _sampler_for(X, R):
+def _sampler_for(X, r):
     m = X.n_cols
     Xf = X.to_numpy()
 
     def sampler(N, st):
-        vs = sample_dg_coset(LatticeCoset.integers(m), R, st, size=N)
+        vs = sample_dg_coset(r, [0.0] * m, N, st)
         return vs @ Xf.T
 
     return sampler
@@ -737,7 +733,7 @@ def _sampler_for(X, R):
 
 def test_mc_tvd_self_distance_small():
     q = target_pmf(_at_zero(X11, 2.0))
-    rep = mc_tvd(_sampler_for(X11, R2), q, 100_000, SampleStream(55))
+    rep = mc_tvd(_sampler_for(X11, 2.0), q, 100_000, SampleStream(55))
     # E_{X,r} at r=2 is within a few e-3 of the target; the plug-in estimate
     # should sit near the bias floor
     assert rep.estimate <= rep.bias_bound + 0.01
@@ -746,8 +742,8 @@ def test_mc_tvd_self_distance_small():
 
 def test_mc_tvd_determinism():
     q = target_pmf(_at_zero(X11, 2.0))
-    a = mc_tvd(_sampler_for(X11, R2), q, 20_000, SampleStream(7))
-    b = mc_tvd(_sampler_for(X11, R2), q, 20_000, SampleStream(7))
+    a = mc_tvd(_sampler_for(X11, 2.0), q, 20_000, SampleStream(7))
+    b = mc_tvd(_sampler_for(X11, 2.0), q, 20_000, SampleStream(7))
     assert a.estimate == b.estimate
 
 
@@ -755,7 +751,7 @@ def test_mc_tvd_ci_shrinks_with_n():
     q = target_pmf(_at_zero(X11, 2.0))
     w = []
     for N in (10_000, 40_000):
-        rep = mc_tvd(_sampler_for(X11, R2), q, N, SampleStream(8))
+        rep = mc_tvd(_sampler_for(X11, 2.0), q, N, SampleStream(8))
         w.append(rep.ci_hi - rep.ci_lo)
     # quadrupling N should halve the band width (same support, +-30% slack)
     assert 0.35 <= w[1] / w[0] <= 0.65
@@ -781,14 +777,13 @@ def _mc_counts_oracle(sampler, target, N, stream, confidence=0.99):
 def test_mc_tvd_counting_matches_per_row_oracle():
     X = IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])
     Xf = X.to_numpy()
-    R = GaussianShape.spherical(1.5)
     c = np.array([0.25, 0.1, -0.5])
 
-    def integral(N, st):  # labels z, within float error of integers
-        return sample_dg_coset(LatticeCoset.integers(3, tuple(c)), R, st, size=N) @ Xf.T - Xf @ c
+    def integral(N, st):  # labels z = X w of the draws w + c, integers as floats
+        return sample_dg_coset(1.5, c, N, st) @ Xf.T
 
     def shifted(N, st):  # output points z + X c: both coordinates off the integers
-        return sample_dg_coset(LatticeCoset.integers(3, tuple(c)), R, st, size=N) @ Xf.T
+        return (sample_dg_coset(1.5, c, N, st) + c) @ Xf.T
 
     def mixed(N, st):  # some rows keep an integral first coordinate only, some miss by 1e-7
         d = integral(N, st)
@@ -797,7 +792,7 @@ def test_mc_tvd_counting_matches_per_row_oracle():
         return d
 
     def one_dim(N, st):
-        return _sampler_for(X11, R2)(N, st)[:, 0]
+        return _sampler_for(X11, 2.0)(N, st)[:, 0]
 
     q = target_pmf(FiberWorkspace(X, 1.5, c))
     for sampler, target in ((integral, q), (shifted, q), (mixed, q), (one_dim, target_pmf(_at_zero(X11, 2.0)))):
@@ -809,7 +804,7 @@ def test_mc_tvd_counting_matches_per_row_oracle():
 def test_mc_tvd_min_samples():
     q = target_pmf(_at_zero(X11, 2.0))
     with pytest.raises(ValueError):
-        mc_tvd(_sampler_for(X11, R2), q, 100, SampleStream(9))
+        mc_tvd(_sampler_for(X11, 2.0), q, 100, SampleStream(9))
 
 
 # ---------------------------------------------------------------- bound evaluators
@@ -851,7 +846,7 @@ def test_shift_bound_dominates_interval_shifts():
     eps = 0.01
     sigma = 9 * smoothing_bound(1, eps, 1.0).value
     bound = shift_bound_eval(1.0, sigma, eps, 8.0)
-    pmf = exact_pmf(LatticeCoset.integers(1), GaussianShape.spherical(sigma)).as_dict()
+    pmf = exact_pmf(sigma).as_dict()
     ks = sorted(k[0] for k in pmf)
     worst = 0.0
     for a in range(-15, 16):
@@ -863,18 +858,18 @@ def test_shift_bound_dominates_interval_shifts():
 
 
 def test_ratio_band_check_zero_shift():
-    rep = ratio_band_check(1, GaussianShape.spherical(1.3), 0.01, [(0.0,)], lambda_n=1.0)
+    rep = ratio_band_check(1, 1.3, 0.01, [(0.0,)], lambda_n=1.0)
     assert rep["max_ratio"] == pytest.approx(1.0, rel=1e-12)
     assert rep["precondition_ok"]
 
 
 def test_ratio_band_check_half_shift():
-    rep = ratio_band_check(1, GaussianShape.spherical(1.3), 0.01, [(0.5,)], lambda_n=1.0)
+    rep = ratio_band_check(1, 1.3, 0.01, [(0.5,)], lambda_n=1.0)
     assert rep["in_band"]
     assert rep["min_ratio"] == pytest.approx(0.98041, abs=1e-4)
 
 
 def test_ratio_band_check_diagnostic_below_smoothing():
-    rep = ratio_band_check(1, GaussianShape.spherical(0.2), 0.01, [(0.5,)], lambda_n=1.0)
+    rep = ratio_band_check(1, 0.2, 0.01, [(0.5,)], lambda_n=1.0)
     assert rep["precondition_ok"] is False
     assert not rep["in_band"]
