@@ -4,14 +4,16 @@ The one Gaussian the package builds is D_{Z + c, s}, which weighs the point
 y + c of Z + c by rho_s(y + c) = exp(-pi (y + c)^2 / s^2) over the total
 weight of the coset: one 1-D table (``exact_pmf``).  D_{Z^m + c, s}, the
 paper's v, is the product of the m cosets Z + c_i (``sample_dg_coset``).
-Every other Gaussian weight is rho(x) = exp(-pi ||x||^2) of a whitened point.
+Every other Gaussian weight is rho(x) = exp(-pi ||x||^2) of a point x of a
+lattice L given by its Gram matrix: the point A (t + x0) of L + A x0, for any
+basis A of Gram matrix gram = A^T A, weighs exp(-pi (t + x0)^T gram (t + x0)).
 
-Every truncation keeps the points within the least whitened radius R
+Every truncation keeps the points within the least radius R
 (``_least_radius``, one bisection) at which its dropped relative weight is
 certified below DUAL_TAIL through beta(k, R) = ``banaszczyk_bound``, L of
 rank k (Banaszczyk 1993; Micciancio-Regev 2007, Lemma 2.10).  A dual sum
 (``poisson_sum``, R = ``banaszczyk_radius``) drops at most beta rho(L); a
-primal region (``truncate_coset``, R = ``coset_radius``) of a whitened coset
+primal region (``truncate_coset``, R = ``coset_radius``) of a coset
 L + x, x its shortest point, at most 2 beta e^{pi ||x||^2} of its weight, as
 pairing y with -y (L = -L, cosh >= 1) gives rho(L + x) >= e^{-pi ||x||^2}
 rho(L) and Banaszczyk's coset lemma rho((L + x) minus R B) < 2 beta rho(L).
@@ -19,16 +21,17 @@ So R > ||x||: the region holds x.  The class TVD's 1-D theta tables
 (``tvd._theta_table``) take the same rule: ``exact_pmf``'s table of
 Z + c for r <= 1, and the dual terms within ``coset_radius(1, 0)`` above.
 
-Every lattice-point enumeration is one Fincke-Pohst level loop
-(``fincke_pohst``) on an upper-triangular factor U of the lattice, under one
-of two factorizations.  ``enumerate_affine`` takes a basis A with a centre b
-and factors A = Q U (QR).  ``poisson_sum`` takes a Gram matrix, which is all a
-Gaussian sum over a lattice needs (rho(A t) = exp(-pi t^T A^T A t)), and
-factors it as U^T U (Cholesky); both keep the points within one boundary
-margin (``_boundary``).  The dual basis B (B^T B)^-1 of an integer
-basis B has Gram matrix (B^T B)^-1 = adj(B^T B) / det(B^T B), so a dual sum
-at scale s over an integer lattice is ``poisson_sum(s^2 adj(B^T B) /
-det(B^T B))``, with no float basis to factor.
+Every lattice-point enumeration is one enumerator, ``enumerate_affine(gram,
+x0, R)``, under one factorization: the Cholesky factor U of gram = U^T U,
+on which one Fincke-Pohst level loop (``fincke_pohst``) runs, and one
+boundary margin (``_boundary``) on the squared norms formed from gram.
+``poisson_sum`` calls it with x0 = 0, ``truncate_coset`` with the coset's
+shift, so no float basis is ever factored or whitened.  The dual basis
+B (B^T B)^-1 of an integer basis B has Gram matrix (B^T B)^-1 =
+adj(B^T B) / det(B^T B), so a dual sum at scale s over an integer lattice is
+``poisson_sum(s^2 adj(B^T B) / det(B^T B))``, and the target coset
+Z^n + X c under the shape r X^T has Gram matrix (r^2 X X^T)^-1 =
+adj(X X^T) / (r^2 det(X X^T)): integers times one scalar.
 
 Every draw of the package, integer shift or not, is one inverse-CDF draw
 (``_table_sample``) from a table that ``exact_pmf`` truncated by the rule
@@ -224,38 +227,32 @@ class PoissonSum:
 
 def poisson_sum(gram: np.ndarray) -> PoissonSum:
     """The PoissonSum of the lattice with Gram matrix ``gram`` (k x k,
-    positive definite), truncated at ``banaszczyk_radius(k)``.
+    positive definite), truncated at ``banaszczyk_radius(k)``: the nonzero
+    points of ``enumerate_affine(gram, 0, radius)``, one of each pair.
 
     A Gaussian sum over a lattice needs its Gram matrix and nothing else:
-    with gram = U^T U (Cholesky), ||A t||^2 = t^T gram t = ||U t||^2 for any
-    basis A of the lattice, so ``fincke_pohst`` runs its levels on U, and the
-    points are kept by t^T gram t within ``_boundary(radius)``, the test
-    ``enumerate_affine`` applies to ||A t||^2.  The squared norms carry the
-    relative rounding of gram's entries times |t|^T |gram| |t|, which for an ill-conditioned gram far exceeds
-    t^T gram t; the package's Grams are those of duals of LLL-reduced or
-    small integer bases.
+    ||A t||^2 = t^T gram t for any basis A of the lattice.  The squared norms
+    carry the relative rounding of gram's entries times |t|^T |gram| |t|,
+    which for an ill-conditioned gram far exceeds t^T gram t; the package's
+    Grams are those of duals of LLL-reduced or small integer bases.
     """
     gram = np.asarray(gram, dtype=float)
     k = len(gram)
     radius = banaszczyk_radius(k)
     if k == 0:
         return PoissonSum(np.zeros((0, 0), dtype=np.int64), np.zeros(0), radius, 0)
-    bound, level = _boundary(radius)
-    T = fincke_pohst(np.linalg.cholesky(gram).T, np.zeros(k), level, radius)
+    T, norms = enumerate_affine(gram, np.zeros(k), radius)
     lead = T[np.arange(len(T)), np.argmax(T != 0, axis=1)]
-    T = T[lead > 0]  # one of each pair +-t; drops t = 0
-    norms = np.einsum("ij,ij->i", T @ gram, T)
-    keep = norms <= bound
-    T, norms = T[keep], norms[keep]
-    order = np.lexsort(T.T[::-1])
-    return PoissonSum(T[order], np.exp(-math.pi * norms[order]), radius, k)
+    keep = lead > 0  # one of each pair +-t; drops t = 0
+    return PoissonSum(T[keep], np.exp(-math.pi * norms[keep]), radius, k)
 
 
 def _boundary(radius: float) -> tuple[float, float]:
-    """(keep, level): both enumerations keep the points whose squared norm,
-    computed directly, is at most keep = radius^2 (1 + 1e-12) + 1e-12, and
-    run ``fincke_pohst``'s levels at level = keep (1 + 1e-9) + 1e-9, so that
-    rounding in the triangular factor cannot drop a point on the boundary."""
+    """(keep, level): ``enumerate_affine`` keeps the points whose squared
+    norm, computed directly from the Gram matrix, is at most
+    keep = radius^2 (1 + 1e-12) + 1e-12, and runs ``fincke_pohst``'s levels
+    at level = keep (1 + 1e-9) + 1e-9, so that rounding in the triangular
+    factor cannot drop a point on the boundary."""
     keep = radius * radius * (1 + 1e-12) + 1e-12
     return keep, keep * (1 + 1e-9) + 1e-9
 
@@ -297,60 +294,58 @@ def fincke_pohst(U: np.ndarray, y: np.ndarray, level_bound: float, radius: float
     return T
 
 
-def enumerate_affine(A: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
-    """Integer t with ||A t + b|| <= radius, as int64 rows in lexicographic order.
+def enumerate_affine(gram: np.ndarray, x0: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """(T, norms): the integer t with (t + x0)^T gram (t + x0) <= radius^2, as
+    int64 rows in lexicographic order, and those squared norms.
 
-    A must have full column rank k.  With A = Q U (QR, U upper triangular)
-    and y = Q^T b, ||A t + b||^2 = sum_i U_ii^2 (t_i - c_i)^2 + ||b - Q y||^2,
-    c_i = -(y_i + sum_{j>i} U_ij t_j) / U_ii, which ``fincke_pohst``
-    enumerates; the points are kept by ||A t + b||^2 within
-    ``_boundary(radius)``.
+    The one enumerator of the package.  With gram = U^T U (Cholesky, U upper
+    triangular), (t + x0)^T gram (t + x0) = ||U t + U x0||^2, which
+    ``fincke_pohst`` enumerates; the points are kept by their squared norms,
+    computed directly from gram, within ``_boundary(radius)``.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    Q, U = np.linalg.qr(A)
-    y = Q.T @ b
-    perp = b - Q @ y
+    gram = np.asarray(gram, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    U = np.linalg.cholesky(gram).T
     bound, level = _boundary(radius)
-    T = fincke_pohst(U, y, level - float(perp @ perp), radius)
-    w = T @ A.T + b
-    T = T[np.einsum("ij,ij->i", w, w) <= bound]
-    return T[np.lexsort(T.T[::-1])]
+    T = fincke_pohst(U, U @ x0, level, radius)
+    V = T + x0
+    norms = np.einsum("ij,ij->i", V @ gram, V)
+    keep = norms <= bound
+    T, norms = T[keep], norms[keep]
+    order = np.lexsort(T.T[::-1])
+    return T[order], norms[order]
 
 
-def truncate_coset(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """(T, weights, tail) of the whitened coset A Z^k + b, A of full column
-    rank: the t with ||A (t + t0)|| <= R, t0 = A^+ b, as int64 rows in
-    lexicographic order, their weights e^{-pi ||A t + b||^2} over the
-    largest, and (R, tail) = ``coset_radius(k, delta)``, delta the norm of
-    the coset's shortest point; the part of b off A's span scales every
-    weight alike.  That point is searched in the balls of radius min(d, R0),
-    R0 = ``coset_radius(k, 0)``, doubled up to d = ||A (t0 - round(t0))||,
-    which a skew A can put far out, until one holds a point."""
-    A = np.asarray(A, dtype=float)
-    t0 = np.linalg.lstsq(A, np.asarray(b, dtype=float), rcond=None)[0]
-    b_in, x = A @ t0, A @ (t0 - np.round(t0))
-    d = math.sqrt(float(x @ x))
-    ball = min(d, coset_radius(A.shape[1], 0.0)[0])
-    while not len(near := enumerate_affine(A, b_in, ball) @ A.T + b_in) and ball < d:
+def truncate_coset(gram: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(T, weights, tail) of the coset Z^k + x0 weighed by e^{-pi y^T gram y}:
+    the t with (t + x0)^T gram (t + x0) <= R^2, as int64 rows in
+    lexicographic order, their weights over the largest, and
+    (R, tail) = ``coset_radius(k, delta)``, delta the norm of the coset's
+    shortest point.  That point is searched in the balls of radius min(d, R0),
+    R0 = ``coset_radius(k, 0)``, doubled up to the norm d of
+    x0 - round(x0), which a skew gram can put far out, until one holds a
+    point."""
+    gram = np.asarray(gram, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    f = x0 - np.round(x0)
+    d = math.sqrt(float(f @ gram @ f))
+    ball = min(d, coset_radius(len(gram), 0.0)[0])
+    while not len(near := enumerate_affine(gram, x0, ball)[1]) and ball < d:
         ball = min(2 * ball, d)
-    delta = min([d, *np.sqrt(np.einsum("ij,ij->i", near, near))])
-    radius, tail = coset_radius(A.shape[1], delta)
-    T = enumerate_affine(A, b_in, radius)
-    w = T @ A.T + b_in
-    norms = np.einsum("ij,ij->i", w, w)
+    delta = min([d, *np.sqrt(near)])
+    radius, tail = coset_radius(len(gram), delta)
+    T, norms = enumerate_affine(gram, x0, radius)
     return T, np.exp(-math.pi * (norms - norms.min())), tail
 
 
 def exact_pmf(s: float, c: float = 0.0) -> DiscretePMF:
     """The table of D_{Z + c, s}: the int64 labels y of the coset points y + c
-    that ``truncate_coset`` keeps of the whitened coset (Z + c) / s, their
-    masses, and its tail.  The one Gaussian the package builds: the
+    that ``truncate_coset`` keeps of the coset Z + c under the Gram matrix
+    1 / s^2, their masses, and its tail.  The one Gaussian the package builds: the
     sampler's tables and the image side's 1-D terms (``tvd._terms_1d``)."""
     if not s > 0:
         raise ValueError(f"s must be positive, not {s!r}")
-    W = np.eye(1) / s
-    T, weights, tail = truncate_coset(W, W @ [c])
+    T, weights, tail = truncate_coset(np.array([[1.0 / (s * s)]]), [c])
     return DiscretePMF(T, weights / float(np.sum(np.sort(weights))), tail)
 
 

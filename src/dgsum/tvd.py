@@ -41,8 +41,10 @@ take one frame: c reduced mod Z^m once, where the instance is built
 side (``ClassGroup.columns``, ``_terms_1d``).  The per-label pmfs
 (``target_pmf`` for MC, ``exact_output_pmf`` for tests) read a workspace
 alone and run over the labels that ``gaussian.truncate_coset`` keeps of the
-target coset Z^n + X c = L + x, L = Wt Z^n under the whitening Wt of
-r^2 X X^T, x its shortest point: the ball of radius R,
+target coset Z^n + X c under its Gram matrix Gamma = (r^2 X X^T)^-1 =
+adj(X X^T) / (r^2 det X X^T), an integer matrix times one scalar: with
+L + x the coset's image under any basis of Gram matrix Gamma, x its
+shortest point, the ball of radius R,
 2 beta(n, R) e^{pi ||x||^2} <= DUAL_TAIL, beta =
 ``gaussian.banaszczyk_bound``, drops at most that share of the target weight,
 as rho(L + x) >= e^{-pi ||x||^2} rho(L) (pair y with -y) and
@@ -79,7 +81,7 @@ from .gaussian import (
     poisson_sum,
     truncate_coset,
 )
-from .intmat import IntMatrix, InvariantViolation, is_surjective, smith, smith_adjugate
+from .intmat import IntMatrix, InvariantViolation, adjugate, is_surjective, smith, smith_adjugate
 from .lattice import smoothing_bound
 
 ULP = 2.0 ** -53  # unit roundoff u of float64
@@ -136,15 +138,17 @@ def _reduced_shift(X: IntMatrix, c: Sequence[float]) -> np.ndarray:
     return c - np.round(c)
 
 
-def _target_region(X: IntMatrix, r: float, Xc: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """(gram, Wt, region): the target's Gram matrix r^2 G, G = X X^T formed
-    exactly in integers (one rounding per entry), its whitening
-    Wt = chol(gram)^-1, and the labels z, weights and tail that
-    ``gaussian.truncate_coset`` keeps of the target coset Z^n + X c under
-    Wt.  The one target region of both TVD entry points."""
-    gram = r * r * (X @ X.T).to_numpy()
-    Wt = np.linalg.inv(np.linalg.cholesky(gram))
-    return gram, Wt, truncate_coset(Wt, Wt @ Xc)
+def _target_region(X: IntMatrix, r: float, Xc: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """(Gamma, region): the Gram matrix Gamma = (r^2 G)^-1 = adj(G) /
+    (r^2 det G) of the target coset Z^n + X c, G = X X^T, weighing the label
+    z by e^{-pi v^T Gamma v}, v = z + X c, and the labels z, weights and
+    tail that ``gaussian.truncate_coset`` keeps of the coset under it.
+    adj(G) and det G are exact in integers (``intmat.adjugate``), so Gamma
+    is rounded once per entry past one common scale, which moves every norm
+    alike.  The one target region of both TVD entry points."""
+    adj, det = adjugate(X @ X.T)
+    gamma = np.array(adj, dtype=float) / (r * r * det)
+    return gamma, truncate_coset(gamma, Xc)
 
 
 class FiberWorkspace:
@@ -164,19 +168,19 @@ class FiberWorkspace:
         self.Xc = X.to_numpy() @ self.c
 
     @cached_property
-    def _target_frame(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+    def _target_frame(self) -> tuple[np.ndarray, tuple]:
         return _target_region(self.X, self.r, self.Xc)
 
     @property
     def target_gram(self) -> np.ndarray:
         """r^2 X X^T, the Gram matrix of the target shape r X^T."""
-        return self._target_frame[0]
+        return self.r * self.r * (self.X @ self.X.T).to_numpy()
 
     @property
     def target_region(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(labels z, weights, tail): ``_target_region``'s truncation of the
         target coset Z^n + X c."""
-        return self._target_frame[2]
+        return self._target_frame[1]
 
     @cached_property
     def classes(self) -> tuple[ClassGroup, np.ndarray, np.ndarray, np.ndarray, float, float]:
@@ -209,9 +213,10 @@ class FiberWorkspace:
         return self.target_region[0]
 
     def target_weight(self, z: Sequence[int]) -> float:
-        """e^{-pi ||Wt (z + X c)||^2}, the target weight of the label z."""
-        y = self._target_frame[1] @ (np.asarray(z, dtype=float) + self.Xc)
-        return float(np.exp(-math.pi * (y @ y)))
+        """e^{-pi v^T Gamma v}, v = z + X c, the target weight of the label z
+        under ``_target_region``'s Gamma."""
+        v = np.asarray(z, dtype=float) + self.Xc
+        return float(np.exp(-math.pi * (v @ self._target_frame[0] @ v)))
 
 
 def _terms_1d(r: float, c: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -483,7 +488,7 @@ def class_tvd(X: IntMatrix, r: float, c: Sequence[float]) -> ExactTVDReport:
     if dual is not None:
         Qh, e_Q = dual
     else:  # far below the smoothing parameter of Z^n under r X^T: the primal target
-        _, _, (T, w, tt) = _target_region(X, r, X.to_numpy() @ c)
+        _, (T, w, tt) = _target_region(X, r, X.to_numpy() @ c)
         Q = np.bincount(grp.index(T), w, d) / float(np.sum(np.sort(w)))
         Qh = np.fft.rfftn(Q.reshape(dims))
         e_Q = np.full(half, 2 * tt + 2 * (len(T) + 1) * ULP + eta * math.sqrt(d) * float(np.linalg.norm(Q)))

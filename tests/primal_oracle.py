@@ -8,7 +8,7 @@ X's HNF transform (``particular_map``), the kernel basis K from
 ``X.reduced_kernel`` (``check_kernel_basis``), R's whitening
 W = chol(R^T R)^-1, and the target D_{Z^n + X c, R X^T}: its whitening Wt of
 X R^T R X^T, its weights and its label region (``gaussian.truncate_coset``
-under Wt).  They are the reference for the ellipsoidal statement, which the
+under the Gram matrix Wt^T Wt).  They are the reference for the ellipsoidal statement, which the
 package's spherical ``FiberWorkspace`` does not take.  Each sums a fiber one of two ways:
 
 - ``PrimalSections`` enumerates A's coordinates over a fixed integer box in
@@ -107,8 +107,9 @@ class _Sections:
 
     @cached_property
     def target_region(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(labels z, weights, tail) of the target coset Z^n + X c under Wt."""
-        return truncate_coset(self.Wt, self.Wt @ self.Xc)
+        """(labels z, weights, tail) of the target coset Z^n + X c under the
+        Gram matrix Wt^T Wt."""
+        return truncate_coset(self.Wt.T @ self.Wt, self.Xc)
 
     def target_pmf(self) -> DiscretePMF:
         """The target pmf over ``target_region``."""

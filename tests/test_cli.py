@@ -724,8 +724,8 @@ def test_tvd_exact_op_decomposes_and_enumerates_once(tmp_path, monkeypatch):
     assert len(hnf[1][0].rows) == 3
     assert hnf[2][0].rows == ((3, 0), (0, 3))
     # no label region and no kernel-dual sum: one dual sum over Z^n for the
-    # target, built from its Gram matrix, so no basis goes through enumerate_affine
-    assert len(region) == 0 and len(enum) == 0
+    # target, built from its Gram matrix, and its one enumeration
+    assert len(region) == 0 and [args[0].shape for args in enum] == [(2, 2)]
     assert [gram.shape for (gram,) in dual] == [(2, 2)]
 
 

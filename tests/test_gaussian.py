@@ -32,9 +32,10 @@ def tvd_from_counts(counts: dict, pmf: DiscretePMF, N: int) -> float:
     return 0.5 * sum(abs(counts.get(k, 0) / N - ref.get(k, 0.0)) for k in keys)
 
 
-def _pmf_of(A, b):
-    """The pmf over the t that ``truncate_coset`` keeps of the whitened coset A Z^k + b."""
-    T, w, tail = truncate_coset(np.asarray(A, dtype=float), np.asarray(b, dtype=float))
+def _pmf_of(gram, x0):
+    """The pmf over the t that ``truncate_coset`` keeps of the coset Z^k + x0
+    under the Gram matrix ``gram``."""
+    T, w, tail = truncate_coset(np.asarray(gram, dtype=float), np.asarray(x0, dtype=float))
     return DiscretePMF(T, w / float(np.sum(np.sort(w))), tail)
 
 
@@ -171,8 +172,7 @@ def test_primal_tail_bound_is_certified():
             pmf = exact_pmf(s, c)
             _assert_tail_certified(pmf.points + c, pmf.tail_bound, [[s * s]], [c])
             gram = (s * skew).T @ (s * skew)  # Z^2 + (c, c) under the shape s skew
-            W = np.linalg.inv(np.linalg.cholesky(gram))
-            pmf = _pmf_of(W, W @ [c, c])
+            pmf = _pmf_of(np.linalg.inv(gram), [c, c])
             _assert_tail_certified(pmf.points + c, pmf.tail_bound, gram, [c, c])
     X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
     for r in (0.03, 0.2, 1.0, 3.0):
@@ -197,10 +197,11 @@ def test_skew_basis_region_is_sized_by_the_nearest_coset_point():
             if skew == 100:
                 _assert_tail_certified(q.points + ws.Xc, q.tail_bound, ws.target_gram, ws.Xc)
         assert sizes[0.0] < 100 and sizes[0.5] < 1.5 * sizes[0.0], sizes
-    # the same for the coset L + (1/2, 0) of the skew lattice L = B Z^2 itself
-    B = [[1, 0], [100, 1]]
-    pmf = _pmf_of(B, [0.5, 0.0])
-    base = _pmf_of(B, [0.0, 0.0])
+    # the same for the coset L + (1/2, 0) = B (Z^2 + (1/2, -50)) of the skew
+    # lattice L = B Z^2 itself
+    B = np.array([[1.0, 0.0], [100.0, 1.0]])
+    pmf = _pmf_of(B.T @ B, [0.5, -50.0])
+    base = _pmf_of(B.T @ B, [0.0, 0.0])
     assert pmf.support_size() < 1.5 * base.support_size() < 150
 
 
@@ -221,7 +222,7 @@ def test_coset_radius_is_the_least_radius_for_the_tail():
 
 def test_scaled_lattice_pushforward():
     # pmf on 2Z at s=2 equals pmf on Z at s=1 pushed through k -> 2k
-    t2 = _pmf_of(np.array([[2.0]]) / 2.0, [0.0])
+    t2 = _pmf_of([[(2.0 / 2.0) ** 2]], [0.0])  # the Gram matrix of 2Z under s = 2
     p2 = DiscretePMF(2 * t2.points, t2.masses, t2.tail_bound)
     p1 = exact_pmf(1.0)
     for pt in p1.points:
@@ -230,7 +231,7 @@ def test_scaled_lattice_pushforward():
 
 def test_product_structure_n2():
     one = exact_pmf(1.2)
-    two = _pmf_of(np.eye(2) / 1.2, [0.0, 0.0])
+    two = _pmf_of(np.eye(2) / 1.2 ** 2, [0.0, 0.0])
     for (a,) in one.points:
         for (b,) in one.points:
             got = two.mass_at((a, b))
@@ -241,18 +242,17 @@ def test_product_structure_n2():
 
 def test_enumerate_affine_matches_brute_force():
     rng = np.random.default_rng(3)
+    grid = np.stack(np.meshgrid(np.arange(-100, 101), np.arange(-100, 101), indexing="ij"), axis=-1).reshape(-1, 2)
     for _ in range(20):
         A = rng.normal(size=(3, 2))
-        b = rng.normal(size=3)
+        x0 = np.linalg.lstsq(A, rng.normal(size=3), rcond=None)[0]  # the centre of a random b's coset
         r = 2.0
-        T = enumerate_affine(A, b, r)
-        got = {tuple(t) for t in T.tolist()}
-        brute = set()
-        for i in range(-20, 21):
-            for j in range(-20, 21):
-                if np.linalg.norm(A @ [i, j] + b) <= r * (1 + 1e-12):
-                    brute.add((i, j))
-        assert got == brute
+        T, norms = enumerate_affine(A.T @ A, x0, r)
+        brute = np.linalg.norm((grid + x0) @ A.T, axis=1) <= r * (1 + 1e-12)
+        assert not np.any(brute & (np.abs(grid).max(axis=1) == 100))  # the grid holds the ellipse
+        assert {tuple(t) for t in T.tolist()} == {tuple(t) for t in grid[brute].tolist()}
+        want = np.sum(((T + x0) @ A.T) ** 2, axis=1)
+        assert norms == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------- samplers
@@ -268,18 +268,29 @@ def test_banaszczyk_radius_is_the_least_radius_for_the_tail():
     assert banaszczyk_bound(2, 0.5) == 1.0  # c <= 1 / sqrt(2 pi)
 
 
-def _box_and_mask(A, b, radius):
-    """The integer points of the ellipsoid's axis-aligned bounding box, kept
-    where ||A t + b|| <= radius, in lexicographic order."""
-    Ginv = np.linalg.inv(A.T @ A)
-    t0 = -Ginv @ (A.T @ b)
-    half = radius * np.sqrt(np.diag(Ginv))
-    lo = np.floor(t0 - half - 1e-9).astype(np.int64)
-    hi = np.ceil(t0 + half + 1e-9).astype(np.int64)
+def _box(gram, x0, radius):
+    """The integer points of the axis-aligned bounding box of the ellipsoid
+    (t + x0)^T gram (t + x0) <= radius^2, in lexicographic order."""
+    half = radius * np.sqrt(np.diag(np.linalg.inv(gram)))
+    lo = np.floor(-x0 - half - 1e-9).astype(np.int64)
+    hi = np.ceil(-x0 + half + 1e-9).astype(np.int64)
     grids = np.meshgrid(*[np.arange(l, h + 1) for l, h in zip(lo, hi)], indexing="ij")
-    T = np.stack([g.ravel() for g in grids], axis=1)
-    w = T @ A.T + b
-    return T[np.einsum("ij,ij->i", w, w) <= radius * radius * (1 + 1e-12) + 1e-12]
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _box_and_mask(gram, x0, radius):
+    """(T, norms): the points of ``_box`` kept where
+    (t + x0)^T gram (t + x0) <= radius^2, and those squared norms."""
+    T = _box(gram, x0, radius)
+    V = T + x0
+    norms = np.einsum("ij,ij->i", V @ gram, V)
+    keep = norms <= radius * radius * (1 + 1e-12) + 1e-12
+    return T[keep], norms[keep]
+
+
+def _same(got, want):
+    """The same points, and their squared norms to rounding."""
+    return np.array_equal(got[0], want[0]) and np.allclose(got[1], want[1], rtol=1e-14, atol=0)
 
 
 def test_enumerate_affine_matches_the_bounding_box(monkeypatch):
@@ -290,27 +301,36 @@ def test_enumerate_affine_matches_the_bounding_box(monkeypatch):
         k = int(rng.integers(1, 6))
         A = rng.normal(size=(k + int(rng.integers(0, 3)), k))
         b = rng.normal(size=len(A)) * 2 if trial % 2 else np.zeros(len(A))
+        x0 = np.linalg.lstsq(A, b, rcond=None)[0]  # the centre of b's coset
         r = float(rng.uniform(0.3, 3.5))
-        got = enumerate_affine(A, b, r)
-        assert got.dtype == np.int64 and np.array_equal(got, _box_and_mask(A, b, r))
+        got = enumerate_affine(A.T @ A, x0, r)
+        assert got[0].dtype == np.int64 and _same(got, _box_and_mask(A.T @ A, x0, r))
     # points on the boundary, where rounding in the triangular factor could drop them
     A = np.array([[3.0, 1.0], [0.0, 2.0], [1.0, 1.0]])
-    b = np.array([0.5, 0.0, -1.0])
-    for r in (2.5, np.linalg.norm(A @ [1, -1] + b), np.linalg.norm(A @ [2, 3] + b)):
-        assert np.array_equal(enumerate_affine(A, b, r), _box_and_mask(A, b, r))
-    # a centre whose component off the column space exceeds the radius: no points
-    assert enumerate_affine(np.array([[1.0], [0.0]]), np.array([0.0, 2.0]), 1.5).shape == (0, 1)
+    x0 = np.array([0.25, -0.5])
+    for r in (2.5, np.linalg.norm(A @ ([1, -1] + x0)), np.linalg.norm(A @ ([2, 3] + x0))):
+        assert _same(enumerate_affine(A.T @ A, x0, r), _box_and_mask(A.T @ A, x0, r))
     # the partial points of each level are charged against the budget, read at call time
     monkeypatch.setattr(dgsum.gaussian, "ENUM_BUDGET", 10 ** 5)
     with pytest.raises(EnumerationBudgetExceeded, match="partial points"):
-        enumerate_affine(np.eye(3) * 0.01, np.zeros(3), 5.0)
+        enumerate_affine(np.eye(3) * 1e-4, np.zeros(3), 5.0)
+
+
+def _basis_points(A, radius):
+    """(T, norms): the t with ||A t|| <= radius, and their ||A t||^2, formed
+    from the basis A, of the points that the Gram enumerator finds within a
+    radius 1e-9 wider."""
+    T = enumerate_affine(A.T @ A, np.zeros(A.shape[1]), radius * (1 + 1e-9))[0]
+    w = T @ A.T
+    norms = np.einsum("ij,ij->i", w, w)
+    keep = norms <= radius * radius * (1 + 1e-12) + 1e-12
+    return T[keep], norms[keep]
 
 
 def _poisson_oracle(A):
     """The weight of every kept nonzero point, both of each pair, summed directly."""
-    T = enumerate_affine(A, np.zeros(len(A)), banaszczyk_radius(A.shape[1]))
-    T = T[np.any(T != 0, axis=1)]
-    return float(np.sum(np.exp(-math.pi * np.einsum("ij,ij->i", T @ A.T, T @ A.T))))
+    T, norms = _basis_points(A, banaszczyk_radius(A.shape[1]))
+    return float(np.sum(np.exp(-math.pi * norms[np.any(T != 0, axis=1)])))
 
 
 def test_poisson_sum_matches_a_direct_sum():
@@ -326,8 +346,7 @@ def test_poisson_sum_matches_a_direct_sum():
         beta = banaszczyk_bound(k, ps.radius)
         assert 0 < beta <= 2.0 ** -100 and ps.mass > 0
         assert ps.tail == pytest.approx(beta * (1 + ps.mass) / (1 - beta), rel=1e-12, abs=0)
-        T = enumerate_affine(A, np.zeros(len(A)), 1.5 * ps.radius)
-        nrm = np.einsum("ij,ij->i", T @ A.T, T @ A.T)
+        _, nrm = enumerate_affine(A.T @ A, np.zeros(k), 1.5 * ps.radius)
         assert float(np.sum(np.exp(-math.pi * nrm[nrm > ps.radius ** 2]))) <= ps.tail
     empty = poisson_sum(np.zeros((0, 0)))
     assert isinstance(empty, PoissonSum) and empty.mass == 0.0 and empty.tail == 0.0
@@ -335,12 +354,11 @@ def test_poisson_sum_matches_a_direct_sum():
 
 def _basis_poisson_sum(A):
     """The points and weights of the PoissonSum of the lattice A Z^k as a
-    basis gives them: enumerate_affine's QR, its direct test on ||A t||, one
-    of each pair +-t, weights from ||A t||^2."""
-    T = enumerate_affine(A, np.zeros(len(A)), banaszczyk_radius(A.shape[1]))
-    T = T[T[np.arange(len(T)), np.argmax(T != 0, axis=1)] > 0]
-    w = T @ A.T
-    return T, np.exp(-math.pi * np.einsum("ij,ij->i", w, w))
+    basis gives them: a direct test on ||A t|| (``_basis_points``), one of
+    each pair +-t, weights from ||A t||^2."""
+    T, norms = _basis_points(A, banaszczyk_radius(A.shape[1]))
+    lead = T[np.arange(len(T)), np.argmax(T != 0, axis=1)] > 0
+    return T[lead], np.exp(-math.pi * norms[lead])
 
 
 def test_gram_poisson_sum_matches_the_basis_one():
@@ -364,6 +382,19 @@ def test_gram_poisson_sum_matches_the_basis_one():
         assert len(T) and np.array_equal(ps.points, T)
         size = math.pi * np.sum((np.abs(T) @ np.abs(A).T) ** 2, axis=1)
         assert np.all(np.abs(np.log(ps.weights) - np.log(w)) <= 1e-14 * size)
+
+
+def test_sampler_tables_and_draws_are_pinned():
+    # the labels of the table of D_{Z + c, s} and 2 10^5 seeded draws from it,
+    # over widths from far below to far above smoothing, hashed; the masses
+    # are left out, as their last bits move with the order of roundings
+    h = hashlib.sha256()
+    for s in (0.3, 0.5, 1.0, 2.5, 3.0, 17.0, 1000.0):
+        for c in (0.0, 0.25, -0.5, 0.3):
+            pmf = exact_pmf(s, c)
+            h.update(pmf.points.tobytes())
+            h.update(draw_ints(pmf, 200_000, SampleStream(5)).tobytes())
+    assert h.hexdigest() == "59ae94f8a417c538530577a61436b1cdab6e032c48103eea2b7e205b8ed8b6f9"
 
 
 def test_sampler_determinism():
@@ -534,8 +565,8 @@ def test_pushforward_pmf_matches():
     s = 1.5
     base = _square(exact_pmf(s))
     Bf = B.to_numpy()
-    W = np.linalg.inv(np.linalg.cholesky(s * s * Bf @ Bf.T))  # whitens the shape s B^T
-    t = _pmf_of(W @ Bf, [0.0, 0.0])
+    gram = Bf.T @ np.linalg.inv(s * s * Bf @ Bf.T) @ Bf  # the labels' Gram matrix under the shape s B^T
+    t = _pmf_of(gram, [0.0, 0.0])
     target = DiscretePMF(t.points @ B.to_numpy(dtype=np.int64).T, t.masses, t.tail_bound)
     for pt, mass in zip(base.points, base.masses):
         img = push_to_lattice(B, pt)

@@ -407,7 +407,7 @@ def _smoothing_lhs_radius_12(basis, s):
     from dgsum.gaussian import enumerate_affine
 
     D = np.array([[float(x) for x in col] for col in zip(*dual_basis(basis))], dtype=float)
-    T = enumerate_affine(s * D, np.zeros(D.shape[0]), 12.0)
+    T, _ = enumerate_affine(s * s * D.T @ D, np.zeros(D.shape[1]), 12.0)
     w = T @ (s * D).T
     nrm = np.einsum("ij,ij->i", w, w)
     return float(np.sum(np.sort(np.exp(-math.pi * nrm[nrm > 1e-18]))))

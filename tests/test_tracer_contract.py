@@ -50,9 +50,8 @@ def test_tvd_exact_op_spans(tmp_path):
     assert tracer.calls["tvd.target_pmf"] == 0
     # X, the augmented [X; u_1], and G = X X^T for the coset classes
     assert tracer.calls["intmat.hnf_column"] == 3
-    # the dual sums over ker X and over Z^n are built from Gram matrices,
-    # with no basis for enumerate_affine
-    assert tracer.calls["gaussian.enumerate_affine"] == 0
+    # one enumeration: the target's dual sum over Z^n, from its Gram matrix
+    assert tracer.calls["gaussian.enumerate_affine"] == 1
     # ker X, reduced once for u_1, and ker [X; u_1] for u_2
     assert tracer.calls["lattice.lll_reduce"] == 2
     assert tracer.calls["intmat.fraction_rank"] == 0

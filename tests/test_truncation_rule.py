@@ -1,10 +1,11 @@
-"""One truncation rule, one sampler and one image pmf: every primal region,
-every Banaszczyk tail and every theta table of the package goes through the
-functions that certify it, every draw through the one table sampler, every
-target region and every 1-D term table through one helper each, and every
-image transform through one helper, with no per-label dual sum, so a second
-radius, tail formula, sampler, region or image path cannot come back
-unnoticed."""
+"""One truncation rule, one enumerator, one sampler and one image pmf: every
+primal region, every Banaszczyk tail and every theta table of the package
+goes through the functions that certify it, every lattice enumeration
+through one Gram-matrix enumerator on one Cholesky factor, every draw
+through the one table sampler, every target region and every 1-D term table
+through one helper each, and every image transform through one helper, with
+no per-label dual sum, so a second radius, tail formula, factorization,
+sampler, region or image path cannot come back unnoticed."""
 
 import ast
 from pathlib import Path
@@ -13,8 +14,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "dgsum"
 
 # callee -> the functions of the package that may call it
 ALLOWED = {
-    # the one primal region: its radius and tail from ``coset_radius``
-    "enumerate_affine": {"truncate_coset"},
+    # the one enumerator, on the one Cholesky factor of a Gram matrix
+    "fincke_pohst": {"enumerate_affine"},
+    # its callers: the one primal region, its radius and tail from
+    # ``coset_radius``, and the one dual sum
+    "enumerate_affine": {"truncate_coset", "poisson_sum"},
     # its callers: the one 1-D table (the sampler's, and the image side's
     # terms), and the one target region of both TVD entry points
     "truncate_coset": {"exact_pmf", "_target_region"},
@@ -35,8 +39,11 @@ ALLOWED = {
     "sums": set(),
 }
 # the per-label dual sum's shifts and Gram inverse; the general shape and
-# coset layer and the second integer sampler beside the one 1-D table
-GONE = {"section_deltas", "Gw_inv", "GaussianShape", "LatticeCoset", "int_table", "sample_dg_ints"}
+# coset layer and the second integer sampler beside the one 1-D table; a
+# second factorization of a basis and a float whitening inverse beside the
+# one Cholesky factor of a Gram matrix
+GONE = {"section_deltas", "Gw_inv", "GaussianShape", "LatticeCoset", "int_table", "sample_dg_ints",
+        "qr", "lstsq", "inv"}
 
 
 def stray_calls(source: str, allowed: dict[str, set[str]] = ALLOWED) -> set[tuple[str, str]]:
@@ -82,12 +89,18 @@ def tail_names(source: str) -> set[int]:
 
 def test_stray_calls_flags_a_second_region_and_tail():
     snippet = """
-def truncate_coset(A, b):
-    return enumerate_affine(A, b, coset_radius(A.shape[1], 0.0)[0])
+def truncate_coset(gram, x0):
+    return enumerate_affine(gram, x0, coset_radius(len(gram), 0.0)[0])
 
 class Region:
     def points(self):
-        return gaussian.enumerate_affine(self.A, self.b, 12.0)
+        return gaussian.enumerate_affine(self.gram, self.x0, 12.0)
+
+def enumerate_affine(gram, x0, radius):
+    return fincke_pohst(np.linalg.cholesky(gram).T, x0, radius ** 2, radius)
+
+def poisson_sum(gram):
+    return fincke_pohst(np.linalg.cholesky(gram).T, 0 * gram[0], 9.0, 3.0)
 
 def ball_tail_bound(k, r):
     return 6 * banaszczyk_bound(k, r)
@@ -109,6 +122,7 @@ def class_tvd(X, r, c):
 """
     assert stray_calls(snippet) == {
         ("enumerate_affine", "Region.points"),
+        ("fincke_pohst", "poisson_sum"),
         ("banaszczyk_bound", "ball_tail_bound"),
         ("_least_radius", "<module>"),
         ("coset_radius", "theta_radius"),
@@ -139,8 +153,15 @@ class FiberWorkspace:
 
     def scale(self):
         return np.linalg.det(self.Gw_inv)
+
+def whiten(A, b, gram):
+    \"\"\"lstsq, qr and inv in a docstring do not count.\"\"\"
+    Q, U = np.linalg.qr(A)
+    t0 = np.linalg.lstsq(A, b, rcond=None)[0]
+    from numpy.linalg import inv
+    return inv(np.linalg.cholesky(gram)), t0
 """
-    assert named_lines(snippet, GONE) == {3, 8}
+    assert named_lines(snippet, GONE) == {3, 8, 12, 13, 14, 15}
 
 
 def test_stray_calls_flags_a_second_sampler():

@@ -400,9 +400,9 @@ def test_class_tvd_far_below_the_smoothing_parameter(monkeypatch):
     regions = []
     truncate = dgsum.tvd.truncate_coset
 
-    def recorded(A, b):  # the target regions, not the 1-D theta tables
-        out = truncate(A, b)
-        if len(b) == 2:
+    def recorded(gram, x0):  # the target regions, not the 1-D theta tables
+        out = truncate(gram, x0)
+        if len(x0) == 2:
             regions.append(out)
         return out
 
@@ -425,15 +425,15 @@ def test_class_tvd_primal_target_is_the_workspace_region(monkeypatch):
     regions = []
     truncate = dgsum.tvd.truncate_coset
 
-    def recorded(A, b):
-        out = truncate(A, b)
-        if len(b) > 1:  # the target region, not a 1-D term table
+    def recorded(gram, x0):
+        out = truncate(gram, x0)
+        if len(x0) > 1:  # the target region, not a 1-D term table
             regions.append(out)
         return out
 
     monkeypatch.setattr(dgsum.tvd, "truncate_coset", recorded)
-    # on the last two a whitening of X (r^2 I) X^T would round differently
-    # from that of r^2 X X^T, and change the region's tail
+    # on the last two a Gram matrix formed in floats from X (r^2 I) X^T would
+    # round differently from adj(G) / (r^2 det G), and change the region's tail
     X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
     cases = [(X, r, [0.5] * 4) for r in (0.1, 0.05, 0.002)] + [
         (X, 0.002, [0.0] * 4),
@@ -463,6 +463,23 @@ def test_class_tvd_past_the_target_dual_sum_budget():
             assert abs(rep.tvd - 0.5) <= rep.truncation_error <= 1e-12
         else:
             assert rep.tvd <= rep.truncation_error <= 1e-12
+
+
+def test_primal_target_weighs_exact_ties_alike():
+    # far below smoothing the target region of each X holds two labels whose
+    # norms v^T Gamma v tie in exact arithmetic, so both pmfs are uniform on
+    # them and the exact TVD is 0.  Norms formed through a float whitening of
+    # r^2 X X^T gave the pair weights 1 and 1 - 1.4e-10 (TVD 3.4e-11 and
+    # 8.6e-11 against bounds near 1e-14); Gamma = adj(G) / (r^2 det G) keeps
+    # the tie within the bound
+    for rows in ([[-1, -1, 1, -1], [-1, -1, 2, 0]], [[-1, 0, 1, 2], [0, -1, 0, 1], [-2, 1, 2, 2]]):
+        X = IntMatrix.from_rows(rows)
+        c = [0.5] + [0.0] * (X.n_cols - 1)
+        ws = FiberWorkspace(X, 0.002, c)
+        assert len(ws.region()) == 2, rows
+        rep = class_tvd(X, 0.002, c)
+        pair = exact_tvd(exact_output_pmf(ws), target_pmf(ws))
+        assert rep.tvd <= rep.truncation_error and pair.tvd <= pair.truncation_error, rows
 
 
 def _theta_oracle(r, c, L):
