@@ -213,7 +213,7 @@ class PoissonSum:
     @property
     def mass(self) -> float:
         """sum of e^{-pi ||A t||^2} over the kept nonzero points, both of each pair."""
-        return 2.0 * float(np.sum(np.sort(self.weights)))
+        return 2.0 * float(np.sort(self.weights).sum())
 
     @property
     def tail(self) -> float:
@@ -242,9 +242,11 @@ def poisson_sum(gram: np.ndarray) -> PoissonSum:
     if k == 0:
         return PoissonSum(np.zeros((0, 0), dtype=np.int64), np.zeros(0), radius, 0)
     T, norms = enumerate_affine(gram, np.zeros(k), radius)
-    lead = T[np.arange(len(T)), np.argmax(T != 0, axis=1)]
-    keep = lead > 0  # one of each pair +-t; drops t = 0
-    return PoissonSum(T[keep], np.exp(-math.pi * norms[keep]), radius, k)
+    # t and -t pass every bound alike (negation is exact in floats), so the
+    # sorted rows are symmetric about t = 0, the middle one; those after it
+    # have a positive first nonzero entry
+    h = len(T) // 2 + 1
+    return PoissonSum(T[h:], np.exp(-math.pi * norms[h:]), radius, k)
 
 
 def _boundary(radius: float) -> tuple[float, float]:
@@ -262,36 +264,41 @@ def fincke_pohst(U: np.ndarray, y: np.ndarray, level_bound: float, radius: float
     c_i = -(y_i + sum_{j>i} U_ij t_j) / U_ii, U upper triangular (k x k) with
     a nonzero diagonal of either sign.
 
-    Fincke-Pohst enumeration, one level at a time for all partial vectors at
-    once: the coordinates are fixed from the last to the first, each within
-    the interval that the bound left over by the later ones allows, so every
-    partial vector kept extends to a point of the ellipsoid's projection,
-    where the axis-aligned bounding box of a ball holds about 400 times its
-    points at rank 10.  The int64 entries of each level's partial vectors are
-    charged against ENUM_BUDGET (EnumerationBudgetExceeded above it);
-    ``radius`` only names the ball in that message.  The rows come out in no
-    particular order.
+    Fincke-Pohst enumeration (Fincke-Pohst 1985), one level at a time for all
+    partial vectors at once: the coordinates are fixed from the last to the
+    first, each within the interval that the bound left over by the later
+    ones allows, so every partial vector kept extends to a point of the
+    ellipsoid's projection, where the axis-aligned bounding box of a ball
+    holds about 400 times its points at rank 10.  A level is a fixed handful
+    of array operations on the partial vectors: their centres and half
+    widths, the interval ends, one ``repeat`` of each parent's row, centre,
+    offset and bounded sum by its interval's length, and one ``arange`` that
+    numbers the new coordinates; nothing is gathered by index.  The entries
+    of each level's partial vectors are charged against ENUM_BUDGET
+    (EnumerationBudgetExceeded above it); ``radius`` only names the ball in
+    that message.  The rows come out in no particular order.
     """
     k = len(U)
-    T = np.zeros((1 if level_bound >= 0 else 0, 0), dtype=np.int64)
+    T = np.zeros((1 if level_bound >= 0 else 0, k))  # integers, exact in floats
     used = np.zeros(len(T))  # the bounded sum restricted to the fixed coordinates
     for i in range(k - 1, -1, -1):
-        center = -(y[i] + T @ U[i, i + 1:]) / U[i, i]
-        half = np.sqrt(np.maximum(level_bound - used, 0.0)) / abs(U[i, i])
-        lo = np.ceil(center - half).astype(np.int64)
-        count = np.maximum(np.floor(center + half).astype(np.int64) - lo + 1, 0)
-        total = int(count.sum())
+        u = float(U[i, i])
+        center = (T @ U[i] + y[i]) * (-1.0 / u)  # T's columns up to i are still 0
+        half = np.sqrt(np.maximum(level_bound - used, 0.0)) * (1.0 / abs(u))
+        lo = np.ceil(center - half)
+        count = (np.floor(center + half) - lo + 1).astype(np.int64)  # >= 0 as half >= 0
+        ends = np.add.accumulate(count)
+        total = int(ends[-1]) if len(ends) else 0
         if total * (k - i) > ENUM_BUDGET:
             raise EnumerationBudgetExceeded(
                 f"{total} partial points of rank {k - i} in a ball of radius {radius:g} "
                 f"exceed budget {ENUM_BUDGET}"
             )
-        parent = np.repeat(np.arange(len(T)), count)
-        first = np.cumsum(count) - count
-        ti = np.arange(total) - first[parent] + lo[parent]
-        used = used[parent] + (U[i, i] * (ti - center[parent])) ** 2
-        T = np.concatenate([ti[:, None], T[parent]], axis=1)
-    return T
+        ti = (lo - (ends - count)).repeat(count) + np.arange(total)
+        T = T.repeat(count, axis=0)
+        T[:, i] = ti
+        used = used.repeat(count) + (u * (ti - center.repeat(count))) ** 2
+    return T.astype(np.int64)
 
 
 def enumerate_affine(gram: np.ndarray, x0: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:

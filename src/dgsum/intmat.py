@@ -102,8 +102,10 @@ class IntMatrix:
     def __matmul__(self, other):
         if isinstance(other, IntMatrix):
             ocols = other.cols
+            if self.rows and ocols and self.n_cols != other.n_rows:
+                raise ValueError("dimension mismatch")
             return IntMatrix(
-                tuple(tuple(dot(r, c) for c in ocols) for r in self.rows)
+                tuple([tuple([sum(map(operator.mul, r, c)) for c in ocols]) for r in self.rows])
             )
         # vector
         v = tuple(map(_as_int, other))
@@ -316,14 +318,14 @@ def smith(G: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[int]]:
     n = G.n_rows
 
     def diagonal(A):
-        return all(x == 0 for i, row in enumerate(A.rows) for j, x in enumerate(row) if i != j)
+        return not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(A.rows))
 
-    U = IntMatrix.identity(n)
+    U = None  # the identity until the first row operation
     A, V = hnf_column(G)
     while True:
         while not diagonal(A):
             H, W = hnf_column(A.T)
-            A, U = H.T, W.T @ U
+            A, U = H.T, W.T if U is None else W.T @ U
             if not diagonal(A):
                 A, W = hnf_column(A)
                 V = V @ W
@@ -333,6 +335,8 @@ def smith(G: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[int]]:
             break
         E = IntMatrix.from_rows([[int(a == b or (a, b) == pair[::-1]) for b in range(n)] for a in range(n)])
         A, V = A @ E, V @ E
+    if U is None:
+        U = IntMatrix.identity(n)
     if ((U @ G @ V).rows != tuple(tuple(D[i] if i == j else 0 for j in range(n)) for i in range(n))
             or min(D, default=1) <= 0 or any(D[i + 1] % D[i] for i in range(n - 1))
             or math.prod(D) != abs(_int_det(G.rows))):
@@ -343,8 +347,9 @@ def smith(G: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[int]]:
 def smith_adjugate(U: IntMatrix, V: IntMatrix, D: Sequence[int]) -> IntMatrix:
     """V diag(prod D / D_i) U, the adjugate of a G with U G V = diag(D) and
     det G > 0: G^-1 = V diag(D)^-1 U and det G = prod D."""
-    d = math.prod(D)
-    return V @ IntMatrix(tuple(tuple(d // Di if i == j else 0 for j in range(len(D))) for i, Di in enumerate(D))) @ U
+    scaled = [math.prod(D) // Di for Di in D]
+    return IntMatrix(tuple([tuple([sum(map(operator.mul, map(operator.mul, row, scaled), col)) for col in U.cols])
+                            for row in V.rows]))
 
 
 def adjugate(G: IntMatrix) -> tuple[list[list[int]], int]:

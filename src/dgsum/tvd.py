@@ -63,7 +63,9 @@ the threshold analysis.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
@@ -81,7 +83,7 @@ from .gaussian import (
     poisson_sum,
     truncate_coset,
 )
-from .intmat import IntMatrix, InvariantViolation, adjugate, is_surjective, smith, smith_adjugate
+from .intmat import IntMatrix, InvariantViolation, is_surjective, smith, smith_adjugate
 from .lattice import smoothing_bound
 
 ULP = 2.0 ** -53  # unit roundoff u of float64
@@ -138,17 +140,87 @@ def _reduced_shift(X: IntMatrix, c: Sequence[float]) -> np.ndarray:
     return c - np.round(c)
 
 
-def _target_region(X: IntMatrix, r: float, Xc: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """(Gamma, region): the Gram matrix Gamma = (r^2 G)^-1 = adj(G) /
-    (r^2 det G) of the target coset Z^n + X c, G = X X^T, weighing the label
-    z by e^{-pi v^T Gamma v}, v = z + X c, and the labels z, weights and
-    tail that ``gaussian.truncate_coset`` keeps of the coset under it.
-    adj(G) and det G are exact in integers (``intmat.adjugate``), so Gamma
-    is rounded once per entry past one common scale, which moves every norm
-    alike.  The one target region of both TVD entry points."""
-    adj, det = adjugate(X @ X.T)
-    gamma = np.array(adj, dtype=float) / (r * r * det)
-    return gamma, truncate_coset(gamma, Xc)
+def _exact_shift(X: IntMatrix, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with X c = hi + lo exactly, hi rounded to nearest: the shift
+    of the target coset Z^n + X c, formed in rationals (n x m products)."""
+    fracs = [Fraction(x) for x in c.tolist()]
+    exact = [sum(map(operator.mul, row, fracs)) for row in X.rows]
+    hi = [float(x) for x in exact]
+    return np.array(hi), np.array([float(x - Fraction(h)) for x, h in zip(exact, hi)])
+
+
+def _two_sum(a, b):
+    """(s, e): s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _split(a):
+    """(h, a - h), h the leading 26 bits of a (Veltkamp's split)."""
+    t = 134217729.0 * a  # 2^27 + 1
+    h = t - (t - a)
+    return h, a - h
+
+
+def _two_product(a, b):
+    """(p, e): p = fl(a b) and p + e = a b exactly (Dekker's TwoProduct)."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _target_region(X: IntMatrix, r: float, c: np.ndarray, grp: ClassGroup) -> tuple[np.ndarray, tuple, float]:
+    """(Gamma, (labels, weights, tail), rounding): the Gram matrix
+    Gamma = (r^2 G)^-1 = adj(G) / (r^2 d) of the target coset Z^n + X c,
+    G = X X^T, d = det G, weighing the label z by e^{-pi v^T Gamma v},
+    v = z + X c; the labels that ``gaussian.truncate_coset`` keeps of the
+    coset under it, their weights over the heaviest and the truncation's
+    tail; and a bound on each weight's relative error.  The one target
+    region of both TVD entry points, from ``class_group``'s exact adj(G).
+
+    The norms grow like 1 / r^2 while the weights read their differences, so
+    a float norm's rounding, about u pi |v|^T |Gamma| |v| of each weight
+    (u = 2^-53), would grow without bound far below smoothing.  The weights
+    are instead e^{-pi (N_t - N_min)}, N_t = (h_t - h_ref) / (r^2 d) with
+    h_t - h_ref = (t - t_ref)^T adj(G) (t + t_ref + 2 f + 2 lo) at the label
+    t_ref that ``truncate_coset`` weighs heaviest, where v = t + f + lo,
+    t integer, f = hi - round(hi) and X c = hi + lo exactly
+    (``_exact_shift``).  The integer part is exact in floats below 2^53, and
+    the products with f are summed with their rounding errors kept (Dot2,
+    Ogita-Rump-Oishi 2005), within u |h_t - h_ref| + g^2 B_t + g (2 |J_t|^T
+    |lo| + B_t [B_t >= 2^53]), g = (n + 3) u, J_t = adj(G) (t - t_ref) and
+    B_t = |t - t_ref|^T |adj(G)| (|t + t_ref| + 1) >= the sum of the terms'
+    magnitudes.  With e_t that error, the weight of t is within
+    eps_t = pi ((e_t + e_min) / (r^2 d) + 4 u N_t) + 4 u of itself, relative
+    (the scale r^2 d, the division, the shift by N_min and exp), and
+    ``rounding`` is the largest eps_t: any ratio of the weights' sums, as a
+    normalized mass, is then within 2 rounding / (1 - rounding) of itself.
+    """
+    hi, lo = _exact_shift(X, c)
+    scale = r * r * math.prod(grp.D)
+    gamma = grp.adj / scale
+    T, w, tail = truncate_coset(gamma, hi)
+    z0 = np.round(hi)
+    Tz = T + z0  # t, with v = t + f + lo
+    ref = Tz[int(np.argmax(w))]
+    Dt = Tz - ref
+    J = Dt @ grp.adj  # adj(G) (t - t_ref) per row; adj(G) is symmetric
+    h, e = (J * (Tz + ref)).sum(axis=1), 2 * (J @ lo)
+    for Ji, fi in zip(2 * J.T, (hi - z0).tolist()):
+        p, pe = _two_product(Ji, fi)
+        h, he = _two_sum(h, p)
+        e = e + (pe + he)
+    diff = h + e
+    g = (len(grp.D) + 3) * ULP
+    B = ((np.abs(Dt) @ np.abs(grp.adj)) * (np.abs(Tz + ref) + 1)).sum(axis=1)
+    err = ULP * np.abs(diff) + g * g * B + g * (2 * (np.abs(J) @ np.abs(lo)) + np.where(B >= 2.0 ** 53, B, 0.0))
+    N = diff / scale
+    low = int(np.argmin(N))
+    N -= N[low]
+    eps = math.pi * ((err + err[low]) / scale + 4 * ULP * N) + 4 * ULP
+    return gamma, (T, np.exp(-math.pi * N), tail), float(eps.max())
 
 
 class FiberWorkspace:
@@ -156,20 +228,25 @@ class FiberWorkspace:
     X D_{Z^m + c, r} and its target D_{Z^n + X c, r X^T}, with c reduced mod
     Z^m once, here (``_reduced_shift``).  The target side (``target_region``,
     ``target_weight``; MC's ``target_pmf``) and the image side (``classes``,
-    ``fiber_weight``, ``exact_output_pmf``) share one frame: the region is
-    ``_target_region``'s, as in ``class_tvd``, and the image pmf over the
-    target pmf is a function of the class.  ``Xc`` is X c, the shift of the
-    target coset Z^n + X c.  Everything past the checks and ``Xc`` is
-    computed on first use."""
+    ``fiber_weight``, ``exact_output_pmf``) share one frame: one class group
+    and its Smith form, and the region is ``_target_region``'s, as in
+    ``class_tvd``; the image pmf over the target pmf is a function of the
+    class.  ``Xc`` is X c, rounded to nearest, the shift of the target coset
+    Z^n + X c.  Everything past the checks and ``Xc`` is computed on first
+    use."""
 
     def __init__(self, X: IntMatrix, r: float, c: Sequence[float]):
         self.c = _reduced_shift(X, c)
         self.X, self.r = X, r
-        self.Xc = X.to_numpy() @ self.c
+        self.Xc = _exact_shift(X, self.c)[0]
 
     @cached_property
-    def _target_frame(self) -> tuple[np.ndarray, tuple]:
-        return _target_region(self.X, self.r, self.Xc)
+    def _group(self) -> ClassGroup:
+        return class_group(self.X)
+
+    @cached_property
+    def _target_frame(self) -> tuple[np.ndarray, tuple, float]:
+        return _target_region(self.X, self.r, self.c, self._group)
 
     @property
     def target_gram(self) -> np.ndarray:
@@ -182,6 +259,12 @@ class FiberWorkspace:
         target coset Z^n + X c."""
         return self._target_frame[1]
 
+    @property
+    def target_rounding(self) -> float:
+        """The bound on each ``target_region`` weight's relative error
+        (``_target_region``)."""
+        return self._target_frame[2]
+
     @cached_property
     def classes(self) -> tuple[ClassGroup, np.ndarray, np.ndarray, np.ndarray, float, float]:
         """(group, index, Wk, P, e, rho): the class group of X, the class of
@@ -189,10 +272,10 @@ class FiberWorkspace:
         weight of the region's labels in each class, the image's class pmf
         P on the flat grid with its l1 error e, and rho = rho_r(Z^m + c)
         (``_image_pmf``)."""
-        grp = class_group(self.X)
+        grp = self._group
         T, w, _ = self.target_region
         index = grp.index(T)
-        return (grp, index, np.bincount(index, w, math.prod(grp.dims)), *_image_pmf(self.X, self.r, self.c, grp))
+        return (grp, index, np.bincount(index, w, math.prod(grp.dims)), *_image_pmf(self.r, self.c, grp))
 
     def fiber_weight(self, z: Sequence[int]) -> float:
         """Gaussian weight of the fiber over z:
@@ -242,54 +325,38 @@ def _theta_table(r: float, c: float, L: int) -> tuple[np.ndarray, float]:
     ``_terms_1d``, the sampler's table for D_{Z + c, r} with its tail; K is
     S(0).  Above, it runs over its Poisson dual
     S(a) = r sum_y e^{-pi r^2 (y - a)^2} e^{2 pi i c (y - a)}, kept where
-    r |y - a| <= R, (R, tail) = ``coset_radius(1, 0)``: by Banaszczyk's
-    coset lemma the rest weigh at most tail r rho(r Z), and the kept terms
-    at a = 0, K, at least (1 - tail / 2) r rho(r Z), as in
-    ``PoissonSum.tail``.  A term with exponent a and angle phi is off by
-    (6 a + 4 |phi| + 10) u of its weight at most, u = 2^-53, and T terms add
-    T u of their weights (``bound``); as |S(a)| <= S(0),
+    |y - a| < R + 1 / L, (R, tail) = ``coset_radius(1, 0)`` in units of
+    y - a: by Banaszczyk's coset lemma the rest weigh at most
+    tail r rho(r Z), and the kept terms at a = 0 with |y| <= R, K, at least
+    (1 - tail / 2) r rho(r Z), as in ``PoissonSum.tail``.  Each form is one broadcast over the terms and the
+    L entries, summed term by term.  A term with exponent a and angle phi is
+    off by (6 a + 4 |phi| + 10) u of its weight at most, u = 2^-53, and T
+    terms add T u of their weights (``bound``); as |S(a)| <= S(0),
     e = 2 (t + max bound) / |S'(0)| + u.
     """
     k = np.arange(L, dtype=np.int64)
-    if r <= 1:
-        s, scale = r, 1.0
+    if r <= 1:  # the term of w = y at every a = k / L
         y, a, tail = _terms_1d(r, c)
-        ys, exps = y.tolist(), a.tolist()
-    else:
-        s, scale = 1.0 / r, r
+        y, a = y[:, None], a[:, None]
+        angle = 2 * math.pi * ((y * k) % L) / L
+        g = np.exp(-a)
+        S = (g * np.exp(1j * angle)).sum(axis=0)
+        K = S[0].real
+    else:  # the term of y at the a = k / L with |y - a| < R + 1 / L
         R, tail = coset_radius(1, 0.0)
-        R *= s  # in units of y - a; every y with |y - a| <= R for some a in [0, 1)
-        ys = range(-math.floor(R), math.floor(R) + 2)
-    S = np.zeros(L, dtype=complex)
-    bound = np.zeros(L)
-    for i, y in enumerate(ys):
-        if r <= 1:  # the term of w = y at every a = k / L
-            lo, hi = 0, L
-            a, angle = exps[i], 2 * math.pi * ((y * k) % L) / L
-        else:  # the term of y at the a = k / L with |y - a| <= R
-            lo, hi = max(0, math.floor(L * (y - R))), min(L, math.ceil(L * (y + R)) + 1)
-            x = (y * L - k[lo:hi]) / L
-            a, angle = math.pi * x * x / (s * s), 2 * math.pi * c * x if c else 0.0
-        g = scale * np.exp(-a)
-        S[lo:hi] += g * np.exp(1j * angle) if np.ndim(angle) else g
-        bound[lo:hi] += (6 * a + 4 * np.abs(angle) + 10 + len(ys)) * g
-    K = S[0].real if r <= 1 else scale * sum(math.exp(-math.pi * y * y / (s * s)) for y in ys if abs(y) <= R)
-    err = 2 * (tail * K / (1 - tail) + ULP * float(np.max(bound))) / abs(S[0]) + ULP
-    if not S.imag.any():  # c = 0 in the dual form
-        S = S.real
+        R /= r  # in units of y - a; every y with |y - a| <= R for some a in [0, 1)
+        y = np.arange(-math.floor(R), math.floor(R) + 2)[:, None]
+        x = (y * L - k) / L
+        a = (math.pi * r * r) * (x * x)
+        angle = 2 * math.pi * c * x if c else 0.0
+        g = (r * np.exp(-a)) * (np.abs(x) < R + 1.0 / L)
+        S = (g * np.exp(1j * angle)).sum(axis=0) if c else g.sum(axis=0)
+        K = float(g[:-1, 0].sum())  # the y up to floor(R), all kept at k = 0
+    bound = ((6 * a + 4 * np.abs(angle) + (10 + len(y))) * g).sum(axis=0)
+    err = 2 * (tail * K / (1 - tail) + ULP * float(bound.max())) / abs(S[0]) + ULP
     theta = S / S[0]
     theta[0] = 1.0
     return theta, err
-
-
-def _grid_residues(a: Sequence[int], L: int, out: np.ndarray) -> np.ndarray:
-    """sum_i t_i a_i mod L for every t in the grid 0 <= t < out.shape, into
-    the int64 array ``out``; exact for a_i, t_i < L < 2^31."""
-    lead = np.zeros((), dtype=np.int64)
-    for size, ai in zip(out.shape[:-1], a[:-1]):
-        lead = (lead[..., None] + np.arange(size, dtype=np.int64) * ai) % L
-    np.add(lead[..., None], np.arange(out.shape[-1], dtype=np.int64) * a[-1], out=out)
-    return np.remainder(out, L, out=out)
 
 
 def _masses_ok(F: np.ndarray, err, dims: tuple[int, ...], eta: float) -> bool:
@@ -298,82 +365,92 @@ def _masses_ok(F: np.ndarray, err, dims: tuple[int, ...], eta: float) -> bool:
     its error bound.  A pmf f has f(g) >= (1 - sum_{t != 0} |f^(t)|) / d, so
     an l1 norm below 1 needs no transform; otherwise each transformed mass
     is within max err plus the FFT's l2 error eta ||f||_2."""
-    l1 = 2 * (float(np.sum(np.abs(F))) - abs(F.flat[0]) + float(np.sum(err)) * F.size / np.size(err))
+    err = np.asarray(err)
+    l1 = 2 * (float(np.abs(F).sum()) - abs(F.flat[0]) + float(err.sum()) * F.size / err.size)
     if l1 < 1:
         return True
     f = np.fft.irfftn(F, s=dims, axes=tuple(range(len(dims))))
-    return float(np.min(f)) >= -(float(np.max(err)) + eta * float(np.linalg.norm(f)))
+    return float(f.min()) >= -(float(err.max()) + eta * float(np.linalg.norm(f)))
 
 
 class ClassGroup(NamedTuple):
-    """The class group Z^n / G Z^n of G = X X^T through its Smith form
-    U G V = diag(D) (``class_group``): z -> U z mod D maps the classes onto
-    the product of the Z / D_i, of which the factors D_i > 1 are kept (the
-    last one when d = 1), the grid ``dims``."""
+    """The class group Z^n / G Z^n of G = X X^T through one Smith form
+    U G V = diag(D) (``class_group``), and everything that the later stages
+    read of it.  z -> U z mod D maps the classes onto the product of the
+    Z / D_i, of which the factors D_i > 1 are kept (the last one when
+    d = 1), the grid ``dims``; ``Uk`` and ``Vk`` hold the kept rows of U and
+    of V^T, each reduced mod its D_i.  ``adj`` is adj(G) = V diag(d / D) U
+    and ``adjX`` is adj(G) X, and ``cols`` holds the class a_j = U x_j mod D
+    of each column x_j of X, one int64 row per column: all formed exactly in
+    integers, the first two stored as floats."""
 
-    U: IntMatrix
-    V: IntMatrix
     D: list[int]
-    keep: list[int]
     dims: tuple[int, ...]
+    Uk: np.ndarray
+    Vk: np.ndarray
+    adj: np.ndarray
+    adjX: np.ndarray
+    cols: np.ndarray
 
     def index(self, T: np.ndarray) -> np.ndarray:
         """The class U z mod D of each label row z of T, as a flat index into
         the C-ordered grid ``dims``."""
-        Uk = np.array([[u % self.D[i] for u in self.U.rows[i]] for i in self.keep], dtype=np.int64)
-        return np.ravel_multi_index(tuple((np.asarray(T, dtype=np.int64) @ Uk.T % self.dims).T), self.dims)
-
-    def columns(self, X: IntMatrix) -> np.ndarray:
-        """The class a_j = U x_j mod D of each column x_j of X, an int64 row
-        on the grid ``dims`` per column, formed exactly in integers."""
-        UX = (self.U @ X).rows
-        return np.array([[UX[i][j] % self.D[i] for i in self.keep] for j in range(X.n_cols)], dtype=np.int64)
+        return np.ravel_multi_index(tuple((np.asarray(T, dtype=np.int64) @ self.Uk.T % self.dims).T), self.dims)
 
 
 def class_group(X: IntMatrix) -> ClassGroup:
-    """The ``ClassGroup`` of X, from ``intmat.smith(X X^T)``, which checks
+    """The ``ClassGroup`` of X, from one ``intmat.smith(X X^T)``, which checks
     prod D = d = det G; EnumerationBudgetExceeded when d exceeds ENUM_BUDGET."""
     n = X.n_rows
-    U, V, D = smith(X @ X.T)
+    U, V, D = smith(IntMatrix(tuple([tuple([sum(map(operator.mul, a, b)) for b in X.rows]) for a in X.rows])))
     d = math.prod(D)
     if d > ENUM_BUDGET:
         raise EnumerationBudgetExceeded(f"{d} coset classes exceed budget {ENUM_BUDGET}")
     keep = [i for i in range(n) if D[i] > 1] or [n - 1]
-    return ClassGroup(U, V, D, keep, tuple(D[i] for i in keep))
+    adj = smith_adjugate(U, V, D)
+    UX = (U @ X).rows
+    return ClassGroup(
+        D, tuple(D[i] for i in keep),
+        np.array([[u % D[i] for u in U.rows[i]] for i in keep], dtype=np.int64),
+        np.array([[v % D[i] for v in V.cols[i]] for i in keep], dtype=np.int64),
+        np.array(adj.rows, dtype=float),
+        np.array((adj @ X).rows, dtype=float),
+        np.array([[UX[i][j] % D[i] for i in keep] for j in range(X.n_cols)], dtype=np.int64),
+    )
 
 
-def _image_transform(X: IntMatrix, r: float, c: np.ndarray, grp: ClassGroup) -> tuple[np.ndarray, float]:
+def _image_transform(r: float, c: np.ndarray, grp: ClassGroup) -> tuple[np.ndarray, float]:
     """(Ph, E_P): the image's conjugate class transform for ``class_tvd``.
 
     Ph = conj(P^) on the half t_n <= L / 2 of the grid, L = D_n:
-    P^(t) = prod_j theta_j(<t, a_j> / L), a_j = U x_j mod D scaled to L, one
-    theta table per distinct c_j (``_theta_table``), a_j from
-    ``ClassGroup.columns``.  Each entry is within E_P = prod_j (1 + e_j)
-    (1 + 3u) - 1 of its exact value, e_j the error of column j's table, its
-    truncation included.
+    P^(t) = prod_j theta_j(<t, a_j> / L), a_j = U x_j mod D scaled to L
+    (``ClassGroup.cols``).  The residues <t, a_j> mod L of every column at
+    every t are one integer product; each distinct c_j has one theta table
+    (``_theta_table``), gathered once at the residues of its columns.  Each
+    entry is within E_P = prod_j (1 + e_j) (1 + 3u) - 1 of its exact value,
+    e_j the error of column j's table, its truncation included.
     """
     dims = grp.dims
     L = dims[-1]
     half = dims[:-1] + (L // 2 + 1,)
-    A = grp.columns(X) * (L // np.array(dims))
-    k = np.empty(half, dtype=np.int64)
-    Ph = np.ones(half)  # real while every table is (c_j = 0, r > 1)
+    t = np.indices(half).reshape(len(half), -1)  # one column per character t, C order
+    res = grp.cols * (L // np.array(dims)) @ t % L
+    Ph = np.ones(t.shape[1])
     log_err = 0.0
     for cj in sorted(set(c.tolist())):  # one table per distinct shift
-        theta, e = _theta_table(r, float(cj), L)
-        Ph = Ph.astype(np.result_type(Ph, theta), copy=False)
-        for j in np.flatnonzero(c == cj):
-            Ph *= theta[_grid_residues(A[j], L, k)]
-            log_err += math.log1p(e) + math.log1p(3 * ULP)
-    return np.conjugate(Ph, out=Ph), math.expm1(log_err)
+        theta, e = _theta_table(r, cj, L)
+        on = c == cj
+        Ph = Ph * theta[res[on]].prod(axis=0)
+        log_err += int(on.sum()) * (math.log1p(e) + math.log1p(3 * ULP))
+    return np.conjugate(Ph).reshape(half), math.expm1(log_err)
 
 
-def _image_pmf(X: IntMatrix, r: float, c: np.ndarray, grp: ClassGroup) -> tuple[np.ndarray, float, float]:
+def _image_pmf(r: float, c: np.ndarray, grp: ClassGroup) -> tuple[np.ndarray, float, float]:
     """(P, e, rho): the image's class pmf on the flat grid, its l1 error,
     and rho_r(Z^m + c), the product of the m 1-D sums.
 
     P is the pmf of sum_j w_j a_j, a_j = U x_j mod D
-    (``ClassGroup.columns``), w_j the integer part of a draw from
+    (``ClassGroup.cols``), w_j the integer part of a draw from
     D_{Z + c_j, r}: m cyclic convolutions with the n_j terms of
     ``_terms_1d``, the sampler's table, each within 2 tail_j of
     D_{Z + c_j, r} in l1.  Sums of nonnegative terms keep a small mass's
@@ -383,7 +460,7 @@ def _image_pmf(X: IntMatrix, r: float, c: np.ndarray, grp: ClassGroup) -> tuple[
     """
     dims = grp.dims
     axes = tuple(range(len(dims)))
-    A = grp.columns(X)
+    A = grp.cols
     P = np.zeros(dims)
     P.flat[0] = 1.0
     e, log_rho, tables = 0.0, 0.0, {}
@@ -404,39 +481,63 @@ def _image_pmf(X: IntMatrix, r: float, c: np.ndarray, grp: ClassGroup) -> tuple[
     return P.ravel(), e, math.exp(log_rho)
 
 
-def _dual_target(X: IntMatrix, r: float, c: np.ndarray, grp: ClassGroup, half: tuple) -> tuple | None:
+def _target_counts(n: int, d: int, r: float) -> tuple[float, float]:
+    """(dual, primal): the logs of the Gaussian heuristic's point counts of
+    the target's two sides, V_n R^n sqrt(d) / r^n for the dual sum (Gram
+    matrix r^2 adj(G) / d, determinant r^{2n} / d) and V_n R^n sqrt(d) r^n
+    for the primal region (adj(G) / (r^2 d), determinant 1 / (r^{2n} d)),
+    V_n the volume of the unit n-ball, both at R = ``banaszczyk_radius(n)``:
+    the region's own radius is at least that, so its count is a floor.
+    Their ratio is r^{2n}, so the dual side is the smaller from r = 1 up."""
+    ball = (0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1)
+            + n * math.log(banaszczyk_radius(n)) + 0.5 * math.log(d))
+    return ball - n * math.log(r), ball + n * math.log(r)
+
+
+def _dual_target(r: float, c: np.ndarray, grp: ClassGroup, half: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(conj Q^', e_Q) on the half grid ``half`` from the target's dual sum
-    (``class_tvd``), or None far below smoothing: where the sum's points
-    exceed ENUM_BUDGET, or where W'(0) does not exceed e_W(0)."""
-    U, V, D, keep, dims = grp
-    d = math.prod(D)
-    adjG = smith_adjugate(U, V, D)
-    # the dual sum's points w and -w, binned by V^T w mod D, each with the
-    # phase w^T adj(G) X c / d, so that conj(Q^) = W / W(0)
-    gram = r * r * adjG.to_numpy() / d
-    try:
-        target = poisson_sum(gram)
-    except EnumerationBudgetExceeded:
-        return None
-    pts = np.concatenate([target.points, -target.points])
-    wts = np.concatenate([target.weights, target.weights])
-    M = (adjG @ X).to_numpy()
-    Vt = np.array([[x % Di for x in V.cols[i]] for i, Di in zip(keep, dims)], dtype=np.int64)
-    res = pts @ Vt.T % np.array(dims)
-    terms = wts * np.exp(2j * math.pi * (pts @ (M @ c)) / d)
-    apts = np.abs(pts).astype(float)
-    eps = (math.pi * (X.n_rows + 2) * np.einsum("ij,jk,ik->i", apts, np.abs(gram), apts)
-           + 2 * math.pi * (X.n_rows + X.n_cols + 2) * (apts @ (np.abs(M) @ np.abs(c))) / d + 7)
-    inside = res[:, -1] < half[-1]
-    idx = np.ravel_multi_index(res[inside].T, half)
-    H = math.prod(half)
-    W = np.bincount(idx, terms.real[inside], H) + 1j * np.bincount(idx, terms.imag[inside], H)
-    W[0] += 1.0
-    W0 = W[0].real
-    e_W = target.tail + ULP * np.bincount(idx, (eps[inside] + len(pts) + 1) * wts[inside], H)
-    if not W0 > e_W[0]:
-        return None
-    return W.reshape(half) / W0, ((e_W + e_W[0]) / W0 + 2 * ULP).reshape(half)
+    (``class_tvd``).  Each point w of the sum stands for the pair +-w: its
+    phase w^T adj(G) X c / d and its error term are formed once, -w gets the
+    conjugate term, and both are binned by V^T w mod D on the full grid in
+    one pass each for the real parts, the imaginary parts and the error
+    terms, of which the half grid is read.  ValueError where W'(0) does not
+    exceed e_W(0), which the side rule leaves to the primal region."""
+    dims = grp.dims
+    d = math.prod(grp.D)
+    n, m = grp.adjX.shape
+    gram = grp.adj * (r * r / d)
+    target = poisson_sum(gram)
+    pts, wts = target.points, target.weights
+    mods = np.array(dims)
+    steps = np.array([math.prod(dims[i + 1:]) for i in range(len(dims))])
+    res = pts @ grp.Vk.T % mods
+    idx = np.concatenate([res @ steps, -res % mods @ steps])
+    z = wts * np.exp((2j * math.pi / d) * (pts @ (grp.adjX @ c)))
+    # eps_w + N + 1 = |w|^T ((n + 2) pi |gram| |w| + (n + m + 2) 2 pi |adj(G) X| |c| / d) + 2 len(pts) + 8
+    apts = np.abs(pts)
+    lin = (2 * math.pi * (n + m + 2) / d) * (np.abs(grp.adjX) @ np.abs(c))
+    err = (((apts @ ((math.pi * (n + 2)) * np.abs(gram)) + lin) * apts).sum(axis=1) + (2 * len(pts) + 8)) * wts
+    z = np.concatenate([z, z.conj()])
+    W = (np.bincount(idx, z.real, d) + 1j * np.bincount(idx, z.imag, d)).reshape(dims)[..., :half[-1]]
+    e_W = (target.tail + ULP * np.bincount(idx, np.concatenate([err, err]), d)).reshape(dims)[..., :half[-1]]
+    W0 = 1.0 + W.flat[0].real
+    if not W0 > e_W.flat[0]:
+        raise ValueError("the target's dual sum cancels below its rounding")
+    W.flat[0] = W0
+    return W / W0, (e_W + e_W.flat[0]) / W0 + 2 * ULP
+
+
+def _primal_target(X: IntMatrix, r: float, c: np.ndarray, grp: ClassGroup, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(conj Q^', e_Q) on the half grid from the target's primal region
+    (``class_tvd``): Q' binned from the N labels of ``_target_region``, with
+    tail tt and weights within ``rounding`` (``ClassGroup.index``; weights
+    as in ``target_pmf``), and transformed by a forward FFT."""
+    _, (T, w, tt), rounding = _target_region(X, r, c, grp)
+    d = math.prod(grp.dims)
+    Q = np.bincount(grp.index(T), w, d) / float(np.sum(np.sort(w)))
+    Qh = np.fft.rfftn(Q.reshape(grp.dims))
+    e = 2 * tt + 3 * rounding + 2 * (len(T) + 1) * ULP + eta * math.sqrt(d) * float(np.linalg.norm(Q))
+    return Qh, np.full(Qh.shape, e)
 
 
 def class_tvd(X: IntMatrix, r: float, c: Sequence[float]) -> ExactTVDReport:
@@ -444,61 +545,57 @@ def class_tvd(X: IntMatrix, r: float, c: Sequence[float]) -> ExactTVDReport:
     over the class group Z^n / G Z^n (see the module docstring).
 
     X and c are checked, and c reduced mod Z^m, by ``_reduced_shift``; the
-    class group is ``class_group``'s.  The image side, conj(P^) on the half
-    t_n <= L / 2 of the grid within E_P of exact, is ``_image_transform``'s.
-    conj(Q^) is formed on the same half (``_dual_target``), as both class
-    pmfs are real, and one inverse real FFT of their difference gives P - Q.
+    class group and its one Smith form are ``class_group``'s.  The image
+    side, conj(P^) on the half t_n <= L / 2 of the grid within E_P of exact,
+    is ``_image_transform``'s.  conj(Q^) is formed on the same half, as both
+    class pmfs are real, from the side of the target with the fewer points
+    by ``_target_counts``: the dual sum (``_dual_target``) from r = 1 up,
+    the primal region (``_primal_target``) below.  One inverse real FFT of
+    their difference gives P - Q.
 
     ``truncation_error`` bounds |TVD' - TVD| from computed quantities (primes
-    mark computed values, u = 2^-53).  W'(t) is within e_W(t),
-    ``PoissonSum.tail`` plus u sum_w (eps_w + N) weight_w over the terms of
-    its bin, N in all, eps_w covering the exponent
+    mark computed values, u = 2^-53).  On the dual side W'(t) is within
+    e_W(t), ``PoissonSum.tail`` plus u sum_w (eps_w + N) weight_w over the
+    terms of its bin, N in all, eps_w covering the exponent
     ((n + 2) pi |w|^T |gram| |w|, from the rounded Gram entries), the angle
     ((n + m + 2) 2 pi |w|^T |adj(G) X| |c| / d) and 7 more roundings; so
     conj(Q^') is within e_Q(t) = (e_W(t) + e_W(0)) / W'(0) + 2u, as
-    |W(t)| <= W(0).  By Cauchy-Schwarz and Parseval these errors move
+    |W(t)| <= W(0).  On the primal side e_Q = 2 tt + 3 rounding +
+    2 (N + 1) u + eta sqrt(d) ||Q'||_2 bounds the region's l1 distance from
+    the target (its truncation and its weights' rounding, ``_target_region``),
+    the bins' rounding and the FFT's.  By Cauchy-Schwarz and Parseval these errors move
     1/2 sum_g |P - Q| by at most 1/2 (sqrt(d) E_P + ||e_Q||_2), the other
     half of the grid mirroring this one.  The FFT's l2 error eta ||P - Q||_2
     (Higham 2002, Thm 24.2: about 7 u log2 N for a radix-2 FFT of length N,
     charged three times over at length 2d for pocketfft's mixed-radix and
     Bluestein passes) adds 1/2 sqrt(d) eta ||P - Q||_2, and the sum
-    (d + 2) u TVD'.  ``support_size`` is d and ``radius`` that of the
-    target's dual sum, ``banaszczyk_radius(n)``.
-
-    Far below smoothing, where W'(0) does not exceed e_W(0) or the dual sum
-    exceeds ENUM_BUDGET, the target's class pmf Q' is binned instead from
-    the N labels of ``_target_region``, the workspace's ``target_region``,
-    with tail tt (``ClassGroup.index``; weights as in ``target_pmf``), and
-    transformed by a forward FFT: e_Q = 2 tt + 2 (N + 1) u +
-    eta sqrt(d) ||Q'||_2 bounds the region's l1 distance from the target,
-    the bins' rounding and the FFT's.
+    (d + 2) u TVD'.  ``support_size`` is d and ``radius``
+    ``banaszczyk_radius(n)``, that of the target's dual sum.
 
     Raises InvariantViolation unless prod D = d, the TVD is in [0, 1] and
     every class mass of both pmfs is at least minus its error bound
-    (``_masses_ok``); EnumerationBudgetExceeded when d exceeds ENUM_BUDGET.
+    (``_masses_ok``); EnumerationBudgetExceeded when d or the chosen side's
+    points exceed ENUM_BUDGET.
     """
     c = _reduced_shift(X, c)
     grp = class_group(X)
     dims = grp.dims
     d = math.prod(dims)
-    Ph, E_P = _image_transform(X, r, c, grp)
+    Ph, E_P = _image_transform(r, c, grp)
     half = Ph.shape
     eta = 22 * ULP * (math.log2(2 * d) + 1)  # covers eta / (1 - eta) at 21 u
-    dual = _dual_target(X, r, c, grp, half)
-    if dual is not None:
-        Qh, e_Q = dual
-    else:  # far below the smoothing parameter of Z^n under r X^T: the primal target
-        _, (T, w, tt) = _target_region(X, r, X.to_numpy() @ c)
-        Q = np.bincount(grp.index(T), w, d) / float(np.sum(np.sort(w)))
-        Qh = np.fft.rfftn(Q.reshape(dims))
-        e_Q = np.full(half, 2 * tt + 2 * (len(T) + 1) * ULP + eta * math.sqrt(d) * float(np.linalg.norm(Q)))
+    dual, primal = _target_counts(X.n_rows, d, r)
+    if primal < dual:  # far below the smoothing parameter of Z^n under r X^T
+        Qh, e_Q = _primal_target(X, r, c, grp, eta)
+    else:
+        Qh, e_Q = _dual_target(r, c, grp, half)
 
     # both pmfs sum to 1, so the t = 0 entries of P^ and Q^ are 1
     masses_ok = _masses_ok(Ph, E_P, dims, eta) and _masses_ok(Qh, e_Q, dims, eta)
     Dh = Ph - Qh
     Dh.flat[0] = 0.0
     Dm = np.fft.irfftn(Dh, s=dims, axes=tuple(range(len(dims))))
-    tvd = 0.5 * float(np.sum(np.abs(Dm)))
+    tvd = 0.5 * float(np.abs(Dm).sum())
     l2_Q = math.sqrt(2.0) * float(np.linalg.norm(e_Q))
     trunc = 0.5 * (math.sqrt(d) * (E_P + eta * float(np.linalg.norm(Dm))) + l2_Q) + (d + 2) * ULP * tvd
     if not (math.isfinite(tvd) and tvd <= 1.0 + trunc):
@@ -539,22 +636,27 @@ def exact_output_pmf(ws: FiberWorkspace) -> DiscretePMF:
     region in the held ones, at most max_k (P'_k / Q_k^reg) tt / (1 - tt)
     (tt the target's tail) and 2 e.  A mass is rounded by at most
     (N_k + 2) u of itself, N_k the labels of its class.  The target weights
-    are ``target_region``'s, as in ``target_pmf``.
+    are ``target_region``'s, as in ``target_pmf``, each within
+    ``target_rounding`` = rho of itself, so a label's share of its class's
+    weight is within 2 rho / (1 - rho) <= 3 rho of itself: 3 rho more.
     """
     _, index, Wk, P, e, _ = ws.classes
     T, w, tt = ws.target_region
     held = Wk > 0
     masses = w * (P / np.where(held, Wk, 1.0))[index]
     ratio = float(np.max(P[held] / Wk[held])) * float(np.sum(np.sort(w)))
-    tail = 3 * e + float(np.sum(P[~held])) + 2 * ratio * tt / (1 - tt) + (int(np.max(np.bincount(index))) + 2) * ULP
+    tail = (3 * e + float(np.sum(P[~held])) + 2 * ratio * tt / (1 - tt) + 3 * ws.target_rounding
+            + (int(np.max(np.bincount(index))) + 2) * ULP)
     return DiscretePMF(T, masses, min(1.0, tail))
 
 
 def target_pmf(ws: FiberWorkspace) -> DiscretePMF:
     """Truncated pmf of the discrete Gaussian on Z^n + X c with shape r X^T,
-    over the labels of the workspace's ``target_region``."""
+    over the labels of the workspace's ``target_region``: its tail, plus
+    twice ``target_rounding`` for the weights' rounding (each normalized
+    mass is within 2 rho / (1 - rho) of itself, rho that bound)."""
     _, weights, tail = ws.target_region
-    return DiscretePMF(ws.region(), weights / float(np.sum(np.sort(weights))), tail)
+    return DiscretePMF(ws.region(), weights / float(np.sum(np.sort(weights))), tail + 2 * ws.target_rounding)
 
 
 def exact_tvd(p: DiscretePMF, q: DiscretePMF) -> ExactTVDReport:

@@ -394,9 +394,9 @@ def test_class_tvd_far_below_the_smoothing_parameter(monkeypatch):
 
     X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
     rep = class_tvd(X, 0.2, [0.5] * 4)
-    assert abs(rep.tvd - 0.5) <= rep.truncation_error <= 1e-6  # every bin charged all 2 10^4 terms
-    # further down the target's dual sum cancels to its rounding, and the
-    # target's class pmf is binned from its primal label region instead
+    assert abs(rep.tvd - 0.5) <= rep.truncation_error <= 1e-12
+    # below r = 1 the target's primal label region has the fewer points, and
+    # the target's class pmf is binned from it
     regions = []
     truncate = dgsum.tvd.truncate_coset
 
@@ -412,9 +412,10 @@ def test_class_tvd_far_below_the_smoothing_parameter(monkeypatch):
         assert abs(rep.tvd - 0.5) <= rep.truncation_error <= 1e-12
         assert rep.support_size == 9 and len(regions[-1][0]) == 4  # the four nearest points
     assert len(regions) == 2
-    # where W(0) resolves, the dual target is kept, vacuous bound and all
+    # the side rule does not try the dual sum first: there its W(0) resolves,
+    # with a vacuous bound above 0.5, where the region's is below 1e-12
     rep = class_tvd(X, 0.1, [0.5, 0.0, 0.0, 0.0])
-    assert len(regions) == 2 and rep.truncation_error > 0.5
+    assert len(regions) == 3 and rep.tvd <= rep.truncation_error <= 1e-12
 
 
 def test_class_tvd_primal_target_is_the_workspace_region(monkeypatch):
@@ -540,14 +541,15 @@ def test_per_label_tvd_is_within_its_bound_of_the_class_tvd():
 def test_exact_output_pmf_tail_from_the_class_pmfs():
     # three times the class pmf's l1 error, the image mass of the classes the
     # region misses, twice the largest class ratio times the target's tail,
-    # and the rounding of the largest class's masses
+    # three times the bound on the target weights' rounding, and the
+    # rounding of the largest class's masses
     X = IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])
     ws = FiberWorkspace(X, 1.5, [0.0] * 3)
     _, index, _, P, e, _ = ws.classes
     T, w, tt = ws.target_region
     assert len(P) == 6 and np.all(np.bincount(index, minlength=6) > 0)  # every class held
     ratio = float(np.max(P / np.bincount(index, w))) * float(np.sum(w))
-    want = 3 * e + 2 * ratio * tt / (1 - tt) + (int(np.max(np.bincount(index))) + 2) * ULP
+    want = 3 * e + 2 * ratio * tt / (1 - tt) + 3 * ws.target_rounding + (int(np.max(np.bincount(index))) + 2) * ULP
     p = exact_output_pmf(ws)
     assert p.tail_bound == pytest.approx(want, rel=1e-9, abs=0) and want < 1e-12
     assert abs(float(np.sum(p.masses)) - 1) <= want
