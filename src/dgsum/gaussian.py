@@ -276,7 +276,10 @@ def fincke_pohst(U: np.ndarray, y: np.ndarray, level_bound: float, radius: float
     numbers the new coordinates; nothing is gathered by index.  The entries
     of each level's partial vectors are charged against ENUM_BUDGET
     (EnumerationBudgetExceeded above it); ``radius`` only names the ball in
-    that message.  The rows come out in no particular order.
+    that message.  The rows come out in no particular order.  The class TVD
+    picks its lattice before this runs: the target's dual sum or its primal
+    region, whichever the Gaussian heuristic counts as smaller
+    (``tvd._target_counts``), so no side is enumerated only to be dropped.
     """
     k = len(U)
     T = np.zeros((1 if level_bound >= 0 else 0, k))  # integers, exact in floats
@@ -297,7 +300,8 @@ def fincke_pohst(U: np.ndarray, y: np.ndarray, level_bound: float, radius: float
         ti = (lo - (ends - count)).repeat(count) + np.arange(total)
         T = T.repeat(count, axis=0)
         T[:, i] = ti
-        used = used.repeat(count) + (u * (ti - center.repeat(count))) ** 2
+        if i:  # the last level needs no bounded sum
+            used = used.repeat(count) + (u * (ti - center.repeat(count))) ** 2
     return T.astype(np.int64)
 
 

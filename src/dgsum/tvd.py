@@ -9,7 +9,9 @@ ker X), so the TVD is that of the two class pmfs.  ``class_tvd(X, r, c)``
 forms both in Fourier space, with no workspace and neither ker X nor its
 dual.  With U G V = diag(D) (``intmat.smith``), z -> U z mod D maps the
 classes onto the product of the Z / D_i (``ClassGroup``), whose characters
-are chi_t(g) = e^{2 pi i sum_i t_i g_i / D_i}.
+are chi_t(g) = e^{2 pi i sum_i t_i g_i / D_i}.  One Smith form per call
+(``class_group``) yields everything the later stages read of G: adj(G),
+adj(G) X, the column classes a_j and V^T, each formed once, exactly.
 
 - Image.  With v = w + c, w in Z^m, the class of X w is sum_j w_j a_j,
   a_j = U x_j mod D, a sum of m independent 1-D discrete Gaussians.  So
@@ -17,8 +19,8 @@ are chi_t(g) = e^{2 pi i sum_i t_i g_i / D_i}.
   e^{2 pi i w a} / sum_w rho_r(w + c_j), each tabulated once on the int64
   residues mod L = D_n of the phases <t, a_j>_D, its terms and tail from
   ``gaussian``'s one truncation rule (``_theta_table``,
-  ``_image_transform``).  The column classes a_j come from one map
-  (``ClassGroup.columns``), and the 1-D terms, for r <= 1 here and always
+  ``_image_transform``).  The column classes a_j come from the one Smith
+  form (``ClassGroup.cols``), and the 1-D terms, for r <= 1 here and always
   for the per-label pmfs, from the package's one Gaussian, the table of
   D_{Z + c_j, r} that the sampler draws from (``gaussian.exact_pmf``,
   through ``_terms_1d``).
@@ -27,18 +29,31 @@ are chi_t(g) = e^{2 pi i sum_i t_i g_i / D_i}.
   the dual lattice G^-1 Z^n (Gram matrix r^2 adj(G) / d), whose point
   G^-1 w has the phase e^{2 pi i w^T adj(G) X c / d} and falls on the
   character t = -V^T w mod D (G^-1 = U^T D^-1 V^T).  With W(k) the sum of
-  the terms with V^T w = k mod D, Q^(t) = W(-t) / W(0) = conj(W(t)) / W(0).
-  Far below smoothing, where W(0) cancels to its rounding or the dual sum
-  exceeds ENUM_BUDGET, Q is binned from the target's primal label region
-  instead (``_target_region``).
+  the terms with V^T w = k mod D, Q^(t) = W(-t) / W(0) = conj(W(t)) / W(0)
+  (``_dual_target``).  Or Q is binned from the target's primal label region
+  (``_target_region``) and transformed (``_primal_target``).
+- Side rule.  Before any enumeration, the Gaussian heuristic counts both
+  sides (``_target_counts``): about V_n R^n sqrt(d) / r^n points in the dual
+  sum and V_n R^n sqrt(d) r^n in the primal region, a ratio of r^{2n}.  The
+  smaller one is enumerated: the dual sum from r = 1 up, so at every
+  threshold, and the primal region below, where the dual sum grows like
+  r^-n and its W(0) cancels to its rounding far below smoothing.
 - TVD = 1/2 sum_g |P(g) - Q(g)|, P - Q the inverse FFT of P^ - Q^:
   differencing in Fourier space keeps the relative precision of a small
   TVD.
 
+Each stage is a fixed handful of array operations, not one batch per term,
+level or column: one broadcast over the terms and entries of a theta table,
+one integer product for the residues of all columns with one gather per
+distinct c_j, one ``fincke_pohst`` pass whose levels repeat their parents'
+rows by count, and one pass each for the phases, the error terms and the
+bins of the dual sum, whose points w stand for the pairs +-w.
+
 Both entry points, ``class_tvd(X, r, c)`` and ``FiberWorkspace(X, r, c)``,
 take one frame: c reduced mod Z^m once, where the instance is built
-(``_reduced_shift``), one target region (``_target_region``) and one image
-side (``ClassGroup.columns``, ``_terms_1d``).  The per-label pmfs
+(``_reduced_shift``), one class group (``class_group``), one target region
+(``_target_region``) and one image side (``ClassGroup.cols``,
+``_terms_1d``).  The per-label pmfs
 (``target_pmf`` for MC, ``exact_output_pmf`` for tests) read a workspace
 alone and run over the labels that ``gaussian.truncate_coset`` keeps of the
 target coset Z^n + X c under its Gram matrix Gamma = (r^2 X X^T)^-1 =
@@ -49,6 +64,9 @@ shortest point, the ball of radius R,
 ``gaussian.banaszczyk_bound``, drops at most that share of the target weight,
 as rho(L + x) >= e^{-pi ||x||^2} rho(L) (pair y with -y) and
 rho((L + x) minus R B) < 2 beta rho(L) (Banaszczyk's coset lemma).  The
+region's weights read the differences of norms that grow like 1 / r^2, so
+they are formed in twice the working precision and their rounding is
+bounded (``FiberWorkspace.target_rounding``) and charged by every use.  The
 per-label image pmf and the fiber weights are the target's times the class
 factor P_k / Q_k, with the region's target mass in class k for Q_k (one
 per-class array, ``FiberWorkspace.classes``) and the image's class pmf P

@@ -709,12 +709,14 @@ def test_tvd_exact_op_decomposes_and_enumerates_once(tmp_path, monkeypatch):
     import dgsum.intmat
     import dgsum.tvd
 
-    hnf, region, enum, dual = [], [], [], []
+    hnf, region, enum, dual, smith = [], [], [], [], []
     _count_calls(monkeypatch, dgsum.intmat, "hnf_column", hnf)
     _count_calls(monkeypatch, dgsum.tvd.FiberWorkspace, "region", region)
     _count_calls(monkeypatch, dgsum.tvd, "truncate_coset", enum)
     _count_calls(monkeypatch, dgsum.gaussian, "enumerate_affine", enum)
     _count_calls(monkeypatch, dgsum.tvd, "poisson_sum", dual)
+    _count_calls(monkeypatch, dgsum.intmat, "smith", smith)  # intmat.adjugate's
+    _count_calls(monkeypatch, dgsum.tvd, "smith", smith)  # class_group's
     xfile = tmp_path / "X.txt"
     xfile.write_text("1 0 1 1\n0 1 1 -1\n")
     assert run(["tvd", "--x-file", xfile, "--exact", "--seed", "4", "--out-dir", tmp_path / "run"]) == EXIT_OK
@@ -727,6 +729,9 @@ def test_tvd_exact_op_decomposes_and_enumerates_once(tmp_path, monkeypatch):
     # target, built from its Gram matrix, and its one enumeration
     assert len(region) == 0 and [args[0].shape for args in enum] == [(2, 2)]
     assert [gram.shape for (gram,) in dual] == [(2, 2)]
+    # one Smith form of G, whose adj(G), column classes and V^T every later
+    # stage of the class TVD reads
+    assert [G.rows for (G,) in smith] == [((3, 0), (0, 3))]
 
 
 def test_kernel_op_decomposes_each_matrix_once(tmp_path, monkeypatch):

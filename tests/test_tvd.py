@@ -483,6 +483,112 @@ def test_primal_target_weighs_exact_ties_alike():
         assert rep.tvd <= rep.truncation_error and pair.tvd <= pair.truncation_error, rows
 
 
+# class_tvd's (TVD, truncation_error) as the previous release computed them,
+# before the per-stage array form and the side rule: the threshold r of each
+# matrix at eps = 0.01 (seed 1's certificate), then r = 0.3, 0.5, 1 and 2,
+# each at c = 0, c = 1/2 and c = (1/2, 0, ..., 0)
+PARITY_X = {
+    "2x4": [[1, 0, 1, 1], [0, 1, 1, -1]],
+    "2x5": [[1, 0, 1, 1, 2], [0, 1, 1, -1, 1]],
+    "3x6": [[1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1]],
+}
+PARITY = [
+    ("2x4", 3.3367800039698445, "zero", 7.67623162632321e-06, 2.170105501255921e-14),
+    ("2x4", 3.3367800039698445, "half", 7.676165336797226e-06, 2.170107588081264e-14),
+    ("2x4", 3.3367800039698445, "first", 7.676231625464513e-06, 2.1701059648837268e-14),
+    ("2x4", 0.3, "zero", 3.538365654958624e-05, 8.281916079614959e-13),
+    ("2x4", 0.3, "half", 0.49999999984349003, 7.064584251990972e-11),
+    ("2x4", 0.3, "first", 1.7692063029230746e-05, 7.47946494582746e-12),
+    ("2x4", 0.5, "zero", 0.05797869918883786, 2.229294051498093e-13),
+    ("2x4", 0.5, "half", 0.49954028006658996, 4.97515972840472e-13),
+    ("2x4", 0.5, "first", 0.029638982044827865, 3.2103312949985636e-13),
+    ("2x4", 1.0, "zero", 0.38490017945975014, 5.22329181749795e-14),
+    ("2x4", 1.0, "half", 0.3041155102047689, 5.889072029443014e-14),
+    ("2x4", 1.0, "first", 0.2928849914601018, 5.113404853095631e-14),
+    ("2x4", 2.0, "zero", 0.013586416930578772, 2.4712765137399464e-14),
+    ("2x4", 2.0, "half", 0.013382191173661202, 2.474645620785091e-14),
+    ("2x4", 2.0, "first", 0.013581676753513053, 2.4716751300395625e-14),
+    ("2x5", 4.621319489438075, "zero", 1.291511281342876e-10, 4.40778037124363e-14),
+    ("2x5", 4.621319489438075, "half", 1.291511279841675e-10, 4.4077810862407685e-14),
+    ("2x5", 4.621319489438075, "first", 1.2915112808424756e-10, 4.407780514182347e-14),
+    ("2x5", 0.3, "zero", 0.006063032134336663, 1.7986449194519335e-12),
+    ("2x5", 0.3, "half", 0.8117929438282614, 4.029825573643343e-12),
+    ("2x5", 0.3, "first", 0.0007070561717334614, 3.850415518614575e-12),
+    ("2x5", 0.5, "zero", 0.25961283220575776, 3.9547042011124234e-13),
+    ("2x5", 0.5, "half", 0.7165575562896044, 4.678506434535614e-13),
+    ("2x5", 0.5, "first", 0.09591464198486348, 4.0586879575244324e-13),
+    ("2x5", 1.0, "zero", 0.46247965128329105, 1.0974804593508996e-13),
+    ("2x5", 1.0, "half", 0.24789876058949115, 1.2738715606817248e-13),
+    ("2x5", 1.0, "first", 0.3809418749164232, 1.0784687133977349e-13),
+    ("2x5", 2.0, "zero", 0.012358505691319058, 5.063708770921915e-14),
+    ("2x5", 2.0, "half", 0.011487803709973338, 5.165676195754576e-14),
+    ("2x5", 2.0, "first", 0.011968689896544146, 5.0832074651538815e-14),
+    ("3x6", 3.447656929654603, "zero", 3.1630079101624313e-07, 4.8208561736833696e-14),
+    ("3x6", 3.447656929654603, "half", 3.164386161327714e-07, 4.820856281083672e-14),
+    ("3x6", 3.447656929654603, "first", 3.385912166977962e-07, 4.8208561944656886e-14),
+    ("3x6", 0.3, "zero", 5.185513283523236e-06, 4.260602650816284e-11),
+    ("3x6", 0.3, "half", 0.8722205083223151, 4.001192507498158e-09),
+    ("3x6", 0.3, "first", 5.7550616976029914e-05, 6.985045738352004e-10),
+    ("3x6", 0.5, "zero", 0.0417748878943454, 6.894442578891233e-12),
+    ("3x6", 0.5, "half", 0.6784485508077353, 1.9183709036225138e-11),
+    ("3x6", 0.5, "first", 0.05350218068429705, 1.1947385614118223e-11),
+    ("3x6", 1.0, "zero", 0.3851118373226322, 2.0024273813692708e-13),
+    ("3x6", 1.0, "half", 0.3304314555563315, 2.2535587771413325e-13),
+    ("3x6", 1.0, "first", 0.3598299366775897, 2.0080198709251616e-13),
+    ("3x6", 2.0, "zero", 0.006276216629076388, 5.4502432573535527e-14),
+    ("3x6", 2.0, "half", 0.006608311766063977, 5.453743033922235e-14),
+    ("3x6", 2.0, "first", 0.006775434982635345, 5.450765647031303e-14),
+]
+
+
+def test_class_tvd_matches_the_recorded_values():
+    # every value within 1e-12 of the recorded one, and within the sum of
+    # both bounds; below r = 1 the primal side answers, with a bound below
+    # 1e-12 where the dual sum's reached 4e-9
+    for name, r, shift, tvd, trunc in PARITY:
+        X = IntMatrix.from_rows(PARITY_X[name])
+        m = X.n_cols
+        c = {"zero": [0.0] * m, "half": [0.5] * m, "first": [0.5] + [0.0] * (m - 1)}[shift]
+        rep = class_tvd(X, r, c)
+        assert abs(rep.tvd - tvd) <= min(1e-12, rep.truncation_error + trunc), (name, r, shift)
+        assert rep.truncation_error <= 1e-12, (name, r, shift)
+
+
+@pytest.mark.parametrize("r, c", [(0.1, [0.5, 0.0, 0.0, 0.0]), (0.2, [0.5] * 4), (0.5, [0.5, 0.0, 0.0, 0.0]),
+                                  (1.0, [0.5, 0.0, 0.0, 0.0])])
+def test_class_tvd_sides_agree_within_their_bounds(monkeypatch, r, c):
+    # each side forced in turn: the dual sum's bound is vacuous at r = 0.1
+    # (above 0.5, where the region's is below 1e-12), and both hold
+    import dgsum.tvd
+
+    X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
+    chosen = class_tvd(X, r, c)
+    reps = []
+    for counts in ((1.0, 0.0), (0.0, 1.0)):  # (dual, primal): the primal side, then the dual
+        monkeypatch.setattr(dgsum.tvd, "_target_counts", lambda n, d, r, counts=counts: counts)
+        reps.append(class_tvd(X, r, c))
+    primal, dual = reps
+    assert abs(primal.tvd - dual.tvd) <= primal.truncation_error + dual.truncation_error
+    assert chosen == (primal if r < 1 else dual)
+    assert chosen.truncation_error <= 1e-12
+
+
+def test_class_tvd_far_below_smoothing_skips_the_dual_sum(monkeypatch):
+    # r = 0.005, c = 1/2: the dual sum holds about 9 10^6 points, the primal
+    # region four, and the side rule enumerates the region alone (TVD 1/2,
+    # the four target points against the image's classes)
+    import dgsum.tvd
+
+    dual = []
+    _orig = dgsum.tvd.poisson_sum
+    monkeypatch.setattr(dgsum.tvd, "poisson_sum", lambda gram: dual.append(gram) or _orig(gram))
+    X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
+    rep = class_tvd(X, 0.005, [0.5] * 4)
+    assert not dual and abs(rep.tvd - 0.5) <= rep.truncation_error <= 1e-12
+    counts = dgsum.tvd._target_counts(2, 9, 0.005)
+    assert math.exp(counts[0]) > 8e6 and math.exp(counts[1]) < 1
+
+
 def _theta_oracle(r, c, L):
     """S(k / L) / S(0), k < L, of the primal series S(a) = sum_w rho_r(w + c)
     e^{2 pi i w a} over |w| <= 12 r + 2, its real and imaginary parts each
