@@ -269,40 +269,54 @@ def fincke_pohst(U: np.ndarray, y: np.ndarray, level_bound: float, radius: float
     first, each within the interval that the bound left over by the later
     ones allows, so every partial vector kept extends to a point of the
     ellipsoid's projection, where the axis-aligned bounding box of a ball
-    holds about 400 times its points at rank 10.  A level is a fixed handful
-    of array operations on the partial vectors: their centres and half
-    widths, the interval ends, one ``repeat`` of each parent's row, centre,
-    offset and bounded sum by its interval's length, and one ``arange`` that
-    numbers the new coordinates; nothing is gathered by index.  The entries
-    of each level's partial vectors are charged against ENUM_BUDGET
-    (EnumerationBudgetExceeded above it); ``radius`` only names the ball in
-    that message.  The rows come out in no particular order.  The class TVD
+    holds about 400 times its points at rank 10.  The root's interval, that
+    of the last coordinate, is one range; every later level is a fixed
+    handful of array operations on the partial vectors: their centres and
+    half widths, the interval ends, one ``repeat`` of each parent's row,
+    centre, offset and bounded sum by its interval's length, and one
+    ``arange`` that numbers the new coordinates; nothing is gathered by
+    index.  U is k x k with k >= 1.  The entries of each level's partial
+    vectors are charged against ENUM_BUDGET (EnumerationBudgetExceeded above
+    it); ``radius`` only names the ball in that message.  The rows come out
+    in no particular order.  The class TVD
     picks its lattice before this runs: the target's dual sum or its primal
     region, whichever the Gaussian heuristic counts as smaller
     (``tvd._target_counts``), so no side is enumerated only to be dropped.
     """
     k = len(U)
-    T = np.zeros((1 if level_bound >= 0 else 0, k))  # integers, exact in floats
-    used = np.zeros(len(T))  # the bounded sum restricted to the fixed coordinates
-    for i in range(k - 1, -1, -1):
+    # the root: the last coordinate's interval is one range of values
+    u = float(U[k - 1, k - 1])
+    center = float(y[k - 1]) * (-1.0 / u)
+    half = math.sqrt(level_bound) * (1.0 / abs(u)) if level_bound >= 0 else -1.0
+    lo = math.ceil(center - half)
+    ti = np.arange(lo, lo + _charged(max(math.floor(center + half) - lo + 1, 0), 1, radius), dtype=float)
+    T = np.zeros((len(ti), k))  # integers, exact in floats
+    T[:, k - 1] = ti
+    used = (u * (ti - center)) ** 2  # the bounded sum restricted to the fixed coordinates
+    for i in range(k - 2, -1, -1):
         u = float(U[i, i])
         center = (T @ U[i] + y[i]) * (-1.0 / u)  # T's columns up to i are still 0
         half = np.sqrt(np.maximum(level_bound - used, 0.0)) * (1.0 / abs(u))
         lo = np.ceil(center - half)
         count = (np.floor(center + half) - lo + 1).astype(np.int64)  # >= 0 as half >= 0
         ends = np.add.accumulate(count)
-        total = int(ends[-1]) if len(ends) else 0
-        if total * (k - i) > ENUM_BUDGET:
-            raise EnumerationBudgetExceeded(
-                f"{total} partial points of rank {k - i} in a ball of radius {radius:g} "
-                f"exceed budget {ENUM_BUDGET}"
-            )
+        total = _charged(int(ends[-1]) if len(ends) else 0, k - i, radius)
         ti = (lo - (ends - count)).repeat(count) + np.arange(total)
         T = T.repeat(count, axis=0)
         T[:, i] = ti
         if i:  # the last level needs no bounded sum
             used = used.repeat(count) + (u * (ti - center.repeat(count))) ** 2
     return T.astype(np.int64)
+
+
+def _charged(total: int, rank: int, radius: float) -> int:
+    """``total`` partial points of this rank, charged against ENUM_BUDGET
+    as total * rank int64 entries: EnumerationBudgetExceeded above it."""
+    if total * rank > ENUM_BUDGET:
+        raise EnumerationBudgetExceeded(
+            f"{total} partial points of rank {rank} in a ball of radius {radius:g} exceed budget {ENUM_BUDGET}"
+        )
+    return total
 
 
 def enumerate_affine(gram: np.ndarray, x0: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:

@@ -337,7 +337,9 @@ def smith(G: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[int]]:
         A, V = A @ E, V @ E
     if U is None:
         U = IntMatrix.identity(n)
-    if ((U @ G @ V).rows != tuple(tuple(D[i] if i == j else 0 for j in range(n)) for i in range(n))
+    UG = [[sum(map(operator.mul, row, col)) for col in G.cols] for row in U.rows]
+    if (any(sum(map(operator.mul, ug, col)) != (D[i] if i == j else 0)
+            for i, ug in enumerate(UG) for j, col in enumerate(V.cols))
             or min(D, default=1) <= 0 or any(D[i + 1] % D[i] for i in range(n - 1))
             or math.prod(D) != abs(_int_det(G.rows))):
         raise InvariantViolation(f"U G V = diag({D}) is not a Smith form of G with unimodular U, V")

@@ -155,7 +155,7 @@ def _reduced_shift(X: IntMatrix, c: Sequence[float]) -> np.ndarray:
     c = np.asarray(list(c), dtype=float)
     if c.shape != (X.n_cols,):
         raise ValueError("shift dimension mismatch")
-    return c - np.round(c)
+    return c - c.round()
 
 
 def _exact_shift(X: IntMatrix, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +388,7 @@ def _masses_ok(F: np.ndarray, err, dims: tuple[int, ...], eta: float) -> bool:
     if l1 < 1:
         return True
     f = np.fft.irfftn(F, s=dims, axes=tuple(range(len(dims))))
-    return float(f.min()) >= -(float(err.max()) + eta * float(np.linalg.norm(f)))
+    return float(f.min()) >= -(float(err.max()) + eta * math.sqrt(float(np.vdot(f, f))))
 
 
 class ClassGroup(NamedTuple):
@@ -396,15 +396,16 @@ class ClassGroup(NamedTuple):
     U G V = diag(D) (``class_group``), and everything that the later stages
     read of it.  z -> U z mod D maps the classes onto the product of the
     Z / D_i, of which the factors D_i > 1 are kept (the last one when
-    d = 1), the grid ``dims``; ``Uk`` and ``Vk`` hold the kept rows of U and
-    of V^T, each reduced mod its D_i.  ``adj`` is adj(G) = V diag(d / D) U
-    and ``adjX`` is adj(G) X, and ``cols`` holds the class a_j = U x_j mod D
-    of each column x_j of X, one int64 row per column: all formed exactly in
-    integers, the first two stored as floats."""
+    d = 1), the grid ``dims``, at the rows ``keep``; ``Vk`` holds the kept
+    rows of V^T, each reduced mod its D_i.  ``adj`` is adj(G) =
+    V diag(d / D) U and ``adjX`` is adj(G) X, and ``cols`` holds the class
+    a_j = U x_j mod D of each column x_j of X, one int64 row per column: all
+    formed exactly in integers, the first two stored as floats."""
 
+    U: IntMatrix
     D: list[int]
+    keep: list[int]
     dims: tuple[int, ...]
-    Uk: np.ndarray
     Vk: np.ndarray
     adj: np.ndarray
     adjX: np.ndarray
@@ -413,14 +414,16 @@ class ClassGroup(NamedTuple):
     def index(self, T: np.ndarray) -> np.ndarray:
         """The class U z mod D of each label row z of T, as a flat index into
         the C-ordered grid ``dims``."""
-        return np.ravel_multi_index(tuple((np.asarray(T, dtype=np.int64) @ self.Uk.T % self.dims).T), self.dims)
+        Uk = np.array([[u % self.D[i] for u in self.U.rows[i]] for i in self.keep], dtype=np.int64)
+        return np.ravel_multi_index(tuple((np.asarray(T, dtype=np.int64) @ Uk.T % self.dims).T), self.dims)
 
 
 def class_group(X: IntMatrix) -> ClassGroup:
     """The ``ClassGroup`` of X, from one ``intmat.smith(X X^T)``, which checks
     prod D = d = det G; EnumerationBudgetExceeded when d exceeds ENUM_BUDGET."""
     n = X.n_rows
-    U, V, D = smith(IntMatrix(tuple([tuple([sum(map(operator.mul, a, b)) for b in X.rows]) for a in X.rows])))
+    G = IntMatrix(tuple([tuple([sum(map(operator.mul, a, b)) for b in X.rows]) for a in X.rows]))  # X X^T
+    U, V, D = smith(G)
     d = math.prod(D)
     if d > ENUM_BUDGET:
         raise EnumerationBudgetExceeded(f"{d} coset classes exceed budget {ENUM_BUDGET}")
@@ -428,8 +431,7 @@ def class_group(X: IntMatrix) -> ClassGroup:
     adj = smith_adjugate(U, V, D)
     UX = (U @ X).rows
     return ClassGroup(
-        D, tuple(D[i] for i in keep),
-        np.array([[u % D[i] for u in U.rows[i]] for i in keep], dtype=np.int64),
+        U, D, keep, tuple(D[i] for i in keep),
         np.array([[v % D[i] for v in V.cols[i]] for i in keep], dtype=np.int64),
         np.array(adj.rows, dtype=float),
         np.array((adj @ X).rows, dtype=float),
@@ -554,7 +556,7 @@ def _primal_target(X: IntMatrix, r: float, c: np.ndarray, grp: ClassGroup, eta: 
     d = math.prod(grp.dims)
     Q = np.bincount(grp.index(T), w, d) / float(np.sum(np.sort(w)))
     Qh = np.fft.rfftn(Q.reshape(grp.dims))
-    e = 2 * tt + 3 * rounding + 2 * (len(T) + 1) * ULP + eta * math.sqrt(d) * float(np.linalg.norm(Q))
+    e = 2 * tt + 3 * rounding + 2 * (len(T) + 1) * ULP + eta * math.sqrt(d * float(Q @ Q))
     return Qh, np.full(Qh.shape, e)
 
 
@@ -593,7 +595,8 @@ def class_tvd(X: IntMatrix, r: float, c: Sequence[float]) -> ExactTVDReport:
     Raises InvariantViolation unless prod D = d, the TVD is in [0, 1] and
     every class mass of both pmfs is at least minus its error bound
     (``_masses_ok``); EnumerationBudgetExceeded when d or the chosen side's
-    points exceed ENUM_BUDGET.
+    points exceed ENUM_BUDGET; ValueError where the dual sum's W'(0) does not
+    exceed its error bound.
     """
     c = _reduced_shift(X, c)
     grp = class_group(X)
@@ -614,8 +617,8 @@ def class_tvd(X: IntMatrix, r: float, c: Sequence[float]) -> ExactTVDReport:
     Dh.flat[0] = 0.0
     Dm = np.fft.irfftn(Dh, s=dims, axes=tuple(range(len(dims))))
     tvd = 0.5 * float(np.abs(Dm).sum())
-    l2_Q = math.sqrt(2.0) * float(np.linalg.norm(e_Q))
-    trunc = 0.5 * (math.sqrt(d) * (E_P + eta * float(np.linalg.norm(Dm))) + l2_Q) + (d + 2) * ULP * tvd
+    l2_Q = math.sqrt(2.0 * float(np.vdot(e_Q, e_Q)))
+    trunc = 0.5 * (math.sqrt(d) * (E_P + eta * math.sqrt(float(np.vdot(Dm, Dm)))) + l2_Q) + (d + 2) * ULP * tvd
     if not (math.isfinite(tvd) and tvd <= 1.0 + trunc):
         raise InvariantViolation(f"class TVD {tvd} is not in [0, 1] within its error bound {trunc:g}")
     if not masses_ok:

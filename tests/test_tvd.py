@@ -13,7 +13,7 @@ from dgsum.gaussian import (
     banaszczyk_radius,
     sample_dg_coset,
 )
-from dgsum.intmat import IntMatrix, InvariantViolation, is_surjective, solve_integer
+from dgsum.intmat import IntMatrix, InvariantViolation, adjugate, is_surjective, solve_integer
 from dgsum.lattice import integer_kernel, smoothing_bound
 from dgsum.tvd import (
     ULP,
@@ -587,6 +587,41 @@ def test_class_tvd_far_below_smoothing_skips_the_dual_sum(monkeypatch):
     assert not dual and abs(rep.tvd - 0.5) <= rep.truncation_error <= 1e-12
     counts = dgsum.tvd._target_counts(2, 9, 0.005)
     assert math.exp(counts[0]) > 8e6 and math.exp(counts[1]) < 1
+
+
+def test_target_weights_within_their_rounding_bound():
+    # the region's weights against e^{-pi (N_z - N_min)} with the norm
+    # differences N_z - N_min formed in rationals (r, c and X c exact); far
+    # below smoothing the norms reach 4 10^4, where float norms would carry
+    # an error of about 1e-11, and the bound stays near 1e-13
+    from fractions import Fraction
+
+    cases = [([[1, 0, 1, 1], [0, 1, 1, -1]], r, c) for r in (0.002, 0.05, 0.7) for c in ([0.5] * 4, [0.5, 0, 0, 0])]
+    cases += [([[1, -1, 0], [2, -1, -1]], r, [0.11, 0.31, 0.13]) for r in (0.003, 0.03, 0.9)]
+    cases += [([[-1, 0, 1, 2], [0, -1, 0, 1], [-2, 1, 2, 2]], 0.002, [0.5, 0.0, 0.0, 0.0])]
+    # near ties off the dyadic grid: Xc = (0.4995, 0), two labels 13.3 and
+    # 83 apart in N at norms near 3 10^3 and 2 10^4
+    cases += [([[1, 0, 1, 1], [0, 1, 1, -1]], r, [0.4995, 0.0, 0.0, 0.0]) for r in (0.002, 0.005)]
+    for rows, r, c in cases:
+        X = IntMatrix.from_rows(rows)
+        ws = FiberWorkspace(X, r, c)
+        T, w, _ = ws.target_region
+        n = X.n_rows
+        adj, d = adjugate(X @ X.T)
+        fc = [Fraction(x) for x in ws.c]
+        xc = [sum(a * b for a, b in zip(row, fc)) for row in X.rows]
+        s = Fraction(r) ** 2 * d
+
+        def norm(z):
+            v = [zi + x for zi, x in zip(z, xc)]
+            return sum(v[i] * adj[i][j] * v[j] for i in range(n) for j in range(n)) / s
+
+        N = [norm(z) for z in T.tolist()]
+        low = min(N)
+        want = np.array([math.exp(-math.pi * float(x - low)) for x in N])
+        slack = 8 * ULP * (1 + math.pi * np.array([float(x - low) for x in N]))  # the oracle's own rounding
+        assert ws.target_rounding < 1e-12, (rows, r, c)
+        assert np.all(np.abs(w - want) <= (ws.target_rounding + slack) * want), (rows, r, c)
 
 
 def _theta_oracle(r, c, L):
