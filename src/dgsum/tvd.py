@@ -606,7 +606,7 @@ def class_tvd(X: IntMatrix, r: float, c: Sequence[float]) -> ExactTVDReport:
     half = Ph.shape
     eta = 22 * ULP * (math.log2(2 * d) + 1)  # covers eta / (1 - eta) at 21 u
     dual, primal = _target_counts(X.n_rows, d, r)
-    if primal < dual:  # far below the smoothing parameter of Z^n under r X^T
+    if primal < dual:  # below r = 1 the primal region has the fewer points
         Qh, e_Q = _primal_target(X, r, c, grp, eta)
     else:
         Qh, e_Q = _dual_target(r, c, grp, half)
