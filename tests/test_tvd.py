@@ -483,8 +483,8 @@ def test_primal_target_weighs_exact_ties_alike():
         assert rep.tvd <= rep.truncation_error and pair.tvd <= pair.truncation_error, rows
 
 
-# class_tvd's (TVD, truncation_error) as the previous release computed them,
-# before the per-stage array form and the side rule: the threshold r of each
+# class_tvd's (TVD, truncation_error) as the code computed them before the
+# per-stage array form and the side rule: the threshold r of each
 # matrix at eps = 0.01 (seed 1's certificate), then r = 0.3, 0.5, 1 and 2,
 # each at c = 0, c = 1/2 and c = (1/2, 0, ..., 0)
 PARITY_X = {
