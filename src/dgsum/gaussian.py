@@ -242,10 +242,9 @@ def poisson_sum(gram: np.ndarray) -> PoissonSum:
     if k == 0:
         return PoissonSum(np.zeros((0, 0), dtype=np.int64), np.zeros(0), radius, 0)
     T, norms = enumerate_affine(gram, np.zeros(k), radius)
-    # t and -t pass every bound alike (negation is exact in floats), so the
-    # sorted rows are symmetric about t = 0, the middle one; those after it
-    # have a positive first nonzero entry
-    h = len(T) // 2 + 1
+    # the rows come sorted, so those after t = 0 are the ones whose first
+    # nonzero entry is positive: one of each pair +-t
+    h = int(np.flatnonzero(~T.any(axis=1))[0]) + 1
     return PoissonSum(T[h:], np.exp(-math.pi * norms[h:]), radius, k)
 
 
