@@ -64,8 +64,10 @@ class DiscretePMF:
     ``points`` is a (k, d) array holding one support point per row, int64 for
     integer points; a sequence of point tuples is converted to that array,
     and a 2-D array is kept as the same object.  ``masses`` are the
-    normalized probabilities; ``tail_bound`` certifies the relative mass
-    that the truncation may have discarded.
+    probabilities.  ``tail_bound`` bounds the total variation distance, half
+    the l1 distance, of the masses from the distribution they stand for.  For
+    a pmf truncated to a support S and renormalized, that distance is the
+    relative mass outside S, the mass the truncation discarded.
     """
 
     points: np.ndarray
@@ -365,7 +367,8 @@ def truncate_coset(gram: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.nda
 def exact_pmf(s: float, c: float = 0.0) -> DiscretePMF:
     """The table of D_{Z + c, s}: the int64 labels y of the coset points y + c
     that ``truncate_coset`` keeps of the coset Z + c under the Gram matrix
-    1 / s^2, their masses, and its tail.  The one Gaussian the package builds: the
+    1 / s^2, their masses, and its tail, the relative mass discarded
+    (``DiscretePMF.tail_bound``).  The one Gaussian the package builds: the
     sampler's tables and the image side's 1-D terms (``tvd._terms_1d``)."""
     if not s > 0:
         raise ValueError(f"s must be positive, not {s!r}")

@@ -220,8 +220,9 @@ def find_dual_vectors(X: IntMatrix, stream: SampleStream) -> list[tuple[int, ...
     and target e_i (so orthogonality to earlier u's comes for free); entries
     live in {-2..2} on the searched prefix.  Raises SurjectivityError, before
     any probe, when X does not map Z^m onto Z^n (rank-deficient X included),
-    and CollisionNotFound when a budget is exhausted; callers may fall back
-    to exact_dual_fallback.
+    and CollisionNotFound when a budget is exhausted.  The CLI runs it after
+    exact_dual_fallback, where it can change the answer
+    (``cli.best_certificate``).
     """
     n, m = X.shape
     # every certificate needs X Z^m = Z^n; no probe can succeed without it

@@ -306,18 +306,24 @@ class FiberWorkspace:
         k = int(grp.index(np.asarray([z]))[0])
         if not Wk[k] > 0:
             raise ValueError(f"the label region holds no label of the class of {[int(v) for v in z]}")
-        top = self.target_weight(T[int(np.argmax(w))])  # the region's weights are over the heaviest label's
-        return float(self.target_weight(z) * rho * P[k] / (Wk[k] * top))
+        # the region's weights are over the heaviest label's: one exponent
+        # difference, as both weights underflow far below smoothing
+        ratio = math.exp(-math.pi * (self._target_norm(z) - self._target_norm(T[int(np.argmax(w))])))
+        return float(ratio * rho * P[k] / Wk[k])
 
     def region(self) -> np.ndarray:
         """The labels of ``target_region``."""
         return self.target_region[0]
 
+    def _target_norm(self, z: Sequence[int]) -> float:
+        """v^T Gamma v, v = z + X c, under ``_target_region``'s Gamma."""
+        v = np.asarray(z, dtype=float) + self.Xc
+        return float(v @ self._target_frame[0] @ v)
+
     def target_weight(self, z: Sequence[int]) -> float:
         """e^{-pi v^T Gamma v}, v = z + X c, the target weight of the label z
         under ``_target_region``'s Gamma."""
-        v = np.asarray(z, dtype=float) + self.Xc
-        return float(np.exp(-math.pi * (v @ self._target_frame[0] @ v)))
+        return math.exp(-math.pi * self._target_norm(z))
 
 
 def _terms_1d(r: float, c: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -649,8 +655,9 @@ def exact_output_pmf(ws: FiberWorkspace) -> DiscretePMF:
     image's class pmf (``classes``).  The masses add up to the image mass of
     the classes that the region holds, and are not renormalized.
 
-    The tail bounds the l1 distance of the masses from the image pmf, from
-    computed quantities (u = 2^-53).  With P' within e of P in l1
+    The tail is half a bound on the l1 distance of the masses from the image
+    pmf (``DiscretePMF.tail_bound``), from computed quantities (u = 2^-53).
+    With P' within e of P in l1
     (``_image_pmf``), a held class k gets P'_k in place of P_k times its
     share inside the region, and a missed class nothing: at most e, plus
     the P'_k of the missed classes, plus twice the image mass outside the
@@ -666,16 +673,19 @@ def exact_output_pmf(ws: FiberWorkspace) -> DiscretePMF:
     held = Wk > 0
     masses = w * (P / np.where(held, Wk, 1.0))[index]
     ratio = float(np.max(P[held] / Wk[held])) * float(np.sum(np.sort(w)))
-    tail = (3 * e + float(np.sum(P[~held])) + 2 * ratio * tt / (1 - tt) + 3 * ws.target_rounding
-            + (int(np.max(np.bincount(index))) + 2) * ULP)
-    return DiscretePMF(T, masses, min(1.0, tail))
+    l1 = (3 * e + float(np.sum(P[~held])) + 2 * ratio * tt / (1 - tt) + 3 * ws.target_rounding
+          + (int(np.max(np.bincount(index))) + 2) * ULP)
+    return DiscretePMF(T, masses, min(1.0, 0.5 * l1))
 
 
 def target_pmf(ws: FiberWorkspace) -> DiscretePMF:
     """Truncated pmf of the discrete Gaussian on Z^n + X c with shape r X^T,
-    over the labels of the workspace's ``target_region``: its tail, plus
-    twice ``target_rounding`` for the weights' rounding (each normalized
-    mass is within 2 rho / (1 - rho) of itself, rho that bound)."""
+    over the labels of the workspace's ``target_region``.  Its tail bound is
+    the region's tail, the relative mass it discards, plus twice
+    ``target_rounding`` = rho for the weights' rounding: each normalized
+    mass is within 2 rho / (1 - rho) of itself, so the masses are within
+    rho / (1 - rho) <= 2 rho of the renormalized truncation in total
+    variation."""
     _, weights, tail = ws.target_region
     return DiscretePMF(ws.region(), weights / float(np.sum(np.sort(weights))), tail + 2 * ws.target_rounding)
 
@@ -688,6 +698,10 @@ def exact_tvd(p: DiscretePMF, q: DiscretePMF) -> ExactTVDReport:
     as p - q, and the absolute differences are added one at a time in
     lexicographic order of the points.  The points of both pmfs must have
     one dimension; a pmf with no points fits any.
+
+    Each ``tail_bound`` bounds the total variation distance of its pmf from
+    the distribution it stands for, so by the triangle inequality the TVD of
+    the two distributions is within p.tail_bound + q.tail_bound of ``tvd``.
     """
     # two pmfs with no points: no rows, and one key column to sort them by
     Y = np.concatenate([x.points for x in (p, q) if len(x.points)] or [np.zeros((0, 1))])
@@ -695,7 +709,7 @@ def exact_tvd(p: DiscretePMF, q: DiscretePMF) -> ExactTVDReport:
     signed = np.concatenate([p.masses, -q.masses])[order]  # a + (-b) == a - b exactly
     diffs = np.abs(np.add.reduceat(signed, np.flatnonzero(starts)))
     tvd = 0.5 * np.cumsum(np.r_[0.0, diffs])[-1]  # cumsum adds in order
-    trunc = 0.5 * (p.tail_bound + q.tail_bound)
+    trunc = p.tail_bound + q.tail_bound
     return ExactTVDReport(
         tvd=float(tvd), truncation_error=float(trunc),
         support_size=len(diffs), radius=0.0,

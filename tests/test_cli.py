@@ -239,19 +239,24 @@ def test_cmd_quality_not_onto_exits_2_with_one_line(tmp_path, capsys):
 
 
 def test_cmd_quality_whose_search_raises_writes_no_report(tmp_path, capsys, monkeypatch):
+    # each search on a matrix where it runs: the exact fallback on every X,
+    # the collision search where X has two unit certificates (columns 1 and
+    # 3 are both e_1), so the fallback's q2 = 1 does not settle the answer
     import dgsum.cli
     from dgsum.intmat import InvariantViolation
 
     def broken(*args, **kwargs):
         raise InvariantViolation("injected")
 
-    monkeypatch.setattr(dgsum.cli, "find_dual_vectors", broken)
-    xfile = tmp_path / "X.txt"
-    xfile.write_text("1 0 1\n0 1 1\n")
-    out = tmp_path / "run"
-    assert run(["quality", "--x-file", xfile, "--out-dir", out]) == EXIT_INVARIANT
-    assert capsys.readouterr().err == "invariant violation: injected\n"
-    assert list(out.iterdir()) == []
+    for search, rows in (("exact_dual_fallback", "1 0 1\n0 1 1\n"), ("find_dual_vectors", "1 0 1 0\n0 1 0 1\n")):
+        xfile = tmp_path / f"{search}.txt"
+        xfile.write_text(rows)
+        out = tmp_path / search
+        with monkeypatch.context() as patched:
+            patched.setattr(dgsum.cli, search, broken)
+            assert run(["quality", "--x-file", xfile, "--out-dir", out]) == EXIT_INVARIANT, search
+        assert capsys.readouterr().err == "invariant violation: injected\n", search
+        assert list(out.iterdir()) == [], search
 
 
 def test_cmd_kernel(tmp_path):

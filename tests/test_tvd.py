@@ -96,6 +96,26 @@ def test_fiber_weight_matches_fiber():
         assert ws.fiber_weight(z) == pytest.approx(oracle.fiber(z)[0], rel=1e-12)
 
 
+def test_fiber_weight_far_below_smoothing():
+    # X c = (0.4995, 0): the target weights of the region's labels shrink
+    # like e^{-pi 0.25 / r^2}, and the fiber weight is rho_r(Z^4 + c) P_k /
+    # Q_k^reg times the label's weight over the heaviest one's, which is the
+    # region's own weight.  At r = 0.035 target_weight(z) rho underflows
+    # though the fiber weight does not; at r = 0.005 both target weights
+    # underflow (0/0 for their quotient), and so does rho_r(Z^4 + c) <=
+    # e^{-pi (0.4995 / r)^2}: the fiber weight is 0.
+    X = IntMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
+    for r in (0.035, 0.005):
+        ws = FiberWorkspace(X, r, [0.4995, 0.0, 0.0, 0.0])
+        _, index, Wk, P, _, rho = ws.classes
+        T, w, _ = ws.target_region
+        assert len(T) == 2
+        for z, wz, k in zip(T, w, index):
+            want = wz * rho * P[k] / Wk[k]
+            assert ws.fiber_weight(z) == pytest.approx(want, rel=1e-12, abs=0), (r, z)
+        assert (rho > 1e-300) == (r == 0.035) and ws.target_weight(T[int(np.argmax(w))]) < 1e-90
+
+
 def test_workspace_particular_matches_solve_integer():
     rng = np.random.default_rng(5)
     # a non-surjective X first: its image is 2Z x Z
@@ -680,20 +700,21 @@ def test_per_label_tvd_is_within_its_bound_of_the_class_tvd():
 
 
 def test_exact_output_pmf_tail_from_the_class_pmfs():
-    # three times the class pmf's l1 error, the image mass of the classes the
-    # region misses, twice the largest class ratio times the target's tail,
-    # three times the bound on the target weights' rounding, and the
-    # rounding of the largest class's masses
+    # half an l1 bound (the tail bounds the TVD): three times the class
+    # pmf's l1 error, the image mass of the classes the region misses, twice
+    # the largest class ratio times the target's tail, three times the bound
+    # on the target weights' rounding, and the rounding of the largest
+    # class's masses
     X = IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]])
     ws = FiberWorkspace(X, 1.5, [0.0] * 3)
     _, index, _, P, e, _ = ws.classes
     T, w, tt = ws.target_region
     assert len(P) == 6 and np.all(np.bincount(index, minlength=6) > 0)  # every class held
     ratio = float(np.max(P / np.bincount(index, w))) * float(np.sum(w))
-    want = 3 * e + 2 * ratio * tt / (1 - tt) + 3 * ws.target_rounding + (int(np.max(np.bincount(index))) + 2) * ULP
+    l1 = 3 * e + 2 * ratio * tt / (1 - tt) + 3 * ws.target_rounding + (int(np.max(np.bincount(index))) + 2) * ULP
     p = exact_output_pmf(ws)
-    assert p.tail_bound == pytest.approx(want, rel=1e-9, abs=0) and want < 1e-12
-    assert abs(float(np.sum(p.masses)) - 1) <= want
+    assert p.tail_bound == pytest.approx(0.5 * l1, rel=1e-9, abs=0) and l1 < 1e-12
+    assert abs(float(np.sum(p.masses)) - 1) <= l1
     # more classes than labels: the region misses the classes of the labels
     # past it, and their image mass is charged
     X = IntMatrix.from_rows([[1, 200]])
@@ -702,7 +723,7 @@ def test_exact_output_pmf_tail_from_the_class_pmfs():
     _, index, _, P, e, _ = ws.classes
     missed = np.bincount(index, minlength=len(P)) == 0
     assert len(P) == 40001 and len(p.points) < 40001 and np.any(missed)
-    assert float(np.sum(P[missed])) <= p.tail_bound < 1e-10
+    assert float(np.sum(P[missed])) <= 2 * p.tail_bound < 2e-10
 
 
 def test_per_label_pair_far_below_the_smoothing_parameter():
@@ -715,7 +736,7 @@ def test_per_label_pair_far_below_the_smoothing_parameter():
         ws = FiberWorkspace(X, r, [0.5] * 4)
         rep = exact_tvd(exact_output_pmf(ws), target_pmf(ws))
         assert abs(rep.tvd - 0.5) <= rep.truncation_error, r
-    assert rep.truncation_error <= 0.25 + 1e-12  # half of the tail, the missed half of the image
+    assert rep.truncation_error <= 0.25 + 1e-12  # the image tail, half the l1 of the missed half of the image
     with pytest.raises(ValueError, match="no label of the class"):  # z = 0 mod 3: a missed class
         ws.fiber_weight([0, 1])
     ws = FiberWorkspace(X, 0.2, [0.5] * 4)
@@ -821,6 +842,25 @@ def test_exact_tvd_disjoint_supports():
     # an integer label and an equal float point are one support point
     rep = exact_tvd(DiscretePMF(((3,),), np.array([1.0]), 0.0), DiscretePMF(((3.0,),), np.array([1.0]), 0.0))
     assert (rep.tvd, rep.support_size) == (0.0, 1)
+
+
+def test_exact_tvd_charges_a_truncation_its_discarded_mass():
+    # a pmf truncated to a support and renormalized is its discarded mass
+    # tau from the pmf in TVD, and a tail_bound of tau must cover that
+    from dgsum.gaussian import DiscretePMF, exact_pmf
+
+    p = DiscretePMF(((0,), (1,), (2,)), np.array([0.5, 0.3, 0.2]), 0.0)
+    q = DiscretePMF(((0,), (1,)), np.array([0.5, 0.3]) / 0.8, 0.2)
+    rep = exact_tvd(p, q)
+    assert rep.tvd == pytest.approx(0.2, rel=1e-15) and rep.truncation_error == 0.2
+    # the package's own table, cut to |y| <= 1
+    p = exact_pmf(1.5)
+    kept = np.abs(p.points[:, 0]) <= 1
+    tau = 1 - float(np.sum(p.masses[kept]))
+    q = DiscretePMF(p.points[kept], p.masses[kept] / float(np.sum(p.masses[kept])), tau)
+    for a, b in ((p, q), (q, p)):
+        rep = exact_tvd(a, b)
+        assert rep.tvd == pytest.approx(tau, rel=1e-12) and tau <= rep.truncation_error, rep
 
 
 def _dict_tvd_oracle(p, q):
