@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .gaussian import EnumerationBudgetExceeded, SampleStream, draw_ints, exact_pmf, sample_dg_coset
-from .intmat import IntMatrix, is_surjective, norm_sq
+from .intmat import IntMatrix, is_surjective
 from .lattice import reduced_integer_kernel, successive_minima_upper
 from .quality import (
     CollisionNotFound,
@@ -45,6 +45,7 @@ from .quality import (
     find_dual_vectors,
     short_kernel_vectors,
     distance_threshold,
+    unit_certificate,
     parameter_check,
 )
 from .tvd import FiberWorkspace, class_tvd, mc_tvd, target_pmf
@@ -241,24 +242,16 @@ def load_or_draw_matrix(cfg: dict, stream: SampleStream) -> IntMatrix:
     return draw_matrix(cfg["n"], cfg["m"], cfg["s"], stream)
 
 
-def _one_unit_certificate(X: IntMatrix) -> bool:
-    """True when X has exactly one certificate of q2 = 1: for each row i,
-    exactly one column of X equals +-e_i."""
-    rows = Counter(next(i for i, v in enumerate(col) if v) for col in X.cols if norm_sq(col) == 1)
-    return all(rows[i] == 1 for i in range(X.n_rows))
-
-
 def best_certificate(X: IntMatrix, stream: SampleStream):
-    """The verified certificate of smaller q2 from the exact fallback and
-    the collision search, the collision search's on a tie; None when
-    neither verifies.
-
-    The fallback runs first.  Every u_i is a nonzero integer vector, so no
-    certificate has q2 < 1, and one of q2 = 1 is made of unit vectors
-    u_i = +-e_j, column j of X being +-e_i.  When the fallback's certificate
-    has q2 = 1 and X has no other (``_one_unit_certificate``), the collision
-    search could at best tie with the same u, so it is not run.
+    """X's ``unit_certificate`` when it has one, verified: no certificate
+    has q2 < 1, so neither search runs.  Otherwise the verified certificate
+    of smaller q2 from the collision search and the exact fallback, the
+    collision search's on a tie; None when neither verifies.
     """
+    unit = unit_certificate(X)
+    if unit is not None:
+        return certify_quality(X, unit)
+
     def verified(search):
         try:
             cert = certify_quality(X, search())
@@ -266,10 +259,7 @@ def best_certificate(X: IntMatrix, stream: SampleStream):
             return None
         return cert if cert.verified else None
 
-    fallback = verified(lambda: exact_dual_fallback(X))
-    if fallback is not None and max(map(norm_sq, fallback.u)) == 1 and _one_unit_certificate(X):
-        return fallback
-    certs = (verified(lambda: find_dual_vectors(X, stream=stream)), fallback)
+    certs = (verified(lambda: find_dual_vectors(X, stream=stream)), verified(lambda: exact_dual_fallback(X)))
     return min((c for c in certs if c is not None), key=lambda c: c.q2, default=None)
 
 

@@ -81,9 +81,6 @@ class IntMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
 
-    def row(self, i: int) -> IntVector:
-        return self.rows[i]
-
     @cached_property
     def cols(self) -> tuple[IntVector, ...]:
         """The columns, built once per matrix object."""

@@ -11,7 +11,9 @@ finds two random small combinations of given vectors whose sums differ by a
 fixed offset.  With {0,1} combinations and offset 0 it yields the pigeonhole
 relations; with {-1,0,1} combinations of column prefixes and offsets +-e_i it
 yields the u_i, with an exact HNF-based solver as deterministic fallback.
-Every candidate is verified exactly before being returned.
+Every candidate is verified exactly before being returned.  Where each row
+i of X has a column equal to +-e_i, ``unit_certificate`` reads a certificate
+of q2 = 1, the least there is, off those columns.
 """
 
 from __future__ import annotations
@@ -220,8 +222,8 @@ def find_dual_vectors(X: IntMatrix, stream: SampleStream) -> list[tuple[int, ...
     and target e_i (so orthogonality to earlier u's comes for free); entries
     live in {-2..2} on the searched prefix.  Raises SurjectivityError, before
     any probe, when X does not map Z^m onto Z^n (rank-deficient X included),
-    and CollisionNotFound when a budget is exhausted.  The CLI runs it after
-    exact_dual_fallback, where it can change the answer
+    and CollisionNotFound when a budget is exhausted.  The CLI runs it, with
+    exact_dual_fallback, only on X without a ``unit_certificate``
     (``cli.best_certificate``).
     """
     n, m = X.shape
@@ -280,6 +282,21 @@ def exact_dual_fallback(X: IntMatrix) -> list[tuple[int, ...]]:
             raise InvariantViolation(f"fallback dual vector u_{i + 1} fails its pairings")
         us.append(u)
     return us
+
+
+def unit_certificate(X: IntMatrix) -> list[tuple[int, ...]] | None:
+    """u_i = s e_j for the first column j of X equal to s e_i (s = +-1), one
+    per row; None when some row of X has no such column.
+
+    u_i . x_k = s X_kj = delta_ik, the u_i sit on distinct columns and so are
+    orthogonal, and the unit columns make X onto: these u_i always verify.
+    Every u_i of any certificate is a nonzero integer vector, so q2 = 1 is
+    the least q2 there is.
+    """
+    first = [next((j for j, col in enumerate(X.cols) if col[i] and norm_sq(col) == 1), None) for i in range(X.n_rows)]
+    if None in first:
+        return None
+    return [tuple(X.rows[i][j] if k == j else 0 for k in range(X.n_cols)) for i, j in enumerate(first)]
 
 
 def certify_quality(X: IntMatrix, u: Sequence[Sequence[int]]) -> QualityCertificate:

@@ -217,7 +217,7 @@ def _target_region(X: IntMatrix, r: float, c: np.ndarray, grp: ClassGroup) -> tu
     normalized mass, is then within 2 rounding / (1 - rounding) of itself.
     """
     hi, lo = _exact_shift(X, c)
-    scale = r * r * math.prod(grp.D)
+    scale = r * r * math.prod(grp.dims)
     gamma = grp.adj / scale
     T, w, tail = truncate_coset(gamma, hi)
     z0 = np.round(hi)
@@ -231,7 +231,7 @@ def _target_region(X: IntMatrix, r: float, c: np.ndarray, grp: ClassGroup) -> tu
         h, he = _two_sum(h, p)
         e = e + (pe + he)
     diff = h + e
-    g = (len(grp.D) + 3) * ULP
+    g = (len(grp.adj) + 3) * ULP
     B = ((np.abs(Dt) @ np.abs(grp.adj)) * (np.abs(Tz + ref) + 1)).sum(axis=1)
     err = ULP * np.abs(diff) + g * g * B + g * (2 * (np.abs(J) @ np.abs(lo)) + np.where(B >= 2.0 ** 53, B, 0.0))
     N = diff / scale
@@ -402,16 +402,14 @@ class ClassGroup(NamedTuple):
     U G V = diag(D) (``class_group``), and everything that the later stages
     read of it.  z -> U z mod D maps the classes onto the product of the
     Z / D_i, of which the factors D_i > 1 are kept (the last one when
-    d = 1), the grid ``dims``, at the rows ``keep``; ``Vk`` holds the kept
-    rows of V^T, each reduced mod its D_i.  ``adj`` is adj(G) =
+    d = 1), the grid ``dims`` of d cells; ``Uk`` and ``Vk`` hold the kept
+    rows of U and of V^T, each reduced mod its D_i.  ``adj`` is adj(G) =
     V diag(d / D) U and ``adjX`` is adj(G) X, and ``cols`` holds the class
     a_j = U x_j mod D of each column x_j of X, one int64 row per column: all
     formed exactly in integers, the first two stored as floats."""
 
-    U: IntMatrix
-    D: list[int]
-    keep: list[int]
     dims: tuple[int, ...]
+    Uk: np.ndarray
     Vk: np.ndarray
     adj: np.ndarray
     adjX: np.ndarray
@@ -420,8 +418,7 @@ class ClassGroup(NamedTuple):
     def index(self, T: np.ndarray) -> np.ndarray:
         """The class U z mod D of each label row z of T, as a flat index into
         the C-ordered grid ``dims``."""
-        Uk = np.array([[u % self.D[i] for u in self.U.rows[i]] for i in self.keep], dtype=np.int64)
-        return np.ravel_multi_index(tuple((np.asarray(T, dtype=np.int64) @ Uk.T % self.dims).T), self.dims)
+        return np.ravel_multi_index(tuple((np.asarray(T, dtype=np.int64) @ self.Uk.T % self.dims).T), self.dims)
 
 
 def class_group(X: IntMatrix) -> ClassGroup:
@@ -437,7 +434,8 @@ def class_group(X: IntMatrix) -> ClassGroup:
     adj = smith_adjugate(U, V, D)
     UX = (U @ X).rows
     return ClassGroup(
-        U, D, keep, tuple(D[i] for i in keep),
+        tuple(D[i] for i in keep),
+        np.array([[u % D[i] for u in U.rows[i]] for i in keep], dtype=np.int64),
         np.array([[v % D[i] for v in V.cols[i]] for i in keep], dtype=np.int64),
         np.array(adj.rows, dtype=float),
         np.array((adj @ X).rows, dtype=float),
@@ -529,7 +527,7 @@ def _dual_target(r: float, c: np.ndarray, grp: ClassGroup, half: tuple) -> tuple
     terms, of which the half grid is read.  ValueError where W'(0) does not
     exceed e_W(0), which the side rule leaves to the primal region."""
     dims = grp.dims
-    d = math.prod(grp.D)
+    d = math.prod(dims)
     n, m = grp.adjX.shape
     gram = grp.adj * (r * r / d)
     target = poisson_sum(gram)

@@ -239,18 +239,16 @@ def test_cmd_quality_not_onto_exits_2_with_one_line(tmp_path, capsys):
 
 
 def test_cmd_quality_whose_search_raises_writes_no_report(tmp_path, capsys, monkeypatch):
-    # each search on a matrix where it runs: the exact fallback on every X,
-    # the collision search where X has two unit certificates (columns 1 and
-    # 3 are both e_1), so the fallback's q2 = 1 does not settle the answer
+    # each search on an onto X with no unit column, so both searches run
     import dgsum.cli
     from dgsum.intmat import InvariantViolation
 
     def broken(*args, **kwargs):
         raise InvariantViolation("injected")
 
-    for search, rows in (("exact_dual_fallback", "1 0 1\n0 1 1\n"), ("find_dual_vectors", "1 0 1 0\n0 1 0 1\n")):
-        xfile = tmp_path / f"{search}.txt"
-        xfile.write_text(rows)
+    xfile = tmp_path / "X.txt"
+    xfile.write_text("1 2 1\n1 1 2\n")
+    for search in ("exact_dual_fallback", "find_dual_vectors"):
         out = tmp_path / search
         with monkeypatch.context() as patched:
             patched.setattr(dgsum.cli, search, broken)
@@ -725,11 +723,11 @@ def test_tvd_exact_op_decomposes_and_enumerates_once(tmp_path, monkeypatch):
     xfile = tmp_path / "X.txt"
     xfile.write_text("1 0 1 1\n0 1 1 -1\n")
     assert run(["tvd", "--x-file", xfile, "--exact", "--seed", "4", "--out-dir", tmp_path / "run"]) == EXIT_OK
-    # X (certificate search and the class TVD's checks), the augmented
-    # [X; u_1] and G = X X^T for the coset classes
-    assert len(hnf) == 3 and hnf[0][0].rows == ((1, 0, 1, 1), (0, 1, 1, -1))
-    assert len(hnf[1][0].rows) == 3
-    assert hnf[2][0].rows == ((3, 0), (0, 3))
+    # X (the unit certificate's check and the class TVD's) and G = X X^T for
+    # the coset classes; X has the unit certificate (e_1, e_2), so no search
+    # decomposes an augmented [X; u_1]
+    assert len(hnf) == 2 and hnf[0][0].rows == ((1, 0, 1, 1), (0, 1, 1, -1))
+    assert hnf[1][0].rows == ((3, 0), (0, 3))
     # no label region and no kernel-dual sum: one dual sum over Z^n for the
     # target, built from its Gram matrix, and its one enumeration
     assert len(region) == 0 and [args[0].shape for args in enum] == [(2, 2)]
@@ -747,8 +745,9 @@ def test_kernel_op_decomposes_each_matrix_once(tmp_path, monkeypatch):
     xfile = tmp_path / "X.txt"
     xfile.write_text("1 0 1 1 2 -1\n0 1 1 -1 1 2\n")
     assert run(["kernel", "--x-file", xfile, "--seed", "4", "--out-dir", tmp_path / "run"]) == EXIT_OK
-    matrices = [args[0] for args in hnf]
-    assert len(matrices) == len(set(matrices)) == 2
+    # X alone: it has the unit certificate (e_1, e_2), so no search
+    # decomposes an augmented [X; u_1]
+    assert [args[0].rows for args in hnf] == [((1, 0, 1, 1, 2, -1), (0, 1, 1, -1, 1, 2))]
 
 
 def test_decompositions_do_not_outlive_an_op(tmp_path, monkeypatch):

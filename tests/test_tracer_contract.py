@@ -48,12 +48,14 @@ def test_tvd_exact_op_spans(tmp_path):
     assert tracer.calls["tvd.region"] == 0
     assert tracer.calls["tvd.fiber_weight"] == 0
     assert tracer.calls["tvd.target_pmf"] == 0
-    # X, the augmented [X; u_1], and G = X X^T for the coset classes
-    assert tracer.calls["intmat.hnf_column"] == 3
+    # X (the unit certificate's check that X is onto) and G = X X^T for the
+    # coset classes; columns 1 and 2 are e_1 and e_2, so neither certificate
+    # search runs and no augmented [X; u_1] is decomposed
+    assert tracer.calls["intmat.hnf_column"] == 2
     # one enumeration: the target's dual sum over Z^n, from its Gram matrix
     assert tracer.calls["gaussian.enumerate_affine"] == 1
-    # ker X, reduced once for u_1, and ker [X; u_1] for u_2
-    assert tracer.calls["lattice.lll_reduce"] == 2
+    # and no kernel is reduced
+    assert tracer.calls["lattice.lll_reduce"] == 0
     assert tracer.calls["intmat.fraction_rank"] == 0
 
 
@@ -104,7 +106,8 @@ def test_kernel_op_spans(tmp_path):
     assert written == ["kernel.json", "manifest.json"]
     sizes = sum((out / name).stat().st_size for name in written)
     assert tracer.counts["cli.report_bytes"] == sizes
-    # one reduction per kernel lattice: ker X (the report and u_1) and ker [X; u_1]
+    # one reduction, of ker X for the report: X has the unit certificate
+    # (e_1, e_2), so no search reduces ker [X; u_1]
     assert tracer.calls["intmat.fraction_rank"] == 0
-    assert tracer.calls["lattice.lll_reduce"] == len(reduced) == 2
-    assert [B.n_cols for B in reduced] == [4, 3]
+    assert tracer.calls["lattice.lll_reduce"] == len(reduced) == 1
+    assert [B.n_cols for B in reduced] == [4]
