@@ -27,6 +27,7 @@ import os
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .gaussian import EnumerationBudgetExceeded, SampleStream, draw_ints, exact_pmf, sample_dg_coset
-from .intmat import IntMatrix, is_surjective
+from .intmat import IntMatrix, InvariantViolation, is_surjective, norm_sq
 from .lattice import reduced_integer_kernel, successive_minima_upper
 from .quality import (
     CollisionNotFound,
@@ -243,24 +244,40 @@ def load_or_draw_matrix(cfg: dict, stream: SampleStream) -> IntMatrix:
 
 
 def best_certificate(X: IntMatrix, stream: SampleStream):
-    """X's ``unit_certificate`` when it has one, verified: no certificate
-    has q2 < 1, so neither search runs.  Otherwise the verified certificate
-    of smaller q2 from the collision search and the exact fallback, the
-    collision search's on a tie; None when neither verifies.
+    """X's verified certificate of least q2 found, or None.
+
+    X's ``unit_certificate`` when it has one: no certificate has q2 < 1, so
+    neither search runs.  Otherwise no certificate has q2^2 < 2: a u_i with
+    ||u_i||^2 = 1 is some +-e_j, and u_i . x_k = delta_ik would make column
+    j equal +-e_i.  So the exact fallback runs first and is returned where
+    it verifies at q2^2 = 2, the least there is.  Elsewhere the collision
+    search runs too, and the verified certificate of smaller q2 wins, the
+    collision search's on a tie.  ``search_stats`` names the path that gave
+    the certificate (unit, fallback or collision) and the searches run.
     """
     unit = unit_certificate(X)
     if unit is not None:
-        return certify_quality(X, unit)
+        return replace(certify_quality(X, unit), search_stats={"path": "unit", "searches_run": 0})
 
     def verified(search):
         try:
             cert = certify_quality(X, search())
         except (CollisionNotFound, SurjectivityError):
             return None
-        return cert if cert.verified else None
+        if not cert.verified:
+            return None
+        if max(map(norm_sq, cert.u)) < 2:
+            raise InvariantViolation("a certificate of q2^2 < 2 verified on X without a unit certificate")
+        return cert
 
-    certs = (verified(lambda: find_dual_vectors(X, stream=stream)), verified(lambda: exact_dual_fallback(X)))
-    return min((c for c in certs if c is not None), key=lambda c: c.q2, default=None)
+    fallback = verified(lambda: exact_dual_fallback(X))
+    if fallback is not None and max(map(norm_sq, fallback.u)) == 2:
+        return replace(fallback, search_stats={"path": "fallback", "searches_run": 1})
+    collision = verified(lambda: find_dual_vectors(X, stream=stream))
+    best = min((c for c in (collision, fallback) if c is not None), key=lambda c: c.q2, default=None)
+    if best is None:
+        return None
+    return replace(best, search_stats={"path": "fallback" if best is fallback else "collision", "searches_run": 2})
 
 
 class Run(NamedTuple):
@@ -300,12 +317,11 @@ def cmd_quality(cfg: dict, stream: SampleStream) -> Run:
     X = load_or_draw_matrix(cfg, stream.substream(0))
     n, m = X.shape
     cert = best_certificate(X, stream.substream(1))
-    sigma1 = float(np.linalg.svd(X.to_numpy(), compute_uv=False)[0])
     params = CollisionSearchParams.for_matrix(X)
     report = cert.to_json_dict() if cert is not None else {"verified": False}
     report["nominal_bounds"] = {
-        "q1": sigma1 * math.sqrt(max(n * math.log2(max(m, 2)), 1e-12)),
-        "q2": 2.0 * math.sqrt(max(30.0 * n * math.log2(max(sigma1 * n, 2.0)), 0.0)),
+        "q1": params.sigma1 * math.sqrt(max(n * math.log2(max(m, 2)), 1e-12)),
+        "q2": 2.0 * math.sqrt(max(30.0 * n * math.log2(max(params.sigma1 * n, 2.0)), 0.0)),
         "t": params.t,
         "prefix_budget": params.prefix_budget,
     }

@@ -13,7 +13,8 @@ relations; with {-1,0,1} combinations of column prefixes and offsets +-e_i it
 yields the u_i, with an exact HNF-based solver as deterministic fallback.
 Every candidate is verified exactly before being returned.  Where each row
 i of X has a column equal to +-e_i, ``unit_certificate`` reads a certificate
-of q2 = 1, the least there is, off those columns.
+of q2 = 1, the least there is, off those columns; on any other X no
+certificate has q2^2 < 2.
 """
 
 from __future__ import annotations
@@ -54,8 +55,10 @@ LLL_RANK_CAP = 12  # largest kernel rank exact_dual_fallback shortens with LLL
 
 @dataclass(frozen=True)
 class CollisionSearchParams:
-    """Column prefix of the collision search; ``t`` follows 3 n log2(sigma1 n)."""
+    """Column prefix of the collision search; ``t`` follows 3 n log2(sigma1 n),
+    sigma1 the largest singular value of X."""
 
+    sigma1: float
     t: float
     prefix_budget: int
 
@@ -64,7 +67,7 @@ class CollisionSearchParams:
         n, m = X.shape
         sigma1 = float(np.linalg.svd(X.to_numpy(), compute_uv=False)[0])
         t = 3.0 * n * math.log2(max(sigma1 * n, 2.0))
-        return CollisionSearchParams(t=t, prefix_budget=min(m, int(10 * t)))
+        return CollisionSearchParams(sigma1=sigma1, t=t, prefix_budget=min(m, int(10 * t)))
 
 
 @dataclass(frozen=True)
@@ -222,9 +225,9 @@ def find_dual_vectors(X: IntMatrix, stream: SampleStream) -> list[tuple[int, ...
     and target e_i (so orthogonality to earlier u's comes for free); entries
     live in {-2..2} on the searched prefix.  Raises SurjectivityError, before
     any probe, when X does not map Z^m onto Z^n (rank-deficient X included),
-    and CollisionNotFound when a budget is exhausted.  The CLI runs it, with
-    exact_dual_fallback, only on X without a ``unit_certificate``
-    (``cli.best_certificate``).
+    and CollisionNotFound when a budget is exhausted.  The CLI runs it only on
+    X without a ``unit_certificate`` whose exact fallback fails or reads
+    q2^2 > 2 (``cli.best_certificate``).
     """
     n, m = X.shape
     # every certificate needs X Z^m = Z^n; no probe can succeed without it
@@ -260,7 +263,10 @@ def exact_dual_fallback(X: IntMatrix) -> list[tuple[int, ...]]:
     system is decomposed and reduced once, for both the solution and the
     kernel; for u_1 the system is X itself, so its reduced kernel is the one
     the kernel report reads.  No a-priori norm bound;
-    the achieved q2 is whatever comes out.
+    the achieved q2 is whatever comes out.  The CLI runs it first on X
+    without a ``unit_certificate``, and where it reads q2^2 = 2, the least
+    such an X admits, the collision search does not run
+    (``cli.best_certificate``).
     """
     n, m = X.shape
     if not is_surjective(X):  # also false for a rank-deficient X

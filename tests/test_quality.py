@@ -405,6 +405,7 @@ def test_fallback_and_search_share_verifier():
 def test_search_params_schedule():
     p = CollisionSearchParams.for_matrix(X2)
     s1 = float(np.linalg.svd(X2.to_numpy(), compute_uv=False)[0])
+    assert p.sigma1 == s1
     assert p.t == pytest.approx(3 * 2 * math.log2(s1 * 2))
     assert p.prefix_budget == min(3, int(10 * p.t))
 
