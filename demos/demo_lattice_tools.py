@@ -39,7 +39,7 @@ def main():
     dual = dual_basis(basis)
     print(f"  primal columns {basis.vectors()}")
     print(f"  dual columns   {dual}")
-    for i, b in enumerate(basis.matrix.columns()):
+    for i, b in enumerate(basis.matrix.cols):
         row = [sum(Fraction(x) * y for x, y in zip(b, d)) for d in dual]
         print(f"  pairing row {i}: {row}")
 

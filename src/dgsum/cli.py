@@ -35,12 +35,11 @@ import numpy as np
 
 from . import __version__
 from .gaussian import EnumerationBudgetExceeded, SampleStream, draw_ints, exact_pmf, sample_dg_coset
-from .intmat import IntMatrix, InvariantViolation, is_surjective, norm_sq
+from .intmat import IntMatrix, InvariantViolation, SurjectivityError, is_surjective, norm_sq
 from .lattice import reduced_integer_kernel, successive_minima_upper
 from .quality import (
     CollisionNotFound,
     CollisionSearchParams,
-    SurjectivityError,
     certify_quality,
     exact_dual_fallback,
     find_dual_vectors,
@@ -543,7 +542,7 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except ValueError as exc:  # includes RankError, NotInSupport, LinAlgError
+    except ValueError as exc:  # includes RankError, SurjectivityError, LinAlgError
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_GATE
     except EnumerationBudgetExceeded as exc:

@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .intmat import IntMatrix
+from .intmat import IntMatrix, fraction_rank
 
 ENUM_BUDGET = 20_000_000  # max entries of one enumeration, max terms of one dual sum
 DUAL_TAIL = 2.0 ** -100  # certified relative tail of every truncation, primal and dual
@@ -420,8 +420,6 @@ def sample_dg_coset(s: float, c: Sequence[float], size: int, stream: SampleStrea
 
 def push_to_lattice(B: IntMatrix, x: Sequence[int]) -> tuple[int, ...]:
     """Map integer coefficients x to the lattice point B x (injective on Z^n)."""
-    from .intmat import fraction_rank
-
     if len(x) != B.n_cols:
         raise ValueError("dimension mismatch")
     if fraction_rank(B.rows) < B.n_cols:

@@ -30,6 +30,10 @@ class InvariantViolation(AssertionError):
     """An internal consistency check failed; raised explicitly, so it survives ``python -O``."""
 
 
+class SurjectivityError(ValueError):
+    """X does not map Z^m onto Z^n (``require_surjective``)."""
+
+
 def _as_int(x) -> int:
     """``x`` as a Python int: an int is returned as it is; anything else (bool,
     numpy integer, float) is converted and must equal its conversion, so
@@ -86,12 +90,6 @@ class IntMatrix:
         """The columns, built once per matrix object."""
         return tuple(zip(*self.rows))
 
-    def column(self, j: int) -> IntVector:
-        return self.cols[j]
-
-    def columns(self) -> list[IntVector]:
-        return list(self.cols)
-
     @property
     def T(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows))) if self.rows else self
@@ -116,9 +114,8 @@ class IntMatrix:
         and kept with the matrix object (not with its contents), so that every
         solve, kernel and surjectivity test of one matrix shares one
         decomposition.  The kernel columns are checked once, here."""
-        H, U = hnf_column(self)
-        pivots = hnf_pivots(H)
-        kernel = tuple(U.column(j) for j in range(len(pivots), self.n_cols))
+        H, U, pivots = hnf_column(self)
+        kernel = U.cols[len(pivots):]
         if any(any(self @ v) for v in kernel):
             raise InvariantViolation("HNF kernel column not in the kernel of X")
         return Hermite(H, U, pivots, kernel)
@@ -146,8 +143,8 @@ class IntMatrix:
 
 
 class Hermite(NamedTuple):
-    """X U = H from hnf_column(X), H's pivots and the integer kernel of X
-    (the columns of U over the zero columns of H)."""
+    """X U = H and H's (row, column) pivots from hnf_column(X), and the
+    integer kernel of X (the columns of U over the zero columns of H)."""
 
     H: IntMatrix
     U: IntMatrix
@@ -165,17 +162,20 @@ def norm_sq(a: Sequence[int]) -> int:
     return sum(map(operator.mul, a, a))
 
 
-def hnf_column(X: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Column-style Hermite normal form: returns (H, U) with X @ U = H.
+def hnf_column(X: IntMatrix) -> tuple[IntMatrix, IntMatrix, tuple[tuple[int, int], ...]]:
+    """Column-style Hermite normal form: returns (H, U, pivots) with X @ U = H.
 
     U is unimodular; H is lower column-echelon with positive pivots and the
-    entries to the right of each pivot reduced.  Columns of U over the zero
-    columns of H generate the integer kernel of X.  The column operations
-    run on the columns of [X; I], whose first n entries end as H's and last
-    m entries as U's.
+    entries to the right of each pivot reduced.  ``pivots`` holds the
+    (row, column) of each pivot as the elimination fixes it, the first
+    nonzero of each nonzero column of H; the columns past the last pivot are
+    H's zero columns, and the columns of U over them generate the integer
+    kernel of X.  The column operations run on the columns of [X; I], whose
+    first n entries end as H's and last m entries as U's.
     """
     n, m = X.shape
     cols = [[*col, *[0] * j, 1, *[0] * (m - j - 1)] for j, col in enumerate(X.cols)]
+    pivots = []
     p = 0  # the pivot column
     for row in range(n):
         # eliminate within row using gcd column operations
@@ -197,22 +197,12 @@ def hnf_column(X: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             q = cols[j][row] // cols[p][row]
             if q:
                 cols[j] = [a - q * b for a, b in zip(cols[j], cols[p])]
+        pivots.append((row, p))
         p += 1
         if p == m:
             break
     rows = tuple(zip(*cols)) or ((),) * n  # m = 0: n empty rows
-    return IntMatrix(rows[:n]), IntMatrix(rows[n:])
-
-
-def hnf_pivots(H: IntMatrix) -> tuple[tuple[int, int], ...]:
-    """(row, col) of each pivot of a column HNF: the first nonzero of each nonzero column."""
-    pivots = []
-    for j in range(H.n_cols):
-        col = H.column(j)
-        nz = [i for i, x in enumerate(col) if x != 0]
-        if nz:
-            pivots.append((nz[0], j))
-    return tuple(pivots)
+    return IntMatrix(rows[:n]), IntMatrix(rows[n:]), tuple(pivots)
 
 
 def solve_integer(X: IntMatrix, target: Sequence[int]) -> IntVector | None:
@@ -245,6 +235,14 @@ def is_surjective(X: IntMatrix) -> bool:
     if len(pivots) != X.n_rows:
         return False
     return all(H.rows[r][c] == 1 for (r, c) in pivots)
+
+
+def require_surjective(X: IntMatrix) -> None:
+    """SurjectivityError unless X maps Z^m onto Z^n (so X has full row rank
+    and every label has a fiber): the one onto check before a certificate
+    search or a TVD."""
+    if not is_surjective(X):
+        raise SurjectivityError("X does not map Z^m onto Z^n: some labels have no fiber")
 
 
 def independent_rows(rows: Sequence[Sequence[int]]) -> Iterator[int]:
@@ -318,13 +316,13 @@ def smith(G: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[int]]:
         return not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(A.rows))
 
     U = None  # the identity until the first row operation
-    A, V = hnf_column(G)
+    A, V, _ = hnf_column(G)
     while True:
         while not diagonal(A):
-            H, W = hnf_column(A.T)
+            H, W, _ = hnf_column(A.T)
             A, U = H.T, W.T if U is None else W.T @ U
             if not diagonal(A):
-                A, W = hnf_column(A)
+                A, W, _ = hnf_column(A)
                 V = V @ W
         D = [A.rows[i][i] for i in range(n)]
         pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if D[j] % D[i]), None)

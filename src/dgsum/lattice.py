@@ -52,7 +52,7 @@ class LatticeBasis:
     @cached_property
     def gso(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """``_integral_gso`` of the columns, as tuples (d, lam)."""
-        d, lam = _integral_gso([list(c) for c in self.matrix.columns()])
+        d, lam = _integral_gso([list(c) for c in self.matrix.cols])
         return tuple(d), tuple(map(tuple, lam))
 
     @property
@@ -64,7 +64,7 @@ class LatticeBasis:
         return self.matrix.n_rows
 
     def vectors(self) -> list[tuple[int, ...]]:
-        return self.matrix.columns()
+        return list(self.matrix.cols)
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,9 @@ class SmoothingBound:
     value: float
 
 
-def _require_full_row_rank(X: IntMatrix) -> None:
-    """RankError unless X (n x m) has full row rank n: its kernel rank is m - n."""
+def require_full_row_rank(X: IntMatrix) -> None:
+    """RankError unless X (n x m) has full row rank n: its kernel rank is m - n.
+    The one rank check on X, before a kernel or a TVD."""
     n, m = X.shape
     k = len(X.hermite.kernel)  # rank(X) + k = m
     if k != m - n:
@@ -91,7 +92,7 @@ def integer_kernel(X: IntMatrix) -> LatticeBasis:
     Requires X of full row rank n with m >= n; the returned rank m - n basis
     (the raw HNF kernel columns) generates all integer solutions.
     """
-    _require_full_row_rank(X)
+    require_full_row_rank(X)
     return LatticeBasis(IntMatrix.from_columns(X.hermite.kernel), provenance="raw")
 
 
@@ -99,7 +100,7 @@ def reduced_integer_kernel(X: IntMatrix) -> LatticeBasis:
     """``X.reduced_kernel``, the LLL-reduced basis of ``integer_kernel(X)``'s
     lattice, under the same full-row-rank requirement.  The requirement is
     read off the kernel's length, so no second raw basis is built for it."""
-    _require_full_row_rank(X)
+    require_full_row_rank(X)
     return X.reduced_kernel
 
 
@@ -162,7 +163,7 @@ def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
     against the reduced basis's own ``gso``; the input basis is not changed.
     """
     num, den = LOVASZ.numerator, LOVASZ.denominator
-    b = [list(c) for c in basis.matrix.columns()]
+    b = [list(c) for c in basis.matrix.cols]
     r = len(b)
     if r <= 1:
         return LatticeBasis(basis.matrix, provenance="reduced")
@@ -224,7 +225,7 @@ def nearest_plane(basis: LatticeBasis, target: Sequence[Fraction]) -> tuple[int,
     computed here.  Expects a reduced basis for good quality; correctness
     (membership) holds for any basis.
     """
-    cols = basis.matrix.columns()
+    cols = basis.matrix.cols
     ratios = [Fraction(x).as_integer_ratio() for x in target]
     L = math.lcm(*(q for _, q in ratios))
     d, lam = basis.gso

@@ -27,23 +27,21 @@ from typing import Sequence
 import numpy as np
 
 from .gaussian import SampleStream
-from .intmat import (
+from .intmat import (  # SurjectivityError is re-exported: the searches raise it
     IntMatrix,
     InvariantViolation,
+    SurjectivityError,
     dot,
     independent_rows,
     is_surjective,
     norm_sq,
+    require_surjective,
     solve_integer,
 )
-from .lattice import nearest_plane
+from .lattice import nearest_plane, smoothing_bound
 
 
 class CollisionNotFound(RuntimeError):
-    pass
-
-
-class SurjectivityError(ValueError):
     pass
 
 
@@ -98,7 +96,7 @@ class ShortKernelBasis:
 
 
 def _max_column_norm_sq(X: IntMatrix) -> int:
-    return max(norm_sq(c) for c in X.columns())
+    return max(norm_sq(c) for c in X.cols)
 
 
 def column_bound(X: IntMatrix) -> float:
@@ -224,15 +222,15 @@ def find_dual_vectors(X: IntMatrix, stream: SampleStream) -> list[tuple[int, ...
     The i-th vector is found against X augmented with the rows u_1..u_{i-1}
     and target e_i (so orthogonality to earlier u's comes for free); entries
     live in {-2..2} on the searched prefix.  Raises SurjectivityError, before
-    any probe, when X does not map Z^m onto Z^n (rank-deficient X included),
-    and CollisionNotFound when a budget is exhausted.  The CLI runs it only on
+    any probe, when X does not map Z^m onto Z^n (rank-deficient X included;
+    ``intmat.require_surjective``), and CollisionNotFound when a budget is
+    exhausted.  The CLI runs it only on
     X without a ``unit_certificate`` whose exact fallback fails or reads
     q2^2 > 2 (``cli.best_certificate``).
     """
     n, m = X.shape
     # every certificate needs X Z^m = Z^n; no probe can succeed without it
-    if not is_surjective(X):
-        raise SurjectivityError("X does not map Z^m onto Z^n")
+    require_surjective(X)
     prefix = CollisionSearchParams.for_matrix(X).prefix_budget
     # an unlucky early u_i can make a later augmented search infeasible, so
     # restart the whole sequence with a fresh substream a few times
@@ -263,14 +261,14 @@ def exact_dual_fallback(X: IntMatrix) -> list[tuple[int, ...]]:
     system is decomposed and reduced once, for both the solution and the
     kernel; for u_1 the system is X itself, so its reduced kernel is the one
     the kernel report reads.  No a-priori norm bound;
-    the achieved q2 is whatever comes out.  The CLI runs it first on X
+    the achieved q2 is whatever comes out.  SurjectivityError, before any
+    solve, when X does not map Z^m onto Z^n.  The CLI runs it first on X
     without a ``unit_certificate``, and where it reads q2^2 = 2, the least
     such an X admits, the collision search does not run
     (``cli.best_certificate``).
     """
     n, m = X.shape
-    if not is_surjective(X):  # also false for a rank-deficient X
-        raise SurjectivityError("X does not map Z^m onto Z^n")
+    require_surjective(X)  # also raises for a rank-deficient X
     us: list[tuple[int, ...]] = []
     for i in range(n):
         # X itself for u_1, so its decomposition is the one already checked
@@ -374,12 +372,14 @@ def short_kernel_vectors(X: IntMatrix, cert: QualityCertificate) -> ShortKernelB
 
 
 def distance_threshold(q1: float, q2: float, m: int, n: int, eps: float) -> float:
-    """Least-singular-value threshold guaranteeing statistical distance 2 eps."""
+    """Least-singular-value threshold guaranteeing statistical distance 2 eps:
+    the Lemma 3.3 bound (``lattice.smoothing_bound``) on the smoothing
+    parameter of the rank m - n kernel lattice at lambda = 1 + q1 q2."""
     if not (m > n >= 1):
         raise ValueError("need m > n >= 1")
     if not 0 < eps < 1 / 3:
         raise ValueError("eps must be in (0, 1/3)")
-    return (1.0 + q1 * q2) * math.sqrt(math.log(2 * (m - n) * (1 + 1 / eps)) / math.pi)
+    return smoothing_bound(m - n, eps, 1 + q1 * q2).value
 
 
 def parameter_check(n: int, m: int, eps: float, s: float, r: float | None) -> dict:
@@ -396,7 +396,7 @@ def parameter_check(n: int, m: int, eps: float, s: float, r: float | None) -> di
         10.0 * n * s * math.log2(max(m, 2))
         * math.sqrt(max(math.log2(1 / eps), 0.0) * math.log2(max(n * s, 2.0)))
     )
-    s_rhs = 9.0 * math.sqrt(math.log(2 * n * (1 + 1 / eps)) / math.pi)
+    s_rhs = smoothing_bound(n, eps, 9.0).value
     return {
         "m_condition": {"lhs": m, "rhs": m_rhs, "holds": m >= m_rhs},
         "r_condition": {"lhs": r, "rhs": r_rhs, "holds": r is not None and r >= r_rhs},

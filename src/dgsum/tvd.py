@@ -101,15 +101,11 @@ from .gaussian import (
     poisson_sum,
     truncate_coset,
 )
-from .intmat import IntMatrix, InvariantViolation, is_surjective, smith, smith_adjugate
-from .lattice import smoothing_bound
+from .intmat import IntMatrix, InvariantViolation, require_surjective, smith, smith_adjugate
+from .lattice import require_full_row_rank, smoothing_bound
 
 ULP = 2.0 ** -53  # unit roundoff u of float64
 MC_CONFIDENCE = 0.99  # level of the MC confidence interval
-
-
-class NotInSupport(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -146,12 +142,11 @@ class MCTVDReport:
 
 def _reduced_shift(X: IntMatrix, c: Sequence[float]) -> np.ndarray:
     """c - round(c): every pmf of X D_{Z^m + c, r} depends on c only mod Z^m.
-    ValueError unless X (n x m) has full row rank and c has m entries,
-    NotInSupport unless X maps Z^m onto Z^n (every label has a fiber)."""
-    if len(X.hermite.pivots) < X.n_rows:
-        raise ValueError("X must have full row rank")
-    if not is_surjective(X):
-        raise NotInSupport("X does not map Z^m onto Z^n: some labels have no fiber")
+    RankError unless X (n x m) has full row rank, SurjectivityError unless X
+    maps Z^m onto Z^n (every label has a fiber), ValueError unless c has m
+    entries."""
+    require_full_row_rank(X)
+    require_surjective(X)
     c = np.asarray(list(c), dtype=float)
     if c.shape != (X.n_cols,):
         raise ValueError("shift dimension mismatch")
@@ -265,11 +260,6 @@ class FiberWorkspace:
     @cached_property
     def _target_frame(self) -> tuple[np.ndarray, tuple, float]:
         return _target_region(self.X, self.r, self.c, self._group)
-
-    @property
-    def target_gram(self) -> np.ndarray:
-        """r^2 X X^T, the Gram matrix of the target shape r X^T."""
-        return self.r * self.r * (self.X @ self.X.T).to_numpy()
 
     @property
     def target_region(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -425,7 +415,7 @@ def class_group(X: IntMatrix) -> ClassGroup:
     """The ``ClassGroup`` of X, from one ``intmat.smith(X X^T)``, which checks
     prod D = d = det G; EnumerationBudgetExceeded when d exceeds ENUM_BUDGET."""
     n = X.n_rows
-    G = IntMatrix(tuple([tuple([sum(map(operator.mul, a, b)) for b in X.rows]) for a in X.rows]))  # X X^T
+    G = X @ X.T
     U, V, D = smith(G)
     d = math.prod(D)
     if d > ENUM_BUDGET:

@@ -58,7 +58,7 @@ def particular_map(X: IntMatrix) -> IntMatrix:
     """The first n columns P of X's HNF transform U: X is onto, so H = [I | 0]
     and X P = I (checked)."""
     n = X.n_rows
-    P = IntMatrix.from_columns(X.hermite.U.column(j) for j in range(n))
+    P = IntMatrix.from_columns(X.hermite.U.cols[:n])
     if (X @ P).rows != IntMatrix.identity(n).rows:
         raise InvariantViolation("HNF particular map P does not solve X P = I")
     return P

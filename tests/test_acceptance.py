@@ -323,7 +323,8 @@ def test_criterion_9_pushforward_reduction():
         tuple(push_to_lattice(B, z) for z in p.points), p.masses, p.tail_bound
     )
     pts = [push_to_lattice(B, z) for z in q.points]
-    W = np.linalg.inv(np.linalg.cholesky(Bf @ ws.target_gram @ Bf.T))  # whitens the pushed shape
+    gram = ws.r**2 * (ws.X @ ws.X.T).to_numpy()  # r^2 X X^T, of the target shape r X^T
+    W = np.linalg.inv(np.linalg.cholesky(Bf @ gram @ Bf.T))  # whitens the pushed shape
     w = np.array(pts, dtype=float) @ W.T
     vals = np.exp(-math.pi * np.einsum("ij,ij->i", w, w))
     q_pushed = DiscretePMF(tuple(pts), vals / float(np.sum(np.sort(vals))), q.tail_bound)

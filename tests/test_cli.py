@@ -871,10 +871,10 @@ if sys.flags.optimize != 1:
 hnf = intmat.hnf_column
 
 def broken(X):
-    H, U = hnf(X)
+    H, U, pivots = hnf(X)
     rows = [list(r) for r in U.rows]
     rows[0][-1] += 1  # the kernel column of U no longer solves X v = 0
-    return H, intmat.IntMatrix.from_rows(rows)
+    return H, intmat.IntMatrix.from_rows(rows), pivots
 
 intmat.hnf_column = broken
 sys.exit(dgsum.cli.main(["kernel", "--x-file", {str(xfile)!r}, "--out-dir", {str(tmp_path / "run")!r}]))

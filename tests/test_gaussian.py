@@ -179,7 +179,7 @@ def test_primal_tail_bound_is_certified():
         for c in ([0.5, 0.0, 0.0, 0.0], [0.5] * 4):
             ws = FiberWorkspace(X, r, c)
             q = target_pmf(ws)
-            _assert_tail_certified(q.points + ws.Xc, q.tail_bound, ws.target_gram, ws.Xc)
+            _assert_tail_certified(q.points + ws.Xc, q.tail_bound, ws.r**2 * (ws.X @ ws.X.T).to_numpy(), ws.Xc)
 
 
 def test_skew_basis_region_is_sized_by_the_nearest_coset_point():
@@ -195,7 +195,7 @@ def test_skew_basis_region_is_sized_by_the_nearest_coset_point():
             q = target_pmf(ws)
             sizes[c[0]] = q.support_size()
             if skew == 100:
-                _assert_tail_certified(q.points + ws.Xc, q.tail_bound, ws.target_gram, ws.Xc)
+                _assert_tail_certified(q.points + ws.Xc, q.tail_bound, ws.r**2 * (ws.X @ ws.X.T).to_numpy(), ws.Xc)
         assert sizes[0.0] < 100 and sizes[0.5] < 1.5 * sizes[0.0], sizes
     # the same for the coset L + (1/2, 0) = B (Z^2 + (1/2, -50)) of the skew
     # lattice L = B Z^2 itself

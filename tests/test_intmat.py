@@ -8,14 +8,15 @@ import pytest
 
 from dgsum.intmat import (
     IntMatrix,
+    SurjectivityError,
     adjugate,
     dot,
     fraction_rank,
     hnf_column,
-    hnf_pivots,
     independent_rows,
     is_surjective,
     norm_sq,
+    require_surjective,
     smith,
     solve_integer,
 )
@@ -29,8 +30,7 @@ def test_construction_and_transpose():
     X = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert X.shape == (2, 3)
     assert X.T.rows == ((1, 4), (2, 5), (3, 6))
-    assert X.column(1) == (2, 5)
-    assert IntMatrix.from_columns(X.columns()).rows == X.rows
+    assert IntMatrix.from_columns(X.cols).rows == X.rows
 
 
 def test_matmul_matrix_and_vector():
@@ -59,10 +59,8 @@ def test_cached_columns():
     for n, m in ((1, 1), (2, 5), (4, 3)):
         X = random_matrix(rng, n, m)
         assert X.cols == tuple(zip(*X.rows))
-        assert X.columns() == list(zip(*X.rows))
-        assert [X.column(j) for j in range(m)] == list(zip(*X.rows))
         assert X.cols is X.cols  # built once per object
-    assert IntMatrix(()).cols == () and IntMatrix(()).columns() == []
+    assert IntMatrix(()).cols == ()
 
 
 def test_cache_does_not_touch_equality_or_hash():
@@ -87,9 +85,9 @@ def test_dot_and_norms():
 
 def test_hnf_identity_on_unimodular():
     X = IntMatrix.from_rows([[1, 1], [0, 1]])
-    H, U = hnf_column(X)
+    H, U, pivots = hnf_column(X)
     assert (X @ U).rows == H.rows
-    assert len(hnf_pivots(H)) == 2
+    assert pivots == ((0, 0), (1, 1))
 
 
 def test_hnf_random_consistency():
@@ -98,11 +96,51 @@ def test_hnf_random_consistency():
         n = int(rng.integers(1, 4))
         m = int(rng.integers(n, 6))
         X = random_matrix(rng, n, m)
-        H, U = hnf_column(X)
+        H, U, pivots = hnf_column(X)
         assert (X @ U).rows == H.rows
         # unimodular U: |det| = 1, checked via exact rank + numpy determinant
         assert abs(round(np.linalg.det(U.to_numpy()))) == 1
-        assert len(hnf_pivots(H)) == fraction_rank(X.rows)
+        assert len(pivots) == fraction_rank(X.rows)
+
+
+def _scanned_pivots(H):
+    """(row, col) of the first nonzero of each nonzero column of a column
+    HNF, found by scanning H: the reference for the pivots hnf_column records."""
+    pivots = []
+    for j, col in enumerate(H.cols):
+        nz = [i for i, x in enumerate(col) if x != 0]
+        if nz:
+            pivots.append((nz[0], j))
+    return tuple(pivots)
+
+
+def test_recorded_pivots_match_a_scan_of_h():
+    rng = np.random.default_rng(41)
+    cases = [IntMatrix.from_rows([[]] * 3), IntMatrix(()), IntMatrix.from_rows([[0, 0], [0, 0]])]
+    while len(cases) < 400:
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 10))
+        A = rng.integers(-4, 5, size=(n, m))
+        if rng.random() < 0.4 and n > 1:
+            # a dependent row: a random integer combination of the others
+            k = int(rng.integers(0, n))
+            A[k] = rng.integers(-2, 3, size=n - 1) @ np.delete(A, k, axis=0)
+        if rng.random() < 0.3:
+            A[int(rng.integers(0, n))] = 0  # a zero row
+        cases.append(IntMatrix.from_rows(A.tolist()))
+    kinds = set()
+    for X in cases:
+        n, m = X.shape
+        H, _, pivots, _ = X.hermite
+        rank = fraction_rank(X.rows)
+        assert pivots == _scanned_pivots(H) == hnf_column(X)[2]
+        assert len(pivots) == rank
+        # H's zero columns are those past the last pivot, over the kernel
+        assert [j for j, col in enumerate(H.cols) if not any(col)] == list(range(rank, m))
+        kinds |= {"deficient"} if rank < n else set()
+        kinds |= {"zero row"} if any(not any(row) for row in X.rows) else set()
+        kinds |= {"m < n"} if m < n else set()
+        kinds |= {"m = 0"} if m == 0 else set()
+    assert kinds == {"deficient", "zero row", "m < n", "m = 0"}
 
 
 def test_kernel_columns_exact():
@@ -149,6 +187,10 @@ def test_is_surjective():
     assert is_surjective(IntMatrix.from_rows([[1, 0, 1], [0, 1, 1]]))
     assert not is_surjective(IntMatrix.from_rows([[2, 0], [0, 2]]))
     assert not is_surjective(IntMatrix.from_rows([[1, 1], [1, 1]]))
+    require_surjective(IntMatrix.from_rows([[1, 0, 1], [0, 1, 1]]))
+    for X in ([[2, 0], [0, 2]], [[1, 1], [1, 1]]):
+        with pytest.raises(SurjectivityError, match="does not map Z\\^m onto Z\\^n: some labels have no fiber"):
+            require_surjective(IntMatrix.from_rows(X))
 
 
 def test_fraction_rank():
@@ -303,10 +345,10 @@ def test_smith_checks_its_transforms(monkeypatch):
     hnf = dgsum.intmat.hnf_column
 
     def broken(A):
-        H, U = hnf(A)
+        H, U, pivots = hnf(A)
         rows = [list(r) for r in U.rows]
         rows[0][0] += 2  # no longer the transform of H
-        return H, IntMatrix.from_rows(rows)
+        return H, IntMatrix.from_rows(rows), pivots
 
     monkeypatch.setattr(dgsum.intmat, "hnf_column", broken)
     with pytest.raises(InvariantViolation):

@@ -347,7 +347,7 @@ def test_dual_scaling():
 def test_dual_pairing_identity():
     basis = LatticeBasis(IntMatrix.from_columns([(1, 2, 0), (0, 1, 1)]))
     dual = dual_basis(basis)
-    for i, b in enumerate(basis.matrix.columns()):
+    for i, b in enumerate(basis.matrix.cols):
         for j, d in enumerate(dual):
             pair = sum(Fraction(x) * y for x, y in zip(b, d))
             assert pair == (1 if i == j else 0)

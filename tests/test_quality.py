@@ -50,7 +50,7 @@ def test_column_bound_random_brute_force():
     rng = np.random.default_rng(1)
     for _ in range(50):
         X = IntMatrix.from_rows(rng.integers(-6, 7, size=(3, 5)).tolist())
-        brute = max(sum(x * x for x in X.column(j)) for j in range(5))
+        brute = max(sum(row[j] ** 2 for row in X.rows) for j in range(5))
         assert column_bound(X) == pytest.approx(math.sqrt(brute), rel=1e-12)
 
 

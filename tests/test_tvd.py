@@ -13,12 +13,11 @@ from dgsum.gaussian import (
     banaszczyk_radius,
     sample_dg_coset,
 )
-from dgsum.intmat import IntMatrix, InvariantViolation, adjugate, is_surjective, solve_integer
-from dgsum.lattice import integer_kernel, smoothing_bound
+from dgsum.intmat import IntMatrix, InvariantViolation, SurjectivityError, adjugate, is_surjective, solve_integer
+from dgsum.lattice import RankError, integer_kernel, smoothing_bound
 from dgsum.tvd import (
     ULP,
     FiberWorkspace,
-    NotInSupport,
     class_tvd,
     exact_output_pmf,
     exact_tvd,
@@ -78,12 +77,13 @@ def test_fiber_unimodular_single_point():
 
 def test_fiber_not_in_support():
     X = IntMatrix.from_rows([[2, 2]])
-    with pytest.raises(NotInSupport):
+    with pytest.raises(SurjectivityError):
         FiberWorkspace(X, 2.0, [0.0, 0.0])
     # the class TVD, with no workspace, runs the same checks
-    with pytest.raises(NotInSupport, match="no fiber"):
+    with pytest.raises(SurjectivityError, match="no fiber"):
         class_tvd(X, 2.0, [0.0, 0.0])
-    with pytest.raises(ValueError, match="full row rank"):
+    # the lattice's one rank check, with the kernel report's message
+    with pytest.raises(RankError, match=r"full row rank: kernel rank 1 != m - n = 0"):
         class_tvd(IntMatrix.from_rows([[1, 1], [1, 1]]), 2.0, [0.0, 0.0])
     with pytest.raises(ValueError, match="shift dimension mismatch"):
         class_tvd(X11, 2.0, [0.0])
@@ -130,7 +130,7 @@ def test_workspace_particular_matches_solve_integer():
         n, m = X.shape
         c = rng.normal(size=m)
         if not is_surjective(X):
-            with pytest.raises(NotInSupport):
+            with pytest.raises(SurjectivityError):
                 FiberWorkspace(X, 0.5, c)
             continue
         onto += 1
