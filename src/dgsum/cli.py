@@ -35,17 +35,17 @@ import numpy as np
 
 from . import __version__
 from .gaussian import EnumerationBudgetExceeded, SampleStream, draw_ints, exact_pmf, sample_dg_coset
-from .intmat import IntMatrix, InvariantViolation, SurjectivityError, is_surjective, norm_sq
-from .lattice import reduced_integer_kernel, successive_minima_upper
+from .intmat import IntMatrix, InvariantViolation, SurjectivityError, is_surjective, norm_sq, require_surjective
+from .lattice import reduced_integer_kernel, require_full_row_rank, successive_minima_upper
 from .quality import (
     CollisionNotFound,
     CollisionSearchParams,
     certify_quality,
     exact_dual_fallback,
     find_dual_vectors,
+    floor_certificate,
     short_kernel_vectors,
     distance_threshold,
-    unit_certificate,
     parameter_check,
 )
 from .tvd import FiberWorkspace, class_tvd, mc_tvd, target_pmf
@@ -245,18 +245,21 @@ def load_or_draw_matrix(cfg: dict, stream: SampleStream) -> IntMatrix:
 def best_certificate(X: IntMatrix, stream: SampleStream):
     """X's verified certificate of least q2 found, or None.
 
-    X's ``unit_certificate`` when it has one: no certificate has q2 < 1, so
-    neither search runs.  Otherwise no certificate has q2^2 < 2: a u_i with
-    ||u_i||^2 = 1 is some +-e_j, and u_i . x_k = delta_ik would make column
-    j equal +-e_i.  So the exact fallback runs first and is returned where
-    it verifies at q2^2 = 2, the least there is.  Elsewhere the collision
-    search runs too, and the verified certificate of smaller q2 wins, the
-    collision search's on a tie.  ``search_stats`` names the path that gave
-    the certificate (unit, fallback or collision) and the searches run.
+    X's ``floor_certificate`` when it has one: it is exhaustive over the
+    certificates of q2^2 <= 2, and none has q2 < 1 or, off the unit case,
+    q2^2 < 2, so neither search runs.  Otherwise both searches run and the
+    verified certificate of smaller q2 wins, the collision search's on a
+    tie; one of q2^2 <= 2 would contradict the rule.  ``search_stats``
+    names the path that gave the certificate (unit, floor, fallback or
+    collision) and the searches run.
     """
-    unit = unit_certificate(X)
-    if unit is not None:
-        return replace(certify_quality(X, unit), search_stats={"path": "unit", "searches_run": 0})
+    floor = floor_certificate(X)
+    if floor is not None:
+        cert = certify_quality(X, floor)
+        if not cert.verified:
+            raise InvariantViolation(f"floor certificate fails its {cert.failure} check")
+        path = "unit" if max(map(norm_sq, floor)) == 1 else "floor"
+        return replace(cert, search_stats={"path": path, "searches_run": 0})
 
     def verified(search):
         try:
@@ -265,13 +268,11 @@ def best_certificate(X: IntMatrix, stream: SampleStream):
             return None
         if not cert.verified:
             return None
-        if max(map(norm_sq, cert.u)) < 2:
-            raise InvariantViolation("a certificate of q2^2 < 2 verified on X without a unit certificate")
+        if max(map(norm_sq, cert.u)) <= 2:
+            raise InvariantViolation("a certificate of q2^2 <= 2 verified on X without a floor certificate")
         return cert
 
     fallback = verified(lambda: exact_dual_fallback(X))
-    if fallback is not None and max(map(norm_sq, fallback.u)) == 2:
-        return replace(fallback, search_stats={"path": "fallback", "searches_run": 1})
     collision = verified(lambda: find_dual_vectors(X, stream=stream))
     best = min((c for c in (collision, fallback) if c is not None), key=lambda c: c.q2, default=None)
     if best is None:
@@ -401,6 +402,9 @@ def _tvd_instance(X: IntMatrix, r: float, eps: float, c, mode: str, stream: Samp
 
 def cmd_tvd(cfg: dict, stream: SampleStream) -> Run:
     X = load_or_draw_matrix(cfg, stream.substream(0))
+    # the TVD's own checks, first: on such an X the fault is X, not a missing threshold
+    require_full_row_rank(X)
+    require_surjective(X)
     cert = best_certificate(X, stream.substream(1))
     eps = cfg["eps"]
     threshold = None

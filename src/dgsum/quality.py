@@ -11,15 +11,17 @@ finds two random small combinations of given vectors whose sums differ by a
 fixed offset.  With {0,1} combinations and offset 0 it yields the pigeonhole
 relations; with {-1,0,1} combinations of column prefixes and offsets +-e_i it
 yields the u_i, with an exact HNF-based solver as deterministic fallback.
-Every candidate is verified exactly before being returned.  Where each row
-i of X has a column equal to +-e_i, ``unit_certificate`` reads a certificate
-of q2 = 1, the least there is, off those columns; on any other X no
-certificate has q2^2 < 2.
+Every candidate is verified exactly before being returned.  No certificate
+has q2 < 1, and q2 = 1 needs a column equal to +-e_i for each row i; on any
+other X no certificate has q2^2 < 2.  ``floor_certificate`` finds a
+certificate of q2^2 <= 2 directly from X's columns wherever one exists, so
+the two searches only run above that floor.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Sequence
@@ -224,9 +226,8 @@ def find_dual_vectors(X: IntMatrix, stream: SampleStream) -> list[tuple[int, ...
     live in {-2..2} on the searched prefix.  Raises SurjectivityError, before
     any probe, when X does not map Z^m onto Z^n (rank-deficient X included;
     ``intmat.require_surjective``), and CollisionNotFound when a budget is
-    exhausted.  The CLI runs it only on
-    X without a ``unit_certificate`` whose exact fallback fails or reads
-    q2^2 > 2 (``cli.best_certificate``).
+    exhausted.  The CLI runs it, with the exact fallback, only on X
+    without a ``floor_certificate`` (``cli.best_certificate``).
     """
     n, m = X.shape
     # every certificate needs X Z^m = Z^n; no probe can succeed without it
@@ -262,9 +263,8 @@ def exact_dual_fallback(X: IntMatrix) -> list[tuple[int, ...]]:
     kernel; for u_1 the system is X itself, so its reduced kernel is the one
     the kernel report reads.  No a-priori norm bound;
     the achieved q2 is whatever comes out.  SurjectivityError, before any
-    solve, when X does not map Z^m onto Z^n.  The CLI runs it first on X
-    without a ``unit_certificate``, and where it reads q2^2 = 2, the least
-    such an X admits, the collision search does not run
+    solve, when X does not map Z^m onto Z^n.  The CLI runs it, with the
+    collision search, only on X without a ``floor_certificate``
     (``cli.best_certificate``).
     """
     n, m = X.shape
@@ -288,19 +288,80 @@ def exact_dual_fallback(X: IntMatrix) -> list[tuple[int, ...]]:
     return us
 
 
-def unit_certificate(X: IntMatrix) -> list[tuple[int, ...]] | None:
-    """u_i = s e_j for the first column j of X equal to s e_i (s = +-1), one
-    per row; None when some row of X has no such column.
+def floor_certificate(X: IntMatrix) -> list[tuple[int, ...]] | None:
+    """X's certificate of least q2 among those whose every u_i has at most
+    two nonzero entries, each +-1; None when X has no such certificate.
 
-    u_i . x_k = s X_kj = delta_ik, the u_i sit on distinct columns and so are
-    orthogonal, and the unit columns make X onto: these u_i always verify.
-    Every u_i of any certificate is a nonzero integer vector, so q2 = 1 is
-    the least q2 there is.
+    These are all u_i with ||u_i||^2 <= 2, so the rule is exhaustive at the
+    floor: a certificate of q2^2 <= 2 exists iff it returns one.  Every u_i
+    is a nonzero integer vector, so q2 >= 1, and q2 = 1 needs u_i = s e_j
+    with x_j = s e_i for each row i.  So when every row has such a column
+    the first one per row is returned, before any pair is built: these u_i
+    sit on distinct columns, hence are orthogonal, and always verify.
+
+    Otherwise the candidates for row i are s e_j with x_j = s e_i, then
+    s e_j + t e_k (j < k) with x_k = t (e_i - s x_j), found by indexing the
+    columns in a dict, in order of (j, s) and then (j, k, s, t).  Candidates
+    of two different rows are orthogonal iff their columns are disjoint: one
+    shared column gives a product of +-1, and two shared columns would need
+    2 x_j = e_a +- e_b, which no integer x_j solves.  The search takes rows
+    in order and returns the first disjoint choice in candidate order.
+    After each choice it drops the later rows' candidates that share a
+    column (forward checking) and backtracks when one row has none left.  A
+    choice whose columns have the same values and signs as one that already
+    failed at the same node fails too (swapping equal columns maps one
+    subtree onto the other), so each node tries at most 2m + 2 failing
+    choices and the search stays polynomial in m for fixed n.
     """
-    first = [next((j for j, col in enumerate(X.cols) if col[i] and norm_sq(col) == 1), None) for i in range(X.n_rows)]
-    if None in first:
+    n, m = X.shape
+    cols = X.cols
+    first = [next((j for j, col in enumerate(cols) if col[i] and norm_sq(col) == 1), None) for i in range(n)]
+    if None not in first:
+        return [tuple(X.rows[i][j] if k == j else 0 for k in range(m)) for i, j in enumerate(first)]
+    where: dict[tuple[int, ...], list[int]] = {}
+    for j, col in enumerate(cols):
+        where.setdefault(col, []).append(j)
+    domains = []
+    for i in range(n):
+        e = tuple(int(r == i) for r in range(n))
+        units = [((j, s),) for s in (1, -1) for j in where.get(tuple(s * v for v in e), ())]
+        pairs = []
+        for j, col in enumerate(cols):
+            for s, d in ((1, tuple(map(operator.sub, e, col))), (-1, tuple(map(operator.add, e, col)))):
+                for t, want in ((1, d), (-1, tuple(map(operator.neg, d)))):  # want = t (e_i - s x_j)
+                    for k in where.get(want, ()):
+                        if k > j:
+                            pairs.append(((j, s), (k, t)))
+        pairs.sort(key=lambda c: (c[0][0], c[1][0], c[0][1], c[1][1]))
+        domains.append(sorted(units) + pairs)
+
+    def extend(domains):
+        if not domains:
+            return []
+        failed = set()
+        for terms in domains[0]:
+            shape = frozenset((cols[j], s) for j, s in terms)
+            if shape in failed:
+                continue
+            used = {j for j, _ in terms}
+            rest = [[c for c in d if used.isdisjoint(j for j, _ in c)] for d in domains[1:]]
+            if all(rest):
+                tail = extend(rest)
+                if tail is not None:
+                    return [terms, *tail]
+            failed.add(shape)
         return None
-    return [tuple(X.rows[i][j] if k == j else 0 for k in range(X.n_cols)) for i, j in enumerate(first)]
+
+    chosen = extend(domains) if all(domains) else None
+    if chosen is None:
+        return None
+    us = []
+    for terms in chosen:
+        u = [0] * m
+        for j, s in terms:
+            u[j] = s
+        us.append(tuple(u))
+    return us
 
 
 def certify_quality(X: IntMatrix, u: Sequence[Sequence[int]]) -> QualityCertificate:

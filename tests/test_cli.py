@@ -349,16 +349,25 @@ def test_tvd_exact_fail_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     assert read_json(out / "tvd.json")["verdict"] == "fail"
 
 
-@pytest.mark.parametrize("x_text", [
-    "2 1\n1 1\n",  # m = n: a certificate, but no threshold
-    " ".join(["-4 -2 2 2 4"] * 4) + "\n",  # not onto: no certificate
-])
+NOT_ONTO = "invalid input: X does not map Z^m onto Z^n: some labels have no fiber\n"
+# X -> tvd's stderr line without -r: the threshold is blamed only where X
+# itself passes the TVD's rank and onto checks
+TVD_WITHOUT_R = {
+    "2 1\n1 1\n": "no threshold available: give -r explicitly\n",  # m = n: a certificate, but no threshold
+    " ".join(["-4 -2 2 2 4"] * 4) + "\n": NOT_ONTO,  # not onto: no certificate
+    "1 1\n1 1\n": "invalid input: X must have full row rank: kernel rank 1 != m - n = 0\n",
+    "2 2\n": NOT_ONTO,
+    "2 0 2\n0 2 2\n": NOT_ONTO,
+}
+
+
+@pytest.mark.parametrize("x_text", TVD_WITHOUT_R)
 def test_tvd_without_a_threshold_exits_2_and_writes_nothing(tmp_path, capsys, x_text):
     xfile = tmp_path / "X.txt"
     xfile.write_text(x_text)
     out = tmp_path / "run"
     assert run(["tvd", "--x-file", xfile, "--exact", "--out-dir", out]) == EXIT_GATE
-    assert capsys.readouterr().err == "no threshold available: give -r explicitly\n"
+    assert capsys.readouterr().err == TVD_WITHOUT_R[x_text]
     assert list(out.iterdir()) == []
 
 
