@@ -1,8 +1,15 @@
 """Seeded, manifest-driven command-line front end.
 
 Subcommands: sample | quality | kernel | tvd | main.  Every option is one
-entry of ``OPTIONS`` (flag, kind, default), which both the parser and
-``resolve`` read.  A subcommand's handler takes the resolved config and the
+entry of ``OPTIONS`` (flag, kind, default).  One reader, ``read_argv``,
+takes the command line in one pass: the command, then exact ``flag value``
+pairs (``-n 3``, ``--x-file X.txt``, ``--config FILE``) and at most one of
+``--exact``, ``--mc`` and ``--both``, as raw text.  It refuses anything else
+(an abbreviated flag, ``-n3``, ``--flag=value``, a flag without a value),
+and ``-h`` / ``--help`` prints the usage built from ``OPTIONS``.
+``resolve`` lays that text over the ``--config`` file and converts each
+value once, by ``_option``, so a flag and a ``key = value`` line are read by
+one code path.  A subcommand's handler takes the resolved config and the
 run's ``SampleStream`` and returns a ``Run``: exit status, reports, stage
 status and at most one stderr line.  ``main`` is the one run frame: it makes
 the output directory, calls the handler, writes each report through
@@ -20,7 +27,6 @@ verdict or invalid input (an output path that cannot be written included),
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -153,8 +159,8 @@ def parse_config(path: str) -> dict:
 
 # key -> (flag, kind, default) of every option.  A kind of int or float
 # parses a number, str keeps text and list reads the shift c; the mode has no
-# flag of its own but the --exact/--mc/--both group.  The order is the order
-# in which ``resolve`` reads, and so refuses, the values.
+# flag of its own but one of MODES.  The order is the order in which
+# ``resolve`` reads, and so refuses, the values.
 OPTIONS = {
     "n": ("-n", int, 1),
     "m": ("-m", int, 2),
@@ -169,6 +175,55 @@ OPTIONS = {
     "c": ("--c", list, None),
     "mode": (None, str, "exact"),
 }
+# the flags that set the mode, each to its own name
+MODES = ("--exact", "--mc", "--both")
+HELP = ("-h", "--help")
+# flag -> the key its value goes to: every option's, and the config file's
+FLAGS = {flag: key for key, (flag, _, _) in OPTIONS.items() if flag} | {"--config": "config"}
+_KINDS = {int: "an integer", float: "a number", str: "text", list: "a list of numbers"}
+
+
+def read_argv(argv: list[str]) -> tuple[str | None, dict]:
+    """The command and the raw text of its flags, read in one pass, or
+    (None, {}) where ``-h`` / ``--help`` stands for the command or a flag.
+
+    The first token is a command of ``HANDLERS``; after it come exact
+    ``flag value`` pairs of ``FLAGS``, the last of a repeated flag winning,
+    and the ``MODES`` flags, which put their own name in ``mode``.  Anything
+    else is a ValueError: an unknown or abbreviated flag, ``-n3``,
+    ``--flag=value``, a flag without a value and two different modes."""
+    if argv and argv[0] in HELP:
+        return None, {}
+    if not argv or argv[0] not in HANDLERS:
+        got = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise ValueError(f"{got}: the first argument must be one of {', '.join(HANDLERS)}")
+    raw = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in FLAGS:
+            value = next(tokens, None)
+            if value is None or value in FLAGS or value in MODES or value in HELP:
+                raise ValueError(f"{token} needs a value")
+            raw[FLAGS[token]] = value
+        elif token in MODES:
+            if raw.setdefault("mode", token[2:]) != token[2:]:
+                raise ValueError(f"--{raw['mode']} and {token} exclude each other")
+        elif token in HELP:
+            return None, {}
+        else:
+            raise ValueError(f"unknown argument {token!r} (see --help)")
+    return argv[0], raw
+
+
+def usage() -> str:
+    """The help text: the commands, then each flag of ``OPTIONS`` with its
+    kind and default."""
+    lines = [f"usage: dgsum {{{','.join(HANDLERS)}}} [flag value ...] [{' | '.join(MODES)}]",
+             f"  {'--config FILE':<18}key = value lines or a manifest.json, under the flags"]
+    lines += [f"  {flag + ' ' + kind.__name__.upper():<18}default {default}"
+              for flag, kind, default in OPTIONS.values() if flag]
+    lines.append(f"  {' | '.join(MODES)}  the mode, default {OPTIONS['mode'][2]}")
+    return "\n".join(lines)
 
 
 def _option(cfg: dict, key: str, kind: type, default):
@@ -180,24 +235,26 @@ def _option(cfg: dict, key: str, kind: type, default):
     v = cfg.get(key, default)
     if v is None and default is None:
         return None
-    if kind is list:
-        if isinstance(v, str):
-            v = v.split()
-        elif not (isinstance(v, list) and all(type(x) in (int, float) for x in v)):
-            raise ValueError(f"{key} must be a list of numbers, not {v!r}")
-        return [float(x) for x in v] or None
-    if kind is str:
-        if isinstance(v, str):
+    if isinstance(v, str):
+        if kind is str:
             return v
-        raise ValueError(f"{key} must be text, not {v!r}")
-    if isinstance(v, str) or type(v) is int or (kind is float and type(v) is float):
+        try:
+            return ([float(x) for x in v.split()] or None) if kind is list else kind(v)
+        except ValueError:
+            pass
+    elif kind is list:
+        if isinstance(v, list) and all(type(x) in (int, float) for x in v):
+            return [float(x) for x in v] or None
+    elif kind in (int, float) and type(v) in (int, kind):
         return kind(v)
-    raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, not {v!r}")
+    raise ValueError(f"{key} must be {_KINDS[kind]}, not {v!r}")
 
 
-def resolve(args: argparse.Namespace) -> dict:
-    cfg = parse_config(args.config) if args.config else {}
-    cfg.update((key, v) for key in OPTIONS if (v := getattr(args, key, None)) is not None)
+def resolve(raw: dict) -> dict:
+    """The run's config: ``read_argv``'s raw flags over the ``--config`` file,
+    each value converted once by ``_option`` and then checked."""
+    cfg = parse_config(raw["config"]) if raw.get("config") else {}
+    cfg.update(raw)
     out = {key: _option(cfg, key, kind, default) for key, (_, kind, default) in OPTIONS.items()}
     if not 0 < out["eps"] < 1 / 3:  # the range of the distance threshold
         raise ValueError(f"eps must be in (0, 1/3), not {out['eps']:g}")
@@ -480,51 +537,33 @@ def cmd_main_experiment(cfg: dict, stream: SampleStream) -> Run:
     return Run(EXIT_OK, files)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", default=None)
-    for key, (flag, kind, _) in OPTIONS.items():
-        if flag:
-            shared.add_argument(flag, dest=key, type=kind if kind in (int, float) else None, default=None)
-    g = shared.add_mutually_exclusive_group()
-    g.add_argument("--exact", dest="mode", action="store_const", const="exact")
-    g.add_argument("--mc", dest="mode", action="store_const", const="mc")
-    g.add_argument("--both", dest="mode", action="store_const", const="both")
-    p = argparse.ArgumentParser(prog="dgsum", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in ("sample", "quality", "kernel", "tvd", "main"):
-        sub.add_parser(name, parents=[shared])
-    return p
-
-
-# built once per process: parse_args does not change it, and building it
-# costs more than parsing
-_PARSER = build_parser()
+HANDLERS = {
+    "sample": cmd_sample,
+    "quality": cmd_quality,
+    "kernel": cmd_kernel,
+    "tvd": cmd_tvd,
+    "main": cmd_main_experiment,
+}
 
 
 def main(argv=None) -> int:
     """Run one subcommand: make the out dir, call its handler, then write its
     reports and, if there are any, the manifest, and print its message.  A
     handler that raises writes nothing; the error becomes one stderr line."""
-    args = _PARSER.parse_args(argv)
     try:
-        cfg = resolve(args)
+        command, raw = read_argv(sys.argv[1:] if argv is None else argv)
+        if command is None:
+            print(usage())
+            return EXIT_OK
+        cfg = resolve(raw)
     except (ValueError, KeyError, OverflowError) as exc:  # OverflowError: an integer too large for a float
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_GATE
-    command = args.command
-    handler = {
-        "sample": cmd_sample,
-        "quality": cmd_quality,
-        "kernel": cmd_kernel,
-        "tvd": cmd_tvd,
-        "main": cmd_main_experiment,
-    }[command]
     try:
         t0 = time.time()
         out = make_out_dir(cfg)
         stream = SampleStream(cfg["seed"])
-        run = handler(cfg, stream)
+        run = HANDLERS[command](cfg, stream)
         for name, body in run.files.items():
             if isinstance(body, str):
                 write_report(out / name, body)

@@ -15,10 +15,11 @@ from dgsum.cli import (
     EXIT_GATE,
     EXIT_INVARIANT,
     EXIT_OK,
-    build_parser,
+    OPTIONS,
     jround,
     main,
     parse_config,
+    read_argv,
     resolve,
 )
 
@@ -62,13 +63,12 @@ def test_parse_config_bad_line(tmp_path):
 
 
 def test_resolve_validation():
-    parser = build_parser()
-    args = parser.parse_args(["sample", "-n", "3", "-m", "2"])
+    command, raw = read_argv(["sample", "-n", "3", "-m", "2"])
+    assert (command, raw) == ("sample", {"n": "3", "m": "2"})
     with pytest.raises(ValueError):
-        resolve(args)
-    args = parser.parse_args(["sample", "--eps", "2.0"])
+        resolve(raw)
     with pytest.raises(ValueError):
-        resolve(args)
+        resolve(read_argv(["sample", "--eps", "2.0"])[1])
 
 
 def test_invalid_config_exit_code(tmp_path, capsys):
@@ -79,11 +79,54 @@ def test_invalid_config_exit_code(tmp_path, capsys):
         ('{"n": [1], "m": 3}', "n must be an integer, not [1]"),
         ('{"resolved_config": 5}', "resolved_config must be an object, not 5"),
         ('{"seed": 1.5}', "seed must be an integer, not 1.5"),
+        # key = value text that does not parse, worded as for a JSON value
+        ("n = abc", "n must be an integer, not 'abc'"),
+        ("r = 1.5x", "r must be a number, not '1.5x'"),
+        ("c = 0.5,0", "c must be a list of numbers, not '0.5,0'"),
     ]:
         (tmp_path / "cfg.json").write_text(text)
         assert run(["sample", "--config", tmp_path / "cfg.json", "--out-dir", tmp_path / "run"]) == EXIT_GATE, text
         assert capsys.readouterr().err == f"invalid config: {why}\n"
         assert not (tmp_path / "run").exists()
+
+
+COMMANDS = "sample, quality, kernel, tvd, main"
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["tvd", "--bogus", "1"], "unknown argument '--bogus' (see --help)"),
+    # no abbreviation of --samples, no value glued to its flag
+    (["sample", "--samp", "10"], "unknown argument '--samp' (see --help)"),
+    (["sample", "-n3"], "unknown argument '-n3' (see --help)"),
+    (["sample", "--seed=3"], "unknown argument '--seed=3' (see --help)"),
+    (["tvd", "--x-file"], "--x-file needs a value"),
+    (["tvd", "--x-file", "--exact"], "--x-file needs a value"),
+    (["tvd", "--exact", "--mc"], "--exact and --mc exclude each other"),
+    ([], f"no command: the first argument must be one of {COMMANDS}"),
+    (["foo"], f"unknown command 'foo': the first argument must be one of {COMMANDS}"),
+    (["sample", "-n", "abc"], "n must be an integer, not 'abc'"),
+    (["sample", "--seed", "1.5"], "seed must be an integer, not '1.5'"),
+    (["tvd", "--c", "0.5,0"], "c must be a list of numbers, not '0.5,0'"),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
+def test_malformed_command_line_is_one_line(tmp_path, monkeypatch, capsys, argv, why):
+    # every malformed command line is bad input: one line, exit 2, no file
+    monkeypatch.chdir(tmp_path)
+    assert run(argv[:1] + ["--out-dir", "run"] * bool(argv) + argv[1:]) == EXIT_GATE
+    assert capsys.readouterr() == ("", f"invalid config: {why}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["tvd", "-h"], ["kernel", "--x-file", "X.txt", "--help"]])
+def test_help_prints_usage_from_the_option_table(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: dgsum {sample,quality,kernel,tvd,main} ")
+    for flag, kind, default in OPTIONS.values():
+        if flag:
+            assert f"  {flag} {kind.__name__.upper()} " in out and f"default {default}\n" in out, flag
+    assert "--exact | --mc | --both" in out and "--config FILE" in out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cmd_sample(tmp_path):
@@ -793,7 +836,8 @@ def test_replay_manifest_with_removed_keys(tmp_path):
 
 
 def test_parser_keeps_no_state_between_calls(tmp_path):
-    # one parser serves every main call in a process
+    # every main call reads its own argv into a fresh dict: no flag of one
+    # call (a seed, a mode) carries over into the next
     xfile = tmp_path / "X.txt"
     xfile.write_text("1\n")
     common = ["sample", "--x-file", xfile, "-r", "2.0", "--samples", "10"]
